@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crypto_microbench;
 pub mod figures;
 pub mod report;
 pub mod setup;

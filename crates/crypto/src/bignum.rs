@@ -388,7 +388,7 @@ impl BigUint {
     /// Odd multi-limb moduli (every RSA modulus and DSA prime in this
     /// workspace) go through the windowed Montgomery fast path
     /// ([`crate::montgomery::MontgomeryContext`]); everything else falls
-    /// back to [`BigUint::mod_pow_legacy`]. The two paths are
+    /// back to the crate-private schoolbook `mod_pow_legacy`. The two paths are
     /// property-tested equivalent.
     pub fn mod_pow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
@@ -409,7 +409,7 @@ impl BigUint {
     /// This is the pre-Montgomery implementation, kept (and exercised by
     /// property tests) as the reference the fast path must agree with, and
     /// as the fallback for even or single-limb moduli.
-    pub fn mod_pow_legacy(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
+    pub(crate) fn mod_pow_legacy(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
         if modulus.is_one() {
             return BigUint::zero();

@@ -15,6 +15,10 @@
 //!   `write_all`, `read_to_end`, `read_to_string`) — every reactor socket
 //!   op must be a non-blocking pump.
 //!
+//! The frame parser the reactor feeds (`FrameAssembler` in `frame.rs`) is a
+//! pure state machine — no socket, lock or clock — so that file, which also
+//! holds the blocking client reader, stays outside this pass.
+//!
 //! Deliberate pacing (the shutdown flush nap) is suppressed with
 //! `// lint:allow(reactor-discipline, <reason>)`, so every blocking site in
 //! the reactor carries a written justification. The runtime cross-check is

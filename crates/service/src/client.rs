@@ -7,7 +7,9 @@ use std::time::{Duration, Instant};
 use vaq_authquery::{client, Query, QueryResponse, VerifiedResult, VerifyScratch};
 use vaq_crypto::Verifier;
 use vaq_funcdb::FunctionTemplate;
-use vaq_wire::{ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep, StatsSnapshot};
+use vaq_wire::{
+    epoch, ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep, StatsSnapshot,
+};
 
 use crate::error::ServiceError;
 use crate::frame::{read_message, write_message};
@@ -42,6 +44,9 @@ pub struct ServiceClient {
     /// Reusable verification scratch: repeated `query_verified` calls on one
     /// connection share the leaf-digest buffer instead of reallocating it.
     verify_scratch: VerifyScratch,
+    /// Highest publication epoch [`ServiceClient::query_verified`] has
+    /// verified an answer at on this connection — its rollback anchor.
+    verified_epoch: u64,
 }
 
 impl ServiceClient {
@@ -54,6 +59,7 @@ impl ServiceClient {
             pending_tags: HashSet::new(),
             parked: HashMap::new(),
             verify_scratch: VerifyScratch::default(),
+            verified_epoch: 0,
         }
     }
 
@@ -139,37 +145,48 @@ impl ServiceClient {
             Response::Query {
                 epoch: served,
                 response,
-            } => {
-                if served != epoch {
-                    return Err(ServiceError::StaleEpoch {
-                        expected: epoch,
-                        got: served,
-                    });
-                }
-                Ok(response)
-            }
+            } => check_served_epoch(epoch, served).map(|()| response),
             other => Err(unexpected(&other)),
         }
     }
 
     /// Sends one query and verifies the response against the owner's
     /// published template and public key before returning it.
+    ///
+    /// The response is verified at the epoch its envelope is stamped with:
+    /// the stamp itself is unauthenticated, but every signature binds the
+    /// real publication epoch, so a forged stamp fails verification. The
+    /// connection remembers the highest epoch it has verified an answer at
+    /// and refuses a reply stamped below it with a typed
+    /// [`ServiceError::StaleEpoch`] before verifying — a server cannot
+    /// replay a superseded (but genuinely signed) publication to a client
+    /// that has already seen a newer one. A fresh connection has no such
+    /// anchor: it accepts whichever genuine publication the server presents
+    /// first. Callers that know the epoch the owner currently attests
+    /// should pin it with [`ServiceClient::query_at`] instead.
     pub fn query_verified(
         &mut self,
         query: &Query,
         template: &FunctionTemplate,
         verifier: &dyn Verifier,
     ) -> Result<(QueryResponse, VerifiedResult), ServiceError> {
-        let response = self.query(query)?;
+        let (stamped, response) = self.query_with_epoch(query)?;
+        if epoch::rolls_back(self.verified_epoch, stamped) {
+            return Err(ServiceError::StaleEpoch {
+                expected: self.verified_epoch,
+                got: stamped,
+            });
+        }
         let verified = client::verify_at_epoch_with_scratch(
             query,
             &response.records,
             &response.vo,
             template,
             verifier,
-            0,
+            stamped,
             &mut self.verify_scratch,
         )?;
+        self.verified_epoch = stamped;
         Ok((response, verified))
     }
 
@@ -180,24 +197,10 @@ impl ServiceClient {
     /// long) reply against the queries would silently misattribute answers.
     /// The connection stays usable — exactly one frame answered the batch.
     pub fn batch(&mut self, queries: &[Query]) -> Result<Vec<QueryResponse>, ServiceError> {
-        self.batch_with_epoch(queries)
-            .map(|(_, responses)| responses)
-    }
-
-    /// Sends a batch of queries and returns the responses together with the
-    /// publication epoch the service served the whole batch at.
-    ///
-    /// The envelope stamp is unauthenticated; verify each response with
-    /// [`vaq_authquery::verify_at_epoch`] at the epoch the owner's attested
-    /// publication promises — the signatures bind it.
-    pub fn batch_with_epoch(
-        &mut self,
-        queries: &[Query],
-    ) -> Result<(u64, Vec<QueryResponse>), ServiceError> {
         match self.call(&Request::Batch(queries.to_vec()))? {
-            Response::Batch { epoch, responses } => {
+            Response::Batch { responses, .. } => {
                 check_batch_arity(queries.len(), &responses)?;
-                Ok((epoch, responses))
+                Ok(responses)
             }
             other => Err(unexpected(&other)),
         }
@@ -225,12 +228,7 @@ impl ServiceClient {
                 epoch: served,
                 responses,
             } => {
-                if served != epoch {
-                    return Err(ServiceError::StaleEpoch {
-                        expected: epoch,
-                        got: served,
-                    });
-                }
+                check_served_epoch(epoch, served)?;
                 check_batch_arity(queries.len(), &responses)?;
                 Ok(responses)
             }
@@ -285,35 +283,27 @@ impl ServiceClient {
         if self.desynced {
             return Err(desynced_error());
         }
-        match read_message::<Response>(&mut self.stream, self.max_frame_bytes) {
-            Ok(Some(Response::Error(reply))) => {
-                // The server closes the connection after a frame-level
-                // FrameTooLarge/Malformed reply (the stream offset is
-                // unknown) and after ShuttingDown, so pairing another
-                // request with this socket would fail confusingly — or
-                // worse, mis-pair a late frame. Refuse further calls and
-                // make the caller reconnect. (A Malformed reply to a
-                // well-framed-but-undecodable payload keeps the server-side
-                // connection; this client never produces such payloads, and
-                // desyncing is the safe conservative reading either way.)
-                if is_fatal_reply(reply.code) {
-                    self.desynced = true;
-                }
-                Err(ServiceError::Remote(reply))
-            }
-            Ok(Some(response)) => Ok(response),
-            Ok(None) => {
-                self.desynced = true;
-                Err(ServiceError::Io(std::io::Error::new(
+        match self.read_response()? {
+            Response::Error(reply) => Err(self.remote_error(reply)),
+            response => Ok(response),
+        }
+    }
+
+    /// Reads one response frame off the stream. A failed read (timeout, I/O
+    /// error, frame error) or a close leaves no way to pair a later frame
+    /// with its request, so either marks the connection desynced.
+    fn read_response(&mut self) -> Result<Response, ServiceError> {
+        let read = read_message::<Response>(&mut self.stream, self.max_frame_bytes);
+        let response = read.and_then(|frame| {
+            frame.ok_or_else(|| {
+                ServiceError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "service closed the connection",
-                )))
-            }
-            Err(e) => {
-                self.desynced = true;
-                Err(e)
-            }
-        }
+                ))
+            })
+        });
+        self.desynced |= response.is_err();
+        response
     }
 
     /// Sends one request frame and reads one response frame.
@@ -339,19 +329,12 @@ impl ServiceClient {
     /// rejects nesting. A failed write leaves the stream offset unknown, so
     /// it marks the connection desynced.
     pub fn send_tagged(&mut self, request: &Request) -> Result<u64, ServiceError> {
-        if self.desynced {
-            return Err(desynced_error());
-        }
         let tag = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        let envelope = Request::Tagged {
+        self.send(&Request::Tagged {
             tag,
             request: Box::new(request.clone()),
-        };
-        if let Err(e) = write_message(&mut self.stream, &envelope) {
-            self.desynced = true;
-            return Err(e);
-        }
+        })?;
+        self.next_tag = self.next_tag.wrapping_add(1);
         self.pending_tags.insert(tag);
         Ok(tag)
     }
@@ -382,8 +365,8 @@ impl ServiceClient {
             return self.open_inner(parked);
         }
         loop {
-            match read_message::<Response>(&mut self.stream, self.max_frame_bytes) {
-                Ok(Some(Response::Tagged { tag: got, response })) => {
+            match self.read_response()? {
+                Response::Tagged { tag: got, response } => {
                     if got == tag {
                         self.pending_tags.remove(&tag);
                         return self.open_inner(*response);
@@ -399,33 +382,17 @@ impl ServiceClient {
                         return Err(ServiceError::DuplicateTag { tag: got });
                     }
                 }
-                Ok(Some(Response::Error(reply))) => {
-                    // An untagged error while tagged requests are in flight
-                    // is frame-level (the server could not attribute it to a
-                    // request): Malformed, FrameTooLarge, Stalled,
-                    // Overloaded, ShuttingDown. The server closes after
-                    // these, so the in-flight tags will never be answered.
-                    if is_fatal_reply(reply.code) {
-                        self.desynced = true;
-                    }
-                    return Err(ServiceError::Remote(reply));
-                }
-                Ok(Some(other)) => {
+                // An untagged error while tagged requests are in flight is
+                // frame-level (the server could not attribute it to a
+                // request): Malformed, FrameTooLarge, Stalled, Overloaded,
+                // ShuttingDown. The server closes after these, so the
+                // in-flight tags will never be answered.
+                Response::Error(reply) => return Err(self.remote_error(reply)),
+                other => {
                     // An untagged success reply cannot belong to any tagged
                     // request — the pairing is broken.
                     self.desynced = true;
                     return Err(unexpected(&other));
-                }
-                Ok(None) => {
-                    self.desynced = true;
-                    return Err(ServiceError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "service closed the connection",
-                    )));
-                }
-                Err(e) => {
-                    self.desynced = true;
-                    return Err(e);
                 }
             }
         }
@@ -435,12 +402,7 @@ impl ServiceClient {
     /// error replies exactly like [`ServiceClient::receive`] does.
     fn open_inner(&mut self, response: Response) -> Result<Response, ServiceError> {
         match response {
-            Response::Error(reply) => {
-                if is_fatal_reply(reply.code) {
-                    self.desynced = true;
-                }
-                Err(ServiceError::Remote(reply))
-            }
+            Response::Error(reply) => Err(self.remote_error(reply)),
             Response::Tagged { .. } => {
                 // The protocol rejects nested envelopes at decode, so a
                 // nested tag here means the peer is not speaking VAQ1.
@@ -449,6 +411,20 @@ impl ServiceClient {
             }
             other => Ok(other),
         }
+    }
+
+    /// Turns a remote error reply into [`ServiceError::Remote`]. After a
+    /// frame-level FrameTooLarge/Malformed reply (the stream offset is
+    /// unknown) and after ShuttingDown the server closes the connection, so
+    /// pairing another request with this socket would fail confusingly — or
+    /// worse, mis-pair a late frame: such replies desync the connection and
+    /// make the caller reconnect. (A Malformed reply to a well-framed but
+    /// undecodable payload keeps the server-side connection; this client
+    /// never produces such payloads, and desyncing is the safe conservative
+    /// reading either way.)
+    fn remote_error(&mut self, reply: vaq_wire::ErrorReply) -> ServiceError {
+        self.desynced |= is_fatal_reply(reply.code);
+        ServiceError::Remote(reply)
     }
 }
 
@@ -464,6 +440,21 @@ fn is_fatal_reply(code: ErrorCode) -> bool {
             | ErrorCode::Overloaded
             | ErrorCode::Stalled
     )
+}
+
+/// Rejects a reply whose envelope stamp disagrees with the epoch the request
+/// was pinned to (shared with the sharded scatter-gather client). The stamp
+/// is unauthenticated, so this is only a cheap early reject — a *forged*
+/// stamp still fails verification, because the response's signatures bind
+/// the real epoch.
+pub(crate) fn check_served_epoch(pinned: u64, served: u64) -> Result<(), ServiceError> {
+    if served != pinned {
+        return Err(ServiceError::StaleEpoch {
+            expected: pinned,
+            got: served,
+        });
+    }
+    Ok(())
 }
 
 /// Rejects a batch reply whose answer count disagrees with the query count

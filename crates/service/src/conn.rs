@@ -1,133 +1,23 @@
 //! Per-connection state machine for the evented service reactor.
 //!
 //! One [`Conn`] owns a non-blocking socket plus everything the reactor
-//! needs to multiplex it from a single thread: an incremental VAQ1 frame
-//! assembler (a frame may arrive across many readiness sweeps), queues of
-//! fully received requests awaiting dispatch, the set of requests in flight
-//! on the worker pool, and a write queue that survives partial writes.
-//! Nothing here blocks.
+//! needs to multiplex it from a single thread: the incremental frame parser
+//! from [`crate::frame`] (a frame may arrive across many readiness sweeps),
+//! one arrival-ordered queue of fully received requests awaiting dispatch,
+//! the set of requests in flight on the worker pool, and a write queue that
+//! survives partial writes. Nothing here blocks.
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use vaq_wire::{WireError, MAGIC, VERSION};
+use vaq_wire::WireError;
 
 use crate::error::ServiceError;
+use crate::frame::FrameAssembler;
 use crate::metrics::Stage;
 use crate::trace::Trace;
-
-/// VAQ1 frame header length: 4-byte magic, 2-byte version, 4-byte length.
-pub(crate) const FRAME_HEADER_LEN: usize = 10;
-
-/// What one [`FrameAssembler::advance`] step produced.
-#[derive(Debug)]
-pub(crate) enum Assembled {
-    /// The frame is still incomplete; keep reading into
-    /// [`FrameAssembler::spare`].
-    NeedMore,
-    /// One complete frame payload (header already validated and stripped).
-    Frame(Vec<u8>),
-}
-
-/// Incremental VAQ1 frame parser for a non-blocking stream.
-///
-/// The caller reads socket bytes directly into [`FrameAssembler::spare`]
-/// and reports how many landed via [`FrameAssembler::advance`]; the
-/// assembler validates the header (magic, version, length limit) the moment
-/// it completes, so an oversized frame is rejected before its payload is
-/// ever allocated — same contract as the blocking reader in
-/// [`crate::frame`].
-#[derive(Debug)]
-pub(crate) struct FrameAssembler {
-    header: [u8; FRAME_HEADER_LEN],
-    filled: usize,
-    payload: Vec<u8>,
-    in_payload: bool,
-}
-
-impl FrameAssembler {
-    pub(crate) fn new() -> FrameAssembler {
-        FrameAssembler {
-            header: [0u8; FRAME_HEADER_LEN],
-            filled: 0,
-            payload: Vec::new(),
-            in_payload: false,
-        }
-    }
-
-    /// True while the stream offset sits inside a started frame — the state
-    /// in which a silent peer is *stalled* rather than idle.
-    pub(crate) fn mid_frame(&self) -> bool {
-        self.in_payload || self.filled > 0
-    }
-
-    /// The buffer slice the next socket read should fill (never empty).
-    pub(crate) fn spare(&mut self) -> &mut [u8] {
-        if self.in_payload {
-            self.payload.get_mut(self.filled..).unwrap_or(&mut [])
-        } else {
-            self.header.get_mut(self.filled..).unwrap_or(&mut [])
-        }
-    }
-
-    /// Records that `n` bytes just landed in [`FrameAssembler::spare`].
-    pub(crate) fn advance(
-        &mut self,
-        n: usize,
-        max_payload: usize,
-    ) -> Result<Assembled, ServiceError> {
-        self.filled += n;
-        if !self.in_payload {
-            if self.filled < FRAME_HEADER_LEN {
-                return Ok(Assembled::NeedMore);
-            }
-            let len = parse_header(&self.header, max_payload)?;
-            self.filled = 0;
-            if len == 0 {
-                return Ok(Assembled::Frame(Vec::new()));
-            }
-            self.payload = vec![0u8; len];
-            self.in_payload = true;
-            return Ok(Assembled::NeedMore);
-        }
-        if self.filled < self.payload.len() {
-            return Ok(Assembled::NeedMore);
-        }
-        self.filled = 0;
-        self.in_payload = false;
-        Ok(Assembled::Frame(std::mem::take(&mut self.payload)))
-    }
-}
-
-/// Validates a complete header and returns the declared payload length.
-fn parse_header(
-    header: &[u8; FRAME_HEADER_LEN],
-    max_payload: usize,
-) -> Result<usize, ServiceError> {
-    let (magic, rest) = header.split_at(4);
-    if *magic != MAGIC {
-        return Err(ServiceError::Wire(WireError::BadMagic));
-    }
-    let (version, len) = match rest {
-        [v0, v1, l0, l1, l2, l3] => (
-            u16::from_le_bytes([*v0, *v1]),
-            u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize,
-        ),
-        _ => return Err(ServiceError::Wire(WireError::Truncated)),
-    };
-    if version != VERSION {
-        return Err(ServiceError::Wire(WireError::UnsupportedVersion(version)));
-    }
-    if len > max_payload {
-        return Err(ServiceError::FrameTooLarge {
-            declared: len,
-            limit: max_payload,
-        });
-    }
-    Ok(len)
-}
 
 /// One fully received request awaiting dispatch to the worker pool.
 #[derive(Debug)]
@@ -153,11 +43,13 @@ struct Outgoing {
 /// Everything one read sweep over a connection produced.
 #[derive(Debug)]
 pub(crate) struct ReadPass {
+    /// Bytes actually read off the socket this sweep — including those of
+    /// a frame that was then rejected: they still crossed the wire.
+    pub(crate) bytes: u64,
     /// Complete frame payloads, in arrival order.
     pub(crate) frames: Vec<Vec<u8>>,
-    /// The peer cleanly closed its write side at a frame boundary.
-    pub(crate) closed: bool,
     /// A frame-level or transport failure; no further reads will happen.
+    /// (A clean close at a frame boundary only sets [`Conn::reads_done`].)
     pub(crate) error: Option<ServiceError>,
 }
 
@@ -177,12 +69,13 @@ pub(crate) struct WritePass {
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     assembler: FrameAssembler,
-    /// Untagged requests, answered strictly in order (at most one in
-    /// flight at a time — the classic one-lane request/response contract).
-    pub(crate) pending_untagged: VecDeque<PendingRequest>,
-    /// Tagged requests, dispatched greedily and answered out of order.
-    pub(crate) pending_tagged: VecDeque<PendingRequest>,
+    /// Fully received requests not yet handed to the worker pool, in
+    /// arrival order. Only the head is ever eligible to dispatch.
+    pub(crate) pending: VecDeque<PendingRequest>,
+    /// An untagged request is on the worker pool: the next untagged head
+    /// waits for its reply, which keeps untagged replies in request order.
     pub(crate) untagged_in_flight: bool,
+    /// Tags on the worker pool; tagged requests complete out of order.
     pub(crate) tags_in_flight: HashSet<u64>,
     /// Already queued in the reactor's dispatch backlog (requests waiting
     /// for a worker-queue slot); guards against duplicate backlog entries.
@@ -215,9 +108,8 @@ impl Conn {
     pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            assembler: FrameAssembler::new(),
-            pending_untagged: VecDeque::new(),
-            pending_tagged: VecDeque::new(),
+            assembler: FrameAssembler::default(),
+            pending: VecDeque::new(),
             untagged_in_flight: false,
             tags_in_flight: HashSet::new(),
             in_backlog: false,
@@ -241,16 +133,13 @@ impl Conn {
         self.tags_in_flight.len() + usize::from(self.untagged_in_flight)
     }
 
-    /// Fully received requests not yet handed to the worker pool.
-    pub(crate) fn pending(&self) -> usize {
-        self.pending_untagged.len() + self.pending_tagged.len()
-    }
-
-    /// True when a dispatch pass could make progress right now: a tagged
-    /// request is waiting, or the untagged lane is free with work queued.
+    /// True when the head of the pending queue may go to the worker pool
+    /// right now: a tagged head always may, an untagged head only once the
+    /// previous untagged reply is back.
     pub(crate) fn wants_dispatch(&self) -> bool {
-        !self.pending_tagged.is_empty()
-            || (!self.pending_untagged.is_empty() && !self.untagged_in_flight)
+        self.pending
+            .front()
+            .is_some_and(|head| head.tag.is_some() || !self.untagged_in_flight)
     }
 
     /// True while queued output remains to flush.
@@ -267,7 +156,7 @@ impl Conn {
     pub(crate) fn drained(&self) -> bool {
         self.dead
             || (self.reads_done
-                && self.pending() == 0
+                && self.pending.is_empty()
                 && self.in_flight() == 0
                 && !self.wants_write())
     }
@@ -326,34 +215,26 @@ impl Conn {
 
     /// Reads everything the socket has ready, stopping early once `backlog`
     /// requests are buffered (TCP backpressure then throttles the peer).
-    pub(crate) fn pump_reads(
-        &mut self,
-        max_payload: usize,
-        backlog: usize,
-        consumed: &mut u64,
-    ) -> ReadPass {
+    pub(crate) fn pump_reads(&mut self, max_payload: usize, backlog: usize) -> ReadPass {
         let mut pass = ReadPass {
+            bytes: 0,
             frames: Vec::new(),
-            closed: false,
             error: None,
         };
-        while !self.reads_done && self.pending() + pass.frames.len() < backlog {
+        while !self.reads_done && self.pending.len() + pass.frames.len() < backlog {
             let spare = self.assembler.spare();
             match self.stream.read(spare) {
                 Ok(0) => {
                     self.reads_done = true;
                     if self.assembler.mid_frame() {
                         pass.error = Some(ServiceError::Wire(WireError::Truncated));
-                    } else {
-                        pass.closed = true;
                     }
                 }
                 Ok(n) => {
-                    *consumed += n as u64;
+                    pass.bytes += n as u64;
                     self.last_progress = Instant::now();
                     match self.assembler.advance(n, max_payload) {
-                        Ok(Assembled::Frame(payload)) => pass.frames.push(payload),
-                        Ok(Assembled::NeedMore) => {}
+                        Ok(frame) => pass.frames.extend(frame),
                         Err(e) => {
                             self.reads_done = true;
                             pass.error = Some(e);
@@ -443,7 +324,7 @@ mod tests {
     /// Pushes `bytes` through an assembler in chunks of at most `chunk`,
     /// collecting completed payloads.
     fn feed(bytes: &[u8], chunk: usize, max_payload: usize) -> Vec<Vec<u8>> {
-        let mut assembler = FrameAssembler::new();
+        let mut assembler = FrameAssembler::default();
         let mut out = Vec::new();
         let mut rest = bytes;
         while !rest.is_empty() {
@@ -451,10 +332,7 @@ mod tests {
             let n = spare.len().min(chunk).min(rest.len());
             spare[..n].copy_from_slice(&rest[..n]);
             rest = &rest[n..];
-            match assembler.advance(n, max_payload).expect("valid frames") {
-                Assembled::Frame(payload) => out.push(payload),
-                Assembled::NeedMore => {}
-            }
+            out.extend(assembler.advance(n, max_payload).expect("valid frames"));
         }
         assert!(!assembler.mid_frame(), "stream ends at a frame boundary");
         out
@@ -488,17 +366,14 @@ mod tests {
     fn assembler_rejects_bad_frames_at_the_header() {
         // Oversized: rejected as soon as the header completes, before any
         // payload allocation.
-        let mut assembler = FrameAssembler::new();
-        let mut header = Vec::new();
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut assembler = FrameAssembler::default();
+        let header = vaq_wire::frame_header(u32::MAX as usize);
         assembler.spare()[..10].copy_from_slice(&header);
         let err = assembler.advance(10, 64).unwrap_err();
         assert!(matches!(err, ServiceError::FrameTooLarge { limit: 64, .. }));
 
         // Bad magic.
-        let mut assembler = FrameAssembler::new();
+        let mut assembler = FrameAssembler::default();
         let mut frame = Request::Ping.to_framed_bytes();
         frame[0] = b'X';
         assembler.spare()[..10].copy_from_slice(&frame[..10]);
@@ -506,7 +381,7 @@ mod tests {
         assert!(matches!(err, ServiceError::Wire(WireError::BadMagic)));
 
         // Wrong version.
-        let mut assembler = FrameAssembler::new();
+        let mut assembler = FrameAssembler::default();
         let mut frame = Request::Ping.to_framed_bytes();
         frame[4] = 9;
         assembler.spare()[..10].copy_from_slice(&frame[..10]);
@@ -519,27 +394,18 @@ mod tests {
 
     #[test]
     fn assembler_tracks_mid_frame_state() {
-        let mut assembler = FrameAssembler::new();
+        let mut assembler = FrameAssembler::default();
         assert!(!assembler.mid_frame());
         let frame = Request::Ping.to_framed_bytes();
         assembler.spare()[..3].copy_from_slice(&frame[..3]);
-        assert!(matches!(
-            assembler.advance(3, 4096).unwrap(),
-            Assembled::NeedMore
-        ));
+        assert!(assembler.advance(3, 4096).unwrap().is_none());
         assert!(assembler.mid_frame(), "partial header is mid-frame");
         assembler.spare()[..7].copy_from_slice(&frame[3..10]);
-        assert!(matches!(
-            assembler.advance(7, 4096).unwrap(),
-            Assembled::NeedMore
-        ));
+        assert!(assembler.advance(7, 4096).unwrap().is_none());
         assert!(assembler.mid_frame(), "header done, payload pending");
         let len = frame.len();
         assembler.spare()[..len - 10].copy_from_slice(&frame[10..]);
-        assert!(matches!(
-            assembler.advance(len - 10, 4096).unwrap(),
-            Assembled::Frame(_)
-        ));
+        assert!(assembler.advance(len - 10, 4096).unwrap().is_some());
         assert!(!assembler.mid_frame(), "frame complete resets the state");
     }
 
@@ -561,12 +427,10 @@ mod tests {
         peer.write_all(&Request::Stats.to_framed_bytes()).unwrap();
         drop(peer);
         std::thread::sleep(Duration::from_millis(30));
-        let mut consumed = 0u64;
-        let pass = conn.pump_reads(4096, 128, &mut consumed);
+        let pass = conn.pump_reads(4096, 128);
         assert_eq!(pass.frames.len(), 2);
-        assert!(pass.closed, "EOF at a frame boundary is a clean close");
-        assert!(pass.error.is_none());
-        assert!(consumed > 0);
+        assert!(pass.error.is_none(), "EOF at a frame boundary is clean");
+        assert!(pass.bytes > 0);
         assert!(conn.reads_done);
     }
 
@@ -578,10 +442,8 @@ mod tests {
         peer.write_all(&frame[..frame.len() - 1]).unwrap();
         drop(peer);
         std::thread::sleep(Duration::from_millis(30));
-        let mut consumed = 0u64;
-        let pass = conn.pump_reads(4096, 128, &mut consumed);
+        let pass = conn.pump_reads(4096, 128);
         assert!(pass.frames.is_empty());
-        assert!(!pass.closed);
         assert!(matches!(
             pass.error,
             Some(ServiceError::Wire(WireError::Truncated))

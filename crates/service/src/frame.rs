@@ -1,14 +1,18 @@
 //! Socket-level VAQ1 frame reading and writing.
 //!
-//! A frame is the on-disk format of `vaq_wire` put on a stream: 4-byte
-//! magic, 2-byte version, 4-byte little-endian payload length, payload.
-//! The reader enforces a caller-supplied payload limit **before** allocating,
-//! so a hostile peer cannot make the service reserve gigabytes with a 10-byte
-//! header.
+//! A frame is the on-disk format of `vaq_wire` put on a stream: the
+//! [`vaq_wire::frame_header`] bytes (magic, version, payload length), then
+//! the payload. This module holds the one parser for it,
+//! [`FrameAssembler`]: an incremental state machine that never touches a
+//! socket itself. The reactor feeds it from non-blocking reads (`conn.rs`);
+//! the blocking client reader [`read_frame`] feeds it from a read loop.
+//! Either way the declared length is checked against a caller-supplied
+//! limit **before** the payload is allocated, so a hostile peer cannot make
+//! either side reserve gigabytes with a 10-byte header.
 
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
-use vaq_wire::{WireDecode, WireEncode, WireError, MAGIC, VERSION};
+use vaq_wire::{parse_frame_header, WireDecode, WireEncode, WireError, FRAME_HEADER_LEN};
 
 use crate::error::ServiceError;
 
@@ -20,6 +24,72 @@ use crate::error::ServiceError;
 /// [`crate::ServiceConfig::mid_frame_patience`]; the blocking client reader
 /// uses this default.
 pub const DEFAULT_MID_FRAME_PATIENCE: Duration = Duration::from_secs(10);
+
+/// Incremental VAQ1 frame parser.
+///
+/// The caller reads stream bytes directly into [`FrameAssembler::spare`]
+/// and reports how many landed via [`FrameAssembler::advance`]; the
+/// assembler validates the header (magic, version, length limit) the moment
+/// it completes, so an oversized frame is rejected before its payload is
+/// ever allocated.
+#[derive(Debug, Default)]
+pub(crate) struct FrameAssembler {
+    header: [u8; FRAME_HEADER_LEN],
+    filled: usize,
+    payload: Vec<u8>,
+    in_payload: bool,
+}
+
+impl FrameAssembler {
+    /// True while the stream offset sits inside a started frame — the state
+    /// in which a silent peer is *stalled* rather than idle, and an EOF is a
+    /// truncation rather than a clean close.
+    pub(crate) fn mid_frame(&self) -> bool {
+        self.in_payload || self.filled > 0
+    }
+
+    /// The buffer slice the next read should fill (never empty).
+    pub(crate) fn spare(&mut self) -> &mut [u8] {
+        let buffer: &mut [u8] = if self.in_payload {
+            &mut self.payload
+        } else {
+            &mut self.header
+        };
+        buffer.get_mut(self.filled..).unwrap_or(&mut [])
+    }
+
+    /// Records that `n` bytes just landed in [`FrameAssembler::spare`];
+    /// returns the frame's payload (header already validated and stripped)
+    /// once those bytes complete it.
+    pub(crate) fn advance(
+        &mut self,
+        n: usize,
+        max_payload: usize,
+    ) -> Result<Option<Vec<u8>>, ServiceError> {
+        self.filled += n;
+        if !self.in_payload {
+            if self.filled < FRAME_HEADER_LEN {
+                return Ok(None);
+            }
+            let len = parse_frame_header(&self.header)?;
+            if len > max_payload {
+                return Err(ServiceError::FrameTooLarge {
+                    declared: len,
+                    limit: max_payload,
+                });
+            }
+            self.filled = 0;
+            self.payload = vec![0u8; len];
+            self.in_payload = len > 0;
+        }
+        if self.filled < self.payload.len() {
+            return Ok(None);
+        }
+        self.filled = 0;
+        self.in_payload = false;
+        Ok(Some(std::mem::take(&mut self.payload)))
+    }
+}
 
 /// Outcome of trying to read one frame from a stream.
 #[derive(Debug)]
@@ -34,86 +104,54 @@ pub enum FrameRead {
     Idle,
 }
 
-/// Reads one frame payload, enforcing `max_payload` before allocation.
+/// Reads one frame payload from a blocking stream, enforcing `max_payload`
+/// before allocation. A frame that arrives whole costs two reads: one for
+/// the header, one for the payload.
 pub fn read_frame(stream: &mut impl Read, max_payload: usize) -> Result<FrameRead, ServiceError> {
-    let mut consumed = 0u64;
-    read_frame_counted(stream, max_payload, &mut consumed)
+    read_frame_with_patience(stream, max_payload, DEFAULT_MID_FRAME_PATIENCE)
 }
 
-/// Like [`read_frame`], but also adds every byte actually consumed off the
-/// stream to `consumed` — **including** on error paths (a rejected header, a
-/// truncated payload). Metrics that account inbound traffic must use this
-/// variant: an oversized or malformed frame still crossed the wire.
-pub fn read_frame_counted(
+/// [`read_frame`] with an explicit mid-frame patience window. A peer that
+/// stops sending inside a frame for longer than `patience` surfaces as a
+/// typed [`ServiceError::Stalled`] — distinguishable from a generic I/O
+/// failure both locally and in per-error-code counters.
+fn read_frame_with_patience(
     stream: &mut impl Read,
     max_payload: usize,
-    consumed: &mut u64,
-) -> Result<FrameRead, ServiceError> {
-    read_frame_counted_with_patience(stream, max_payload, consumed, DEFAULT_MID_FRAME_PATIENCE)
-}
-
-/// Like [`read_frame_counted`], with an explicit mid-frame patience window.
-/// A peer that stops sending inside a frame for longer than `patience`
-/// surfaces as a typed [`ServiceError::Stalled`] — distinguishable from a
-/// generic I/O failure both locally and in per-error-code counters.
-pub fn read_frame_counted_with_patience(
-    stream: &mut impl Read,
-    max_payload: usize,
-    consumed: &mut u64,
     patience: Duration,
 ) -> Result<FrameRead, ServiceError> {
-    let mut header = [0u8; 10];
-    let (filled, error) = read_all(stream, &mut header, false, patience);
-    *consumed += filled as u64;
-    if let Some(e) = error {
-        let timed_out = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
-        if filled == 0 && timed_out {
-            return Ok(FrameRead::Idle);
+    let mut assembler = FrameAssembler::default();
+    // Patience is measured from the last byte of progress, not the start of
+    // the frame, so a large frame trickling in steadily is never dropped —
+    // only a stalled one.
+    let mut last_progress = Instant::now();
+    loop {
+        match stream.read(assembler.spare()) {
+            Ok(0) if assembler.mid_frame() => {
+                return Err(ServiceError::Wire(WireError::Truncated));
+            }
+            Ok(0) => return Ok(FrameRead::Closed),
+            Ok(n) => {
+                last_progress = Instant::now();
+                if let Some(payload) = assembler.advance(n, max_payload)? {
+                    return Ok(FrameRead::Payload(payload));
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if !assembler.mid_frame() {
+                    return Ok(FrameRead::Idle);
+                }
+                // A poll-style timeout mid-frame is not an error: the frame
+                // has started arriving, so keep waiting (bounded) for the
+                // rest.
+                if last_progress.elapsed() >= patience {
+                    return Err(ServiceError::Stalled { patience });
+                }
+            }
+            Err(e) => return Err(ServiceError::Io(e)),
         }
-        if timed_out {
-            // Some header bytes arrived and then nothing for a whole
-            // patience window: the peer stalled mid-frame.
-            return Err(ServiceError::Stalled { patience });
-        }
-        return Err(ServiceError::Io(e));
     }
-    match filled {
-        0 => return Ok(FrameRead::Closed),
-        n if n < header.len() => return Err(ServiceError::Wire(WireError::Truncated)),
-        _ => {}
-    }
-    // lint:allow(panic-path, constant range below the fixed [u8; 10] header length)
-    if header[..4] != MAGIC {
-        return Err(ServiceError::Wire(WireError::BadMagic));
-    }
-    // lint:allow(panic-path, constant indices below the fixed [u8; 10] header length)
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != VERSION {
-        return Err(ServiceError::Wire(WireError::UnsupportedVersion(version)));
-    }
-    // lint:allow(panic-path, constant indices below the fixed [u8; 10] header length)
-    let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
-    if len > max_payload {
-        return Err(ServiceError::FrameTooLarge {
-            declared: len,
-            limit: max_payload,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    // The header already arrived, so the stream is mid-frame: payload bytes
-    // get the same patience even before the first one shows up.
-    let (filled, error) = read_all(stream, &mut payload, true, patience);
-    *consumed += filled as u64;
-    if let Some(e) = error {
-        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-            return Err(ServiceError::Stalled { patience });
-        }
-        return Err(ServiceError::Io(e));
-    }
-    if filled < len {
-        return Err(ServiceError::Wire(WireError::Truncated));
-    }
-    Ok(FrameRead::Payload(payload))
 }
 
 /// Reads one framed message and decodes it. An idle timeout surfaces as a
@@ -142,50 +180,11 @@ pub fn write_message<T: WireEncode>(
     Ok(frame.len())
 }
 
-/// Like `read_exact` but reports how many bytes arrived before EOF or an
-/// error instead of failing outright, so a clean close between frames (and
-/// a timeout on a fully idle connection) is distinguishable from a frame
-/// truncated mid-flight.
-fn read_all(
-    stream: &mut impl Read,
-    buf: &mut [u8],
-    mid_frame: bool,
-    patience: Duration,
-) -> (usize, Option<std::io::Error>) {
-    let mut filled = 0usize;
-    // Patience is measured from the last byte of progress, not the start of
-    // the frame, so a large frame trickling in steadily is never dropped —
-    // only a stalled one.
-    let mut last_progress = Instant::now();
-    while filled < buf.len() {
-        // lint:allow(panic-path, loop guard keeps filled <= buf.len() so the range start is in bounds)
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                filled += n;
-                last_progress = Instant::now();
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            // A poll-style timeout mid-frame is not an error: the frame has
-            // started arriving, so keep waiting (bounded) for the rest.
-            Err(e)
-                if (mid_frame || filled > 0)
-                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-                    && last_progress.elapsed() < patience =>
-            {
-                continue
-            }
-            Err(e) => return (filled, Some(e)),
-        }
-    }
-    (filled, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use vaq_wire::Request;
+    use vaq_wire::{frame_header, Request, Response};
 
     #[test]
     fn frame_roundtrips_through_a_stream() {
@@ -205,10 +204,7 @@ mod tests {
 
     #[test]
     fn oversized_frames_rejected_before_allocation() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&VERSION.to_le_bytes());
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        let frame = frame_header(u32::MAX as usize);
         let err = read_frame(&mut Cursor::new(frame), 4096).unwrap_err();
         assert!(matches!(
             err,
@@ -233,156 +229,89 @@ mod tests {
         }
     }
 
-    /// A stream yielding one byte per read with a poll timeout in between,
-    /// like a slow link under the server's 100ms poll read-timeout.
-    struct Trickle {
-        bytes: Vec<u8>,
-        position: usize,
+    /// A scripted peer: yields at most `chunk` bytes per read and, with
+    /// `timeouts`, a poll timeout between consecutive reads (a slow link
+    /// under a poll-style read timeout). Once the bytes run out it reports
+    /// EOF, or — with `stalls` — times out forever (a slow-loris peer).
+    struct Peer<'a> {
+        rest: &'a [u8],
+        chunk: usize,
+        timeouts: bool,
+        stalls: bool,
         parched: bool,
     }
 
-    impl Read for Trickle {
+    impl Peer<'_> {
+        fn new(rest: &[u8], chunk: usize) -> Peer<'_> {
+            // `parched: true` so that the first read of a `timeouts` peer
+            // yields bytes: a timeout before any byte is the Idle case.
+            Peer {
+                rest,
+                chunk,
+                timeouts: false,
+                stalls: false,
+                parched: true,
+            }
+        }
+    }
+
+    impl Read for Peer<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.position >= self.bytes.len() {
+            if self.rest.is_empty() && !self.stalls {
                 return Ok(0);
             }
-            self.parched = !self.parched;
-            if self.parched {
+            self.parched = self.timeouts && !self.parched;
+            if self.parched || self.rest.is_empty() {
                 return Err(std::io::Error::new(ErrorKind::WouldBlock, "poll timeout"));
             }
-            buf[0] = self.bytes[self.position];
-            self.position += 1;
-            Ok(1)
+            let n = buf.len().min(self.chunk).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
         }
     }
 
     #[test]
     fn frames_survive_poll_timeouts_mid_frame() {
         let request = Request::Ping;
-        // `parched: true` so the first read yields a byte and every
-        // subsequent read alternates timeout/byte — the timeout-before-
-        // any-byte case is the separate Idle test below.
-        let mut stream = Trickle {
-            bytes: request.to_framed_bytes(),
-            position: 0,
-            parched: true,
+        let frame = request.to_framed_bytes();
+        let mut stream = Peer {
+            timeouts: true,
+            ..Peer::new(&frame, 1)
         };
         let decoded: Request = read_message(&mut stream, 1024).unwrap().unwrap();
         assert_eq!(decoded, request);
     }
 
-    /// A stream that delivers a prefix of a frame and then times out on
-    /// every further read, like a slow-loris peer.
-    struct StallAfter {
-        bytes: Vec<u8>,
-        position: usize,
-    }
-
-    impl Read for StallAfter {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.position < self.bytes.len() {
-                buf[0] = self.bytes[self.position];
-                self.position += 1;
-                return Ok(1);
-            }
-            Err(std::io::Error::new(ErrorKind::WouldBlock, "poll timeout"))
-        }
-    }
-
     #[test]
     fn mid_frame_stalls_surface_as_typed_errors() {
         let patience = Duration::from_millis(20);
-        // Stall inside the header: three magic bytes, then silence.
-        let mut stream = StallAfter {
-            bytes: MAGIC[..3].to_vec(),
-            position: 0,
-        };
-        let mut consumed = 0u64;
-        let err = read_frame_counted_with_patience(&mut stream, 1024, &mut consumed, patience)
-            .unwrap_err();
-        assert!(matches!(err, ServiceError::Stalled { .. }), "got {err:?}");
-        assert_eq!(consumed, 3, "stalled header bytes still count inbound");
-
-        // Stall inside the payload: the full header arrives, no payload.
         let frame = Request::Ping.to_framed_bytes();
-        let mut stream = StallAfter {
-            bytes: frame[..10].to_vec(),
-            position: 0,
-        };
-        let mut consumed = 0u64;
-        let err = read_frame_counted_with_patience(&mut stream, 1024, &mut consumed, patience)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServiceError::Stalled { patience: p } if p == patience
-        ));
-        assert_eq!(consumed, 10);
+        // Stall inside the header (three magic bytes, then silence), and
+        // inside the payload (the full header arrives, no payload).
+        for cut in [3, FRAME_HEADER_LEN] {
+            let mut stream = Peer {
+                stalls: true,
+                ..Peer::new(&frame[..cut], 1)
+            };
+            let err = read_frame_with_patience(&mut stream, 1024, patience).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Stalled { patience: p } if p == patience),
+                "cut at {cut}: got {err:?}"
+            );
+        }
     }
 
     #[test]
     fn timeout_before_any_byte_reports_idle() {
-        struct AlwaysTimeout;
-        impl Read for AlwaysTimeout {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(ErrorKind::WouldBlock, "poll timeout"))
-            }
-        }
+        let mut silent = Peer {
+            stalls: true,
+            ..Peer::new(&[], 1)
+        };
         assert!(matches!(
-            read_frame(&mut AlwaysTimeout, 1024).unwrap(),
+            read_frame(&mut silent, 1024).unwrap(),
             FrameRead::Idle
         ));
-    }
-
-    #[test]
-    fn consumed_bytes_counted_on_success_and_error_paths() {
-        // Success: header + payload.
-        let frame = Request::Ping.to_framed_bytes();
-        let mut consumed = 0u64;
-        let read = read_frame_counted(&mut Cursor::new(&frame), 1024, &mut consumed).unwrap();
-        assert!(matches!(read, FrameRead::Payload(_)));
-        assert_eq!(consumed, frame.len() as u64);
-
-        // Oversized frame: the 10 header bytes were still consumed.
-        let mut oversized = Vec::new();
-        oversized.extend_from_slice(&MAGIC);
-        oversized.extend_from_slice(&VERSION.to_le_bytes());
-        oversized.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut consumed = 0u64;
-        let err = read_frame_counted(&mut Cursor::new(&oversized), 16, &mut consumed).unwrap_err();
-        assert!(matches!(err, ServiceError::FrameTooLarge { .. }));
-        assert_eq!(consumed, 10);
-
-        // Bad magic: the header was consumed before rejection.
-        let mut bad = frame.clone();
-        bad[0] = b'X';
-        let mut consumed = 0u64;
-        let err = read_frame_counted(&mut Cursor::new(&bad), 1024, &mut consumed).unwrap_err();
-        assert!(matches!(err, ServiceError::Wire(WireError::BadMagic)));
-        assert!(consumed >= 10);
-
-        // Truncated mid-payload: every byte that did arrive is counted.
-        let request = Request::Query(vaq_authquery::Query::top_k(vec![0.25, 0.75], 3));
-        let frame = request.to_framed_bytes();
-        let cut = frame.len() - 2;
-        let mut consumed = 0u64;
-        let err =
-            read_frame_counted(&mut Cursor::new(&frame[..cut]), 1024, &mut consumed).unwrap_err();
-        assert!(matches!(err, ServiceError::Wire(WireError::Truncated)));
-        assert_eq!(consumed, cut as u64);
-
-        // Idle: nothing arrived, nothing is counted.
-        struct AlwaysTimeout;
-        impl Read for AlwaysTimeout {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(ErrorKind::WouldBlock, "poll timeout"))
-            }
-        }
-        let mut consumed = 0u64;
-        assert!(matches!(
-            read_frame_counted(&mut AlwaysTimeout, 1024, &mut consumed).unwrap(),
-            FrameRead::Idle
-        ));
-        assert_eq!(consumed, 0);
     }
 
     #[test]
@@ -394,5 +323,128 @@ mod tests {
             err,
             ServiceError::Wire(WireError::UnsupportedVersion(9))
         ));
+    }
+
+    /// What a byte stream parses to: the payloads of its complete frames,
+    /// then how it ended (`Ok` = clean close at a frame boundary).
+    type Parsed = (Vec<Vec<u8>>, Result<(), String>);
+
+    fn failed(e: ServiceError) -> Result<(), String> {
+        Err(format!("{e:?}"))
+    }
+
+    /// Feeds a stream to a bare assembler the way `Conn::pump_reads` does.
+    fn parse_incrementally(mut stream: Peer<'_>, limit: usize) -> Parsed {
+        let mut assembler = FrameAssembler::default();
+        let mut payloads = Vec::new();
+        loop {
+            let n = stream.read(assembler.spare()).unwrap();
+            if n == 0 && assembler.mid_frame() {
+                return (payloads, failed(WireError::Truncated.into()));
+            } else if n == 0 {
+                return (payloads, Ok(()));
+            }
+            match assembler.advance(n, limit) {
+                Ok(frame) => payloads.extend(frame),
+                Err(e) => return (payloads, failed(e)),
+            }
+        }
+    }
+
+    /// Reads a stream through the blocking reader until it closes or fails.
+    fn parse_blocking(mut stream: Peer<'_>, limit: usize) -> Parsed {
+        let mut payloads = Vec::new();
+        loop {
+            match read_frame(&mut stream, limit) {
+                Ok(FrameRead::Payload(payload)) => payloads.push(payload),
+                Ok(FrameRead::Closed) => return (payloads, Ok(())),
+                Ok(FrameRead::Idle) => panic!("a peer without timeouts is never idle"),
+                Err(e) => return (payloads, failed(e)),
+            }
+        }
+    }
+
+    #[test]
+    fn one_parser_one_verdict_for_every_stream_and_chunking() {
+        const LIMIT: usize = 4096;
+        let ping = Request::Ping.to_framed_bytes();
+        let query =
+            Request::Query(vaq_authquery::Query::top_k(vec![0.25, 0.75], 3)).to_framed_bytes();
+        let payload = |frame: &[u8]| frame[FRAME_HEADER_LEN..].to_vec();
+        let mut bad_magic = ping.clone();
+        bad_magic[0] = b'X';
+        let mut wrong_version = ping.clone();
+        wrong_version[4] = 9;
+        let too_large = ServiceError::FrameTooLarge {
+            declared: LIMIT + 1,
+            limit: LIMIT,
+        };
+        let truncated = || failed(WireError::Truncated.into());
+
+        let table: Vec<(&str, Vec<u8>, Parsed)> = vec![
+            ("valid", query.clone(), (vec![payload(&query)], Ok(()))),
+            (
+                "empty payload",
+                frame_header(0).to_vec(),
+                (vec![vec![]], Ok(())),
+            ),
+            (
+                "bad magic",
+                bad_magic,
+                (vec![], failed(WireError::BadMagic.into())),
+            ),
+            (
+                "wrong version",
+                wrong_version,
+                (vec![], failed(WireError::UnsupportedVersion(9).into())),
+            ),
+            (
+                "over the limit",
+                frame_header(LIMIT + 1).to_vec(),
+                (vec![], failed(too_large)),
+            ),
+            (
+                "EOF inside header",
+                ping[..7].to_vec(),
+                (vec![], truncated()),
+            ),
+            (
+                "EOF inside payload",
+                query[..query.len() - 2].to_vec(),
+                (vec![], truncated()),
+            ),
+            (
+                "two frames back to back",
+                [ping.as_slice(), query.as_slice()].concat(),
+                (vec![payload(&ping), payload(&query)], Ok(())),
+            ),
+        ];
+        for (name, bytes, expected) in &table {
+            for chunk in [1, 3, usize::MAX] {
+                let stream = || Peer::new(bytes, chunk);
+                let incremental = parse_incrementally(stream(), LIMIT);
+                assert_eq!(&incremental, expected, "{name}: assembler, chunk {chunk}");
+                let blocking = parse_blocking(stream(), LIMIT);
+                assert_eq!(
+                    &blocking, expected,
+                    "{name}: blocking reader, chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_framer_starts_with_the_one_header() {
+        let request = Request::Query(vaq_authquery::Query::top_k(vec![0.25, 0.75], 3));
+        let header = frame_header(request.to_wire_bytes().len());
+        assert_eq!(request.to_framed_bytes()[..FRAME_HEADER_LEN], header);
+        let reused = request.to_framed_bytes_reusing(&mut Vec::new());
+        assert_eq!(reused[..FRAME_HEADER_LEN], header);
+
+        let inner = Response::Pong.to_wire_bytes();
+        let tagged = Response::tagged_frame_from_payload(7, &inner);
+        let header = frame_header(tagged.len() - FRAME_HEADER_LEN);
+        assert_eq!(tagged[..FRAME_HEADER_LEN], header);
+        assert_eq!(parse_frame_header(&header), Ok(1 + 8 + inner.len()));
     }
 }

@@ -11,11 +11,13 @@
 //!   sockets behind a paced O(n) readiness sweep, a per-connection
 //!   read/write state machine instead of a thread stack), dispatching
 //!   complete frames to a fixed worker pool (`std::thread` + `mpsc`) that
-//!   shares one [`vaq_authquery::Server`] behind an `Arc`. Requests wrapped
-//!   in [`vaq_wire::Request::Tagged`] pipeline concurrently on one
-//!   connection and complete out of order (the correlation tag pairs each
-//!   reply); untagged requests keep the classic strict in-order,
-//!   one-in-flight contract. The service answers framed
+//!   shares one [`vaq_authquery::Server`] behind an `Arc`. Each connection
+//!   holds one arrival-ordered queue of received requests: a
+//!   [`vaq_wire::Request::Tagged`] request at its head dispatches at once,
+//!   so tagged requests pipeline concurrently and complete out of order
+//!   (the correlation tag pairs each reply), while an untagged head waits
+//!   for the previous untagged reply, so untagged replies come back in
+//!   request order. The service answers framed
 //!   [`vaq_wire::Request`]s with framed [`vaq_wire::Response`]s, keeps a
 //!   bounded LRU cache of encoded responses keyed by epoch-prefixed
 //!   canonical query bytes, tracks counters + fixed-bucket latency

@@ -551,7 +551,7 @@ impl LoadReport {
     /// Total queries answered: single requests plus every batch member —
     /// the unit cryptographic verification and server-side processing are
     /// paid in, regardless of how queries were framed into requests.
-    pub fn total_queries(&self) -> usize {
+    fn total_queries(&self) -> usize {
         (self.total_requests - self.batches) + self.batch_queries
     }
 
@@ -576,13 +576,13 @@ impl LoadReport {
 
     /// The per-batch latency at a quantile in `[0, 1]`, in microseconds
     /// (same nearest-rank definition over the batch observations).
-    pub fn batch_latency_quantile_micros(&self, quantile: f64) -> u64 {
+    fn batch_latency_quantile_micros(&self, quantile: f64) -> u64 {
         quantile_micros(&self.batch_latencies_micros, quantile)
     }
 
     /// Mean scatter-leg latency across all sharded clients, in microseconds
     /// (0 when the run drove a single target).
-    pub fn scatter_leg_mean_micros(&self) -> u64 {
+    fn scatter_leg_mean_micros(&self) -> u64 {
         self.scatter_leg_total_micros
             .checked_div(self.scatter_legs)
             .unwrap_or(0)

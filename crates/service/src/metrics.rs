@@ -304,11 +304,6 @@ impl Metrics {
         }
     }
 
-    /// Reactor sweeps observed so far.
-    pub fn sweep_count(&self) -> u64 {
-        self.sweep_latency.count()
-    }
-
     /// Bumps the flat error counter and the per-code breakdown together.
     pub fn record_error(&self, code: ErrorCode) {
         self.errors.fetch_add(1, Ordering::Relaxed);
@@ -499,7 +494,6 @@ mod tests {
         m.observe_sweep(Duration::from_micros(40), 1000);
         m.observe_sweep(Duration::from_micros(1000), 1000); // at threshold: stall
         m.observe_sweep(Duration::from_micros(2500), 1000);
-        assert_eq!(m.sweep_count(), 3);
         assert_eq!(Metrics::get(&m.reactor_stalls), 2);
         let deep = m.deep_snapshot(1, 0, CacheGauges::default());
         assert_eq!(deep.reactor.sweeps.count, 3);

@@ -8,11 +8,18 @@
 //! framed responses back as [`Completion`]s, and the reactor owns every
 //! socket write — a connection never pins a thread.
 //!
-//! Dispatch policy per connection: untagged requests keep the classic
-//! one-lane contract (answered strictly in order, at most one in flight);
-//! tagged requests ([`vaq_wire::Request::Tagged`]) dispatch greedily and
-//! complete out of order, which is what lets one connection pipeline many
-//! concurrent requests.
+//! Dispatch rule per connection: one arrival-ordered pending queue, and
+//! only its head is ever eligible. A tagged head
+//! ([`vaq_wire::Request::Tagged`]) goes to the worker pool at once and may
+//! complete out of order — which is what lets one connection pipeline many
+//! concurrent requests; an untagged head waits until the previous untagged
+//! reply is back, so untagged replies are written in request order. The
+//! queue is strictly FIFO: a tagged frame received behind an untagged frame
+//! that is still waiting its turn waits with it instead of overtaking it.
+//!
+//! `Dispatcher::serve` is the one per-connection step (dispatch → write →
+//! count served requests → close or linger); the full sweep, the
+//! post-completion flush and the shutdown flush all run it.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpStream};
@@ -21,9 +28,9 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendErr
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vaq_wire::{ErrorCode, Request, Response, WireEncode};
+use vaq_wire::{ErrorCode, Request, Response, WireEncode, FRAME_HEADER_LEN};
 
-use crate::conn::{Conn, PendingRequest, FRAME_HEADER_LEN};
+use crate::conn::{Conn, PendingRequest};
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
 use crate::server::{error_response, finish_request, handle_request, Shared};
@@ -56,9 +63,7 @@ const FLUSH_DEADLINE: Duration = Duration::from_secs(1);
 /// One received request headed for the worker pool.
 pub(crate) struct Job {
     conn_id: u64,
-    tag: Option<u64>,
-    payload: Vec<u8>,
-    queued: Instant,
+    request: PendingRequest,
     completions: Sender<Completion>,
 }
 
@@ -73,9 +78,14 @@ pub(crate) struct Completion {
 /// Runs one job on a worker thread: decode, dispatch, encode — everything
 /// but the socket write, which the reactor owns.
 pub(crate) fn run_job(shared: &Shared, job: Job) {
-    let mut trace = Trace::begin(job.queued.elapsed());
-    let frame = handle_request(shared, &job.payload, &mut trace);
-    let frame = match job.tag {
+    let PendingRequest {
+        tag,
+        payload,
+        received,
+    } = job.request;
+    let mut trace = Trace::begin(received.elapsed());
+    let frame = handle_request(shared, &payload, &mut trace);
+    let frame = match tag {
         // Re-wrap without decoding: the result is byte-identical to
         // encoding `Response::Tagged` directly, so cached frames stay
         // shared between tagged and untagged callers.
@@ -86,7 +96,7 @@ pub(crate) fn run_job(shared: &Shared, job: Job) {
     };
     let _ = job.completions.send(Completion {
         conn_id: job.conn_id,
-        tag: job.tag,
+        tag,
         frame,
         trace,
     });
@@ -103,12 +113,14 @@ pub(crate) fn run(
 ) {
     let mut reactor = Reactor {
         shared,
-        jobs,
-        completions_tx,
+        dispatcher: Dispatcher {
+            jobs,
+            completions_tx,
+            dispatch_backlog: VecDeque::new(),
+        },
         conn_count,
         conns: HashMap::new(),
         next_id: 0,
-        dispatch_backlog: VecDeque::new(),
     };
     let mut next_scan = Instant::now();
     let mut flush: Vec<u64> = Vec::new();
@@ -124,7 +136,7 @@ pub(crate) fn run(
             busy = true;
         }
         // Completed responses leave the process now, not at the next paced
-        // scan — and the freed untagged lane dispatches its next request.
+        // scan — and an untagged head that waited for one dispatches.
         busy |= reactor.flush_completed(&mut flush);
         if Instant::now() >= next_scan {
             let started = Instant::now();
@@ -158,11 +170,17 @@ pub(crate) fn run(
 
 struct Reactor {
     shared: Arc<Shared>,
-    jobs: SyncSender<Job>,
-    completions_tx: Sender<Completion>,
+    dispatcher: Dispatcher,
     conn_count: Arc<AtomicUsize>,
     conns: HashMap<u64, Conn>,
     next_id: u64,
+}
+
+/// The reactor's way onto the worker pool, kept apart from the connection
+/// table so one connection can be served while the table is borrowed.
+struct Dispatcher {
+    jobs: SyncSender<Job>,
+    completions_tx: Sender<Completion>,
     /// Connections holding requests that could not be handed to the worker
     /// pool (the bounded job queue was full). Each completion frees a queue
     /// slot, and the backlog refills it in FIFO order instead of leaving
@@ -212,10 +230,9 @@ impl Reactor {
         let patience = self.shared.config.mid_frame_patience;
         let idle_budget = self.shared.config.read_timeout;
         for (&id, conn) in self.conns.iter_mut() {
-            let mut consumed = 0u64;
-            let pass = conn.pump_reads(max_frame, MAX_CONN_BACKLOG, &mut consumed);
-            if consumed > 0 {
-                Metrics::add(&self.shared.metrics.bytes_in, consumed);
+            let pass = conn.pump_reads(max_frame, MAX_CONN_BACKLOG);
+            if pass.bytes > 0 {
+                Metrics::add(&self.shared.metrics.bytes_in, pass.bytes);
                 busy = true;
             }
             for payload in pass.frames {
@@ -240,20 +257,11 @@ impl Reactor {
             {
                 frame_error(&self.shared, conn, ServiceError::Stalled { patience });
             }
-            busy |= dispatch(&self.shared, &self.jobs, &self.completions_tx, id, conn);
-            if conn.wants_dispatch() && !conn.in_backlog {
-                // The job queue was full; remember the connection so the
-                // next completion refills the freed slot from here.
-                conn.in_backlog = true;
-                self.dispatch_backlog.push_back(id);
-            }
-            let wrote = conn.pump_writes();
-            if wrote.bytes > 0 {
-                Metrics::add(&self.shared.metrics.bytes_out, wrote.bytes);
-                busy = true;
-            }
-            for trace in wrote.finished {
-                finish_request(&self.shared, &trace);
+            let step = self.dispatcher.serve(&self.shared, id, conn);
+            busy |= step.busy;
+            if step.close {
+                dead.push(id);
+                continue;
             }
             // A shed slow reader that also refuses to read its typed
             // goodbye cannot pin its write queue forever: once no byte has
@@ -265,12 +273,6 @@ impl Reactor {
             if conn.linger_deadline.is_some_and(|d| Instant::now() >= d) {
                 conn.abort();
             }
-            if wrote.close {
-                if close_or_linger(conn, patience) {
-                    dead.push(id);
-                }
-                continue;
-            }
             if conn.drained() {
                 dead.push(id);
                 continue;
@@ -278,7 +280,7 @@ impl Reactor {
             // A quiet connection past its read-timeout budget closes
             // silently, exactly like the old per-connection idle budget.
             let quiet = !conn.mid_frame()
-                && conn.pending() == 0
+                && conn.pending.is_empty()
                 && conn.in_flight() == 0
                 && !conn.wants_write();
             if let (true, Some(limit)) = (quiet, idle_budget) {
@@ -299,9 +301,9 @@ impl Reactor {
         }
     }
 
-    /// Dispatch-and-write pass over just the connections whose requests
-    /// completed since the last loop turn: their response frames go out (and
-    /// their untagged lane refills) without waiting for the paced full scan.
+    /// Serves just the connections whose requests completed since the last
+    /// loop turn: their response frames go out (and their next untagged
+    /// request dispatches) without waiting for the paced full scan.
     fn flush_completed(&mut self, ids: &mut Vec<u64>) -> bool {
         ids.sort_unstable();
         ids.dedup();
@@ -310,45 +312,14 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&id) else {
                 continue;
             };
-            busy |= dispatch(&self.shared, &self.jobs, &self.completions_tx, id, conn);
-            if conn.wants_dispatch() && !conn.in_backlog {
-                conn.in_backlog = true;
-                self.dispatch_backlog.push_back(id);
-            }
-            let wrote = conn.pump_writes();
-            if wrote.bytes > 0 {
-                Metrics::add(&self.shared.metrics.bytes_out, wrote.bytes);
-                busy = true;
-            }
-            for trace in wrote.finished {
-                finish_request(&self.shared, &trace);
-            }
-            if wrote.close {
-                if close_or_linger(conn, self.shared.config.mid_frame_patience) {
-                    self.close(id);
-                    busy = true;
-                }
-            } else if conn.drained() {
+            let step = self.dispatcher.serve(&self.shared, id, conn);
+            busy |= step.busy;
+            if step.close || conn.drained() {
                 self.close(id);
                 busy = true;
             }
         }
-        // Refill the worker-queue slots the completions above just freed
-        // from connections whose dispatch was blocked on a full queue.
-        while let Some(id) = self.dispatch_backlog.pop_front() {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                continue; // closed while waiting
-            };
-            conn.in_backlog = false;
-            busy |= dispatch(&self.shared, &self.jobs, &self.completions_tx, id, conn);
-            if conn.wants_dispatch() {
-                // Queue is full again; keep this connection at the head so
-                // backlog order stays FIFO.
-                conn.in_backlog = true;
-                self.dispatch_backlog.push_front(id);
-                break;
-            }
-        }
+        busy |= self.dispatcher.refill(&self.shared, &mut self.conns);
         busy
     }
 
@@ -358,8 +329,7 @@ impl Reactor {
     fn drain(mut self, completions_rx: &Receiver<Completion>) {
         for conn in self.conns.values_mut() {
             conn.reads_done = true;
-            conn.pending_untagged.clear();
-            conn.pending_tagged.clear();
+            conn.pending.clear();
         }
         let deadline = Instant::now() + DRAIN_DEADLINE;
         while self.conns.values().any(|c| c.in_flight() > 0) && Instant::now() < deadline {
@@ -392,8 +362,9 @@ impl Reactor {
         self.conns.clear();
     }
 
-    /// One write-only sweep; returns whether any bytes moved or connections
-    /// closed.
+    /// One sweep over the connections with output queued (shutdown has
+    /// already stopped reads and dropped pending work, so serving them only
+    /// writes); returns whether any bytes moved or connections closed.
     fn flush_all(&mut self) -> bool {
         let mut busy = false;
         let mut dead = Vec::new();
@@ -401,20 +372,126 @@ impl Reactor {
             if !conn.wants_write() {
                 continue;
             }
-            let wrote = conn.pump_writes();
-            if wrote.bytes > 0 {
-                Metrics::add(&self.shared.metrics.bytes_out, wrote.bytes);
-                busy = true;
-            }
-            for trace in wrote.finished {
-                finish_request(&self.shared, &trace);
-            }
-            if wrote.close {
+            let step = self.dispatcher.serve(&self.shared, id, conn);
+            busy |= step.busy;
+            if step.close {
                 dead.push(id);
             }
         }
         for id in dead {
             self.close(id);
+            busy = true;
+        }
+        busy
+    }
+}
+
+/// What one [`Dispatcher::serve`] step did.
+struct Served {
+    /// A request dispatched or bytes left the process.
+    busy: bool,
+    /// The write pass asked to close and the connection need not linger:
+    /// the caller drops it now.
+    close: bool,
+}
+
+impl Dispatcher {
+    /// The one per-connection step: hand the head of the pending queue to
+    /// the worker pool (joining the dispatch backlog when the pool's queue
+    /// is full), flush queued output, count every request whose response
+    /// fully drained, and — when the write pass asked to close — decide
+    /// whether the connection drops now or lingers.
+    fn serve(&mut self, shared: &Shared, conn_id: u64, conn: &mut Conn) -> Served {
+        let mut busy = self.dispatch(shared, conn_id, conn);
+        if conn.wants_dispatch() && !conn.in_backlog {
+            // The job queue was full; remember the connection so the next
+            // completion refills the freed slot from here.
+            conn.in_backlog = true;
+            self.dispatch_backlog.push_back(conn_id);
+        }
+        let wrote = conn.pump_writes();
+        if wrote.bytes > 0 {
+            Metrics::add(&shared.metrics.bytes_out, wrote.bytes);
+            busy = true;
+        }
+        for trace in wrote.finished {
+            finish_request(shared, &trace);
+        }
+        let close = wrote.close && close_or_linger(conn, shared.config.mid_frame_patience);
+        Served { busy, close }
+    }
+
+    /// Refills the worker-queue slots that completions just freed from the
+    /// connections whose dispatch was blocked on a full queue.
+    fn refill(&mut self, shared: &Shared, conns: &mut HashMap<u64, Conn>) -> bool {
+        let mut busy = false;
+        while let Some(id) = self.dispatch_backlog.pop_front() {
+            let Some(conn) = conns.get_mut(&id) else {
+                continue; // closed while waiting
+            };
+            conn.in_backlog = false;
+            busy |= self.dispatch(shared, id, conn);
+            if conn.wants_dispatch() {
+                // Queue is full again; keep this connection at the head so
+                // backlog order stays FIFO.
+                conn.in_backlog = true;
+                self.dispatch_backlog.push_front(id);
+                break;
+            }
+        }
+        busy
+    }
+
+    /// Moves requests from the head of the connection's pending queue onto
+    /// the worker queue for as long as the head is eligible; returns
+    /// whether anything dispatched (or was answered inline).
+    fn dispatch(&self, shared: &Shared, conn_id: u64, conn: &mut Conn) -> bool {
+        let mut busy = false;
+        while conn.wants_dispatch() {
+            let Some(request) = conn.pending.pop_front() else {
+                break;
+            };
+            let tag = request.tag;
+            if let Some(tag) = tag.filter(|tag| conn.tags_in_flight.contains(tag)) {
+                // A tag reused while still in flight could never be answered
+                // unambiguously; refuse it with a typed, still-tagged reply.
+                let reply = error_response(
+                    shared,
+                    ErrorCode::Malformed,
+                    format!("correlation tag {tag} is already in flight on this connection"),
+                );
+                let frame = Response::Tagged {
+                    tag,
+                    response: Box::new(reply),
+                }
+                .to_framed_bytes();
+                let trace = Some(Trace::begin(request.received.elapsed()));
+                if !conn.enqueue(frame, trace, false, shared.config.write_queue_budget_bytes) {
+                    shed_slow_reader(shared, conn);
+                    return true;
+                }
+                busy = true;
+                continue;
+            }
+            let job = Job {
+                conn_id,
+                request,
+                completions: self.completions_tx.clone(),
+            };
+            match self.jobs.try_send(job) {
+                Ok(()) => match tag {
+                    Some(tag) => {
+                        conn.tags_in_flight.insert(tag);
+                    }
+                    None => conn.untagged_in_flight = true,
+                },
+                Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
+                    // The pool is saturated (or shutting down); put the
+                    // request back at the head and retry next sweep.
+                    conn.pending.push_front(job.request);
+                    break;
+                }
+            }
             busy = true;
         }
         busy
@@ -427,9 +504,11 @@ impl Reactor {
 /// discarding) inbound bytes until the peer closes or the linger deadline
 /// passes. A full close here would make the kernel reset the peer over the
 /// unread flood bytes still in the receive buffer, destroying the typed
-/// goodbye before the peer reads it.
+/// goodbye before the peer reads it. Lingering only helps while reads are
+/// still open: once they are done (peer EOF, or shutdown stopped them)
+/// nothing more will be drained, so the connection drops at once.
 fn close_or_linger(conn: &mut Conn, patience: Duration) -> bool {
-    if !conn.shed || conn.drained() {
+    if !conn.shed || conn.reads_done {
         return true;
     }
     if conn.linger_deadline.is_none() {
@@ -448,36 +527,39 @@ fn queue_request(conn: &mut Conn, payload: Vec<u8>) {
         return;
     }
     // `pump_reads` stops reading once MAX_CONN_BACKLOG requests are
-    // buffered, so the pending queues are bounded by construction; the
-    // assert keeps the budget test next to the push (for the bounded-queue
-    // lint pass) and loud in debug builds.
+    // buffered, so the pending queue is bounded by construction; the assert
+    // keeps the budget test next to the push (for the bounded-queue lint
+    // pass) and loud in debug builds.
     debug_assert!(
-        conn.pending() < MAX_CONN_BACKLOG,
-        "pending queues past MAX_CONN_BACKLOG: pump_reads stopped throttling"
+        conn.pending.len() < MAX_CONN_BACKLOG,
+        "pending queue past MAX_CONN_BACKLOG: pump_reads stopped throttling"
     );
     let received = Instant::now();
-    match Request::split_tagged(&payload) {
-        Some((tag, inner)) => conn.pending_tagged.push_back(PendingRequest {
-            tag: Some(tag),
-            payload: inner.to_vec(),
-            received,
-        }),
-        None => conn.pending_untagged.push_back(PendingRequest {
-            tag: None,
-            payload,
-            received,
-        }),
-    }
+    let (tag, payload) = match Request::split_tagged(&payload) {
+        Some((tag, inner)) => (Some(tag), inner.to_vec()),
+        None => (None, payload),
+    };
+    conn.pending.push_back(PendingRequest {
+        tag,
+        payload,
+        received,
+    });
 }
 
-/// Answers a frame-level failure with a best-effort typed reply and marks
-/// the connection close-after-flush; a transport failure closes it
-/// outright. Typed replies count as served once written — the documented
-/// contract is that `requests_served` includes error replies.
+/// Queues a typed error reply that closes the connection once it flushes.
+/// Typed replies count as served once written — the documented contract is
+/// that `requests_served` includes error replies.
+fn goodbye(shared: &Shared, conn: &mut Conn, reply: Response) {
+    let budget = shared.config.write_queue_budget_bytes;
+    let trace = Some(Trace::begin(Duration::ZERO));
+    conn.enqueue(reply.to_framed_bytes(), trace, true, budget);
+}
+
+/// Answers a frame-level failure with a best-effort typed goodbye; a
+/// transport failure closes the connection outright.
 fn frame_error(shared: &Shared, conn: &mut Conn, error: ServiceError) {
     conn.reads_done = true;
-    conn.pending_untagged.clear();
-    conn.pending_tagged.clear();
+    conn.pending.clear();
     let reply = match error {
         ServiceError::FrameTooLarge { declared, limit } => error_response(
             shared,
@@ -493,17 +575,9 @@ fn frame_error(shared: &Shared, conn: &mut Conn, error: ServiceError) {
             format!("no bytes for {patience:?} inside a started frame; reconnect"),
         ),
         // The socket itself failed; there is no way to deliver a reply.
-        _ => {
-            conn.abort();
-            return;
-        }
+        _ => return conn.abort(),
     };
-    conn.enqueue(
-        reply.to_framed_bytes(),
-        Some(Trace::begin(Duration::ZERO)),
-        true,
-        shared.config.write_queue_budget_bytes,
-    );
+    goodbye(shared, conn, reply);
 }
 
 /// Sheds a slow reader: a connection whose queued-but-unflushed response
@@ -523,109 +597,18 @@ fn shed_slow_reader(shared: &Shared, conn: &mut Conn) {
     // Reads stay open: the flooder's pipelined requests keep draining (and
     // are discarded in `queue_request`) so the close never resets the peer
     // with unread bytes and the typed goodbye below actually arrives.
-    conn.pending_untagged.clear();
-    conn.pending_tagged.clear();
+    conn.pending.clear();
     let queued = conn.queued_bytes();
     conn.drop_unwritten();
     Metrics::add(&shared.metrics.slow_readers_shed, 1);
     let budget = shared.config.write_queue_budget_bytes;
-    let reply = error_response(
+    let message = format!(
+        "shed: queued responses would exceed the {budget}-byte write-queue \
+         budget ({queued} bytes already queued unread); read responses faster"
+    );
+    goodbye(
         shared,
-        ErrorCode::Overloaded,
-        format!(
-            "shed: queued responses would exceed the {budget}-byte write-queue \
-             budget ({queued} bytes already queued unread); read responses faster"
-        ),
+        conn,
+        error_response(shared, ErrorCode::Overloaded, message),
     );
-    conn.enqueue(
-        reply.to_framed_bytes(),
-        Some(Trace::begin(Duration::ZERO)),
-        true,
-        budget,
-    );
-}
-
-/// Moves eligible pending requests onto the worker queue; returns whether
-/// anything dispatched (or was answered inline).
-fn dispatch(
-    shared: &Shared,
-    jobs: &SyncSender<Job>,
-    completions: &Sender<Completion>,
-    conn_id: u64,
-    conn: &mut Conn,
-) -> bool {
-    let mut busy = false;
-    // Tagged requests dispatch greedily; each completes independently.
-    while let Some(next) = conn.pending_tagged.pop_front() {
-        let Some(tag) = next.tag else { continue };
-        if conn.tags_in_flight.contains(&tag) {
-            // A tag reused while still in flight could never be answered
-            // unambiguously; refuse it with a typed, still-tagged reply.
-            let reply = error_response(
-                shared,
-                ErrorCode::Malformed,
-                format!("correlation tag {tag} is already in flight on this connection"),
-            );
-            let frame = Response::Tagged {
-                tag,
-                response: Box::new(reply),
-            }
-            .to_framed_bytes();
-            let trace = Some(Trace::begin(next.received.elapsed()));
-            if !conn.enqueue(frame, trace, false, shared.config.write_queue_budget_bytes) {
-                shed_slow_reader(shared, conn);
-                return true;
-            }
-            busy = true;
-            continue;
-        }
-        match jobs.try_send(Job {
-            conn_id,
-            tag: Some(tag),
-            payload: next.payload,
-            queued: next.received,
-            completions: completions.clone(),
-        }) {
-            Ok(()) => {
-                conn.tags_in_flight.insert(tag);
-                busy = true;
-            }
-            Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
-                // The pool is saturated (or shutting down); put it back and
-                // retry next sweep.
-                conn.pending_tagged.push_front(PendingRequest {
-                    tag: job.tag,
-                    payload: job.payload,
-                    received: job.queued,
-                });
-                return busy;
-            }
-        }
-    }
-    // Untagged requests keep the strict in-order contract: at most one in
-    // flight, so replies are written in arrival order.
-    if !conn.untagged_in_flight {
-        if let Some(next) = conn.pending_untagged.pop_front() {
-            match jobs.try_send(Job {
-                conn_id,
-                tag: None,
-                payload: next.payload,
-                queued: next.received,
-                completions: completions.clone(),
-            }) {
-                Ok(()) => {
-                    conn.untagged_in_flight = true;
-                    busy = true;
-                }
-                Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
-                    conn.pending_untagged.push_front(PendingRequest {
-                        tag: None,
-                        payload: job.payload,
-                        received: job.queued,
-                    });
-                }
-            }
-        }
-    }
-    busy
 }

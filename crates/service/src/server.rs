@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vaq_authquery::Server;
+use vaq_authquery::{Query, Server};
 use vaq_wire::epoch;
 use vaq_wire::{
     ErrorCode, ErrorReply, Request, Response, ShardInfo, SignedShardMap, StatsDeep, StatsSnapshot,
@@ -69,15 +69,19 @@ impl Shared {
     }
 }
 
-/// The response-cache (and single-flight) key: the serving epoch prepended
-/// to the canonical query bytes. Keys from superseded epochs can never
-/// collide with current ones, so an in-flight computation started before a
-/// republication publishes under its own epoch's key and cannot poison the
-/// new epoch's cache.
-fn epoch_cache_key(epoch: u64, canonical: &[u8]) -> Vec<u8> {
+/// The response-cache (and single-flight) key of one query: the serving
+/// epoch prepended to the canonical bytes of the plain [`Request::Query`]
+/// asking it. Every way of asking — plain, pinned, batch item, tagged or
+/// not — maps to this one key, so they all share one cache entry and one
+/// flight. Keys from superseded epochs can never collide with current
+/// ones, so an in-flight computation started before a republication
+/// publishes under its own epoch's key and cannot poison the new epoch's
+/// cache.
+fn epoch_cache_key(epoch: u64, query: &Query) -> Vec<u8> {
+    let canonical = Request::Query(query.clone()).canonical_bytes();
     let mut key = Vec::with_capacity(8 + canonical.len());
     key.extend_from_slice(&epoch.to_be_bytes());
-    key.extend_from_slice(canonical);
+    key.extend_from_slice(&canonical);
     key
 }
 
@@ -483,13 +487,15 @@ pub(crate) fn finish_request(shared: &Shared, trace: &Trace) {
 /// the returned frame for tagged requests — so the response cache holds one
 /// shared entry per query regardless of how it was enveloped.
 pub(crate) fn handle_request(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Vec<u8> {
-    let request = match trace.time(Stage::Decode, || Request::from_wire_bytes(payload)) {
-        Ok(request) => request,
-        Err(e) => {
-            return error_response(shared, ErrorCode::Malformed, format!("bad request: {e}"))
-                .to_framed_bytes()
-        }
-    };
+    respond(shared, payload, trace).unwrap_or_else(|reply| Response::Error(reply).to_framed_bytes())
+}
+
+/// The framed success response to one request, or the typed error reply
+/// [`handle_request`] frames in its place.
+fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Vec<u8>, ErrorReply> {
+    let request = trace
+        .time(Stage::Decode, || Request::from_wire_bytes(payload))
+        .map_err(|e| error_reply(shared, ErrorCode::Malformed, format!("bad request: {e}")))?;
 
     // Resolve the serving snapshot exactly once per request: records,
     // signatures and the envelope epoch stamp all come from this one `Arc`,
@@ -498,104 +504,71 @@ pub(crate) fn handle_request(shared: &Shared, payload: &[u8], trace: &mut Trace)
     let serving = shared.serving();
     let epoch = serving.epoch();
 
-    match request {
-        Request::Ping => Response::Pong.to_framed_bytes(),
-        Request::Stats => Response::Stats(shared.snapshot(epoch)).to_framed_bytes(),
-        Request::StatsDeep => Response::StatsDeep(shared.deep_snapshot(epoch)).to_framed_bytes(),
-        Request::ShardInfo => match shared.config.shard {
-            Some(role) => Response::ShardInfo(ShardInfo {
+    // The four ways to ask a query differ only in an optional epoch pin and
+    // in whether one answer or a list comes back.
+    let (pin, asked) = match request {
+        Request::Query(query) => (None, Asked::One(query)),
+        Request::QueryAt { epoch: pin, query } => (Some(pin), Asked::One(query)),
+        Request::Batch(queries) => (None, Asked::Many(queries)),
+        Request::BatchAt {
+            epoch: pin,
+            queries,
+        } => (Some(pin), Asked::Many(queries)),
+        Request::Ping => return Ok(Response::Pong.to_framed_bytes()),
+        Request::Stats => return Ok(Response::Stats(shared.snapshot(epoch)).to_framed_bytes()),
+        Request::StatsDeep => {
+            return Ok(Response::StatsDeep(shared.deep_snapshot(epoch)).to_framed_bytes())
+        }
+        Request::ShardInfo => {
+            let role = shared.config.shard.ok_or_else(|| {
+                let message = "service is not part of a sharded deployment";
+                error_reply(shared, ErrorCode::NotSharded, message.into())
+            })?;
+            let info = ShardInfo {
                 shard_id: role.shard_id,
                 shard_count: role.shard_count,
                 records: serving.dataset().len() as u64,
                 epoch,
-            })
-            .to_framed_bytes(),
-            None => error_response(
-                shared,
-                ErrorCode::NotSharded,
-                "service is not part of a sharded deployment".into(),
-            )
-            .to_framed_bytes(),
-        },
+            };
+            return Ok(Response::ShardInfo(info).to_framed_bytes());
+        }
         Request::ShardMap => {
-            let map = shared.shard_map.lock().clone();
-            match map {
-                Some(map) => Response::ShardMap(map.as_ref().clone()).to_framed_bytes(),
-                None => error_response(
-                    shared,
-                    ErrorCode::NotSharded,
-                    "service has no published shard map".into(),
-                )
-                .to_framed_bytes(),
-            }
-        }
-        // The decoded payload *is* the canonical encoding (decoding consumes
-        // every byte and the format is bijective), so — prefixed with the
-        // serving epoch — it serves as the cache and single-flight key
-        // without a re-encode.
-        Request::Query(query) => query_response(
-            shared,
-            &serving,
-            epoch_cache_key(epoch, payload),
-            query,
-            trace,
-        ),
-        Request::QueryAt {
-            epoch: pinned,
-            query,
-        } => {
-            if let Some(rejection) = reject_stale_pin(shared, epoch, pinned) {
-                return rejection;
-            }
-            // Key on the canonical bytes of the *equivalent plain query*,
-            // so pinned and unpinned requests for the same query at the
-            // same epoch share one cache entry and one flight.
-            let canonical = Request::Query(query.clone()).canonical_bytes();
-            query_response(
-                shared,
-                &serving,
-                epoch_cache_key(epoch, &canonical),
-                query,
-                trace,
-            )
-        }
-        Request::Batch(queries) => batch_response(shared, &serving, epoch, &queries, trace),
-        Request::BatchAt {
-            epoch: pinned,
-            queries,
-        } => {
-            if let Some(rejection) = reject_stale_pin(shared, epoch, pinned) {
-                return rejection;
-            }
-            batch_response(shared, &serving, epoch, &queries, trace)
+            let map = shared.shard_map.lock().clone().ok_or_else(|| {
+                let message = "service has no published shard map";
+                error_reply(shared, ErrorCode::NotSharded, message.into())
+            })?;
+            return Ok(Response::ShardMap(map.as_ref().clone()).to_framed_bytes());
         }
         // The reactor strips the tag envelope before dispatch, so a payload
         // that still decodes as `Tagged` here was wrapped twice — a client
         // bug the wire format itself also rejects one level deeper.
-        Request::Tagged { tag, .. } => error_response(
-            shared,
-            ErrorCode::Malformed,
-            format!("tagged envelope cannot nest (tag {tag})"),
-        )
-        .to_framed_bytes(),
+        Request::Tagged { tag, .. } => {
+            let message = format!("tagged envelope cannot nest (tag {tag})");
+            return Err(error_reply(shared, ErrorCode::Malformed, message));
+        }
+    };
+    if let Some(pinned) = pin.filter(|&pinned| pinned != epoch) {
+        let message = format!("service serves publication epoch {epoch}, request pinned {pinned}");
+        return Err(error_reply(shared, ErrorCode::StaleEpoch, message));
+    }
+    match asked {
+        Asked::One(query) => {
+            let frame = query_frame(shared, &serving, &query, trace)?;
+            trace.set_kind(query_kind(&query));
+            Ok(frame)
+        }
+        Asked::Many(queries) => batch_frame(shared, &serving, &queries, trace),
     }
 }
 
-/// The framed [`ErrorCode::StaleEpoch`] rejection for a request pinned to an
-/// epoch the service does not currently serve (`None` when the pin matches)
-/// — one reply for every pinned request shape.
-fn reject_stale_pin(shared: &Shared, serving: u64, pinned: u64) -> Option<Vec<u8>> {
-    if pinned == serving {
-        return None;
-    }
-    Some(
-        error_response(
-            shared,
-            ErrorCode::StaleEpoch,
-            format!("service serves publication epoch {serving}, request pinned {pinned}"),
-        )
-        .to_framed_bytes(),
-    )
+/// The queries of one request, however it asked them.
+enum Asked {
+    /// [`Request::Query`] / [`Request::QueryAt`]: answered with
+    /// [`Response::Query`].
+    One(Query),
+    /// [`Request::Batch`] / [`Request::BatchAt`]: answered with
+    /// [`Response::Batch`].
+    Many(Vec<Query>),
 }
 
 /// Serves a batch through **per-item** epoch-keyed cache lookups: each query
@@ -605,47 +578,29 @@ fn reject_stale_pin(shared: &Shared, serving: u64, pinned: u64) -> Option<Vec<u8
 /// and a repeated batch with one changed query pays exactly one miss. A
 /// per-item error (bad dimensionality, internal failure) fails the whole
 /// batch with that item's typed reply, like the whole-batch path always did.
-fn batch_response(
+fn batch_frame(
     shared: &Shared,
     serving: &Arc<Server>,
-    epoch: u64,
-    queries: &[vaq_authquery::Query],
+    queries: &[Query],
     trace: &mut Trace,
-) -> Vec<u8> {
+) -> Result<Vec<u8>, ErrorReply> {
     if queries.is_empty() {
         // An empty batch used to sail under the max-batch check and cache a
         // useless empty response; it carries no work and is a client bug.
-        return error_response(shared, ErrorCode::BadQuery, "batch holds no queries".into())
-            .to_framed_bytes();
+        let message = "batch holds no queries";
+        return Err(error_reply(shared, ErrorCode::BadQuery, message.into()));
     }
-    if queries.len() > shared.config.max_batch_len {
-        return error_response(
-            shared,
-            ErrorCode::BadQuery,
-            format!(
-                "batch of {} queries exceeds the limit of {}",
-                queries.len(),
-                shared.config.max_batch_len
-            ),
-        )
-        .to_framed_bytes();
+    let limit = shared.config.max_batch_len;
+    if queries.len() > limit {
+        let message = format!(
+            "batch of {} queries exceeds the limit of {limit}",
+            queries.len()
+        );
+        return Err(error_reply(shared, ErrorCode::BadQuery, message));
     }
     let mut responses = Vec::with_capacity(queries.len());
     for query in queries {
-        // Key every item on the canonical bytes of the equivalent plain
-        // query, so batch items, pinned batches and singles for the same
-        // query at the same epoch share one cache entry and one flight.
-        let canonical = Request::Query(query.clone()).canonical_bytes();
-        let frame = match query_frame(
-            shared,
-            serving,
-            epoch_cache_key(epoch, &canonical),
-            query.clone(),
-            trace,
-        ) {
-            Ok(frame) => frame,
-            Err(reply) => return Response::Error(reply).to_framed_bytes(),
-        };
+        let frame = query_frame(shared, serving, query, trace)?;
         // Decoding the cached single-query frame back into a QueryResponse
         // costs one deserialization per item — the deliberate price of
         // storing exactly one representation per item (the framed single
@@ -653,79 +608,28 @@ fn batch_response(
         // processing and VO assembly) is what the shared entries dedupe.
         match Response::from_framed_bytes(&frame) {
             Ok(Response::Query { response, .. }) => responses.push(response),
-            Ok(Response::Error(_)) => return frame,
+            Ok(Response::Error(reply)) => return Err(reply),
             _ => {
-                return error_response(
-                    shared,
-                    ErrorCode::Internal,
-                    "batch item produced an unexpected frame".into(),
-                )
-                .to_framed_bytes()
+                let message = "batch item produced an unexpected frame";
+                return Err(error_reply(shared, ErrorCode::Internal, message.into()));
             }
         }
     }
+    let epoch = serving.epoch();
     let frame = trace.time(Stage::Encode, || {
         encode_frame(&Response::Batch { epoch, responses })
     });
     trace.set_kind(RequestKind::Batch);
-    frame
-}
-
-/// Serves one analytic query against a resolved serving snapshot through
-/// the epoch-keyed cache, tagging the trace with the query's kind on
-/// success so the whole request is attributed to it.
-fn query_response(
-    shared: &Shared,
-    serving: &Arc<Server>,
-    key: Vec<u8>,
-    query: vaq_authquery::Query,
-    trace: &mut Trace,
-) -> Vec<u8> {
-    let kind = query_kind(&query);
-    match query_frame(shared, serving, key, query, trace) {
-        Ok(frame) => {
-            trace.set_kind(kind);
-            frame
-        }
-        Err(reply) => Response::Error(reply).to_framed_bytes(),
-    }
+    Ok(frame)
 }
 
 /// Maps a wire query to the request kind its latency is tracked under.
-fn query_kind(query: &vaq_authquery::Query) -> RequestKind {
+fn query_kind(query: &Query) -> RequestKind {
     match query.kind() {
         vaq_authquery::QueryKind::TopK => RequestKind::TopK,
         vaq_authquery::QueryKind::Range => RequestKind::Range,
         vaq_authquery::QueryKind::Knn => RequestKind::Knn,
     }
-}
-
-/// Serves one analytic query through the epoch-keyed cache, returning the
-/// framed single-query response or the typed error reply.
-fn query_frame(
-    shared: &Shared,
-    serving: &Arc<Server>,
-    key: Vec<u8>,
-    query: vaq_authquery::Query,
-    trace: &mut Trace,
-) -> Result<Vec<u8>, ErrorReply> {
-    let epoch = serving.epoch();
-    cached_response(shared, &key, trace, |shared, trace| {
-        let mut responses = process_queries(shared, serving, std::slice::from_ref(&query), trace)?;
-        match responses.pop() {
-            Some(response) => Ok(trace.time(Stage::Encode, || {
-                encode_frame(&Response::Query { epoch, response })
-            })),
-            // One query in, one response out is the processing contract;
-            // answer a typed Internal error rather than trusting it with a
-            // panic on the hot path.
-            None => Err(error_reply(
-                shared,
-                ErrorCode::Internal,
-                "query produced no response".into(),
-            )),
-        }
-    })
 }
 
 /// The caller's role for one single-flight key.
@@ -821,26 +725,23 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Serves a cacheable request through the response cache with single-flight
-/// deduplication, keyed by the caller-built epoch-prefixed key. `compute`
-/// produces the framed response bytes to cache; an error reply is returned
-/// to the requester but never cached or shared (the next requester retries
-/// the computation). Cache probes and single-flight waits are charged to
-/// the request's trace.
-fn cached_response<F>(
+/// Serves one analytic query through the epoch-keyed response cache with
+/// single-flight deduplication, returning the framed single-query response
+/// or the typed error reply. An error reply is returned to the requester
+/// but never cached or shared (the next requester retries the computation).
+/// Cache probes and single-flight waits are charged to the request's trace.
+fn query_frame(
     shared: &Shared,
-    key: &[u8],
+    serving: &Arc<Server>,
+    query: &Query,
     trace: &mut Trace,
-    mut compute: F,
-) -> Result<Vec<u8>, ErrorReply>
-where
-    F: FnMut(&Shared, &mut Trace) -> Result<Vec<u8>, ErrorReply>,
-{
+) -> Result<Vec<u8>, ErrorReply> {
+    let key = &epoch_cache_key(serving.epoch(), query);
     let caching = shared.config.cache_capacity > 0 && shared.config.cache_max_bytes > 0;
     if !caching {
         // With caching disabled there is no dedup contract to honour, so
         // concurrent identical queries stay fully parallel.
-        let frame = compute(shared, trace)?;
+        let frame = compute_frame(shared, serving, query, trace)?;
         Metrics::add(&shared.metrics.cache_misses, 1);
         return Ok(frame);
     }
@@ -875,7 +776,7 @@ where
             guard.outcome = Some(frame.clone());
             return Ok(frame.as_ref().clone());
         }
-        let frame = compute(shared, trace)?;
+        let frame = compute_frame(shared, serving, query, trace)?;
         Metrics::add(&shared.metrics.cache_misses, 1);
         let frame = Arc::new(frame);
         shared.cache.lock().insert(key.to_vec(), Arc::clone(&frame));
@@ -885,53 +786,35 @@ where
     }
 }
 
-/// Validates and processes queries against one resolved serving snapshot,
-/// charging execution and VO-construction time to the request's trace.
-fn process_queries(
+/// Validates, processes and frames one query against a resolved serving
+/// snapshot, charging execution, VO-construction and encode time to the
+/// request's trace.
+fn compute_frame(
     shared: &Shared,
     serving: &Arc<Server>,
-    queries: &[vaq_authquery::Query],
+    query: &Query,
     trace: &mut Trace,
-) -> Result<Vec<vaq_authquery::QueryResponse>, ErrorReply> {
+) -> Result<Vec<u8>, ErrorReply> {
     let dims = serving.dataset().dims();
-    for query in queries {
-        if query.weights().len() != dims {
-            return Err(error_reply(
+    if query.weights().len() != dims {
+        let asked = query.weights().len();
+        let message = format!("query weight vector has {asked} dims, dataset has {dims}");
+        return Err(error_reply(shared, ErrorCode::BadQuery, message));
+    }
+    let (response, timing) = catch_unwind(AssertUnwindSafe(|| serving.process_timed(query)))
+        .map_err(|_| {
+            error_reply(
                 shared,
-                ErrorCode::BadQuery,
-                format!(
-                    "query weight vector has {} dims, dataset has {dims}",
-                    query.weights().len()
-                ),
-            ));
-        }
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut execute = Duration::ZERO;
-        let mut vo_build = Duration::ZERO;
-        let responses = queries
-            .iter()
-            .map(|query| {
-                let (response, timing) = serving.process_timed(query);
-                execute += timing.execute;
-                vo_build += timing.vo_build;
-                response
-            })
-            .collect::<Vec<_>>();
-        (responses, execute, vo_build)
-    }));
-    match result {
-        Ok((responses, execute, vo_build)) => {
-            trace.add(Stage::Execute, execute);
-            trace.add(Stage::VoBuild, vo_build);
-            Ok(responses)
-        }
-        Err(_) => Err(error_reply(
-            shared,
-            ErrorCode::Internal,
-            "query processing failed".into(),
-        )),
-    }
+                ErrorCode::Internal,
+                "query processing failed".into(),
+            )
+        })?;
+    trace.add(Stage::Execute, timing.execute);
+    trace.add(Stage::VoBuild, timing.vo_build);
+    let epoch = serving.epoch();
+    Ok(trace.time(Stage::Encode, || {
+        encode_frame(&Response::Query { epoch, response })
+    }))
 }
 
 /// Builds a typed error reply, bumping the flat and per-code error

@@ -60,7 +60,7 @@ use vaq_wire::{
     ErrorCode, Request, Response, ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot,
 };
 
-use crate::client::ServiceClient;
+use crate::client::{check_served_epoch, ServiceClient};
 use crate::config::{ServiceConfig, ShardRole};
 use crate::error::ServiceError;
 use crate::partition::{attest_shard_map, partition_dataset, verify_shard_map, PartitionStrategy};
@@ -88,8 +88,9 @@ pub struct ShardedPublication {
 ///
 /// In production the services would run on separate hosts; this harness
 /// wires the same objects up in one process, which is exactly what the
-/// integration suite and the `sharded_throughput` benchmark need — the wire
-/// protocol, verification and merge paths are identical either way.
+/// integration suite and the benchmark's `sharded_churn` workload need —
+/// the wire protocol, verification and merge paths are identical either
+/// way.
 pub struct ShardedDeployment {
     /// `None` marks a primary stopped via [`ShardedDeployment::stop_shard`];
     /// indices stay aligned with shard ids and [`ShardedDeployment::addrs`].
@@ -282,11 +283,6 @@ impl ShardedDeployment {
     /// The primary addresses the shards listen on, in shard-id order.
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
-    }
-
-    /// Every address serving each shard (primary first, standbys after).
-    pub fn shard_addrs(&self) -> &[Vec<SocketAddr>] {
-        &self.shard_addrs
     }
 
     /// Number of shards.
@@ -501,12 +497,7 @@ fn open_shard_connection(
             entry.records
         )));
     }
-    if info.epoch != epoch {
-        return Err(ServiceError::StaleEpoch {
-            expected: epoch,
-            got: info.epoch,
-        });
-    }
+    check_served_epoch(epoch, info.epoch)?;
     Ok(ShardConnection {
         entry: entry.clone(),
         client,
@@ -999,20 +990,6 @@ type LegInterpreter<'a, T> =
 /// shard returned, with their verified scores in record order.
 type VerifiedLeg = (Vec<Record>, Vec<f64>);
 
-/// Rejects a leg whose envelope stamp disagrees with the pinned epoch. The
-/// stamp is unauthenticated, so this is only a cheap early reject — a
-/// *forged* stamp still fails [`verify_sub_response`], because the
-/// response's signatures bind the real epoch.
-fn check_leg_epoch(served: u64, pinned: u64) -> Result<(), ServiceError> {
-    if served != pinned {
-        return Err(ServiceError::StaleEpoch {
-            expected: pinned,
-            got: served,
-        });
-    }
-    Ok(())
-}
-
 /// Verifies one per-query response from one shard — records + VO under the
 /// shard's attested key, at the pinned epoch — and returns the verified
 /// (records, scores). The single security-sensitive verification step, one
@@ -1050,7 +1027,7 @@ fn interpret_leg(
             epoch: served,
             response,
         } => {
-            check_leg_epoch(served, epoch)?;
+            check_served_epoch(epoch, served)?;
             verify_sub_response(query, response, template, entry, epoch)
         }
         other => Err(crate::client::unexpected(&other)),
@@ -1074,7 +1051,7 @@ fn interpret_batch_leg(
             epoch: served,
             responses,
         } => {
-            check_leg_epoch(served, epoch)?;
+            check_served_epoch(epoch, served)?;
             crate::client::check_batch_arity(queries.len(), &responses)?;
             queries
                 .iter()

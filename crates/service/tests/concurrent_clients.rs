@@ -767,6 +767,73 @@ fn tagged_pipelining_races_a_republish_without_mixing_epochs() {
 }
 
 #[test]
+fn query_verified_follows_a_republication_and_refuses_a_replayed_epoch() {
+    use std::net::TcpListener;
+    // Regression: `query_verified` verified every answer at a literal epoch
+    // 0, so after one republication (the epoch is bound into every
+    // signature) each honest answer was rejected as a signature mismatch.
+    let dataset = uniform_dataset(20, 1, 606);
+    let scheme = SignatureScheme::test_rsa(606);
+    let public_key = scheme.public_key();
+    let tree_at =
+        |epoch| IfmhTree::build_at_epoch(&dataset, SigningMode::MultiSignature, &scheme, epoch);
+    let service = QueryService::bind(
+        ServiceConfig::ephemeral(),
+        Server::new(dataset.clone(), tree_at(0)),
+    )
+    .unwrap();
+    let query = Query::top_k(vec![0.4], 3);
+
+    let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+    let (at_epoch_0, _) = client
+        .query_verified(&query, &dataset.template, &public_key)
+        .expect("the epoch-0 answer verifies");
+    service
+        .republish(Server::new(dataset.clone(), tree_at(1)))
+        .unwrap();
+    let (at_epoch_1, _) = client
+        .query_verified(&query, &dataset.template, &public_key)
+        .expect("the honest epoch-1 answer verifies on the same connection");
+    service.shutdown();
+
+    // A hostile server that holds both genuinely signed answers: it serves
+    // the current one, then replays the superseded one under its true
+    // stamp, then under a forged current stamp.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let replies = [(1, at_epoch_1), (0, at_epoch_0.clone()), (1, at_epoch_0)];
+    let replaying = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        for (epoch, response) in replies {
+            let _: Request = vaq_service::frame::read_message(&mut stream, 1 << 20)
+                .unwrap()
+                .expect("one request per reply");
+            let reply = Response::Query { epoch, response };
+            vaq_service::frame::write_message(&mut stream, &reply).unwrap();
+        }
+    });
+    let mut client = ServiceClient::connect(addr).unwrap();
+    client
+        .query_verified(&query, &dataset.template, &public_key)
+        .expect("the genuine epoch-1 answer anchors the connection at epoch 1");
+    match client
+        .query_verified(&query, &dataset.template, &public_key)
+        .expect_err("a replayed epoch-0 answer")
+    {
+        ServiceError::StaleEpoch { expected, got } => assert_eq!((expected, got), (1, 0)),
+        other => panic!("expected a typed StaleEpoch refusal, got {other}"),
+    }
+    match client
+        .query_verified(&query, &dataset.template, &public_key)
+        .expect_err("an epoch-0 answer under a forged epoch-1 stamp")
+    {
+        ServiceError::Verification(_) => {}
+        other => panic!("expected a verification failure, got {other}"),
+    }
+    replaying.join().unwrap();
+}
+
+#[test]
 fn connection_fatal_error_reply_desyncs_the_client() {
     // Regression: after a FrameTooLarge/Malformed/ShuttingDown reply the
     // server closes the connection, but the client left `desynced == false`

@@ -70,6 +70,54 @@ fn tagged_pipelining_reassociates_out_of_order_receives() {
 }
 
 #[test]
+fn untagged_pipeline_keeps_send_order_ahead_of_a_trailing_tagged_frame() {
+    // The single pending queue's contract: N untagged queries written back
+    // to back without reading a reply, then one tagged query behind them.
+    // The untagged replies must come back in send order (record count k is
+    // the witness), the tagged reply must echo its tag wherever it lands in
+    // the stream, and every frame counts as served.
+    const N: usize = 10;
+    const TAG: u64 = 0xC0FFEE;
+    let (_, server, _) = owner_setup(2 * N, 1, 1717);
+    let service = QueryService::bind(ServiceConfig::ephemeral().workers(4), server).unwrap();
+    let mut stream = std::net::TcpStream::connect(service.local_addr()).unwrap();
+
+    let mut bytes = Vec::new();
+    for i in 0..N {
+        bytes.extend_from_slice(&Request::Query(Query::top_k(vec![0.5], i + 1)).to_framed_bytes());
+    }
+    let tagged = Request::Tagged {
+        tag: TAG,
+        request: Box::new(Request::Query(Query::top_k(vec![0.5], N + 1))),
+    };
+    bytes.extend_from_slice(&tagged.to_framed_bytes());
+    stream.write_all(&bytes).unwrap();
+
+    let mut untagged_sizes = Vec::new();
+    let mut tagged_size = None;
+    for _ in 0..=N {
+        let reply = vaq_service::frame::read_message::<Response>(&mut stream, 1 << 20)
+            .unwrap()
+            .expect("service closed before answering every frame");
+        match reply {
+            Response::Query { response, .. } => untagged_sizes.push(response.records.len()),
+            Response::Tagged { tag, response } => {
+                assert_eq!(tag, TAG);
+                match *response {
+                    Response::Query { response, .. } => tagged_size = Some(response.records.len()),
+                    other => panic!("unexpected tagged payload: {other:?}"),
+                }
+            }
+            other => panic!("expected query replies, got {other:?}"),
+        }
+    }
+    assert_eq!(untagged_sizes, (1..=N).collect::<Vec<_>>());
+    assert_eq!(tagged_size, Some(N + 1));
+    let stats = service.shutdown();
+    assert_eq!(stats.requests_served, (N + 1) as u64);
+}
+
+#[test]
 fn unknown_tag_is_a_typed_error_that_keeps_the_connection() {
     let (_, server, _) = owner_setup(10, 1, 7);
     let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();

@@ -72,12 +72,7 @@ fn manifest_is_checked_in_and_names_the_reactor_queues() {
     assert!(!budgets.is_empty(), "queue_budgets.toml must not be empty");
     // The queues the slow-reader defence and dispatch backpressure depend
     // on must stay declared; removing one silently unchecks its pushes.
-    for field in [
-        "write_queue",
-        "pending_tagged",
-        "pending_untagged",
-        "dispatch_backlog",
-    ] {
+    for field in ["write_queue", "pending", "dispatch_backlog"] {
         assert!(
             budgets.contains_key(field),
             "queue_budgets.toml lost its `{field}` entry"

@@ -194,15 +194,12 @@ impl Response {
     /// response payloads, and re-wrapping one for a tagged request must not
     /// cost a decode/re-encode of a potentially large verification object.
     pub fn tagged_frame_from_payload(tag: u64, inner_payload: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(1 + 8 + inner_payload.len());
-        payload.push(RESPONSE_TAG_TAGGED);
-        payload.extend_from_slice(&tag.to_le_bytes());
-        payload.extend_from_slice(inner_payload);
-        let mut out = Vec::with_capacity(payload.len() + 10);
-        out.extend_from_slice(&crate::MAGIC);
-        out.extend_from_slice(&crate::VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let payload_len = 1 + 8 + inner_payload.len();
+        let mut out = Vec::with_capacity(crate::FRAME_HEADER_LEN + payload_len);
+        out.extend_from_slice(&crate::frame_header(payload_len));
+        out.push(RESPONSE_TAG_TAGGED);
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(inner_payload);
         out
     }
 }

@@ -29,11 +29,6 @@ impl Writer {
         Writer { buf }
     }
 
-    /// Bytes written so far, borrowed.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -98,14 +93,6 @@ impl Writer {
     /// Writes raw bytes with no length prefix.
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    /// Overwrites a previously written little-endian u32 at byte `offset`.
-    /// Out-of-range offsets are ignored (nothing was written there).
-    pub fn patch_u32(&mut self, offset: usize, v: u32) {
-        if let Some(slot) = self.buf.get_mut(offset..offset.saturating_add(4)) {
-            slot.copy_from_slice(&v.to_le_bytes());
-        }
     }
 
     /// Writes a length prefix for a collection of `n` elements.

@@ -44,6 +44,35 @@ pub use io::{Reader, Writer};
 pub const MAGIC: [u8; 4] = *b"VAQ1";
 /// Current format version.
 pub const VERSION: u16 = 1;
+/// Length of the `VAQ1` frame header: 4-byte magic, little-endian u16
+/// version, little-endian u32 payload length.
+pub const FRAME_HEADER_LEN: usize = 10;
+
+/// The header of a frame carrying `payload_len` payload bytes. Together
+/// with [`parse_frame_header`] this is the only place the header layout is
+/// spelled out: every encoder starts its frame with these bytes and every
+/// parser reads them back through the inverse.
+pub fn frame_header(payload_len: usize) -> [u8; FRAME_HEADER_LEN] {
+    let [m0, m1, m2, m3] = MAGIC;
+    let [v0, v1] = VERSION.to_le_bytes();
+    let [l0, l1, l2, l3] = (payload_len as u32).to_le_bytes();
+    [m0, m1, m2, m3, v0, v1, l0, l1, l2, l3]
+}
+
+/// Validates a complete frame header (magic, version) and returns the
+/// payload length it declares. Callers reading from an untrusted peer bound
+/// the returned length before allocating for it.
+pub fn parse_frame_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<usize, WireError> {
+    let [m0, m1, m2, m3, v0, v1, l0, l1, l2, l3] = *header;
+    if [m0, m1, m2, m3] != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let version = u16::from_le_bytes([v0, v1]);
+    if version != VERSION {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    Ok(u32::from_le_bytes([l0, l1, l2, l3]) as usize)
+}
 
 /// Types that can serialize themselves into the wire format.
 pub trait WireEncode {
@@ -60,32 +89,26 @@ pub trait WireEncode {
     /// Encodes with the `VAQ1` frame header (magic + version + payload
     /// length), suitable for writing to disk or a socket.
     fn to_framed_bytes(&self) -> Vec<u8> {
-        let payload = self.to_wire_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 10);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        self.to_framed_bytes_reusing(&mut Vec::new())
     }
 
     /// Like [`WireEncode::to_framed_bytes`], but assembles the frame in
-    /// `scratch`, reusing its allocation across calls: the header goes in
-    /// first with a length placeholder, the payload is encoded directly
-    /// behind it, and the length is patched in place. The returned frame is
-    /// one exact-size copy of the scratch contents, so a warm caller pays
-    /// one allocation and one memcpy per message instead of two of each.
+    /// `scratch`, reusing its allocation across calls: a header-sized
+    /// placeholder goes in first, the payload is encoded directly behind
+    /// it, and the real header overwrites the placeholder once the payload
+    /// length is known. The returned frame is one exact-size copy of the
+    /// scratch contents, so a warm caller pays one allocation and one
+    /// memcpy per message instead of two of each.
     fn to_framed_bytes_reusing(&self, scratch: &mut Vec<u8>) -> Vec<u8> {
         let mut w = Writer::reusing(std::mem::take(scratch));
-        w.put_raw(&MAGIC);
-        w.put_u16(VERSION);
-        w.put_u32(0); // payload-length placeholder, patched below
+        w.put_raw(&[0u8; FRAME_HEADER_LEN]);
         self.encode(&mut w);
-        let payload_len = w.len().saturating_sub(10);
-        w.patch_u32(6, payload_len as u32);
-        let frame = w.as_bytes().to_vec();
         *scratch = w.into_bytes();
-        frame
+        let payload_len = scratch.len().saturating_sub(FRAME_HEADER_LEN);
+        if let Some(header) = scratch.get_mut(..FRAME_HEADER_LEN) {
+            header.copy_from_slice(&frame_header(payload_len));
+        }
+        scratch.clone()
     }
 }
 
@@ -105,18 +128,10 @@ pub trait WireDecode: Sized {
 
     /// Decodes a `VAQ1`-framed message.
     fn from_framed_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < 10 {
-            return Err(WireError::Truncated);
-        }
-        if bytes[..4] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let len = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
-        let payload = bytes.get(10..).ok_or(WireError::Truncated)?;
+        let (header, payload) = bytes
+            .split_first_chunk::<FRAME_HEADER_LEN>()
+            .ok_or(WireError::Truncated)?;
+        let len = parse_frame_header(header)?;
         if payload.len() != len {
             return Err(WireError::LengthMismatch {
                 declared: len,
