@@ -280,15 +280,18 @@ pub fn verify_at_epoch_with_scratch(
                 }
             }
             // Completeness: the entries flanking the window fall outside it.
+            // Compared exactly, as `Query::select_window` does on the same
+            // recomputed scores: a tolerance here would reject the honest
+            // answer whenever a record scores just outside the range.
             if let Some(ls) = left_score {
-                if ls >= *lower - SCORE_EPS {
+                if ls >= *lower {
                     return Err(VerifyError::Incomplete(
                         "left boundary record also satisfies the range".into(),
                     ));
                 }
             }
             if let Some(rs) = right_score {
-                if rs <= *upper + SCORE_EPS {
+                if rs <= *upper {
                     return Err(VerifyError::Incomplete(
                         "right boundary record also satisfies the range".into(),
                     ));

@@ -126,6 +126,26 @@ fn knn_matches_reference_both_modes() {
 }
 
 #[test]
+fn range_bound_just_inside_a_flanking_record_verifies() {
+    // Regression: a record scoring within 1e-9 *outside* the range is the
+    // honest answer's flank; the client used to widen the range by its
+    // soundness tolerance on the completeness check and reject the answer
+    // with `Incomplete("left boundary record also satisfies the range")`.
+    let ds = uniform_dataset(12, 1, 7);
+    let x = vec![0.6];
+    let mut scores: Vec<f64> = ds.functions.iter().map(|f| f.eval(&x)).collect();
+    scores.sort_by(f64::total_cmp);
+    for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {
+        // Left flank: record 3 sits 5e-10 below the lower bound.
+        let query = Query::range(x.clone(), scores[3] + 5e-10, scores[8]);
+        assert_eq!(run_and_verify(&ds, mode, &query).len(), 5, "{mode}");
+        // Right flank: record 8 sits 5e-10 above the upper bound.
+        let query = Query::range(x.clone(), scores[4], scores[8] - 5e-10);
+        assert_eq!(run_and_verify(&ds, mode, &query).len(), 4, "{mode}");
+    }
+}
+
+#[test]
 fn empty_range_results_verify() {
     let ds = uniform_dataset(20, 1, 14);
     for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {

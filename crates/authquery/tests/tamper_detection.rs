@@ -170,6 +170,39 @@ fn narrowing_a_range_result_is_detected() {
 }
 
 #[test]
+fn dropping_the_record_scoring_exactly_lower_is_detected() {
+    // The exact flank comparison must still catch the one-record version of
+    // the narrowing attack: the lowest in-range record scores `lower`
+    // exactly, and the server presents its honest answer to the range that
+    // starts one ulp above — so the dropped record is the left flank.
+    for mode in both_modes() {
+        let s = setup(mode, 20, 17);
+        let x = vec![0.5];
+        let mut scores: Vec<f64> = s.dataset.functions.iter().map(|f| f.eval(&x)).collect();
+        scores.sort_by(f64::total_cmp);
+        let (lower, upper) = (scores[5], scores[12]);
+        let query = Query::range(x.clone(), lower, upper);
+        let honest = s.server.process(&query);
+        assert_eq!(honest.records.len(), 8, "the record at `lower` is in range");
+
+        let just_above = f64::from_bits(lower.to_bits() + 1);
+        let narrow = s.server.process(&Query::range(x, just_above, upper));
+        assert_eq!(narrow.records.len(), 7);
+        let out = client::verify(
+            &query,
+            &narrow.records,
+            &narrow.vo,
+            &s.dataset.template,
+            s.verifier.as_ref(),
+        );
+        assert!(
+            matches!(out, Err(VerifyError::Incomplete(_))),
+            "mode {mode}: dropped record at `lower` must be Incomplete, got {out:?}"
+        );
+    }
+}
+
+#[test]
 fn vo_from_a_different_weight_vector_is_detected() {
     for mode in both_modes() {
         let s = setup(mode, 25, 7);

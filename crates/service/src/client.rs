@@ -10,6 +10,7 @@ use vaq_funcdb::FunctionTemplate;
 use vaq_wire::{
     epoch, ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep, StatsSnapshot,
 };
+use vaq_workload::QuerySpec;
 
 use crate::error::ServiceError;
 use crate::frame::{read_message, write_message};
@@ -493,4 +494,33 @@ pub(crate) fn unexpected(response: &Response) -> ServiceError {
         Response::StatsDeep(_) => "stats-deep",
         Response::Tagged { .. } => "tagged",
     })
+}
+
+/// Converts a workload query spec into a protocol query.
+pub fn spec_to_query(spec: &QuerySpec) -> Query {
+    match spec {
+        QuerySpec::TopK { weights, k } => Query::top_k(weights.clone(), *k),
+        QuerySpec::Range {
+            weights,
+            lower,
+            upper,
+        } => Query::range(weights.clone(), *lower, *upper),
+        QuerySpec::Knn { weights, k, target } => Query::knn(weights.clone(), *k, *target),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spec_conversion_preserves_parameters() {
+        let spec = QuerySpec::Range {
+            weights: vec![0.25, 0.75],
+            lower: 0.1,
+            upper: 0.6,
+        };
+        let query = spec_to_query(&spec);
+        assert_eq!(query, Query::range(vec![0.25, 0.75], 0.1, 0.6));
+    }
 }

@@ -75,8 +75,10 @@ pub struct ServiceConfig {
     pub cache_max_bytes: usize,
     /// Largest accepted (and produced) frame payload, in bytes.
     pub max_frame_bytes: usize,
-    /// Per-connection read timeout, so a dead peer cannot pin a worker
-    /// forever; `None` blocks indefinitely.
+    /// The reactor's quiet-connection reap budget: a connection with no
+    /// frame started, nothing pending, in flight or queued to write, and no
+    /// byte moved for this long is closed silently. `None` keeps quiet
+    /// connections open for as long as the peer does.
     pub read_timeout: Option<Duration>,
     /// Largest accepted batch size; larger batches get a `BadQuery` reply.
     pub max_batch_len: usize,
@@ -94,9 +96,9 @@ pub struct ServiceConfig {
     /// started frame) before the service gives up on the connection with a
     /// typed [`vaq_wire::ErrorCode::Stalled`] reply.
     pub mid_frame_patience: Duration,
-    /// Most connections the service holds open at once; a connection
-    /// accepted beyond this limit is shed with a best-effort typed
-    /// [`vaq_wire::ErrorCode::Overloaded`] reply before the close.
+    /// Most connections the reactor's table holds at once; a connection
+    /// accepted beyond this limit is never read and is closed behind a typed
+    /// [`vaq_wire::ErrorCode::Overloaded`] reply.
     pub max_connections: usize,
     /// Per-connection write-queue byte budget: the most queued-but-unflushed
     /// response bytes one connection may hold. A peer that requests faster
@@ -166,7 +168,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the per-connection read timeout.
+    /// Sets the quiet-connection reap budget (`None` never reaps).
     pub fn read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
         self

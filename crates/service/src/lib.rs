@@ -6,10 +6,11 @@
 //! crates implement that protocol in-process; this crate puts the real
 //! network boundary in, std-only:
 //!
-//! * [`QueryService`] — binds a TCP listener and multiplexes every accepted
-//!   connection onto one evented reactor thread (std-only: non-blocking
-//!   sockets behind a paced O(n) readiness sweep, a per-connection
-//!   read/write state machine instead of a thread stack), dispatching
+//! * [`QueryService`] — binds a TCP listener and hands it to one evented
+//!   reactor thread that owns every socket: it accepts, then multiplexes
+//!   each connection (std-only: non-blocking sockets behind a paced O(n)
+//!   readiness sweep, a per-connection read/write state machine instead of
+//!   a thread stack), dispatching
 //!   complete frames to a fixed worker pool (`std::thread` + `mpsc`) that
 //!   shares one [`vaq_authquery::Server`] behind an `Arc`. Each connection
 //!   holds one arrival-ordered queue of received requests: a
@@ -25,15 +26,12 @@
 //!   sheds over-limit connections with a typed
 //!   [`vaq_wire::ErrorCode::Overloaded`] reply, answers mid-frame stalls
 //!   with a typed [`vaq_wire::ErrorCode::Stalled`] reply, and shuts down
-//!   gracefully via a flag plus a best-effort loopback wakeup over a
-//!   polling accept loop.
+//!   gracefully via a flag the reactor polls: it closes the listener,
+//!   drains in-flight work and says a typed goodbye on every connection.
 //! * [`ServiceClient`] — a blocking connector whose
 //!   [`ServiceClient::query_verified`] feeds remote responses straight into
 //!   [`vaq_authquery::client::verify`], so a network round-trip carries the
 //!   same soundness and completeness guarantees as a local call.
-//! * [`LoadGenerator`] — a closed-loop driver running N client threads over
-//!   seeded [`vaq_workload::QueryMix`] streams and reporting aggregate
-//!   throughput and latency quantiles.
 //! * [`ShardedDeployment`] / [`ShardedClient`] — the horizontal scale tier:
 //!   the owner partitions one logical dataset into disjoint shards (each
 //!   with its own authenticated structure and per-shard signing key, the
@@ -109,7 +107,6 @@ pub mod config;
 pub(crate) mod conn;
 pub mod error;
 pub mod frame;
-pub mod loadgen;
 pub mod metrics;
 pub mod partition;
 pub mod pool;
@@ -120,10 +117,9 @@ pub mod sync;
 pub mod trace;
 
 pub use cache::LruCache;
-pub use client::ServiceClient;
+pub use client::{spec_to_query, ServiceClient};
 pub use config::{ServiceConfig, ShardRole, SlowLogSink};
 pub use error::ServiceError;
-pub use loadgen::{spec_to_query, LoadGenerator, LoadReport, LoadTarget};
 pub use metrics::{CacheGauges, Histogram, Metrics, RequestKind, Stage};
 pub use partition::{attest_shard_map, partition_dataset, verify_shard_map, PartitionStrategy};
 pub use pool::WorkerPool;

@@ -19,8 +19,9 @@ pub const STAGES: usize = 8;
 /// untimed glue), so per-stage sums never exceed whole-request time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Accepted connection waiting in the worker queue (first request of a
-    /// connection only; subsequent requests see zero).
+    /// Per request: from the moment its frame finished arriving at the
+    /// reactor to the moment a worker starts it — the connection's pending
+    /// queue, the dispatch backlog and the worker queue together.
     QueueWait,
     /// Decoding the request payload into a [`vaq_wire::Request`].
     Decode,

@@ -1,4 +1,5 @@
-//! The evented reactor: one thread multiplexing every client connection.
+//! The evented reactor: one thread owning the listener and every client
+//! connection.
 //!
 //! std-only, no `epoll`/`kqueue`: every socket is non-blocking and the
 //! reactor sweeps them in an O(n) readiness scan, sleeping briefly on the
@@ -7,6 +8,16 @@
 //! pool: the reactor turns complete frames into [`Job`]s, workers send
 //! framed responses back as [`Completion`]s, and the reactor owns every
 //! socket write — a connection never pins a thread.
+//!
+//! The reactor also accepts: every loop turn drains the non-blocking
+//! listener until it would block, so an idle listener is polled once per
+//! [`IDLE_NAP`]. The connection table *is* the connection count — a
+//! connection arriving while the table holds
+//! [`crate::ServiceConfig::max_connections`] entries is shed with a typed
+//! `Overloaded` goodbye through the same non-blocking write queue every
+//! other close-after reply uses (counted under `connections_shed`, never
+//! in `requests_served`). On shutdown the listener closes before the drain
+//! starts, so no connection is accepted that could not be answered.
 //!
 //! Dispatch rule per connection: one arrival-ordered pending queue, and
 //! only its head is ever eligible. A tagged head
@@ -22,8 +33,8 @@
 //! post-completion flush and the shutdown flush all run it.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -103,13 +114,13 @@ pub(crate) fn run_job(shared: &Shared, job: Job) {
 }
 
 /// The reactor entry point, run on its own thread until shutdown.
+/// `listener` must already be non-blocking.
 pub(crate) fn run(
     shared: Arc<Shared>,
-    registrations: Receiver<TcpStream>,
+    listener: TcpListener,
     jobs: SyncSender<Job>,
     completions_tx: Sender<Completion>,
     completions_rx: Receiver<Completion>,
-    conn_count: Arc<AtomicUsize>,
 ) {
     let mut reactor = Reactor {
         shared,
@@ -118,18 +129,13 @@ pub(crate) fn run(
             completions_tx,
             dispatch_backlog: VecDeque::new(),
         },
-        conn_count,
         conns: HashMap::new(),
         next_id: 0,
     };
     let mut next_scan = Instant::now();
     let mut flush: Vec<u64> = Vec::new();
     loop {
-        let mut busy = false;
-        while let Ok(stream) = registrations.try_recv() {
-            reactor.register(stream);
-            busy = true;
-        }
+        let mut busy = reactor.accept_ready(&listener);
         while let Ok(completion) = completions_rx.try_recv() {
             flush.push(completion.conn_id);
             reactor.complete(completion);
@@ -163,6 +169,10 @@ pub(crate) fn run(
             }
         }
     }
+    // Stop listening before the drain: a connect from here on is refused
+    // by the kernel instead of queueing behind a reactor that will never
+    // accept it.
+    drop(listener);
     reactor.drain(&completions_rx);
     // Dropping the reactor drops the only job sender; the workers drain the
     // queue and exit, and `QueryService::shutdown` joins them.
@@ -171,7 +181,6 @@ pub(crate) fn run(
 struct Reactor {
     shared: Arc<Shared>,
     dispatcher: Dispatcher,
-    conn_count: Arc<AtomicUsize>,
     conns: HashMap<u64, Conn>,
     next_id: u64,
 }
@@ -189,12 +198,47 @@ struct Dispatcher {
 }
 
 impl Reactor {
-    /// Adopts a connection the accept thread handed over (already
-    /// non-blocking, nodelay set, counted in `conn_count`).
-    fn register(&mut self, stream: TcpStream) {
+    /// Accepts every connection the listener has ready; returns whether
+    /// any arrived. `WouldBlock` ends the pass, and so does any other
+    /// accept error (a peer resetting mid-handshake, fd exhaustion): the
+    /// next loop turn retries, and a turn that accepted nothing naps like
+    /// any idle turn, so a persistent error can neither kill the reactor
+    /// nor spin it.
+    fn accept_ready(&mut self, listener: &TcpListener) -> bool {
+        let mut busy = false;
+        while let Ok((stream, _)) = listener.accept() {
+            self.admit(stream);
+            busy = true;
+        }
+        busy
+    }
+
+    /// Adopts one accepted connection — or, with the table already holding
+    /// `max_connections` entries, sheds it: the connection is never read,
+    /// and a typed `Overloaded` goodbye closes it once flushed, so the
+    /// client can tell overload from a crash.
+    fn admit(&mut self, stream: TcpStream) {
+        let _ = stream.set_nodelay(true);
+        // The reactor multiplexes this socket; it must never block.
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let mut conn = Conn::new(stream);
+        if self.conns.len() >= self.shared.config.max_connections {
+            Metrics::add(&self.shared.metrics.connections_shed, 1);
+            conn.reads_done = true;
+            let reply = error_response(
+                &self.shared,
+                ErrorCode::Overloaded,
+                "service is at its connection limit; retry later".into(),
+            );
+            // No trace: a shed reply is not a served request.
+            let budget = self.shared.config.write_queue_budget_bytes;
+            conn.enqueue(reply.to_framed_bytes(), None, true, budget);
+        }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        self.conns.insert(id, Conn::new(stream));
+        self.conns.insert(id, conn);
     }
 
     /// Routes one finished response frame onto its connection's write
@@ -290,15 +334,9 @@ impl Reactor {
             }
         }
         for id in dead {
-            self.close(id);
+            self.conns.remove(&id);
         }
         busy
-    }
-
-    fn close(&mut self, id: u64) {
-        if self.conns.remove(&id).is_some() {
-            self.conn_count.fetch_sub(1, Ordering::SeqCst);
-        }
     }
 
     /// Serves just the connections whose requests completed since the last
@@ -315,7 +353,7 @@ impl Reactor {
             let step = self.dispatcher.serve(&self.shared, id, conn);
             busy |= step.busy;
             if step.close || conn.drained() {
-                self.close(id);
+                self.conns.remove(&id);
                 busy = true;
             }
         }
@@ -357,9 +395,6 @@ impl Reactor {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        self.conn_count
-            .fetch_sub(self.conns.len(), Ordering::SeqCst);
-        self.conns.clear();
     }
 
     /// One sweep over the connections with output queued (shutdown has
@@ -379,7 +414,7 @@ impl Reactor {
             }
         }
         for id in dead {
-            self.close(id);
+            self.conns.remove(&id);
             busy = true;
         }
         busy

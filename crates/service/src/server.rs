@@ -1,16 +1,16 @@
-//! The running query service: evented reactor core, accept/shed loop,
-//! worker pool, request dispatch, response cache and graceful shutdown.
+//! The running query service: bind, worker pool, request dispatch, response
+//! cache, republication and graceful shutdown. Every socket — the listener
+//! included — belongs to the reactor thread ([`crate::reactor`]); nothing
+//! here accepts, reads or writes one.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use vaq_authquery::{Query, Server};
 use vaq_wire::epoch;
@@ -28,7 +28,7 @@ use crate::reactor::{self, Job};
 use crate::sync::{rank, OrderedCondvar, OrderedMutex};
 use crate::trace::Trace;
 
-/// State shared between the accept thread, the reactor and every worker.
+/// State shared between the reactor and every worker.
 pub(crate) struct Shared {
     /// The currently serving dataset + authenticated structure. Swapped
     /// atomically by [`QueryService::republish`]: every request resolves
@@ -100,19 +100,18 @@ fn encode_frame<T: WireEncode>(response: &T) -> Vec<u8> {
 
 /// A running networked query service over one [`Server`].
 ///
-/// Binds a TCP listener and multiplexes every accepted connection on one
-/// evented reactor thread (non-blocking sockets behind an O(n) readiness
-/// sweep); request execution runs on a fixed-size worker pool, so thousands
-/// of open connections cost no worker. Each connection carries any number
-/// of framed [`Request`]s: untagged requests are answered strictly in
-/// order, while [`Request::Tagged`] requests pipeline and complete out of
+/// Binds a TCP listener and hands it to one evented reactor thread, which
+/// accepts and multiplexes every connection (non-blocking sockets behind an
+/// O(n) readiness sweep); request execution runs on a fixed-size worker
+/// pool, so thousands of open connections cost no worker. Each connection
+/// carries any number of framed [`Request`]s: untagged requests are
+/// answered strictly in order, while [`Request::Tagged`] requests pipeline and complete out of
 /// order, re-associated by their correlation tag. Dropping the service (or
 /// calling [`QueryService::shutdown`]) stops the listener, drains in-flight
 /// work and joins every thread.
 pub struct QueryService {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
     reactor_thread: Option<JoinHandle<()>>,
     pool: Option<WorkerPool>,
     workers: usize,
@@ -133,15 +132,12 @@ impl QueryService {
     /// Connections are multiplexed by one evented reactor thread, so
     /// [`ServiceConfig::workers`] sizes concurrent request *execution*, not
     /// concurrent connections — [`ServiceConfig::max_connections`] bounds
-    /// those, and a connection beyond the limit is shed with a best-effort
+    /// those, and the reactor sheds a connection beyond the limit with a
     /// typed [`ErrorCode::Overloaded`] reply instead of a silent close.
     pub fn bind(mut config: ServiceConfig, server: Server) -> Result<QueryService, ServiceError> {
         let listener = TcpListener::bind(config.bind_addr)?;
         let local_addr = listener.local_addr()?;
-        // The accept loop polls a non-blocking listener so it can observe the
-        // shutdown flag even when the best-effort loopback wakeup connect
-        // cannot reach the socket — a blocking `accept` has no portable,
-        // std-only interruption mechanism.
+        // The reactor polls the listener between sweeps; it must never block.
         listener.set_nonblocking(true)?;
         // Clamp once so every consumer (pool sizing, stats) agrees.
         config.workers = config.workers.max(1);
@@ -166,42 +162,22 @@ impl QueryService {
             reactor::run_job(&worker_shared, job);
         })?;
 
-        let conn_count = Arc::new(AtomicUsize::new(0));
-        let (register_tx, register_rx) = mpsc::channel();
         let reactor_shared = Arc::clone(&shared);
-        let reactor_count = Arc::clone(&conn_count);
         let reactor_thread = std::thread::Builder::new()
             .name("vaq-service-reactor".into())
             .spawn(move || {
                 reactor::run(
                     reactor_shared,
-                    register_rx,
+                    listener,
                     jobs,
                     completions_tx,
                     completions_rx,
-                    reactor_count,
                 )
             })?;
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = match std::thread::Builder::new()
-            .name("vaq-service-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared, register_tx, conn_count))
-        {
-            Ok(handle) => handle,
-            Err(e) => {
-                // The reactor is already running; tell it to exit before
-                // reporting the failure, or its thread would leak.
-                shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = reactor_thread.join();
-                return Err(ServiceError::Io(e));
-            }
-        };
 
         Ok(QueryService {
             shared,
             local_addr,
-            accept_thread: Some(accept_thread),
             reactor_thread: Some(reactor_thread),
             pool: Some(pool),
             workers,
@@ -314,21 +290,10 @@ impl QueryService {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the accept thread promptly with a connect-to-self. The
-        // connect must target a *loopback* address with the bound port:
-        // when the service is bound to a wildcard address (`0.0.0.0`/`::`),
-        // connecting to the unspecified address itself is platform-dependent
-        // and can fail outright — which used to leave `accept` blocked and
-        // this join deadlocked. The connect stays best-effort (hence the
-        // ignored result): the accept loop also polls the shutdown flag, so
-        // a failed wakeup only delays shutdown by one poll interval.
-        let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), Duration::from_millis(250));
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
-        // The reactor sees the flag, bounded-drains in-flight requests,
-        // answers every surviving connection with a typed ShuttingDown
-        // reply and exits — dropping the only job sender…
+        // The reactor sees the flag within one idle nap, closes the listener,
+        // bounded-drains in-flight requests, answers every surviving
+        // connection with a typed ShuttingDown reply and exits — dropping
+        // the only job sender…
         if let Some(thread) = self.reactor_thread.take() {
             let _ = thread.join();
         }
@@ -342,120 +307,6 @@ impl QueryService {
 impl Drop for QueryService {
     fn drop(&mut self) {
         self.shutdown_inner();
-    }
-}
-
-/// The address the shutdown wakeup connects to: the bound port on loopback
-/// when the service listens on a wildcard address, the bound address itself
-/// otherwise.
-fn wake_addr(bound: SocketAddr) -> SocketAddr {
-    match bound {
-        SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
-        SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
-        other => other,
-    }
-}
-
-/// The accept loop's *idle* nap ceiling. Bounds both shutdown latency
-/// (when the loopback wakeup cannot connect) and the worst-case accept
-/// delay for a connection arriving on an idle listener.
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
-
-/// The accept loop's nap floor once it falls back to sleeping. Doubling
-/// from here toward [`ACCEPT_POLL`] goes quiet quickly on an idle
-/// listener while staying responsive to a trickle of connects.
-const ACCEPT_POLL_MIN: Duration = Duration::from_micros(200);
-
-/// How many times the accept loop *yields* its timeslice — staying
-/// runnable — on a drained backlog before it starts sleeping. A connect
-/// storm (the load generator opens thousands of sockets back-to-back)
-/// overflows the kernel's fixed listen backlog if the acceptor ever
-/// sleeps mid-storm: a sleeping thread leaves the run queue, and on a
-/// saturated core it wakes behind every connect-spinning client thread —
-/// a gap long enough to queue more connections than the backlog holds,
-/// and each dropped SYN stalls its client on a ~1s retransmit. Yielding
-/// keeps the thread schedulable at its fair share for the whole storm, so
-/// the backlog drains every few timeslices; only after this many empty
-/// polls in a row does the loop conclude the storm is over and back off
-/// to sleeping.
-const ACCEPT_YIELD_BURST: u32 = 64;
-
-/// How long the shed path's best-effort blocking write of the typed
-/// `Overloaded` reply may take before the connection is dropped anyway.
-const SHED_REPLY_BUDGET: Duration = Duration::from_millis(250);
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    register: Sender<TcpStream>,
-    conn_count: Arc<AtomicUsize>,
-) {
-    let mut nap = ACCEPT_POLL_MIN;
-    let mut empty_polls = 0u32;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                nap = ACCEPT_POLL_MIN;
-                empty_polls = 0;
-                // Bounded connection table: at the limit the connection is
-                // shed with a typed reply — an unambiguous signal to the
-                // client — instead of the silent close it used to get.
-                if conn_count.load(Ordering::SeqCst) >= shared.config.max_connections {
-                    shed(&shared, stream);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                // The reactor multiplexes this socket; it must never block.
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                conn_count.fetch_add(1, Ordering::SeqCst);
-                if register.send(stream).is_err() {
-                    conn_count.fetch_sub(1, Ordering::SeqCst);
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if empty_polls < ACCEPT_YIELD_BURST {
-                    // Mid-storm (or just after one): stay runnable so the
-                    // scheduler keeps this thread in the rotation and the
-                    // listen backlog cannot overflow behind a sleep.
-                    empty_polls += 1;
-                    std::thread::yield_now();
-                } else {
-                    // Idle: exponential backoff toward the nap ceiling.
-                    std::thread::sleep(nap);
-                    nap = (nap * 2).min(ACCEPT_POLL);
-                }
-            }
-            // Transient accept errors (e.g. a peer resetting mid-handshake)
-            // must not kill the service; back off briefly so a persistent
-            // error (fd exhaustion) cannot pin this thread in a hot loop.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    // `register` drops here; the reactor stops seeing new connections.
-}
-
-/// Sheds one over-limit connection: counted, answered with a best-effort
-/// typed [`ErrorCode::Overloaded`] reply, then closed.
-fn shed(shared: &Shared, mut stream: TcpStream) {
-    Metrics::add(&shared.metrics.connections_shed, 1);
-    let reply = error_response(
-        shared,
-        ErrorCode::Overloaded,
-        "service is at its connection limit; retry later".into(),
-    );
-    let frame = reply.to_framed_bytes();
-    // The accepted socket inherits the listener's non-blocking flag on some
-    // platforms; the one-shot reply below wants a short blocking write.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(SHED_REPLY_BUDGET));
-    if stream.write_all(&frame).is_ok() {
-        Metrics::add(&shared.metrics.bytes_out, frame.len() as u64);
     }
 }
 
@@ -832,6 +683,7 @@ pub(crate) fn error_response(shared: &Shared, code: ErrorCode, message: String) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn single_flight_hands_the_frame_to_waiters_directly() {
@@ -873,15 +725,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         flight.finish(b"k", None);
         assert!(waiter.join().unwrap(), "waiter must see the failure signal");
-    }
-
-    #[test]
-    fn wake_addr_targets_loopback_for_wildcard_binds() {
-        let v4: SocketAddr = "0.0.0.0:4070".parse().unwrap();
-        assert_eq!(wake_addr(v4), "127.0.0.1:4070".parse().unwrap());
-        let v6: SocketAddr = "[::]:4071".parse().unwrap();
-        assert_eq!(wake_addr(v6), "[::1]:4071".parse().unwrap());
-        let concrete: SocketAddr = "127.0.0.1:4072".parse().unwrap();
-        assert_eq!(wake_addr(concrete), concrete);
     }
 }

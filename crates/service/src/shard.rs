@@ -505,6 +505,31 @@ fn open_shard_connection(
     })
 }
 
+/// Opens the first of `candidates` that handshakes as `entry`, keeping the
+/// last error. A signed map is attacker-shaped input, so an entry with no
+/// usable address is a typed error, never an unchecked assumption.
+fn connect_entry(
+    entry: &ShardEntry,
+    candidates: Vec<SocketAddr>,
+    shard_count: u32,
+    epoch: u64,
+) -> Result<ShardConnection, ServiceError> {
+    let mut last_error = None;
+    for addr in candidates {
+        match open_shard_connection(addr, entry, shard_count, epoch) {
+            Ok(connection) => return Ok(connection),
+            Err(e) => last_error = Some(e),
+        }
+    }
+    Err(match last_error {
+        Some(e) => shard_failed(entry.shard_id, e),
+        None => ServiceError::ShardMap(format!(
+            "map entry for shard {} lists no usable addresses",
+            entry.shard_id
+        )),
+    })
+}
+
 /// The attested failover candidates for one map entry, excluding `current`.
 fn failover_candidates(entry: &ShardEntry, current: SocketAddr) -> Vec<SocketAddr> {
     entry
@@ -554,14 +579,7 @@ impl ShardedClient {
                 .map_err(|e| shard_failed(entry.shard_id, e))?;
             shards.push(connection);
         }
-        Ok(ShardedClient {
-            shards,
-            template: publication.template.clone(),
-            master_key: publication.master_key.clone(),
-            total_records: map.total_records,
-            epoch: map.epoch,
-            obs: ClientObservability::default(),
-        })
+        Ok(ShardedClient::over(shards, publication))
     }
 
     /// Connects using the serving addresses the attested map itself lists,
@@ -572,54 +590,29 @@ impl ShardedClient {
     ) -> Result<ShardedClient, ServiceError> {
         verify_shard_map(&publication.shard_map, &publication.master_key)?;
         let map = &publication.shard_map.map;
-        let mut shards = Vec::with_capacity(map.shards.len());
-        for entry in &map.shards {
-            let candidates: Vec<SocketAddr> =
-                entry.addrs.iter().filter_map(|a| a.parse().ok()).collect();
-            if candidates.is_empty() {
-                return Err(ServiceError::ShardMap(format!(
-                    "map entry for shard {} lists no usable addresses",
-                    entry.shard_id
-                )));
-            }
-            let mut last_error = None;
-            let mut connected = None;
-            for addr in candidates {
-                match open_shard_connection(addr, entry, map.shard_count, map.epoch) {
-                    Ok(connection) => {
-                        connected = Some(connection);
-                        break;
-                    }
-                    Err(e) => last_error = Some(e),
-                }
-            }
-            match connected {
-                Some(connection) => shards.push(connection),
-                None => {
-                    // Reached with `last_error == None` only if the candidate
-                    // list was empty, which the guard above already rejects —
-                    // but a signed map is attacker-shaped input, so fail typed
-                    // instead of trusting that with a panic.
-                    return Err(shard_failed(
-                        entry.shard_id,
-                        last_error.unwrap_or_else(|| {
-                            ServiceError::ShardMap(format!(
-                                "map entry for shard {} lists no usable addresses",
-                                entry.shard_id
-                            ))
-                        }),
-                    ));
-                }
-            }
-        }
-        Ok(ShardedClient {
+        let shards = map
+            .shards
+            .iter()
+            .map(|entry| {
+                let candidates = entry.addrs.iter().filter_map(|a| a.parse().ok()).collect();
+                connect_entry(entry, candidates, map.shard_count, map.epoch)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ShardedClient::over(shards, publication))
+    }
+
+    /// A client over handshaken shard connections, pinned to the verified
+    /// publication's epoch.
+    fn over(shards: Vec<ShardConnection>, publication: &ShardedPublication) -> ShardedClient {
+        let map = &publication.shard_map.map;
+        ShardedClient {
             shards,
             template: publication.template.clone(),
             master_key: publication.master_key.clone(),
             total_records: map.total_records,
             epoch: map.epoch,
             obs: ClientObservability::default(),
-        })
+        }
     }
 
     /// Number of shards this client scatters to.
@@ -710,28 +703,12 @@ impl ShardedClient {
                     candidates.push(existing.addr);
                 }
             }
-            let mut last_error = None;
-            let mut connected = None;
-            for addr in candidates {
-                match open_shard_connection(addr, entry, map.shard_count, map.epoch) {
-                    Ok(connection) => {
-                        connected = Some(connection);
-                        break;
-                    }
-                    Err(e) => last_error = Some(e),
-                }
-            }
-            match connected {
-                Some(connection) => shards.push(connection),
-                None => {
-                    return Err(shard_failed(
-                        entry.shard_id,
-                        last_error.unwrap_or_else(|| {
-                            ServiceError::ShardMap("no usable address for shard".into())
-                        }),
-                    ))
-                }
-            }
+            shards.push(connect_entry(
+                entry,
+                candidates,
+                map.shard_count,
+                map.epoch,
+            )?);
         }
         self.shards = shards;
         self.total_records = map.total_records;

@@ -9,11 +9,9 @@ use std::time::Duration;
 use vaq_authquery::{client, IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::{PublicKey, SignatureScheme, Signer};
 use vaq_funcdb::Dataset;
-use vaq_service::{
-    spec_to_query, LoadGenerator, QueryService, ServiceClient, ServiceConfig, ServiceError,
-};
+use vaq_service::{spec_to_query, QueryService, ServiceClient, ServiceConfig, ServiceError};
 use vaq_wire::{ErrorCode, Request, Response, WireEncode};
-use vaq_workload::{uniform_dataset, QueryGenerator, QueryMix};
+use vaq_workload::{uniform_dataset, QueryGenerator};
 
 /// Owner-side setup: dataset, signed tree, scheme.
 fn owner_setup(n: usize, dims: usize, seed: u64) -> (Dataset, Server, SignatureScheme) {
@@ -909,44 +907,4 @@ fn rejected_frames_still_count_inbound_bytes() {
         std::thread::sleep(Duration::from_millis(20));
     }
     service.shutdown();
-}
-
-#[test]
-fn load_generator_drives_and_verifies_a_full_run() {
-    let (dataset, server, scheme) = owner_setup(14, 1, 51);
-    let service = QueryService::bind(ServiceConfig::ephemeral().workers(4), server).unwrap();
-
-    let generator = LoadGenerator {
-        mix: QueryMix::weighted(2, 1, 1),
-        ..LoadGenerator::new(
-            service.local_addr(),
-            4,
-            6,
-            dataset.template.clone(),
-            scheme.public_key(),
-        )
-    };
-    let report = generator.run(&dataset).unwrap();
-    assert_eq!(report.total_requests, 24);
-    assert_eq!(report.verified, 24);
-    assert_eq!(report.failures, 0);
-    assert!(report.throughput_qps() > 0.0);
-    assert!(report.latency_quantile_micros(0.5) <= report.latency_quantile_micros(0.99));
-    assert!(!report.summary().is_empty());
-
-    let stats = service.shutdown();
-    assert!(stats.requests_served >= 24);
-    service_stats_cover_all_kinds(&stats);
-}
-
-fn service_stats_cover_all_kinds(stats: &vaq_wire::StatsSnapshot) {
-    for kind in ["topk", "range", "knn"] {
-        assert!(
-            stats
-                .per_kind
-                .iter()
-                .any(|k| k.kind == kind && k.histogram.count > 0),
-            "kind {kind} saw no traffic"
-        );
-    }
 }

@@ -296,27 +296,39 @@ fn mid_frame_stall_gets_a_typed_stalled_reply() {
 }
 
 #[test]
-fn loadgen_fan_out_simulates_many_connections_per_thread() {
-    // The load generator's connection fan-out: 2 threads x 25 connections
-    // round-robin 50 requests each, so every one of the 50 sockets carries
-    // traffic while the service sweeps them all concurrently.
+fn fifty_connections_each_hold_a_tagged_query_in_flight() {
+    // 50 sockets, one tagged query sent on every one of them before the
+    // first reply is read: the reactor sweeps the whole fleet concurrently
+    // and every reply comes back on its own connection, verified.
+    const CONNS: usize = 50;
     let (dataset, server, scheme) = owner_setup(12, 1, 99);
     let service = QueryService::bind(ServiceConfig::ephemeral().workers(2), server).unwrap();
-    let generator = vaq_service::LoadGenerator {
-        connections_per_client: 25,
-        ..vaq_service::LoadGenerator::new(
-            service.local_addr(),
-            2,
-            50,
-            dataset.template.clone(),
-            scheme.public_key(),
-        )
-    };
-    let report = generator.run(&dataset).unwrap();
-    assert_eq!(report.failures, 0);
-    assert!(report.total_requests >= 90, "{}", report.total_requests);
+    let public_key = scheme.public_key();
+
+    let mut in_flight = Vec::with_capacity(CONNS);
+    for i in 0..CONNS {
+        let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+        let query = Query::top_k(vec![0.5], i % 12 + 1);
+        let tag = client.send_tagged(&Request::Query(query.clone())).unwrap();
+        in_flight.push((client, tag, query));
+    }
+    for (mut client, tag, query) in in_flight {
+        match client.receive_tagged(tag).unwrap() {
+            Response::Query { response, .. } => {
+                vaq_authquery::client::verify(
+                    &query,
+                    &response.records,
+                    &response.vo,
+                    &dataset.template,
+                    &public_key,
+                )
+                .unwrap_or_else(|e| panic!("{query} failed verification: {e:?}"));
+            }
+            other => panic!("expected a query response, got {other:?}"),
+        }
+    }
     let stats = service.shutdown();
-    assert!(stats.requests_served >= 90);
+    assert!(stats.requests_served >= CONNS as u64);
 }
 
 #[test]
@@ -327,7 +339,7 @@ fn slow_reader_is_shed_with_a_typed_overloaded_reply() {
     // same service keep working. The 300-record response is far larger than
     // the 4 KiB budget, so the very first completion triggers the shed —
     // deterministically, with no dependence on kernel socket buffering.
-    let (_, server, _) = owner_setup(300, 2, 91);
+    let (_, server, _) = owner_setup(300, 1, 91);
     let service = QueryService::bind(
         ServiceConfig::ephemeral()
             .workers(2)
@@ -341,7 +353,7 @@ fn slow_reader_is_shed_with_a_typed_overloaded_reply() {
     healthy.ping().unwrap();
 
     let mut slow = ServiceClient::connect(addr).unwrap();
-    slow.send_tagged(&Request::Query(Query::top_k(vec![0.5, 0.5], 300)))
+    slow.send_tagged(&Request::Query(Query::top_k(vec![0.5], 300)))
         .unwrap();
     match slow.receive().unwrap_err() {
         ServiceError::Remote(reply) => {

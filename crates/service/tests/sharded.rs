@@ -9,12 +9,12 @@ use vaq_authquery::{IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::SignatureScheme;
 use vaq_funcdb::Dataset;
 use vaq_service::{
-    attest_shard_map, partition_dataset, LoadGenerator, PartitionStrategy, QueryService,
-    ServiceClient, ServiceConfig, ServiceError, ShardedClient, ShardedDeployment,
+    attest_shard_map, partition_dataset, spec_to_query, verify_shard_map, PartitionStrategy,
+    QueryService, ServiceClient, ServiceConfig, ServiceError, ShardedClient, ShardedDeployment,
     ShardedPublication,
 };
 use vaq_wire::WireEncode;
-use vaq_workload::{uniform_dataset, QueryGenerator, QueryMix};
+use vaq_workload::{uniform_dataset, QueryGenerator, QueryMix, WorkItem};
 
 const SHARDS: usize = 3;
 
@@ -38,7 +38,7 @@ fn query_suite(dataset: &Dataset, seed: u64) -> Vec<Query> {
     let mut queries: Vec<Query> = generator
         .mixed_batch(9, 3)
         .iter()
-        .map(vaq_service::spec_to_query)
+        .map(spec_to_query)
         .collect();
     let (lo, hi) = generator.score_range();
     queries.extend([
@@ -52,6 +52,64 @@ fn query_suite(dataset: &Dataset, seed: u64) -> Vec<Query> {
         Query::knn(generator.weights(), dataset.len() + 3, lo),
     ]);
     queries
+}
+
+/// Starts `clients` threads, each a [`ShardedClient`] connected at the
+/// deployment's current epoch and issuing `requests` seeded items of `mix`.
+/// A sharded call is verified end to end or it errors; a typed stale-epoch
+/// rejection (the owner republished mid-run) is ridden with `refresh()` and a
+/// bounded retry, and any other error fails the run. Each thread returns the
+/// items it completed; [`join_load`] gathers them.
+fn spawn_load(
+    deployment: &ShardedDeployment,
+    dataset: &Dataset,
+    mix: &QueryMix,
+    clients: u64,
+    requests: u64,
+) -> Vec<std::thread::JoinHandle<Vec<WorkItem>>> {
+    let spawn_one = |i: u64| {
+        let mut client = deployment.client().expect("load client connects");
+        let mut generator = QueryGenerator::new(dataset, 0x10ad + i);
+        let mix = mix.clone();
+        std::thread::spawn(move || {
+            let mut done = Vec::new();
+            for index in 0..requests {
+                let item = mix.generate_item(&mut generator, index);
+                let mut stale_retries = 0;
+                loop {
+                    let outcome = match &item {
+                        WorkItem::Single(spec) => {
+                            client.query_verified(&spec_to_query(spec)).map(drop)
+                        }
+                        WorkItem::Batch(specs) => {
+                            let queries: Vec<Query> = specs.iter().map(spec_to_query).collect();
+                            client.batch_verified(&queries).map(drop)
+                        }
+                    };
+                    match outcome {
+                        Ok(()) => break,
+                        Err(e) if e.is_stale_epoch() && stale_retries < 200 => {
+                            stale_retries += 1;
+                            // A rollout flips shards one at a time; give it a
+                            // moment before re-pinning.
+                            let _ = client.refresh();
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                        Err(e) => panic!("client {i} request {index}: {e}"),
+                    }
+                }
+                done.push(item);
+            }
+            done
+        })
+    };
+    (0..clients).map(spawn_one).collect()
+}
+
+/// Joins a [`spawn_load`] run: every item its clients completed, verified.
+fn join_load(threads: Vec<std::thread::JoinHandle<Vec<WorkItem>>>) -> Vec<WorkItem> {
+    let join = |t: std::thread::JoinHandle<_>| t.join().expect("load client thread");
+    threads.into_iter().flat_map(join).collect()
 }
 
 #[test]
@@ -206,44 +264,6 @@ fn sharded_batches_match_an_unsharded_batch_byte_for_byte() {
 }
 
 #[test]
-fn load_run_connecting_with_a_stale_publication_refreshes_and_completes() {
-    // Regression: the sharded load driver rode stale-epoch rejections
-    // mid-run, but its *initial* connect handshook with the configured
-    // publication verbatim — a republish landing between the publication
-    // snapshot and the connect aborted the whole run with a typed
-    // ShardFailed(StaleEpoch) instead of riding the rollout. Here every
-    // shard has already moved to epoch 1 while the generator still holds
-    // the epoch-0 publication, so the old driver could never connect.
-    let dataset = uniform_dataset(18, 1, 177);
-    let mut updated = dataset.clone();
-    updated.records[3].attrs[0] = (updated.records[3].attrs[0] + 0.37) % 1.0;
-    let updated = Dataset::new(updated.records, updated.template, updated.domain);
-
-    let mut deployment = ShardedDeployment::launch(
-        &dataset,
-        SHARDS,
-        SigningMode::MultiSignature,
-        0xa7,
-        ServiceConfig::ephemeral().workers(4),
-    )
-    .unwrap();
-    let stale_publication = deployment.publication().clone();
-    assert_eq!(deployment.republish(&updated).expect("republish"), 1);
-
-    let generator = LoadGenerator::sharded(deployment.addrs().to_vec(), stale_publication, 2, 6);
-    let report = generator
-        .run(&dataset)
-        .expect("the run must refresh the signed map at connect, not abort");
-    assert_eq!(report.total_requests, 12);
-    assert_eq!(report.failures, 0, "zero verification failures");
-    assert!(
-        report.epoch_refreshes >= 1,
-        "each client's connect must have adopted the newer signed map"
-    );
-    deployment.shutdown();
-}
-
-#[test]
 fn sharded_batch_racing_republish_converges_without_mixing_epochs() {
     // Batches ride a live republication exactly like singles: a shard that
     // moved on answers the pinned batch frame with a typed stale-epoch
@@ -266,33 +286,26 @@ fn sharded_batch_racing_republish_converges_without_mixing_epochs() {
     )
     .unwrap();
 
-    // Every second request carries a 2..4-query batch.
-    let generator = LoadGenerator {
-        mix: QueryMix::weighted(2, 1, 1).with_batches(4, 2, 4),
-        ..LoadGenerator::sharded(
-            deployment.addrs().to_vec(),
-            deployment.publication().clone(),
-            3,
-            24,
-        )
-    };
-    let load = {
-        let dataset = dataset.clone();
-        std::thread::spawn(move || generator.run(&dataset))
-    };
+    // Every second request carries a 2..4-query batch. A verification
+    // failure (or any error but a ridden stale-epoch rejection) panics its
+    // client thread and fails the join.
+    let mix = QueryMix::weighted(2, 1, 1).with_batches(4, 2, 4);
+    let load = spawn_load(&deployment, &dataset, &mix, 3, 24);
     std::thread::sleep(Duration::from_millis(120));
     assert_eq!(deployment.republish(&updated).expect("live republish"), 1);
 
-    let report = load
-        .join()
-        .expect("load thread")
-        .expect("batched load survives the republication");
-    assert_eq!(report.total_requests, 72);
-    assert!(report.batches > 0, "the mix must issue batches");
-    assert_eq!(report.failures, 0, "zero verification failures");
+    let done = join_load(load);
+    assert_eq!(done.len(), 72);
+    let batches: Vec<&WorkItem> = done
+        .iter()
+        .filter(|item| matches!(item, WorkItem::Batch(_)))
+        .collect();
+    assert!(!batches.is_empty(), "the mix must issue batches");
+    let verified: usize = done.iter().map(WorkItem::query_count).sum();
+    let batch_queries: usize = batches.iter().map(|batch| batch.query_count()).sum();
     assert_eq!(
-        report.verified,
-        report.total_requests - report.batches + report.batch_queries,
+        verified,
+        done.len() - batches.len() + batch_queries,
         "every single and every batch member verified"
     );
 
@@ -502,6 +515,7 @@ fn stale_clients_detect_republication_and_refresh_to_the_new_epoch() {
     .unwrap();
     let mut client = deployment.client().expect("connect at epoch 0");
     assert_eq!(client.epoch(), 0);
+    let stale_publication = deployment.publication().clone();
     let query = Query::top_k(vec![0.6], 4);
     client.query_verified(&query).expect("epoch-0 query");
 
@@ -527,6 +541,24 @@ fn stale_clients_detect_republication_and_refresh_to_the_new_epoch() {
         vaq_authquery::IfmhTree::build_at_epoch(&updated, SigningMode::MultiSignature, &scheme, 1),
     );
     assert_eq!(merged.records, single.process(&query).records);
+
+    // A client that has not connected yet meets the same race at its
+    // handshake: the superseded publication is refused typed, and the signed
+    // map fetched from any shard — verified under the same master key —
+    // connects at the served epoch.
+    let addrs = deployment.addrs().to_vec();
+    let err = ShardedClient::connect(&addrs, &stale_publication).expect_err("stale handshake");
+    assert!(err.is_stale_epoch(), "expected stale-epoch, got {err}");
+    let fetched = ServiceClient::connect(addrs[0])
+        .and_then(|mut c| c.shard_map())
+        .expect("fetch the signed map");
+    verify_shard_map(&fetched, &stale_publication.master_key).expect("fetched map verifies");
+    let refreshed = ShardedPublication {
+        shard_map: fetched,
+        ..stale_publication
+    };
+    let late = ShardedClient::connect(&addrs, &refreshed).expect("connect at the served epoch");
+    assert_eq!(late.epoch(), 1);
     deployment.shutdown();
 }
 
@@ -740,19 +772,7 @@ fn republish_under_live_load_converges_and_survives_a_primary_kill() {
     )
     .unwrap();
 
-    let generator = LoadGenerator {
-        mix: QueryMix::weighted(2, 1, 1),
-        ..LoadGenerator::sharded(
-            deployment.addrs().to_vec(),
-            deployment.publication().clone(),
-            3,
-            30,
-        )
-    };
-    let load = {
-        let dataset = dataset.clone();
-        std::thread::spawn(move || generator.run(&dataset))
-    };
+    let load = spawn_load(&deployment, &dataset, &QueryMix::weighted(2, 1, 1), 3, 30);
 
     // Republish mid-run, then kill a primary while the load keeps coming.
     std::thread::sleep(Duration::from_millis(150));
@@ -760,13 +780,9 @@ fn republish_under_live_load_converges_and_survives_a_primary_kill() {
     std::thread::sleep(Duration::from_millis(100));
     deployment.stop_shard(0);
 
-    let report = load
-        .join()
-        .expect("load thread")
-        .expect("live-update load run completes");
-    assert_eq!(report.total_requests, 90);
-    assert_eq!(report.verified, 90, "every answer verified");
-    assert_eq!(report.failures, 0, "zero verification failures");
+    let done = join_load(load);
+    assert_eq!(done.len(), 90, "every answer verified");
+    assert!(done.iter().all(|item| item.query_count() == 1));
 
     // Every client converged: a fresh map-connected client pins epoch 1,
     // and its merged answers are byte-identical to a fresh unsharded
@@ -793,42 +809,6 @@ fn republish_under_live_load_converges_and_survives_a_primary_kill() {
         );
     }
     deployment.shutdown();
-}
-
-#[test]
-fn sharded_load_generator_verifies_a_full_run() {
-    let dataset = uniform_dataset(20, 1, 67);
-    let deployment = ShardedDeployment::launch(
-        &dataset,
-        SHARDS,
-        SigningMode::MultiSignature,
-        0x10ad,
-        ServiceConfig::ephemeral().workers(4),
-    )
-    .unwrap();
-
-    let generator = LoadGenerator {
-        mix: QueryMix::weighted(2, 1, 1),
-        ..LoadGenerator::sharded(
-            deployment.addrs().to_vec(),
-            deployment.publication().clone(),
-            3,
-            5,
-        )
-    };
-    let report = generator.run(&dataset).expect("sharded load run");
-    assert_eq!(report.total_requests, 15);
-    assert_eq!(report.verified, 15, "every sharded answer is verified");
-    assert_eq!(report.failures, 0);
-    assert!(report.throughput_qps() > 0.0);
-
-    for (shard_id, stats) in deployment.shutdown().into_iter().enumerate() {
-        assert!(
-            stats.requests_served >= 15,
-            "shard {shard_id} saw {} requests, expected one per query",
-            stats.requests_served
-        );
-    }
 }
 
 #[test]

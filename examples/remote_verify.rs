@@ -13,8 +13,8 @@
 
 use verified_analytics::authquery::{client, IfmhTree, Query, Server, SigningMode};
 use verified_analytics::crypto::SignatureScheme;
-use verified_analytics::service::{LoadGenerator, QueryService, ServiceClient, ServiceConfig};
-use verified_analytics::workload::{uniform_dataset, QueryMix};
+use verified_analytics::service::{spec_to_query, QueryService, ServiceClient, ServiceConfig};
+use verified_analytics::workload::{uniform_dataset, QueryGenerator, QueryMix};
 
 fn main() {
     // --- Owner ------------------------------------------------------------
@@ -90,16 +90,32 @@ fn main() {
         tampered.expect_err("tampering must be detected")
     );
 
-    // --- Heavy traffic: closed-loop load from 4 concurrent users ---------
-    // Every fourth request is a 2..5-query batch, like a real dashboard
-    // refreshing several panels at once.
-    let generator = LoadGenerator {
-        mix: QueryMix::weighted(2, 1, 1).with_batches(1, 2, 5),
-        ..LoadGenerator::new(addr, 4, 25, template, public_key)
-    };
-    let report = generator.run(&dataset).expect("load run");
-    println!("loadgen: {}", report.summary());
-    assert_eq!(report.failures, 0, "every remote response must verify");
+    // --- Four concurrent users, 25 verified queries each -------------------
+    // Each user knows only the published template, key and weight domain.
+    const USERS: u64 = 4;
+    const QUERIES_PER_USER: u64 = 25;
+    let mix = QueryMix::weighted(2, 1, 1);
+    let started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        for user in 0..USERS {
+            let (dataset, mix, template, public_key) = (&dataset, &mix, &template, &public_key);
+            scope.spawn(move || {
+                let mut generator = QueryGenerator::new(dataset, 0x10ad + user);
+                let mut client = ServiceClient::connect(addr).expect("connect");
+                for index in 0..QUERIES_PER_USER {
+                    let query = spec_to_query(&mix.generate(&mut generator, index));
+                    client
+                        .query_verified(&query, template, public_key)
+                        .expect("every remote response must verify");
+                }
+            });
+        }
+    });
+    let total = USERS * QUERIES_PER_USER;
+    println!(
+        "users: {USERS} x {QUERIES_PER_USER} queries, {total}/{total} verified in {:?}",
+        started.elapsed()
+    );
 
     // --- Graceful shutdown ------------------------------------------------
     let stats = service.shutdown();
