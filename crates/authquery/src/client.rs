@@ -234,7 +234,68 @@ pub fn verify_at_epoch_with_scratch(
     }
 
     // ---- Step 2: query semantics -------------------------------------------
-    // Scores of the returned records and the boundary entries under X.
+    fn boundary_record(entry: &BoundaryEntry) -> Option<&Record> {
+        match entry {
+            BoundaryEntry::Record(r) => Some(r),
+            _ => None,
+        }
+    }
+    let scores = check_window_semantics(
+        query,
+        records,
+        boundary_record(&vo.left_boundary),
+        boundary_record(&vo.right_boundary),
+        template,
+    )?;
+
+    // Result length: top-k and KNN return exactly `k` records, or every
+    // real record (sentinels excluded) of a shorter list.
+    if let Query::TopK { k, .. } | Query::Knn { k, .. } = query {
+        let expected = (*k).min(leaf_count.saturating_sub(2));
+        if records.len() != expected {
+            return Err(VerifyError::WrongResultLength {
+                expected,
+                got: records.len(),
+            });
+        }
+        // A top-k window must end at the top of the authenticated list.
+        if matches!(query, Query::TopK { .. })
+            && expected > 0
+            && !matches!(vo.right_boundary, BoundaryEntry::MaxSentinel)
+        {
+            return Err(VerifyError::Incomplete(
+                "top-k result does not end at the maximum of the list".into(),
+            ));
+        }
+    }
+
+    Ok(VerifiedResult { cost, scores })
+}
+
+/// The query-semantics checks shared by every scheme that answers from an
+/// authenticated ascending score list (the IFMH-tree here, the signature
+/// mesh in `vaq-sigmesh`): given a result window and the records flanking
+/// it (`None` for a list-end sentinel), all already proven authentic and
+/// adjacent, recompute every score under the query's weights and check
+///
+/// * the window is in ascending score order,
+/// * **range**: every returned record lies inside the range (soundness) and
+///   both flanking records lie outside it (completeness),
+/// * **top-k**: the record just below the window does not beat one in it,
+/// * **KNN**: neither flanking record is closer to the target than the
+///   farthest returned one.
+///
+/// Result *length* and list-end checks depend on what the scheme proves
+/// about the list and stay with the caller. Returns the window's scores in
+/// result order.
+pub fn check_window_semantics(
+    query: &Query,
+    records: &[Record],
+    left: Option<&Record>,
+    right: Option<&Record>,
+    template: &FunctionTemplate,
+) -> Result<Vec<f64>, VerifyError> {
+    let x = query.weights();
     let score_of = |record: &Record| -> Result<f64, VerifyError> {
         if record.arity() != template.dims() {
             return Err(VerifyError::BadRecord(format!(
@@ -259,17 +320,8 @@ pub fn verify_at_epoch_with_scratch(
         }
     }
 
-    let left_score = match &vo.left_boundary {
-        BoundaryEntry::Record(r) => Some(score_of(r)?),
-        _ => None,
-    };
-    let right_score = match &vo.right_boundary {
-        BoundaryEntry::Record(r) => Some(score_of(r)?),
-        _ => None,
-    };
-
-    // Number of real records in the subdomain's list (excludes sentinels).
-    let n_real = leaf_count.saturating_sub(2);
+    let left_score = left.map(&score_of).transpose()?;
+    let right_score = right.map(&score_of).transpose()?;
 
     match query {
         Query::Range { lower, upper, .. } => {
@@ -283,78 +335,38 @@ pub fn verify_at_epoch_with_scratch(
             // Compared exactly, as `Query::select_window` does on the same
             // recomputed scores: a tolerance here would reject the honest
             // answer whenever a record scores just outside the range.
-            if let Some(ls) = left_score {
-                if ls >= *lower {
-                    return Err(VerifyError::Incomplete(
-                        "left boundary record also satisfies the range".into(),
-                    ));
-                }
+            if left_score.is_some_and(|ls| ls >= *lower) {
+                return Err(VerifyError::Incomplete(
+                    "left boundary record also satisfies the range".into(),
+                ));
             }
-            if let Some(rs) = right_score {
-                if rs <= *upper {
-                    return Err(VerifyError::Incomplete(
-                        "right boundary record also satisfies the range".into(),
-                    ));
-                }
+            if right_score.is_some_and(|rs| rs <= *upper) {
+                return Err(VerifyError::Incomplete(
+                    "right boundary record also satisfies the range".into(),
+                ));
             }
         }
-        Query::TopK { k, .. } => {
-            let expected = (*k).min(n_real);
-            if records.len() != expected {
-                return Err(VerifyError::WrongResultLength {
-                    expected,
-                    got: records.len(),
-                });
-            }
-            if expected > 0 {
-                // The window must end at the top of the authenticated list.
-                if !matches!(vo.right_boundary, BoundaryEntry::MaxSentinel) {
-                    return Err(VerifyError::Incomplete(
-                        "top-k result does not end at the maximum of the list".into(),
-                    ));
-                }
-                // The record just below the window must not beat anything in it.
-                if let Some(ls) = left_score {
-                    let min_included = scores.iter().cloned().fold(f64::INFINITY, f64::min);
-                    if ls > min_included + SCORE_EPS {
-                        return Err(VerifyError::Incomplete(
-                            "a record outside the top-k result scores higher than a returned one"
-                                .into(),
-                        ));
-                    }
-                }
+        Query::TopK { .. } => {
+            // The record just below the window must not beat anything in it.
+            let min_included = scores.iter().cloned().fold(f64::INFINITY, f64::min);
+            if left_score.is_some_and(|ls| ls > min_included + SCORE_EPS) {
+                return Err(VerifyError::Incomplete(
+                    "a record outside the top-k result scores higher than a returned one".into(),
+                ));
             }
         }
-        Query::Knn { k, target, .. } => {
-            let expected = (*k).min(n_real);
-            if records.len() != expected {
-                return Err(VerifyError::WrongResultLength {
-                    expected,
-                    got: records.len(),
-                });
-            }
-            if expected > 0 {
-                let worst_included = scores
-                    .iter()
-                    .map(|s| (s - target).abs())
-                    .fold(0.0f64, f64::max);
-                if let Some(ls) = left_score {
-                    if (ls - target).abs() + SCORE_EPS < worst_included {
-                        return Err(VerifyError::Incomplete(
-                            "an excluded record is closer to the target than a returned one".into(),
-                        ));
-                    }
-                }
-                if let Some(rs) = right_score {
-                    if (rs - target).abs() + SCORE_EPS < worst_included {
-                        return Err(VerifyError::Incomplete(
-                            "an excluded record is closer to the target than a returned one".into(),
-                        ));
-                    }
-                }
+        Query::Knn { target, .. } => {
+            let worst_included = scores
+                .iter()
+                .map(|s| (s - target).abs())
+                .fold(0.0f64, f64::max);
+            let closer = |score: f64| (score - target).abs() + SCORE_EPS < worst_included;
+            if left_score.is_some_and(closer) || right_score.is_some_and(closer) {
+                return Err(VerifyError::Incomplete(
+                    "an excluded record is closer to the target than a returned one".into(),
+                ));
             }
         }
     }
-
-    Ok(VerifiedResult { cost, scores })
+    Ok(scores)
 }

@@ -75,7 +75,8 @@ pub mod vo;
 
 pub use batch::{process_batch, verify_batch, BatchResponse, BatchVerification};
 pub use client::{
-    verify, verify_at_epoch, verify_at_epoch_with_scratch, VerifiedResult, VerifyScratch,
+    check_window_semantics, verify, verify_at_epoch, verify_at_epoch_with_scratch, VerifiedResult,
+    VerifyScratch,
 };
 pub use cost::{ClientCost, OwnerStats, ServerCost};
 pub use error::VerifyError;

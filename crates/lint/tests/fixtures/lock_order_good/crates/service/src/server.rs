@@ -11,7 +11,7 @@ fn sequential(shared: &Shared) {
     drop(snapshot);
 }
 
-fn waits(slot: &FlightSlot) {
+fn waits(slot: &Slot) {
     let mut result = slot.result.lock();
     while result.is_none() {
         result = slot.done.wait(result);

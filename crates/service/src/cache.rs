@@ -78,7 +78,7 @@ impl LruCache {
     }
 
     /// Point-in-time occupancy gauges for stats snapshots.
-    pub fn gauges(&self) -> CacheGauges {
+    pub(crate) fn gauges(&self) -> CacheGauges {
         CacheGauges {
             entries: self.entries.len() as u64,
             bytes: self.total_bytes as u64,

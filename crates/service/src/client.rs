@@ -7,9 +7,7 @@ use std::time::{Duration, Instant};
 use vaq_authquery::{client, Query, QueryResponse, VerifiedResult, VerifyScratch};
 use vaq_crypto::Verifier;
 use vaq_funcdb::FunctionTemplate;
-use vaq_wire::{
-    epoch, ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep, StatsSnapshot,
-};
+use vaq_wire::{epoch, ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep};
 use vaq_workload::QuerySpec;
 
 use crate::error::ServiceError;
@@ -89,14 +87,6 @@ impl ServiceClient {
         let start = Instant::now();
         match self.call(&Request::Ping)? {
             Response::Pong => Ok(start.elapsed()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetches the service's counter snapshot.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ServiceError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
             other => Err(unexpected(&other)),
         }
     }
@@ -485,7 +475,6 @@ fn desynced_error() -> ServiceError {
 pub(crate) fn unexpected(response: &Response) -> ServiceError {
     ServiceError::UnexpectedResponse(match response {
         Response::Pong => "pong",
-        Response::Stats(_) => "stats",
         Response::Query { .. } => "query",
         Response::Batch { .. } => "batch",
         Response::ShardInfo(_) => "shard-info",

@@ -69,10 +69,6 @@ pub struct ServiceConfig {
     /// request *execution*, not concurrent connections — thousands of idle
     /// connections cost no worker.
     pub workers: usize,
-    /// Response-cache capacity in entries; 0 disables caching.
-    pub cache_capacity: usize,
-    /// Response-cache byte budget: total bytes of cached response frames.
-    pub cache_max_bytes: usize,
     /// Largest accepted (and produced) frame payload, in bytes.
     pub max_frame_bytes: usize,
     /// The reactor's quiet-connection reap budget: a connection with no
@@ -80,8 +76,6 @@ pub struct ServiceConfig {
     /// byte moved for this long is closed silently. `None` keeps quiet
     /// connections open for as long as the peer does.
     pub read_timeout: Option<Duration>,
-    /// Largest accepted batch size; larger batches get a `BadQuery` reply.
-    pub max_batch_len: usize,
     /// The shard this instance hosts, when part of a sharded deployment;
     /// `None` makes the service answer `ShardInfo` requests with a typed
     /// `NotSharded` error.
@@ -122,11 +116,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             bind_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             workers: 4,
-            cache_capacity: 1024,
-            cache_max_bytes: crate::cache::LruCache::DEFAULT_MAX_BYTES,
             max_frame_bytes: 16 << 20,
             read_timeout: Some(Duration::from_secs(30)),
-            max_batch_len: 256,
             shard: None,
             slow_request_micros: None,
             slow_log: SlowLogSink::default(),
@@ -153,12 +144,6 @@ impl ServiceConfig {
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the response-cache capacity (0 disables the cache).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -244,7 +229,6 @@ mod tests {
     fn builder_methods_apply() {
         let config = ServiceConfig::ephemeral()
             .workers(0)
-            .cache_capacity(7)
             .max_frame_bytes(4096)
             .read_timeout(None)
             .mid_frame_patience(Duration::from_millis(250))
@@ -252,7 +236,6 @@ mod tests {
             .write_queue_budget_bytes(8192)
             .reactor_stall_micros(250_000);
         assert_eq!(config.workers, 1, "worker count clamps to 1");
-        assert_eq!(config.cache_capacity, 7);
         assert_eq!(config.max_frame_bytes, 4096);
         assert!(config.read_timeout.is_none());
         assert_eq!(config.mid_frame_patience, Duration::from_millis(250));

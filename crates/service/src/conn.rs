@@ -353,12 +353,15 @@ mod tests {
     #[test]
     fn assembler_separates_pipelined_frames() {
         let mut bytes = Request::Ping.to_framed_bytes();
-        bytes.extend_from_slice(&Request::Stats.to_framed_bytes());
+        bytes.extend_from_slice(&Request::StatsDeep.to_framed_bytes());
         bytes.extend_from_slice(&Request::Ping.to_framed_bytes());
         for chunk in 1..=bytes.len() {
             let payloads = feed(&bytes, chunk, 4096);
             assert_eq!(payloads.len(), 3, "chunk size {chunk}");
-            assert_eq!(Request::from_wire_bytes(&payloads[1]), Ok(Request::Stats));
+            assert_eq!(
+                Request::from_wire_bytes(&payloads[1]),
+                Ok(Request::StatsDeep)
+            );
         }
     }
 
@@ -424,7 +427,8 @@ mod tests {
         let (serving, mut peer) = tcp_pair();
         let mut conn = Conn::new(serving);
         peer.write_all(&Request::Ping.to_framed_bytes()).unwrap();
-        peer.write_all(&Request::Stats.to_framed_bytes()).unwrap();
+        peer.write_all(&Request::StatsDeep.to_framed_bytes())
+            .unwrap();
         drop(peer);
         std::thread::sleep(Duration::from_millis(30));
         let pass = conn.pump_reads(4096, 128);

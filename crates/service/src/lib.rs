@@ -22,8 +22,7 @@
 //!   [`vaq_wire::Request`]s with framed [`vaq_wire::Response`]s, keeps a
 //!   bounded LRU cache of encoded responses keyed by epoch-prefixed
 //!   canonical query bytes, tracks counters + fixed-bucket latency
-//!   histograms, deduplicates concurrent identical queries (single-flight),
-//!   sheds over-limit connections with a typed
+//!   histograms, sheds over-limit connections with a typed
 //!   [`vaq_wire::ErrorCode::Overloaded`] reply, answers mid-frame stalls
 //!   with a typed [`vaq_wire::ErrorCode::Stalled`] reply, and shuts down
 //!   gracefully via a flag the reactor polls: it closes the listener,
@@ -42,7 +41,7 @@
 //! * **Batches** — [`ServiceClient::batch`] answers many queries with one
 //!   frame (arity-checked, typed errors for empty or mismatched batches);
 //!   the service resolves each batch item through the same epoch-keyed
-//!   cache entry and single-flight the equivalent single query uses; and
+//!   cache entry the equivalent single query uses; and
 //!   [`ShardedClient::batch_verified`] scatters one epoch-pinned batch
 //!   frame per shard, verifying and merging each sub-query exactly like a
 //!   single sharded query — byte-identical to an unsharded batch.
@@ -58,10 +57,10 @@
 //!   serving address listed in the signed map), and [`ShardedClient`]
 //!   retries a dead scatter leg against the attested standby addresses,
 //!   preserving the byte-identical-to-unsharded merge guarantee.
-//! * **Observability** — every request carries a [`Trace`] that times the
-//!   hot-path stages (queue wait, decode, cache lookup, single-flight wait,
-//!   query execution, VO build, encode, socket write) into per-stage
-//!   histograms and per-kind attribution in [`Metrics`]; deep snapshots are
+//! * **Observability** — every request carries a trace that times the
+//!   seven hot-path [`Stage`]s (queue wait, decode, cache lookup, query
+//!   execution, VO build, encode, socket write) into per-stage histograms
+//!   and per-kind attribution; deep snapshots are
 //!   scraped over the wire ([`ServiceClient::stats_deep`],
 //!   [`ShardedClient::stats_deep_all`]), and a configurable slow-request
 //!   log ([`SlowLogSink`]) emits structured JSON lines for requests over a
@@ -107,26 +106,24 @@ pub mod config;
 pub(crate) mod conn;
 pub mod error;
 pub mod frame;
-pub mod metrics;
+mod metrics;
 pub mod partition;
-pub mod pool;
+mod pool;
 pub(crate) mod reactor;
 pub mod server;
 pub mod shard;
 pub mod sync;
-pub mod trace;
+mod trace;
 
 pub use cache::LruCache;
 pub use client::{spec_to_query, ServiceClient};
 pub use config::{ServiceConfig, ShardRole, SlowLogSink};
 pub use error::ServiceError;
-pub use metrics::{CacheGauges, Histogram, Metrics, RequestKind, Stage};
+pub use metrics::Stage;
 pub use partition::{attest_shard_map, partition_dataset, verify_shard_map, PartitionStrategy};
-pub use pool::WorkerPool;
 pub use server::QueryService;
 pub use shard::{
     ClientObservability, LegLatency, ShardedClient, ShardedDeployment, ShardedPublication,
     ShardedResponse,
 };
-pub use sync::{OrderedCondvar, OrderedGuard, OrderedMutex};
-pub use trace::Trace;
+pub use sync::{OrderedGuard, OrderedMutex};

@@ -12,7 +12,7 @@ use vaq_wire::{
 pub const BUCKETS: usize = LATENCY_BUCKET_BOUNDS_MICROS.len() + 1;
 
 /// Number of hot-path stages a request is attributed to.
-pub const STAGES: usize = 8;
+pub const STAGES: usize = 7;
 
 /// One stage of the server hot path, in request order. Every request's
 /// wall-clock time decomposes into disjoint spans of these stages (plus
@@ -21,15 +21,14 @@ pub const STAGES: usize = 8;
 pub enum Stage {
     /// Per request: from the moment its frame finished arriving at the
     /// reactor to the moment a worker starts it — the connection's pending
-    /// queue, the dispatch backlog and the worker queue together.
+    /// queue, the dispatch backlog and the worker queue together. The only
+    /// stage in which a request waits on other requests: once a worker has
+    /// it, nothing below blocks on another worker.
     QueueWait,
     /// Decoding the request payload into a [`vaq_wire::Request`].
     Decode,
-    /// Response-cache probe(s), including lock acquisition.
+    /// The response-cache probe, including lock acquisition.
     CacheLookup,
-    /// Waiting for an identical in-flight request to publish its response
-    /// (single-flight followers; leaders see ~zero).
-    FlightWait,
     /// Query execution: subdomain location, scoring, window selection.
     Execute,
     /// Verification-object construction and signature binding.
@@ -46,7 +45,6 @@ impl Stage {
         Stage::QueueWait,
         Stage::Decode,
         Stage::CacheLookup,
-        Stage::FlightWait,
         Stage::Execute,
         Stage::VoBuild,
         Stage::Encode,
@@ -59,11 +57,10 @@ impl Stage {
             Stage::QueueWait => 0,
             Stage::Decode => 1,
             Stage::CacheLookup => 2,
-            Stage::FlightWait => 3,
-            Stage::Execute => 4,
-            Stage::VoBuild => 5,
-            Stage::Encode => 6,
-            Stage::Write => 7,
+            Stage::Execute => 3,
+            Stage::VoBuild => 4,
+            Stage::Encode => 5,
+            Stage::Write => 6,
         }
     }
 
@@ -74,7 +71,6 @@ impl Stage {
             Stage::QueueWait => "queue_wait",
             Stage::Decode => "decode",
             Stage::CacheLookup => "cache_lookup",
-            Stage::FlightWait => "flight_wait",
             Stage::Execute => "execute",
             Stage::VoBuild => "vo_build",
             Stage::Encode => "encode",
@@ -108,11 +104,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_micros.fetch_add(micros, Ordering::Relaxed);
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the histogram as a wire message.
@@ -268,11 +259,6 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Records one served query/batch latency under its kind.
-    pub fn observe_latency(&self, kind: RequestKind, latency: Duration) {
-        self.latency[kind.index()].observe(latency);
-    }
-
     /// Folds one finished request trace into the per-stage histograms, and
     /// — when the request was query-shaped — into its kind's whole-request
     /// histogram and per-kind stage attribution.
@@ -309,11 +295,6 @@ impl Metrics {
     pub fn record_error(&self, code: ErrorCode) {
         self.errors.fetch_add(1, Ordering::Relaxed);
         self.per_error[code.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Error replies sent with one specific code.
-    pub fn error_count(&self, code: ErrorCode) -> u64 {
-        self.per_error[code.index()].load(Ordering::Relaxed)
     }
 
     /// Micros since this metrics registry (and hence the service carrying
@@ -421,8 +402,9 @@ mod tests {
     #[test]
     fn metrics_snapshot_carries_all_kinds() {
         let m = Metrics::default();
-        m.observe_latency(RequestKind::TopK, Duration::from_micros(10));
-        m.observe_latency(RequestKind::Batch, Duration::from_micros(20));
+        let stages = [0u64; STAGES];
+        m.observe_request(&stages, Some(RequestKind::TopK), Duration::from_micros(10));
+        m.observe_request(&stages, Some(RequestKind::Batch), Duration::from_micros(20));
         Metrics::add(&m.requests_served, 2);
         let snap = m.snapshot(8, 5, CacheGauges::default());
         assert_eq!(snap.workers, 8);
@@ -442,18 +424,16 @@ mod tests {
         m.record_error(ErrorCode::BadQuery);
         m.record_error(ErrorCode::StaleEpoch);
         assert_eq!(Metrics::get(&m.errors), 3);
-        assert_eq!(m.error_count(ErrorCode::BadQuery), 2);
-        assert_eq!(m.error_count(ErrorCode::StaleEpoch), 1);
-        assert_eq!(m.error_count(ErrorCode::Internal), 0);
         let snap = m.snapshot(1, 1, CacheGauges::default());
         let total: u64 = snap.per_error.iter().map(|e| e.count).sum();
         assert_eq!(total, snap.errors);
-        let bad = snap
-            .per_error
-            .iter()
-            .find(|e| e.code == "bad_query")
-            .unwrap();
-        assert_eq!(bad.count, 2);
+        let count = |code: ErrorCode| {
+            let entry = snap.per_error.iter().find(|e| e.code == code.label());
+            entry.expect("every code has an entry").count
+        };
+        assert_eq!(count(ErrorCode::BadQuery), 2);
+        assert_eq!(count(ErrorCode::StaleEpoch), 1);
+        assert_eq!(count(ErrorCode::Internal), 0);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! here accepts, reads or writes one.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,8 +24,15 @@ use crate::error::ServiceError;
 use crate::metrics::{CacheGauges, Metrics, RequestKind, Stage};
 use crate::pool::WorkerPool;
 use crate::reactor::{self, Job};
-use crate::sync::{rank, OrderedCondvar, OrderedMutex};
+use crate::sync::{rank, OrderedMutex};
 use crate::trace::Trace;
+
+/// Response-cache capacity in entries, under the cache's default byte
+/// budget ([`LruCache::DEFAULT_MAX_BYTES`]).
+const CACHE_CAPACITY: usize = 1024;
+
+/// Largest accepted batch; a larger one gets a typed `BadQuery` reply.
+const MAX_BATCH_LEN: usize = 256;
 
 /// State shared between the reactor and every worker.
 pub(crate) struct Shared {
@@ -41,7 +47,6 @@ pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
     pub(crate) metrics: Metrics,
     cache: OrderedMutex<LruCache>,
-    flight: SingleFlight,
     pub(crate) shutdown: AtomicBool,
 }
 
@@ -69,14 +74,13 @@ impl Shared {
     }
 }
 
-/// The response-cache (and single-flight) key of one query: the serving
-/// epoch prepended to the canonical bytes of the plain [`Request::Query`]
-/// asking it. Every way of asking — plain, pinned, batch item, tagged or
-/// not — maps to this one key, so they all share one cache entry and one
-/// flight. Keys from superseded epochs can never collide with current
-/// ones, so an in-flight computation started before a republication
-/// publishes under its own epoch's key and cannot poison the new epoch's
-/// cache.
+/// The response-cache key of one query: the serving epoch prepended to the
+/// canonical bytes of the plain [`Request::Query`] asking it. Every way of
+/// asking — plain, pinned, batch item, tagged or not — maps to this one
+/// key, so they all share one cache entry. Keys from superseded epochs can
+/// never collide with current ones, so a computation started before a
+/// republication inserts under its own epoch's key and cannot poison the
+/// new epoch's cache.
 fn epoch_cache_key(epoch: u64, query: &Query) -> Vec<u8> {
     let canonical = Request::Query(query.clone()).canonical_bytes();
     let mut key = Vec::with_capacity(8 + canonical.len());
@@ -143,12 +147,7 @@ impl QueryService {
         config.workers = config.workers.max(1);
         let workers = config.workers;
         let shared = Arc::new(Shared {
-            cache: OrderedMutex::new(
-                rank::CACHE,
-                "cache",
-                LruCache::with_byte_budget(config.cache_capacity, config.cache_max_bytes),
-            ),
-            flight: SingleFlight::default(),
+            cache: OrderedMutex::new(rank::CACHE, "cache", LruCache::new(CACHE_CAPACITY)),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
             serving: OrderedMutex::new(rank::SERVING, "serving", Arc::new(server)),
@@ -220,7 +219,7 @@ impl QueryService {
             *serving = Arc::new(server);
         }
         // Flush after the swap: every response cached from here on belongs
-        // to a visible epoch. Old-epoch in-flight leaders may still insert
+        // to a visible epoch. Old-epoch in-flight requests may still insert
         // under their epoch-prefixed keys, which no new request can hit.
         self.shared.cache.lock().clear();
         Ok(new_epoch)
@@ -249,27 +248,6 @@ impl QueryService {
     /// A point-in-time snapshot of the service counters.
     pub fn stats(&self) -> StatsSnapshot {
         self.shared.snapshot(self.epoch())
-    }
-
-    /// Connections shed so far at the [`ServiceConfig::max_connections`]
-    /// limit; each also shows up as an [`ErrorCode::Overloaded`] entry in
-    /// the per-code error breakdown.
-    pub fn connections_shed(&self) -> u64 {
-        Metrics::get(&self.shared.metrics.connections_shed)
-    }
-
-    /// Slow readers shed so far at the
-    /// [`ServiceConfig::write_queue_budget_bytes`] budget; each also shows
-    /// up as an [`ErrorCode::Overloaded`] entry in the per-code error
-    /// breakdown.
-    pub fn slow_readers_shed(&self) -> u64 {
-        Metrics::get(&self.shared.metrics.slow_readers_shed)
-    }
-
-    /// Reactor sweeps that ran past the
-    /// [`ServiceConfig::reactor_stall_micros`] watchdog threshold.
-    pub fn reactor_stalls(&self) -> u64 {
-        Metrics::get(&self.shared.metrics.reactor_stalls)
     }
 
     /// A point-in-time deep snapshot: the flat counters plus per-stage
@@ -366,7 +344,6 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Vec<u8>
             queries,
         } => (Some(pin), Asked::Many(queries)),
         Request::Ping => return Ok(Response::Pong.to_framed_bytes()),
-        Request::Stats => return Ok(Response::Stats(shared.snapshot(epoch)).to_framed_bytes()),
         Request::StatsDeep => {
             return Ok(Response::StatsDeep(shared.deep_snapshot(epoch)).to_framed_bytes())
         }
@@ -424,11 +401,11 @@ enum Asked {
 
 /// Serves a batch through **per-item** epoch-keyed cache lookups: each query
 /// resolves exactly as the equivalent single [`Request::Query`] would —
-/// same cache key, same single-flight entry — so a batch sharing items with
-/// past (or concurrent) singles and batches recomputes only the cold items,
-/// and a repeated batch with one changed query pays exactly one miss. A
-/// per-item error (bad dimensionality, internal failure) fails the whole
-/// batch with that item's typed reply, like the whole-batch path always did.
+/// same cache key, same cache entry — so a batch sharing items with past
+/// singles and batches recomputes only the cold items, and a repeated batch
+/// with one changed query pays exactly one miss. A per-item error (bad
+/// dimensionality, internal failure) fails the whole batch with that item's
+/// typed reply, like the whole-batch path always did.
 fn batch_frame(
     shared: &Shared,
     serving: &Arc<Server>,
@@ -441,10 +418,9 @@ fn batch_frame(
         let message = "batch holds no queries";
         return Err(error_reply(shared, ErrorCode::BadQuery, message.into()));
     }
-    let limit = shared.config.max_batch_len;
-    if queries.len() > limit {
+    if queries.len() > MAX_BATCH_LEN {
         let message = format!(
-            "batch of {} queries exceeds the limit of {limit}",
+            "batch of {} queries exceeds the limit of {MAX_BATCH_LEN}",
             queries.len()
         );
         return Err(error_reply(shared, ErrorCode::BadQuery, message));
@@ -483,158 +459,29 @@ fn query_kind(query: &Query) -> RequestKind {
     }
 }
 
-/// The caller's role for one single-flight key.
-enum Flight {
-    /// This worker computes; it must publish an outcome via [`FlightGuard`].
-    Leader,
-    /// Another worker was computing when we arrived; this is its published
-    /// frame (`None` when the leader failed and waiters should retry).
-    Follower(Option<Arc<Vec<u8>>>),
-}
-
-/// One in-flight computation: waiters block on `done` until the leader
-/// publishes its outcome into `result`.
-struct FlightSlot {
-    /// `None` while the computation is pending; `Some(outcome)` once the
-    /// leader finished (`Some(frame)` on success, `Some(None)` on failure).
-    result: OrderedMutex<Option<Option<Arc<Vec<u8>>>>>,
-    done: OrderedCondvar,
-}
-
-impl Default for FlightSlot {
-    fn default() -> Self {
-        FlightSlot {
-            result: OrderedMutex::new(rank::RESULT, "result", None),
-            done: OrderedCondvar::new(),
-        }
-    }
-}
-
-/// Single-flight deduplication of identical concurrent computations: when N
-/// workers miss the cache on the same canonical key, exactly one computes
-/// and hands the frame to the rest directly — so even responses too large
-/// for the cache's byte budget are computed once per concurrent burst
-/// instead of N times (or, worse, N times serialized).
-struct SingleFlight {
-    slots: OrderedMutex<HashMap<Vec<u8>, Arc<FlightSlot>>>,
-}
-
-impl Default for SingleFlight {
-    fn default() -> Self {
-        SingleFlight {
-            slots: OrderedMutex::new(rank::SLOTS, "slots", HashMap::new()),
-        }
-    }
-}
-
-impl SingleFlight {
-    /// Joins the flight for `key`: the first caller becomes the leader,
-    /// every later caller blocks until the leader publishes and receives
-    /// the published frame.
-    fn join(&self, key: &[u8]) -> Flight {
-        let slot = {
-            let mut slots = self.slots.lock();
-            match slots.get(key) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    slots.insert(key.to_vec(), Arc::new(FlightSlot::default()));
-                    return Flight::Leader;
-                }
-            }
-        };
-        let mut result = slot.result.lock();
-        while result.is_none() {
-            result = slot.done.wait(result);
-        }
-        Flight::Follower(result.as_ref().and_then(Clone::clone))
-    }
-
-    /// Publishes the leader's outcome and wakes every waiter.
-    fn finish(&self, key: &[u8], outcome: Option<Arc<Vec<u8>>>) {
-        let slot = {
-            let mut slots = self.slots.lock();
-            slots.remove(key)
-        };
-        if let Some(slot) = slot {
-            *slot.result.lock() = Some(outcome);
-            slot.done.notify_all();
-        }
-    }
-}
-
-/// Publishes the leader's outcome on drop, so waiters are woken (with a
-/// retry signal) even when the computation errors or panics.
-struct FlightGuard<'a> {
-    flight: &'a SingleFlight,
-    key: &'a [u8],
-    outcome: Option<Arc<Vec<u8>>>,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        self.flight.finish(self.key, self.outcome.take());
-    }
-}
-
-/// Serves one analytic query through the epoch-keyed response cache with
-/// single-flight deduplication, returning the framed single-query response
-/// or the typed error reply. An error reply is returned to the requester
-/// but never cached or shared (the next requester retries the computation).
-/// Cache probes and single-flight waits are charged to the request's trace.
+/// Serves one analytic query through the epoch-keyed response cache: a hit
+/// returns the cached frame, a miss computes, inserts and returns it. Two
+/// workers that miss on the same key at once both compute — the frames are
+/// byte-identical and the second insert replaces the first. An error reply
+/// is returned to the requester but never cached (the next requester
+/// retries the computation). The cache probe is charged to the request's
+/// trace.
 fn query_frame(
     shared: &Shared,
     serving: &Arc<Server>,
     query: &Query,
     trace: &mut Trace,
 ) -> Result<Vec<u8>, ErrorReply> {
-    let key = &epoch_cache_key(serving.epoch(), query);
-    let caching = shared.config.cache_capacity > 0 && shared.config.cache_max_bytes > 0;
-    if !caching {
-        // With caching disabled there is no dedup contract to honour, so
-        // concurrent identical queries stay fully parallel.
-        let frame = compute_frame(shared, serving, query, trace)?;
-        Metrics::add(&shared.metrics.cache_misses, 1);
-        return Ok(frame);
-    }
-    loop {
-        let cached = trace.time(Stage::CacheLookup, || shared.cache.lock().get(key));
-        if let Some(frame) = cached {
-            Metrics::add(&shared.metrics.cache_hits, 1);
-            return Ok(frame.as_ref().clone());
-        }
-        let mut guard = match trace.time(Stage::FlightWait, || shared.flight.join(key)) {
-            Flight::Leader => FlightGuard {
-                flight: &shared.flight,
-                key,
-                outcome: None,
-            },
-            Flight::Follower(Some(frame)) => {
-                // Served from the leader's shared computation — a hit for
-                // accounting purposes even when the frame itself was too
-                // large for the cache's byte budget.
-                Metrics::add(&shared.metrics.cache_hits, 1);
-                return Ok(frame.as_ref().clone());
-            }
-            // The leader failed; retry (and possibly lead) after re-checking
-            // the cache.
-            Flight::Follower(None) => continue,
-        };
-        // Re-check under leadership: a previous leader may have filled the
-        // cache between this worker's miss and it winning the key.
-        let cached = trace.time(Stage::CacheLookup, || shared.cache.lock().get(key));
-        if let Some(frame) = cached {
-            Metrics::add(&shared.metrics.cache_hits, 1);
-            guard.outcome = Some(frame.clone());
-            return Ok(frame.as_ref().clone());
-        }
-        let frame = compute_frame(shared, serving, query, trace)?;
-        Metrics::add(&shared.metrics.cache_misses, 1);
-        let frame = Arc::new(frame);
-        shared.cache.lock().insert(key.to_vec(), Arc::clone(&frame));
-        guard.outcome = Some(Arc::clone(&frame));
-        drop(guard);
+    let key = epoch_cache_key(serving.epoch(), query);
+    let cached = trace.time(Stage::CacheLookup, || shared.cache.lock().get(&key));
+    if let Some(frame) = cached {
+        Metrics::add(&shared.metrics.cache_hits, 1);
         return Ok(frame.as_ref().clone());
     }
+    let frame = compute_frame(shared, serving, query, trace)?;
+    Metrics::add(&shared.metrics.cache_misses, 1);
+    shared.cache.lock().insert(key, Arc::new(frame.clone()));
+    Ok(frame)
 }
 
 /// Validates, processes and frames one query against a resolved serving
@@ -678,52 +525,4 @@ fn error_reply(shared: &Shared, code: ErrorCode, message: String) -> ErrorReply 
 /// Builds a typed error response, bumping the error counter.
 pub(crate) fn error_response(shared: &Shared, code: ErrorCode, message: String) -> Response {
     Response::Error(error_reply(shared, code, message))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn single_flight_hands_the_frame_to_waiters_directly() {
-        // The frame reaches waiters through the flight slot itself, so
-        // deduplication works even for frames the cache cannot hold.
-        let flight = Arc::new(SingleFlight::default());
-        assert!(matches!(flight.join(b"k"), Flight::Leader));
-
-        let (joined_tx, joined_rx) = std::sync::mpsc::channel();
-        let waiter = {
-            let flight = Arc::clone(&flight);
-            std::thread::spawn(move || {
-                joined_tx.send(()).unwrap();
-                match flight.join(b"k") {
-                    Flight::Follower(frame) => frame,
-                    Flight::Leader => panic!("second joiner must not lead"),
-                }
-            })
-        };
-        joined_rx.recv().unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        flight.finish(b"k", Some(Arc::new(vec![7u8; 3])));
-        let got = waiter.join().unwrap();
-        assert_eq!(got.expect("waiter gets the frame").as_slice(), &[7, 7, 7]);
-
-        // The key is free again: the next joiner leads.
-        assert!(matches!(flight.join(b"k"), Flight::Leader));
-
-        // A failing leader wakes waiters with a retry signal (None).
-        let (joined_tx, joined_rx) = std::sync::mpsc::channel();
-        let waiter = {
-            let flight = Arc::clone(&flight);
-            std::thread::spawn(move || {
-                joined_tx.send(()).unwrap();
-                matches!(flight.join(b"k"), Flight::Follower(None))
-            })
-        };
-        joined_rx.recv().unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        flight.finish(b"k", None);
-        assert!(waiter.join().unwrap(), "waiter must see the failure signal");
-    }
 }

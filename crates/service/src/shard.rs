@@ -925,19 +925,6 @@ impl ShardedClient {
         Err(original)
     }
 
-    /// Fetches every shard's counter snapshot, in shard-id order.
-    pub fn stats_all(&mut self) -> Result<Vec<StatsSnapshot>, ServiceError> {
-        self.shards
-            .iter_mut()
-            .map(|shard| {
-                shard
-                    .client
-                    .stats()
-                    .map_err(|e| shard_failed(shard.entry.shard_id, e))
-            })
-            .collect()
-    }
-
     /// Fetches every shard's deep stats (per-stage latency histograms,
     /// per-kind stage attribution, per-error counters, cache gauges), in
     /// shard-id order.

@@ -1,7 +1,7 @@
 //! Rank-ordered locking: the runtime complement of `vaq-lint`'s static
 //! lock-order pass.
 //!
-//! Every mutex and condvar in `vaq-service` carries a **rank** from the
+//! Every mutex in `vaq-service` carries a **rank** from the
 //! checked-in manifest `crates/lint/lock_ranks.toml`. A thread may only
 //! acquire locks in strictly increasing rank order, which makes the
 //! whole-program lock graph acyclic by construction — the property whose
@@ -20,7 +20,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Lock ranks for every lock in `vaq-service`, mirroring
 /// `crates/lint/lock_ranks.toml` (a unit test asserts the two agree).
@@ -36,10 +36,6 @@ pub mod rank {
     pub const SHARD_MAP: u32 = 30;
     /// The response cache.
     pub const CACHE: u32 = 40;
-    /// The single-flight slot table.
-    pub const SLOTS: u32 = 50;
-    /// A single-flight slot's result cell (and its `done` condvar).
-    pub const RESULT: u32 = 60;
     /// The in-memory slow-log capture buffer.
     pub const BUFFER: u32 = 70;
 
@@ -136,10 +132,7 @@ impl<T> OrderedMutex<T> {
         }
         // lint:allow(panic-path, a poisoned lock means a peer worker already panicked mid-update; propagating beats serving torn state)
         let inner = inner.unwrap_or_else(|_| panic!("lock '{}' is poisoned", self.name));
-        OrderedGuard {
-            lock: self,
-            inner: Some(inner),
-        }
+        OrderedGuard { lock: self, inner }
     }
 }
 
@@ -157,36 +150,29 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
 /// drop.
 pub struct OrderedGuard<'a, T> {
     lock: &'a OrderedMutex<T>,
-    // `Some` from construction until `Drop` or `OrderedCondvar::wait`
-    // consumes the guard; `Option` only so those two places can move the
-    // std guard out without `unsafe`.
-    inner: Option<MutexGuard<'a, T>>,
+    inner: MutexGuard<'a, T>,
 }
 
 impl<T> Deref for OrderedGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // lint:allow(panic-path, guard invariant - inner is Some until drop/wait consumes the guard by value)
-        self.inner.as_ref().expect("guard already consumed")
+        &self.inner
     }
 }
 
 impl<T> DerefMut for OrderedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // lint:allow(panic-path, guard invariant - inner is Some until drop/wait consumes the guard by value)
-        self.inner.as_mut().expect("guard already consumed")
+        &mut self.inner
     }
 }
 
 impl<T> Drop for OrderedGuard<'_, T> {
     fn drop(&mut self) {
-        if self.inner.take().is_some() {
-            #[cfg(debug_assertions)]
-            held::release(self.lock.rank, self.lock.name);
-            #[cfg(not(debug_assertions))]
-            let _ = &self.lock;
-        }
+        // The rank stack pops here; the std guard unlocks when the field
+        // drops right after.
+        #[cfg(debug_assertions)]
+        held::release(self.lock.rank, self.lock.name);
     }
 }
 
@@ -199,59 +185,9 @@ impl<T: fmt::Debug> fmt::Debug for OrderedGuard<'_, T> {
     }
 }
 
-/// A [`Condvar`] paired with an [`OrderedMutex`].
-///
-/// Waiting releases the mutex and re-acquires it on wake, so the rank stack
-/// is popped for the duration of the wait. The wait-site rule checked by
-/// `vaq-lint` (the condvar's mutex must be the highest-ranked lock held) is
-/// a consequence of the guard model: the guard being waited on must top the
-/// thread's rank stack, which [`held::release`] asserts in debug builds.
-#[derive(Debug, Default)]
-pub struct OrderedCondvar {
-    inner: Condvar,
-}
-
-impl OrderedCondvar {
-    /// Creates a new condvar.
-    pub fn new() -> Self {
-        OrderedCondvar {
-            inner: Condvar::new(),
-        }
-    }
-
-    /// Releases `guard`, blocks until notified, and re-acquires the lock.
-    pub fn wait<'a, T>(&self, mut guard: OrderedGuard<'a, T>) -> OrderedGuard<'a, T> {
-        let lock = guard.lock;
-        // lint:allow(panic-path, guard invariant - inner is Some until drop/wait consumes the guard by value)
-        let inner = guard.inner.take().expect("guard already consumed");
-        #[cfg(debug_assertions)]
-        held::release(lock.rank, lock.name);
-        drop(guard);
-        let inner = self.inner.wait(inner);
-        #[cfg(debug_assertions)]
-        held::acquire(lock.rank, lock.name);
-        #[cfg(debug_assertions)]
-        if inner.is_err() {
-            held::release(lock.rank, lock.name);
-        }
-        // lint:allow(panic-path, a poisoned lock means a peer worker already panicked mid-update; propagating beats serving torn state)
-        let inner = inner.unwrap_or_else(|_| panic!("lock '{}' is poisoned", lock.name));
-        OrderedGuard {
-            lock,
-            inner: Some(inner),
-        }
-    }
-
-    /// Wakes every thread blocked in [`wait`](Self::wait).
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn pass_through_semantics() {
@@ -281,28 +217,6 @@ mod tests {
         let _ = high.lock();
     }
 
-    #[test]
-    fn condvar_roundtrip_wakes_waiter() {
-        let lock = Arc::new(OrderedMutex::new(rank::RESULT, "result", false));
-        let done = Arc::new(OrderedCondvar::new());
-        let waiter = {
-            let lock = Arc::clone(&lock);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let mut guard = lock.lock();
-                while !*guard {
-                    guard = done.wait(guard);
-                }
-                *guard
-            })
-        };
-        // Let the waiter park, then flip the flag and wake it.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        *lock.lock() = true;
-        done.notify_all();
-        assert!(waiter.join().expect("waiter thread panicked"));
-    }
-
     #[cfg(debug_assertions)]
     mod rank_violations {
         use super::*;
@@ -320,8 +234,8 @@ mod tests {
         fn descending_nesting_panics_with_rank_diagnostic() {
             let message = panic_message(
                 std::thread::spawn(|| {
-                    let high = OrderedMutex::new(rank::CACHE, "cache", ());
-                    let low = OrderedMutex::new(rank::SERVING, "serving", ());
+                    let high = OrderedMutex::new(rank::BUFFER, "buffer", ());
+                    let low = OrderedMutex::new(rank::SHARD_MAP, "shard_map", ());
                     let _outer = high.lock();
                     let _inner = low.lock();
                 })
@@ -331,16 +245,16 @@ mod tests {
                 message.contains("lock-order violation"),
                 "unexpected panic message: {message}"
             );
-            assert!(message.contains("'serving' (rank 20)"), "{message}");
-            assert!(message.contains("'cache' (rank 40)"), "{message}");
+            assert!(message.contains("'shard_map' (rank 30)"), "{message}");
+            assert!(message.contains("'buffer' (rank 70)"), "{message}");
         }
 
         #[test]
         fn equal_rank_reentry_panics() {
             let message = panic_message(
                 std::thread::spawn(|| {
-                    let a = OrderedMutex::new(rank::RESULT, "result", ());
-                    let b = OrderedMutex::new(rank::RESULT, "result", ());
+                    let a = OrderedMutex::new(rank::BUFFER, "buffer", ());
+                    let b = OrderedMutex::new(rank::BUFFER, "buffer", ());
                     let _outer = a.lock();
                     let _inner = b.lock();
                 })
@@ -352,29 +266,29 @@ mod tests {
         /// The PR 2 shutdown deadlock, replayed through ranked locks.
         ///
         /// The original bug: shutdown held the serving snapshot lock and
-        /// then reached for a lock the accept path acquires first (the
-        /// flight table), while a worker held the flight table and wanted
-        /// the serving snapshot — a classic AB/BA hang that froze the suite
-        /// until a timeout. Under ranked locks the very first mis-ordered
-        /// acquisition (slots → serving, rank 50 → 20) aborts immediately
-        /// with a diagnostic naming both locks and ranks, in a single
-        /// thread, with no second thread needed to exhibit the hang.
+        /// then reached for a worker-side lock, while a worker held that
+        /// lock and wanted the serving snapshot — a classic AB/BA hang that
+        /// froze the suite until a timeout. Under ranked locks the very
+        /// first mis-ordered acquisition (cache → serving, rank 40 → 20)
+        /// aborts immediately with a diagnostic naming both locks and
+        /// ranks, in a single thread, with no second thread needed to
+        /// exhibit the hang.
         #[test]
         fn pr2_shutdown_shaped_nesting_aborts_with_diagnostic() {
             let message = panic_message(
                 std::thread::spawn(|| {
-                    let slots = OrderedMutex::new(rank::SLOTS, "slots", ());
+                    let cache = OrderedMutex::new(rank::CACHE, "cache", ());
                     let serving = OrderedMutex::new(rank::SERVING, "serving", ());
-                    // Shutdown-shaped order: flight-table first, snapshot
-                    // second. The accept path orders them the other way.
-                    let _flight = slots.lock();
+                    // Worker-shaped order: worker-side lock first, snapshot
+                    // second. Shutdown orders them the other way.
+                    let _cache = cache.lock();
                     let _snapshot = serving.lock();
                 })
                 .join(),
             );
             assert!(message.contains("lock-order violation"), "{message}");
             assert!(message.contains("'serving' (rank 20)"), "{message}");
-            assert!(message.contains("'slots' (rank 50)"), "{message}");
+            assert!(message.contains("'cache' (rank 40)"), "{message}");
         }
 
         #[test]

@@ -243,7 +243,7 @@ fn error_replies_break_out_per_code() {
         .query(&Query::top_k(vec![0.5], 2))
         .expect("healthy after errors");
 
-    let stats = client.stats().unwrap();
+    let stats = client.stats_deep().unwrap().snapshot;
     assert_eq!(stats.errors, 2);
     let count = |code: &str| {
         stats
@@ -269,13 +269,13 @@ fn cache_gauges_and_uptime_are_scraped_and_monotone() {
     let service = QueryService::bind(ServiceConfig::ephemeral().workers(1), server).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
 
-    let before = client.stats().unwrap();
+    let before = client.stats_deep().unwrap().snapshot;
     assert_eq!(before.cache_entries, 0);
     assert_eq!(before.cache_bytes, 0);
 
     client.query(&Query::top_k(vec![0.5], 3)).unwrap();
     client.query(&Query::top_k(vec![0.25], 2)).unwrap();
-    let after = client.stats().unwrap();
+    let after = client.stats_deep().unwrap().snapshot;
     assert_eq!(after.cache_entries, 2, "both responses stay resident");
     assert!(after.cache_bytes > 0);
     assert_eq!(after.cache_evictions, 0);

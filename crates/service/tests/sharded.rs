@@ -160,11 +160,13 @@ fn sharded_answers_match_a_single_server_byte_for_byte() {
 
     // Every shard served queries (round-robin partitioning guarantees all
     // shards hold records, and every query scatters to all of them).
-    let per_shard = sharded_client.stats_all().expect("stats from every shard");
+    let per_shard = sharded_client
+        .stats_deep_all()
+        .expect("stats from every shard");
     assert_eq!(per_shard.len(), SHARDS);
     for (shard_id, stats) in per_shard.iter().enumerate() {
         assert!(
-            stats.requests_served > 0,
+            stats.snapshot.requests_served > 0,
             "shard {shard_id} served no requests"
         );
     }
@@ -232,9 +234,10 @@ fn sharded_batches_match_an_unsharded_batch_byte_for_byte() {
 
     // Each shard saw exactly one batch frame per sharded batch request —
     // not one frame per query.
-    let per_shard = sharded_client.stats_all().expect("per-shard stats");
+    let per_shard = sharded_client.stats_deep_all().expect("per-shard stats");
     for (shard_id, stats) in per_shard.iter().enumerate() {
         let batch_count = stats
+            .snapshot
             .per_kind
             .iter()
             .find(|k| k.kind == "batch")

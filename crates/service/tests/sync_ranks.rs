@@ -39,8 +39,6 @@ fn manifest_matches_runtime_rank_constants() {
         ("serving", rank::SERVING),
         ("shard_map", rank::SHARD_MAP),
         ("cache", rank::CACHE),
-        ("slots", rank::SLOTS),
-        ("result", rank::RESULT),
         ("buffer", rank::BUFFER),
     ];
     for (name, runtime_rank) in expected {
@@ -50,9 +48,6 @@ fn manifest_matches_runtime_rank_constants() {
             "manifest entry '{name}' must equal vaq_service::sync::rank"
         );
     }
-    // `done` is a condvar paired with the `result` mutex; waiting releases
-    // and re-acquires `result`, so their ranks must be identical.
-    assert_eq!(ranks.get("done"), ranks.get("result"));
     // The reactor-safe ceiling (read by the reactor-discipline lint pass)
     // must match its runtime constant.
     assert_eq!(
@@ -60,11 +55,11 @@ fn manifest_matches_runtime_rank_constants() {
         Some(rank::REACTOR_SAFE_CEILING),
         "manifest `reactor_safe_ceiling` must equal rank::REACTOR_SAFE_CEILING"
     );
-    // No manifest entries beyond the runtime set (7 mutexes + 1 condvar +
-    // the reactor-safe ceiling).
+    // No manifest entries beyond the runtime set (5 mutexes + the
+    // reactor-safe ceiling).
     assert_eq!(
         ranks.len(),
-        9,
+        6,
         "unexpected extra manifest entries: {ranks:?}"
     );
 }
@@ -78,8 +73,6 @@ fn ranks_are_strictly_ordered_along_the_nesting_chain() {
         rank::SERVING,
         rank::SHARD_MAP,
         rank::CACHE,
-        rank::SLOTS,
-        rank::RESULT,
         rank::BUFFER,
     ];
     for pair in chain.windows(2) {

@@ -2,13 +2,10 @@
 
 use crate::vo::{pair_digest, MeshBoundary, MeshResponse};
 use vaq_authquery::cost::ClientCost;
-use vaq_authquery::{Query, VerifyError};
+use vaq_authquery::{check_window_semantics, Query, VerifyError};
 use vaq_crypto::sha256::Digest;
 use vaq_crypto::Verifier;
-use vaq_funcdb::{FuncId, FunctionTemplate, Record};
-
-/// Tolerance for boundary score comparisons.
-const SCORE_EPS: f64 = 1e-9;
+use vaq_funcdb::{FunctionTemplate, Record};
 
 /// Outcome of a successful mesh verification.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,124 +72,45 @@ pub fn verify(
         }
     }
 
-    // (3) Query semantics.
-    let score_of = |record: &Record| -> Result<f64, VerifyError> {
-        if record.arity() != template.dims() {
-            return Err(VerifyError::BadRecord(format!(
-                "record {} has arity {}, template needs {}",
-                record.id,
-                record.arity(),
-                template.dims()
-            )));
-        }
-        Ok(template.to_function(FuncId(0), record).eval(x))
-    };
-    let scores: Vec<f64> = records.iter().map(&score_of).collect::<Result<_, _>>()?;
-    for w in scores.windows(2) {
-        if w[0] > w[1] + SCORE_EPS {
-            return Err(VerifyError::InconsistentResultOrder);
+    // (3) Query semantics: the checks every authenticated sorted list
+    // shares, then the length rules particular to the mesh, which does not
+    // know the list's length — a short result must reach the list's end(s).
+    fn boundary_record(entry: &MeshBoundary) -> Option<&Record> {
+        match entry {
+            MeshBoundary::Record(r) => Some(r),
+            _ => None,
         }
     }
-    let left_score = match &vo.left_boundary {
-        MeshBoundary::Record(r) => Some(score_of(r)?),
-        _ => None,
+    check_window_semantics(
+        query,
+        records,
+        boundary_record(&vo.left_boundary),
+        boundary_record(&vo.right_boundary),
+        template,
+    )?;
+    let wrong_length = |k: usize| VerifyError::WrongResultLength {
+        expected: k,
+        got: records.len(),
     };
-    let right_score = match &vo.right_boundary {
-        MeshBoundary::Record(r) => Some(score_of(r)?),
-        _ => None,
-    };
-
+    let starts_at_min = matches!(vo.left_boundary, MeshBoundary::MinToken);
+    let ends_at_max = matches!(vo.right_boundary, MeshBoundary::MaxToken);
     match query {
-        Query::Range { lower, upper, .. } => {
-            for (i, s) in scores.iter().enumerate() {
-                if *s < lower - SCORE_EPS || *s > upper + SCORE_EPS {
-                    return Err(VerifyError::UnsoundRecord { position: i });
-                }
-            }
-            if let Some(ls) = left_score {
-                if ls >= *lower - SCORE_EPS {
-                    return Err(VerifyError::Incomplete(
-                        "left boundary record also satisfies the range".into(),
-                    ));
-                }
-            }
-            if let Some(rs) = right_score {
-                if rs <= *upper + SCORE_EPS {
-                    return Err(VerifyError::Incomplete(
-                        "right boundary record also satisfies the range".into(),
-                    ));
-                }
-            }
-        }
+        Query::Range { .. } => {}
         Query::TopK { k, .. } => {
             if !records.is_empty() || *k > 0 {
-                // The window must end at the max token unless the database is
-                // smaller than k (in which case it must start at the min
-                // token as well and include everything).
-                if !matches!(vo.right_boundary, MeshBoundary::MaxToken) {
+                if !ends_at_max {
                     return Err(VerifyError::Incomplete(
                         "top-k result does not end at the maximum of the list".into(),
                     ));
                 }
-                if records.len() < *k && !matches!(vo.left_boundary, MeshBoundary::MinToken) {
-                    return Err(VerifyError::WrongResultLength {
-                        expected: *k,
-                        got: records.len(),
-                    });
-                }
-                if records.len() > *k {
-                    return Err(VerifyError::WrongResultLength {
-                        expected: *k,
-                        got: records.len(),
-                    });
-                }
-                if let (Some(ls), Some(min_included)) =
-                    (left_score, scores.iter().cloned().reduce(f64::min))
-                {
-                    if ls > min_included + SCORE_EPS {
-                        return Err(VerifyError::Incomplete(
-                            "a record outside the top-k result scores higher than a returned one"
-                                .into(),
-                        ));
-                    }
+                if records.len() > *k || (records.len() < *k && !starts_at_min) {
+                    return Err(wrong_length(*k));
                 }
             }
         }
-        Query::Knn { k, target, .. } => {
-            if records.len() > *k {
-                return Err(VerifyError::WrongResultLength {
-                    expected: *k,
-                    got: records.len(),
-                });
-            }
-            if records.len() < *k
-                && !(matches!(vo.left_boundary, MeshBoundary::MinToken)
-                    && matches!(vo.right_boundary, MeshBoundary::MaxToken))
-            {
-                return Err(VerifyError::WrongResultLength {
-                    expected: *k,
-                    got: records.len(),
-                });
-            }
-            if !records.is_empty() {
-                let worst_included = scores
-                    .iter()
-                    .map(|s| (s - target).abs())
-                    .fold(0.0f64, f64::max);
-                if let Some(ls) = left_score {
-                    if (ls - target).abs() + SCORE_EPS < worst_included {
-                        return Err(VerifyError::Incomplete(
-                            "an excluded record is closer to the target than a returned one".into(),
-                        ));
-                    }
-                }
-                if let Some(rs) = right_score {
-                    if (rs - target).abs() + SCORE_EPS < worst_included {
-                        return Err(VerifyError::Incomplete(
-                            "an excluded record is closer to the target than a returned one".into(),
-                        ));
-                    }
-                }
+        Query::Knn { k, .. } => {
+            if records.len() > *k || (records.len() < *k && !(starts_at_min && ends_at_max)) {
+                return Err(wrong_length(*k));
             }
         }
     }
@@ -271,5 +189,60 @@ mod tests {
         resp.vo.pair_signatures.pop();
         let out = verify(&query, &resp, &ds.template, verifier.as_ref());
         assert!(matches!(out, Err(VerifyError::MalformedVo(_))));
+    }
+
+    #[test]
+    fn mesh_range_bound_just_inside_a_flanking_record_verifies() {
+        // Regression: a record scoring within 1e-9 *outside* the range is
+        // the honest answer's flank; the mesh verifier widened the range by
+        // its soundness tolerance on the completeness check and rejected
+        // the answer with `Incomplete("left boundary record also satisfies
+        // the range")`.
+        let ds = uniform_dataset(12, 1, 7);
+        let scheme = SignatureScheme::test_rsa(7);
+        let mesh = SignatureMesh::build(&ds, &scheme);
+        let verifier = scheme.verifier();
+        let x = vec![0.6];
+        let mut scores: Vec<f64> = ds.functions.iter().map(|f| f.eval(&x)).collect();
+        scores.sort_by(f64::total_cmp);
+        for (lower, upper, expected) in [
+            // Left flank: record 3 sits 5e-10 below the lower bound.
+            (scores[3] + 5e-10, scores[8], 5),
+            // Right flank: record 8 sits 5e-10 above the upper bound.
+            (scores[4], scores[8] - 5e-10, 4),
+        ] {
+            let query = Query::range(x.clone(), lower, upper);
+            let resp = mesh.process(&ds, &query);
+            assert_eq!(resp.records.len(), expected);
+            let out = verify(&query, &resp, &ds.template, verifier.as_ref());
+            assert!(out.is_ok(), "[{lower}, {upper}]: {:?}", out.err());
+        }
+    }
+
+    #[test]
+    fn mesh_detects_the_dropped_record_scoring_exactly_lower() {
+        // The exact flank comparison still catches the one-record narrowing
+        // attack: the lowest in-range record scores `lower` exactly, and the
+        // server presents its honest answer to the range that starts one
+        // ulp above — so the dropped record is the left flank.
+        let ds = uniform_dataset(20, 1, 17);
+        let scheme = SignatureScheme::test_rsa(17);
+        let mesh = SignatureMesh::build(&ds, &scheme);
+        let verifier = scheme.verifier();
+        let x = vec![0.5];
+        let mut scores: Vec<f64> = ds.functions.iter().map(|f| f.eval(&x)).collect();
+        scores.sort_by(f64::total_cmp);
+        let (lower, upper) = (scores[5], scores[12]);
+        let query = Query::range(x.clone(), lower, upper);
+        assert_eq!(mesh.process(&ds, &query).records.len(), 8);
+
+        let just_above = f64::from_bits(lower.to_bits() + 1);
+        let narrow = mesh.process(&ds, &Query::range(x, just_above, upper));
+        assert_eq!(narrow.records.len(), 7);
+        let out = verify(&query, &narrow, &ds.template, verifier.as_ref());
+        assert!(
+            matches!(out, Err(VerifyError::Incomplete(_))),
+            "dropped record at `lower` must be Incomplete, got {out:?}"
+        );
     }
 }

@@ -34,8 +34,6 @@ pub const LATENCY_BUCKET_BOUNDS_MICROS: [u64; 12] = [
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// Telemetry scrape; answered with [`Response::Stats`].
-    Stats,
     /// One analytic query (top-k, range or KNN); answered with
     /// [`Response::Query`] at whatever epoch the service currently serves.
     Query(Query),
@@ -143,8 +141,6 @@ impl Request {
 pub enum Response {
     /// Answer to [`Request::Ping`].
     Pong,
-    /// Answer to [`Request::Stats`].
-    Stats(StatsSnapshot),
     /// Answer to [`Request::Query`] / [`Request::QueryAt`]: result records +
     /// verification object, stamped with the serving epoch.
     Query {
@@ -318,8 +314,7 @@ pub struct ErrorCount {
 /// Latency histogram of one hot-path stage, labelled for self-description.
 ///
 /// Stage labels (in hot-path order): `"queue_wait"`, `"decode"`,
-/// `"cache_lookup"`, `"flight_wait"`, `"execute"`, `"vo_build"`,
-/// `"encode"`, `"write"`.
+/// `"cache_lookup"`, `"execute"`, `"vo_build"`, `"encode"`, `"write"`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageLatency {
     /// Stage label.
@@ -504,8 +499,9 @@ pub struct SignedShardMap {
     pub signature: Signature,
 }
 
+// Tag 2 (the flat stats scrape `StatsDeep` embeds) is retired, not reused:
+// a peer that still sends it gets the `InvalidTag` decode error.
 const REQUEST_TAG_PING: u8 = 1;
-const REQUEST_TAG_STATS: u8 = 2;
 const REQUEST_TAG_QUERY: u8 = 3;
 const REQUEST_TAG_BATCH: u8 = 4;
 const REQUEST_TAG_SHARD_INFO: u8 = 5;
@@ -519,7 +515,6 @@ impl WireEncode for Request {
     fn encode(&self, w: &mut Writer) {
         match self {
             Request::Ping => w.put_u8(REQUEST_TAG_PING),
-            Request::Stats => w.put_u8(REQUEST_TAG_STATS),
             Request::Query(query) => {
                 w.put_u8(REQUEST_TAG_QUERY);
                 query.encode(w);
@@ -560,7 +555,6 @@ impl WireDecode for Request {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.get_u8()? {
             REQUEST_TAG_PING => Ok(Request::Ping),
-            REQUEST_TAG_STATS => Ok(Request::Stats),
             REQUEST_TAG_QUERY => Ok(Request::Query(Query::decode(r)?)),
             REQUEST_TAG_BATCH => {
                 let len = r.get_len()?;
@@ -610,8 +604,8 @@ impl WireDecode for Request {
     }
 }
 
+// Tag 2 (the answer to the retired request tag 2) is likewise left unused.
 const RESPONSE_TAG_PONG: u8 = 1;
-const RESPONSE_TAG_STATS: u8 = 2;
 const RESPONSE_TAG_QUERY: u8 = 3;
 const RESPONSE_TAG_BATCH: u8 = 4;
 const RESPONSE_TAG_ERROR: u8 = 5;
@@ -624,10 +618,6 @@ impl WireEncode for Response {
     fn encode(&self, w: &mut Writer) {
         match self {
             Response::Pong => w.put_u8(RESPONSE_TAG_PONG),
-            Response::Stats(stats) => {
-                w.put_u8(RESPONSE_TAG_STATS);
-                stats.encode(w);
-            }
             Response::Query { epoch, response } => {
                 w.put_u8(RESPONSE_TAG_QUERY);
                 w.put_u64(*epoch);
@@ -670,7 +660,6 @@ impl WireDecode for Response {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.get_u8()? {
             RESPONSE_TAG_PONG => Ok(Response::Pong),
-            RESPONSE_TAG_STATS => Ok(Response::Stats(StatsSnapshot::decode(r)?)),
             RESPONSE_TAG_QUERY => Ok(Response::Query {
                 epoch: r.get_u64()?,
                 response: QueryResponse::decode(r)?,
@@ -1120,7 +1109,6 @@ mod tests {
     fn request_variants_roundtrip() {
         let requests = vec![
             Request::Ping,
-            Request::Stats,
             Request::Query(Query::top_k(vec![0.2, 0.8], 3)),
             Request::Batch(vec![
                 Query::range(vec![0.5], 0.1, 0.9),
@@ -1153,6 +1141,21 @@ mod tests {
             let bytes = request.to_framed_bytes();
             assert_eq!(Request::from_framed_bytes(&bytes).unwrap(), request);
         }
+    }
+
+    #[test]
+    fn retired_tag_two_is_unused_and_its_neighbours_keep_their_bytes() {
+        for error in [
+            Request::from_wire_bytes(&[2]).err(),
+            Response::from_wire_bytes(&[2]).err(),
+        ] {
+            assert!(matches!(error, Some(WireError::InvalidTag { tag: 2, .. })));
+        }
+        assert_eq!(Request::Ping.to_wire_bytes(), [1]);
+        assert_eq!(Request::ShardInfo.to_wire_bytes(), [5]);
+        assert_eq!(Request::ShardMap.to_wire_bytes(), [6]);
+        assert_eq!(Request::StatsDeep.to_wire_bytes(), [9]);
+        assert_eq!(Response::Pong.to_wire_bytes(), [1]);
     }
 
     #[test]

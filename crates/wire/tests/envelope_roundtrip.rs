@@ -54,10 +54,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn requests_roundtrip_framed(parts in query_parts(), selector in 0u8..10, epoch_selector in 0u64..) {
+    fn requests_roundtrip_framed(parts in query_parts(), selector in 0u8..9, epoch_selector in 0u64..) {
         let request = match selector {
             0 => Request::Ping,
-            1 => Request::Stats,
+            1 => Request::Batch(vec![query_from(&parts), query_from(&parts)]),
             2 => Request::Query(query_from(&parts)),
             3 => Request::ShardInfo,
             4 => Request::ShardMap,
@@ -70,11 +70,10 @@ proptest! {
                 queries: vec![query_from(&parts), query_from(&parts)],
             },
             7 => Request::StatsDeep,
-            8 => Request::Tagged {
+            _ => Request::Tagged {
                 tag: epoch_selector,
                 request: Box::new(Request::Query(query_from(&parts))),
             },
-            _ => Request::Batch(vec![query_from(&parts), query_from(&parts)]),
         };
         let bytes = request.to_framed_bytes();
         let back = Request::from_framed_bytes(&bytes);
@@ -271,12 +270,10 @@ proptest! {
                 ErrorCount { code: "stale_epoch".into(), count: counters[1] },
             ],
         };
-        let response = Response::Stats(stats.clone());
-        let bytes = response.to_framed_bytes();
-        match Response::from_framed_bytes(&bytes) {
-            Ok(Response::Stats(back)) => prop_assert_eq!(back, stats),
-            other => prop_assert!(false, "wrong decode: {:?}", other),
-        }
+        // The flat snapshot travels only inside `StatsDeep`; its own
+        // encoding must still round-trip field for field.
+        let back = StatsSnapshot::from_wire_bytes(&stats.to_wire_bytes());
+        prop_assert_eq!(back.ok(), Some(stats));
     }
 
     #[test]
@@ -285,7 +282,7 @@ proptest! {
         workers in 0u32..256,
         epoch_selector in 0u64..,
         counts in prop::collection::vec(0u64..1_000_000, 13..=13),
-        stage_count in 0usize..9,
+        stage_count in 0usize..8,
     ) {
         let histogram = LatencyHistogram {
             bucket_counts: counts.clone(),
@@ -294,8 +291,7 @@ proptest! {
             max_micros: counters[1],
         };
         let stage_labels = [
-            "queue_wait", "decode", "cache_lookup", "flight_wait",
-            "execute", "vo_build", "encode", "write",
+            "queue_wait", "decode", "cache_lookup", "execute", "vo_build", "encode", "write",
         ];
         let deep = StatsDeep {
             snapshot: StatsSnapshot {
