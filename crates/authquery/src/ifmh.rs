@@ -184,15 +184,20 @@ impl IfmhTree {
                 signatures = 1;
             }
             SigningMode::MultiSignature => {
+                // The per-subdomain signatures are independent: collect the
+                // digests and sign them in one call, which the signer may
+                // spread over the machine's cores.
+                let mut bound_digests = Vec::with_capacity(itree.leaf_ids().len());
                 for &leaf in itree.leaf_ids() {
                     let constraints = itree.constraints(leaf);
                     let ineq = constraints.inequality_digest();
                     hash_ops += 1 + constraints.halfspaces.len();
                     let digest = multi_signature_digest(&ineq, &node_hashes[leaf.index()]);
-                    let bound = epoch_binding_digest(&digest, epoch);
+                    bound_digests.push(epoch_binding_digest(&digest, epoch));
                     hash_ops += 2;
-                    leaf_signatures.insert(leaf.0, signer.sign_digest(&bound));
                 }
+                let leaves = itree.leaf_ids().iter().map(|leaf| leaf.0);
+                leaf_signatures.extend(leaves.zip(signer.sign_digests(&bound_digests)));
                 signatures = leaf_signatures.len();
             }
         }

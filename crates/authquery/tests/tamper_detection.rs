@@ -280,6 +280,33 @@ fn tampered_signature_is_detected() {
 }
 
 #[test]
+fn zero_padded_signature_is_detected() {
+    for mode in both_modes() {
+        let s = setup(mode, 12, 8);
+        let query = Query::range(vec![0.5], 0.2, 0.7);
+        let mut resp = s.server.process(&query);
+        // The same integer under a second spelling: one answer must not
+        // have two acceptable response frames.
+        match &mut resp.vo.signature {
+            vaq_crypto::Signature::Rsa(sig) => sig.bytes.insert(0, 0x00),
+            vaq_crypto::Signature::Dsa(_) => unreachable!("setup signs with RSA"),
+        }
+        let out = client::verify(
+            &query,
+            &resp.records,
+            &resp.vo,
+            &s.dataset.template,
+            s.verifier.as_ref(),
+        );
+        assert_eq!(
+            out.unwrap_err(),
+            VerifyError::SignatureMismatch,
+            "mode {mode}"
+        );
+    }
+}
+
+#[test]
 fn signature_from_a_different_owner_is_detected() {
     for mode in both_modes() {
         let dataset = uniform_dataset(12, 1, 9);

@@ -6,6 +6,15 @@
 //! modular inverse and random sampling. Limbs are stored little-endian as
 //! `u32` so every primitive operation fits in `u64` intermediates without
 //! `unsafe`.
+//!
+//! Division is word-level (Knuth's algorithm D, one quotient limb per
+//! step). It sits under every reduction in the crate — the Montgomery
+//! context's `R mod n` and `R² mod n`, digest encoding, `mul_mod` in
+//! Miller–Rabin, `mod_inverse` — so its cost is a floor under signing,
+//! verification and key generation alike. The bit-at-a-time division it
+//! replaced survives under `#[cfg(test)]` as the reference a differential
+//! suite holds it equal to, and hand-built vectors (with a test-only
+//! counter) show that the rare correction and add-back steps execute.
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -315,6 +324,13 @@ impl BigUint {
 
     /// Long division: returns `(quotient, remainder)`.
     ///
+    /// A single-limb divisor is one `u64` division per dividend limb; a
+    /// multi-limb divisor goes through Knuth's algorithm D, one quotient
+    /// *limb* per step, so dividing `m + n` limbs by `n` costs `O(m · n)`
+    /// limb operations and three allocations in total. Every modular
+    /// reduction in the crate (`rem`, `mul_mod`, the Montgomery context's
+    /// `R² mod n`, `mod_inverse`) lands here.
+    ///
     /// Panics if `divisor` is zero.
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
@@ -334,15 +350,88 @@ impl BigUint {
             quo.normalize();
             return (quo, BigUint::from_u64(rem));
         }
+        self.div_rem_knuth(divisor)
+    }
 
-        // Bitwise long division for the multi-limb case; O(bits) iterations,
-        // each a shift + compare + subtract. Plenty fast for <= 1024-bit
-        // operands used in this workspace.
-        let mut quotient = BigUint::zero();
+    /// Knuth's algorithm D (TAOCP vol. 2, §4.3.1) on the `u32` limbs with
+    /// `u64` intermediates, for a divisor of at least two limbs and a
+    /// dividend no shorter than it.
+    fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+        const BASE: u64 = 1 << 32;
+        let n = divisor.limbs.len();
+        let m = self.limbs.len() - n;
+
+        // D1: shift both operands until the divisor's top bit is set; the
+        // two-limb estimate below is then at most 2 above the true digit.
+        let shift = divisor.limbs[n - 1].leading_zeros() as usize;
+        let vn = divisor.shl(shift).limbs;
+        let mut un = self.shl(shift).limbs;
+        un.resize(m + n + 1, 0);
+        let (v_top, v_next) = (vn[n - 1] as u64, vn[n - 2] as u64);
+
+        let mut q = vec![0u32; m + 1];
+        for j in (0..=m).rev() {
+            // D3: estimate the digit from the top two limbs of the running
+            // remainder, then correct it against the divisor's second limb.
+            let num = ((un[j + n] as u64) << 32) | un[j + n - 1] as u64;
+            let mut qhat = num / v_top;
+            let mut rhat = num % v_top;
+            while qhat >= BASE || qhat * v_next > ((rhat << 32) | un[j + n - 2] as u64) {
+                #[cfg(test)]
+                QHAT_CORRECTIONS.with(|c| c.set(c.get() + 1));
+                qhat -= 1;
+                rhat += v_top;
+                if rhat >= BASE {
+                    break;
+                }
+            }
+
+            // D4: un[j..=j+n] -= qhat · vn. Each difference lies in
+            // (-2^33, 2^32), so its sign bit is the borrow.
+            let mut carry = 0u64;
+            let mut borrow = 0u64;
+            for (ui, &vi) in un[j..j + n].iter_mut().zip(&vn) {
+                let p = qhat * vi as u64 + carry;
+                carry = p >> 32;
+                let t = (*ui as u64)
+                    .wrapping_sub(p & 0xffff_ffff)
+                    .wrapping_sub(borrow);
+                *ui = t as u32;
+                borrow = t >> 63;
+            }
+            let t = (un[j + n] as u64).wrapping_sub(carry).wrapping_sub(borrow);
+            un[j + n] = t as u32;
+
+            // D6: the estimate was still one too large (probability
+            // ≈ 2/2^32 on random operands): add the divisor back once.
+            if t >> 63 == 1 {
+                #[cfg(test)]
+                ADD_BACKS.with(|c| c.set(c.get() + 1));
+                qhat -= 1;
+                let mut carry = 0u64;
+                for (ui, &vi) in un[j..j + n].iter_mut().zip(&vn) {
+                    let s = *ui as u64 + vi as u64 + carry;
+                    *ui = s as u32;
+                    carry = s >> 32;
+                }
+                un[j + n] = un[j + n].wrapping_add(carry as u32);
+            }
+            q[j] = qhat as u32;
+        }
+
+        // D8: the remainder is the low n limbs, shifted back.
+        un.truncate(n);
+        (BigUint::from_limbs(q), BigUint::from_limbs(un).shr(shift))
+    }
+
+    /// Bitwise long division, one shift + compare + subtract per dividend
+    /// *bit*: the implementation [`Self::div_rem`] replaced, kept as the
+    /// reference the word-level division is held equal to.
+    #[cfg(test)]
+    fn div_rem_bitwise(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         let mut remainder = BigUint::zero();
-        let total_bits = self.bits();
         let mut q_limbs = vec![0u32; self.limbs.len()];
-        for i in (0..total_bits).rev() {
+        for i in (0..self.bits()).rev() {
             remainder = remainder.shl(1);
             if self.bit(i) {
                 remainder = remainder.add(&BigUint::one());
@@ -352,9 +441,7 @@ impl BigUint {
                 q_limbs[i / 32] |= 1 << (i % 32);
             }
         }
-        quotient.limbs = q_limbs;
-        quotient.normalize();
-        (quotient, remainder)
+        (BigUint::from_limbs(q_limbs), remainder)
     }
 
     /// `self mod modulus`.
@@ -562,6 +649,15 @@ impl Ord for BigUint {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread's divisions lowered a quotient estimate
+    /// (step D3) and how many times they took the add-back (step D6), so
+    /// the tests can show those branches ran instead of hoping they did.
+    static QHAT_CORRECTIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static ADD_BACKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Signed subtraction on (magnitude, negative) pairs: `a - b`.
 fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
     let (am, an) = a;
@@ -668,6 +764,180 @@ mod tests {
     #[should_panic(expected = "division by zero")]
     fn div_by_zero_panics() {
         let _ = big(5).div_rem(&BigUint::zero());
+    }
+
+    /// `a / d` by the word-level division, checked against the bitwise
+    /// reference and against the two identities that define a quotient and
+    /// remainder.
+    fn assert_div_matches_reference(a: &BigUint, d: &BigUint) {
+        let (q, r) = a.div_rem(d);
+        assert_eq!(q.mul(d).add(&r), *a, "q·d + r == a for {a} / {d}");
+        assert!(r < *d, "r < d for {a} / {d}");
+        assert_eq!((q, r), a.div_rem_bitwise(d), "{a} / {d}");
+    }
+
+    /// A `limbs`-limb value in one of the shapes that stress a limb-wise
+    /// division: uniform, every limb all-ones, interior limbs zero, or a
+    /// mix of all-ones, zero and random limbs.
+    fn patterned(rng: &mut StdRng, limbs: usize, shape: u32) -> Vec<u32> {
+        (0..limbs)
+            .map(|i| match shape % 4 {
+                0 => rng.gen::<u32>(),
+                1 => u32::MAX,
+                2 if i > 0 && i + 1 < limbs => 0,
+                2 => rng.gen::<u32>() | 1,
+                _ => match rng.gen::<u32>() % 3 {
+                    0 => u32::MAX,
+                    1 => 0,
+                    _ => rng.gen::<u32>(),
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn div_rem_matches_the_bitwise_reference_on_seeded_operands() {
+        let mut rng = StdRng::seed_from_u64(0xD1_71DE);
+        let mut widest_dividend = 0usize;
+        let mut widest_divisor = 0usize;
+        for checked in 0..10_000usize {
+            // Most pairs are a few limbs wide (the reference costs one
+            // pass per dividend bit); every eighth is as wide as the
+            // R² mod n reduction of a 1,024-bit Montgomery context.
+            let wide = checked.is_multiple_of(8);
+            let d_limbs = 2 + rng.gen::<u32>() as usize % if wide { 33 } else { 6 };
+            let extra = rng.gen::<u32>() as usize % if wide { 33 } else { 8 };
+            let shape = rng.gen::<u32>();
+
+            let mut d = patterned(&mut rng, d_limbs, shape);
+            let top = match (shape >> 2) % 4 {
+                0 => 0x8000_0000,
+                1 => 0xFFFF_FFFF,
+                2 => 1,
+                _ => rng.gen::<u32>() | 1,
+            };
+            *d.last_mut().unwrap() = top;
+            let d = BigUint::from_limbs(d);
+            assert!((33..=1_100).contains(&d.bits()));
+
+            let a = match (shape >> 4) % 4 {
+                // dividend = k·divisor ± 1: a remainder of d − 1 or 1.
+                0 => {
+                    let k = BigUint::from_limbs(patterned(&mut rng, extra + 1, shape >> 6));
+                    k.mul(&d).add(&BigUint::one())
+                }
+                1 => {
+                    let k = BigUint::from_limbs(patterned(&mut rng, extra + 1, shape >> 6));
+                    k.add(&BigUint::one()).mul(&d).sub(&BigUint::one())
+                }
+                _ => BigUint::from_limbs(patterned(&mut rng, d_limbs + extra, shape >> 6)),
+            };
+            assert!(a.bits() <= 2_144);
+            widest_dividend = widest_dividend.max(a.bits());
+            widest_divisor = widest_divisor.max(d.bits());
+            assert_div_matches_reference(&a, &d);
+        }
+        assert!(widest_dividend > 2_000 && widest_divisor > 1_000);
+        // With this many patterned operands the estimate is lowered often;
+        // the add-back is pinned by the hand-built vectors below.
+        assert!(QHAT_CORRECTIONS.with(|c| c.get()) > 100);
+    }
+
+    #[test]
+    fn div_rem_hand_built_vectors_reach_correction_and_add_back() {
+        // The multi-limb `divmnu` cases of Hacker's Delight (§9-2), limbs
+        // little-endian: (dividend, divisor, quotient, remainder, whether
+        // step D6 must add back).
+        type Case = (
+            &'static [u32],
+            &'static [u32],
+            &'static [u32],
+            &'static [u32],
+            bool,
+        );
+        let cases: &[Case] = &[
+            (&[0, 7], &[0, 3], &[2], &[0, 1], false),
+            (&[5, 7], &[0, 3], &[2], &[5, 1], false),
+            (
+                &[0, 0x8000_0000],
+                &[1, 0x4000_0000],
+                &[1],
+                &[0xffff_ffff, 0x3fff_ffff],
+                false,
+            ),
+            // The first estimate is b + 1.
+            (
+                &[0, 0xfffe, 0x8000],
+                &[0xffff, 0x8000],
+                &[0xffff_ffff, 0],
+                &[0xffff, 0x7fff],
+                false,
+            ),
+            (
+                &[3, 0, 0x8000_0000],
+                &[1, 0, 0x2000_0000],
+                &[3],
+                &[0, 0, 0x2000_0000],
+                true,
+            ),
+            (
+                &[3, 0, 0x8000],
+                &[1, 0, 0x2000],
+                &[3],
+                &[0, 0, 0x2000],
+                true,
+            ),
+            (
+                &[0, 0, 0x8000, 0x7fff],
+                &[1, 0, 0x8000],
+                &[0xfffe_0000, 0],
+                &[0x0002_0000, 0xffff_ffff, 0x7fff],
+                true,
+            ),
+            // The multiply-subtract quantity cannot be treated as signed.
+            (
+                &[0, 0xfffe, 0, 0x8000],
+                &[0xffff, 0, 0x8000],
+                &[0xffff_ffff, 0],
+                &[0xffff, 0xffff_ffff, 0x7fff],
+                true,
+            ),
+            (
+                &[0, 0xffff_fffe, 0, 0x8000_0000],
+                &[0xffff, 0, 0x8000_0000],
+                &[0, 1],
+                &[0, 0xfffe_ffff, 0],
+                false,
+            ),
+            (
+                &[0, 0xffff_fffe, 0, 0x8000_0000],
+                &[0xffff_ffff, 0, 0x8000_0000],
+                &[0xffff_ffff, 0],
+                &[0xffff_ffff, 0xffff_ffff, 0x7fff_ffff],
+                true,
+            ),
+        ];
+        let corrections_before = QHAT_CORRECTIONS.with(|c| c.get());
+        for &(u, v, q, r, adds_back) in cases {
+            let (a, d) = (
+                BigUint::from_limbs(u.to_vec()),
+                BigUint::from_limbs(v.to_vec()),
+            );
+            let add_backs_before = ADD_BACKS.with(|c| c.get());
+            let got = a.div_rem(&d);
+            let want = (
+                BigUint::from_limbs(q.to_vec()),
+                BigUint::from_limbs(r.to_vec()),
+            );
+            assert_eq!(got, want, "{a} / {d}");
+            assert_eq!(
+                ADD_BACKS.with(|c| c.get()) - add_backs_before,
+                adds_back as u64,
+                "add-back steps in {a} / {d}"
+            );
+            assert_div_matches_reference(&a, &d);
+        }
+        assert!(QHAT_CORRECTIONS.with(|c| c.get()) > corrections_before);
     }
 
     #[test]

@@ -67,11 +67,20 @@ impl PartialEq for DsaPublicKey {
 impl Eq for DsaPublicKey {}
 
 /// DSA key pair (private exponent `x` kept internal).
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct DsaKeyPair {
     /// Public part.
     pub public: DsaPublicKey,
     x: BigUint,
+}
+
+/// Prints the public half only, so `x` cannot reach a log through `{:?}`.
+impl std::fmt::Debug for DsaKeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DsaKeyPair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A DSA signature `(r, s)`.
@@ -349,6 +358,14 @@ mod tests {
         assert_ne!(s1, s2);
         assert!(kp.public.verify(&digest, &s1));
         assert!(kp.public.verify(&digest, &s2));
+    }
+
+    #[test]
+    fn debug_prints_the_public_half_only() {
+        let (kp, _) = keypair(10);
+        let shown = format!("{kp:?} {kp:#?}");
+        assert!(shown.contains(&kp.public.y.to_hex()), "{shown}");
+        assert!(!shown.contains(&kp.x.to_hex()), "x in {shown}");
     }
 
     #[test]

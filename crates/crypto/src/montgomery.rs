@@ -1,18 +1,21 @@
 //! Montgomery-form modular arithmetic: the engine behind the hot-path
 //! [`BigUint::mod_pow`](crate::bignum::BigUint::mod_pow).
 //!
-//! The legacy exponentiation reduces every product by bitwise long
-//! division — O(bits²) per multiply. A [`MontgomeryContext`] fixes an odd
-//! modulus `n` up front and replaces each reduction with a CIOS
+//! The legacy exponentiation reduces every product by long division — a
+//! double-width product and a quotient it throws away, per multiply. A
+//! [`MontgomeryContext`] fixes an odd modulus `n` up front (two divisions,
+//! for `R mod n` and `R² mod n`) and replaces each reduction with a CIOS
 //! (coarsely-integrated operand scanning) Montgomery multiplication: one
 //! fused multiply-reduce pass over the limbs with no division at all.
 //! Exponentiation walks the exponent in 4-bit windows over a 16-entry
-//! odd-powers table, and [`FixedBaseTable`] goes further for bases that are
-//! reused across many exponentiations (the DSA generator `g`, the public
-//! key `y`, and the signing pool's `g^k` precomputation): all powers
-//! `base^(d·16^j)` are materialized once, after which an exponentiation is
-//! just one table lookup and one multiply per 4 exponent bits — no
-//! squarings on the hot path.
+//! powers table — or, when the exponent fits one limb (RSA's public
+//! exponent), by plain square-and-multiply, since building the table would
+//! cost more than the whole exponentiation. [`FixedBaseTable`] goes
+//! further for bases that are reused across many exponentiations (the DSA
+//! generator `g`, the public key `y`, and the signing pool's `g^k`
+//! precomputation): all powers `base^(d·16^j)` are materialized once,
+//! after which an exponentiation is just one table lookup and one multiply
+//! per 4 exponent bits — no squarings on the hot path.
 //!
 //! This file is on vaq-lint's panic-path hot list: no `unwrap`/`expect`/
 //! `panic!` and no direct slice indexing outside tests. Out-of-range inputs
@@ -192,12 +195,28 @@ impl MontgomeryContext {
         BigUint::from_limbs(self.mont_mul(a, &self.int_one))
     }
 
-    /// `base^exponent mod n` by 4-bit windowed Montgomery exponentiation.
+    /// `base^exponent mod n` by Montgomery exponentiation: 4-bit windows
+    /// for a multi-limb exponent, plain square-and-multiply for one that
+    /// fits a limb.
     pub fn mod_pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         if exponent.is_zero() {
             return BigUint::one();
         }
         let base_m = self.to_mont(base);
+        if let [e] = exponent.limbs() {
+            // The window table costs 14 multiplications to build — more
+            // than a whole exponentiation by a one-limb exponent of low
+            // weight (RSA's e = 65537: 16 squarings + 1 multiply). Walk
+            // the bits below the leading one, left to right.
+            let mut acc = base_m.clone();
+            for bit in (0..e.checked_ilog2().unwrap_or(0)).rev() {
+                acc = self.mont_mul(&acc, &acc);
+                if (e >> bit) & 1 == 1 {
+                    acc = self.mont_mul(&acc, &base_m);
+                }
+            }
+            return self.from_mont(&acc);
+        }
         // table[d] = base^d in the Montgomery domain, d in 0..16.
         let mut table: Vec<Vec<u32>> = Vec::with_capacity(WINDOW_SIZE);
         table.push(self.one.clone());
@@ -428,13 +447,44 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
+    #[test]
+    fn short_exponents_match_legacy_on_wide_moduli() {
+        // Every one-limb exponent width takes the square-and-multiply path;
+        // 33 bits is the first width back on the window table.
+        let mut rng = StdRng::seed_from_u64(65537);
+        for bits in [64usize, 160, 512, 1024] {
+            let mut m = BigUint::random_exact_bits(&mut rng, bits);
+            if m.is_even() {
+                m = m.add(&BigUint::one());
+            }
+            let ctx = MontgomeryContext::new(&m).expect("odd modulus");
+            let base = BigUint::random_bits(&mut rng, bits + 5);
+            let widths = (1..=33).map(|w| BigUint::random_exact_bits(&mut rng, w));
+            let fixed = [1u64, 2, 3, 65537, 0x8000_0000, 0xFFFF_FFFF].map(big);
+            for exp in widths.chain(fixed) {
+                assert_eq!(
+                    ctx.mod_pow(&base, &exp),
+                    base.mod_pow_legacy(&exp, &m),
+                    "bits={bits} exp={exp}"
+                );
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_montgomery_equals_legacy(
             base in 0u64..,
-            exp in 0u64..5000,
+            exp in 0u64..,
+            exp_bits in 0u32..=40,
             modulus in 3u64..,
         ) {
+            // Exponents of exactly 0 to 40 bits: up to 32 they fit a limb
+            // and take the square-and-multiply path, beyond it the window.
+            let exp = match exp_bits {
+                0 => 0,
+                w => (exp >> (64 - w)) | 1 << (w - 1),
+            };
             // Force odd multi-limb-capable moduli; small odd ones too.
             let m = big(modulus | 1);
             if let Some(ctx) = MontgomeryContext::new(&m) {

@@ -1,7 +1,7 @@
 //! Known-answer and cross-consistency tests for the cryptographic substrate.
 
 use vaq_crypto::sha256::{sha256, to_hex, Sha256};
-use vaq_crypto::{BigUint, SignatureScheme, Signer};
+use vaq_crypto::{BigUint, Signature, SignatureScheme, Signer};
 
 /// NIST / de-facto standard SHA-256 vectors beyond the ones in the unit
 /// tests (covering multi-block messages and byte-at-a-time feeding).
@@ -93,5 +93,52 @@ fn many_sign_verify_cycles_are_stable() {
         // A signature from one cycle never verifies another cycle's digest.
         let other = sha256(&(i + 1).to_be_bytes());
         assert!(!verifier.verify_digest(&other, &sig));
+    }
+}
+
+/// Keys and signatures pinned across arithmetic changes: for each
+/// `(modulus bits, seed)` the 20 signatures of `sha256(i.to_le_bytes())`,
+/// concatenated and hashed. The digests were recorded before word-level
+/// division, the short-exponent path and CRT signing went in, so a change to
+/// any RNG draw in key generation or to any signature byte fails here.
+#[test]
+fn rsa_keys_and_signatures_match_the_recorded_vectors() {
+    let recorded = [
+        (
+            128,
+            1,
+            "9d824e4821bfed3281d03ef7ab196f3440192f83674eec1f424033497fa54f5f",
+        ),
+        (
+            128,
+            7,
+            "05599ab223d49d3effff7a5520ef6dab2472ec2acfc3acd41b01a505af3c0477",
+        ),
+        (
+            256,
+            3,
+            "2a9d97b41c04e84caf113d7af0b71ec1b3a56b04155e0cbd8d0022e1e4a200a4",
+        ),
+        (
+            1024,
+            1,
+            "28769014db335f90c98eca6d4b5725e02c6db63c419efb647b366bb554c59ce6",
+        ),
+        (
+            1024,
+            2,
+            "d6e9bac7a6a1768bea218c9410cf39c5cbafc71ecbf706cd61361f6ecc614278",
+        ),
+    ];
+    for (bits, seed, expected) in recorded {
+        let scheme = SignatureScheme::new_rsa(bits, seed);
+        let mut all = Vec::new();
+        for i in 0..20u64 {
+            match scheme.sign_digest(&sha256(&i.to_le_bytes())) {
+                Signature::Rsa(sig) => all.extend_from_slice(&sig.bytes),
+                Signature::Dsa(_) => unreachable!("an RSA scheme signs with RSA"),
+            }
+        }
+        assert_eq!(to_hex(&sha256(&all)), expected, "RSA-{bits}, seed {seed}");
     }
 }

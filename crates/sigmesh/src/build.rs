@@ -71,12 +71,13 @@ impl SignatureMesh {
             let cell_digest = constraints.digest();
             hash_ops += 1;
 
-            let mut cell_sigs = Vec::with_capacity(chain.len() - 1);
-            for pair in chain.windows(2) {
-                let digest = pair_digest(&pair[0], &pair[1], &cell_digest);
-                hash_ops += 1;
-                cell_sigs.push(signer.sign_digest(&digest));
-            }
+            // One batch per cell, in chain order (see `Signer::sign_digests`).
+            let pair_digests: Vec<Digest> = chain
+                .windows(2)
+                .map(|pair| pair_digest(&pair[0], &pair[1], &cell_digest))
+                .collect();
+            hash_ops += pair_digests.len();
+            let cell_sigs = signer.sign_digests(&pair_digests);
             structure_bytes +=
                 constraints.canonical_bytes().len() + sorted.len() * 4 + cell_sigs.len() * sig_size;
 
