@@ -1,11 +1,15 @@
 //! The reactor-discipline pass: code that runs on the reactor thread
-//! (`reactor.rs`, `conn.rs`) must never block. One blocked sweep stalls
-//! every connection at once — the multiplexed design concentrates what used
-//! to be a per-connection hazard into a whole-service one — so the pass
-//! forbids, in non-test reactor-thread code:
+//! (`reactor.rs`, `conn.rs`) must never block, except in its one sanctioned
+//! place — `Poller::poll`, where the thread waits in the kernel for a ready
+//! socket, a worker's wake-up or the nearest deadline. Any other blocked
+//! call stalls every connection at once — the multiplexed design
+//! concentrates what used to be a per-connection hazard into a
+//! whole-service one — so the pass forbids, in non-test reactor-thread
+//! code:
 //!
 //! - `sleep(…)` calls (`std::thread::sleep` and friends);
-//! - blocking channel receives: `.recv()` must be `recv_timeout` / `try_recv`;
+//! - blocking channel receives: `.recv()` must be `try_recv` (the waker
+//!   ends the `poll` when there is something to take);
 //! - condvar `.wait(…)`;
 //! - `.lock()` / `.read()` / `.write()` on a lock ranked above the
 //!   `reactor_safe_ceiling` entry of `crates/lint/lock_ranks.toml` (or on
@@ -15,14 +19,17 @@
 //!   `write_all`, `read_to_end`, `read_to_string`) — every reactor socket
 //!   op must be a non-blocking pump.
 //!
-//! The frame parser the reactor feeds (`FrameAssembler` in `frame.rs`) is a
+//! `poll.rs` is deliberately not a reactor file: it *is* the blocking call,
+//! and `.poll(…)` is the one wait the shapes above leave unflagged. The
+//! frame parser the reactor feeds (`FrameAssembler` in `frame.rs`) is a
 //! pure state machine — no socket, lock or clock — so that file, which also
-//! holds the blocking client reader, stays outside this pass.
+//! holds the blocking client reader, stays outside this pass too.
 //!
-//! Deliberate pacing (the shutdown flush nap) is suppressed with
-//! `// lint:allow(reactor-discipline, <reason>)`, so every blocking site in
-//! the reactor carries a written justification. The runtime cross-check is
-//! the sweep-duration stall watchdog (`Metrics::observe_sweep`).
+//! A deliberate exception would carry
+//! `// lint:allow(reactor-discipline, <reason>)`; the reactor has none —
+//! shutdown's drain and goodbye flush wait in the same `poll` with their
+//! deadline as its timeout. The runtime cross-check is the turn-duration
+//! stall watchdog (`Metrics::observe_sweep`).
 
 use crate::manifest::Manifest;
 use crate::scan::SourceFile;
@@ -93,7 +100,8 @@ fn scan_file(
                 file,
                 line,
                 "`sleep(…)` on the reactor thread stalls every connection at once; \
-                 pace with `recv_timeout` on the completion channel instead"
+                 put the instant on the deadline heap and let `Poller::poll` time \
+                 out on it instead"
                     .to_string(),
             ));
             continue;
@@ -111,17 +119,17 @@ fn scan_file(
             findings.push(finding(
                 file,
                 method_line,
-                "blocking channel `.recv()` on the reactor thread; use `recv_timeout` \
-                 (bounded nap) or `try_recv` (drain) so a quiet channel cannot freeze \
-                 the sweep loop"
+                "blocking channel `.recv()` on the reactor thread; drain with \
+                 `try_recv` after `Poller::poll` returns (senders wake the poller) \
+                 so a quiet channel cannot freeze every connection"
                     .to_string(),
             ));
         } else if method == "wait" {
             findings.push(finding(
                 file,
                 method_line,
-                "condvar `.wait(…)` on the reactor thread blocks the sweep loop for \
-                 every connection; signal the reactor through the completion channel \
+                "condvar `.wait(…)` on the reactor thread blocks every connection; \
+                 signal the reactor through the completion channel and its waker \
                  instead"
                     .to_string(),
             ));

@@ -102,12 +102,14 @@ pub struct ServiceConfig {
     /// should be at least `max_frame_bytes`, or any single response larger
     /// than it sheds the connection.
     pub write_queue_budget_bytes: usize,
-    /// Reactor stall watchdog threshold, in micros: a single readiness
-    /// sweep taking at least this long counts as a `reactor_stalls` tick in
-    /// the deep stats (every sweep also feeds the sweep-duration
-    /// histogram). One stalled sweep delays every connection at once, so
-    /// the threshold is deliberately coarse — it flags blocking calls and
-    /// pathological fleets, not routine jitter.
+    /// Reactor stall watchdog threshold, in micros: a single reactor turn
+    /// (everything between two waits in the poller — the ready sockets,
+    /// completions and due deadlines one wake-up brought) taking at least
+    /// this long counts as a `reactor_stalls` tick in the deep stats (every
+    /// turn also feeds the `sweeps` duration histogram). One stalled turn
+    /// delays every connection at once, so the threshold is deliberately
+    /// coarse — it flags blocking calls and pathological bursts, not
+    /// routine jitter.
     pub reactor_stall_micros: u64,
 }
 
@@ -200,8 +202,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the reactor stall watchdog threshold in micros; a readiness
-    /// sweep at or above it counts as a stall in the deep stats.
+    /// Sets the reactor stall watchdog threshold in micros; a reactor turn
+    /// at or above it counts as a stall in the deep stats.
     pub fn reactor_stall_micros(mut self, micros: u64) -> Self {
         self.reactor_stall_micros = micros;
         self

@@ -2,7 +2,7 @@
 //!
 //! One [`Conn`] owns a non-blocking socket plus everything the reactor
 //! needs to multiplex it from a single thread: the incremental frame parser
-//! from [`crate::frame`] (a frame may arrive across many readiness sweeps),
+//! from [`crate::frame`] (a frame may arrive across many readiness events),
 //! one arrival-ordered queue of fully received requests awaiting dispatch,
 //! the set of requests in flight on the worker pool, and a write queue that
 //! survives partial writes. Nothing here blocks.
@@ -40,10 +40,10 @@ struct Outgoing {
     close_after: bool,
 }
 
-/// Everything one read sweep over a connection produced.
+/// Everything one read pass over a connection produced.
 #[derive(Debug)]
 pub(crate) struct ReadPass {
-    /// Bytes actually read off the socket this sweep — including those of
+    /// Bytes actually read off the socket this pass — including those of
     /// a frame that was then rejected: they still crossed the wire.
     pub(crate) bytes: u64,
     /// Complete frame payloads, in arrival order.
@@ -53,10 +53,10 @@ pub(crate) struct ReadPass {
     pub(crate) error: Option<ServiceError>,
 }
 
-/// Everything one write sweep over a connection produced.
+/// Everything one write pass over a connection produced.
 #[derive(Debug)]
 pub(crate) struct WritePass {
-    /// Bytes actually written to the socket this sweep.
+    /// Bytes actually written to the socket this pass.
     pub(crate) bytes: u64,
     /// Traces of response frames that fully drained (write time charged).
     pub(crate) finished: Vec<Trace>,
@@ -90,6 +90,9 @@ pub(crate) struct Conn {
     /// completions for this connection are discarded instead of re-tripping
     /// the budget, and newly read request frames are discarded unanswered.
     pub(crate) shed: bool,
+    /// The earliest entry the reactor's deadline heap holds for this
+    /// connection; a popped entry that differs from it is stale.
+    pub(crate) armed: Option<Instant>,
     /// Set once a shed connection's goodbye has flushed and its write side
     /// is shut down: the reactor keeps draining (and discarding) inbound
     /// bytes until the peer closes or this deadline passes, because a full
@@ -116,6 +119,7 @@ impl Conn {
             write_queue: VecDeque::new(),
             queued_bytes: 0,
             shed: false,
+            armed: None,
             linger_deadline: None,
             last_progress: Instant::now(),
             reads_done: false,
@@ -159,6 +163,40 @@ impl Conn {
                 && self.pending.is_empty()
                 && self.in_flight() == 0
                 && !self.wants_write())
+    }
+
+    /// A stalled peer in the making: the stream offset sits inside a frame
+    /// whose remaining bytes the reactor still expects. (A shed connection's
+    /// leftovers are covered by its own limits.)
+    pub(crate) fn stalling(&self) -> bool {
+        !self.shed && !self.reads_done && self.mid_frame()
+    }
+
+    /// The instant this connection's time runs out if nothing moves, or
+    /// `None` while its state sets no limit — the reactor's one statement
+    /// of every per-connection time limit. A frame left unfinished, or a
+    /// shed connection's typed goodbye left unread, gets `patience` from
+    /// the last byte that moved in either direction; a shed connection
+    /// draining after its goodbye gets until its linger deadline; one with
+    /// nothing buffered, running or queued gets `read_timeout`, exactly
+    /// like the old per-connection idle budget. A sum that overflows never
+    /// lapses.
+    pub(crate) fn next_deadline(
+        &self,
+        patience: Duration,
+        read_timeout: Option<Duration>,
+    ) -> Option<Instant> {
+        let window = if self.stalling() || (self.shed && self.wants_write()) {
+            Some(patience)
+        } else {
+            let quiet = !self.mid_frame()
+                && self.pending.is_empty()
+                && self.in_flight() == 0
+                && !self.wants_write();
+            read_timeout.filter(|_| quiet)
+        };
+        let idle = window.and_then(|window| self.last_progress.checked_add(window));
+        [idle, self.linger_deadline].into_iter().flatten().min()
     }
 
     /// Gives up on the connection immediately: no more reads, no flush.
@@ -214,7 +252,9 @@ impl Conn {
     }
 
     /// Reads everything the socket has ready, stopping early once `backlog`
-    /// requests are buffered (TCP backpressure then throttles the peer).
+    /// requests are buffered (TCP backpressure then throttles the peer). The
+    /// bound is also what ends a pass over a peer that writes faster than
+    /// this reads, whose socket never runs dry.
     pub(crate) fn pump_reads(&mut self, max_payload: usize, backlog: usize) -> ReadPass {
         let mut pass = ReadPass {
             bytes: 0,

@@ -226,7 +226,7 @@ pub struct Metrics {
     /// per-connection write-queue budget (slow readers); each also records
     /// a typed [`ErrorCode::Overloaded`] reply in the per-code breakdown.
     pub slow_readers_shed: AtomicU64,
-    /// Reactor sweeps that ran past the configured stall threshold.
+    /// Reactor turns that ran past the configured stall threshold.
     pub reactor_stalls: AtomicU64,
     per_error: [AtomicU64; ErrorCode::ALL.len()],
     latency: [Histogram; 4],
@@ -279,10 +279,12 @@ impl Metrics {
         }
     }
 
-    /// Records one reactor sweep's duration, counting it as a stall when it
-    /// ran for at least `stall_threshold_micros` — the runtime twin of the
-    /// static reactor-discipline lint pass: a blocking call that slipped
-    /// past the linter surfaces here as a stall tick.
+    /// Records one reactor turn's duration (the time away from the poller,
+    /// not the time blocked in it; "sweep" is the name the wire format
+    /// kept), counting it as a stall when it ran for at least
+    /// `stall_threshold_micros` — the runtime twin of the static
+    /// reactor-discipline lint pass: a blocking call that slipped past the
+    /// linter surfaces here as a stall tick.
     pub fn observe_sweep(&self, duration: Duration, stall_threshold_micros: u64) {
         let micros = duration.as_micros().min(u64::MAX as u128) as u64;
         self.sweep_latency.observe_micros(micros);

@@ -1,23 +1,44 @@
 //! The evented reactor: one thread owning the listener and every client
-//! connection.
+//! connection, blocked in [`Poller::poll`] (Linux `epoll`) until a socket is
+//! ready, a worker finishes a request or a deadline comes due.
 //!
-//! std-only, no `epoll`/`kqueue`: every socket is non-blocking and the
-//! reactor sweeps them in an O(n) readiness scan, sleeping briefly on the
-//! completion channel (so a finishing worker wakes it instantly) only when
-//! a full sweep made no progress. Request execution stays on the worker
-//! pool: the reactor turns complete frames into [`Job`]s, workers send
-//! framed responses back as [`Completion`]s, and the reactor owns every
-//! socket write — a connection never pins a thread.
+//! One reactor **turn** is: `poll` with the nearest deadline as its timeout
+//! → for each event accept, drain the waker or [`Reactor::service`] that
+//! connection → take finished responses off the completion channel and
+//! service their connections → fire the deadlines that came due. Request
+//! execution stays on the worker pool: the reactor turns complete frames
+//! into [`Job`]s, workers send framed responses back as [`Completion`]s
+//! (then wake the poller) and the reactor owns every socket write — a
+//! connection never pins a thread, and a silent one costs nothing.
 //!
-//! The reactor also accepts: every loop turn drains the non-blocking
-//! listener until it would block, so an idle listener is polled once per
-//! [`IDLE_NAP`]. The connection table *is* the connection count — a
-//! connection arriving while the table holds
+//! Every socket is non-blocking and registered once, edge-triggered. Three
+//! things make that correct: `pump_reads` and `pump_writes` run to
+//! `WouldBlock`; a connection whose reads stopped at [`MAX_CONN_BACKLOG`]
+//! is read again when a completion drains its queue (no new edge would ever
+//! come), which is why completions run the whole of `service` (a shed
+//! connection, whose requests are discarded, is read again through the
+//! deadline heap instead); and registering reports the socket's current
+//! readiness, which flushes an over-limit connection's goodbye and arms
+//! every new connection's read timeout. The listener is edge-triggered too, because a level-triggered
+//! one would re-report an accept error that does not clear (descriptor or
+//! memory exhaustion) at once and spin the thread: each event accepts until
+//! `WouldBlock`, a connection that died in the backlog is skipped, and any
+//! other error ends the pass and retries it through the deadline heap
+//! after [`ACCEPT_BACKOFF`]. The connection table *is* the connection
+//! count — a connection arriving while it holds
 //! [`crate::ServiceConfig::max_connections`] entries is shed with a typed
 //! `Overloaded` goodbye through the same non-blocking write queue every
 //! other close-after reply uses (counted under `connections_shed`, never
 //! in `requests_served`). On shutdown the listener closes before the drain
 //! starts, so no connection is accepted that could not be answered.
+//!
+//! Time limits — the mid-frame stall window, a shed connection's unread
+//! goodbye and linger, a quiet connection's read timeout — share one
+//! min-heap with lazy validation: `service` pushes the earliest deadline
+//! the connection's state implies only if it is earlier than
+//! [`Conn::armed`], and a popped entry that no longer equals `armed` is
+//! skipped, so a busy connection pushes nothing and a quiet one costs
+//! nothing until its time is up.
 //!
 //! Dispatch rule per connection: one arrival-ordered pending queue, and
 //! only its head is ever eligible. A tagged head
@@ -29,13 +50,16 @@
 //! that is still waiting its turn waits with it instead of overtaking it.
 //!
 //! `Dispatcher::serve` is the one per-connection step (dispatch → write →
-//! count served requests → close or linger); the full sweep, the
-//! post-completion flush and the shutdown flush all run it.
+//! count served requests → close or linger); `service` and the shutdown
+//! flush both run it.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::io::{self, ErrorKind};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,22 +68,21 @@ use vaq_wire::{ErrorCode, Request, Response, WireEncode, FRAME_HEADER_LEN};
 use crate::conn::{Conn, PendingRequest};
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
+use crate::poll::{self, Event, Poller};
 use crate::server::{error_response, finish_request, handle_request, Shared};
 use crate::trace::Trace;
 
-/// How long an idle sweep sleeps on the completion channel before
-/// rescanning; a completion arriving ends the nap early.
-const IDLE_NAP: Duration = Duration::from_micros(500);
+/// Poller tokens of the listener and the waker; connection ids count up
+/// from zero and never reach them.
+const LISTENER: u64 = u64::MAX;
+const WAKER: u64 = u64::MAX - 1;
 
-/// Read-scan pacing: after each O(n) scan the reactor waits at least
-/// `SCAN_PACE_FACTOR` times the scan's own duration before scanning again,
-/// bounding the scan's CPU share to `1 / (1 + factor)`. Small fleets scan
-/// in microseconds and are effectively unpaced; a 10k-connection fleet
-/// degrades to a few milliseconds of added read latency instead of a
-/// non-blocking-read syscall storm that starves the worker threads.
-/// Finished responses never wait on the pace — completions flush their
-/// connection's writes immediately.
-const SCAN_PACE_FACTOR: u32 = 3;
+/// Readiness reports taken per `poll`; any more stay queued in the kernel.
+const EVENT_BATCH: usize = 256;
+
+/// How long the listener rests after an accept error that retrying at once
+/// would only repeat.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Most buffered requests per connection before the reactor stops reading
 /// it and lets TCP backpressure throttle the peer.
@@ -111,63 +134,21 @@ pub(crate) fn run_job(shared: &Shared, job: Job) {
         frame,
         trace,
     });
+    // After the send, so the reactor finds the completion when it wakes.
+    shared.waker.wake();
 }
 
-/// The reactor entry point, run on its own thread until shutdown.
-/// `listener` must already be non-blocking.
+/// The reactor entry point, run on its own thread until shutdown, with the
+/// `listener` that `reactor` was built over.
 pub(crate) fn run(
-    shared: Arc<Shared>,
+    mut reactor: Reactor,
     listener: TcpListener,
-    jobs: SyncSender<Job>,
-    completions_tx: Sender<Completion>,
     completions_rx: Receiver<Completion>,
 ) {
-    let mut reactor = Reactor {
-        shared,
-        dispatcher: Dispatcher {
-            jobs,
-            completions_tx,
-            dispatch_backlog: VecDeque::new(),
-        },
-        conns: HashMap::new(),
-        next_id: 0,
-    };
-    let mut next_scan = Instant::now();
-    let mut flush: Vec<u64> = Vec::new();
-    loop {
-        let mut busy = reactor.accept_ready(&listener);
-        while let Ok(completion) = completions_rx.try_recv() {
-            flush.push(completion.conn_id);
-            reactor.complete(completion);
-            busy = true;
-        }
-        // Completed responses leave the process now, not at the next paced
-        // scan — and an untagged head that waited for one dispatches.
-        busy |= reactor.flush_completed(&mut flush);
-        if Instant::now() >= next_scan {
-            let started = Instant::now();
-            busy |= reactor.sweep();
-            let took = started.elapsed();
-            // The stall watchdog: every sweep feeds the duration histogram,
-            // and a sweep past the configured threshold counts as a stall —
-            // the runtime cross-check of the static reactor-discipline pass.
-            reactor
-                .shared
-                .metrics
-                .observe_sweep(took, reactor.shared.config.reactor_stall_micros);
-            next_scan = Instant::now() + took * SCAN_PACE_FACTOR;
-        }
-        if reactor.shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if !busy {
-            // The reactor itself holds a completion sender, so this can
-            // only wake on a worker's completion or time out.
-            if let Ok(completion) = completions_rx.recv_timeout(IDLE_NAP) {
-                flush.push(completion.conn_id);
-                reactor.complete(completion);
-            }
-        }
+    // `shutdown_inner` raises the flag and then wakes the poller, so the
+    // turn that is blocked (or about to block) returns at once.
+    while !reactor.shared.shutdown.load(Ordering::SeqCst) {
+        reactor.turn(&listener, &completions_rx);
     }
     // Stop listening before the drain: a connect from here on is refused
     // by the kernel instead of queueing behind a reactor that will never
@@ -178,11 +159,22 @@ pub(crate) fn run(
     // queue and exit, and `QueryService::shutdown` joins them.
 }
 
-struct Reactor {
+/// `(when, connection id)`, earliest first.
+type Deadlines = BinaryHeap<Reverse<(Instant, u64)>>;
+
+pub(crate) struct Reactor {
     shared: Arc<Shared>,
+    poller: Poller,
     dispatcher: Dispatcher,
     conns: HashMap<u64, Conn>,
     next_id: u64,
+    /// Every armed deadline, plus entries that went stale since (their
+    /// connection closed or armed an earlier one): `fire_due` tells them
+    /// apart by comparing with [`Conn::armed`], and `turn` keeps the stale
+    /// ones from outnumbering the live.
+    deadlines: Deadlines,
+    /// The listener's `armed`: its pending accept retry, under [`LISTENER`].
+    accept_armed: Option<Instant>,
 }
 
 /// The reactor's way onto the worker pool, kept apart from the connection
@@ -192,25 +184,152 @@ struct Dispatcher {
     completions_tx: Sender<Completion>,
     /// Connections holding requests that could not be handed to the worker
     /// pool (the bounded job queue was full). Each completion frees a queue
-    /// slot, and the backlog refills it in FIFO order instead of leaving
-    /// blocked connections waiting for the next paced scan.
+    /// slot, and the backlog refills it in FIFO order — no socket event
+    /// would ever come for a request that is already buffered.
     dispatch_backlog: VecDeque<u64>,
 }
 
-impl Reactor {
-    /// Accepts every connection the listener has ready; returns whether
-    /// any arrived. `WouldBlock` ends the pass, and so does any other
-    /// accept error (a peer resetting mid-handshake, fd exhaustion): the
-    /// next loop turn retries, and a turn that accepted nothing naps like
-    /// any idle turn, so a persistent error can neither kill the reactor
-    /// nor spin it.
-    fn accept_ready(&mut self, listener: &TcpListener) -> bool {
-        let mut busy = false;
-        while let Ok((stream, _)) = listener.accept() {
-            self.admit(stream);
-            busy = true;
+/// Pushes `(when, id)` unless its owner already holds an entry at least as
+/// early. `armed` is the owner's record of its earliest entry, so the heap
+/// gains an entry only when a deadline moves *earlier* — never per request.
+fn arm(deadlines: &mut Deadlines, armed: &mut Option<Instant>, when: Instant, id: u64) {
+    if armed.is_none_or(|at| when < at) {
+        *armed = Some(when);
+        deadlines.push(Reverse((when, id)));
+    }
+}
+
+/// What the accept pass does after `accept` failed.
+#[derive(Debug, PartialEq)]
+enum AcceptFailure {
+    /// The backlog is empty: the pass is over until the next event.
+    Drained,
+    /// That one connection died in the backlog (or a signal landed); the
+    /// next one is unaffected.
+    TryNext,
+    /// Descriptor or memory exhaustion, or anything unrecognised: an
+    /// immediate retry would repeat it, so the pass stops and retries after
+    /// [`ACCEPT_BACKOFF`] — connections left in the backlog raise no event.
+    BackOff,
+}
+
+fn classify_accept_error(kind: ErrorKind) -> AcceptFailure {
+    match kind {
+        ErrorKind::WouldBlock => AcceptFailure::Drained,
+        ErrorKind::Interrupted | ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset => {
+            AcceptFailure::TryNext
         }
-        busy
+        _ => AcceptFailure::BackOff,
+    }
+}
+
+impl Reactor {
+    /// A reactor over `listener` (already non-blocking), registered with a
+    /// new poller beside `shared`'s waker under their reserved tokens.
+    pub(crate) fn new(
+        shared: Arc<Shared>,
+        listener: &TcpListener,
+        jobs: SyncSender<Job>,
+        completions_tx: Sender<Completion>,
+    ) -> io::Result<Reactor> {
+        let poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), LISTENER, poll::EDGE)?;
+        poller.add(shared.waker.fd(), WAKER, poll::LEVEL)?;
+        Ok(Reactor {
+            shared,
+            poller,
+            dispatcher: Dispatcher {
+                jobs,
+                completions_tx,
+                dispatch_backlog: VecDeque::new(),
+            },
+            conns: HashMap::new(),
+            next_id: 0,
+            deadlines: BinaryHeap::new(),
+            accept_armed: None,
+        })
+    }
+
+    /// One reactor turn: block until something is ready or due, then handle
+    /// all of it.
+    fn turn(&mut self, listener: &TcpListener, completions_rx: &Receiver<Completion>) {
+        let mut events = [Event::default(); EVENT_BATCH];
+        let nearest = self.deadlines.peek().map(|Reverse((when, _))| *when);
+        let timeout = nearest.map(|when| when.saturating_duration_since(Instant::now()));
+        let ready = self.poller.poll(&mut events, timeout);
+        let started = Instant::now();
+        for event in events.iter().take(ready) {
+            match event.token() {
+                LISTENER => self.accept_ready(listener),
+                WAKER => self.shared.waker.drain(),
+                id => self.service(id),
+            }
+        }
+        let mut completed = Vec::new();
+        while let Ok(completion) = completions_rx.try_recv() {
+            completed.push(completion.conn_id);
+            self.complete(completion);
+        }
+        self.flush_completed(completed);
+        self.fire_due(listener, Instant::now());
+        // A stale entry leaves when it comes due, which under connection
+        // churn is a whole read timeout away. Once stale entries outnumber
+        // live ones the heap is rebuilt from what is still armed, so it
+        // never holds much over two per connection — at an amortised O(1)
+        // per push.
+        if self.deadlines.len() > 2 * self.conns.len() + EVENT_BATCH {
+            let armed = |(&id, conn): (&u64, &Conn)| Some(Reverse((conn.armed?, id)));
+            let retry = self.accept_armed.map(|when| Reverse((when, LISTENER)));
+            self.deadlines = self.conns.iter().filter_map(armed).chain(retry).collect();
+        }
+        // The stall watchdog: every turn feeds the duration histogram, and
+        // one that kept the reactor away from the poller past the
+        // configured threshold counts as a stall — the runtime cross-check
+        // of the static reactor-discipline pass.
+        let stall = self.shared.config.reactor_stall_micros;
+        self.shared.metrics.observe_sweep(started.elapsed(), stall);
+    }
+
+    /// Accepts until the listener would block (it is edge-triggered: what
+    /// this pass leaves in the backlog raises no further event).
+    fn accept_ready(&mut self, listener: &TcpListener) {
+        loop {
+            let accepted = listener.accept();
+            match accepted.map_err(|error| classify_accept_error(error.kind())) {
+                Ok((stream, _)) => self.admit(stream),
+                Err(AcceptFailure::Drained) => return,
+                Err(AcceptFailure::TryNext) => {}
+                Err(AcceptFailure::BackOff) => {
+                    let retry = Instant::now() + ACCEPT_BACKOFF;
+                    return arm(&mut self.deadlines, &mut self.accept_armed, retry, LISTENER);
+                }
+            }
+        }
+    }
+
+    /// Fires every deadline due at `now`: an entry that still equals its
+    /// owner's `armed` re-runs the owner, which re-arms whatever its state
+    /// then implies; any other entry is stale and dropped.
+    fn fire_due(&mut self, listener: &TcpListener, now: Instant) {
+        while let Some(&Reverse((when, id))) = self.deadlines.peek() {
+            if when > now {
+                break;
+            }
+            self.deadlines.pop();
+            let armed = match self.conns.get_mut(&id) {
+                Some(conn) => &mut conn.armed,
+                None if id == LISTENER => &mut self.accept_armed,
+                None => continue,
+            };
+            if *armed != Some(when) {
+                continue;
+            }
+            *armed = None;
+            match id {
+                LISTENER => self.accept_ready(listener),
+                id => self.service(id),
+            }
+        }
     }
 
     /// Adopts one accepted connection — or, with the table already holding
@@ -238,7 +357,14 @@ impl Reactor {
         }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        self.conns.insert(id, conn);
+        // Registering reports the socket's readiness as it is now (a fresh
+        // socket is writable), so `service` runs on the next turn: it reads
+        // what already arrived, flushes a shed goodbye and arms the read
+        // timeout. Closing the socket is what deregisters it.
+        let fd = conn.stream.as_raw_fd();
+        if self.poller.add(fd, id, poll::EDGE).is_ok() {
+            self.conns.insert(id, conn);
+        }
     }
 
     /// Routes one finished response frame onto its connection's write
@@ -265,116 +391,91 @@ impl Reactor {
         }
     }
 
-    /// One readiness pass over every connection: reads, dispatch, timers,
-    /// writes, closes. Returns whether any progress happened.
-    fn sweep(&mut self) -> bool {
-        let mut busy = false;
-        let mut dead = Vec::new();
-        let max_frame = self.shared.config.max_frame_bytes;
-        let patience = self.shared.config.mid_frame_patience;
-        let idle_budget = self.shared.config.read_timeout;
-        for (&id, conn) in self.conns.iter_mut() {
-            let pass = conn.pump_reads(max_frame, MAX_CONN_BACKLOG);
-            if pass.bytes > 0 {
-                Metrics::add(&self.shared.metrics.bytes_in, pass.bytes);
-                busy = true;
-            }
-            for payload in pass.frames {
-                queue_request(conn, payload);
-            }
-            if let Some(error) = pass.error {
-                if conn.shed {
-                    // The goodbye can no longer be delivered cleanly;
-                    // nothing else on a shed connection is worth saving.
-                    conn.abort();
-                } else {
-                    frame_error(&self.shared, conn, error);
-                }
-            }
-            // A stalled peer: the stream offset is stuck inside a frame and
-            // no byte has arrived for a whole patience window. (A shed
-            // connection's leftovers are covered by its own backstops.)
-            if !conn.shed
-                && !conn.reads_done
-                && conn.mid_frame()
-                && conn.last_progress.elapsed() >= patience
-            {
-                frame_error(&self.shared, conn, ServiceError::Stalled { patience });
-            }
-            let step = self.dispatcher.serve(&self.shared, id, conn);
-            busy |= step.busy;
-            if step.close {
-                dead.push(id);
-                continue;
-            }
-            // A shed slow reader that also refuses to read its typed
-            // goodbye cannot pin its write queue forever: once no byte has
-            // moved for a whole patience window, drop it outright. The same
-            // deadline bounds the post-goodbye draining linger.
-            if conn.shed && conn.wants_write() && conn.last_progress.elapsed() >= patience {
+    /// Everything one connection needs right now — on a readiness event, a
+    /// completion or a due deadline: reads, frame and stall errors,
+    /// [`Dispatcher::serve`], the shed / linger / drained / quiet checks,
+    /// and the deadline its new state implies.
+    fn service(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return; // closed earlier in this turn
+        };
+        let shared = &*self.shared;
+        let patience = shared.config.mid_frame_patience;
+        let pass = conn.pump_reads(shared.config.max_frame_bytes, MAX_CONN_BACKLOG);
+        if pass.bytes > 0 {
+            Metrics::add(&shared.metrics.bytes_in, pass.bytes);
+        }
+        // The pass stopped at the backlog bound, not at `WouldBlock`: the
+        // socket may hold more, and raises no new edge for it.
+        let more = !conn.reads_done && conn.pending.len() + pass.frames.len() >= MAX_CONN_BACKLOG;
+        for payload in pass.frames {
+            queue_request(conn, payload);
+        }
+        if let Some(error) = pass.error {
+            if conn.shed {
+                // The goodbye can no longer be delivered cleanly;
+                // nothing else on a shed connection is worth saving.
                 conn.abort();
-            }
-            if conn.linger_deadline.is_some_and(|d| Instant::now() >= d) {
-                conn.abort();
-            }
-            if conn.drained() {
-                dead.push(id);
-                continue;
-            }
-            // A quiet connection past its read-timeout budget closes
-            // silently, exactly like the old per-connection idle budget.
-            let quiet = !conn.mid_frame()
-                && conn.pending.is_empty()
-                && conn.in_flight() == 0
-                && !conn.wants_write();
-            if let (true, Some(limit)) = (quiet, idle_budget) {
-                if conn.last_progress.elapsed() >= limit {
-                    dead.push(id);
-                }
+            } else {
+                frame_error(shared, conn, error);
             }
         }
-        for id in dead {
+        let limit = |conn: &Conn| conn.next_deadline(patience, shared.config.read_timeout);
+        let lapsed = |when: Instant| when <= Instant::now();
+        // A stalled peer — no byte for a whole patience window inside a
+        // started frame — is told so, and `serve` flushes the reply.
+        if conn.stalling() && limit(conn).is_some_and(lapsed) {
+            frame_error(shared, conn, ServiceError::Stalled { patience });
+        }
+        let close = self.dispatcher.serve(shared, id, conn);
+        // Every other limit is judged after the write pass, which may just
+        // have moved bytes, and ends the connection silently: a shed slow
+        // reader that will not read its goodbye cannot pin its write queue,
+        // the post-goodbye draining linger is bounded, and a quiet
+        // connection past its read timeout is reaped.
+        let next = limit(conn);
+        // A queue that filled resumes its reads when a completion drains it;
+        // a shed connection's requests are discarded, so no completion will
+        // come, and a peer that keeps sending would hold the thread for as
+        // long as it liked if the pump simply ran on. It is read again
+        // through the deadline heap, due at once: one backlog's worth at a
+        // time, with every other event, deadline and the shutdown flag
+        // getting their turn in between.
+        let again = (more && conn.shed).then(Instant::now);
+        if close || conn.drained() || (!conn.stalling() && next.is_some_and(lapsed)) {
             self.conns.remove(&id);
+        } else if let Some(when) = again.or(next) {
+            arm(&mut self.deadlines, &mut conn.armed, when, id);
         }
-        busy
     }
 
-    /// Serves just the connections whose requests completed since the last
-    /// loop turn: their response frames go out (and their next untagged
-    /// request dispatches) without waiting for the paced full scan.
-    fn flush_completed(&mut self, ids: &mut Vec<u64>) -> bool {
+    /// Services the connections whose requests completed this turn: their
+    /// response frames go out, their next untagged request dispatches, and
+    /// reads that stopped at [`MAX_CONN_BACKLOG`] resume. Then the
+    /// worker-queue slots those completions freed are refilled.
+    fn flush_completed(&mut self, mut ids: Vec<u64>) {
         ids.sort_unstable();
         ids.dedup();
-        let mut busy = false;
-        for id in ids.drain(..) {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                continue;
-            };
-            let step = self.dispatcher.serve(&self.shared, id, conn);
-            busy |= step.busy;
-            if step.close || conn.drained() {
-                self.conns.remove(&id);
-                busy = true;
-            }
+        for id in ids {
+            self.service(id);
         }
-        busy |= self.dispatcher.refill(&self.shared, &mut self.conns);
-        busy
+        self.dispatcher.refill(&self.shared, &mut self.conns);
     }
 
     /// Graceful shutdown: stop reading, bounded-drain in-flight requests
     /// (flushing responses as they land), then a best-effort typed
     /// `ShuttingDown` reply on every surviving connection before the close.
+    /// Both waits block in the poller — on the waker for completions, on
+    /// writability for the flush — with their deadline as the timeout.
     fn drain(mut self, completions_rx: &Receiver<Completion>) {
         for conn in self.conns.values_mut() {
             conn.reads_done = true;
             conn.pending.clear();
         }
         let deadline = Instant::now() + DRAIN_DEADLINE;
-        while self.conns.values().any(|c| c.in_flight() > 0) && Instant::now() < deadline {
-            match completions_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(completion) => self.complete(completion),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+        while self.conns.values().any(|c| c.in_flight() > 0) && self.block_until(deadline) {
+            while let Ok(completion) = completions_rx.try_recv() {
+                self.complete(completion);
             }
             self.flush_all();
         }
@@ -389,45 +490,35 @@ impl Reactor {
             conn.enqueue(goodbye.clone(), None, true, budget);
         }
         let flush_deadline = Instant::now() + FLUSH_DEADLINE;
-        while !self.conns.is_empty() && Instant::now() < flush_deadline {
-            if !self.flush_all() {
-                // lint:allow(reactor-discipline, deliberate shutdown pacing: the sweep loop has exited and this 1ms nap only bounds busy-waiting while the final goodbye frames flush)
-                std::thread::sleep(Duration::from_millis(1));
+        loop {
+            self.flush_all();
+            if self.conns.is_empty() || !self.block_until(flush_deadline) {
+                break;
             }
         }
     }
 
-    /// One sweep over the connections with output queued (shutdown has
-    /// already stopped reads and dropped pending work, so serving them only
-    /// writes); returns whether any bytes moved or connections closed.
-    fn flush_all(&mut self) -> bool {
-        let mut busy = false;
-        let mut dead = Vec::new();
-        for (&id, conn) in self.conns.iter_mut() {
-            if !conn.wants_write() {
-                continue;
-            }
-            let step = self.dispatcher.serve(&self.shared, id, conn);
-            busy |= step.busy;
-            if step.close {
-                dead.push(id);
-            }
+    /// Shutdown's wait: blocks until a socket or the waker is ready, and
+    /// returns `false` without blocking once `deadline` has passed.
+    fn block_until(&self, deadline: Instant) -> bool {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
         }
-        for id in dead {
-            self.conns.remove(&id);
-            busy = true;
-        }
-        busy
+        self.poller
+            .poll(&mut [Event::default(); EVENT_BATCH], Some(left));
+        self.shared.waker.drain();
+        true
     }
-}
 
-/// What one [`Dispatcher::serve`] step did.
-struct Served {
-    /// A request dispatched or bytes left the process.
-    busy: bool,
-    /// The write pass asked to close and the connection need not linger:
-    /// the caller drops it now.
-    close: bool,
+    /// Serves every connection with output queued (shutdown has already
+    /// stopped reads and dropped pending work, so serving them only
+    /// writes), dropping the ones whose final frame drained.
+    fn flush_all(&mut self) {
+        let (shared, dispatcher) = (&*self.shared, &mut self.dispatcher);
+        self.conns
+            .retain(|&id, conn| !(conn.wants_write() && dispatcher.serve(shared, id, conn)));
+    }
 }
 
 impl Dispatcher {
@@ -435,9 +526,9 @@ impl Dispatcher {
     /// the worker pool (joining the dispatch backlog when the pool's queue
     /// is full), flush queued output, count every request whose response
     /// fully drained, and — when the write pass asked to close — decide
-    /// whether the connection drops now or lingers.
-    fn serve(&mut self, shared: &Shared, conn_id: u64, conn: &mut Conn) -> Served {
-        let mut busy = self.dispatch(shared, conn_id, conn);
+    /// whether the connection drops now (`true`) or lingers.
+    fn serve(&mut self, shared: &Shared, conn_id: u64, conn: &mut Conn) -> bool {
+        self.dispatch(shared, conn_id, conn);
         if conn.wants_dispatch() && !conn.in_backlog {
             // The job queue was full; remember the connection so the next
             // completion refills the freed slot from here.
@@ -447,25 +538,22 @@ impl Dispatcher {
         let wrote = conn.pump_writes();
         if wrote.bytes > 0 {
             Metrics::add(&shared.metrics.bytes_out, wrote.bytes);
-            busy = true;
         }
         for trace in wrote.finished {
             finish_request(shared, &trace);
         }
-        let close = wrote.close && close_or_linger(conn, shared.config.mid_frame_patience);
-        Served { busy, close }
+        wrote.close && close_or_linger(conn, shared.config.mid_frame_patience)
     }
 
     /// Refills the worker-queue slots that completions just freed from the
     /// connections whose dispatch was blocked on a full queue.
-    fn refill(&mut self, shared: &Shared, conns: &mut HashMap<u64, Conn>) -> bool {
-        let mut busy = false;
+    fn refill(&mut self, shared: &Shared, conns: &mut HashMap<u64, Conn>) {
         while let Some(id) = self.dispatch_backlog.pop_front() {
             let Some(conn) = conns.get_mut(&id) else {
                 continue; // closed while waiting
             };
             conn.in_backlog = false;
-            busy |= self.dispatch(shared, id, conn);
+            self.dispatch(shared, id, conn);
             if conn.wants_dispatch() {
                 // Queue is full again; keep this connection at the head so
                 // backlog order stays FIFO.
@@ -474,14 +562,11 @@ impl Dispatcher {
                 break;
             }
         }
-        busy
     }
 
     /// Moves requests from the head of the connection's pending queue onto
-    /// the worker queue for as long as the head is eligible; returns
-    /// whether anything dispatched (or was answered inline).
-    fn dispatch(&self, shared: &Shared, conn_id: u64, conn: &mut Conn) -> bool {
-        let mut busy = false;
+    /// the worker queue for as long as the head is eligible.
+    fn dispatch(&self, shared: &Shared, conn_id: u64, conn: &mut Conn) {
         while conn.wants_dispatch() {
             let Some(request) = conn.pending.pop_front() else {
                 break;
@@ -502,10 +587,8 @@ impl Dispatcher {
                 .to_framed_bytes();
                 let trace = Some(Trace::begin(request.received.elapsed()));
                 if !conn.enqueue(frame, trace, false, shared.config.write_queue_budget_bytes) {
-                    shed_slow_reader(shared, conn);
-                    return true;
+                    return shed_slow_reader(shared, conn);
                 }
-                busy = true;
                 continue;
             }
             let job = Job {
@@ -522,14 +605,12 @@ impl Dispatcher {
                 },
                 Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
                     // The pool is saturated (or shutting down); put the
-                    // request back at the head and retry next sweep.
+                    // request back at the head for the dispatch backlog.
                     conn.pending.push_front(job.request);
                     break;
                 }
             }
-            busy = true;
         }
-        busy
     }
 }
 
@@ -646,4 +727,91 @@ fn shed_slow_reader(shared: &Shared, conn: &mut Conn) {
         conn,
         error_response(shared, ErrorCode::Overloaded, message),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    #[test]
+    fn accept_errors_are_classified_so_none_spins_or_strands_the_backlog() {
+        use AcceptFailure::{BackOff, Drained, TryNext};
+        assert_eq!(classify_accept_error(ErrorKind::WouldBlock), Drained);
+        for kind in [
+            ErrorKind::Interrupted,
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+        ] {
+            assert_eq!(classify_accept_error(kind), TryNext, "{kind:?}");
+        }
+        // EMFILE, ENFILE, ENOMEM and ENOBUFS as std maps them, and the unknown.
+        let exhausted = [24, 23, 12, 105].map(|errno| io::Error::from_raw_os_error(errno).kind());
+        for kind in exhausted.into_iter().chain([ErrorKind::Other]) {
+            assert_eq!(classify_accept_error(kind), BackOff, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_busy_connection_holds_one_deadline_and_closed_ones_leave_no_pile() {
+        let dataset = vaq_workload::uniform_dataset(8, 1, 3);
+        let scheme = vaq_crypto::SignatureScheme::test_rsa(3);
+        let mode = vaq_authquery::SigningMode::OneSignature;
+        let tree = vaq_authquery::IfmhTree::build(&dataset, mode, &scheme);
+        let server = vaq_authquery::Server::new(dataset, tree);
+        let shared = Arc::new(Shared::new(crate::ServiceConfig::ephemeral(), server).unwrap());
+        let listener = TcpListener::bind(shared.config.bind_addr).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let (completions_tx, completions_rx) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&shared);
+        let (pool, jobs) =
+            crate::pool::WorkerPool::spawn(1, move |job| run_job(&worker, job)).unwrap();
+        let mut reactor =
+            Reactor::new(Arc::clone(&shared), &listener, jobs, completions_tx).unwrap();
+
+        // The test thread is the reactor: every turn blocks in the poller
+        // until the peer's bytes or the worker's completion arrive.
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let ping = Request::Ping.to_framed_bytes();
+        let mut pong = vec![0u8; Response::Pong.to_framed_bytes().len()];
+        for served in 1..=10_000 {
+            peer.write_all(&ping).unwrap();
+            while Metrics::get(&shared.metrics.requests_served) < served {
+                reactor.turn(&listener, &completions_rx);
+            }
+            peer.read_exact(&mut pong).unwrap();
+        }
+        assert!(reactor.deadlines.len() <= 2, "{:?}", reactor.deadlines);
+        assert!(
+            reactor.conns[&0].armed.is_some(),
+            "the read timeout is armed"
+        );
+
+        drop(peer);
+        while !reactor.conns.is_empty() {
+            reactor.turn(&listener, &completions_rx);
+        }
+        assert!(
+            !reactor.deadlines.is_empty(),
+            "stale entries wait their time"
+        );
+        reactor.fire_due(&listener, Instant::now() + Duration::from_secs(3600));
+        assert!(reactor.deadlines.is_empty());
+
+        // Churn: each of these strands a read-timeout entry 30 s from due,
+        // and the heap sheds them rather than grow with the connect rate.
+        for _ in 0..2_000 {
+            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            while !reactor.conns.values().any(|conn| conn.armed.is_some()) {
+                reactor.turn(&listener, &completions_rx);
+            }
+            drop(peer);
+            while !reactor.conns.is_empty() {
+                reactor.turn(&listener, &completions_rx);
+            }
+        }
+        assert!(reactor.deadlines.len() <= EVENT_BATCH + 1);
+        drop(reactor);
+        pool.join();
+    }
 }

@@ -22,8 +22,9 @@ use crate::cache::LruCache;
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::metrics::{CacheGauges, Metrics, RequestKind, Stage};
+use crate::poll::Waker;
 use crate::pool::WorkerPool;
-use crate::reactor::{self, Job};
+use crate::reactor::{self, Job, Reactor};
 use crate::sync::{rank, OrderedMutex};
 use crate::trace::Trace;
 
@@ -48,9 +49,24 @@ pub(crate) struct Shared {
     pub(crate) metrics: Metrics,
     cache: OrderedMutex<LruCache>,
     pub(crate) shutdown: AtomicBool,
+    /// Ends the reactor's blocking `poll`: workers wake it after sending a
+    /// completion, shutdown after raising the flag.
+    pub(crate) waker: Waker,
 }
 
 impl Shared {
+    pub(crate) fn new(config: ServiceConfig, server: Server) -> std::io::Result<Shared> {
+        Ok(Shared {
+            cache: OrderedMutex::new(rank::CACHE, "cache", LruCache::new(CACHE_CAPACITY)),
+            metrics: Metrics::default(),
+            shutdown: AtomicBool::new(false),
+            waker: Waker::new()?,
+            serving: OrderedMutex::new(rank::SERVING, "serving", Arc::new(server)),
+            shard_map: OrderedMutex::new(rank::SHARD_MAP, "shard_map", None),
+            config,
+        })
+    }
+
     /// The serving snapshot: one clone of the `Arc`, taken once per request.
     fn serving(&self) -> Arc<Server> {
         Arc::clone(&self.serving.lock())
@@ -105,9 +121,10 @@ fn encode_frame<T: WireEncode>(response: &T) -> Vec<u8> {
 /// A running networked query service over one [`Server`].
 ///
 /// Binds a TCP listener and hands it to one evented reactor thread, which
-/// accepts and multiplexes every connection (non-blocking sockets behind an
-/// O(n) readiness sweep); request execution runs on a fixed-size worker
-/// pool, so thousands of open connections cost no worker. Each connection
+/// accepts and multiplexes every connection (non-blocking sockets behind
+/// Linux `epoll`: the thread sleeps until one is ready); request execution
+/// runs on a fixed-size worker pool, so thousands of open connections cost
+/// no worker and, while silent, no CPU. Each connection
 /// carries any number of framed [`Request`]s: untagged requests are
 /// answered strictly in order, while [`Request::Tagged`] requests pipeline and complete out of
 /// order, re-associated by their correlation tag. Dropping the service (or
@@ -141,19 +158,12 @@ impl QueryService {
     pub fn bind(mut config: ServiceConfig, server: Server) -> Result<QueryService, ServiceError> {
         let listener = TcpListener::bind(config.bind_addr)?;
         let local_addr = listener.local_addr()?;
-        // The reactor polls the listener between sweeps; it must never block.
+        // The reactor accepts until `WouldBlock`; it must never block here.
         listener.set_nonblocking(true)?;
         // Clamp once so every consumer (pool sizing, stats) agrees.
         config.workers = config.workers.max(1);
         let workers = config.workers;
-        let shared = Arc::new(Shared {
-            cache: OrderedMutex::new(rank::CACHE, "cache", LruCache::new(CACHE_CAPACITY)),
-            metrics: Metrics::default(),
-            shutdown: AtomicBool::new(false),
-            serving: OrderedMutex::new(rank::SERVING, "serving", Arc::new(server)),
-            shard_map: OrderedMutex::new(rank::SHARD_MAP, "shard_map", None),
-            config,
-        });
+        let shared = Arc::new(Shared::new(config, server)?);
 
         let worker_shared = Arc::clone(&shared);
         let (completions_tx, completions_rx) = mpsc::channel();
@@ -161,18 +171,12 @@ impl QueryService {
             reactor::run_job(&worker_shared, job);
         })?;
 
-        let reactor_shared = Arc::clone(&shared);
+        // Built here so a refused epoll instance is a bind error, not a
+        // reactor thread that dies at start-up.
+        let reactor = Reactor::new(Arc::clone(&shared), &listener, jobs, completions_tx)?;
         let reactor_thread = std::thread::Builder::new()
             .name("vaq-service-reactor".into())
-            .spawn(move || {
-                reactor::run(
-                    reactor_shared,
-                    listener,
-                    jobs,
-                    completions_tx,
-                    completions_rx,
-                )
-            })?;
+            .spawn(move || reactor::run(reactor, listener, completions_rx))?;
 
         Ok(QueryService {
             shared,
@@ -268,10 +272,11 @@ impl QueryService {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The reactor sees the flag within one idle nap, closes the listener,
-        // bounded-drains in-flight requests, answers every surviving
-        // connection with a typed ShuttingDown reply and exits — dropping
-        // the only job sender…
+        // Woken out of its `poll`, the reactor sees the flag, closes the
+        // listener, bounded-drains in-flight requests, answers every
+        // surviving connection with a typed ShuttingDown reply and exits —
+        // dropping the only job sender…
+        self.shared.waker.wake();
         if let Some(thread) = self.reactor_thread.take() {
             let _ = thread.join();
         }

@@ -44,7 +44,7 @@ pub mod rank {
     /// execution — taking one on the reactor thread would let a single
     /// request stall every connection at once. Enforced statically by the
     /// `vaq-lint` reactor-discipline pass (via the `reactor_safe_ceiling`
-    /// manifest entry) and at runtime by the sweep stall watchdog.
+    /// manifest entry) and at runtime by the reactor stall watchdog.
     pub const REACTOR_SAFE_CEILING: u32 = SERVING;
 }
 

@@ -365,7 +365,7 @@ fn mid_frame_stall_gets_a_typed_stalled_reply() {
 #[test]
 fn fifty_connections_each_hold_a_tagged_query_in_flight() {
     // 50 sockets, one tagged query sent on every one of them before the
-    // first reply is read: the reactor sweeps the whole fleet concurrently
+    // first reply is read: the reactor serves the whole fleet concurrently
     // and every reply comes back on its own connection, verified.
     const CONNS: usize = 50;
     let (dataset, server, scheme) = owner_setup(12, 1, 99);
@@ -448,7 +448,7 @@ fn slow_reader_is_shed_with_a_typed_overloaded_reply() {
 
 #[test]
 fn sweep_watchdog_feeds_the_deep_stats_over_the_wire() {
-    // A zero stall threshold counts every sweep as a stall, making the
+    // A zero stall threshold counts every reactor turn as a stall, making the
     // watchdog plumbing observable without manufacturing a real stall.
     let (_, server, _) = owner_setup(10, 1, 5);
     let service =

@@ -350,17 +350,19 @@ pub struct KindStages {
     pub stages: Vec<StageMicros>,
 }
 
-/// Health telemetry of the service's reactor thread: sweep-duration
+/// Health telemetry of the service's reactor thread: turn-duration
 /// distribution, stall count, and the shed counters for connections the
 /// reactor gave up on. The runtime cross-check of the static
 /// reactor-discipline and bounded-queue lint passes — a blocking call
-/// shows up here as a sweep-latency outlier and a `reactor_stalls` bump.
+/// shows up here as a turn-duration outlier and a `reactor_stalls` bump.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct ReactorStats {
-    /// Duration distribution of full readiness sweeps (buckets per
-    /// [`LATENCY_BUCKET_BOUNDS_MICROS`]).
+    /// Duration distribution of reactor turns: the work one wake-up from
+    /// the poller brought, not the time spent blocked in it (buckets per
+    /// [`LATENCY_BUCKET_BOUNDS_MICROS`]). The field keeps the name it had
+    /// when a turn was a sweep over every socket.
     pub sweeps: LatencyHistogram,
-    /// Sweeps that exceeded the configured stall threshold.
+    /// Turns that exceeded the configured stall threshold.
     pub reactor_stalls: u64,
     /// Connections shed because their queued-but-unflushed response bytes
     /// exceeded the per-connection write-queue budget (each also records a
@@ -382,7 +384,7 @@ pub struct StatsDeep {
     pub per_stage: Vec<StageLatency>,
     /// Per-request-kind stage attribution.
     pub per_kind_stage: Vec<KindStages>,
-    /// Reactor-thread health: sweep durations, stalls, shed counters.
+    /// Reactor-thread health: turn durations, stalls, shed counters.
     pub reactor: ReactorStats,
 }
 

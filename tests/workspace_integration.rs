@@ -299,3 +299,34 @@ fn ci_test_filters_each_name_exactly_one_test() {
     }
     assert!(checked > 0, "found no filtered `cargo test` line in ci.yml");
 }
+
+#[test]
+fn unsafe_code_lives_in_exactly_one_file() {
+    // `vaq-service` went from `forbid(unsafe_code)` to `deny` with a single
+    // `allow` on its `poll` module (four epoll / eventfd declarations). This
+    // restores what `forbid` guaranteed, for the whole repository: outside
+    // test code the keyword occurs in that one file and nowhere else.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in fs::read_dir(&dir).expect("directory reads") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() {
+                // Build output, the lint's deliberately bad fixtures, `.git`.
+                if !matches!(name, "target" | "fixtures") && !name.starts_with('.') {
+                    stack.push(path);
+                }
+            } else if name.ends_with(".rs") {
+                let file = vaq_lint::scan::SourceFile::read(&path).expect("source reads");
+                let used =
+                    |t: &vaq_lint::scan::Token| t.text == "unsafe" && !file.is_masked(t.line);
+                if file.tokens.iter().any(used) {
+                    found.push(path.strip_prefix(root).expect("under root").to_path_buf());
+                }
+            }
+        }
+    }
+    assert_eq!(found, [PathBuf::from("crates/service/src/poll.rs")]);
+}
