@@ -479,6 +479,41 @@ fn multi_signature_inequalities_cannot_be_swapped() {
 }
 
 #[test]
+fn an_empty_label_swapped_for_an_absent_one_is_detected() {
+    // `label: None` and `label: Some("")` are different records. Whichever
+    // the owner published, a reply carrying the other must not verify.
+    for mode in both_modes() {
+        for (published, swapped) in [(None, Some(String::new())), (Some(String::new()), None)] {
+            let mut dataset = uniform_dataset(20, 1, 19);
+            for record in &mut dataset.records {
+                record.label = published.clone();
+            }
+            let scheme = SignatureScheme::test_rsa(19 ^ 0x5151);
+            let server = Server::new(dataset.clone(), IfmhTree::build(&dataset, mode, &scheme));
+            let verifier = scheme.verifier();
+            let query = Query::top_k(vec![0.4], 3);
+            let resp = server.process(&query);
+            let verify = |records: &[Record]| {
+                client::verify(
+                    &query,
+                    records,
+                    &resp.vo,
+                    &dataset.template,
+                    verifier.as_ref(),
+                )
+            };
+            assert!(verify(&resp.records).is_ok(), "mode {mode}: honest reply");
+            let mut records = resp.records.clone();
+            records[0].label = swapped.clone();
+            assert!(
+                verify(&records).is_err(),
+                "mode {mode}: label {published:?} swapped for {swapped:?} must be detected"
+            );
+        }
+    }
+}
+
+#[test]
 fn honest_responses_still_verify_after_adversarial_suite() {
     // Guard against the checks being trivially over-strict: honest responses
     // for the same configurations used above must all pass.

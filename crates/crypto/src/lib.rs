@@ -11,8 +11,9 @@
 //! crates, none of which provide cryptography, so this crate implements the
 //! whole stack from scratch:
 //!
-//! * [`sha256`] — the FIPS 180-4 SHA-256 compression function and a
-//!   streaming [`sha256::Sha256`] hasher.
+//! * [`sha256`] — the FIPS 180-4 SHA-256 compression function (through the
+//!   SHA extensions on x86-64 CPUs that have them, portable otherwise) and
+//!   a streaming [`sha256::Sha256`] hasher.
 //! * [`bignum`] — an arbitrary-precision unsigned integer
 //!   ([`bignum::BigUint`]) with the arithmetic needed for public-key
 //!   signatures (modular exponentiation, modular inverse, division).
@@ -31,9 +32,12 @@
 //! magnitude more expensive, RSA verification is cheaper than DSA
 //! verification). They are **not** hardened implementations: there is no
 //! padding scheme beyond a minimal deterministic one, no blinding, and no
-//! constant-time guarantee. Do not use this crate to protect real data.
+//! constant-time guarantee. The SHA-extension kernel behind [`sha256`] is
+//! not constant-time-audited either, though SHA-256 has no secret-dependent
+//! branch or address in either of its paths. Do not use this crate to
+//! protect real data.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bignum;
@@ -42,6 +46,11 @@ pub mod montgomery;
 pub mod prime;
 pub mod rsa;
 pub mod sha256;
+// The SHA-extension call behind `sha256`: the crate's only `unsafe`, pinned
+// to this file by `tests/workspace_integration.rs`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni;
 pub mod sign_pool;
 pub mod signer;
 

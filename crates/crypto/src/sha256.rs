@@ -4,17 +4,22 @@
 //! (Merkle hashing of sorted function lists) and the IMH-tree (hashing of
 //! intersection nodes), as well as inside the baseline signature mesh.
 //!
-//! The implementation favours clarity over raw speed but is easily fast
-//! enough for the paper-scale experiments (tens of millions of compressions
-//! per second are not required; hashing is the *cheap* operation in every
-//! figure).
+//! Two functions compress blocks. On x86-64 CPUs with the SHA extensions
+//! (detected at run time) it is the hardware kernel in `sha_ni`; everywhere
+//! else — other architectures, x86-64 hosts without the extension — it is
+//! the scalar `compress_blocks_portable` below, written for clarity because
+//! it is also the reference the tests hold the kernel equal to, block by
+//! block. Nothing selects between them but the CPU. The one-shot functions
+//! ([`sha256`], [`sha256_pair`]) pad on the stack and compress a local
+//! state, since a verified answer is hundreds of record- and pair-sized
+//! hashes and little else.
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -73,71 +78,59 @@ impl Sha256 {
     }
 
     /// Absorbs `data` into the hash state.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut input = data;
-
-        // Fill a partial block first.
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
+        // A piece that leaves the block unfinished is only a copy — inlined,
+        // a fixed-size store when the caller's piece has a fixed size.
+        let end = self.buffer_len + data.len();
+        if end < 64 {
+            self.buffer[self.buffer_len..end].copy_from_slice(data);
+            self.buffer_len = end;
+        } else {
+            self.absorb_blocks(data);
         }
+    }
 
-        // Process full blocks directly from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut tmp = [0u8; 64];
-            tmp.copy_from_slice(block);
-            self.compress(&tmp);
-            input = rest;
+    /// [`update`](Self::update) for `data` that completes at least one block.
+    fn absorb_blocks(&mut self, data: &[u8]) {
+        // Complete and compress the partial block, if there is one.
+        let (head, rest) = data.split_at((64 - self.buffer_len) % 64);
+        if !head.is_empty() {
+            self.buffer[self.buffer_len..].copy_from_slice(head);
+            compress_blocks(&mut self.state, &self.buffer);
         }
-
-        // Stash the tail.
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        // Whole blocks straight from the input, in one call, then stash the
+        // tail.
+        let (whole, tail) = rest.split_at(rest.len() & !63);
+        compress_blocks(&mut self.state, whole);
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finishes the computation and returns the digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = if self.buffer_len < 56 {
-            56 - self.buffer_len
-        } else {
-            120 - self.buffer_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update_no_count(&pad[..pad_len + 8]);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+    pub fn finalize(self) -> Digest {
+        finish(self.state, &self.buffer[..self.buffer_len], self.total_len)
     }
+}
 
-    /// Like [`update`](Self::update) but without updating the running length
-    /// (used only for padding).
-    fn update_no_count(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
+/// Folds `blocks` (whole 64-byte blocks) into `state`, on the hardware path
+/// where the CPU has one.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::compress_blocks(state, blocks) {
+        #[cfg(test)]
+        tests::HARDWARE_CALLS.with(|calls| calls.set(calls.get() + 1));
+        return;
     }
+    compress_blocks_portable(state, blocks);
+}
 
-    /// SHA-256 compression function on a single 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The SHA-256 compression function as FIPS 180-4 writes it, over each
+/// 64-byte block in turn: the portable path and the kernel's reference.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -151,7 +144,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -175,51 +168,67 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
 }
 
-/// One-shot SHA-256 of a byte slice.
+/// Pads `tail` — the bytes of a `total_len`-byte message past its last whole
+/// block — on the stack (0x80, zeros, the 64-bit big-endian bit length) and
+/// compresses the final one or two blocks.
+fn finish(mut state: [u32; 8], tail: &[u8], total_len: u64) -> Digest {
+    let mut last = [0u8; 128];
+    last[..tail.len()].copy_from_slice(tail);
+    last[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    last[end - 8..end].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    compress_blocks(&mut state, &last[..end]);
+    digest_of(&state)
+}
+
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// One-shot SHA-256 of a byte slice: whole blocks compressed where they
+/// lie, the padded tail on the stack — a record of up to five attributes is
+/// one block and one compression.
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    let (whole, tail) = data.split_at(data.len() & !63);
+    let mut state = H0;
+    compress_blocks(&mut state, whole);
+    finish(state, tail, data.len() as u64)
 }
 
 /// SHA-256 of two concatenated 32-byte digests, `H(a | b)` — the Merkle-tree
 /// combiner used throughout the paper.
 ///
 /// Two digests are exactly one 64-byte compression block, and the padding
-/// for a 64-byte message is a fixed second block, so this runs as two
-/// `compress` calls with no buffering, no length bookkeeping, and no
-/// intermediate allocation — the hot path of every interior-node hash.
+/// for a 64-byte message is a fixed second block, so this is one two-block
+/// compression of a local state with no buffering and no length
+/// bookkeeping — the hot path of every interior-node hash.
 pub fn sha256_pair(a: &Digest, b: &Digest) -> Digest {
-    let mut block = [0u8; 64];
-    block[..32].copy_from_slice(a);
-    block[32..].copy_from_slice(b);
+    // The padding block of a 64-byte message: 0x80, zeros, then the bit
+    // length (512 = 0x0200) as a 64-bit big-endian integer.
+    const PADDING: [u8; 64] = {
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        pad[62] = 0x02;
+        pad
+    };
+    let mut blocks = [0u8; 128];
+    blocks[..32].copy_from_slice(a);
+    blocks[32..64].copy_from_slice(b);
+    blocks[64..].copy_from_slice(&PADDING);
 
-    // Padding block for a 64-byte message: 0x80, zeros, then the bit length
-    // (512) as a 64-bit big-endian integer.
-    let mut pad = [0u8; 64];
-    pad[0] = 0x80;
-    pad[56..].copy_from_slice(&512u64.to_be_bytes());
-
-    let mut h = Sha256::new();
-    h.compress(&block);
-    h.compress(&pad);
-
-    let mut out = [0u8; 32];
-    for (i, word) in h.state.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut state = H0;
+    compress_blocks(&mut state, &blocks);
+    digest_of(&state)
 }
 
 /// SHA-256 of the concatenation of several byte slices, streamed through the
@@ -244,69 +253,187 @@ pub fn to_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Probe: how often this thread's `compress_blocks` took the
+        /// hardware path.
+        pub(super) static HARDWARE_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn hex(d: &[u8]) -> String {
         to_hex(d)
     }
 
+    /// A compression function over whole blocks — either path on its own.
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    /// The hardware kernel as a [`Compress`], or `None` — said out loud —
+    /// on a host whose CPU lacks it, where the hardware-side cases skip.
+    fn hardware_kernel() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha_ni::compress_blocks(&mut [0; 8], &[]) {
+            return Some(|state, blocks| assert!(crate::sha_ni::compress_blocks(state, blocks)));
+        }
+        eprintln!("skipped: no SHA extensions on this host, the hardware-side cases did not run");
+        None
+    }
+
+    /// SHA-256 by the book — pad a copy of the whole message, compress it —
+    /// through `compress` alone: none of the streaming or one-shot code.
+    fn digest_through(compress: Compress, msg: &[u8]) -> Digest {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &padded);
+        digest_of(&state)
+    }
+
+    /// A FIPS vector holds for the public one-shot and for each path alone.
+    fn assert_known_answer(msg: &[u8], expected: &str) {
+        assert_eq!(hex(&sha256(msg)), expected);
+        let portable = digest_through(compress_blocks_portable, msg);
+        assert_eq!(hex(&portable), expected, "portable path");
+        if let Some(kernel) = hardware_kernel() {
+            assert_eq!(hex(&digest_through(kernel, msg)), expected, "hardware path");
+        }
+    }
+
+    fn seeded_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.gen()).collect()
+    }
+
     #[test]
     fn empty_message() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_known_answer(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_known_answer(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_known_answer(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn exactly_one_block() {
         // 64 bytes: exercises padding into a second block.
-        let msg = [0x61u8; 64];
-        assert_eq!(
-            hex(&sha256(&msg)),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
+        assert_known_answer(
+            &[0x61u8; 64],
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
         );
     }
 
     #[test]
     fn fifty_five_and_fifty_six_byte_boundary() {
         // 55 bytes keeps padding in the same block, 56 pushes it into the next.
-        let m55 = [0x61u8; 55];
-        let m56 = [0x61u8; 56];
-        assert_eq!(
-            hex(&sha256(&m55)),
-            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"
+        assert_known_answer(
+            &[0x61u8; 55],
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
         );
-        assert_eq!(
-            hex(&sha256(&m56)),
-            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"
+        assert_known_answer(
+            &[0x61u8; 56],
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
         );
     }
 
     #[test]
     fn million_a() {
-        let msg = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&msg)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_known_answer(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    #[test]
+    fn kernel_matches_reference_after_every_block() {
+        let Some(kernel) = hardware_kernel() else {
+            return;
+        };
+        let mut rng = StdRng::seed_from_u64(0x5A_256);
+        // Single blocks from arbitrary states (not only ones H0 reaches).
+        for case in 0..10_000 {
+            let start: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let block = seeded_bytes(&mut rng, 64);
+            let (mut reference, mut hardware) = (start, start);
+            compress_blocks_portable(&mut reference, &block);
+            kernel(&mut hardware, &block);
+            assert_eq!(
+                hardware, reference,
+                "case {case}: {start:08x?} {block:02x?}"
+            );
+        }
+        // Runs of blocks: the kernel keeps the state in registers across a
+        // call, the reference is stepped a block at a time beside it.
+        for blocks in 1..=9 {
+            let start: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let run = seeded_bytes(&mut rng, 64 * blocks);
+            let mut reference = start;
+            for upto in 1..=blocks {
+                compress_blocks_portable(&mut reference, &run[64 * (upto - 1)..64 * upto]);
+                let mut hardware = start;
+                kernel(&mut hardware, &run[..64 * upto]);
+                assert_eq!(hardware, reference, "{upto} of {blocks} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn every_length_and_chunking_agrees_with_both_paths() {
+        let kernel = hardware_kernel();
+        let mut rng = StdRng::seed_from_u64(300);
+        for len in 0..=300 {
+            let msg = seeded_bytes(&mut rng, len);
+            let reference = digest_through(compress_blocks_portable, &msg);
+            assert_eq!(sha256(&msg), reference, "one-shot, {len} bytes");
+            if let Some(kernel) = kernel {
+                assert_eq!(
+                    digest_through(kernel, &msg),
+                    reference,
+                    "kernel, {len} bytes"
+                );
+            }
+            for chunk_size in [1usize, 3, 7, 55, 56, 63, 64, 65, 119, 120, 128] {
+                let mut h = Sha256::new();
+                for chunk in msg.chunks(chunk_size) {
+                    h.update(chunk);
+                }
+                assert_eq!(h.finalize(), reference, "{len} bytes in {chunk_size}s");
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_takes_the_hardware_path_where_the_cpu_has_one() {
+        #[cfg(target_arch = "x86_64")]
+        let expected = u64::from(is_x86_feature_detected!("sha"));
+        #[cfg(not(target_arch = "x86_64"))]
+        let expected = 0;
+        let before = HARDWARE_CALLS.get();
+        sha256_pair(&[1; 32], &[2; 32]);
+        let calls = HARDWARE_CALLS.get() - before;
+        assert_eq!(calls, expected, "one call, both blocks");
+        sha256(&[3; 200]);
+        let calls = HARDWARE_CALLS.get() - before;
+        assert_eq!(calls, 3 * expected, "whole blocks, then the tail");
     }
 
     #[test]
@@ -326,23 +453,35 @@ mod tests {
     fn pair_matches_manual_concatenation() {
         let a = sha256(b"left child");
         let b = sha256(b"right child");
-        let mut joined = Vec::new();
-        joined.extend_from_slice(&a);
-        joined.extend_from_slice(&b);
-        assert_eq!(sha256_pair(&a, &b), sha256(&joined));
+        assert_eq!(sha256_pair(&a, &b), sha256(&[a, b].concat()));
         // Order matters.
         assert_ne!(sha256_pair(&a, &b), sha256_pair(&b, &a));
+
+        let mut rng = StdRng::seed_from_u64(64);
+        for _ in 0..200 {
+            let a: Digest = std::array::from_fn(|_| rng.gen());
+            let b: Digest = std::array::from_fn(|_| rng.gen());
+            assert_eq!(sha256_pair(&a, &b), sha256(&[a, b].concat()));
+        }
     }
 
     #[test]
     fn multi_matches_manual_concatenation() {
         let parts: [&[u8]; 4] = [b"VAQ-EPOCH", &42u64.to_be_bytes(), b"", b"digest bytes"];
-        let mut joined = Vec::new();
-        for p in parts {
-            joined.extend_from_slice(p);
-        }
-        assert_eq!(sha256_multi(&parts), sha256(&joined));
+        assert_eq!(sha256_multi(&parts), sha256(&parts.concat()));
         assert_eq!(sha256_multi(&[]), sha256(b""));
+
+        let mut rng = StdRng::seed_from_u64(65);
+        for _ in 0..200 {
+            let parts: Vec<Vec<u8>> = (0..rng.gen_range(0usize..6))
+                .map(|_| {
+                    let len = rng.gen_range(0usize..150);
+                    seeded_bytes(&mut rng, len)
+                })
+                .collect();
+            let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            assert_eq!(sha256_multi(&slices), sha256(&parts.concat()));
+        }
     }
 
     #[test]

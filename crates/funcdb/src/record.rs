@@ -1,6 +1,6 @@
 //! Database records.
 
-use vaq_crypto::sha256::{sha256, Digest};
+use vaq_crypto::sha256::{Digest, Sha256};
 
 /// A single record of the outsourced table.
 ///
@@ -42,36 +42,92 @@ impl Record {
         self.attrs.len()
     }
 
-    /// Canonical byte encoding of the record: `id` big-endian followed by
-    /// every attribute as IEEE-754 big-endian bytes, followed by the label
-    /// bytes (if any).
+    /// Canonical byte encoding of the record: `id` big-endian, the attribute
+    /// count as a big-endian `u32`, every attribute as IEEE-754 big-endian
+    /// bytes, then — only when a label is present — the marker byte `0x01`
+    /// and the label's bytes, so an absent label and an empty one encode
+    /// differently.
     ///
     /// Both the data owner (when building the authenticated structure) and
     /// the client (when re-hashing returned records during verification)
     /// must produce exactly the same bytes, so this encoding is the contract
     /// between them.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.attrs.len() * 8 + 16);
-        out.extend_from_slice(&self.id.to_be_bytes());
-        out.extend_from_slice(&(self.attrs.len() as u32).to_be_bytes());
-        for a in &self.attrs {
-            out.extend_from_slice(&a.to_be_bytes());
-        }
-        if let Some(label) = &self.label {
-            out.extend_from_slice(label.as_bytes());
-        }
+        let mut out = Vec::with_capacity(8 + 4 + self.attrs.len() * 8 + 16);
+        self.write_canonical(|bytes| out.extend_from_slice(bytes));
         out
     }
 
-    /// `H(r)` — the record digest used as a Merkle leaf.
+    /// `H(r)` — the record digest used as a Merkle leaf: SHA-256 of
+    /// [`canonical_bytes`](Self::canonical_bytes), streamed into the hasher
+    /// rather than collected first (a verified answer hashes every record
+    /// it returns).
     pub fn digest(&self) -> Digest {
-        sha256(&self.canonical_bytes())
+        let mut hasher = Sha256::new();
+        self.write_canonical(|bytes| hasher.update(bytes));
+        hasher.finalize()
+    }
+
+    /// Feeds the canonical encoding to `sink`, piece by piece.
+    fn write_canonical(&self, mut sink: impl FnMut(&[u8])) {
+        sink(&self.id.to_be_bytes());
+        sink(&(self.attrs.len() as u32).to_be_bytes());
+        for a in &self.attrs {
+            sink(&a.to_be_bytes());
+        }
+        if let Some(label) = &self.label {
+            sink(&[0x01]);
+            sink(label.as_bytes());
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use vaq_crypto::sha256::sha256;
+
+    #[test]
+    fn digest_is_sha256_of_canonical_bytes() {
+        // Arities 0..=9 put the encoding (12 + 8d bytes, plus marker and
+        // label) on both sides of the one-block limit at 55 and, with the
+        // long label, past a whole block.
+        let mut rng = StdRng::seed_from_u64(20);
+        for arity in 0..=9 {
+            let attrs: Vec<f64> = (0..arity).map(|_| rng.gen::<f64>() * 100.0).collect();
+            let labels = [
+                None,
+                Some(String::new()),
+                Some("alice".to_string()),
+                Some("x".repeat(rng.gen_range(60usize..200))),
+            ];
+            for label in labels {
+                let record = Record {
+                    id: rng.gen(),
+                    attrs: attrs.clone(),
+                    label,
+                };
+                assert_eq!(
+                    record.digest(),
+                    sha256(&record.canonical_bytes()),
+                    "{record:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn absent_and_empty_labels_hash_differently() {
+        let absent = Record::new(7, vec![3.9, 2.0]);
+        let empty = Record::with_label(7, vec![3.9, 2.0], "");
+        assert_ne!(absent.canonical_bytes(), empty.canonical_bytes());
+        assert_ne!(absent.digest(), empty.digest());
+        // An unlabelled record's bytes are the fixed fields and nothing else.
+        assert_eq!(absent.canonical_bytes().len(), 8 + 4 + 2 * 8);
+        assert_eq!(empty.canonical_bytes().len(), 8 + 4 + 2 * 8 + 1);
+    }
 
     #[test]
     fn canonical_bytes_are_deterministic() {

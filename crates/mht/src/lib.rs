@@ -253,70 +253,51 @@ pub fn verify_range(
         return Err(VerifyError::LeafOutOfRange);
     }
 
-    // Known hashes for the current layer: contiguous [lo, hi] plus any proof
-    // nodes for this layer.
+    // Known hashes of the current layer: the contiguous run [lo, hi] plus any
+    // proof nodes for this layer. Layer 0 is read where the caller left it
+    // and every layer above is folded in place in one buffer: parent `p`
+    // lands in slot `p - parent_lo`, never past the slots of its own
+    // children (`2p - lo` and up), which are read out first.
     let mut hash_ops = 0usize;
     let mut layer_size = leaf_count;
     let mut layer_idx: u32 = 0;
     let mut lo = first_index;
     let mut hi = first_index + leaves.len() - 1;
-    let mut known: Vec<Digest> = leaves.to_vec();
-
-    let get = |known: &[Digest],
-               lo: usize,
-               hi: usize,
-               proof: &RangeProof,
-               layer_idx: u32,
-               idx: usize|
-     -> Option<Digest> {
-        if idx >= lo && idx <= hi {
-            Some(known[idx - lo])
-        } else {
-            proof
-                .nodes
-                .iter()
-                .find(|n| n.layer == layer_idx && n.index as usize == idx)
-                .map(|n| n.hash)
-        }
-    };
+    let mut known: Vec<Digest> = vec![[0u8; 32]; leaves.len() / 2 + 1];
 
     while layer_size > 1 {
-        let parent_size = layer_size.div_ceil(2);
         let parent_lo = lo / 2;
-        let parent_hi = hi / 2;
-        let mut parents: Vec<Digest> = Vec::with_capacity(parent_hi - parent_lo + 1);
-        for p in parent_lo..=parent_hi {
-            let left_idx = p * 2;
-            let right_idx = p * 2 + 1;
-            let left = get(&known, lo, hi, proof, layer_idx, left_idx).ok_or(
-                VerifyError::MissingNode {
+        for p in parent_lo..=hi / 2 {
+            let current: &[Digest] = if layer_idx == 0 { leaves } else { &known };
+            let child = |idx: usize| {
+                if (lo..=hi).contains(&idx) {
+                    return Ok(&current[idx - lo]);
+                }
+                let supplied = |n: &&ProofNode| n.layer == layer_idx && n.index as usize == idx;
+                let node = proof.nodes.iter().find(supplied);
+                node.map(|n| &n.hash).ok_or(VerifyError::MissingNode {
                     layer: layer_idx,
-                    index: left_idx as u32,
-                },
-            )?;
-            if right_idx >= layer_size {
-                // Odd node carried upward unchanged.
-                parents.push(left);
-            } else {
-                let right = get(&known, lo, hi, proof, layer_idx, right_idx).ok_or(
-                    VerifyError::MissingNode {
-                        layer: layer_idx,
-                        index: right_idx as u32,
-                    },
-                )?;
-                parents.push(sha256_pair(&left, &right));
+                    index: idx as u32,
+                })
+            };
+            let left = child(p * 2)?;
+            let parent = if p * 2 + 1 < layer_size {
                 hash_ops += 1;
-            }
+                sha256_pair(left, child(p * 2 + 1)?)
+            } else {
+                // Odd node carried upward unchanged.
+                *left
+            };
+            known[p - parent_lo] = parent;
         }
-        known = parents;
         lo = parent_lo;
-        hi = parent_hi;
-        layer_size = parent_size;
+        hi /= 2;
+        layer_size = layer_size.div_ceil(2);
         layer_idx += 1;
     }
 
     Ok(VerifyOutcome {
-        root: known[0],
+        root: if layer_idx == 0 { leaves[0] } else { known[0] },
         hash_ops,
         leaf_count: proof.leaf_count,
     })

@@ -301,11 +301,14 @@ fn ci_test_filters_each_name_exactly_one_test() {
 }
 
 #[test]
-fn unsafe_code_lives_in_exactly_one_file() {
-    // `vaq-service` went from `forbid(unsafe_code)` to `deny` with a single
-    // `allow` on its `poll` module (four epoll / eventfd declarations). This
-    // restores what `forbid` guaranteed, for the whole repository: outside
-    // test code the keyword occurs in that one file and nowhere else.
+fn unsafe_code_lives_only_in_the_two_reviewed_files() {
+    // Two crates went from `forbid(unsafe_code)` to `deny` with a single
+    // `allow` on one module each: `vaq-service`'s `poll` (four epoll /
+    // eventfd declarations and the calls into them) and `vaq-crypto`'s
+    // `sha_ni` (the call into the SHA-extension kernel once the CPU feature
+    // is detected). This restores what `forbid` guaranteed, for the whole
+    // repository: outside test code the keyword occurs in those two files
+    // and nowhere else.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut found = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -328,5 +331,7 @@ fn unsafe_code_lives_in_exactly_one_file() {
             }
         }
     }
-    assert_eq!(found, [PathBuf::from("crates/service/src/poll.rs")]);
+    found.sort();
+    let reviewed = ["crates/crypto/src/sha_ni.rs", "crates/service/src/poll.rs"];
+    assert_eq!(found, reviewed.map(PathBuf::from));
 }
