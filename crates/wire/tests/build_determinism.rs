@@ -8,7 +8,7 @@
 //! nonce pool is drawn in.
 
 use vaq_authquery::{client, IfmhTree, Query, Server, SigningMode};
-use vaq_crypto::sha256::Digest;
+use vaq_crypto::sha256::{sha256, to_hex, Digest};
 use vaq_crypto::{Signature, SignatureScheme, Signer, Verifier};
 use vaq_wire::WireEncode;
 use vaq_workload::uniform_dataset;
@@ -90,4 +90,178 @@ fn batch_signed_and_one_by_one_signed_trees_answer_with_identical_bytes() {
         }
         assert!(leaf_signatures.len() >= 10, "{name}: queries share leaves");
     }
+}
+
+/// One row of [`RECORDED`]: `(n, d, seed)` of the `uniform_dataset`, the
+/// subdomain count, the IMH root, and per `(mode, epoch)` the SHA-256 of the
+/// wire-encoded `QueryResponse` to a top-k, a range and a KNN query.
+type Recorded = (
+    (usize, usize, u64),
+    usize,
+    &'static str,
+    [[&'static str; 3]; 4],
+);
+
+/// Taken on the commit before the owner build was made proportional to the
+/// arrangement (ISSUE 21), under `SignatureScheme::test_rsa(9)`. The inner
+/// rows are (OneSignature, 0), (OneSignature, 5), (MultiSignature, 0),
+/// (MultiSignature, 5).
+const RECORDED: [Recorded; 4] = [
+    (
+        (64, 1, 1),
+        1,
+        "14eea26526759c97a0d54a631c44887c15e680d7695c04304bef076d5d43d953",
+        [
+            [
+                "60ffdb21858d244d85742a46436dab640edda77e372c3a2a1fdb2aa86c3db56e",
+                "6efdd8ff497d3b9d4ee61a59c2671e6f4f53dc4ff787f268ff09a49922385116",
+                "e6b5bc718b3f8a270b8dbc88428a6f8de4f31257a8e9ca1d012aa42a43e4626f",
+            ],
+            [
+                "076720af717198bba70ff5fec3c3f40f7ffa0e414658ef47790f71855da7b5a0",
+                "16c72e823da74190680ddea5ce002e9e946aed51bf740c41f50836a13f0d3d3c",
+                "79cf5f70be60e3ee4e01f1db56251a7c125cdfda1510606d11329d2b08d85d88",
+            ],
+            [
+                "a5e99b2c50150daec7caddcebe43b7f0e590c8bf6867cfc8823239c20fa2a469",
+                "a278e2d509557e4c0a17eb6bc561f4fec3e23118381335dfb8f1483c7cfc50a5",
+                "f24f3396ccd0624d3108586fea737809096c3fd7dfff77c99004c08671cc4c9f",
+            ],
+            [
+                "5f3c08232bf67530ee8a5c2bc153d140d2eb446344dca97421c74a8e130853d0",
+                "71787c9fbde741f8cc4f6b7590d612a421184baa4055ead3cca07a6fe91c18d4",
+                "ac2b51fc974179c54161d6f8cdc4aede123afe9e5cee4b3ffb03dd0064a4879a",
+            ],
+        ],
+    ),
+    (
+        (40, 2, 7),
+        305,
+        "e1b3e704c96a323331b160c4a631b249a8e588d425d21e08b04189d16c4f4094",
+        [
+            [
+                "20e4d3438f5505927c6c214717898692d5c0350e0a2c4efb0a29fd11f7b520fb",
+                "e3f2472de449316275f3ec5ad5d83552e07fa3f14756a5073ff478c4b5a1e0b0",
+                "8bdfafaca4247dd0ac0b75a30491b63ed96ee53d3ae7099cda0ba2aa8367c27a",
+            ],
+            [
+                "3088d6fb9de074e27f5cc77848f4a2f0f4805998d19211f15f6cf485cab35457",
+                "b4a4acb2fe61dac316749c42f79b79b7de36043dc873d3b3ca6e3b0179f3f30e",
+                "779e6c6d6c26f677116f792d2ed83b90c03a79ca31de3faecb88546d52927ba8",
+            ],
+            [
+                "696a846c8fd64cd5171fb664d0e85e530190b06e1b83c9f9508484d3dbad2eee",
+                "e6173aa56f12ff47ec1b82db443dfc564a1cb7eeeceaef8505eecb0667a969ab",
+                "fc620b4534d2442d033e76dd8b33a012ccb47d86ed19cfe0c1349d50d82033b7",
+            ],
+            [
+                "ea4a1d17ca602dfe21bc5a36bb5dd60c07bd573194e7c5f22ffe0e1e350f34e6",
+                "0ec10e403cf0f54c753a93cca0775ae1388eab978defbf56e0f096a5be6b7ab0",
+                "ea27c90968c791bceca7ae5c8e8c750298b77d7af2265319971ec293ffba958f",
+            ],
+        ],
+    ),
+    (
+        (76, 2, 1),
+        1285,
+        "8af6797d564af7984fff7fe489c9c13f151d68ac25b5673a77e3d4ba4fa894b5",
+        [
+            [
+                "be06b54b01c22ad40f14164d4ee714869ddb209ff4ad4b07b19290fc19b0ad0e",
+                "f7fcaff62371a04725b20b2466fdcc7b5c0fd771f2e78e7ddefc532dec4571f4",
+                "2938b1c0f517ef5c74c9ac11e67d2d43161f7ac4302e0cc6010daa0f379afbab",
+            ],
+            [
+                "7820991159011b57ef0d55e3619ac731bd7f08e10e61a3c9b319cda64ec9c59c",
+                "d31808197800b306a9c48c965cc0bb66cf768d91040fbe362df78328986019e6",
+                "a4bbcc3a41c20ec06226f428cb8e609f544e5bf1548f8025b8919c0d19a38d20",
+            ],
+            [
+                "55c711bb70d62107d27de13fb19cf89d025ad07b1c621eac39b6360dd2a4a9f1",
+                "0b0945463096c76911d7ba0582a7756a8c5533fe387eae28e8dbbe191f19ef78",
+                "0989901e7039b8cf53ca378f35633dfec594cb8d2068e11707eb6b4f3c740984",
+            ],
+            [
+                "50376fc4cfc97e171dafc67a059c61e2785abb2435094184466e70f98487c159",
+                "5f6e3de593c5b14a1c4baa431803e879dd20cde7e4f2bc761107f29266c08058",
+                "fa1a43b777345a0199649c104c73412ab9d3c19380c2f5643ec13dff4f5d1f4b",
+            ],
+        ],
+    ),
+    (
+        (20, 3, 2),
+        4357,
+        "32749a150d7e87b9895fb60c7ce4b31bd589a40b1130440db8d75400783473da",
+        [
+            [
+                "dbedef3ff9a0164b4ea5f93d7598e0bd30e1a38e8b51dd39fc8b3bd5222b42ee",
+                "c6263079fc171950c80728530983b69caa5c593f6db3931b96e136c897071261",
+                "6e1fbfe369eb52c097e881bfc50ea7930acaf94f6294745f871a290857ffadb8",
+            ],
+            [
+                "dc55475f89d75a8fb3ca4e5ac0e3d132515db2cd4c12230968b784a52d61472d",
+                "f1a6071eeb11c16fa8891de41ad92ed79ef9888a6559b37648210125829187b8",
+                "1537830438142e0a64ea787e86640d14db7a80e6a01ca46ca16d02db20256c6d",
+            ],
+            [
+                "4bdad6e1499dcaf00651d40151e6ec78cd89e98aa7c3b771433ea5af288f8092",
+                "78d09879d70723e75981d5f515de907e87d6316fca26eb0261ee1ccf776c7dc5",
+                "8bb7dbc68109d53366d0ce17290ef8815b9ca9449eac9bf553aaef6e6b231187",
+            ],
+            [
+                "e2922254947f946416afb7e70270e3a8e65d9cf69cd0c0bfbd2ea6ec52d6e7ba",
+                "0cbe92822f1b7f927453c1b0d7d6f0696ab3c3d65a84e181209b8dc44b333ace",
+                "f9fee97c52622a4fcd5b142ebff75f15053880a85c7624c3ba47648502618dab",
+            ],
+        ],
+    ),
+];
+
+/// Builds one recorded dataset under both modes and both epochs and reads
+/// off what [`RECORDED`] holds for it.
+fn measure(
+    n: usize,
+    dims: usize,
+    seed: u64,
+) -> ((usize, usize, u64), usize, String, Vec<[String; 3]>) {
+    let scheme = SignatureScheme::test_rsa(9);
+    let dataset = uniform_dataset(n, dims, seed);
+    let w = vec![1.0 / dims as f64; dims];
+    let queries = [
+        Query::top_k(w.clone(), 3),
+        Query::range(w.clone(), 0.2, 0.7),
+        Query::knn(w, 2, 0.5),
+    ];
+    let (mut shapes, mut responses) = (Vec::new(), Vec::new());
+    for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {
+        for epoch in [0u64, 5] {
+            let tree = IfmhTree::build_at_epoch(&dataset, mode, &scheme, epoch);
+            shapes.push((tree.stats().subdomains, to_hex(&tree.root_hash())));
+            let server = Server::new(dataset.clone(), tree);
+            let hash = |q: &Query| to_hex(&sha256(&server.process(q).to_wire_bytes()));
+            responses.push(queries.each_ref().map(hash));
+        }
+    }
+    // Neither the signing mode nor the epoch reaches the arrangement.
+    shapes.dedup();
+    let [(subdomains, root)] = <[_; 1]>::try_from(shapes).expect("one shape per dataset");
+    ((n, dims, seed), subdomains, root, responses)
+}
+
+/// No build-side change may move a root hash, a subdomain count or a
+/// response byte: these were recorded once and are compared across commits,
+/// where every other test in this directory compares two builds of one.
+#[test]
+fn recorded_roots_and_responses_are_unchanged() {
+    // One thread per dataset: the d = 3 row alone is most of the work.
+    let rows: Vec<_> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = RECORDED
+            .iter()
+            .map(|&((n, dims, seed), ..)| scope.spawn(move || measure(n, dims, seed)))
+            .collect();
+        let joined = spawned.into_iter().map(|handle| handle.join());
+        joined.map(|row| row.expect("a build panicked")).collect()
+    });
+    let printed = format!("{rows:#?}");
+    assert_eq!(printed, format!("{RECORDED:#?}"), "actual:\n{printed}");
 }
