@@ -16,14 +16,15 @@ pub struct OwnerStats {
     pub subdomains: usize,
     /// Total nodes in the IMH-tree (intersection + subdomain nodes).
     pub imh_nodes: usize,
-    /// Total nodes across all FMH-trees.
+    /// Distinct nodes across all FMH-trees (a shared subtree counts once).
     pub fmh_nodes: usize,
     /// Number of one-way hash operations performed during construction.
     pub hash_ops: usize,
     /// Number of digital signatures created (1 for one-signature, one per
     /// subdomain for multi-signature, |pairs|·|runs| for the mesh baseline).
     pub signatures: usize,
-    /// Approximate size of the structure in bytes (Fig. 5c).
+    /// Approximate size of the structure in bytes (Fig. 5c), FMH nodes at
+    /// their in-memory size (a digest and two child ids).
     pub structure_bytes: usize,
 }
 

@@ -6,20 +6,22 @@
 //! cargo run --release -p vaq-bench --bin figures -- --fig 7d --scale small
 //! ```
 //!
-//! Figure ids: 5a 5b 5c 6a 6b 6c 6d 7a 7b 7c 7d 8a 8b ablation all
+//! Figure ids: 5a 5b 5c 6a 6b 6c 6d 7a 7b 7c 7d 8a 8b ablation all, and
+//! `scale` — the owner-build scaling curve at its own explicit sizes
+//! (n = 32…256, d = 2), which `all` leaves out.
 
 use vaq_bench::report::{fmt_ms, print_table, to_json};
 use vaq_bench::{
     ablation_split_oracle, fig5_owner, fig6_server_vs_n, fig6d_server_vs_result_len, fig7_user,
-    fig7c_rsa_vs_dsa, fig8a_vo_size_vs_result_len, fig8b_vo_size_vs_n, Scale, ServerQueryKind,
-    DEFAULT_SEED,
+    fig7c_rsa_vs_dsa, fig8a_vo_size_vs_result_len, fig8b_vo_size_vs_n, fitted_exponent,
+    scaling_curve, Scale, ServerQueryKind, DEFAULT_SEED,
 };
 
 struct Args {
     fig: String,
     scale: Scale,
     json: bool,
-    seed: u64,
+    seed: Option<u64>,
 }
 
 fn parse_args() -> Args {
@@ -27,7 +29,7 @@ fn parse_args() -> Args {
         fig: "all".to_string(),
         scale: Scale::Small,
         json: false,
-        seed: DEFAULT_SEED,
+        seed: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -46,15 +48,12 @@ fn parse_args() -> Args {
             }
             "--seed" => {
                 i += 1;
-                args.seed = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(DEFAULT_SEED);
+                args.seed = argv.get(i).and_then(|v| v.parse().ok());
             }
             "--json" => args.json = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig 5a|5b|5c|6a|6b|6c|6d|7a|7b|7c|7d|8a|8b|ablation|all] \
+                    "usage: figures [--fig 5a|5b|5c|6a|6b|6c|6d|7a|7b|7c|7d|8a|8b|ablation|all|scale] \
                      [--scale small|paper] [--seed N] [--json]"
                 );
                 std::process::exit(0);
@@ -77,7 +76,11 @@ fn main() {
     let args = parse_args();
     let fig = args.fig.as_str();
     let scale = args.scale;
-    let seed = args.seed;
+    // The scaling curve is ROADMAP item 5's table, which was taken at seed 1.
+    let scale_curve = fig == "scale";
+    let seed = args
+        .seed
+        .unwrap_or(if scale_curve { 1 } else { DEFAULT_SEED });
 
     println!("# Verifying the Correctness of Analytic Query Results — figure reproduction");
     println!("# scale = {scale:?}, seed = {seed}");
@@ -366,5 +369,56 @@ fn main() {
                     .collect::<Vec<_>>(),
             );
         }
+    }
+
+    // ---- Owner-build scaling curve ------------------------------------------
+    if scale_curve {
+        let rows = scaling_curve(&[32, 64, 128, 256], seed);
+        if args.json {
+            println!("{}", to_json(&rows));
+            return;
+        }
+        print_table(
+            "Owner build vs n (d = 2, one-signature, 256-bit key)",
+            &[
+                "n",
+                "subdomains",
+                "pairs refused",
+                "visits",
+                "LP-decided",
+                "I-tree ms",
+                "forest ms",
+                "build ms",
+                "hash ops",
+                "structure bytes",
+            ],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.n.to_string(),
+                        r.subdomains.to_string(),
+                        r.pairs_refused.to_string(),
+                        r.visits.to_string(),
+                        r.lp_visits.to_string(),
+                        fmt_ms(r.itree_ms),
+                        fmt_ms(r.forest_ms),
+                        fmt_ms(r.build_ms),
+                        r.hash_ops.to_string(),
+                        r.structure_bytes.to_string(),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
+        let fit = |y: fn(&vaq_bench::ScaleRow) -> usize| {
+            let tail = rows.iter().filter(|r| r.n >= 64);
+            fitted_exponent(&tail.map(|r| (r.n as f64, y(r) as f64)).collect::<Vec<_>>())
+        };
+        println!(
+            "fitted exponent in n over n >= 64: subdomains {:.2}, hash ops {:.2}, structure bytes {:.2}",
+            fit(|r| r.subdomains),
+            fit(|r| r.hash_ops),
+            fit(|r| r.structure_bytes),
+        );
     }
 }

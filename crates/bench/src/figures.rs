@@ -20,7 +20,7 @@
 use crate::setup::{probe_weights, range_query_with_result_len, Scale, SchemeSet};
 use serde::Serialize;
 use std::time::Instant;
-use vaq_authquery::{client, IfmhTree, Query, Server, SigningMode};
+use vaq_authquery::{client, vo, IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::sha256::sha256;
 use vaq_crypto::{SignatureScheme, Signer};
 use vaq_funcdb::{LpSplitOracle, SamplingSplitOracle};
@@ -503,6 +503,93 @@ pub fn ablation_split_oracle(scale: Scale, samples: usize, seed: u64) -> Vec<Abl
 }
 
 // ---------------------------------------------------------------------------
+// Owner-build scaling curve (ROADMAP item 5)
+// ---------------------------------------------------------------------------
+
+/// One row of the owner-build scaling curve: a one-signature build over
+/// `uniform_dataset(n, 2, seed)` under a 256-bit key, so signing is nothing.
+#[derive(Clone, Debug, Serialize)]
+pub struct ScaleRow {
+    /// Number of records.
+    pub n: usize,
+    /// Subdomains of the arrangement.
+    pub subdomains: usize,
+    /// Pairs whose hyperplane never enters the domain box.
+    pub pairs_refused: usize,
+    /// I-tree nodes visited across all insertions.
+    pub visits: usize,
+    /// Visits the split oracle (an LP) decided.
+    pub lp_visits: usize,
+    /// The I-tree build alone (ms).
+    pub itree_ms: f64,
+    /// The FMH forest alone, rebuilt from the finished sorted lists (ms).
+    pub forest_ms: f64,
+    /// `IfmhTree::build`, everything included (ms).
+    pub build_ms: f64,
+    /// Hash operations the build performed.
+    pub hash_ops: usize,
+    /// Size of the published structure in bytes.
+    pub structure_bytes: usize,
+}
+
+/// Measures the owner build at each of `sizes` (d = 2).
+pub fn scaling_curve(sizes: &[usize], seed: u64) -> Vec<ScaleRow> {
+    let scheme = SignatureScheme::new_rsa(256, seed);
+    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
+    let row = |&n: &usize| {
+        let dataset = uniform_dataset(n, 2, seed);
+        let t0 = Instant::now();
+        let (_, itree) = ITreeBuilder::new(LpSplitOracle::new())
+            .build_with_stats(&dataset.functions, dataset.domain.clone());
+        let itree_ms = ms(t0);
+        let t0 = Instant::now();
+        let tree = IfmhTree::build(&dataset, SigningMode::OneSignature, &scheme);
+        let build_ms = ms(t0);
+
+        let digests: Vec<_> = dataset.records.iter().map(|r| r.digest()).collect();
+        let t0 = Instant::now();
+        let mut forest = vaq_mht::MerkleForestBuilder::default();
+        let records: Vec<_> = digests.into_iter().map(|d| forest.leaf(d)).collect();
+        let min = forest.leaf(vo::min_sentinel_digest());
+        let max = forest.leaf(vo::max_sentinel_digest());
+        for &leaf in tree.itree().leaf_ids() {
+            let sorted = tree.itree().sorted_list(leaf).iter();
+            let sorted = sorted.map(|id| records[id.index()]);
+            forest.insert(std::iter::once(min).chain(sorted).chain([max]));
+        }
+        std::hint::black_box(forest.finish());
+        let forest_ms = ms(t0);
+
+        ScaleRow {
+            n,
+            subdomains: itree.subdomains,
+            pairs_refused: itree.pairs_refused,
+            visits: itree.nodes_visited,
+            lp_visits: itree.oracle_calls,
+            itree_ms,
+            forest_ms,
+            build_ms,
+            hash_ops: tree.stats().hash_ops,
+            structure_bytes: tree.stats().structure_bytes,
+        }
+    };
+    sizes.iter().map(row).collect()
+}
+
+/// The least-squares exponent `k` of `y ≈ c·nᵏ` over `(n, y)` points.
+pub fn fitted_exponent(points: &[(f64, f64)]) -> f64 {
+    let count = points.len() as f64;
+    let logs = points.iter().map(|(n, y)| (n.ln(), y.ln()));
+    let (mean_x, mean_y) = logs.clone().fold((0.0, 0.0), |(x, y), (lx, ly)| {
+        (x + lx / count, y + ly / count)
+    });
+    let (covariance, variance) = logs.fold((0.0, 0.0), |(c, v), (lx, ly)| {
+        (c + (lx - mean_x) * (ly - mean_y), v + (lx - mean_x).powi(2))
+    });
+    covariance / variance
+}
+
+// ---------------------------------------------------------------------------
 // Timing helpers
 // ---------------------------------------------------------------------------
 
@@ -614,6 +701,18 @@ mod tests {
             // exponentiations.
             assert!(row.mesh_dsa_ms > row.mesh_rsa_ms);
         }
+    }
+
+    #[test]
+    fn scaling_curve_rows_add_up_and_the_fit_recovers_a_power() {
+        let rows = scaling_curve(&[8, 16], 1);
+        assert_eq!(rows.len(), 2);
+        assert!(rows[0].subdomains < rows[1].subdomains);
+        assert!(rows
+            .iter()
+            .all(|r| r.lp_visits <= r.visits && r.hash_ops > r.n));
+        let cubic: Vec<_> = [2.0f64, 4.0, 8.0].map(|n| (n, 5.0 * n.powi(3))).into();
+        assert!((fitted_exponent(&cubic) - 3.0).abs() < 1e-9);
     }
 
     #[test]

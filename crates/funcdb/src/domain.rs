@@ -68,6 +68,18 @@ impl Domain {
             .collect()
     }
 
+    /// The exact range `[min, max]` of `coeffs·x + constant` over the box:
+    /// every term takes its extremes at the box's faces independently.
+    #[inline]
+    pub fn linear_range(&self, coeffs: &[f64], constant: f64) -> (f64, f64) {
+        let (mut min, mut max) = (0.0, 0.0);
+        for (c, (l, u)) in coeffs.iter().zip(self.lower.iter().zip(&self.upper)) {
+            min += (c * l).min(c * u);
+            max += (c * l).max(c * u);
+        }
+        (min + constant, max + constant)
+    }
+
     /// Uniformly samples a point inside the box.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         self.lower

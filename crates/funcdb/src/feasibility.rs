@@ -13,6 +13,10 @@
 //! * [`SamplingSplitOracle`] — Monte-Carlo approximation used by the
 //!   ablation study; cheaper per query but can miss slivers, which the
 //!   ablation bench quantifies.
+//!
+//! [`range_misses`] and [`point_evidence`] are the exact `O(d)` filters the
+//! I-tree build asks first. Both decide only when clear of the oracle's
+//! tolerance by a guard band of [`EPS`](crate::EPS), where a solver agrees.
 
 use crate::subdomain::SubdomainConstraints;
 use rand::rngs::StdRng;
@@ -47,6 +51,83 @@ pub trait SplitOracle {
     fn splits(&self, region: &SubdomainConstraints, coeffs: &[f64], constant: f64) -> bool {
         self.classify(region, coeffs, constant) == SplitDecision::Splits
     }
+
+    /// The magnitude up to which the form counts as touching the hyperplane
+    /// rather than lying on a strict side of it (zero: by sign alone).
+    fn tolerance(&self) -> f64 {
+        0.0
+    }
+
+    /// [`splits`](Self::splits) for a caller that may already hold a point
+    /// of the region strictly above the hyperplane (`Some(true)`) or strictly
+    /// below it (`Some(false)`): only the other side is still in question.
+    fn splits_given(
+        &self,
+        region: &SubdomainConstraints,
+        coeffs: &[f64],
+        constant: f64,
+        _seen_above: Option<bool>,
+    ) -> bool {
+        self.splits(region, coeffs, constant)
+    }
+}
+
+/// What points already known to lie in a convex region prove about a
+/// hyperplane; see [`point_evidence`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PointEvidence {
+    /// Points lie strictly on both sides, so the hyperplane splits the region.
+    Splits,
+    /// The form keeps one sign over the points' bounding box.
+    Misses,
+    /// Undecided. `Some(true)` if a point was seen strictly above,
+    /// `Some(false)` strictly below, `None` if neither.
+    Open(Option<bool>),
+}
+
+/// True if a form whose exact range over a box is `[min, max]` cannot take
+/// both signs beyond `tolerance` anywhere inside the box.
+#[inline]
+pub fn range_misses(min: f64, max: f64, tolerance: f64) -> bool {
+    max <= tolerance - crate::EPS || min >= crate::EPS - tolerance
+}
+
+/// Evaluates `coeffs·x + constant` at `points` (points of the region, laid
+/// end to end) and over their bounding box. [`PointEvidence::Misses`] is
+/// sound only if that box contains the region, as the box of
+/// [`SubdomainConstraints::extreme_points`] does.
+pub fn point_evidence(
+    points: &[f64],
+    coeffs: &[f64],
+    constant: f64,
+    tolerance: f64,
+) -> PointEvidence {
+    if points.is_empty() {
+        return PointEvidence::Open(None);
+    }
+    let d = coeffs.len();
+    let (mut above, mut below) = (false, false);
+    for point in points.chunks_exact(d) {
+        let g = coeffs.iter().zip(point).map(|(c, v)| c * v).sum::<f64>() + constant;
+        above |= g > tolerance + crate::EPS;
+        below |= g < -tolerance - crate::EPS;
+    }
+    if above && below {
+        return PointEvidence::Splits;
+    }
+    let (mut min, mut max) = (constant, constant);
+    for (k, c) in coeffs.iter().enumerate() {
+        let column = points.iter().skip(k).step_by(d);
+        let (lo, hi) = column.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        });
+        min += (c * lo).min(c * hi);
+        max += (c * lo).max(c * hi);
+    }
+    if range_misses(min, max, tolerance) {
+        return PointEvidence::Misses;
+    }
+    PointEvidence::Open(above.then_some(true).or(below.then_some(false)))
 }
 
 /// Exact oracle based on the simplex LP solver.
@@ -90,12 +171,40 @@ impl SplitOracle for LpSplitOracle {
             }
         }
     }
+
+    fn tolerance(&self) -> f64 {
+        self.tolerance
+    }
+
+    /// One solve instead of two: the extremum on the side not yet seen.
+    fn splits_given(
+        &self,
+        region: &SubdomainConstraints,
+        coeffs: &[f64],
+        constant: f64,
+        seen_above: Option<bool>,
+    ) -> bool {
+        let Some(above) = seen_above else {
+            return self.splits(region, coeffs, constant);
+        };
+        let open = region.linear_extreme(coeffs, constant, !above);
+        open.is_some_and(|v| {
+            if above {
+                v < -self.tolerance
+            } else {
+                v > self.tolerance
+            }
+        })
+    }
 }
 
 /// Monte-Carlo oracle: samples points of the region's bounding box, keeps
 /// those inside the region, and looks at the sign of `g` at the survivors.
 ///
-/// Used by the feasibility ablation; may misclassify thin regions.
+/// Used by the feasibility ablation; may misclassify thin regions. The
+/// I-tree build asks it only about the visits its exact filters
+/// ([`range_misses`], [`point_evidence`]) leave open, so the ablation
+/// measures sampling on the undecided cases alone.
 #[derive(Debug)]
 pub struct SamplingSplitOracle {
     samples: usize,

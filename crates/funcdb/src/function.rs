@@ -72,25 +72,28 @@ impl LinearFunction {
     /// vectors (`g(X) = self(X) − other(X)`); the zero set of `g` is the
     /// intersection hyperplane `I_{i,j}` of the paper.
     pub fn difference(&self, other: &LinearFunction) -> (Vec<f64>, f64) {
-        assert_eq!(
-            self.dims(),
-            other.dims(),
-            "dimension mismatch in difference"
-        );
-        let coeffs = self
-            .coeffs
-            .iter()
-            .zip(other.coeffs.iter())
-            .map(|(a, b)| a - b)
-            .collect();
-        (coeffs, self.constant - other.constant)
+        let mut coeffs = Vec::with_capacity(self.dims());
+        let constant = self.difference_into(other, &mut coeffs);
+        (coeffs, constant)
+    }
+
+    /// [`difference`](Self::difference) into a buffer the caller reuses:
+    /// `coeffs` is overwritten, the constant returned.
+    #[inline]
+    pub fn difference_into(&self, other: &LinearFunction, coeffs: &mut Vec<f64>) -> f64 {
+        assert_eq!(self.dims(), other.dims(), "dimension mismatch");
+        coeffs.clear();
+        coeffs.extend(self.coeffs.iter().zip(&other.coeffs).map(|(a, b)| a - b));
+        self.constant - other.constant
     }
 
     /// True if the two functions are identical as affine maps (parallel and
     /// equal); such pairs never intersect transversally.
+    #[inline]
     pub fn same_map(&self, other: &LinearFunction) -> bool {
-        let (coeffs, c) = self.difference(other);
-        coeffs.iter().all(|v| v.abs() < crate::EPS) && c.abs() < crate::EPS
+        assert_eq!(self.dims(), other.dims(), "dimension mismatch");
+        let mut diffs = self.coeffs.iter().zip(&other.coeffs).map(|(a, b)| a - b);
+        diffs.all(|v| v.abs() < crate::EPS) && (self.constant - other.constant).abs() < crate::EPS
     }
 
     /// Canonical byte encoding (id, coefficients, constant) used when the

@@ -38,13 +38,16 @@ pub mod template;
 
 pub use dataset::Dataset;
 pub use domain::Domain;
-pub use feasibility::{LpSplitOracle, SamplingSplitOracle, SplitDecision, SplitOracle};
+pub use feasibility::{
+    point_evidence, range_misses, LpSplitOracle, PointEvidence, SamplingSplitOracle, SplitDecision,
+    SplitOracle,
+};
 pub use function::{FuncId, LinearFunction};
 pub use halfspace::HalfSpace;
 pub use record::Record;
 pub use simplex::{LpOutcome, LpProblem};
 pub use sort::sort_functions_at;
-pub use subdomain::{inequality_set_digest, SubdomainConstraints};
+pub use subdomain::{centroid, inequality_set_digest, SubdomainConstraints};
 pub use template::FunctionTemplate;
 
 /// Numerical tolerance used throughout geometric predicates.

@@ -98,51 +98,46 @@ impl LpProblem {
 
     /// Solves the program.
     pub fn solve(&self) -> LpOutcome {
-        let n = self.objective.len();
+        let rows = self.rows.iter().zip(&self.rhs);
+        let rows = rows.map(|(row, &rhs)| (row.as_slice(), 1.0, rhs));
+        solve_rows(&self.objective, &self.lower, &self.upper, rows)
+    }
+}
 
-        // Shift variables so y = x - lower >= 0; upper bounds become rows.
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.rows.len() + n);
-        let mut rhs: Vec<f64> = Vec::with_capacity(self.rows.len() + n);
-        for (row, &b) in self.rows.iter().zip(self.rhs.iter()) {
-            // row·x <= b  =>  row·y <= b - row·lower
-            let shift: f64 = row.iter().zip(self.lower.iter()).map(|(a, l)| a * l).sum();
-            rows.push(row.clone());
-            rhs.push(b - shift);
+/// Solves `maximize objective·x` subject to `sign · row·x ≤ rhs` for every
+/// `(row, sign, rhs)` (`sign` is ±1) and `lower ≤ x ≤ upper`, reading the
+/// rows where they lie: only the tableau copies them.
+pub(crate) fn solve_rows<'a>(
+    objective: &[f64],
+    lower: &[f64],
+    upper: &[f64],
+    rows: impl Iterator<Item = (&'a [f64], f64, f64)>,
+) -> LpOutcome {
+    // Shift variables so y = x - lower >= 0; upper bounds become rows.
+    let dot_lower = |v: &[f64]| v.iter().zip(lower).map(|(a, l)| a * l).sum::<f64>();
+    let mut signed: Vec<(&[f64], f64)> = Vec::with_capacity(rows.size_hint().0);
+    let mut rhs: Vec<f64> = Vec::with_capacity(rows.size_hint().0 + lower.len());
+    for (row, sign, b) in rows {
+        // row·x <= b  =>  row·y <= b - row·lower
+        signed.push((row, sign));
+        rhs.push(b - sign * dot_lower(row));
+    }
+    for (l, u) in lower.iter().zip(upper) {
+        // y_i <= upper_i - lower_i
+        if u - l < 0.0 {
+            return LpOutcome::Infeasible;
         }
-        for i in 0..n {
-            // y_i <= upper_i - lower_i
-            let mut row = vec![0.0; n];
-            row[i] = 1.0;
-            rows.push(row);
-            let span = self.upper[i] - self.lower[i];
-            if span < 0.0 {
-                return LpOutcome::Infeasible;
-            }
-            rhs.push(span);
-        }
+        rhs.push(u - l);
+    }
 
-        match simplex_standard(&self.objective, &rows, &rhs) {
-            StandardOutcome::Infeasible => LpOutcome::Infeasible,
-            StandardOutcome::Unbounded => LpOutcome::Unbounded,
-            StandardOutcome::Optimal { value, point } => {
-                // Undo the shift.
-                let x: Vec<f64> = point
-                    .iter()
-                    .zip(self.lower.iter())
-                    .map(|(y, l)| y + l)
-                    .collect();
-                let obj_shift: f64 = self
-                    .objective
-                    .iter()
-                    .zip(self.lower.iter())
-                    .map(|(c, l)| c * l)
-                    .sum();
-                LpOutcome::Optimal {
-                    value: value + obj_shift,
-                    point: x,
-                }
-            }
-        }
+    match simplex_standard(objective, &signed, &rhs) {
+        StandardOutcome::Infeasible => LpOutcome::Infeasible,
+        StandardOutcome::Unbounded => LpOutcome::Unbounded,
+        StandardOutcome::Optimal { value, point } => LpOutcome::Optimal {
+            // Undo the shift.
+            value: value + dot_lower(objective),
+            point: point.iter().zip(lower).map(|(y, l)| y + l).collect(),
+        },
     }
 }
 
@@ -153,16 +148,17 @@ enum StandardOutcome {
 }
 
 /// Solves `maximize c·y  s.t.  A y ≤ b, y ≥ 0` (b may be negative) with a
-/// two-phase tableau simplex.
-fn simplex_standard(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> StandardOutcome {
+/// two-phase tableau simplex. `A` is the signed rows `sign · row` followed by
+/// one unit row per variable (the upper bounds), so `b` is `n` longer than
+/// `rows`.
+fn simplex_standard(c: &[f64], rows: &[(&[f64], f64)], b: &[f64]) -> StandardOutcome {
     let n = c.len();
-    let m = a.len();
+    let m = b.len();
 
     // Tableau columns: [ y (n) | slacks (m) | artificials (k) | rhs ].
     // Rows with negative rhs are negated (turning the slack coefficient to
     // -1) and given an artificial variable.
-    let artificial_rows: Vec<usize> = (0..m).filter(|&i| b[i] < 0.0).collect();
-    let k = artificial_rows.len();
+    let k = b.iter().filter(|&&v| v < 0.0).count();
     let total_cols = n + m + k + 1;
     let rhs_col = total_cols - 1;
 
@@ -173,8 +169,13 @@ fn simplex_standard(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> StandardOutcome {
     for i in 0..m {
         let negate = b[i] < 0.0;
         let sign = if negate { -1.0 } else { 1.0 };
-        for j in 0..n {
-            t[i][j] = sign * a[i][j];
+        match rows.get(i) {
+            Some(&(row, row_sign)) => {
+                for (cell, a) in t[i].iter_mut().zip(row) {
+                    *cell = sign * (row_sign * a);
+                }
+            }
+            None => t[i][i - rows.len()] = sign,
         }
         t[i][n + i] = sign; // slack
         t[i][rhs_col] = sign * b[i];

@@ -2,7 +2,7 @@
 
 use crate::domain::Domain;
 use crate::halfspace::HalfSpace;
-use crate::simplex::{LpOutcome, LpProblem};
+use crate::simplex::{solve_rows, LpOutcome};
 use vaq_crypto::sha256::{sha256, Digest, Sha256};
 
 /// The constraint system describing one subdomain.
@@ -51,26 +51,19 @@ impl SubdomainConstraints {
         self.domain.contains(x) && self.halfspaces.iter().all(|h| h.satisfied(x))
     }
 
-    /// Builds the LP `maximize objective·x` over this subdomain.
+    /// Solves `maximize objective·x` over this subdomain, reading the
+    /// half-spaces where they lie.
     ///
     /// Open (`< 0`) constraints are relaxed to their closure — correct for
     /// feasibility/extent questions since the regions are full-dimensional.
-    pub fn lp(&self, objective: Vec<f64>) -> LpProblem {
-        let mut lp = LpProblem::new(
-            objective,
-            self.domain.lower.clone(),
-            self.domain.upper.clone(),
-        );
-        for hs in &self.halfspaces {
-            if hs.non_negative {
-                // coeffs·x + constant >= 0  <=>  coeffs·x >= -constant
-                lp.add_ge(hs.coeffs.clone(), -hs.constant);
-            } else {
-                // coeffs·x + constant < 0   ~>  coeffs·x <= -constant
-                lp.add_le(hs.coeffs.clone(), -hs.constant);
-            }
-        }
-        lp
+    pub fn maximize(&self, objective: &[f64]) -> LpOutcome {
+        // coeffs·x + constant >= 0  <=>  -coeffs·x <= constant
+        // coeffs·x + constant < 0   ~>   coeffs·x <= -constant
+        let rows = self.halfspaces.iter().map(|hs| {
+            let sign = if hs.non_negative { -1.0 } else { 1.0 };
+            (hs.coeffs.as_slice(), sign, -sign * hs.constant)
+        });
+        solve_rows(objective, &self.domain.lower, &self.domain.upper, rows)
     }
 
     /// True if the subdomain is non-empty (has at least one feasible point,
@@ -79,8 +72,7 @@ impl SubdomainConstraints {
         if self.dims() == 1 {
             return self.interval_1d().is_some();
         }
-        let zero_obj = vec![0.0; self.dims()];
-        self.lp(zero_obj).solve().is_feasible()
+        self.maximize(&vec![0.0; self.dims()]).is_feasible()
     }
 
     /// Fast path for univariate subdomains: the feasible set is an interval.
@@ -121,58 +113,54 @@ impl SubdomainConstraints {
         }
     }
 
+    /// The maximiser and the minimiser of every coordinate over the
+    /// subdomain, `2d` points of `d` coordinates laid end to end (the two
+    /// interval ends at `d = 1`), or `None` if the subdomain is empty. All of
+    /// them lie in the region, and their bounding box is the region's own.
+    pub fn extreme_points(&self) -> Option<Vec<f64>> {
+        let d = self.dims();
+        if d == 1 {
+            return self.interval_1d().map(|(lo, hi)| vec![lo, hi]);
+        }
+        let mut points = Vec::with_capacity(2 * d * d);
+        let mut obj = vec![0.0; d];
+        for i in 0..d {
+            for sign in [1.0, -1.0] {
+                obj[i] = sign;
+                points.extend_from_slice(self.maximize(&obj).point()?);
+            }
+            obj[i] = 0.0;
+        }
+        Some(points)
+    }
+
     /// Finds a witness point inside the subdomain, preferring a point away
     /// from the constraint boundaries (an approximate Chebyshev-style
     /// interior point obtained by averaging the maximizer and minimizer of
     /// each coordinate).
     pub fn witness_point(&self) -> Option<Vec<f64>> {
-        let d = self.dims();
-        if d == 1 {
-            return self.interval_1d().map(|(lo, hi)| vec![(lo + hi) / 2.0]);
+        Some(centroid(&self.extreme_points()?, self.dims()))
+    }
+
+    /// The maximum (or minimum) of the linear form `coeffs·x + constant`
+    /// over the subdomain, or `None` if the subdomain is empty.
+    pub fn linear_extreme(&self, coeffs: &[f64], constant: f64, maximum: bool) -> Option<f64> {
+        if self.dims() == 1 {
+            let (lo, hi) = self.interval_1d()?;
+            let a = coeffs[0];
+            let (v1, v2) = (a * lo + constant, a * hi + constant);
+            return Some(if maximum { v1.max(v2) } else { v1.min(v2) });
         }
-        let mut acc = vec![0.0; d];
-        let mut count = 0.0;
-        for i in 0..d {
-            for sign in [1.0, -1.0] {
-                let mut obj = vec![0.0; d];
-                obj[i] = sign;
-                match self.lp(obj).solve() {
-                    LpOutcome::Optimal { point, .. } => {
-                        for (a, p) in acc.iter_mut().zip(point.iter()) {
-                            *a += p;
-                        }
-                        count += 1.0;
-                    }
-                    LpOutcome::Unbounded => return None,
-                    LpOutcome::Infeasible => return None,
-                }
-            }
-        }
-        if count == 0.0 {
-            return None;
-        }
-        Some(acc.into_iter().map(|v| v / count).collect())
+        let sign = if maximum { 1.0 } else { -1.0 };
+        let objective: Vec<f64> = coeffs.iter().map(|v| sign * v).collect();
+        Some(sign * self.maximize(&objective).value()? + constant)
     }
 
     /// The range `[min, max]` of the linear form `coeffs·x + constant` over
     /// the subdomain, or `None` if the subdomain is empty.
     pub fn linear_range(&self, coeffs: &[f64], constant: f64) -> Option<(f64, f64)> {
-        if self.dims() == 1 {
-            let (lo, hi) = self.interval_1d()?;
-            let a = coeffs[0];
-            let (v1, v2) = (a * lo + constant, a * hi + constant);
-            return Some((v1.min(v2), v1.max(v2)));
-        }
-        let max = match self.lp(coeffs.to_vec()).solve() {
-            LpOutcome::Optimal { value, .. } => value + constant,
-            _ => return None,
-        };
-        let neg: Vec<f64> = coeffs.iter().map(|v| -v).collect();
-        let min = match self.lp(neg).solve() {
-            LpOutcome::Optimal { value, .. } => -value + constant,
-            _ => return None,
-        };
-        Some((min, max))
+        let max = self.linear_extreme(coeffs, constant, true)?;
+        Some((self.linear_extreme(coeffs, constant, false)?, max))
     }
 
     /// Canonical byte encoding of the constraint system (domain + ordered
@@ -199,6 +187,19 @@ impl SubdomainConstraints {
     pub fn inequality_digest(&self) -> Digest {
         inequality_set_digest(&self.halfspaces)
     }
+}
+
+/// The mean of `points`, which holds points of `dims` coordinates laid end
+/// to end (the layout of [`SubdomainConstraints::extreme_points`]).
+pub fn centroid(points: &[f64], dims: usize) -> Vec<f64> {
+    let count = (points.len() / dims) as f64;
+    let mut acc = vec![0.0; dims];
+    for point in points.chunks_exact(dims) {
+        for (a, p) in acc.iter_mut().zip(point) {
+            *a += p;
+        }
+    }
+    acc.into_iter().map(|v| v / count).collect()
 }
 
 /// Digest of an ordered set of half-spaces.

@@ -14,7 +14,7 @@ impl NodeId {
 }
 
 /// A node of the I-tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Node {
     /// An internal node recording that functions `pair.0` and `pair.1`
     /// intersect inside this node's region. The *above* child covers

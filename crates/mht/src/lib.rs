@@ -13,6 +13,10 @@
 //! * [`MerkleTree::build`] — construct the tree from leaf digests,
 //! * [`MerkleTree::prove_range`] — produce a [`RangeProof`] that a
 //!   contiguous run of leaves belongs to the tree,
+//! * [`MerkleForestBuilder`] / [`MerkleForest`] — many trees over lists that
+//!   mostly agree (the sorted lists of adjacent subdomains differ by one
+//!   transposition), sharing every subtree they have in common; a
+//!   [`ForestTree`] answers what a [`MerkleTree`] does, node for node,
 //! * [`verify_range`] — recompute the root from the claimed leaves plus the
 //!   proof, counting hash invocations so clients can account for their
 //!   verification cost exactly as the paper's Fig. 7 does.
@@ -20,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
 use vaq_crypto::sha256::{sha256_multi, sha256_pair, Digest};
 
 /// Binds a root digest to its tree's leaf count.
@@ -226,6 +231,216 @@ impl MerkleTree {
         RangeProof {
             nodes,
             leaf_count: self.leaf_count() as u32,
+        }
+    }
+
+    /// Produces a membership proof for a single leaf.
+    pub fn prove_leaf(&self, index: usize) -> RangeProof {
+        self.prove_range(index, index)
+    }
+}
+
+/// One node of a [`MerkleForest`]: a digest and, for a hashed pair, the
+/// arena ids of its two children (unused in a leaf).
+#[derive(Clone, Copy, Debug)]
+struct ForestNode {
+    hash: Digest,
+    left: u32,
+    right: u32,
+}
+
+/// The handle of a leaf digest interned by [`MerkleForestBuilder::leaf`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LeafId(u32);
+
+/// The handle of one tree of a [`MerkleForest`]: its root node and its
+/// leaf count, which fixes its shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TreeId {
+    root: u32,
+    leaf_count: u32,
+}
+
+/// Many Merkle trees in one arena of hash-consed nodes: a subtree that two
+/// trees have in common is hashed and stored once. Immutable; built by
+/// [`MerkleForestBuilder`].
+#[derive(Clone, Debug, Default)]
+pub struct MerkleForest {
+    nodes: Vec<ForestNode>,
+    /// Number of `H(a|b)` invocations performed while building.
+    pub build_hash_ops: usize,
+}
+
+/// Builds a [`MerkleForest`] tree by tree, interning leaves by digest and
+/// interior nodes by their pair of children.
+#[derive(Debug, Default)]
+pub struct MerkleForestBuilder {
+    forest: MerkleForest,
+    leaves: HashMap<Digest, u32>,
+    pairs: HashMap<(u32, u32), u32>,
+}
+
+impl MerkleForestBuilder {
+    /// Interns a leaf digest. Lists are handed to [`insert`](Self::insert)
+    /// as these handles, so a digest that appears in every list is looked
+    /// up once, not once per list.
+    pub fn leaf(&mut self, digest: Digest) -> LeafId {
+        let forest = &mut self.forest;
+        LeafId(*(self.leaves.entry(digest)).or_insert_with(|| forest.push(digest, 0, 0)))
+    }
+
+    /// Adds the tree over `leaves`, built bottom-up with the odd node of a
+    /// layer carried unchanged exactly as [`MerkleTree::build`] does it.
+    ///
+    /// Panics if `leaves` is empty.
+    pub fn insert(&mut self, leaves: impl IntoIterator<Item = LeafId>) -> TreeId {
+        let forest = &mut self.forest;
+        let mut layer: Vec<u32> = leaves.into_iter().map(|leaf| leaf.0).collect();
+        assert!(!layer.is_empty(), "Merkle tree needs at least one leaf");
+        let leaf_count = layer.len() as u32;
+        while layer.len() > 1 {
+            // Parent `p` overwrites slot `p`, at or before its own children.
+            let len = layer.len();
+            for p in 0..len / 2 {
+                let (left, right) = (layer[2 * p], layer[2 * p + 1]);
+                layer[p] = *self.pairs.entry((left, right)).or_insert_with(|| {
+                    forest.build_hash_ops += 1;
+                    let children = (&forest.nodes[left as usize], &forest.nodes[right as usize]);
+                    forest.push(sha256_pair(&children.0.hash, &children.1.hash), left, right)
+                });
+            }
+            if len % 2 == 1 {
+                layer[len / 2] = layer[len - 1];
+            }
+            layer.truncate(len.div_ceil(2));
+        }
+        TreeId {
+            root: layer[0],
+            leaf_count,
+        }
+    }
+
+    /// Drops the interning tables and returns the forest.
+    pub fn finish(self) -> MerkleForest {
+        self.forest
+    }
+}
+
+impl MerkleForest {
+    fn push(&mut self, hash: Digest, left: u32, right: u32) -> u32 {
+        self.nodes.push(ForestNode { hash, left, right });
+        self.nodes.len() as u32 - 1
+    }
+
+    /// The tree `id` names. `id` must come from this forest's builder.
+    pub fn tree(&self, id: TreeId) -> ForestTree<'_> {
+        ForestTree { forest: self, id }
+    }
+
+    /// Number of distinct nodes across all trees.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// In-memory size in bytes: a digest and two child ids a node.
+    pub fn byte_size(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<ForestNode>()
+    }
+}
+
+/// One tree of a [`MerkleForest`], answering what a [`MerkleTree`] over the
+/// same leaves answers.
+#[derive(Clone, Copy, Debug)]
+pub struct ForestTree<'a> {
+    forest: &'a MerkleForest,
+    id: TreeId,
+}
+
+impl ForestTree<'_> {
+    /// The root digest.
+    pub fn root(&self) -> Digest {
+        self.forest.nodes[self.id.root as usize].hash
+    }
+
+    /// Number of leaves.
+    pub fn leaf_count(&self) -> usize {
+        self.id.leaf_count as usize
+    }
+
+    /// Number of layers (including the leaf layer).
+    pub fn height(&self) -> usize {
+        1 + self.leaf_count().next_power_of_two().trailing_zeros() as usize
+    }
+
+    /// Leaf digest at `index`.
+    pub fn leaf(&self, index: usize) -> Digest {
+        assert!(index < self.leaf_count(), "leaf index out of range");
+        let (node, _) = self.descend(index, index, |_, _, _| {});
+        self.forest.nodes[node as usize].hash
+    }
+
+    /// Walks from the root to leaves `lo` and `hi` at once and returns their
+    /// arena ids. On the way, top down, `visit(layer, size, parents)` sees
+    /// each layer below the root's, its node count, and the two paths' nodes
+    /// one layer up.
+    fn descend(
+        &self,
+        lo: usize,
+        hi: usize,
+        mut visit: impl FnMut(usize, usize, [&ForestNode; 2]),
+    ) -> (u32, u32) {
+        let nodes = &self.forest.nodes;
+        let (mut lo_node, mut hi_node) = (self.id.root, self.id.root);
+        for layer in (0..self.height() - 1).rev() {
+            let size = self.leaf_count().div_ceil(1 << layer);
+            visit(
+                layer,
+                size,
+                [lo_node, hi_node].map(|id| &nodes[id as usize]),
+            );
+            // A last node with no partner was carried up unchanged: its
+            // parent is the same arena node.
+            let child = |parent: u32, index: usize| match (index % 2, index + 1 == size) {
+                (0, true) => parent,
+                (0, false) => nodes[parent as usize].left,
+                _ => nodes[parent as usize].right,
+            };
+            lo_node = child(lo_node, lo >> layer);
+            hi_node = child(hi_node, hi >> layer);
+        }
+        (lo_node, hi_node)
+    }
+
+    /// Produces a proof that leaves `lo..=hi` belong to this tree, equal
+    /// node for node to [`MerkleTree::prove_range`], in one descent along
+    /// the two boundary paths.
+    ///
+    /// Panics if the range is empty or out of bounds.
+    pub fn prove_range(&self, lo: usize, hi: usize) -> RangeProof {
+        assert!(lo <= hi, "empty range");
+        assert!(hi < self.leaf_count(), "leaf index out of range");
+        let mut proof = Vec::with_capacity(2 * self.height());
+        self.descend(lo, hi, |layer, size, [lo_parent, hi_parent]| {
+            let mut sibling = |index: usize, node: u32| {
+                proof.push(ProofNode {
+                    layer: layer as u32,
+                    index: index as u32,
+                    hash: self.forest.nodes[node as usize].hash,
+                })
+            };
+            // Top down and right before left here, reversed below.
+            let (lo_index, hi_index) = (lo >> layer, hi >> layer);
+            if hi_index % 2 == 0 && hi_index + 1 < size {
+                sibling(hi_index + 1, hi_parent.right);
+            }
+            if lo_index % 2 == 1 {
+                sibling(lo_index - 1, lo_parent.left);
+            }
+        });
+        proof.reverse();
+        RangeProof {
+            nodes: proof,
+            leaf_count: self.id.leaf_count,
         }
     }
 
@@ -453,6 +668,99 @@ mod tests {
         let proof = t.prove_range(10, 20);
         assert_eq!(proof.byte_size(), 4 + proof.nodes.len() * 40);
         assert!(t.byte_size() >= 64 * 32);
+    }
+
+    /// Interns `digests` and adds the tree over them.
+    fn insert(builder: &mut MerkleForestBuilder, digests: Vec<Digest>) -> TreeId {
+        let ids: Vec<LeafId> = digests.into_iter().map(|d| builder.leaf(d)).collect();
+        builder.insert(ids)
+    }
+
+    /// Asserts that `view` answers everything `tree` does, for the given
+    /// ranges.
+    fn assert_same_tree(view: ForestTree<'_>, tree: &MerkleTree, ranges: &[(usize, usize)]) {
+        let n = tree.leaf_count();
+        assert_eq!(view.root(), tree.root(), "n = {n}");
+        assert_eq!((view.leaf_count(), view.height()), (n, tree.height()));
+        for &(lo, hi) in ranges {
+            assert_eq!(view.leaf(lo), tree.leaf(lo), "n = {n}, leaf {lo}");
+            let proof = view.prove_range(lo, hi);
+            assert_eq!(proof, tree.prove_range(lo, hi), "n = {n}, {lo}..={hi}");
+        }
+        assert_eq!(view.prove_leaf(n / 2), tree.prove_leaf(n / 2), "n = {n}");
+    }
+
+    #[test]
+    fn forest_trees_equal_merkle_trees_node_for_node() {
+        // One forest for every size: the lists are prefixes of one another,
+        // so the trees share subtrees across sizes as well.
+        let mut builder = MerkleForestBuilder::default();
+        let sizes: Vec<usize> = (1..=40).chain([4098]).collect();
+        let ids: Vec<TreeId> = sizes
+            .iter()
+            .map(|&n| insert(&mut builder, leaves(n)))
+            .collect();
+        let forest = builder.finish();
+        for (&n, &id) in sizes.iter().zip(&ids) {
+            let every = (0..n).flat_map(|lo| (lo..n).map(move |hi| (lo, hi)));
+            // At 4,098 (two carried layers): both ends, the carried tail
+            // and a stride of interior windows of every width class.
+            let sampled = (0..n).step_by(97).flat_map(|lo| {
+                let widths = [0, 1, 2, 63, 64, 1000, n];
+                widths.map(move |w| (lo, (lo + w).min(n - 1)))
+            });
+            let tail = (n.saturating_sub(6)..n).map(|lo| (lo, n - 1));
+            let ranges: Vec<_> = match n <= 40 {
+                true => every.collect(),
+                false => sampled.chain(tail).collect(),
+            };
+            assert_same_tree(forest.tree(id), &MerkleTree::build(leaves(n)), &ranges);
+        }
+        // Hashes performed and nodes stored are those of the largest tree
+        // alone plus what the carried tails of the smaller ones add.
+        let largest = MerkleTree::build(leaves(4098));
+        assert!(forest.build_hash_ops >= largest.build_hash_ops);
+        assert!(forest.build_hash_ops < largest.build_hash_ops + 41 * 6);
+        assert_eq!(forest.byte_size(), forest.node_count() * 40);
+    }
+
+    #[test]
+    fn one_tree_in_a_forest_costs_what_a_merkle_tree_costs() {
+        for n in [1usize, 2, 3, 7, 258] {
+            let mut builder = MerkleForestBuilder::default();
+            insert(&mut builder, leaves(n));
+            let (forest, tree) = (builder.finish(), MerkleTree::build(leaves(n)));
+            assert_eq!(forest.build_hash_ops, tree.build_hash_ops);
+            // A carried node is one node in the arena, one per layer there.
+            assert_eq!(forest.node_count(), 2 * n - 1);
+            assert!(forest.node_count() <= tree.node_count());
+        }
+    }
+
+    #[test]
+    fn lists_one_adjacent_transposition_apart_share_all_but_two_paths() {
+        let n = 258;
+        let base = leaves(n);
+        let mut builder = MerkleForestBuilder::default();
+        let id = insert(&mut builder, base.clone());
+        let height = MerkleTree::build(base.clone()).height();
+        for at in [0, 1, 2, 63, 64, 127, 128, 200, 255, 256] {
+            let before = builder.forest.node_count();
+            let hashes = builder.forest.build_hash_ops;
+            let mut swapped = base.clone();
+            swapped.swap(at, at + 1);
+            let other = insert(&mut builder, swapped.clone());
+            let added = builder.forest.node_count() - before;
+            assert!((1..=2 * height).contains(&added), "{added} nodes at {at}");
+            assert_eq!(builder.forest.build_hash_ops - hashes, added);
+            // Inserting either list again adds nothing and names the same tree.
+            let again = (
+                insert(&mut builder, swapped),
+                insert(&mut builder, base.clone()),
+            );
+            assert_eq!(again, (other, id));
+            assert_eq!(builder.forest.node_count(), before + added);
+        }
     }
 
     proptest::proptest! {

@@ -187,12 +187,11 @@ impl ShardedDeployment {
             // signature a client sees is identical across the primary and
             // its standbys by construction (and the owner pays the
             // LP-oracle pass and the signatures once, not once per
-            // replica).
+            // replica). `repeat_n` moves the build itself into the last.
             let tree = IfmhTree::build_at_epoch(shard_dataset, mode, scheme, epoch);
-            for _replica in 0..=standby_count {
+            for tree in std::iter::repeat_n(tree, 1 + standby_count) {
                 let config = base_config.clone().shard_role(role);
-                let service =
-                    QueryService::bind(config, Server::new(shard_dataset.clone(), tree.clone()))?;
+                let service = QueryService::bind(config, Server::new(shard_dataset.clone(), tree))?;
                 replica_addrs.push(service.local_addr());
                 replicas.push(service);
             }
@@ -264,13 +263,17 @@ impl ShardedDeployment {
         for (shard_id, shard_dataset) in shards.iter().enumerate() {
             let scheme = &self.schemes[shard_id];
             let primary = self.primaries[shard_id].iter();
-            let replicas = primary.chain(self.standbys[shard_id].iter());
-            // One rebuild per shard, cloned into every replica — this keeps
-            // the rollout window (during which stale-epoch rejections are
-            // served) as short as the owner can make it.
+            let replicas: Vec<_> = primary.chain(self.standbys[shard_id].iter()).collect();
+            // One rebuild per shard, cloned into every replica but the last,
+            // which takes the build itself — this keeps the rollout window
+            // (during which stale-epoch rejections are served) as short as
+            // the owner can make it.
             let tree = IfmhTree::build_at_epoch(shard_dataset, self.mode, scheme, epoch);
-            for service in replicas {
-                service.republish(Server::new(shard_dataset.clone(), tree.clone()))?;
+            for (service, tree) in replicas
+                .iter()
+                .zip(std::iter::repeat_n(tree, replicas.len()))
+            {
+                service.republish(Server::new(shard_dataset.clone(), tree))?;
             }
         }
         self.push_shard_map(&shard_map)?;
