@@ -315,7 +315,7 @@ mod tests {
     fn arrangement(seed: u64) -> (Vec<LinearFunction>, Domain) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dims = 1 + (seed % 3) as usize;
-        let n: usize = rng.gen_range(2..=[24, 12, 7][dims - 1]);
+        let n: usize = rng.gen_range(2..=[24, 10, 6][dims - 1]);
         let grid = seed.is_multiple_of(2);
         let value = |rng: &mut StdRng, lo: f64, hi: f64| match grid {
             true => lo + (hi - lo) * rng.gen_range(0..=4u32) as f64 / 4.0,
