@@ -1,7 +1,7 @@
 //! Known-answer and cross-consistency tests for the cryptographic substrate.
 
 use vaq_crypto::sha256::{sha256, to_hex, Sha256};
-use vaq_crypto::{BigUint, Signature, SignatureScheme, Signer};
+use vaq_crypto::{BigUint, PublicKey, Signature, SignatureScheme, Signer};
 
 /// NIST / de-facto standard SHA-256 vectors beyond the ones in the unit
 /// tests (covering multi-block messages and byte-at-a-time feeding).
@@ -140,5 +140,55 @@ fn rsa_keys_and_signatures_match_the_recorded_vectors() {
             }
         }
         assert_eq!(to_hex(&sha256(&all)), expected, "RSA-{bits}, seed {seed}");
+    }
+}
+
+/// DSA pinned the same way: for each `(p bits, q bits, seed)` the key's
+/// `p`, `q`, `g`, `y` and the 20 pooled signatures of
+/// `sha256(i.to_le_bytes())`, concatenated and hashed. Key generation,
+/// the verify tables and the nonce pool all run through the Montgomery
+/// arithmetic; these were recorded before it moved to 64-bit limbs.
+#[test]
+fn dsa_keys_and_signatures_match_the_recorded_vectors() {
+    let recorded = [
+        (
+            512,
+            160,
+            314159,
+            "709891b4e56b8178084c0068e3ad0e660abf777f228369be3b0a74cebb5980db",
+        ),
+        (
+            160,
+            64,
+            1,
+            "e0b8341764ddfc0f37d1a1f34c86f5df740acca1ebd30112ca885297541ed9b1",
+        ),
+        (
+            160,
+            64,
+            2,
+            "40e39931087856b908ce6bb9e0ad08ed0136d053e208f3a1859ea257c1f12d1a",
+        ),
+    ];
+    for (p_bits, q_bits, seed, expected) in recorded {
+        let scheme = SignatureScheme::new_dsa(p_bits, q_bits, seed);
+        let PublicKey::Dsa(key) = scheme.public_key() else {
+            unreachable!("a DSA scheme has a DSA key")
+        };
+        let mut all = Vec::new();
+        for value in [&key.p, &key.q, &key.g, &key.y] {
+            all.extend_from_slice(&value.to_bytes_be());
+        }
+        for i in 0..20u64 {
+            let digest = sha256(&i.to_le_bytes());
+            let Signature::Dsa(sig) = scheme.sign_digest(&digest) else {
+                unreachable!("a DSA scheme signs with DSA")
+            };
+            assert!(key.verify(&digest, &sig), "DSA-{p_bits}, seed {seed}, {i}");
+            all.extend_from_slice(&sig.r.to_bytes_be());
+            all.extend_from_slice(&sig.s.to_bytes_be());
+        }
+        let got = to_hex(&sha256(&all));
+        assert_eq!(got, expected, "DSA-{p_bits}/{q_bits}, seed {seed}");
     }
 }
