@@ -8,13 +8,13 @@
 //! `unsafe`.
 //!
 //! Division is word-level (Knuth's algorithm D, one quotient limb per
-//! step). It sits under every reduction in the crate — the Montgomery
-//! context's `R mod n` and `R² mod n`, digest encoding, `mul_mod` in
-//! Miller–Rabin, `mod_inverse` — so its cost is a floor under signing,
-//! verification and key generation alike. The bit-at-a-time division it
-//! replaced survives under `#[cfg(test)]` as the reference a differential
-//! suite holds it equal to, and hand-built vectors (with a test-only
-//! counter) show that the rare correction and add-back steps execute.
+//! step). It sits under the reductions the Montgomery arithmetic does not
+//! do — a context's `R mod n` and `R² mod n`, `mul_mod` in Miller–Rabin,
+//! `mod_inverse` — so its cost is a floor under key generation. The
+//! bit-at-a-time division it replaced survives under `#[cfg(test)]` as the
+//! reference a differential suite holds it equal to, and hand-built vectors
+//! (with a test-only counter) show that the rare correction and add-back
+//! steps execute.
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -472,22 +472,17 @@ impl BigUint {
 
     /// Modular exponentiation.
     ///
-    /// Odd multi-limb moduli (every RSA modulus and DSA prime in this
-    /// workspace) go through the windowed Montgomery fast path
-    /// ([`crate::montgomery::MontgomeryContext`]); everything else falls
-    /// back to the crate-private schoolbook `mod_pow_legacy`. The two paths are
+    /// Odd moduli (every RSA modulus, CRT half and DSA prime in this
+    /// workspace, down to one limb) go through the windowed Montgomery fast
+    /// path ([`crate::montgomery::MontgomeryContext`]); even ones fall back
+    /// to the crate-private schoolbook `mod_pow_legacy`. The two paths are
     /// property-tested equivalent.
     pub fn mod_pow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
-        if modulus.is_one() {
-            return BigUint::zero();
+        match crate::montgomery::MontgomeryContext::new(modulus) {
+            Some(ctx) => ctx.mod_pow(self, exponent),
+            None => self.mod_pow_legacy(exponent, modulus),
         }
-        if modulus.limbs.len() > 1 && !modulus.is_even() {
-            if let Some(ctx) = crate::montgomery::MontgomeryContext::new(modulus) {
-                return ctx.mod_pow(self, exponent);
-            }
-        }
-        self.mod_pow_legacy(exponent, modulus)
     }
 
     /// Modular exponentiation by plain LSB-first square-and-multiply, with
@@ -495,7 +490,7 @@ impl BigUint {
     ///
     /// This is the pre-Montgomery implementation, kept (and exercised by
     /// property tests) as the reference the fast path must agree with, and
-    /// as the fallback for even or single-limb moduli.
+    /// as the fallback for even moduli and the modulus one.
     pub(crate) fn mod_pow_legacy(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
         if modulus.is_one() {

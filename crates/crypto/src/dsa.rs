@@ -249,9 +249,8 @@ impl DsaPublicKey {
             // Fast path: both exponentiations are fixed-base table walks in
             // the Montgomery domain; the product never leaves the domain.
             Some(t) => {
-                let gu1 = t.g_table.pow_mont(&t.ctx, &u1);
-                let yu2 = t.y_table.pow_mont(&t.ctx, &u2);
-                t.ctx.from_mont(&t.ctx.mont_mul(&gu1, &yu2)).rem(&self.q)
+                let factors = [(&t.g_table, &u1), (&t.y_table, &u2)];
+                FixedBaseTable::pow_product(&t.ctx, &factors).rem(&self.q)
             }
             None => self
                 .g

@@ -1,25 +1,26 @@
-//! Montgomery-form modular arithmetic: the engine behind the hot-path
-//! [`BigUint::mod_pow`](crate::bignum::BigUint::mod_pow).
+//! Montgomery-form modular arithmetic on 64-bit limbs: the engine behind
+//! [`BigUint::mod_pow`](crate::bignum::BigUint::mod_pow), RSA and DSA.
 //!
-//! The legacy exponentiation reduces every product by long division — a
-//! double-width product and a quotient it throws away, per multiply. A
-//! [`MontgomeryContext`] fixes an odd modulus `n` up front (two divisions,
-//! for `R mod n` and `R² mod n`) and replaces each reduction with a CIOS
-//! (coarsely-integrated operand scanning) Montgomery multiplication: one
-//! fused multiply-reduce pass over the limbs with no division at all.
+//! A [`MontgomeryContext`] fixes an odd modulus `n` of `k` 64-bit limbs up
+//! front (two divisions, for `R mod n` and `R² mod n`, `R = 2^(64k)`) and
+//! replaces every reduction with a Montgomery multiplication (Montgomery
+//! 1985) in the CIOS form of Koç, Acar & Kaliski (1996): per limb of one
+//! operand, add it times the other and the multiple of `n` that clears the
+//! low limb, in one inner loop that writes each limb one place down —
+//! `u128` products, one conditional subtraction at the end, no division.
+//! [`BigUint`] keeps its `u32` limbs: an exponentiation converts on entry
+//! and on exit and runs in one scratch buffer ([`with_scratch`]), on the
+//! stack up to 1,024-bit moduli, so no multiplication allocates.
+//!
 //! Exponentiation walks the exponent in 4-bit windows over a 16-entry
-//! powers table — or, when the exponent fits one limb (RSA's public
-//! exponent), by plain square-and-multiply, since building the table would
-//! cost more than the whole exponentiation. [`FixedBaseTable`] goes
-//! further for bases that are reused across many exponentiations (the DSA
-//! generator `g`, the public key `y`, and the signing pool's `g^k`
-//! precomputation): all powers `base^(d·16^j)` are materialized once,
-//! after which an exponentiation is just one table lookup and one multiply
-//! per 4 exponent bits — no squarings on the hot path.
+//! powers table — or, when it fits one `u32` limb (RSA's public exponent),
+//! in 1-bit windows: plain square-and-multiply, since a table would cost
+//! more than the whole exponentiation. [`FixedBaseTable`] materializes all
+//! powers `base^(d·16^j)` of a reused base (DSA's `g` and `y`, the signing
+//! pool's `g^k`) once, leaving one multiply per 4 exponent bits.
 //!
 //! This file is on vaq-lint's panic-path hot list: no `unwrap`/`expect`/
-//! `panic!` and no direct slice indexing outside tests. Out-of-range inputs
-//! degrade to the (slower, equivalent) generic path instead of panicking.
+//! `panic!` and no direct slice indexing outside tests.
 
 use crate::bignum::BigUint;
 
@@ -27,87 +28,76 @@ use crate::bignum::BigUint;
 const WINDOW_BITS: usize = 4;
 /// Entries per window table (`2^WINDOW_BITS`).
 const WINDOW_SIZE: usize = 1 << WINDOW_BITS;
+/// Limbs of stack scratch: a window table, an accumulator and a product
+/// for a 1,024-bit (16-limb) modulus, the widest any caller here uses.
+const STACK_LIMBS: usize = (WINDOW_SIZE + 2) * 16;
+
+/// Runs `f` on `len` zeroed limbs: on the stack when they fit
+/// [`STACK_LIMBS`], on the heap past it — the same code either way.
+pub(crate) fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
+    let mut stack = [0u64; STACK_LIMBS];
+    match stack.get_mut(..len) {
+        Some(scratch) => f(scratch),
+        None => f(&mut vec![0; len]),
+    }
+}
+
+/// `x` as little-endian `u64` limbs into `out`, zero above; `x` must fit.
+fn load(x: &BigUint, out: &mut [u64]) {
+    out.fill(0);
+    for (limb, pair) in out.iter_mut().zip(x.limbs().chunks(2)) {
+        *limb = pair.iter().rfold(0, |a, &h| a << 32 | u64::from(h));
+    }
+}
+
+/// Big-endian `bytes` as little-endian `u64` limbs into `out`, zero above.
+pub(crate) fn load_be(bytes: &[u8], out: &mut [u64]) {
+    out.fill(0);
+    for (limb, chunk) in out.iter_mut().zip(bytes.rchunks(8)) {
+        *limb = chunk.iter().fold(0, |acc, &b| acc << 8 | u64::from(b));
+    }
+}
+
+/// The integer `limbs` holds, as a [`BigUint`].
+pub(crate) fn to_biguint(limbs: &[u64]) -> BigUint {
+    let halves = limbs.iter().flat_map(|&l| [l as u32, (l >> 32) as u32]);
+    BigUint::from_limbs(halves.collect())
+}
+
+/// Big-endian bytes of `limbs` without leading zeros (zero is one `0x00`):
+/// [`BigUint::to_bytes_be`] of the same integer.
+pub(crate) fn to_bytes_be(limbs: &[u64]) -> Vec<u8> {
+    let bytes = limbs.iter().rev().flat_map(|l| l.to_be_bytes());
+    let mut out = Vec::with_capacity(8 * limbs.len());
+    out.extend(bytes.skip_while(|&b| b == 0));
+    if out.is_empty() {
+        out.push(0);
+    }
+    out
+}
+
+/// The `w`-th `bits`-bit window of `e` (LSB-first window order).
+fn window_digit(e: &BigUint, w: usize, bits: usize) -> usize {
+    let first = w * bits;
+    (0..bits).map(|b| usize::from(e.bit(first + b)) << b).sum()
+}
 
 /// Precomputed Montgomery-domain state for one odd modulus.
 #[derive(Clone, Debug)]
 pub struct MontgomeryContext {
     /// Modulus limbs, little-endian, exactly `k` limbs.
-    n: Vec<u32>,
+    n: Vec<u64>,
     /// The modulus as a [`BigUint`] (for reductions and fallbacks).
     modulus: BigUint,
-    /// `-n^{-1} mod 2^32`, the per-limb reduction factor.
-    n0inv: u32,
-    /// `R^2 mod n` where `R = 2^(32k)`; multiplying by it converts into the
+    /// `-n^{-1} mod 2^64`, the per-limb reduction factor.
+    n0inv: u64,
+    /// `R^2 mod n` where `R = 2^(64k)`; multiplying by it converts into the
     /// Montgomery domain.
-    r2: Vec<u32>,
+    r2: Vec<u64>,
     /// `R mod n`: the Montgomery representation of 1.
-    one: Vec<u32>,
+    one: Vec<u64>,
     /// The plain integer 1, padded to `k` limbs (for leaving the domain).
-    int_one: Vec<u32>,
-    /// Limb count of the modulus.
-    k: usize,
-}
-
-/// `x * ys` accumulated into `t` (little-endian), with the carry rippled
-/// through the tail of `t`. Requires `t.len() >= ys.len() + 1` with enough
-/// headroom for the final carry (guaranteed by the `k + 2`-limb scratch).
-fn addmul(t: &mut [u32], x: u32, ys: &[u32]) {
-    if x == 0 {
-        return;
-    }
-    let (lo, hi) = t.split_at_mut(ys.len().min(t.len()));
-    let mut carry = 0u64;
-    for (tj, &yj) in lo.iter_mut().zip(ys) {
-        let cur = *tj as u64 + (x as u64) * (yj as u64) + carry;
-        *tj = cur as u32;
-        carry = cur >> 32;
-    }
-    for tj in hi.iter_mut() {
-        if carry == 0 {
-            break;
-        }
-        let cur = *tj as u64 + carry;
-        *tj = cur as u32;
-        carry = cur >> 32;
-    }
-}
-
-/// `a < b` over equal-length little-endian limb slices.
-fn limbs_lt(a: &[u32], b: &[u32]) -> bool {
-    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-        if x != y {
-            return x < y;
-        }
-    }
-    false
-}
-
-/// `a -= b` over equal-length little-endian limb slices (wrapping, i.e. the
-/// final borrow — if any — is discarded; callers arrange for it to cancel an
-/// implicit high limb).
-fn limbs_sub_assign(a: &mut [u32], b: &[u32]) {
-    let mut borrow = 0i64;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let d = *x as i64 - y as i64 - borrow;
-        if d < 0 {
-            *x = (d + (1i64 << 32)) as u32;
-            borrow = 1;
-        } else {
-            *x = d as u32;
-            borrow = 0;
-        }
-    }
-}
-
-/// The `w`-th 4-bit window of `e` (LSB-first window order).
-fn window_digit(e: &BigUint, w: usize) -> usize {
-    let mut d = 0usize;
-    for b in 0..WINDOW_BITS {
-        if e.bit(w * WINDOW_BITS + b) {
-            d |= 1 << b;
-        }
-    }
-    d
+    int_one: Vec<u64>,
 }
 
 impl MontgomeryContext {
@@ -117,37 +107,28 @@ impl MontgomeryContext {
         if modulus.is_zero() || modulus.is_one() || modulus.is_even() {
             return None;
         }
-        let n: Vec<u32> = modulus.limbs().to_vec();
-        let k = n.len();
+        let k = modulus.limbs().len().div_ceil(2);
+        let limbs = |x: &BigUint| {
+            let mut out = vec![0; k];
+            load(x, &mut out);
+            out
+        };
+        let n = limbs(modulus);
         let n0 = n.first().copied()?;
-        // Newton's iteration doubles correct low bits each round: five
-        // rounds from 1 gives the full 32-bit inverse of the odd n0.
-        let mut inv: u32 = 1;
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u32.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        let n0inv = inv.wrapping_neg();
-
+        // Newton's iteration doubles the correct low bits each round: six
+        // rounds from 1 give the full 64-bit inverse of the odd n0.
+        let inv = (0..6).fold(1u64, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)))
+        });
         // R mod n and R^2 mod n via the (one-off) generic reduction.
-        let r = BigUint::one().shl(32 * k).rem(modulus);
-        let r2_int = r.mul(&r).rem(modulus);
-        let mut one = r.limbs().to_vec();
-        one.resize(k, 0);
-        let mut r2 = r2_int.limbs().to_vec();
-        r2.resize(k, 0);
-        let mut int_one = vec![0u32; k];
-        if let Some(low) = int_one.first_mut() {
-            *low = 1;
-        }
-
+        let r = BigUint::one().shl(64 * k).rem(modulus);
         Some(MontgomeryContext {
+            n0inv: inv.wrapping_neg(),
+            r2: limbs(&r.mul(&r).rem(modulus)),
+            one: limbs(&r),
+            int_one: limbs(&BigUint::one()),
             n,
             modulus: modulus.clone(),
-            n0inv,
-            r2,
-            one,
-            int_one,
-            k,
         })
     }
 
@@ -156,95 +137,181 @@ impl MontgomeryContext {
         &self.modulus
     }
 
-    /// CIOS Montgomery multiplication: for `k`-limb inputs `a, b < n`,
-    /// returns `a · b · R^{-1} mod n` as `k` limbs.
-    pub(crate) fn mont_mul(&self, a: &[u32], b: &[u32]) -> Vec<u32> {
-        let mut t = vec![0u32; self.k + 2];
+    /// Limb count `k` of the modulus.
+    pub(crate) fn limbs(&self) -> usize {
+        self.n.len()
+    }
+
+    /// True if the `k`-limb `x` is below `n`.
+    pub(crate) fn is_reduced(&self, x: &[u64]) -> bool {
+        x.iter().rev().lt(self.n.iter().rev())
+    }
+
+    /// CIOS Montgomery multiplication: `out ← a · b · W^(−a.len()) mod n`
+    /// (`W = 2^64`) for `b < n` and an `a` of any length, `out` being `k`
+    /// limbs. Each step adds `aᵢ·b` and the multiple `m·n` that clears the
+    /// low limb in one pass, writing each limb one place down; the sum
+    /// stays below `2n`, so one conditional subtraction normalizes it. With
+    /// `a` of `k` limbs this is `a · b · R⁻¹ mod n`.
+    pub(crate) fn mont_mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        out.fill(0);
+        let mut top = 0u64;
         for &ai in a {
-            addmul(&mut t, ai, b);
-            let m = t.first().copied().unwrap_or(0).wrapping_mul(self.n0inv);
-            addmul(&mut t, m, &self.n);
-            // t is now divisible by 2^32: drop the zero low limb.
-            t.rotate_left(1);
-            if let Some(last) = t.last_mut() {
-                *last = 0;
-            }
-        }
-        // t < 2n: one conditional subtraction normalizes into [0, n).
-        let (lo, hi) = t.split_at_mut(self.k);
-        let high = hi.first().copied().unwrap_or(0);
-        if high != 0 || !limbs_lt(lo, &self.n) {
-            limbs_sub_assign(lo, &self.n);
-        }
-        t.truncate(self.k);
-        t
-    }
-
-    /// Converts `x` into the Montgomery domain (reducing it mod `n` first).
-    pub(crate) fn to_mont(&self, x: &BigUint) -> Vec<u32> {
-        let mut reduced = x.rem(&self.modulus).limbs().to_vec();
-        reduced.resize(self.k, 0);
-        self.mont_mul(&reduced, &self.r2)
-    }
-
-    /// Converts a Montgomery-domain value back to a plain [`BigUint`].
-    /// Named for symmetry with [`Self::to_mont`]; it is a domain
-    /// conversion, not a constructor.
-    #[allow(clippy::wrong_self_convention)]
-    pub(crate) fn from_mont(&self, a: &[u32]) -> BigUint {
-        BigUint::from_limbs(self.mont_mul(a, &self.int_one))
-    }
-
-    /// `base^exponent mod n` by Montgomery exponentiation: 4-bit windows
-    /// for a multi-limb exponent, plain square-and-multiply for one that
-    /// fits a limb.
-    pub fn mod_pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        if exponent.is_zero() {
-            return BigUint::one();
-        }
-        let base_m = self.to_mont(base);
-        if let [e] = exponent.limbs() {
-            // The window table costs 14 multiplications to build — more
-            // than a whole exponentiation by a one-limb exponent of low
-            // weight (RSA's e = 65537: 16 squarings + 1 multiply). Walk
-            // the bits below the leading one, left to right.
-            let mut acc = base_m.clone();
-            for bit in (0..e.checked_ilog2().unwrap_or(0)).rev() {
-                acc = self.mont_mul(&acc, &acc);
-                if (e >> bit) & 1 == 1 {
-                    acc = self.mont_mul(&acc, &base_m);
-                }
-            }
-            return self.from_mont(&acc);
-        }
-        // table[d] = base^d in the Montgomery domain, d in 0..16.
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(WINDOW_SIZE);
-        table.push(self.one.clone());
-        table.push(base_m.clone());
-        for _ in 2..WINDOW_SIZE {
-            let next = match table.last() {
-                Some(prev) => self.mont_mul(prev, &base_m),
-                None => break,
+            let mut limbs = out.iter_mut().zip(b.iter().zip(&self.n));
+            let Some((t0, (&b0, &n0))) = limbs.next() else {
+                return;
             };
-            table.push(next);
+            let s = u128::from(*t0) + u128::from(ai) * u128::from(b0);
+            let m = (s as u64).wrapping_mul(self.n0inv);
+            let mut carry = (s >> 64) as u64;
+            let r = u128::from(s as u64) + u128::from(m) * u128::from(n0);
+            let mut carry_n = (r >> 64) as u64;
+            let mut prev = t0;
+            for (t, (&bj, &nj)) in limbs {
+                let s = u128::from(*t) + u128::from(ai) * u128::from(bj) + u128::from(carry);
+                carry = (s >> 64) as u64;
+                let r = u128::from(s as u64) + u128::from(m) * u128::from(nj) + u128::from(carry_n);
+                carry_n = (r >> 64) as u64;
+                *prev = r as u64;
+                prev = t;
+            }
+            let s = u128::from(top) + u128::from(carry) + u128::from(carry_n);
+            *prev = s as u64;
+            top = (s >> 64) as u64;
         }
+        self.subtract_if_not_reduced(out, top);
+    }
 
-        let windows = exponent.bits().div_ceil(WINDOW_BITS);
-        let mut acc = self.one.clone();
-        for w in (0..windows).rev() {
-            if w + 1 != windows {
-                for _ in 0..WINDOW_BITS {
-                    acc = self.mont_mul(&acc, &acc);
-                }
+    /// `t ← t − n` unless `top · R + t < n`: brings a value below `2n` into
+    /// `[0, n)`.
+    fn subtract_if_not_reduced(&self, t: &mut [u64], top: u64) {
+        if top == 0 && self.is_reduced(t) {
+            return;
+        }
+        let mut borrow = false;
+        for (x, &y) in t.iter_mut().zip(&self.n) {
+            let (d, b1) = x.overflowing_sub(y);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *x = d;
+            borrow = b1 | b2;
+        }
+    }
+
+    /// `a ← a + b mod n` for `a, b < n`.
+    pub(crate) fn add_mod(&self, a: &mut [u64], b: &[u64]) {
+        let mut carry = false;
+        for (x, &y) in a.iter_mut().zip(b) {
+            let (s, c1) = x.overflowing_add(y);
+            let (s, c2) = s.overflowing_add(u64::from(carry));
+            *x = s;
+            carry = c1 | c2;
+        }
+        self.subtract_if_not_reduced(a, u64::from(carry));
+    }
+
+    /// `acc ← acc · b · R⁻¹ mod n`, through the product buffer `t`.
+    fn mul_assign(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        self.mont_mul(acc, b, t);
+        acc.copy_from_slice(t);
+    }
+
+    /// `acc ← acc² · R⁻¹ mod n`, through the product buffer `t`.
+    fn square(&self, acc: &mut [u64], t: &mut [u64]) {
+        self.mont_mul(acc, acc, t);
+        acc.copy_from_slice(t);
+    }
+
+    /// `out ← x · R^e mod n` for an `x` of any width: CIOS over `x`
+    /// zero-padded to `j` whole widths of `k` limbs, against `R^(j+e) mod n`,
+    /// divides by `R^j` and leaves exactly that. `e = 0` reduces `x`, `e = 1`
+    /// carries it into the domain.
+    pub(crate) fn reduce(&self, x: &[u64], e: usize, out: &mut [u64]) {
+        let k = self.limbs();
+        let j = x.len().div_ceil(k).max(1);
+        with_scratch((j + 1) * k, |scratch| {
+            let (padded, factor) = scratch.split_at_mut(j * k);
+            padded.iter_mut().zip(x).for_each(|(p, &v)| *p = v);
+            // R^(j+e) mod n: R itself, or R² times R per further width.
+            factor.copy_from_slice(if j + e == 1 { &self.one } else { &self.r2 });
+            for _ in 2..j + e {
+                self.mul_assign(factor, &self.r2, out);
             }
-            let d = window_digit(exponent, w);
-            if d != 0 {
-                if let Some(entry) = table.get(d) {
-                    acc = self.mont_mul(&acc, entry);
-                }
+            self.mont_mul(padded, factor, out);
+        })
+    }
+
+    /// `x · R mod n`: `x` carried into the Montgomery domain.
+    pub(crate) fn to_mont(&self, x: &BigUint) -> Vec<u64> {
+        let mut out = vec![0; self.limbs()];
+        let width = x.limbs().len().div_ceil(2);
+        with_scratch(width, |limbs| {
+            load(x, limbs);
+            self.reduce(limbs, 1, &mut out);
+        });
+        out
+    }
+
+    /// `row ← base^d` for every `k`-limb entry `d` of `row`, in the domain.
+    fn fill_powers(&self, row: &mut [u64], base: &[u64]) {
+        let k = self.limbs();
+        for d in 0..row.len() / k {
+            let (done, rest) = row.split_at_mut(d * k);
+            let Some(entry) = rest.get_mut(..k) else {
+                return;
+            };
+            match (d, done.chunks_exact(k).last()) {
+                (0, _) | (_, None) => entry.copy_from_slice(&self.one),
+                (1, _) => entry.copy_from_slice(base),
+                (_, Some(prev)) => self.mont_mul(prev, base, entry),
             }
         }
-        self.from_mont(&acc)
+    }
+
+    /// `out ← base^exponent mod n` into the low `k` limbs of `out`, for a
+    /// `base` of any width, left to right over the exponent's windows: 4
+    /// bits for a multi-limb exponent, 1 for one that fits a `u32` limb —
+    /// a 16-entry table costs more than a whole exponentiation by a short
+    /// exponent of low weight (RSA's e = 65537: 16 squarings, 1 multiply).
+    pub(crate) fn pow_limbs(&self, base: &[u64], exponent: &BigUint, out: &mut [u64]) {
+        let k = self.limbs();
+        let short = exponent.limbs().len() == 1;
+        let bits = if short { 1 } else { WINDOW_BITS };
+        with_scratch(((1 << bits) + 2) * k, |scratch| {
+            let (acc, rest) = scratch.split_at_mut(k);
+            let (t, table) = rest.split_at_mut(k);
+            self.reduce(base, 1, t);
+            self.fill_powers(table, t);
+            // The first nonzero window starts the accumulator.
+            acc.copy_from_slice(&self.one);
+            let mut started = false;
+            for w in (0..exponent.bits().div_ceil(bits)).rev() {
+                if started {
+                    for _ in 0..bits {
+                        self.square(acc, t);
+                    }
+                }
+                let d = window_digit(exponent, w, bits);
+                match table.chunks_exact(k).nth(d).filter(|_| d != 0) {
+                    Some(entry) if started => self.mul_assign(acc, entry, t),
+                    Some(entry) => acc.copy_from_slice(entry),
+                    None => {}
+                }
+                started |= d != 0;
+            }
+            self.mont_mul(acc, &self.int_one, t);
+            out.iter_mut().zip(t.iter()).for_each(|(o, &v)| *o = v);
+        })
+    }
+
+    /// `base^exponent mod n` by Montgomery exponentiation.
+    pub fn mod_pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        let width = base.limbs().len().div_ceil(2);
+        with_scratch(width + self.limbs(), |scratch| {
+            let (limbs, out) = scratch.split_at_mut(width);
+            load(base, limbs);
+            self.pow_limbs(limbs, exponent, out);
+            to_biguint(out)
+        })
     }
 }
 
@@ -256,9 +323,11 @@ impl MontgomeryContext {
 /// and for `g^k` in the signing pool's nonce precomputation.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
-    /// `windows[j]` holds `base^(d · 16^j)` for `d` in `0..16`, all in the
-    /// Montgomery domain.
-    windows: Vec<Vec<Vec<u32>>>,
+    /// Level `j`'s entries `base^(d · 16^j)` for `d` in `0..16`, `k` limbs
+    /// each in the Montgomery domain, levels laid end to end.
+    powers: Vec<u64>,
+    /// Number of 4-bit levels.
+    levels: usize,
     /// The base itself, for the out-of-range fallback.
     base: BigUint,
 }
@@ -266,58 +335,65 @@ pub struct FixedBaseTable {
 impl FixedBaseTable {
     /// Precomputes tables covering exponents up to `max_exp_bits` bits.
     pub fn new(ctx: &MontgomeryContext, base: &BigUint, max_exp_bits: usize) -> Self {
+        let k = ctx.limbs();
         let levels = max_exp_bits.div_ceil(WINDOW_BITS).max(1);
-        let mut windows = Vec::with_capacity(levels);
-        // level_base = base^(16^j), advanced by 4 squarings per level.
-        let mut level_base = ctx.to_mont(base);
-        for _ in 0..levels {
-            let mut row: Vec<Vec<u32>> = Vec::with_capacity(WINDOW_SIZE);
-            row.push(ctx.one.clone());
-            row.push(level_base.clone());
-            for _ in 2..WINDOW_SIZE {
-                let next = match row.last() {
-                    Some(prev) => ctx.mont_mul(prev, &level_base),
-                    None => break,
-                };
-                row.push(next);
+        let mut powers = vec![0; levels * WINDOW_SIZE * k];
+        // level_base = base^(16^j): the level's top entry times its base.
+        let (mut level_base, mut next) = (ctx.to_mont(base), vec![0; k]);
+        for row in powers.chunks_exact_mut(WINDOW_SIZE * k) {
+            ctx.fill_powers(row, &level_base);
+            if let Some(top) = row.chunks_exact(k).last() {
+                ctx.mont_mul(top, &level_base, &mut next);
             }
-            for _ in 0..WINDOW_BITS {
-                level_base = ctx.mont_mul(&level_base, &level_base);
-            }
-            windows.push(row);
+            level_base.copy_from_slice(&next);
         }
         FixedBaseTable {
-            windows,
+            powers,
+            levels,
             base: base.clone(),
         }
     }
 
     /// Number of exponent bits the precomputation covers.
     pub fn max_exp_bits(&self) -> usize {
-        self.windows.len() * WINDOW_BITS
+        self.levels * WINDOW_BITS
     }
 
-    /// `base^exponent` in the Montgomery domain. Exponents beyond the
-    /// precomputed range fall back to the generic windowed path.
-    pub(crate) fn pow_mont(&self, ctx: &MontgomeryContext, exponent: &BigUint) -> Vec<u32> {
+    /// `acc ← acc · base^exponent` in the Montgomery domain, `t` the product
+    /// buffer. Exponents beyond the precomputed range fall back to the
+    /// generic windowed path.
+    fn mul_pow(&self, ctx: &MontgomeryContext, exponent: &BigUint, acc: &mut [u64], t: &mut [u64]) {
         if exponent.bits() > self.max_exp_bits() {
-            return ctx.to_mont(&ctx.mod_pow(&self.base, exponent));
+            let power = ctx.to_mont(&ctx.mod_pow(&self.base, exponent));
+            return ctx.mul_assign(acc, &power, t);
         }
-        let mut acc = ctx.one.clone();
-        for (j, row) in self.windows.iter().enumerate() {
-            let d = window_digit(exponent, j);
-            if d != 0 {
-                if let Some(entry) = row.get(d) {
-                    acc = ctx.mont_mul(&acc, entry);
-                }
+        let k = ctx.limbs();
+        for (j, row) in self.powers.chunks_exact(WINDOW_SIZE * k).enumerate() {
+            let d = window_digit(exponent, j, WINDOW_BITS);
+            if let Some(entry) = row.chunks_exact(k).nth(d).filter(|_| d != 0) {
+                ctx.mul_assign(acc, entry, t);
             }
         }
-        acc
+    }
+
+    /// `∏ baseᵢ^exponentᵢ mod n` over tables built on `ctx`, multiplied
+    /// together without leaving the Montgomery domain — DSA's `g^u1 · y^u2`.
+    pub(crate) fn pow_product(ctx: &MontgomeryContext, factors: &[(&Self, &BigUint)]) -> BigUint {
+        let k = ctx.limbs();
+        with_scratch(2 * k, |scratch| {
+            let (acc, t) = scratch.split_at_mut(k);
+            acc.copy_from_slice(&ctx.one);
+            for (table, exponent) in factors {
+                table.mul_pow(ctx, exponent, acc, t);
+            }
+            ctx.mont_mul(acc, &ctx.int_one, t);
+            to_biguint(t)
+        })
     }
 
     /// `base^exponent mod n` as a plain [`BigUint`].
     pub fn pow(&self, ctx: &MontgomeryContext, exponent: &BigUint) -> BigUint {
-        ctx.from_mont(&self.pow_mont(ctx, exponent))
+        Self::pow_product(ctx, &[(self, exponent)])
     }
 }
 
@@ -329,6 +405,22 @@ mod tests {
 
     fn big(v: u64) -> BigUint {
         BigUint::from_u64(v)
+    }
+
+    /// A `bits`-wide odd modulus with its top bit set.
+    fn odd_modulus(rng: &mut StdRng, bits: usize) -> BigUint {
+        let m = BigUint::random_exact_bits(rng, bits);
+        match m.is_even() {
+            true => m.add(&BigUint::one()),
+            false => m,
+        }
+    }
+
+    /// `a · R mod n` back out of the domain, as an integer.
+    fn leave(ctx: &MontgomeryContext, a: &[u64]) -> BigUint {
+        let mut out = vec![0; ctx.limbs()];
+        ctx.mont_mul(a, &ctx.int_one, &mut out);
+        to_biguint(&out)
     }
 
     #[test]
@@ -357,10 +449,7 @@ mod tests {
     fn matches_legacy_on_random_wide_operands() {
         let mut rng = StdRng::seed_from_u64(42);
         for bits in [33usize, 64, 96, 160, 256, 512] {
-            let mut m = BigUint::random_exact_bits(&mut rng, bits);
-            if m.is_even() {
-                m = m.add(&BigUint::one());
-            }
+            let m = odd_modulus(&mut rng, bits);
             let ctx = MontgomeryContext::new(&m).expect("odd modulus");
             for _ in 0..4 {
                 let base = BigUint::random_bits(&mut rng, bits + 17);
@@ -370,6 +459,95 @@ mod tests {
                     base.mod_pow_legacy(&exp, &m),
                     "bits={bits}"
                 );
+            }
+        }
+    }
+
+    /// Moduli of every `u64` limb count 1..=16, each in three shapes: top
+    /// bit set (`64k` bits), top limb holding 33 bits (33, 97, 161, …: two
+    /// `u32` limbs per `u64` limb, top bit clear) and top limb holding 17
+    /// bits (17, 81, 145, …: an odd number of `u32` limbs, so the two
+    /// layouts differ), plus `2^64k − 59`-style moduli whose every limb is
+    /// all ones, where sums reach past `R` and the final subtraction runs.
+    /// Bases below, at and above the modulus — up to three times its
+    /// width — and exponents 0, 1, every one-limb width and multi-limb.
+    #[test]
+    fn mod_pow_matches_legacy_for_every_limb_count() {
+        let mut rng = StdRng::seed_from_u64(0x64_11b5);
+        for k in 1..=16usize {
+            let mut moduli: Vec<BigUint> = [64 * k, 64 * k - 31, 64 * k - 47]
+                .map(|bits| odd_modulus(&mut rng, bits))
+                .to_vec();
+            moduli.push(BigUint::one().shl(64 * k).sub(&big(59)));
+            for m in moduli {
+                let ctx = MontgomeryContext::new(&m).expect("odd modulus");
+                assert_eq!(ctx.limbs(), k, "{m}");
+                let bits = m.bits();
+                let exponents: Vec<BigUint> = (0..=32usize)
+                    .chain([33, 64, 97])
+                    .map(|w| match w {
+                        0 => BigUint::zero(),
+                        w => BigUint::random_exact_bits(&mut rng, w),
+                    })
+                    .chain([big(1), big(u32::MAX.into())])
+                    .collect();
+                for (i, exp) in exponents.into_iter().enumerate() {
+                    let base = match i % 4 {
+                        0 => BigUint::random_below(&mut rng, &m),
+                        1 => m.add(&big(i as u64)),
+                        2 => BigUint::random_bits(&mut rng, bits + 40),
+                        _ => BigUint::random_bits(&mut rng, 3 * bits + 5),
+                    };
+                    assert_eq!(
+                        ctx.mod_pow(&base, &exp),
+                        base.mod_pow_legacy(&exp, &m),
+                        "{bits}-bit modulus {m}, exponent {exp}, base {base}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_matches_rem_for_any_width() {
+        let mut rng = StdRng::seed_from_u64(0x7ed);
+        for bits in [17usize, 33, 64, 97, 128, 512, 1024] {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = MontgomeryContext::new(&m).expect("odd modulus");
+            let k = ctx.limbs();
+            for width in 0..=4 * k {
+                let mut x: Vec<u64> = (0..width).map(|_| rand::Rng::gen(&mut rng)).collect();
+                if width % 3 == 0 {
+                    x.fill(u64::MAX);
+                }
+                let mut out = vec![0; k];
+                ctx.reduce(&x, 0, &mut out);
+                assert_eq!(
+                    to_biguint(&out),
+                    to_biguint(&x).rem(&m),
+                    "{bits} bits, {width} limbs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn moduli_wider_than_1024_bits_take_the_heap_scratch() {
+        let mut rng = StdRng::seed_from_u64(2048);
+        for bits in [1025usize, 1088, 2048] {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = MontgomeryContext::new(&m).expect("odd modulus");
+            assert!((WINDOW_SIZE + 2) * ctx.limbs() > STACK_LIMBS, "{bits} bits");
+            let base = BigUint::random_bits(&mut rng, bits + 9);
+            for exp in [big(65537), BigUint::random_exact_bits(&mut rng, 40)] {
+                let want = base.mod_pow_legacy(&exp, &m);
+                assert_eq!(
+                    ctx.mod_pow(&base, &exp),
+                    want,
+                    "{bits} bits, exponent {exp}"
+                );
+                let table = FixedBaseTable::new(&ctx, &base, 40);
+                assert_eq!(table.pow(&ctx, &exp), want, "{bits} bits, table");
             }
         }
     }
@@ -399,29 +577,32 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..20 {
             let x = BigUint::random_below(&mut rng, &m);
-            let back = ctx.from_mont(&ctx.to_mont(&x));
-            assert_eq!(back, x);
+            assert_eq!(leave(&ctx, &ctx.to_mont(&x)), x);
         }
     }
 
     #[test]
     fn fixed_base_table_matches_generic_path() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut m = BigUint::random_exact_bits(&mut rng, 200);
-        if m.is_even() {
-            m = m.add(&BigUint::one());
+        for bits in [17usize, 33, 64, 97, 200, 512] {
+            let m = odd_modulus(&mut rng, bits);
+            let ctx = MontgomeryContext::new(&m).unwrap();
+            let base = BigUint::random_below(&mut rng, &m);
+            let table = FixedBaseTable::new(&ctx, &base, 96);
+            for _ in 0..10 {
+                let exp = BigUint::random_bits(&mut rng, 96);
+                assert_eq!(
+                    table.pow(&ctx, &exp),
+                    ctx.mod_pow(&base, &exp),
+                    "{bits} bits"
+                );
+            }
+            // Exponent beyond the covered range uses the fallback.
+            let wide = BigUint::random_bits(&mut rng, 160);
+            assert_eq!(table.pow(&ctx, &wide), ctx.mod_pow(&base, &wide));
+            assert_eq!(table.pow(&ctx, &BigUint::zero()), BigUint::one());
+            assert_eq!(table.max_exp_bits(), 96);
         }
-        let ctx = MontgomeryContext::new(&m).unwrap();
-        let base = BigUint::random_below(&mut rng, &m);
-        let table = FixedBaseTable::new(&ctx, &base, 96);
-        for _ in 0..10 {
-            let exp = BigUint::random_bits(&mut rng, 96);
-            assert_eq!(table.pow(&ctx, &exp), ctx.mod_pow(&base, &exp));
-        }
-        // Exponent beyond the covered range uses the fallback.
-        let wide = BigUint::random_bits(&mut rng, 160);
-        assert_eq!(table.pow(&ctx, &wide), ctx.mod_pow(&base, &wide));
-        assert_eq!(table.max_exp_bits(), 96);
     }
 
     #[test]
@@ -429,10 +610,7 @@ mod tests {
         // g^a · y^b mod n assembled from two tables without leaving the
         // domain — the exact shape of the DSA verify fast path.
         let mut rng = StdRng::seed_from_u64(13);
-        let mut m = BigUint::random_exact_bits(&mut rng, 128);
-        if m.is_even() {
-            m = m.add(&BigUint::one());
-        }
+        let m = odd_modulus(&mut rng, 128);
         let ctx = MontgomeryContext::new(&m).unwrap();
         let g = BigUint::random_below(&mut rng, &m);
         let y = BigUint::random_below(&mut rng, &m);
@@ -440,7 +618,7 @@ mod tests {
         let ty = FixedBaseTable::new(&ctx, &y, 64);
         let a = BigUint::random_bits(&mut rng, 64);
         let b = BigUint::random_bits(&mut rng, 64);
-        let fast = ctx.from_mont(&ctx.mont_mul(&tg.pow_mont(&ctx, &a), &ty.pow_mont(&ctx, &b)));
+        let fast = FixedBaseTable::pow_product(&ctx, &[(&tg, &a), (&ty, &b)]);
         let slow = g
             .mod_pow_legacy(&a, &m)
             .mul_mod(&y.mod_pow_legacy(&b, &m), &m);
@@ -453,10 +631,7 @@ mod tests {
         // 33 bits is the first width back on the window table.
         let mut rng = StdRng::seed_from_u64(65537);
         for bits in [64usize, 160, 512, 1024] {
-            let mut m = BigUint::random_exact_bits(&mut rng, bits);
-            if m.is_even() {
-                m = m.add(&BigUint::one());
-            }
+            let m = odd_modulus(&mut rng, bits);
             let ctx = MontgomeryContext::new(&m).expect("odd modulus");
             let base = BigUint::random_bits(&mut rng, bits + 5);
             let widths = (1..=33).map(|w| BigUint::random_exact_bits(&mut rng, w));
@@ -469,6 +644,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn byte_and_limb_conversions_round_trip() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for bits in [1usize, 8, 63, 64, 65, 127, 1000] {
+            let x = BigUint::random_exact_bits(&mut rng, bits);
+            let mut limbs = vec![0; bits.div_ceil(64) + 1];
+            load_be(&x.to_bytes_be(), &mut limbs);
+            assert_eq!(to_biguint(&limbs), x);
+            assert_eq!(to_bytes_be(&limbs), x.to_bytes_be());
+        }
+        assert_eq!(to_bytes_be(&[0, 0]), BigUint::zero().to_bytes_be());
     }
 
     proptest::proptest! {

@@ -9,30 +9,54 @@
 //! of the digest into the modulus space.
 //!
 //! A key pair holds, beside `d`, the Chinese-remainder form of the private
-//! key: a Montgomery context for each prime factor, `dP = d mod (p − 1)`,
-//! `dQ = d mod (q − 1)` and `qInv = q⁻¹ mod p`. [`RsaKeyPair::sign`] runs two
-//! half-width exponentiations and recombines them — the same integer in
-//! `[0, n)` as the full-width `m^d mod n`, at about a third of the cost. A
-//! fault in either half would leak a factor of `n` through the bad
-//! signature (`gcd(sᵉ − m, n)`), so `sign` checks `sᵉ mod n == m` *before*
-//! the signature leaves the function and recomputes it full-width from `d`
-//! if the check fails; one short-exponent exponentiation per signature buys
-//! that.
+//! key: a Montgomery context for `n` and for each prime factor,
+//! `dP = d mod (p − 1)`, `dQ = d mod (q − 1)`, and the two recombination
+//! coefficients. [`RsaKeyPair::sign`] runs two half-width exponentiations
+//! and recombines them — the same integer in `[0, n)` as the full-width
+//! `m^d mod n`, at about a third of the cost. A fault in either half would
+//! leak a factor of `n` through the bad signature (`gcd(sᵉ − m, n)`), so
+//! `sign` checks `sᵉ mod n == m` *before* the signature leaves the function
+//! and recomputes it full-width from `d` if the check fails; one
+//! short-exponent exponentiation per signature buys that. Both run on
+//! 64-bit limbs in stack scratch: up to 1,024-bit moduli `verify` allocates
+//! nothing and `sign` only its result.
 
 use crate::bignum::BigUint;
-use crate::montgomery::MontgomeryContext;
+use crate::montgomery::{load_be, to_bytes_be, with_scratch, MontgomeryContext};
 use crate::prime::generate_prime;
 use crate::sha256::{sha256, Digest};
 use rand::Rng;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Public RSA verification key `(n, e)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct RsaPublicKey {
     /// Modulus `n = p * q`.
     pub n: BigUint,
     /// Public exponent (65537 unless the factorisation forces a fallback).
     pub e: BigUint,
+    /// `n`'s Montgomery context, built by the first check and kept.
+    context: OnceLock<Option<MontgomeryContext>>,
+}
+
+impl PartialEq for RsaPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        // The context is derived state; identity is the parameters.
+        self.n == other.n && self.e == other.e
+    }
+}
+
+impl Eq for RsaPublicKey {}
+
+impl fmt::Debug for RsaPublicKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaPublicKey")
+            .field("n", &self.n)
+            .field("e", &self.e)
+            .finish()
+    }
 }
 
 /// RSA key pair; the private exponent and the factorisation stay in this
@@ -44,8 +68,8 @@ pub struct RsaKeyPair {
     /// Private exponent `d = e^{-1} mod phi(n)`; signs only when the CRT
     /// result fails its check.
     d: BigUint,
-    /// The private key in Chinese-remainder form. Boxed: its two contexts
-    /// are five times the size of the rest of the key pair, which
+    /// The private key in Chinese-remainder form. Boxed: its three contexts
+    /// are several times the size of the rest of the key pair, which
     /// [`SignatureScheme`](crate::signer::SignatureScheme) holds by value.
     crt: Box<CrtKey>,
 }
@@ -53,6 +77,9 @@ pub struct RsaKeyPair {
 /// The private key in Chinese-remainder form.
 #[derive(Clone)]
 struct CrtKey {
+    /// Montgomery context for `n`: recombination, the fault check and the
+    /// full-width fallback.
+    n: MontgomeryContext,
     /// Montgomery context for the prime factor `p`.
     p: MontgomeryContext,
     /// Montgomery context for the prime factor `q`.
@@ -61,18 +88,24 @@ struct CrtKey {
     dp: BigUint,
     /// `d mod (q - 1)`.
     dq: BigUint,
-    /// `q^{-1} mod p`.
-    q_inv: BigUint,
+    /// `q · (q⁻¹ mod p)` and `p · (p⁻¹ mod q)` in `n`'s Montgomery domain:
+    /// `m_p · c_p + m_q · c_q mod n` is `≡ m_p (mod p)`, `≡ m_q (mod q)`.
+    c_p: Vec<u64>,
+    c_q: Vec<u64>,
 }
 
 impl CrtKey {
-    /// `m^d mod n` from the two half-width residues (Garner's recombination).
-    fn pow_d(&self, m: &BigUint) -> BigUint {
-        let (p, q) = (self.p.modulus(), self.q.modulus());
-        let m1 = self.p.mod_pow(m, &self.dp);
-        let m2 = self.q.mod_pow(m, &self.dq);
-        let h = self.q_inv.mul_mod(&m1.sub_mod(&m2, p), p);
-        m2.add(&h.mul(q))
+    /// `s ← m^d mod n` from the two half-width residues.
+    fn pow_d(&self, m: &[u64], s: &mut [u64]) {
+        let k = self.n.limbs();
+        with_scratch(2 * k, |scratch| {
+            let (m_p, m_q) = scratch.split_at_mut(k);
+            self.p.pow_limbs(m, &self.dp, m_p);
+            self.q.pow_limbs(m, &self.dq, m_q);
+            self.n.mont_mul(m_p, &self.c_p, s);
+            self.n.mont_mul(m_q, &self.c_q, m_p);
+            self.n.add_mod(s, m_p);
+        })
     }
 }
 
@@ -107,23 +140,28 @@ impl RsaSignature {
 }
 
 /// Encodes a digest into an integer smaller than `n` by hashing it again and
-/// truncating to `n.bits() - 8` bits. Deterministic and collision-resistant
-/// enough for the reproduction (a full PKCS#1 encoding is out of scope).
-fn encode_digest(digest: &Digest, n: &BigUint) -> BigUint {
+/// truncating to `n.bits() - 8` bits, into `out`'s `k` limbs. Deterministic
+/// and collision-resistant enough for the reproduction (a full PKCS#1
+/// encoding is out of scope).
+fn encode_digest(digest: &Digest, n: &MontgomeryContext, out: &mut [u64]) {
     // Expand the digest with counter-mode SHA-256 so the encoding fills the
     // modulus, then reduce below n by truncation.
-    let target_bytes = ((n.bits().saturating_sub(8)) / 8).max(16);
-    let mut material = Vec::with_capacity(target_bytes);
-    let mut counter: u32 = 0;
-    while material.len() < target_bytes {
-        let mut block = Vec::with_capacity(36);
-        block.extend_from_slice(digest);
-        block.extend_from_slice(&counter.to_be_bytes());
-        material.extend_from_slice(&sha256(&block));
-        counter += 1;
-    }
-    material.truncate(target_bytes);
-    BigUint::from_bytes_be(&material).rem(n)
+    let target_bytes = ((n.modulus().bits().saturating_sub(8)) / 8).max(16);
+    let blocks = (0u32..).flat_map(|counter| {
+        let mut block = [0u8; 36];
+        let (head, tail) = block.split_at_mut(32);
+        head.copy_from_slice(digest);
+        tail.copy_from_slice(&counter.to_be_bytes());
+        sha256(&block)
+    });
+    with_scratch(target_bytes.div_ceil(8), |material| {
+        // The stream's first `target_bytes` bytes, most significant first.
+        for (i, byte) in blocks.take(target_bytes).enumerate() {
+            let bit = 8 * (target_bytes - 1 - i);
+            material[bit / 64] |= u64::from(byte) << (bit % 64);
+        }
+        n.reduce(material, 0, out);
+    })
 }
 
 impl RsaKeyPair {
@@ -155,23 +193,27 @@ impl RsaKeyPair {
                 Some(d) => d,
                 None => continue,
             };
-            // Distinct odd primes: both contexts and the inverse exist.
-            let (Some(p_ctx), Some(q_ctx), Some(q_inv)) = (
+            // Distinct odd primes: every context and both inverses exist.
+            let (Some(n_ctx), Some(p_ctx), Some(q_ctx), Some(q_inv), Some(p_inv)) = (
+                MontgomeryContext::new(&n),
                 MontgomeryContext::new(&p),
                 MontgomeryContext::new(&q),
                 q.mod_inverse(&p),
+                p.mod_inverse(&q),
             ) else {
                 continue;
             };
             let crt = CrtKey {
                 dp: d.rem(&p.sub(&BigUint::one())),
                 dq: d.rem(&q.sub(&BigUint::one())),
+                c_p: n_ctx.to_mont(&q.mul(&q_inv)),
+                c_q: n_ctx.to_mont(&p.mul(&p_inv)),
+                n: n_ctx,
                 p: p_ctx,
                 q: q_ctx,
-                q_inv,
             };
             return RsaKeyPair {
-                public: RsaPublicKey { n, e },
+                public: RsaPublicKey::new(n, e),
                 d,
                 crt: Box::new(crt),
             };
@@ -184,15 +226,21 @@ impl RsaKeyPair {
     /// before it is returned (see the module docs); the bytes are exactly
     /// those of `encode(digest)^d mod n`.
     pub fn sign(&self, digest: &Digest) -> RsaSignature {
-        let RsaPublicKey { n, e } = &self.public;
-        let m = encode_digest(digest, n);
-        let mut s = self.crt.pow_d(&m);
-        if s.mod_pow(e, n) != m {
-            s = m.mod_pow(&self.d, n);
-        }
-        RsaSignature {
-            bytes: s.to_bytes_be(),
-        }
+        let n = &self.crt.n;
+        let k = n.limbs();
+        with_scratch(3 * k, |scratch| {
+            let (m, rest) = scratch.split_at_mut(k);
+            let (s, check) = rest.split_at_mut(k);
+            encode_digest(digest, n, m);
+            self.crt.pow_d(m, s);
+            n.pow_limbs(s, &self.public.e, check);
+            if check != m {
+                n.pow_limbs(m, &self.d, s);
+            }
+            RsaSignature {
+                bytes: to_bytes_be(s),
+            }
+        })
     }
 
     /// This key pair with `dP` off by one, as a fault in the `p` half of
@@ -210,6 +258,15 @@ impl RsaKeyPair {
 }
 
 impl RsaPublicKey {
+    /// The key `(n, e)`.
+    pub fn new(n: BigUint, e: BigUint) -> Self {
+        RsaPublicKey {
+            n,
+            e,
+            context: OnceLock::new(),
+        }
+    }
+
     /// Verifies a signature over a 32-byte digest.
     ///
     /// Only the canonical encoding [`RsaKeyPair::sign`] emits is accepted:
@@ -225,13 +282,27 @@ impl RsaPublicKey {
         if !canonical {
             return false;
         }
-        let s = BigUint::from_bytes_be(&signature.bytes);
-        if s.cmp_to(&self.n) != std::cmp::Ordering::Less {
-            return false;
-        }
-        let recovered = s.mod_pow(&self.e, &self.n);
-        let expected = encode_digest(digest, &self.n);
-        recovered == expected
+        let n = match self.context.get_or_init(|| MontgomeryContext::new(&self.n)) {
+            Some(n) if *n.modulus() == self.n => Cow::Borrowed(n),
+            // `n` is a public field, reassigned since the context was built;
+            // an even `n` is no RSA modulus and verifies nothing.
+            _ => match MontgomeryContext::new(&self.n) {
+                Some(n) => Cow::Owned(n),
+                None => return false,
+            },
+        };
+        let k = n.limbs();
+        with_scratch(3 * k, |scratch| {
+            let (s, rest) = scratch.split_at_mut(k);
+            let (recovered, expected) = rest.split_at_mut(k);
+            load_be(&signature.bytes, s);
+            if !n.is_reduced(s) {
+                return false;
+            }
+            n.pow_limbs(s, &self.e, recovered);
+            encode_digest(digest, &n, expected);
+            recovered == expected
+        })
     }
 
     /// Verifies a signature over an arbitrary message (hashes it first).
@@ -248,12 +319,37 @@ impl RsaPublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montgomery::to_biguint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn keypair(bits: usize, seed: u64) -> RsaKeyPair {
         let mut rng = StdRng::seed_from_u64(seed);
         RsaKeyPair::generate(bits, &mut rng)
+    }
+
+    /// `encode(digest)` and the CRT's `m^d mod n`, as integers.
+    fn encoded_and_crt(kp: &RsaKeyPair, digest: &Digest) -> (BigUint, BigUint) {
+        let k = kp.crt.n.limbs();
+        let (mut m, mut s) = (vec![0; k], vec![0; k]);
+        encode_digest(digest, &kp.crt.n, &mut m);
+        kp.crt.pow_d(&m, &mut s);
+        (to_biguint(&m), to_biguint(&s))
+    }
+
+    /// The encoding as it was computed on `BigUint`s.
+    fn encode_digest_reference(digest: &Digest, n: &BigUint) -> BigUint {
+        let target_bytes = ((n.bits().saturating_sub(8)) / 8).max(16);
+        let mut material = Vec::new();
+        for counter in 0u32.. {
+            if material.len() >= target_bytes {
+                break;
+            }
+            let block = [digest.as_slice(), &counter.to_be_bytes()].concat();
+            material.extend_from_slice(&sha256(&block));
+        }
+        material.truncate(target_bytes);
+        BigUint::from_bytes_be(&material).rem(n)
     }
 
     #[test]
@@ -278,6 +374,19 @@ mod tests {
         let digest = sha256(b"message");
         let sig = kp1.sign(&digest);
         assert!(!kp2.public.verify(&digest, &sig));
+    }
+
+    #[test]
+    fn verify_follows_a_reassigned_modulus() {
+        let (kp1, kp2) = (keypair(256, 3), keypair(256, 4));
+        let digest = sha256(b"message");
+        let (sig1, sig2) = (kp1.sign(&digest), kp2.sign(&digest));
+        let mut key = kp1.public.clone();
+        assert!(key.verify(&digest, &sig1), "caches kp1's context");
+        key.n = kp2.public.n.clone();
+        key.e = kp2.public.e.clone();
+        assert!(key.verify(&digest, &sig2));
+        assert!(!key.verify(&digest, &sig1));
     }
 
     #[test]
@@ -335,14 +444,15 @@ mod tests {
             ("q", kp.crt.q.modulus()),
             ("dP", &kp.crt.dp),
             ("dQ", &kp.crt.dq),
-            ("qInv", &kp.crt.q_inv),
+            ("cP", &to_biguint(&kp.crt.c_p)),
+            ("cQ", &to_biguint(&kp.crt.c_q)),
         ];
         for (name, secret) in secrets {
             assert!(!shown.contains(&secret.to_hex()), "{name} in {shown}");
         }
         // The Montgomery contexts print raw limbs, not hex: their field
         // names must not appear either.
-        for field in ["crt", "r2", "n0inv"] {
+        for field in ["crt", "r2", "n0inv", "context"] {
             assert!(!shown.contains(field), "{field} in {shown}");
         }
     }
@@ -350,15 +460,27 @@ mod tests {
     #[test]
     fn crt_sign_equals_full_width_exponentiation() {
         let mut rng = StdRng::seed_from_u64(77);
-        for (bits, digests) in [(64usize, 16), (128, 16), (256, 16), (512, 8), (1024, 4)] {
+        // 97 and 129 bits: halves of unequal limb counts, and a modulus
+        // wider than two of its halves' limbs.
+        let sizes = [
+            (64usize, 16),
+            (97, 8),
+            (128, 16),
+            (129, 8),
+            (256, 16),
+            (512, 8),
+            (1024, 4),
+        ];
+        for (bits, digests) in sizes {
             let kp = RsaKeyPair::generate(bits, &mut rng);
             let n = &kp.public.n;
             assert_eq!(kp.crt.p.modulus().mul(kp.crt.q.modulus()), *n);
             for _ in 0..digests {
                 let digest = sha256(&rng.gen::<u64>().to_le_bytes());
-                let m = encode_digest(&digest, n);
+                let (m, crt) = encoded_and_crt(&kp, &digest);
+                assert_eq!(m, encode_digest_reference(&digest, n), "bits = {bits}");
                 let full_width = m.mod_pow_legacy(&kp.d, n);
-                assert_eq!(kp.crt.pow_d(&m), full_width, "bits = {bits}");
+                assert_eq!(crt, full_width, "bits = {bits}");
                 assert_eq!(kp.sign(&digest).bytes, full_width.to_bytes_be());
             }
         }
@@ -370,9 +492,11 @@ mod tests {
         let faulty = kp.clone().with_corrupted_dp();
         for i in 0..8u32 {
             let digest = sha256(&i.to_le_bytes());
-            let m = encode_digest(&digest, &kp.public.n);
             // The fault is real: the CRT half alone gives a wrong integer…
-            assert_ne!(faulty.crt.pow_d(&m), kp.crt.pow_d(&m));
+            assert_ne!(
+                encoded_and_crt(&faulty, &digest),
+                encoded_and_crt(&kp, &digest)
+            );
             // …and `sign` never lets it out.
             let sig = faulty.sign(&digest);
             assert_eq!(sig, kp.sign(&digest));

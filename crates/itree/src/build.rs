@@ -13,7 +13,7 @@ use crate::node::{ITree, Node, NodeId};
 use std::collections::VecDeque;
 use vaq_funcdb::{
     centroid, point_evidence, range_misses, sort_functions_at, Domain, HalfSpace, LinearFunction,
-    PointEvidence, SplitOracle, SubdomainConstraints,
+    PointEvidence, SplitOracle, SubdomainConstraints, EPS,
 };
 
 /// Statistics gathered while building an I-tree.
@@ -118,29 +118,68 @@ impl<O: SplitOracle> ITreeBuilder<O> {
         };
         build.push_leaf(SubdomainConstraints::whole(domain));
 
-        // Insert every pairwise intersection.
+        // Insert every pairwise intersection. Most pairs are refused, so each
+        // row's pairs are tested in one tight scan for the next pair to walk,
+        // over flat per-coordinate columns with `f_i`'s values hoisted:
+        // `same_map`'s predicate and `Domain::linear_range`'s sums, in the
+        // same order; `difference_into` runs only for the pairs walked.
         let tolerance = self.oracle.tolerance();
-        let mut coeffs = Vec::new();
+        let dims = build.tree.domain.dims();
+        assert!(
+            functions.iter().all(|f| f.dims() == dims),
+            "dimension mismatch"
+        );
+        let columns: Vec<Vec<f64>> = (0..dims)
+            .map(|k| functions.iter().map(|f| f.coeffs[k]).collect())
+            .collect();
+        let constants: Vec<f64> = functions.iter().map(|f| f.constant).collect();
+        let domain = &build.tree.domain;
+        let bounds: Vec<(f64, f64)> = domain
+            .lower
+            .iter()
+            .copied()
+            .zip(domain.upper.iter().copied())
+            .collect();
+        let (mut fi_coeffs, mut coeffs) = (vec![0.0; dims], Vec::new());
+        let (mut inserted, mut refused) = (0, 0);
         for (i, fi) in functions.iter().enumerate() {
-            for fj in &functions[i + 1..] {
-                if fi.same_map(fj) {
-                    // Identical affine maps never produce a transversal
-                    // intersection; their order is resolved by the id
-                    // tie-break in the sort.
-                    continue;
+            for (c, column) in fi_coeffs.iter_mut().zip(&columns) {
+                *c = column[i];
+            }
+            let fi_constant = constants[i];
+            let mut walked = |&j: &usize| {
+                let constant = fi_constant - constants[j];
+                let mut same = constant.abs() < EPS;
+                let (mut min, mut max) = (0.0, 0.0);
+                for ((a, column), (l, u)) in fi_coeffs.iter().zip(&columns).zip(&bounds) {
+                    let c = a - column[j];
+                    same &= c.abs() < EPS;
+                    min += (c * l).min(c * u);
+                    max += (c * l).max(c * u);
                 }
-                build.stats.pairs_inserted += 1;
-                let constant = fi.difference_into(fj, &mut coeffs);
+                // Identical affine maps never produce a transversal
+                // intersection; their order is resolved by the id tie-break
+                // in the sort.
+                if same {
+                    return false;
+                }
+                inserted += 1;
                 // A hyperplane that stays outside the domain box splits no
                 // region inside it.
-                let (min, max) = build.tree.domain.linear_range(&coeffs, constant);
-                if range_misses(min, max, tolerance) {
-                    build.stats.pairs_refused += 1;
-                    continue;
-                }
+                let misses = range_misses(min + constant, max + constant, tolerance);
+                refused += usize::from(misses);
+                !misses
+            };
+            let mut next = i + 1;
+            while let Some(j) = (next..functions.len()).find(&mut walked) {
+                let fj = &functions[j];
+                let constant = fi.difference_into(fj, &mut coeffs);
                 self.insert_intersection(&mut build, fi, fj, &coeffs, constant);
+                next = j + 1;
             }
         }
+        build.stats.pairs_inserted = inserted;
+        build.stats.pairs_refused = refused;
 
         // Attach sorted function lists to every leaf.
         let (mut tree, mut stats) = (build.tree, build.stats);

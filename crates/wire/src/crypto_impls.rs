@@ -90,10 +90,9 @@ impl WireEncode for RsaPublicKey {
 
 impl WireDecode for RsaPublicKey {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RsaPublicKey {
-            n: BigUint::decode(r)?,
-            e: BigUint::decode(r)?,
-        })
+        let n = BigUint::decode(r)?;
+        let e = BigUint::decode(r)?;
+        Ok(RsaPublicKey::new(n, e))
     }
 }
 
