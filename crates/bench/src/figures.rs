@@ -608,15 +608,17 @@ pub fn measure_per_hash_ms() -> f64 {
     elapsed / iters as f64
 }
 
-/// Measures a closure's wall-clock cost in milliseconds (averaged over a few
-/// repetitions).
+/// Measures a closure's wall-clock cost in milliseconds: the fastest of a
+/// few calls, so neither a call pre-empted by a busy host nor a first call
+/// that builds a key's cached state counts.
 pub fn measure_ms(mut f: impl FnMut()) -> f64 {
-    let iters = 10;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed().as_secs_f64() * 1e3 / iters as f64
+    (0..10)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 // ---------------------------------------------------------------------------

@@ -46,11 +46,11 @@ impl Signature {
 }
 
 /// The fewest digests [`SignatureScheme`] hands one RSA signing thread.
-/// Spawning and joining a scoped thread costs tens of microseconds, and so
-/// does one signature under a 128-bit test key (≈20 µs; a 1,024-bit key
-/// takes ≈1 ms). At 64 digests a thread has over a millisecond of work at
-/// the smallest key, so the spawn is a few percent of it at worst, and the
-/// few-dozen-subdomain trees that the test suites build by the hundred
+/// Spawning and joining a scoped thread costs tens of microseconds; one
+/// signature under a 128-bit test key costs ≈5 µs (a 1,024-bit key takes
+/// ≈0.2 ms). At 64 digests a thread has a third of a millisecond of work
+/// at the smallest key, so the spawn is about a tenth of it at worst, and
+/// the few-dozen-subdomain trees that the test suites build by the hundred
 /// stay on the calling thread.
 const MIN_DIGESTS_PER_THREAD: usize = 64;
 
