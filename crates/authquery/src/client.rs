@@ -23,7 +23,7 @@ use crate::vo::{
 };
 use vaq_crypto::sha256::Digest;
 use vaq_crypto::Verifier;
-use vaq_funcdb::{inequality_set_digest, FuncId, FunctionTemplate, Record};
+use vaq_funcdb::{inequality_set_digest, FunctionTemplate, Record};
 use vaq_mht::verify_range;
 
 /// Outcome of a successful verification.
@@ -119,10 +119,8 @@ pub fn verify_at_epoch_with_scratch(
     leaves.reserve(records.len() + 2);
     leaves.push(vo.left_boundary.leaf_digest());
     cost.hash_ops += 1;
-    for r in records {
-        leaves.push(r.digest());
-        cost.hash_ops += 1;
-    }
+    Record::digests_into(records, leaves);
+    cost.hash_ops += records.len();
     leaves.push(vo.right_boundary.leaf_digest());
     cost.hash_ops += 1;
 
@@ -296,6 +294,11 @@ pub fn check_window_semantics(
     template: &FunctionTemplate,
 ) -> Result<Vec<f64>, VerifyError> {
     let x = query.weights();
+    if x.len() != template.dims() {
+        return Err(VerifyError::BadRecord(
+            "query weight vector does not match the template arity".into(),
+        ));
+    }
     let score_of = |record: &Record| -> Result<f64, VerifyError> {
         if record.arity() != template.dims() {
             return Err(VerifyError::BadRecord(format!(
@@ -305,7 +308,11 @@ pub fn check_window_semantics(
                 template.dims()
             )));
         }
-        Ok(template.to_function(FuncId(0), record).eval(x))
+        // `LinearFunction::eval` of the record's function (its attributes,
+        // constant 0) without building it: the same sum, the same `+ 0.0`,
+        // so every score is bit-identical, the sign of zero included.
+        let dot = record.attrs.iter().zip(x).map(|(c, v)| c * v).sum::<f64>();
+        Ok(dot + 0.0)
     };
 
     let scores: Vec<f64> = records
@@ -369,4 +376,61 @@ pub fn check_window_semantics(
         }
     }
     Ok(scores)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vaq_funcdb::FuncId;
+
+    #[test]
+    fn scores_are_the_template_functions_bit_for_bit() {
+        // Seeded records, plus the signed zeros where `+ 0.0` decides the
+        // sign: an all-`-0.0` record sums to `-0.0`, which the function's
+        // zero constant turns into `+0.0`.
+        let mut seed = 308u64;
+        let mut uniform = move |scale: f64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            ((seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale
+        };
+        for dims in 1..=5 {
+            let template = FunctionTemplate::anonymous(dims);
+            let x: Vec<f64> = (0..dims).map(|_| uniform(4.0)).collect();
+            let mut records: Vec<Record> = (0..40)
+                .map(|id| Record::new(id, (0..dims).map(|_| uniform(200.0)).collect()))
+                .collect();
+            records.push(Record::new(40, vec![-0.0; dims]));
+            records.push(Record::new(41, vec![0.0; dims]));
+            let eval = |r: &Record| template.to_function(FuncId(0), r).eval(&x);
+            records.sort_by(|a, b| eval(a).total_cmp(&eval(b)));
+            let query = Query::range(x.clone(), -1e300, 1e300);
+            let scores = check_window_semantics(&query, &records, None, None, &template)
+                .expect("every record is in range, in order");
+            for (record, score) in records.iter().zip(&scores) {
+                assert_eq!(score.to_bits(), eval(record).to_bits(), "{record:?}");
+            }
+        }
+        let zero = check_window_semantics(
+            &Query::range(vec![1.0, 1.0], -1.0, 1.0),
+            &[Record::new(0, vec![-0.0, -0.0])],
+            None,
+            None,
+            &FunctionTemplate::anonymous(2),
+        );
+        assert_eq!(zero.map(|s| s[0].to_bits()), Ok(0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn a_query_of_the_wrong_arity_is_refused_not_truncated() {
+        let refused = check_window_semantics(
+            &Query::range(vec![1.0], -1.0, 1.0),
+            &[Record::new(0, vec![0.5, 0.5])],
+            None,
+            None,
+            &FunctionTemplate::anonymous(2),
+        );
+        assert!(matches!(refused, Err(VerifyError::BadRecord(_))));
+    }
 }

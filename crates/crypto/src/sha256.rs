@@ -9,10 +9,23 @@
 //! else — other architectures, x86-64 hosts without the extension — it is
 //! the scalar `compress_blocks_portable` below, written for clarity because
 //! it is also the reference the tests hold the kernel equal to, block by
-//! block. Nothing selects between them but the CPU. The one-shot functions
-//! ([`sha256`], [`sha256_pair`]) pad on the stack and compress a local
-//! state, since a verified answer is hundreds of record- and pair-sized
-//! hashes and little else.
+//! block. Nothing selects between them but the CPU.
+//!
+//! Both sit behind one dispatch over *lanes*: one or two independent
+//! messages, as many blocks each, folded in lockstep (the kernel interleaves
+//! the two hashes; the portable path runs them one after the other), and
+//! optionally finished by the padding block of a 64-byte message, which the
+//! kernel takes from a constant table. A verified answer is hundreds of
+//! record- and pair-sized hashes and little else, so the one-shot functions
+//! pad on the stack and come in three shapes:
+//!
+//! * [`sha256`] — one message of any length, one lane;
+//! * [`sha256_pair`] / [`sha256_pairs`] — `H(a ‖ b)` of one pair, or of
+//!   every pair of a Merkle layer two at a time (an odd tail on one lane);
+//!   a 64-byte message is one block plus the constant padding;
+//! * [`sha256_two`] — two messages of one padded block each (at most
+//!   [`ONE_BLOCK_MAX`] bytes: a record of up to five attributes), in two
+//!   lanes; a longer message takes [`sha256`].
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -114,16 +127,52 @@ impl Sha256 {
     }
 }
 
+/// The padding block of a 64-byte message: 0x80, zeros, then the bit length
+/// (512 = 0x0200) as a 64-bit big-endian integer.
+pub(crate) const PAD64: [u8; 64] = {
+    let mut pad = [0u8; 64];
+    pad[0] = 0x80;
+    pad[62] = 0x02;
+    pad
+};
+
+/// The longest message that pads into one block (the 0x80 byte and the
+/// 64-bit length take the other nine): what [`sha256_two`] hashes in two
+/// lanes.
+pub const ONE_BLOCK_MAX: usize = 55;
+
 /// Folds `blocks` (whole 64-byte blocks) into `state`, on the hardware path
 /// where the CPU has one.
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    compress_lanes(std::array::from_mut(state), [blocks], false);
+}
+
+/// Folds each lane's `blocks[l]` (whole 64-byte blocks, as many in every
+/// lane) into `states[l]` and then, with `pad64`, [`PAD64`]: in lockstep
+/// on the hardware path where the CPU has one, one lane after the other
+/// through the portable function elsewhere.
+fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: [&[u8]; L], pad64: bool) {
     #[cfg(target_arch = "x86_64")]
-    if crate::sha_ni::compress_blocks(state, blocks) {
+    if crate::sha_ni::compress_lanes(states, blocks, pad64) {
         #[cfg(test)]
         tests::HARDWARE_CALLS.with(|calls| calls.set(calls.get() + 1));
         return;
     }
-    compress_blocks_portable(state, blocks);
+    compress_lanes_portable(states, blocks, pad64);
+}
+
+/// [`compress_lanes`] through the portable function alone.
+fn compress_lanes_portable<const L: usize>(
+    states: &mut [[u32; 8]; L],
+    blocks: [&[u8]; L],
+    pad64: bool,
+) {
+    for (state, blocks) in states.iter_mut().zip(blocks) {
+        compress_blocks_portable(state, blocks);
+        if pad64 {
+            compress_blocks_portable(state, &PAD64);
+        }
+    }
 }
 
 /// The SHA-256 compression function as FIPS 180-4 writes it, over each
@@ -209,26 +258,60 @@ pub fn sha256(data: &[u8]) -> Digest {
 /// combiner used throughout the paper.
 ///
 /// Two digests are exactly one 64-byte compression block, and the padding
-/// for a 64-byte message is a fixed second block, so this is one two-block
-/// compression of a local state with no buffering and no length
-/// bookkeeping — the hot path of every interior-node hash.
+/// for a 64-byte message is a fixed second block, so this is one block and
+/// the constant padding on a local state, with no buffering and no length
+/// bookkeeping — the one-lane case of [`sha256_pairs`].
 pub fn sha256_pair(a: &Digest, b: &Digest) -> Digest {
-    // The padding block of a 64-byte message: 0x80, zeros, then the bit
-    // length (512 = 0x0200) as a 64-bit big-endian integer.
-    const PADDING: [u8; 64] = {
-        let mut pad = [0u8; 64];
-        pad[0] = 0x80;
-        pad[62] = 0x02;
-        pad
-    };
-    let mut blocks = [0u8; 128];
-    blocks[..32].copy_from_slice(a);
-    blocks[32..64].copy_from_slice(b);
-    blocks[64..].copy_from_slice(&PADDING);
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(a);
+    block[32..].copy_from_slice(b);
+    let [digest] = digests_of_64([&block]);
+    digest
+}
 
-    let mut state = H0;
-    compress_blocks(&mut state, &blocks);
-    digest_of(&state)
+/// One Merkle layer: `out[i] = H(children[2i] ‖ children[2i + 1])`, two
+/// parents at a time in two lanes, an odd last parent on one.
+///
+/// Panics unless `children` holds exactly two digests per slot of `out`.
+pub fn sha256_pairs(children: &[Digest], out: &mut [Digest]) {
+    assert_eq!(children.len(), 2 * out.len(), "two children per parent");
+    let mut parents = out.chunks_exact_mut(2);
+    let mut quads = children.chunks_exact(4);
+    for (parents, quad) in (&mut parents).zip(&mut quads) {
+        // Two adjacent digests are already one contiguous 64-byte message.
+        let (left, right) = quad.split_at(2);
+        parents.copy_from_slice(&digests_of_64([left.as_flattened(), right.as_flattened()]));
+    }
+    if let ([parent], [a, b]) = (parents.into_remainder(), quads.remainder()) {
+        *parent = sha256_pair(a, b);
+    }
+}
+
+/// SHA-256 of each lane's 64-byte message: the message as one block, then
+/// the constant padding.
+fn digests_of_64<const L: usize>(messages: [&[u8]; L]) -> [Digest; L] {
+    let mut states = [H0; L];
+    compress_lanes(&mut states, messages, true);
+    states.map(|state| digest_of(&state))
+}
+
+/// SHA-256 of two messages at once, each padded into one block on the stack
+/// and the two compressed in two lanes — equal to `messages.map(sha256)`,
+/// which is what runs when either is longer than [`ONE_BLOCK_MAX`].
+pub fn sha256_two(messages: [&[u8]; 2]) -> [Digest; 2] {
+    if messages.iter().any(|m| m.len() > ONE_BLOCK_MAX) {
+        return messages.map(sha256);
+    }
+    let padded = messages.map(|m| {
+        let mut block = [0u8; 64];
+        block[..m.len()].copy_from_slice(m);
+        block[m.len()] = 0x80;
+        block[56..].copy_from_slice(&(m.len() as u64 * 8).to_be_bytes());
+        block
+    });
+    let mut states = [H0; 2];
+    compress_lanes(&mut states, [&padded[0], &padded[1]], false);
+    states.map(|state| digest_of(&state))
 }
 
 /// SHA-256 of the concatenation of several byte slices, streamed through the
@@ -274,8 +357,11 @@ mod tests {
     /// on a host whose CPU lacks it, where the hardware-side cases skip.
     fn hardware_kernel() -> Option<Compress> {
         #[cfg(target_arch = "x86_64")]
-        if crate::sha_ni::compress_blocks(&mut [0; 8], &[]) {
-            return Some(|state, blocks| assert!(crate::sha_ni::compress_blocks(state, blocks)));
+        if crate::sha_ni::compress_lanes(&mut [[0; 8]], [&[]], false) {
+            return Some(|state, blocks| {
+                let one_lane = std::array::from_mut(state);
+                assert!(crate::sha_ni::compress_lanes(one_lane, [blocks], false))
+            });
         }
         eprintln!("skipped: no SHA extensions on this host, the hardware-side cases did not run");
         None
@@ -396,6 +482,103 @@ mod tests {
         }
     }
 
+    /// [`compress_lanes`]' contract by the book: each lane's blocks and
+    /// then, with `pad64`, the padding block *as bytes*, through
+    /// `compress_blocks_portable` a block at a time — no lanes, no table.
+    fn lanes_by_the_book<const L: usize>(
+        states: &[[u32; 8]; L],
+        blocks: [&[u8]; L],
+        pad64: bool,
+    ) -> [[u32; 8]; L] {
+        std::array::from_fn(|l| {
+            let mut message = blocks[l].to_vec();
+            if pad64 {
+                message.extend_from_slice(&PAD64);
+            }
+            let mut state = states[l];
+            for block in message.chunks_exact(64) {
+                compress_blocks_portable(&mut state, block);
+            }
+            state
+        })
+    }
+
+    #[test]
+    fn two_lanes_equal_one_lane_and_the_reference() {
+        // Seeded states (not only H0) and blocks, 0..=4 blocks a lane, with
+        // and without the padding table: the two-lane kernel, each lane
+        // alone on the one-lane kernel, and the portable lanes all equal
+        // the book. The portable side runs on every host.
+        let kernel = hardware_kernel().is_some();
+        let mut rng = StdRng::seed_from_u64(0x2_1A4E);
+        for blocks in 0..=4 {
+            for pad64 in [false, true] {
+                for case in 0..200 {
+                    let states: [[u32; 8]; 2] =
+                        std::array::from_fn(|_| std::array::from_fn(|_| rng.gen()));
+                    let messages = [0, 1].map(|_| seeded_bytes(&mut rng, 64 * blocks));
+                    let lanes = [&messages[0][..], &messages[1][..]];
+                    let expected = lanes_by_the_book(&states, lanes, pad64);
+                    let at = format!("{blocks} blocks, pad64 {pad64}, case {case}");
+
+                    let mut portable = states;
+                    compress_lanes_portable(&mut portable, lanes, pad64);
+                    assert_eq!(portable, expected, "portable lanes, {at}");
+                    #[cfg(target_arch = "x86_64")]
+                    if kernel {
+                        let mut two = states;
+                        assert!(crate::sha_ni::compress_lanes(&mut two, lanes, pad64));
+                        assert_eq!(two, expected, "two lanes, {at}");
+                        for l in 0..2 {
+                            let mut one = [states[l]];
+                            assert!(crate::sha_ni::compress_lanes(&mut one, [lanes[l]], pad64));
+                            assert_eq!(one, [expected[l]], "lane {l} alone, {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_equal_one_pair_at_a_time() {
+        let mut rng = StdRng::seed_from_u64(0xFA1D);
+        for parents in 0..=9 {
+            let children: Vec<Digest> = (0..2 * parents)
+                .map(|_| std::array::from_fn(|_| rng.gen()))
+                .collect();
+            let expected: Vec<Digest> = children
+                .chunks_exact(2)
+                .map(|pair| sha256_pair(&pair[0], &pair[1]))
+                .collect();
+            let mut out = vec![[0u8; 32]; parents];
+            sha256_pairs(&children, &mut out);
+            assert_eq!(out, expected, "{parents} parents");
+            for (parent, pair) in out.iter().zip(children.chunks_exact(2)) {
+                assert_eq!(*parent, sha256(pair.as_flattened()), "{parents} parents");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two children per parent")]
+    fn pairs_refuse_a_child_without_a_slot() {
+        sha256_pairs(&[[0; 32]; 3], &mut [[0; 32]; 1]);
+    }
+
+    #[test]
+    fn two_messages_equal_two_one_shots() {
+        // Every pair of lengths on both sides of the one-block limit.
+        let mut rng = StdRng::seed_from_u64(0x2_5555);
+        for a in 0..=70 {
+            for b in 0..=70 {
+                let messages = [seeded_bytes(&mut rng, a), seeded_bytes(&mut rng, b)];
+                let pair = [&messages[0][..], &messages[1][..]];
+                assert_eq!(sha256_two(pair), pair.map(sha256), "{a} and {b} bytes");
+            }
+        }
+    }
+
     #[test]
     fn every_length_and_chunking_agrees_with_both_paths() {
         let kernel = hardware_kernel();
@@ -434,6 +617,12 @@ mod tests {
         sha256(&[3; 200]);
         let calls = HARDWARE_CALLS.get() - before;
         assert_eq!(calls, 3 * expected, "whole blocks, then the tail");
+        sha256_pairs(&[[4; 32]; 10], &mut [[0; 32]; 5]);
+        let calls = HARDWARE_CALLS.get() - before;
+        assert_eq!(calls, 6 * expected, "two pairs, two pairs, the odd one");
+        sha256_two([&[5; 55], &[6; 20]]);
+        let calls = HARDWARE_CALLS.get() - before;
+        assert_eq!(calls, 7 * expected, "two one-block messages, one call");
     }
 
     #[test]
