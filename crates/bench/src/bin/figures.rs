@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p vaq-bench --bin figures -- --fig all
-//! cargo run --release -p vaq-bench --bin figures -- --fig 5a --json
+//! cargo run --release -p vaq-bench --bin figures -- --fig 5a
 //! cargo run --release -p vaq-bench --bin figures -- --fig 7d --scale small
 //! ```
 //!
@@ -10,7 +10,7 @@
 //! `scale` — the owner-build scaling curve at its own explicit sizes
 //! (n = 32…256, d = 2), which `all` leaves out.
 
-use vaq_bench::report::{fmt_ms, print_table, to_json};
+use vaq_bench::report::{fmt_ms, print_table};
 use vaq_bench::{
     ablation_split_oracle, fig5_owner, fig6_server_vs_n, fig6d_server_vs_result_len, fig7_user,
     fig7c_rsa_vs_dsa, fig8a_vo_size_vs_result_len, fig8b_vo_size_vs_n, fitted_exponent,
@@ -20,7 +20,6 @@ use vaq_bench::{
 struct Args {
     fig: String,
     scale: Scale,
-    json: bool,
     seed: Option<u64>,
 }
 
@@ -28,7 +27,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         fig: "all".to_string(),
         scale: Scale::Small,
-        json: false,
         seed: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -50,11 +48,10 @@ fn parse_args() -> Args {
                 i += 1;
                 args.seed = argv.get(i).and_then(|v| v.parse().ok());
             }
-            "--json" => args.json = true,
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--fig 5a|5b|5c|6a|6b|6c|6d|7a|7b|7c|7d|8a|8b|ablation|all|scale] \
-                     [--scale small|paper] [--seed N] [--json]"
+                     [--scale small|paper] [--seed N]"
                 );
                 std::process::exit(0);
             }
@@ -88,61 +85,57 @@ fn main() {
     // ---- Fig. 5 -----------------------------------------------------------
     if wants(fig, "5a") || wants(fig, "5b") || wants(fig, "5c") {
         let rows = fig5_owner(scale, seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-        } else {
-            if wants(fig, "5a") {
-                print_table(
-                    "Fig. 5a — signatures needed to create the structure",
-                    &["n", "subdomains", "one-sig", "multi-sig", "sig-mesh"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.n.to_string(),
-                                r.subdomains.to_string(),
-                                r.one_sig_signatures.to_string(),
-                                r.multi_sig_signatures.to_string(),
-                                r.mesh_signatures.to_string(),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-            }
-            if wants(fig, "5b") {
-                print_table(
-                    "Fig. 5b — construction time (ms)",
-                    &["n", "one-sig", "multi-sig", "sig-mesh"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.n.to_string(),
-                                fmt_ms(r.one_sig_build_ms),
-                                fmt_ms(r.multi_sig_build_ms),
-                                fmt_ms(r.mesh_build_ms),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-            }
-            if wants(fig, "5c") {
-                print_table(
-                    "Fig. 5c — structure size (bytes)",
-                    &["n", "one-sig", "multi-sig", "sig-mesh"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.n.to_string(),
-                                r.one_sig_bytes.to_string(),
-                                r.multi_sig_bytes.to_string(),
-                                r.mesh_bytes.to_string(),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-            }
+        if wants(fig, "5a") {
+            print_table(
+                "Fig. 5a — signatures needed to create the structure",
+                &["n", "subdomains", "one-sig", "multi-sig", "sig-mesh"],
+                &rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.n.to_string(),
+                            r.subdomains.to_string(),
+                            r.one_sig_signatures.to_string(),
+                            r.multi_sig_signatures.to_string(),
+                            r.mesh_signatures.to_string(),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        }
+        if wants(fig, "5b") {
+            print_table(
+                "Fig. 5b — construction time (ms)",
+                &["n", "one-sig", "multi-sig", "sig-mesh"],
+                &rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.n.to_string(),
+                            fmt_ms(r.one_sig_build_ms),
+                            fmt_ms(r.multi_sig_build_ms),
+                            fmt_ms(r.mesh_build_ms),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        }
+        if wants(fig, "5c") {
+            print_table(
+                "Fig. 5c — structure size (bytes)",
+                &["n", "one-sig", "multi-sig", "sig-mesh"],
+                &rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.n.to_string(),
+                            r.one_sig_bytes.to_string(),
+                            r.multi_sig_bytes.to_string(),
+                            r.mesh_bytes.to_string(),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
         }
     }
 
@@ -155,229 +148,197 @@ fn main() {
     for (id, kind) in fig6_cases {
         if wants(fig, id) {
             let rows = fig6_server_vs_n(scale, kind, 5, seed);
-            if args.json {
-                println!("{}", to_json(&rows));
-            } else {
-                print_table(
-                    &format!(
-                        "Fig. {id} — server nodes/cells traversed, {} queries",
-                        kind.label()
-                    ),
-                    &["n", "one-sig", "multi-sig", "sig-mesh"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.n.to_string(),
-                                format!("{:.1}", r.one_sig_nodes),
-                                format!("{:.1}", r.multi_sig_nodes),
-                                format!("{:.1}", r.mesh_nodes),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-            }
+            print_table(
+                &format!(
+                    "Fig. {id} — server nodes/cells traversed, {} queries",
+                    kind.label()
+                ),
+                &["n", "one-sig", "multi-sig", "sig-mesh"],
+                &rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.n.to_string(),
+                            format!("{:.1}", r.one_sig_nodes),
+                            format!("{:.1}", r.multi_sig_nodes),
+                            format!("{:.1}", r.mesh_nodes),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
         }
     }
 
     // ---- Fig. 6d ----------------------------------------------------------
     if wants(fig, "6d") {
         let rows = fig6d_server_vs_result_len(scale, seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-        } else {
+        print_table(
+            "Fig. 6d — server nodes traversed vs result length",
+            &["|q|", "one-sig", "multi-sig", "sig-mesh"],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.result_len.to_string(),
+                        r.one_sig_nodes.to_string(),
+                        r.multi_sig_nodes.to_string(),
+                        r.mesh_nodes.to_string(),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
+    }
+
+    // ---- Fig. 7a/7b/7d ----------------------------------------------------
+    if wants(fig, "7a") || wants(fig, "7b") || wants(fig, "7d") {
+        let rows = fig7_user(scale, seed);
+        if wants(fig, "7a") {
             print_table(
-                "Fig. 6d — server nodes traversed vs result length",
+                "Fig. 7a — hash operations during verification",
                 &["|q|", "one-sig", "multi-sig", "sig-mesh"],
                 &rows
                     .iter()
                     .map(|r| {
                         vec![
                             r.result_len.to_string(),
-                            r.one_sig_nodes.to_string(),
-                            r.multi_sig_nodes.to_string(),
-                            r.mesh_nodes.to_string(),
+                            r.one_sig_hash_ops.to_string(),
+                            r.multi_sig_hash_ops.to_string(),
+                            r.mesh_hash_ops.to_string(),
                         ]
                     })
                     .collect::<Vec<_>>(),
             );
         }
-    }
-
-    // ---- Fig. 7a/7b/7d ----------------------------------------------------
-    if wants(fig, "7a") || wants(fig, "7b") || wants(fig, "7d") {
-        let rows = fig7_user(scale, seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-        } else {
-            if wants(fig, "7a") {
-                print_table(
-                    "Fig. 7a — hash operations during verification",
-                    &["|q|", "one-sig", "multi-sig", "sig-mesh"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.result_len.to_string(),
-                                r.one_sig_hash_ops.to_string(),
-                                r.multi_sig_hash_ops.to_string(),
-                                r.mesh_hash_ops.to_string(),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-            }
-            if wants(fig, "7b") {
-                print_table(
-                    "Fig. 7b — hashing time during verification (ms)",
-                    &["|q|", "one-sig", "multi-sig", "sig-mesh"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.result_len.to_string(),
-                                fmt_ms(r.one_sig_hash_ms),
-                                fmt_ms(r.multi_sig_hash_ms),
-                                fmt_ms(r.mesh_hash_ms),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-            }
-            if wants(fig, "7d") {
-                print_table(
-                    "Fig. 7d — total verification time (ms)",
-                    &["|q|", "one-sig", "multi-sig", "sig-mesh", "sig-ops(mesh)"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.result_len.to_string(),
-                                fmt_ms(r.one_sig_total_ms),
-                                fmt_ms(r.multi_sig_total_ms),
-                                fmt_ms(r.mesh_total_ms),
-                                r.mesh_sig_ops.to_string(),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-            }
+        if wants(fig, "7b") {
+            print_table(
+                "Fig. 7b — hashing time during verification (ms)",
+                &["|q|", "one-sig", "multi-sig", "sig-mesh"],
+                &rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.result_len.to_string(),
+                            fmt_ms(r.one_sig_hash_ms),
+                            fmt_ms(r.multi_sig_hash_ms),
+                            fmt_ms(r.mesh_hash_ms),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        }
+        if wants(fig, "7d") {
+            print_table(
+                "Fig. 7d — total verification time (ms)",
+                &["|q|", "one-sig", "multi-sig", "sig-mesh", "sig-ops(mesh)"],
+                &rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.result_len.to_string(),
+                            fmt_ms(r.one_sig_total_ms),
+                            fmt_ms(r.multi_sig_total_ms),
+                            fmt_ms(r.mesh_total_ms),
+                            r.mesh_sig_ops.to_string(),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
         }
     }
 
     // ---- Fig. 7c ----------------------------------------------------------
     if wants(fig, "7c") {
         let rows = fig7c_rsa_vs_dsa(scale, seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-        } else {
-            print_table(
-                "Fig. 7c — signature decryption time, RSA vs DSA (ms)",
-                &["|q|", "mesh RSA", "mesh DSA", "IFMH RSA", "IFMH DSA"],
-                &rows
-                    .iter()
-                    .map(|r| {
-                        vec![
-                            r.result_len.to_string(),
-                            fmt_ms(r.mesh_rsa_ms),
-                            fmt_ms(r.mesh_dsa_ms),
-                            fmt_ms(r.ifmh_rsa_ms),
-                            fmt_ms(r.ifmh_dsa_ms),
-                        ]
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
+        print_table(
+            "Fig. 7c — signature decryption time, RSA vs DSA (ms)",
+            &["|q|", "mesh RSA", "mesh DSA", "IFMH RSA", "IFMH DSA"],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.result_len.to_string(),
+                        fmt_ms(r.mesh_rsa_ms),
+                        fmt_ms(r.mesh_dsa_ms),
+                        fmt_ms(r.ifmh_rsa_ms),
+                        fmt_ms(r.ifmh_dsa_ms),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
     }
 
     // ---- Fig. 8a ----------------------------------------------------------
     if wants(fig, "8a") {
         let rows = fig8a_vo_size_vs_result_len(scale, seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-        } else {
-            print_table(
-                "Fig. 8a — verification-object size vs result length (bytes)",
-                &["|q|", "one-sig", "multi-sig", "sig-mesh"],
-                &rows
-                    .iter()
-                    .map(|r| {
-                        vec![
-                            r.x.to_string(),
-                            r.one_sig_vo_bytes.to_string(),
-                            r.multi_sig_vo_bytes.to_string(),
-                            r.mesh_vo_bytes.to_string(),
-                        ]
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
+        print_table(
+            "Fig. 8a — verification-object size vs result length (bytes)",
+            &["|q|", "one-sig", "multi-sig", "sig-mesh"],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.x.to_string(),
+                        r.one_sig_vo_bytes.to_string(),
+                        r.multi_sig_vo_bytes.to_string(),
+                        r.mesh_vo_bytes.to_string(),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
     }
 
     // ---- Fig. 8b ----------------------------------------------------------
     if wants(fig, "8b") {
         let rows = fig8b_vo_size_vs_n(scale, 3, seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-        } else {
-            print_table(
-                "Fig. 8b — verification-object size vs database size (bytes, |q| = 3)",
-                &["n", "one-sig", "multi-sig", "sig-mesh"],
-                &rows
-                    .iter()
-                    .map(|r| {
-                        vec![
-                            r.x.to_string(),
-                            r.one_sig_vo_bytes.to_string(),
-                            r.multi_sig_vo_bytes.to_string(),
-                            r.mesh_vo_bytes.to_string(),
-                        ]
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
+        print_table(
+            "Fig. 8b — verification-object size vs database size (bytes, |q| = 3)",
+            &["n", "one-sig", "multi-sig", "sig-mesh"],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.x.to_string(),
+                        r.one_sig_vo_bytes.to_string(),
+                        r.multi_sig_vo_bytes.to_string(),
+                        r.mesh_vo_bytes.to_string(),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
     }
 
     // ---- Ablation ---------------------------------------------------------
     if fig == "all" || fig == "ablation" {
         let rows = ablation_split_oracle(scale, 256, seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-        } else {
-            print_table(
-                "Ablation — exact LP vs Monte-Carlo split oracle",
-                &[
-                    "n",
-                    "LP cells",
-                    "MC cells",
-                    "LP ms",
-                    "MC ms",
-                    "MC order agreement",
-                ],
-                &rows
-                    .iter()
-                    .map(|r| {
-                        vec![
-                            r.n.to_string(),
-                            r.lp_subdomains.to_string(),
-                            r.sampling_subdomains.to_string(),
-                            fmt_ms(r.lp_build_ms),
-                            fmt_ms(r.sampling_build_ms),
-                            format!("{:.2}", r.sampling_order_agreement),
-                        ]
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
+        print_table(
+            "Ablation — exact LP vs Monte-Carlo split oracle",
+            &[
+                "n",
+                "LP cells",
+                "MC cells",
+                "LP ms",
+                "MC ms",
+                "MC order agreement",
+            ],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.n.to_string(),
+                        r.lp_subdomains.to_string(),
+                        r.sampling_subdomains.to_string(),
+                        fmt_ms(r.lp_build_ms),
+                        fmt_ms(r.sampling_build_ms),
+                        format!("{:.2}", r.sampling_order_agreement),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
     }
 
     // ---- Owner-build scaling curve ------------------------------------------
     if scale_curve {
         let rows = scaling_curve(&[32, 64, 128, 256], seed);
-        if args.json {
-            println!("{}", to_json(&rows));
-            return;
-        }
         print_table(
             "Owner build vs n (d = 2, one-signature, 256-bit key)",
             &[

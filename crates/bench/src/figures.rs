@@ -18,7 +18,6 @@
 //! | Ablation | [`ablation_split_oracle`] | LP vs sampling feasibility oracle |
 
 use crate::setup::{probe_weights, range_query_with_result_len, Scale, SchemeSet};
-use serde::Serialize;
 use std::time::Instant;
 use vaq_authquery::{client, vo, IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::sha256::sha256;
@@ -36,7 +35,7 @@ pub const DEFAULT_SEED: u64 = 20201111;
 // ---------------------------------------------------------------------------
 
 /// One row of the Fig. 5 series (one database size).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig5Row {
     /// Number of records.
     pub n: usize,
@@ -131,7 +130,7 @@ impl ServerQueryKind {
 }
 
 /// One row of a Fig. 6a–c series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig6Row {
     /// Number of records.
     pub n: usize,
@@ -182,7 +181,7 @@ pub fn fig6_server_vs_n(
 }
 
 /// One row of the Fig. 6d series (server cost vs result length).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig6dRow {
     /// Result length |q|.
     pub result_len: usize,
@@ -227,7 +226,7 @@ pub fn fig6d_server_vs_result_len(scale: Scale, seed: u64) -> Vec<Fig6dRow> {
 // ---------------------------------------------------------------------------
 
 /// One row of the Fig. 7a/7b/7d series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig7Row {
     /// Result length |q|.
     pub result_len: usize,
@@ -326,7 +325,7 @@ pub fn fig7_user(scale: Scale, seed: u64) -> Vec<Fig7Row> {
 }
 
 /// One row of the Fig. 7c series (RSA vs DSA signature verification time).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig7cRow {
     /// Result length |q| (the mesh verifies |q| + 1 signatures).
     pub result_len: usize,
@@ -378,7 +377,7 @@ pub fn fig7c_rsa_vs_dsa(scale: Scale, seed: u64) -> Vec<Fig7cRow> {
 // ---------------------------------------------------------------------------
 
 /// One row of the Fig. 8 series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig8Row {
     /// The swept parameter: result length (8a) or database size (8b).
     pub x: usize,
@@ -440,7 +439,7 @@ pub fn fig8b_vo_size_vs_n(scale: Scale, result_len: usize, seed: u64) -> Vec<Fig
 // ---------------------------------------------------------------------------
 
 /// One row of the split-oracle ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AblationRow {
     /// Number of records.
     pub n: usize,
@@ -508,7 +507,7 @@ pub fn ablation_split_oracle(scale: Scale, samples: usize, seed: u64) -> Vec<Abl
 
 /// One row of the owner-build scaling curve: a one-signature build over
 /// `uniform_dataset(n, 2, seed)` under a 256-bit key, so signing is nothing.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ScaleRow {
     /// Number of records.
     pub n: usize,

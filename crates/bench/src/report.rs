@@ -1,6 +1,4 @@
-//! Plain-text and JSON reporting helpers for the figures binary.
-
-use serde::Serialize;
+//! Plain-text reporting helpers for the figures binary.
 
 /// Prints a column-aligned table.
 ///
@@ -32,11 +30,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Serializes rows as a JSON array (pretty-printed) for machine consumption.
-pub fn to_json<T: Serialize>(rows: &[T]) -> String {
-    serde_json::to_string_pretty(rows).unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
-}
-
 /// Formats a float with three significant decimals for table cells.
 pub fn fmt_ms(v: f64) -> String {
     format!("{v:.3}")
@@ -45,21 +38,6 @@ pub fn fmt_ms(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
-
-    #[derive(Serialize)]
-    struct Row {
-        a: usize,
-        b: f64,
-    }
-
-    #[test]
-    fn json_serializes_rows() {
-        let rows = vec![Row { a: 1, b: 2.5 }, Row { a: 2, b: 3.5 }];
-        let s = to_json(&rows);
-        assert!(s.contains("\"a\": 1"));
-        assert!(s.contains("\"b\": 3.5"));
-    }
 
     #[test]
     fn fmt_ms_three_decimals() {

@@ -3,20 +3,17 @@
 //! site in `crates/service/src` — concretely, a fully-qualified
 //! `ErrorCode::Variant` inside the argument list of a call to
 //! `record_error`, `error_reply` or `error_response` (the three funnels
-//! that feed `Metrics::errors_by_code`). This mirrors the
-//! wire-exhaustiveness contract on the service side: a new error code that
-//! ships without an accounting site would be invisible in the deep stats,
-//! and operators debug what they can see.
+//! that feed `Metrics::errors_by_code`). A new error code that ships
+//! without an accounting site would be invisible in the deep stats, and
+//! operators debug what they can see.
 //!
 //! Findings anchor at the variant's declaration line in `envelope.rs`,
 //! because the fix usually lands with the variant. Trees with no service
-//! sources (the wire-only lint fixtures declare `ErrorCode` enums of their
-//! own) skip the pass.
+//! sources skip the pass.
 
 use std::collections::BTreeSet;
 
 use crate::scan::SourceFile;
-use crate::wire_exhaustive::enum_variants;
 use crate::Finding;
 
 /// The pass name, as used in findings and `lint:allow`.
@@ -54,6 +51,60 @@ pub fn run(envelope: &SourceFile, service: &[&SourceFile]) -> Vec<Finding> {
             ),
         })
         .collect()
+}
+
+/// The variants of `enum <name> { … }`: identifiers at the enum's own brace
+/// depth, outside parens/brackets, directly after `{`, `,` or an
+/// attribute's `]`.
+fn enum_variants(file: &SourceFile, name: &str) -> Vec<(String, u32)> {
+    let tokens = &file.tokens;
+    for i in 0..tokens.len() {
+        if tokens[i].text != "enum"
+            || tokens.get(i + 1).map(|t| t.text.as_str()) != Some(name)
+            || file.is_masked(tokens[i].line)
+        {
+            continue;
+        }
+        let mut j = i + 2;
+        while j < tokens.len() && tokens[j].text != "{" {
+            j += 1;
+        }
+        let mut brace = 0i32;
+        let mut paren = 0i32;
+        let mut bracket = 0i32;
+        let mut prev = "";
+        let mut variants = Vec::new();
+        while j < tokens.len() {
+            let text = tokens[j].text.as_str();
+            match text {
+                "{" => brace += 1,
+                "}" => {
+                    brace -= 1;
+                    if brace == 0 {
+                        return variants;
+                    }
+                }
+                "(" => paren += 1,
+                ")" => paren -= 1,
+                "[" => bracket += 1,
+                "]" => bracket -= 1,
+                _ => {
+                    let at_variant_position =
+                        brace == 1 && paren == 0 && bracket == 0 && matches!(prev, "{" | "," | "]");
+                    if at_variant_position
+                        && tokens[j].is_ident()
+                        && text.chars().next().is_some_and(|c| c.is_uppercase())
+                    {
+                        variants.push((text.to_string(), tokens[j].line));
+                    }
+                }
+            }
+            prev = text;
+            j += 1;
+        }
+        return variants;
+    }
+    Vec::new()
 }
 
 /// Collects every `ErrorCode::X` mentioned inside the balanced argument

@@ -1,7 +1,7 @@
 //! `vaq-lint`: workspace-native static analysis for the verified-analytics
 //! service tier.
 //!
-//! Seven passes, each a cheap token-level scan (no rustc internals, no
+//! Six passes, each a cheap token-level scan (no rustc internals, no
 //! crates.io dependencies), enforce properties the type system cannot:
 //!
 //! - **lock-order** — every mutex/condvar acquisition in vaq-service is
@@ -12,8 +12,6 @@
 //!   crypto/VO fast-path files (`montgomery.rs`, `sign_pool.rs`,
 //!   `proof_cache.rs`); requests die as typed errors, never as worker
 //!   panics.
-//! - **wire-exhaustiveness** — every `Request`/`Response`/`ErrorCode`
-//!   variant has an encode arm, a decode arm, and round-trip test coverage.
 //! - **epoch-discipline** — epoch ordering goes through
 //!   `vaq_wire::epoch::{advances, rolls_back, next}` and response-cache
 //!   accesses key on the epoch-prefixed `key`.
@@ -47,7 +45,6 @@ pub mod manifest;
 pub mod panic_path;
 pub mod reactor_discipline;
 pub mod scan;
-pub mod wire_exhaustive;
 
 pub use manifest::Manifest;
 use scan::SourceFile;
@@ -107,12 +104,11 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Runs all seven passes over the workspace rooted at `root` and returns
+/// Runs all six passes over the workspace rooted at `root` and returns
 /// the surviving (non-allowed) findings, sorted by file and line.
 pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
     let service_src = read_tree(&root.join("crates/service/src"))?;
     let wire_src = read_tree(&root.join("crates/wire/src"))?;
-    let wire_tests = read_tree(&root.join("crates/wire/tests"))?;
     if service_src.is_empty() && wire_src.is_empty() {
         return Err(LintError::NoSources(root.to_path_buf()));
     }
@@ -134,12 +130,7 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
 
     // Malformed allow annotations are findings in their own right and are
     // never suppressible.
-    for file in service_src
-        .iter()
-        .chain(&wire_src)
-        .chain(&wire_tests)
-        .chain(&hot_files)
-    {
+    for file in service_src.iter().chain(&wire_src).chain(&hot_files) {
         for (line, message) in &file.malformed_allows {
             findings.push(Finding {
                 pass: "lint-allow",
@@ -170,8 +161,6 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
     raw.extend(bounded_queue::run(&service_files, budgets.as_ref()));
 
     if let Some(envelope) = wire_src.iter().find(|f| f.file_name() == "envelope.rs") {
-        let tests: Vec<&SourceFile> = wire_tests.iter().collect();
-        raw.extend(wire_exhaustive::run(envelope, &tests));
         raw.extend(error_accounting::run(envelope, &service_files));
     }
 
@@ -185,12 +174,7 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
     // Apply allow annotations: an allow suppresses a matching-pass finding
     // on its own line or the line directly below it.
     let mut allows: BTreeMap<&Path, Vec<&scan::Allow>> = BTreeMap::new();
-    for file in service_src
-        .iter()
-        .chain(&wire_src)
-        .chain(&wire_tests)
-        .chain(&hot_files)
-    {
+    for file in service_src.iter().chain(&wire_src).chain(&hot_files) {
         for allow in &file.allows {
             allows.entry(file.path.as_path()).or_default().push(allow);
         }

@@ -2,7 +2,7 @@
 //! `lint:allow` annotation parsing, tokenisation and `#[cfg(test)]` masking.
 //!
 //! The scanner is deliberately **not** a Rust parser. It works on a token
-//! stream plus brace depth, which is all the four workspace passes need,
+//! stream plus brace depth, which is all the workspace passes need,
 //! and keeps the crate std-only with no rustc internals. Stripping is
 //! length- and line-preserving (comments and literal bodies are blanked,
 //! not removed), so every token keeps its real source line.
@@ -10,10 +10,9 @@
 use std::path::{Path, PathBuf};
 
 /// The pass names a `// lint:allow(<pass>, <reason>)` annotation may name.
-pub const PASSES: [&str; 7] = [
+pub const PASSES: [&str; 6] = [
     "lock-order",
     "panic-path",
-    "wire-exhaustiveness",
     "epoch-discipline",
     "reactor-discipline",
     "bounded-queue",

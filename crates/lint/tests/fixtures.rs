@@ -145,49 +145,6 @@ fn malformed_allows_are_findings_and_suppress_nothing() {
 }
 
 #[test]
-fn wire_bad_fixture_flags_the_uncovered_variant() {
-    let f = findings("wire_bad");
-    let listing = dump(&f);
-    assert!(
-        has(
-            &f,
-            "wire-exhaustiveness",
-            "src/envelope.rs",
-            3,
-            "`Request::Extra`"
-        ),
-        "{listing}"
-    );
-    assert!(
-        has(
-            &f,
-            "wire-exhaustiveness",
-            "src/envelope.rs",
-            3,
-            "a decode arm"
-        ),
-        "{listing}"
-    );
-    assert!(
-        has(
-            &f,
-            "wire-exhaustiveness",
-            "src/envelope.rs",
-            3,
-            "round-trip"
-        ),
-        "{listing}"
-    );
-    assert_eq!(f.len(), 1, "unexpected finding set:\n{listing}");
-}
-
-#[test]
-fn wire_good_fixture_counts_inherent_impl_tag_tables_as_encode_evidence() {
-    let f = findings("wire_good");
-    assert!(f.is_empty(), "expected clean, got:\n{}", dump(&f));
-}
-
-#[test]
 fn epoch_bad_fixture_flags_raw_ordering_and_unprefixed_cache_keys() {
     let f = findings("epoch_bad");
     let listing = dump(&f);
@@ -374,7 +331,6 @@ fn cli_exits_nonzero_on_every_bad_fixture() {
         "lock_order_bad",
         "panic_path_bad",
         "allow_bad",
-        "wire_bad",
         "epoch_bad",
         "reactor_bad",
         "queue_bad",
@@ -391,7 +347,6 @@ fn cli_exits_zero_on_every_good_fixture() {
     for good in [
         "lock_order_good",
         "panic_path_good",
-        "wire_good",
         "epoch_good",
         "reactor_good",
         "queue_good",

@@ -2,28 +2,3 @@ pub enum ErrorCode {
     Malformed,
     Overloaded,
 }
-
-impl ErrorCode {
-    fn tag(self) -> u8 {
-        match self {
-            ErrorCode::Malformed => 0,
-            ErrorCode::Overloaded => 1,
-        }
-    }
-}
-
-impl WireEncode for ErrorCode {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.tag());
-    }
-}
-
-impl WireDecode for ErrorCode {
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(ErrorCode::Malformed),
-            1 => Ok(ErrorCode::Overloaded),
-            _ => Err(WireError::BadTag),
-        }
-    }
-}

@@ -406,6 +406,43 @@ fn oversized_and_garbage_frames_are_rejected() {
     service.shutdown();
 }
 
+#[test]
+fn a_frame_of_twenty_thousand_nested_tags_gets_a_typed_malformed_reply() {
+    // 180,011 bytes, well inside the frame limit: 20,000 tagged envelopes
+    // around a ping. A decoder that recursed into each level before refusing
+    // the nesting overflowed the worker's stack and aborted the whole
+    // process; the reply must be a typed error and the service must live on.
+    use std::io::Write;
+    let (_, server, _) = owner_setup(10, 1, 43);
+    let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
+    let mut payload = Vec::with_capacity(20_000 * 9 + 1);
+    for level in 0..20_000u64 {
+        payload.push(10); // `Request::Tagged`
+        payload.extend_from_slice(&level.to_le_bytes());
+    }
+    payload.push(1); // `Request::Ping`
+    let frame = RawBytes(payload).to_framed_bytes();
+    assert_eq!(frame.len(), 180_011);
+
+    let mut stream = std::net::TcpStream::connect(service.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream.write_all(&frame).unwrap();
+    let reply: Option<Response> = vaq_service::frame::read_message(&mut stream, 1 << 20).unwrap();
+    // The service strips the outer envelope and answers under its tag.
+    match reply {
+        Some(Response::Tagged { tag: 0, response }) => match *response {
+            Response::Error(reply) => assert_eq!(reply.code, ErrorCode::Malformed),
+            other => panic!("expected Malformed, got {other:?}"),
+        },
+        other => panic!("expected a tagged reply, got {other:?}"),
+    }
+    let mut next = ServiceClient::connect(service.local_addr()).unwrap();
+    next.ping().expect("the service outlives the frame");
+    service.shutdown();
+}
+
 /// Helper to frame arbitrary payload bytes.
 struct RawBytes(Vec<u8>);
 

@@ -1,6 +1,7 @@
 //! Wire encodings for the IFMH protocol messages: queries, verification
 //! objects and full query responses.
 
+use crate::codec::{wire_enum, wire_struct};
 use crate::error::WireError;
 use crate::io::{Reader, Writer};
 use crate::{WireDecode, WireEncode};
@@ -8,20 +9,21 @@ use vaq_authquery::cost::ServerCost;
 use vaq_authquery::{
     BoundaryEntry, IntersectionVerification, IvStep, Query, QueryResponse, VerificationObject,
 };
-use vaq_crypto::Signature;
-use vaq_funcdb::{HalfSpace, Record};
 use vaq_mht::{ProofNode, RangeProof};
 
 const QUERY_TAG_TOPK: u8 = 1;
 const QUERY_TAG_RANGE: u8 = 2;
 const QUERY_TAG_KNN: u8 = 3;
 
+/// Written by hand: `k` is a `usize` carried as a `u32`, and a range query
+/// whose bounds are NaN or out of order is refused at decode time rather
+/// than left to panic later in [`Query::range`].
 impl WireEncode for Query {
     fn encode(&self, w: &mut Writer) {
         match self {
             Query::TopK { weights, k } => {
                 w.put_u8(QUERY_TAG_TOPK);
-                w.put_f64_slice(weights);
+                weights.encode(w);
                 w.put_u32(*k as u32);
             }
             Query::Range {
@@ -30,13 +32,13 @@ impl WireEncode for Query {
                 upper,
             } => {
                 w.put_u8(QUERY_TAG_RANGE);
-                w.put_f64_slice(weights);
+                weights.encode(w);
                 w.put_f64(*lower);
                 w.put_f64(*upper);
             }
             Query::Knn { weights, k, target } => {
                 w.put_u8(QUERY_TAG_KNN);
-                w.put_f64_slice(weights);
+                weights.encode(w);
                 w.put_u32(*k as u32);
                 w.put_f64(*target);
             }
@@ -48,11 +50,11 @@ impl WireDecode for Query {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.get_u8()? {
             QUERY_TAG_TOPK => Ok(Query::TopK {
-                weights: r.get_f64_vec()?,
+                weights: Vec::decode(r)?,
                 k: r.get_u32()? as usize,
             }),
             QUERY_TAG_RANGE => {
-                let weights = r.get_f64_vec()?;
+                let weights = Vec::decode(r)?;
                 let lower = r.get_f64()?;
                 let upper = r.get_f64()?;
                 if lower.is_nan() || upper.is_nan() || lower > upper {
@@ -65,7 +67,7 @@ impl WireDecode for Query {
                 })
             }
             QUERY_TAG_KNN => Ok(Query::Knn {
-                weights: r.get_f64_vec()?,
+                weights: Vec::decode(r)?,
                 k: r.get_u32()? as usize,
                 target: r.get_f64()?,
             }),
@@ -77,175 +79,7 @@ impl WireDecode for Query {
     }
 }
 
-const BOUNDARY_TAG_MIN: u8 = 1;
-const BOUNDARY_TAG_MAX: u8 = 2;
-const BOUNDARY_TAG_RECORD: u8 = 3;
-
-impl WireEncode for BoundaryEntry {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            BoundaryEntry::MinSentinel => w.put_u8(BOUNDARY_TAG_MIN),
-            BoundaryEntry::MaxSentinel => w.put_u8(BOUNDARY_TAG_MAX),
-            BoundaryEntry::Record(r) => {
-                w.put_u8(BOUNDARY_TAG_RECORD);
-                r.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for BoundaryEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            BOUNDARY_TAG_MIN => Ok(BoundaryEntry::MinSentinel),
-            BOUNDARY_TAG_MAX => Ok(BoundaryEntry::MaxSentinel),
-            BOUNDARY_TAG_RECORD => Ok(BoundaryEntry::Record(Record::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BoundaryEntry",
-                tag,
-            }),
-        }
-    }
-}
-
-impl WireEncode for ProofNode {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.layer);
-        w.put_u32(self.index);
-        w.put_digest(&self.hash);
-    }
-}
-
-impl WireDecode for ProofNode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ProofNode {
-            layer: r.get_u32()?,
-            index: r.get_u32()?,
-            hash: r.get_digest()?,
-        })
-    }
-}
-
-impl WireEncode for RangeProof {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.leaf_count);
-        w.put_len(self.nodes.len());
-        for node in &self.nodes {
-            node.encode(w);
-        }
-    }
-}
-
-impl WireDecode for RangeProof {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let leaf_count = r.get_u32()?;
-        let len = r.get_len()?;
-        let mut nodes = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            nodes.push(ProofNode::decode(r)?);
-        }
-        Ok(RangeProof { nodes, leaf_count })
-    }
-}
-
-impl WireEncode for IvStep {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.pair.0);
-        w.put_u32(self.pair.1);
-        w.put_f64_slice(&self.coeffs);
-        w.put_f64(self.constant);
-        w.put_digest(&self.sibling_hash);
-        w.put_bool(self.went_above);
-    }
-}
-
-impl WireDecode for IvStep {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(IvStep {
-            pair: (r.get_u32()?, r.get_u32()?),
-            coeffs: r.get_f64_vec()?,
-            constant: r.get_f64()?,
-            sibling_hash: r.get_digest()?,
-            went_above: r.get_bool()?,
-        })
-    }
-}
-
-const IV_TAG_ONE: u8 = 1;
-const IV_TAG_MULTI: u8 = 2;
-
-impl WireEncode for IntersectionVerification {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            IntersectionVerification::OneSignature { path } => {
-                w.put_u8(IV_TAG_ONE);
-                w.put_len(path.len());
-                for step in path {
-                    step.encode(w);
-                }
-            }
-            IntersectionVerification::MultiSignature { halfspaces } => {
-                w.put_u8(IV_TAG_MULTI);
-                w.put_len(halfspaces.len());
-                for hs in halfspaces {
-                    hs.encode(w);
-                }
-            }
-        }
-    }
-}
-
-impl WireDecode for IntersectionVerification {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            IV_TAG_ONE => {
-                let len = r.get_len()?;
-                let mut path = Vec::with_capacity(len.min(1024));
-                for _ in 0..len {
-                    path.push(IvStep::decode(r)?);
-                }
-                Ok(IntersectionVerification::OneSignature { path })
-            }
-            IV_TAG_MULTI => {
-                let len = r.get_len()?;
-                let mut halfspaces = Vec::with_capacity(len.min(1024));
-                for _ in 0..len {
-                    halfspaces.push(HalfSpace::decode(r)?);
-                }
-                Ok(IntersectionVerification::MultiSignature { halfspaces })
-            }
-            tag => Err(WireError::InvalidTag {
-                type_name: "IntersectionVerification",
-                tag,
-            }),
-        }
-    }
-}
-
-impl WireEncode for VerificationObject {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.first_leaf);
-        self.left_boundary.encode(w);
-        self.right_boundary.encode(w);
-        self.range_proof.encode(w);
-        self.intersection_verification.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl WireDecode for VerificationObject {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VerificationObject {
-            first_leaf: r.get_u32()?,
-            left_boundary: BoundaryEntry::decode(r)?,
-            right_boundary: BoundaryEntry::decode(r)?,
-            range_proof: RangeProof::decode(r)?,
-            intersection_verification: IntersectionVerification::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
+/// Written by hand: the counters are `usize`s carried as `u64`s.
 impl WireEncode for ServerCost {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.imh_nodes_visited as u64);
@@ -266,30 +100,26 @@ impl WireDecode for ServerCost {
     }
 }
 
-impl WireEncode for QueryResponse {
-    fn encode(&self, w: &mut Writer) {
-        w.put_len(self.records.len());
-        for record in &self.records {
-            record.encode(w);
-        }
-        self.vo.encode(w);
-        self.cost.encode(w);
-    }
-}
+wire_enum!(BoundaryEntry {
+    1 => MinSentinel,
+    2 => MaxSentinel,
+    3 => Record(record),
+});
 
-impl WireDecode for QueryResponse {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.get_len()?;
-        let mut records = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            records.push(Record::decode(r)?);
-        }
-        Ok(QueryResponse {
-            records,
-            vo: VerificationObject::decode(r)?,
-            cost: ServerCost::decode(r)?,
-        })
+wire_enum!(IntersectionVerification {
+    1 => OneSignature { path },
+    2 => MultiSignature { halfspaces },
+});
+
+wire_struct! {
+    ProofNode { layer, index, hash }
+    RangeProof { leaf_count, nodes }
+    IvStep { pair, coeffs, constant, sibling_hash, went_above }
+    VerificationObject {
+        first_leaf, left_boundary, right_boundary, range_proof, intersection_verification,
+        signature,
     }
+    QueryResponse { records, vo, cost }
 }
 
 #[cfg(test)]
@@ -338,13 +168,49 @@ mod tests {
         }
     }
 
+    /// Why `value` fails to decode once the flag byte at `at` is `0x02`.
+    fn with_flag_two<T: WireEncode + WireDecode>(value: &T, at: usize) -> Option<WireError> {
+        let mut bytes = value.to_wire_bytes();
+        assert!(bytes[at] <= 1, "byte {at} is not a flag");
+        bytes[at] = 2;
+        T::from_wire_bytes(&bytes).err()
+    }
+
+    #[test]
+    fn every_flag_byte_is_zero_or_one() {
+        // A flag that read any non-zero byte as `true` would give one value
+        // many encodings; each of these four must be refused instead.
+        let refused = Some(WireError::InvalidTag {
+            type_name: "bool",
+            tag: 2,
+        });
+        // Record: id, one attribute, then the label flag.
+        let record = vaq_funcdb::Record::new(1, vec![0.5]);
+        assert_eq!(with_flag_two(&record, 8 + 4 + 8), refused);
+        // HalfSpace: one coefficient, the constant, `non_negative`, then the
+        // flag of the absent pair.
+        let halfspace = vaq_funcdb::HalfSpace::raw(vec![1.0], 0.25, true);
+        assert_eq!(with_flag_two(&halfspace, 4 + 8 + 8), refused);
+        assert_eq!(with_flag_two(&halfspace, 4 + 8 + 8 + 1), refused);
+        // IvStep: the pair, one coefficient, the constant, the sibling
+        // hash, then `went_above`.
+        let step = IvStep {
+            pair: (1, 2),
+            coeffs: vec![0.5],
+            constant: -1.0,
+            sibling_hash: [3; 32],
+            went_above: false,
+        };
+        assert_eq!(with_flag_two(&step, 8 + 4 + 8 + 8 + 32), refused);
+    }
+
     #[test]
     fn malformed_range_query_rejected() {
         // lower > upper must be rejected at decode time rather than panicking
         // later inside Query::range.
         let mut w = Writer::new();
         w.put_u8(2);
-        w.put_f64_slice(&[0.5]);
+        vec![0.5].encode(&mut w);
         w.put_f64(0.9);
         w.put_f64(0.1);
         assert_eq!(

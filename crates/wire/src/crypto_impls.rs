@@ -1,5 +1,6 @@
 //! Wire encodings for cryptographic values (signatures and public keys).
 
+use crate::codec::{wire_enum, wire_struct};
 use crate::error::WireError;
 use crate::io::{Reader, Writer};
 use crate::{WireDecode, WireEncode};
@@ -8,6 +9,7 @@ use vaq_crypto::rsa::{RsaPublicKey, RsaSignature};
 use vaq_crypto::signer::PublicKey;
 use vaq_crypto::{BigUint, Signature};
 
+/// Written by hand: a length-prefixed big-endian byte string.
 impl WireEncode for BigUint {
     fn encode(&self, w: &mut Writer) {
         w.put_bytes(&self.to_bytes_be());
@@ -20,6 +22,7 @@ impl WireDecode for BigUint {
     }
 }
 
+/// Written by hand: the signature is one length-prefixed byte string.
 impl WireEncode for RsaSignature {
     fn encode(&self, w: &mut Writer) {
         w.put_bytes(&self.bytes);
@@ -34,53 +37,8 @@ impl WireDecode for RsaSignature {
     }
 }
 
-impl WireEncode for DsaSignature {
-    fn encode(&self, w: &mut Writer) {
-        self.r.encode(w);
-        self.s.encode(w);
-    }
-}
-
-impl WireDecode for DsaSignature {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(DsaSignature {
-            r: BigUint::decode(r)?,
-            s: BigUint::decode(r)?,
-        })
-    }
-}
-
-const SIG_TAG_RSA: u8 = 1;
-const SIG_TAG_DSA: u8 = 2;
-
-impl WireEncode for Signature {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Signature::Rsa(sig) => {
-                w.put_u8(SIG_TAG_RSA);
-                sig.encode(w);
-            }
-            Signature::Dsa(sig) => {
-                w.put_u8(SIG_TAG_DSA);
-                sig.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for Signature {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            SIG_TAG_RSA => Ok(Signature::Rsa(RsaSignature::decode(r)?)),
-            SIG_TAG_DSA => Ok(Signature::Dsa(DsaSignature::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Signature",
-                tag,
-            }),
-        }
-    }
-}
-
+/// Written by hand: a decoded key is built through [`RsaPublicKey::new`],
+/// which owns the key's cached Montgomery context.
 impl WireEncode for RsaPublicKey {
     fn encode(&self, w: &mut Writer) {
         self.n.encode(w);
@@ -90,12 +48,11 @@ impl WireEncode for RsaPublicKey {
 
 impl WireDecode for RsaPublicKey {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = BigUint::decode(r)?;
-        let e = BigUint::decode(r)?;
-        Ok(RsaPublicKey::new(n, e))
+        Ok(RsaPublicKey::new(BigUint::decode(r)?, BigUint::decode(r)?))
     }
 }
 
+/// Written by hand: a decoded key is built through [`DsaPublicKey::new`].
 impl WireEncode for DsaPublicKey {
     fn encode(&self, w: &mut Writer) {
         self.p.encode(w);
@@ -107,41 +64,24 @@ impl WireEncode for DsaPublicKey {
 
 impl WireDecode for DsaPublicKey {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let p = BigUint::decode(r)?;
-        let q = BigUint::decode(r)?;
-        let g = BigUint::decode(r)?;
-        let y = BigUint::decode(r)?;
-        Ok(DsaPublicKey::new(p, q, g, y))
+        let mut part = || BigUint::decode(r);
+        Ok(DsaPublicKey::new(part()?, part()?, part()?, part()?))
     }
 }
 
-impl WireEncode for PublicKey {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PublicKey::Rsa(pk) => {
-                w.put_u8(SIG_TAG_RSA);
-                pk.encode(w);
-            }
-            PublicKey::Dsa(pk) => {
-                w.put_u8(SIG_TAG_DSA);
-                pk.encode(w);
-            }
-        }
-    }
+wire_struct! {
+    DsaSignature { r, s }
 }
 
-impl WireDecode for PublicKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            SIG_TAG_RSA => Ok(PublicKey::Rsa(RsaPublicKey::decode(r)?)),
-            SIG_TAG_DSA => Ok(PublicKey::Dsa(DsaPublicKey::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "PublicKey",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(Signature {
+    1 => Rsa(signature),
+    2 => Dsa(signature),
+});
+
+wire_enum!(PublicKey {
+    1 => Rsa(key),
+    2 => Dsa(key),
+});
 
 #[cfg(test)]
 mod tests {

@@ -12,8 +12,9 @@
 //! Service health telemetry ([`StatsSnapshot`]) is part of the protocol so
 //! operators can scrape a running service with nothing but a socket.
 
+use crate::codec::{wire_enum, wire_struct};
 use crate::error::WireError;
-use crate::io::{Reader, Writer};
+use crate::io::Reader;
 use crate::{WireDecode, WireEncode};
 use vaq_authquery::{Query, QueryResponse};
 use vaq_crypto::sha256::{sha256, Digest};
@@ -249,9 +250,10 @@ impl ErrorCode {
         ErrorCode::Stalled,
     ];
 
-    /// Stable position of this code in [`ErrorCode::ALL`].
+    /// Stable position of this code in [`ErrorCode::ALL`]: its declaration
+    /// order, one less than its tag byte.
     pub fn index(self) -> usize {
-        (self.tag() - 1) as usize
+        self as usize
     }
 
     /// Stable snake_case label, used in stats payloads and log lines.
@@ -503,609 +505,94 @@ pub struct SignedShardMap {
 
 // Tag 2 (the flat stats scrape `StatsDeep` embeds) is retired, not reused:
 // a peer that still sends it gets the `InvalidTag` decode error.
-const REQUEST_TAG_PING: u8 = 1;
-const REQUEST_TAG_QUERY: u8 = 3;
-const REQUEST_TAG_BATCH: u8 = 4;
-const REQUEST_TAG_SHARD_INFO: u8 = 5;
-const REQUEST_TAG_SHARD_MAP: u8 = 6;
-const REQUEST_TAG_QUERY_AT: u8 = 7;
-const REQUEST_TAG_BATCH_AT: u8 = 8;
-const REQUEST_TAG_STATS_DEEP: u8 = 9;
 const REQUEST_TAG_TAGGED: u8 = 10;
 
-impl WireEncode for Request {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Request::Ping => w.put_u8(REQUEST_TAG_PING),
-            Request::Query(query) => {
-                w.put_u8(REQUEST_TAG_QUERY);
-                query.encode(w);
-            }
-            Request::Batch(queries) => {
-                w.put_u8(REQUEST_TAG_BATCH);
-                w.put_len(queries.len());
-                for query in queries {
-                    query.encode(w);
-                }
-            }
-            Request::ShardInfo => w.put_u8(REQUEST_TAG_SHARD_INFO),
-            Request::ShardMap => w.put_u8(REQUEST_TAG_SHARD_MAP),
-            Request::QueryAt { epoch, query } => {
-                w.put_u8(REQUEST_TAG_QUERY_AT);
-                w.put_u64(*epoch);
-                query.encode(w);
-            }
-            Request::BatchAt { epoch, queries } => {
-                w.put_u8(REQUEST_TAG_BATCH_AT);
-                w.put_u64(*epoch);
-                w.put_len(queries.len());
-                for query in queries {
-                    query.encode(w);
-                }
-            }
-            Request::StatsDeep => w.put_u8(REQUEST_TAG_STATS_DEEP),
-            Request::Tagged { tag, request } => {
-                w.put_u8(REQUEST_TAG_TAGGED);
-                w.put_u64(*tag);
-                request.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for Request {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            REQUEST_TAG_PING => Ok(Request::Ping),
-            REQUEST_TAG_QUERY => Ok(Request::Query(Query::decode(r)?)),
-            REQUEST_TAG_BATCH => {
-                let len = r.get_len()?;
-                let mut queries = Vec::with_capacity(len.min(1024));
-                for _ in 0..len {
-                    queries.push(Query::decode(r)?);
-                }
-                Ok(Request::Batch(queries))
-            }
-            REQUEST_TAG_SHARD_INFO => Ok(Request::ShardInfo),
-            REQUEST_TAG_SHARD_MAP => Ok(Request::ShardMap),
-            REQUEST_TAG_QUERY_AT => Ok(Request::QueryAt {
-                epoch: r.get_u64()?,
-                query: Query::decode(r)?,
-            }),
-            REQUEST_TAG_BATCH_AT => {
-                let epoch = r.get_u64()?;
-                let len = r.get_len()?;
-                let mut queries = Vec::with_capacity(len.min(1024));
-                for _ in 0..len {
-                    queries.push(Query::decode(r)?);
-                }
-                Ok(Request::BatchAt { epoch, queries })
-            }
-            REQUEST_TAG_STATS_DEEP => Ok(Request::StatsDeep),
-            REQUEST_TAG_TAGGED => {
-                let tag = r.get_u64()?;
-                let request = Request::decode(r)?;
-                if matches!(request, Request::Tagged { .. }) {
-                    // One level of tagging only: a nested tagged request has
-                    // no meaningful reply shape, so reject it at decode time.
-                    return Err(WireError::InvalidTag {
-                        type_name: "Request::Tagged (nested)",
-                        tag: REQUEST_TAG_TAGGED,
-                    });
-                }
-                Ok(Request::Tagged {
-                    tag,
-                    request: Box::new(request),
-                })
-            }
-            tag => Err(WireError::InvalidTag {
-                type_name: "Request",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(Request {
+    1 => Ping,
+    3 => Query(query),
+    4 => Batch(queries),
+    5 => ShardInfo,
+    6 => ShardMap,
+    7 => QueryAt { epoch, query },
+    8 => BatchAt { epoch, queries },
+    9 => StatsDeep,
+    REQUEST_TAG_TAGGED => Tagged { tag, request },
+});
 
 // Tag 2 (the answer to the retired request tag 2) is likewise left unused.
-const RESPONSE_TAG_PONG: u8 = 1;
-const RESPONSE_TAG_QUERY: u8 = 3;
-const RESPONSE_TAG_BATCH: u8 = 4;
-const RESPONSE_TAG_ERROR: u8 = 5;
-const RESPONSE_TAG_SHARD_INFO: u8 = 6;
-const RESPONSE_TAG_SHARD_MAP: u8 = 7;
-const RESPONSE_TAG_STATS_DEEP: u8 = 8;
 const RESPONSE_TAG_TAGGED: u8 = 9;
 
-impl WireEncode for Response {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Response::Pong => w.put_u8(RESPONSE_TAG_PONG),
-            Response::Query { epoch, response } => {
-                w.put_u8(RESPONSE_TAG_QUERY);
-                w.put_u64(*epoch);
-                response.encode(w);
-            }
-            Response::Batch { epoch, responses } => {
-                w.put_u8(RESPONSE_TAG_BATCH);
-                w.put_u64(*epoch);
-                w.put_len(responses.len());
-                for response in responses {
-                    response.encode(w);
-                }
-            }
-            Response::ShardInfo(info) => {
-                w.put_u8(RESPONSE_TAG_SHARD_INFO);
-                info.encode(w);
-            }
-            Response::ShardMap(map) => {
-                w.put_u8(RESPONSE_TAG_SHARD_MAP);
-                map.encode(w);
-            }
-            Response::Error(reply) => {
-                w.put_u8(RESPONSE_TAG_ERROR);
-                reply.encode(w);
-            }
-            Response::StatsDeep(deep) => {
-                w.put_u8(RESPONSE_TAG_STATS_DEEP);
-                deep.encode(w);
-            }
-            Response::Tagged { tag, response } => {
-                w.put_u8(RESPONSE_TAG_TAGGED);
-                w.put_u64(*tag);
-                response.encode(w);
-            }
-        }
+wire_enum!(Response {
+    1 => Pong,
+    3 => Query { epoch, response },
+    4 => Batch { epoch, responses },
+    5 => Error(reply),
+    6 => ShardInfo(info),
+    7 => ShardMap(map),
+    8 => StatsDeep(deep),
+    RESPONSE_TAG_TAGGED => Tagged { tag, response },
+});
+
+/// One level of tagging only: a tagged envelope inside another has no reply
+/// shape. The wrapped message's tag byte is refused before anything is
+/// decoded, so the decoder never recurses, however deep a frame nests.
+fn refuse_nested(r: &Reader<'_>, tagged: u8, type_name: &'static str) -> Result<(), WireError> {
+    match r.peek_u8()? {
+        tag if tag == tagged => Err(WireError::InvalidTag { type_name, tag }),
+        _ => Ok(()),
     }
 }
 
-impl WireDecode for Response {
+impl WireDecode for Box<Request> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            RESPONSE_TAG_PONG => Ok(Response::Pong),
-            RESPONSE_TAG_QUERY => Ok(Response::Query {
-                epoch: r.get_u64()?,
-                response: QueryResponse::decode(r)?,
-            }),
-            RESPONSE_TAG_BATCH => {
-                let epoch = r.get_u64()?;
-                let len = r.get_len()?;
-                let mut responses = Vec::with_capacity(len.min(1024));
-                for _ in 0..len {
-                    responses.push(QueryResponse::decode(r)?);
-                }
-                Ok(Response::Batch { epoch, responses })
-            }
-            RESPONSE_TAG_ERROR => Ok(Response::Error(ErrorReply::decode(r)?)),
-            RESPONSE_TAG_SHARD_INFO => Ok(Response::ShardInfo(ShardInfo::decode(r)?)),
-            RESPONSE_TAG_SHARD_MAP => Ok(Response::ShardMap(SignedShardMap::decode(r)?)),
-            RESPONSE_TAG_STATS_DEEP => Ok(Response::StatsDeep(StatsDeep::decode(r)?)),
-            RESPONSE_TAG_TAGGED => {
-                let tag = r.get_u64()?;
-                let response = Response::decode(r)?;
-                if matches!(response, Response::Tagged { .. }) {
-                    return Err(WireError::InvalidTag {
-                        type_name: "Response::Tagged (nested)",
-                        tag: RESPONSE_TAG_TAGGED,
-                    });
-                }
-                Ok(Response::Tagged {
-                    tag,
-                    response: Box::new(response),
-                })
-            }
-            tag => Err(WireError::InvalidTag {
-                type_name: "Response",
-                tag,
-            }),
-        }
+        refuse_nested(r, REQUEST_TAG_TAGGED, "Request::Tagged (nested)")?;
+        Request::decode(r).map(Box::new)
     }
 }
 
-impl ErrorCode {
-    fn tag(self) -> u8 {
-        match self {
-            ErrorCode::Malformed => 1,
-            ErrorCode::BadQuery => 2,
-            ErrorCode::FrameTooLarge => 3,
-            ErrorCode::Internal => 4,
-            ErrorCode::ShuttingDown => 5,
-            ErrorCode::NotSharded => 6,
-            ErrorCode::StaleEpoch => 7,
-            ErrorCode::Overloaded => 8,
-            ErrorCode::Stalled => 9,
-        }
-    }
-}
-
-impl WireEncode for ErrorCode {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.tag());
-    }
-}
-
-impl WireDecode for ErrorCode {
+impl WireDecode for Box<Response> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            1 => Ok(ErrorCode::Malformed),
-            2 => Ok(ErrorCode::BadQuery),
-            3 => Ok(ErrorCode::FrameTooLarge),
-            4 => Ok(ErrorCode::Internal),
-            5 => Ok(ErrorCode::ShuttingDown),
-            6 => Ok(ErrorCode::NotSharded),
-            7 => Ok(ErrorCode::StaleEpoch),
-            8 => Ok(ErrorCode::Overloaded),
-            9 => Ok(ErrorCode::Stalled),
-            tag => Err(WireError::InvalidTag {
-                type_name: "ErrorCode",
-                tag,
-            }),
-        }
+        refuse_nested(r, RESPONSE_TAG_TAGGED, "Response::Tagged (nested)")?;
+        Response::decode(r).map(Box::new)
     }
 }
 
-impl WireEncode for ErrorReply {
-    fn encode(&self, w: &mut Writer) {
-        self.code.encode(w);
-        w.put_string(&self.message);
-    }
-}
+wire_enum!(ErrorCode {
+    1 => Malformed,
+    2 => BadQuery,
+    3 => FrameTooLarge,
+    4 => Internal,
+    5 => ShuttingDown,
+    6 => NotSharded,
+    7 => StaleEpoch,
+    8 => Overloaded,
+    9 => Stalled,
+});
 
-impl WireDecode for ErrorReply {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ErrorReply {
-            code: ErrorCode::decode(r)?,
-            message: r.get_string()?,
-        })
-    }
-}
-
-impl WireEncode for ShardInfo {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.shard_id);
-        w.put_u32(self.shard_count);
-        w.put_u64(self.records);
-        w.put_u64(self.epoch);
-    }
-}
-
-impl WireDecode for ShardInfo {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardInfo {
-            shard_id: r.get_u32()?,
-            shard_count: r.get_u32()?,
-            records: r.get_u64()?,
-            epoch: r.get_u64()?,
-        })
-    }
-}
-
-impl WireEncode for ShardEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.shard_id);
-        w.put_u64(self.records);
-        self.public_key.encode(w);
-        w.put_len(self.addrs.len());
-        for addr in &self.addrs {
-            w.put_string(addr);
-        }
-    }
-}
-
-impl WireDecode for ShardEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let shard_id = r.get_u32()?;
-        let records = r.get_u64()?;
-        let public_key = PublicKey::decode(r)?;
-        let len = r.get_len()?;
-        let mut addrs = Vec::with_capacity(len.min(64));
-        for _ in 0..len {
-            addrs.push(r.get_string()?);
-        }
-        Ok(ShardEntry {
-            shard_id,
-            records,
-            public_key,
-            addrs,
-        })
-    }
-}
-
-impl WireEncode for ShardMap {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.epoch);
-        w.put_u32(self.shard_count);
-        w.put_u64(self.total_records);
-        w.put_u32(self.dims);
-        w.put_len(self.shards.len());
-        for shard in &self.shards {
-            shard.encode(w);
-        }
-    }
-}
-
-impl WireDecode for ShardMap {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let epoch = r.get_u64()?;
-        let shard_count = r.get_u32()?;
-        let total_records = r.get_u64()?;
-        let dims = r.get_u32()?;
-        let len = r.get_len()?;
-        let mut shards = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            shards.push(ShardEntry::decode(r)?);
-        }
-        Ok(ShardMap {
-            epoch,
-            shard_count,
-            total_records,
-            dims,
-            shards,
-        })
-    }
-}
-
-impl WireEncode for SignedShardMap {
-    fn encode(&self, w: &mut Writer) {
-        self.map.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl WireDecode for SignedShardMap {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SignedShardMap {
-            map: ShardMap::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for LatencyHistogram {
-    fn encode(&self, w: &mut Writer) {
-        w.put_len(self.bucket_counts.len());
-        for count in &self.bucket_counts {
-            w.put_u64(*count);
-        }
-        w.put_u64(self.count);
-        w.put_u64(self.sum_micros);
-        w.put_u64(self.max_micros);
-    }
-}
-
-impl WireDecode for LatencyHistogram {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.get_len()?;
-        let mut bucket_counts = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            bucket_counts.push(r.get_u64()?);
-        }
-        Ok(LatencyHistogram {
-            bucket_counts,
-            count: r.get_u64()?,
-            sum_micros: r.get_u64()?,
-            max_micros: r.get_u64()?,
-        })
-    }
-}
-
-impl WireEncode for KindLatency {
-    fn encode(&self, w: &mut Writer) {
-        w.put_string(&self.kind);
-        self.histogram.encode(w);
-    }
-}
-
-impl WireDecode for KindLatency {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(KindLatency {
-            kind: r.get_string()?,
-            histogram: LatencyHistogram::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for ErrorCount {
-    fn encode(&self, w: &mut Writer) {
-        w.put_string(&self.code);
-        w.put_u64(self.count);
-    }
-}
-
-impl WireDecode for ErrorCount {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ErrorCount {
-            code: r.get_string()?,
-            count: r.get_u64()?,
-        })
-    }
-}
-
-impl WireEncode for StageLatency {
-    fn encode(&self, w: &mut Writer) {
-        w.put_string(&self.stage);
-        self.histogram.encode(w);
-    }
-}
-
-impl WireDecode for StageLatency {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StageLatency {
-            stage: r.get_string()?,
-            histogram: LatencyHistogram::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for StageMicros {
-    fn encode(&self, w: &mut Writer) {
-        w.put_string(&self.stage);
-        w.put_u64(self.count);
-        w.put_u64(self.sum_micros);
-        w.put_u64(self.max_micros);
-    }
-}
-
-impl WireDecode for StageMicros {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StageMicros {
-            stage: r.get_string()?,
-            count: r.get_u64()?,
-            sum_micros: r.get_u64()?,
-            max_micros: r.get_u64()?,
-        })
-    }
-}
-
-impl WireEncode for KindStages {
-    fn encode(&self, w: &mut Writer) {
-        w.put_string(&self.kind);
-        w.put_len(self.stages.len());
-        for stage in &self.stages {
-            stage.encode(w);
-        }
-    }
-}
-
-impl WireDecode for KindStages {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let kind = r.get_string()?;
-        let len = r.get_len()?;
-        let mut stages = Vec::with_capacity(len.min(64));
-        for _ in 0..len {
-            stages.push(StageMicros::decode(r)?);
-        }
-        Ok(KindStages { kind, stages })
-    }
-}
-
-impl WireEncode for ReactorStats {
-    fn encode(&self, w: &mut Writer) {
-        self.sweeps.encode(w);
-        w.put_u64(self.reactor_stalls);
-        w.put_u64(self.slow_readers_shed);
-        w.put_u64(self.connections_shed);
-    }
-}
-
-impl WireDecode for ReactorStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ReactorStats {
-            sweeps: LatencyHistogram::decode(r)?,
-            reactor_stalls: r.get_u64()?,
-            slow_readers_shed: r.get_u64()?,
-            connections_shed: r.get_u64()?,
-        })
-    }
-}
-
-impl WireEncode for StatsDeep {
-    fn encode(&self, w: &mut Writer) {
-        self.snapshot.encode(w);
-        w.put_len(self.per_stage.len());
-        for stage in &self.per_stage {
-            stage.encode(w);
-        }
-        w.put_len(self.per_kind_stage.len());
-        for kind in &self.per_kind_stage {
-            kind.encode(w);
-        }
-        self.reactor.encode(w);
-    }
-}
-
-impl WireDecode for StatsDeep {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let snapshot = StatsSnapshot::decode(r)?;
-        let len = r.get_len()?;
-        let mut per_stage = Vec::with_capacity(len.min(64));
-        for _ in 0..len {
-            per_stage.push(StageLatency::decode(r)?);
-        }
-        let len = r.get_len()?;
-        let mut per_kind_stage = Vec::with_capacity(len.min(64));
-        for _ in 0..len {
-            per_kind_stage.push(KindStages::decode(r)?);
-        }
-        Ok(StatsDeep {
-            snapshot,
-            per_stage,
-            per_kind_stage,
-            reactor: ReactorStats::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for StatsSnapshot {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.requests_served);
-        w.put_u64(self.cache_hits);
-        w.put_u64(self.cache_misses);
-        w.put_u64(self.bytes_in);
-        w.put_u64(self.bytes_out);
-        w.put_u64(self.errors);
-        w.put_u32(self.workers);
-        w.put_u64(self.epoch);
-        w.put_len(self.per_kind.len());
-        for kind in &self.per_kind {
-            kind.encode(w);
-        }
-        w.put_u64(self.uptime_micros);
-        w.put_u64(self.cache_entries);
-        w.put_u64(self.cache_bytes);
-        w.put_u64(self.cache_evictions);
-        w.put_len(self.per_error.len());
-        for error in &self.per_error {
-            error.encode(w);
-        }
-    }
-}
-
-impl WireDecode for StatsSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let requests_served = r.get_u64()?;
-        let cache_hits = r.get_u64()?;
-        let cache_misses = r.get_u64()?;
-        let bytes_in = r.get_u64()?;
-        let bytes_out = r.get_u64()?;
-        let errors = r.get_u64()?;
-        let workers = r.get_u32()?;
-        let epoch = r.get_u64()?;
-        let len = r.get_len()?;
-        let mut per_kind = Vec::with_capacity(len.min(64));
-        for _ in 0..len {
-            per_kind.push(KindLatency::decode(r)?);
-        }
-        let uptime_micros = r.get_u64()?;
-        let cache_entries = r.get_u64()?;
-        let cache_bytes = r.get_u64()?;
-        let cache_evictions = r.get_u64()?;
-        let len = r.get_len()?;
-        let mut per_error = Vec::with_capacity(len.min(64));
-        for _ in 0..len {
-            per_error.push(ErrorCount::decode(r)?);
-        }
-        Ok(StatsSnapshot {
-            requests_served,
-            cache_hits,
-            cache_misses,
-            bytes_in,
-            bytes_out,
-            errors,
-            workers,
-            epoch,
-            per_kind,
-            uptime_micros,
-            cache_entries,
-            cache_bytes,
-            cache_evictions,
-            per_error,
-        })
+wire_struct! {
+    ErrorReply { code, message }
+    ShardInfo { shard_id, shard_count, records, epoch }
+    ShardEntry { shard_id, records, public_key, addrs }
+    ShardMap { epoch, shard_count, total_records, dims, shards }
+    SignedShardMap { map, signature }
+    LatencyHistogram { bucket_counts, count, sum_micros, max_micros }
+    KindLatency { kind, histogram }
+    ErrorCount { code, count }
+    StageLatency { stage, histogram }
+    StageMicros { stage, count, sum_micros, max_micros }
+    KindStages { kind, stages }
+    ReactorStats { sweeps, reactor_stalls, slow_readers_shed, connections_shed }
+    StatsDeep { snapshot, per_stage, per_kind_stage, reactor }
+    StatsSnapshot {
+        requests_served, cache_hits, cache_misses, bytes_in, bytes_out, errors, workers, epoch,
+        per_kind, uptime_micros, cache_entries, cache_bytes, cache_evictions, per_error,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::Writer;
 
     #[test]
     fn request_variants_roundtrip() {

@@ -18,7 +18,8 @@ pub enum WireError {
     },
     /// Unframed decoding left unread bytes behind.
     TrailingBytes(usize),
-    /// An enum tag byte had no corresponding variant.
+    /// An enum tag byte had no corresponding variant (a `bool` flag is a
+    /// two-variant tag: `0` or `1`).
     InvalidTag {
         /// Name of the type being decoded.
         type_name: &'static str,

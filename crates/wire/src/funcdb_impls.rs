@@ -1,5 +1,6 @@
 //! Wire encodings for function-database values.
 
+use crate::codec::wire_struct;
 use crate::error::WireError;
 use crate::io::{Reader, Writer};
 use crate::{WireDecode, WireEncode};
@@ -7,94 +8,28 @@ use vaq_funcdb::{
     Domain, FuncId, FunctionTemplate, HalfSpace, LinearFunction, Record, SubdomainConstraints,
 };
 
-impl WireEncode for Record {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.id);
-        w.put_f64_slice(&self.attrs);
-        match &self.label {
-            Some(label) => {
-                w.put_bool(true);
-                w.put_string(label);
-            }
-            None => w.put_bool(false),
-        }
-    }
+wire_struct! {
+    Record { id, attrs, label }
+    FuncId { 0 }
+    LinearFunction { id, coeffs, constant }
+    FunctionTemplate { attr_names }
+    HalfSpace { coeffs, constant, non_negative, pair }
+    SubdomainConstraints { domain, halfspaces }
 }
 
-impl WireDecode for Record {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = r.get_u64()?;
-        let attrs = r.get_f64_vec()?;
-        let label = if r.get_bool()? {
-            Some(r.get_string()?)
-        } else {
-            None
-        };
-        Ok(Record { id, attrs, label })
-    }
-}
-
-impl WireEncode for FuncId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.0);
-    }
-}
-
-impl WireDecode for FuncId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(FuncId(r.get_u32()?))
-    }
-}
-
-impl WireEncode for LinearFunction {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        w.put_f64_slice(&self.coeffs);
-        w.put_f64(self.constant);
-    }
-}
-
-impl WireDecode for LinearFunction {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LinearFunction {
-            id: FuncId::decode(r)?,
-            coeffs: r.get_f64_vec()?,
-            constant: r.get_f64()?,
-        })
-    }
-}
-
-impl WireEncode for FunctionTemplate {
-    fn encode(&self, w: &mut Writer) {
-        w.put_len(self.attr_names.len());
-        for name in &self.attr_names {
-            w.put_string(name);
-        }
-    }
-}
-
-impl WireDecode for FunctionTemplate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.get_len()?;
-        let mut attr_names = Vec::with_capacity(len.min(64));
-        for _ in 0..len {
-            attr_names.push(r.get_string()?);
-        }
-        Ok(FunctionTemplate { attr_names })
-    }
-}
-
+/// Written by hand: a box whose bounds differ in length, are NaN or are out
+/// of order is refused at decode time.
 impl WireEncode for Domain {
     fn encode(&self, w: &mut Writer) {
-        w.put_f64_slice(&self.lower);
-        w.put_f64_slice(&self.upper);
+        self.lower.encode(w);
+        self.upper.encode(w);
     }
 }
 
 impl WireDecode for Domain {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let lower = r.get_f64_vec()?;
-        let upper = r.get_f64_vec()?;
+        let lower: Vec<f64> = Vec::decode(r)?;
+        let upper: Vec<f64> = Vec::decode(r)?;
         if lower.len() != upper.len() {
             return Err(WireError::InvalidTag {
                 type_name: "Domain",
@@ -109,63 +44,6 @@ impl WireDecode for Domain {
             return Err(WireError::InvalidFloat);
         }
         Ok(Domain { lower, upper })
-    }
-}
-
-impl WireEncode for HalfSpace {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f64_slice(&self.coeffs);
-        w.put_f64(self.constant);
-        w.put_bool(self.non_negative);
-        match self.pair {
-            Some((i, j)) => {
-                w.put_bool(true);
-                w.put_u32(i);
-                w.put_u32(j);
-            }
-            None => w.put_bool(false),
-        }
-    }
-}
-
-impl WireDecode for HalfSpace {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let coeffs = r.get_f64_vec()?;
-        let constant = r.get_f64()?;
-        let non_negative = r.get_bool()?;
-        let pair = if r.get_bool()? {
-            Some((r.get_u32()?, r.get_u32()?))
-        } else {
-            None
-        };
-        Ok(HalfSpace {
-            coeffs,
-            constant,
-            non_negative,
-            pair,
-        })
-    }
-}
-
-impl WireEncode for SubdomainConstraints {
-    fn encode(&self, w: &mut Writer) {
-        self.domain.encode(w);
-        w.put_len(self.halfspaces.len());
-        for hs in &self.halfspaces {
-            hs.encode(w);
-        }
-    }
-}
-
-impl WireDecode for SubdomainConstraints {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let domain = Domain::decode(r)?;
-        let len = r.get_len()?;
-        let mut halfspaces = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            halfspaces.push(HalfSpace::decode(r)?);
-        }
-        Ok(SubdomainConstraints { domain, halfspaces })
     }
 }
 

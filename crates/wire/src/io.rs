@@ -99,14 +99,6 @@ impl Writer {
     pub fn put_len(&mut self, n: usize) {
         self.put_u32(n as u32);
     }
-
-    /// Writes a length-prefixed list of f64.
-    pub fn put_f64_slice(&mut self, v: &[f64]) {
-        self.put_len(v.len());
-        for x in v {
-            self.put_f64(*x);
-        }
-    }
 }
 
 /// A cursor-style byte reader.
@@ -156,9 +148,22 @@ impl<'a> Reader<'a> {
         self.take(1).first().copied().ok_or(WireError::Truncated)
     }
 
-    /// Reads a boolean.
+    /// The next byte, left unread.
+    pub(crate) fn peek_u8(&self) -> Result<u8, WireError> {
+        self.buf.first().copied().ok_or(WireError::Truncated)
+    }
+
+    /// Reads a boolean: exactly `0` or `1`, so that every value has one
+    /// encoding.
     pub fn get_bool(&mut self) -> Result<bool, WireError> {
-        Ok(self.get_u8()? != 0)
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::InvalidTag {
+                type_name: "bool",
+                tag,
+            }),
+        }
     }
 
     /// Reads a little-endian u16.
@@ -215,16 +220,6 @@ impl<'a> Reader<'a> {
         }
         Ok(len)
     }
-
-    /// Reads a length-prefixed list of f64.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
-        let len = self.get_len()?;
-        let mut out = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +238,6 @@ mod tests {
         w.put_bytes(b"hello");
         w.put_string("wörld");
         w.put_digest(&[9u8; 32]);
-        w.put_f64_slice(&[1.0, 2.0, 3.5]);
         assert!(!w.is_empty());
 
         let bytes = w.into_bytes();
@@ -257,7 +251,6 @@ mod tests {
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         assert_eq!(r.get_string().unwrap(), "wörld");
         assert_eq!(r.get_digest().unwrap(), [9u8; 32]);
-        assert_eq!(r.get_f64_vec().unwrap(), vec![1.0, 2.0, 3.5]);
         r.expect_end().unwrap();
     }
 

@@ -16,14 +16,18 @@
 //! The format is deliberately simple: little-endian fixed-width integers,
 //! IEEE-754 doubles, length-prefixed byte strings, and a one-byte tag per
 //! enum variant, all wrapped in a frame that starts with a 4-byte magic and
-//! a format version. There is no external schema language and no reflection
-//! — every type implements [`WireEncode`] / [`WireDecode`] by hand, which
-//! keeps the dependency set empty and makes the byte layout auditable.
+//! a format version. There is no external schema language and no reflection.
+//! Each message's layout is declared once, as its fields in wire order (a
+//! tag table for an enum), and one declaration generates both
+//! [`WireEncode`] and [`WireDecode`]. That keeps the dependency set empty
+//! and the byte layout auditable in one place. The few codecs still written
+//! by hand say why next to their `impl`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod authquery_impls;
+mod codec;
 pub mod crypto_impls;
 pub mod envelope;
 pub mod epoch;

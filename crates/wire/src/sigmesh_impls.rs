@@ -1,104 +1,24 @@
 //! Wire encodings for the signature-mesh baseline's messages.
 
-use crate::error::WireError;
-use crate::io::{Reader, Writer};
-use crate::{WireDecode, WireEncode};
-use vaq_authquery::cost::ServerCost;
-use vaq_crypto::Signature;
-use vaq_funcdb::{Record, SubdomainConstraints};
+use crate::codec::{wire_enum, wire_struct};
 use vaq_sigmesh::{MeshBoundary, MeshResponse, MeshVo};
 
-const MESH_BOUNDARY_MIN: u8 = 1;
-const MESH_BOUNDARY_MAX: u8 = 2;
-const MESH_BOUNDARY_RECORD: u8 = 3;
+wire_enum!(MeshBoundary {
+    1 => MinToken,
+    2 => MaxToken,
+    3 => Record(record),
+});
 
-impl WireEncode for MeshBoundary {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            MeshBoundary::MinToken => w.put_u8(MESH_BOUNDARY_MIN),
-            MeshBoundary::MaxToken => w.put_u8(MESH_BOUNDARY_MAX),
-            MeshBoundary::Record(r) => {
-                w.put_u8(MESH_BOUNDARY_RECORD);
-                r.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for MeshBoundary {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            MESH_BOUNDARY_MIN => Ok(MeshBoundary::MinToken),
-            MESH_BOUNDARY_MAX => Ok(MeshBoundary::MaxToken),
-            MESH_BOUNDARY_RECORD => Ok(MeshBoundary::Record(Record::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "MeshBoundary",
-                tag,
-            }),
-        }
-    }
-}
-
-impl WireEncode for MeshVo {
-    fn encode(&self, w: &mut Writer) {
-        self.subdomain.encode(w);
-        self.left_boundary.encode(w);
-        self.right_boundary.encode(w);
-        w.put_len(self.pair_signatures.len());
-        for sig in &self.pair_signatures {
-            sig.encode(w);
-        }
-    }
-}
-
-impl WireDecode for MeshVo {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let subdomain = SubdomainConstraints::decode(r)?;
-        let left_boundary = MeshBoundary::decode(r)?;
-        let right_boundary = MeshBoundary::decode(r)?;
-        let len = r.get_len()?;
-        let mut pair_signatures = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            pair_signatures.push(Signature::decode(r)?);
-        }
-        Ok(MeshVo {
-            subdomain,
-            left_boundary,
-            right_boundary,
-            pair_signatures,
-        })
-    }
-}
-
-impl WireEncode for MeshResponse {
-    fn encode(&self, w: &mut Writer) {
-        w.put_len(self.records.len());
-        for record in &self.records {
-            record.encode(w);
-        }
-        self.vo.encode(w);
-        self.cost.encode(w);
-    }
-}
-
-impl WireDecode for MeshResponse {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.get_len()?;
-        let mut records = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            records.push(Record::decode(r)?);
-        }
-        Ok(MeshResponse {
-            records,
-            vo: MeshVo::decode(r)?,
-            cost: ServerCost::decode(r)?,
-        })
-    }
+wire_struct! {
+    MeshVo { subdomain, left_boundary, right_boundary, pair_signatures }
+    MeshResponse { records, vo, cost }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::Writer;
+    use crate::{WireDecode, WireEncode, WireError};
     use vaq_authquery::Query;
     use vaq_crypto::{SignatureScheme, Signer};
     use vaq_sigmesh::{verify_mesh_response, SignatureMesh};

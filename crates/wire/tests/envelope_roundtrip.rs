@@ -494,9 +494,44 @@ fn sample_response(k: usize) -> vaq_authquery::QueryResponse {
 }
 
 #[test]
+fn a_frame_of_nested_tags_is_refused_at_the_second_level() {
+    // Each level is the tagged tag byte plus an 8-byte tag, so a 16 MiB
+    // frame declares ≈1.9 M levels. A decoder that recursed into the wrapped
+    // message before refusing the nesting overflowed a thread's stack at a
+    // few thousand; this one refuses the second tag byte before it recurses.
+    const LEVELS: usize = (16 << 20) / 9;
+    let nested = |tagged: u8, innermost: u8| {
+        let mut bytes = Vec::with_capacity(LEVELS * 9 + 1);
+        for level in 0..LEVELS as u64 {
+            bytes.push(tagged);
+            bytes.extend_from_slice(&level.to_le_bytes());
+        }
+        bytes.push(innermost);
+        bytes
+    };
+    let requests = nested(10, 1); // around a Ping
+    let responses = nested(9, 1); // around a Pong
+    let small_stack = std::thread::Builder::new().stack_size(256 << 10);
+    let decoded = small_stack.spawn(move || {
+        (
+            Request::from_wire_bytes(&requests).err(),
+            Response::from_wire_bytes(&responses).err(),
+        )
+    });
+    let (request, response) = decoded.unwrap().join().expect("decoding did not crash");
+    assert!(
+        matches!(request, Some(WireError::InvalidTag { tag: 10, .. })),
+        "{request:?}"
+    );
+    assert!(
+        matches!(response, Some(WireError::InvalidTag { tag: 9, .. })),
+        "{response:?}"
+    );
+}
+
+#[test]
 fn pong_roundtrips_framed() {
-    // The one payload-less response variant; surfaced as uncovered by the
-    // vaq-lint wire-exhaustiveness pass.
+    // The one payload-less response variant.
     let bytes = Response::Pong.to_framed_bytes();
     assert!(matches!(
         Response::from_framed_bytes(&bytes),
