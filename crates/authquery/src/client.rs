@@ -112,6 +112,17 @@ pub fn verify_at_epoch_with_scratch(
             "query weight vector does not match the template arity".into(),
         ));
     }
+    // Under a non-finite weight or target, scores and predicates are NaN or
+    // infinite, and the comparisons below can pass them vacuously.
+    let finite_target = match query {
+        Query::Knn { target, .. } => target.is_finite(),
+        _ => true,
+    };
+    if !finite_target || !x.iter().all(|w| w.is_finite()) {
+        return Err(VerifyError::BadRecord(
+            "query weights and KNN target must be finite".into(),
+        ));
+    }
 
     // ---- Step 1a: rebuild the FMH part from the result + boundaries -------
     let leaves = &mut scratch.leaves;

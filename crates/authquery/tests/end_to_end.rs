@@ -297,3 +297,40 @@ fn multi_signature_vo_is_smaller_on_imh_part_than_one_signature() {
         r2.records.iter().map(|r| r.id).collect::<Vec<_>>()
     );
 }
+
+#[test]
+fn honest_answers_to_non_finite_queries_are_refused() {
+    // An honest server still answers a NaN or infinite weight (or a NaN KNN
+    // target) from some cell, but no cell holds such a point: every score
+    // and predicate is NaN or infinite, and the comparisons that check the
+    // answer used to pass them vacuously (d = 1 in both modes accepted).
+    let scheme = SignatureScheme::test_rsa(0xBAD);
+    let verifier = scheme.verifier();
+    for dims in [1, 2] {
+        let dataset = uniform_dataset(24, dims, 7);
+        let at = |w: f64| vec![w; dims];
+        let mut queries = Vec::new();
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            queries.extend([
+                Query::top_k(at(w), 3),
+                Query::range(at(w), 0.2, 0.6),
+                Query::knn(at(w), 2, 0.4),
+            ]);
+        }
+        queries.push(Query::knn(at(0.5), 2, f64::NAN));
+        for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {
+            let server = Server::new(dataset.clone(), IfmhTree::build(&dataset, mode, &scheme));
+            for query in &queries {
+                let answer = server.process(query);
+                let verdict = client::verify(
+                    query,
+                    &answer.records,
+                    &answer.vo,
+                    &dataset.template,
+                    verifier.as_ref(),
+                );
+                assert!(verdict.is_err(), "d = {dims}, {mode:?}: {query} verified");
+            }
+        }
+    }
+}

@@ -1,6 +1,5 @@
 //! Blocking client for the VAQ1 query service.
 
-use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -16,9 +15,19 @@ use crate::frame::{read_message, write_message};
 /// Default frame-size limit accepted by a client.
 const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// Most queries a batch keeps in flight on one connection before reading
+/// their replies. Well under the service's per-connection backlog of 128
+/// buffered requests, so the service never stops reading a batching
+/// client, and a long batch never queues more than a window of unread
+/// replies on the service side.
+pub(crate) const PIPELINE_WINDOW: usize = 64;
+
 /// A blocking connection to a [`crate::QueryService`].
 ///
-/// One connection carries any number of requests, answered in order. The
+/// One connection carries any number of requests, answered in the order
+/// they were sent, so a caller may pipeline: [`ServiceClient::send`]
+/// several requests, then [`ServiceClient::receive`] their replies in the
+/// same order ([`ServiceClient::batch`] does this for many queries). The
 /// verification entry point [`ServiceClient::query_verified`] feeds the
 /// remote response straight into [`vaq_authquery::client::verify`], so a
 /// network round-trip gives the same soundness/completeness guarantees as a
@@ -32,14 +41,6 @@ pub struct ServiceClient {
     /// frame would silently return the wrong response. Desynced connections
     /// refuse further calls; reconnect instead.
     desynced: bool,
-    /// Next correlation tag handed out by [`ServiceClient::send_tagged`].
-    next_tag: u64,
-    /// Tags sent but not yet received. A tagged response must carry one of
-    /// these, or the server is answering a request this client never made.
-    pending_tags: HashSet<u64>,
-    /// Responses that arrived while waiting for a *different* tag, parked
-    /// until their own [`ServiceClient::receive_tagged`] asks for them.
-    parked: HashMap<u64, Response>,
     /// Reusable verification scratch: repeated `query_verified` calls on one
     /// connection share the leaf-digest buffer instead of reallocating it.
     verify_scratch: VerifyScratch,
@@ -54,9 +55,6 @@ impl ServiceClient {
             stream,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             desynced: false,
-            next_tag: 0,
-            pending_tags: HashSet::new(),
-            parked: HashMap::new(),
             verify_scratch: VerifyScratch::default(),
             verified_epoch: 0,
         }
@@ -181,50 +179,101 @@ impl ServiceClient {
         Ok((response, verified))
     }
 
-    /// Sends a batch of queries, answered in order.
+    /// Asks a batch of queries, answered in order, all at one epoch.
     ///
-    /// A reply whose answer count disagrees with the query count is rejected
-    /// with a typed [`ServiceError::BatchArity`] error: zipping a short (or
-    /// long) reply against the queries would silently misattribute answers.
-    /// The connection stays usable — exactly one frame answered the batch.
+    /// The batch is a pipeline of plain [`Request::Query`] frames, a
+    /// bounded window of them in flight at a time; an empty batch sends
+    /// nothing. Every answer must carry the first answer's epoch stamp: a
+    /// republication landing mid-batch fails it with a typed
+    /// [`ServiceError::StaleEpoch`], so a batch never spans epochs. A
+    /// connection that closes before every query is answered is an I/O
+    /// error, never a short list.
     pub fn batch(&mut self, queries: &[Query]) -> Result<Vec<QueryResponse>, ServiceError> {
-        match self.call(&Request::Batch(queries.to_vec()))? {
-            Response::Batch { responses, .. } => {
-                check_batch_arity(queries.len(), &responses)?;
-                Ok(responses)
-            }
-            other => Err(unexpected(&other)),
-        }
+        self.pipeline(None, queries)
     }
 
-    /// Sends a batch of queries pinned to a publication epoch, mirroring
-    /// [`ServiceClient::query_at`].
+    /// Asks a batch of queries pinned to a publication epoch, mirroring
+    /// [`ServiceClient::query_at`]: a pipeline of [`Request::QueryAt`]
+    /// frames, otherwise like [`ServiceClient::batch`].
     ///
     /// The service answers only while it serves exactly `epoch`; otherwise
     /// it replies with a typed [`ErrorCode::StaleEpoch`] error (surfaced as
     /// [`ServiceError::Remote`] — check [`ServiceError::is_stale_epoch`]),
     /// which keeps the connection usable: re-fetch the signed shard map and
-    /// retry at the new epoch. Arity mismatches are rejected like
-    /// [`ServiceClient::batch`].
+    /// retry at the new epoch.
     pub fn batch_at(
         &mut self,
         epoch: u64,
         queries: &[Query],
     ) -> Result<Vec<QueryResponse>, ServiceError> {
-        match self.call(&Request::BatchAt {
-            epoch,
-            queries: queries.to_vec(),
-        })? {
-            Response::Batch {
-                epoch: served,
-                responses,
-            } => {
-                check_served_epoch(epoch, served)?;
-                check_batch_arity(queries.len(), &responses)?;
-                Ok(responses)
-            }
-            other => Err(unexpected(&other)),
+        self.pipeline(Some(epoch), queries)
+    }
+
+    /// [`ServiceClient::batch`] and [`ServiceClient::batch_at`]: one window
+    /// of queries sent, then its replies read, until every query is
+    /// answered.
+    fn pipeline(
+        &mut self,
+        pin: Option<u64>,
+        queries: &[Query],
+    ) -> Result<Vec<QueryResponse>, ServiceError> {
+        let mut stamp = pin;
+        let mut responses = Vec::with_capacity(queries.len());
+        for window in queries.chunks(PIPELINE_WINDOW) {
+            self.send_queries(pin, window)?;
+            responses.extend(self.receive_queries(&mut stamp, window.len())?);
         }
+        Ok(responses)
+    }
+
+    /// Puts one query frame per query in flight without reading a reply:
+    /// [`Request::QueryAt`] pinned at `pin`, or [`Request::Query`].
+    pub(crate) fn send_queries(
+        &mut self,
+        pin: Option<u64>,
+        queries: &[Query],
+    ) -> Result<(), ServiceError> {
+        for query in queries {
+            let query = query.clone();
+            self.send(&match pin {
+                Some(epoch) => Request::QueryAt { epoch, query },
+                None => Request::Query(query),
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Reads the replies to `count` queries put in flight by
+    /// [`ServiceClient::send_queries`], in order. Each must be stamped with
+    /// `stamp`, or, while `stamp` is `None`, with the first reply's epoch,
+    /// which `stamp` then holds. After a typed error reply (or a wrong
+    /// stamp) the rest of the replies are still read, so the connection
+    /// stays aligned, and the first failure is returned; a failure that
+    /// desyncs the connection is returned at once.
+    pub(crate) fn receive_queries(
+        &mut self,
+        stamp: &mut Option<u64>,
+        count: usize,
+    ) -> Result<Vec<QueryResponse>, ServiceError> {
+        let mut responses = Vec::with_capacity(count);
+        let mut failure = None;
+        for _ in 0..count {
+            let answer = match self.receive() {
+                Ok(Response::Query { epoch, response }) => {
+                    check_served_epoch(*stamp.get_or_insert(epoch), epoch).map(|()| response)
+                }
+                Ok(other) => Err(unexpected(&other)),
+                Err(e) if self.desynced => return Err(e),
+                Err(e) => Err(e),
+            };
+            match answer {
+                Ok(response) => responses.push(response),
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+        failure.map_or(Ok(responses), Err)
     }
 
     /// Asks which shard of a sharded deployment the service hosts.
@@ -252,11 +301,11 @@ impl ServiceClient {
 
     /// Sends one request frame without reading the response.
     ///
-    /// Pair every `send` with exactly one [`ServiceClient::receive`]; the
-    /// split exists so a scatter-gather front-end can put one request in
-    /// flight on every shard connection before blocking on the first
-    /// response. A failed write leaves the stream offset unknown, so it
-    /// marks the connection desynced.
+    /// Pair every `send` with exactly one [`ServiceClient::receive`], in
+    /// order; the split exists so a caller can pipeline several requests on
+    /// one connection, or put one in flight on every shard connection,
+    /// before blocking on the first response. A failed write leaves the
+    /// stream offset unknown, so it marks the connection desynced.
     pub fn send(&mut self, request: &Request) -> Result<(), ServiceError> {
         if self.desynced {
             return Err(desynced_error());
@@ -270,20 +319,13 @@ impl ServiceClient {
 
     /// Reads one response frame for a previously [`ServiceClient::send`]-sent
     /// request, with the same desync bookkeeping as [`ServiceClient::call`].
+    /// A failed read (timeout, I/O error, frame error) or a close leaves no
+    /// way to pair a later frame with its request, so either marks the
+    /// connection desynced.
     pub fn receive(&mut self) -> Result<Response, ServiceError> {
         if self.desynced {
             return Err(desynced_error());
         }
-        match self.read_response()? {
-            Response::Error(reply) => Err(self.remote_error(reply)),
-            response => Ok(response),
-        }
-    }
-
-    /// Reads one response frame off the stream. A failed read (timeout, I/O
-    /// error, frame error) or a close leaves no way to pair a later frame
-    /// with its request, so either marks the connection desynced.
-    fn read_response(&mut self) -> Result<Response, ServiceError> {
         let read = read_message::<Response>(&mut self.stream, self.max_frame_bytes);
         let response = read.and_then(|frame| {
             frame.ok_or_else(|| {
@@ -294,7 +336,10 @@ impl ServiceClient {
             })
         });
         self.desynced |= response.is_err();
-        response
+        match response? {
+            Response::Error(reply) => Err(self.remote_error(reply)),
+            response => Ok(response),
+        }
     }
 
     /// Sends one request frame and reads one response frame.
@@ -307,101 +352,6 @@ impl ServiceClient {
     pub fn call(&mut self, request: &Request) -> Result<Response, ServiceError> {
         self.send(request)?;
         self.receive()
-    }
-
-    /// Sends one request wrapped in a tagged VAQ1 envelope and returns the
-    /// correlation tag, without reading the response.
-    ///
-    /// Tagged requests pipeline: any number may be in flight on one
-    /// connection, and the service may answer them **out of order** (tagged
-    /// responses carry the tag back). Pair every `send_tagged` with exactly
-    /// one [`ServiceClient::receive_tagged`] for the returned tag. `request`
-    /// must not itself be a [`Request::Tagged`] envelope — the protocol
-    /// rejects nesting. A failed write leaves the stream offset unknown, so
-    /// it marks the connection desynced.
-    pub fn send_tagged(&mut self, request: &Request) -> Result<u64, ServiceError> {
-        let tag = self.next_tag;
-        self.send(&Request::Tagged {
-            tag,
-            request: Box::new(request.clone()),
-        })?;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        self.pending_tags.insert(tag);
-        Ok(tag)
-    }
-
-    /// Reads the response for one previously [`ServiceClient::send_tagged`]
-    /// request, identified by its correlation tag.
-    ///
-    /// Responses for *other* in-flight tags that arrive first are parked and
-    /// handed out when their own `receive_tagged` asks for them, so callers
-    /// may collect tags in any order. Asking for a tag that was never sent
-    /// (or already received) fails with [`ServiceError::UnknownTag`] without
-    /// touching the stream. A response carrying a tag this client never sent
-    /// desyncs the connection ([`ServiceError::UnknownTag`]), as does a
-    /// second response for an already-parked tag
-    /// ([`ServiceError::DuplicateTag`]) — both mean the correlation state no
-    /// longer matches the peer's.
-    pub fn receive_tagged(&mut self, tag: u64) -> Result<Response, ServiceError> {
-        if self.desynced {
-            return Err(desynced_error());
-        }
-        if !self.pending_tags.contains(&tag) {
-            // Caller bug (bad tag), not a stream fault: the connection is
-            // still perfectly paired, so don't desync it.
-            return Err(ServiceError::UnknownTag { tag });
-        }
-        if let Some(parked) = self.parked.remove(&tag) {
-            self.pending_tags.remove(&tag);
-            return self.open_inner(parked);
-        }
-        loop {
-            match self.read_response()? {
-                Response::Tagged { tag: got, response } => {
-                    if got == tag {
-                        self.pending_tags.remove(&tag);
-                        return self.open_inner(*response);
-                    }
-                    if !self.pending_tags.contains(&got) {
-                        // The server answered a request this client never
-                        // made; every subsequent pairing is suspect.
-                        self.desynced = true;
-                        return Err(ServiceError::UnknownTag { tag: got });
-                    }
-                    if self.parked.insert(got, *response).is_some() {
-                        self.desynced = true;
-                        return Err(ServiceError::DuplicateTag { tag: got });
-                    }
-                }
-                // An untagged error while tagged requests are in flight is
-                // frame-level (the server could not attribute it to a
-                // request): Malformed, FrameTooLarge, Stalled, Overloaded,
-                // ShuttingDown. The server closes after these, so the
-                // in-flight tags will never be answered.
-                Response::Error(reply) => return Err(self.remote_error(reply)),
-                other => {
-                    // An untagged success reply cannot belong to any tagged
-                    // request — the pairing is broken.
-                    self.desynced = true;
-                    return Err(unexpected(&other));
-                }
-            }
-        }
-    }
-
-    /// Unwraps the inner response of a tagged envelope, surfacing remote
-    /// error replies exactly like [`ServiceClient::receive`] does.
-    fn open_inner(&mut self, response: Response) -> Result<Response, ServiceError> {
-        match response {
-            Response::Error(reply) => Err(self.remote_error(reply)),
-            Response::Tagged { .. } => {
-                // The protocol rejects nested envelopes at decode, so a
-                // nested tag here means the peer is not speaking VAQ1.
-                self.desynced = true;
-                Err(unexpected(&response))
-            }
-            other => Ok(other),
-        }
     }
 
     /// Turns a remote error reply into [`ServiceError::Remote`]. After a
@@ -448,21 +398,6 @@ pub(crate) fn check_served_epoch(pinned: u64, served: u64) -> Result<(), Service
     Ok(())
 }
 
-/// Rejects a batch reply whose answer count disagrees with the query count
-/// (shared with the sharded scatter-gather client).
-pub(crate) fn check_batch_arity(
-    expected: usize,
-    responses: &[QueryResponse],
-) -> Result<(), ServiceError> {
-    if responses.len() != expected {
-        return Err(ServiceError::BatchArity {
-            expected,
-            got: responses.len(),
-        });
-    }
-    Ok(())
-}
-
 fn desynced_error() -> ServiceError {
     ServiceError::Io(std::io::Error::new(
         std::io::ErrorKind::BrokenPipe,
@@ -470,18 +405,15 @@ fn desynced_error() -> ServiceError {
     ))
 }
 
-/// Maps a response of the wrong kind to a typed error (shared with the
-/// sharded scatter-gather client).
-pub(crate) fn unexpected(response: &Response) -> ServiceError {
+/// Maps a response of the wrong kind to a typed error.
+fn unexpected(response: &Response) -> ServiceError {
     ServiceError::UnexpectedResponse(match response {
         Response::Pong => "pong",
         Response::Query { .. } => "query",
-        Response::Batch { .. } => "batch",
         Response::ShardInfo(_) => "shard-info",
         Response::ShardMap(_) => "shard-map",
         Response::Error(_) => "error",
         Response::StatsDeep(_) => "stats-deep",
-        Response::Tagged { .. } => "tagged",
     })
 }
 

@@ -4,10 +4,10 @@
 //! needs to multiplex it from a single thread: the incremental frame parser
 //! from [`crate::frame`] (a frame may arrive across many readiness events),
 //! one arrival-ordered queue of fully received requests awaiting dispatch,
-//! the set of requests in flight on the worker pool, and a write queue that
+//! whether one of them is on the worker pool, and a write queue that
 //! survives partial writes. Nothing here blocks.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -22,9 +22,7 @@ use crate::trace::Trace;
 /// One fully received request awaiting dispatch to the worker pool.
 #[derive(Debug)]
 pub(crate) struct PendingRequest {
-    /// Correlation tag for tagged requests (`None` = classic in-order).
-    pub(crate) tag: Option<u64>,
-    /// The request payload, with any tag envelope already stripped.
+    /// The request frame's payload.
     pub(crate) payload: Vec<u8>,
     /// When the frame finished arriving; queue wait is measured from here.
     pub(crate) received: Instant,
@@ -72,11 +70,9 @@ pub(crate) struct Conn {
     /// Fully received requests not yet handed to the worker pool, in
     /// arrival order. Only the head is ever eligible to dispatch.
     pub(crate) pending: VecDeque<PendingRequest>,
-    /// An untagged request is on the worker pool: the next untagged head
-    /// waits for its reply, which keeps untagged replies in request order.
-    pub(crate) untagged_in_flight: bool,
-    /// Tags on the worker pool; tagged requests complete out of order.
-    pub(crate) tags_in_flight: HashSet<u64>,
+    /// A request is on the worker pool: the head of `pending` waits for its
+    /// reply, which keeps replies in request order.
+    pub(crate) in_flight: bool,
     /// Already queued in the reactor's dispatch backlog (requests waiting
     /// for a worker-queue slot); guards against duplicate backlog entries.
     pub(crate) in_backlog: bool,
@@ -113,8 +109,7 @@ impl Conn {
             stream,
             assembler: FrameAssembler::default(),
             pending: VecDeque::new(),
-            untagged_in_flight: false,
-            tags_in_flight: HashSet::new(),
+            in_flight: false,
             in_backlog: false,
             write_queue: VecDeque::new(),
             queued_bytes: 0,
@@ -132,18 +127,10 @@ impl Conn {
         self.assembler.mid_frame()
     }
 
-    /// Requests currently running (or queued) on the worker pool.
-    pub(crate) fn in_flight(&self) -> usize {
-        self.tags_in_flight.len() + usize::from(self.untagged_in_flight)
-    }
-
     /// True when the head of the pending queue may go to the worker pool
-    /// right now: a tagged head always may, an untagged head only once the
-    /// previous untagged reply is back.
+    /// right now: there is one, and the previous reply is back.
     pub(crate) fn wants_dispatch(&self) -> bool {
-        self.pending
-            .front()
-            .is_some_and(|head| head.tag.is_some() || !self.untagged_in_flight)
+        !self.in_flight && !self.pending.is_empty()
     }
 
     /// True while queued output remains to flush.
@@ -161,7 +148,7 @@ impl Conn {
         self.dead
             || (self.reads_done
                 && self.pending.is_empty()
-                && self.in_flight() == 0
+                && !self.in_flight
                 && !self.wants_write())
     }
 
@@ -191,7 +178,7 @@ impl Conn {
         } else {
             let quiet = !self.mid_frame()
                 && self.pending.is_empty()
-                && self.in_flight() == 0
+                && !self.in_flight
                 && !self.wants_write();
             read_timeout.filter(|_| quiet)
         };

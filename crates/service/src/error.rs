@@ -37,18 +37,6 @@ pub enum ServiceError {
         /// What went wrong on that shard.
         error: Box<ServiceError>,
     },
-    /// A batch response whose item count disagrees with the request's query
-    /// count. Silently zipping the two would misattribute responses to
-    /// queries (and a short reply could drop answers unnoticed), so the
-    /// mismatch is a typed protocol violation instead. The connection stays
-    /// request/response aligned — exactly one frame answered the batch — so
-    /// the client remains usable.
-    BatchArity {
-        /// Queries in the request.
-        expected: usize,
-        /// Responses in the reply.
-        got: usize,
-    },
     /// An epoch mismatch the client detected locally: a response stamped
     /// with a different publication epoch than the verified map promises, or
     /// an offered signed map that would roll the client back to an older
@@ -68,20 +56,6 @@ pub enum ServiceError {
     Stalled {
         /// How long the reader waited without a byte of progress.
         patience: std::time::Duration,
-    },
-    /// A tagged response arrived carrying a tag with no matching in-flight
-    /// request. Pairing it with any pending request would misattribute the
-    /// answer, so the connection is desynced instead.
-    UnknownTag {
-        /// The tag the server echoed.
-        tag: u64,
-    },
-    /// A correlation tag was used twice: either a caller asked to put a tag
-    /// in flight while a request with the same tag is still pending, or the
-    /// server delivered a second response for a tag already consumed.
-    DuplicateTag {
-        /// The offending tag.
-        tag: u64,
     },
 }
 
@@ -122,12 +96,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::ShardFailed { shard_id, error } => {
                 write!(f, "shard {shard_id} failed: {error}")
             }
-            ServiceError::BatchArity { expected, got } => {
-                write!(
-                    f,
-                    "batch response holds {got} answers for {expected} queries"
-                )
-            }
             ServiceError::StaleEpoch { expected, got } => {
                 write!(
                     f,
@@ -137,12 +105,6 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::Stalled { patience } => {
                 write!(f, "peer stalled mid-frame for over {patience:?}; reconnect")
-            }
-            ServiceError::UnknownTag { tag } => {
-                write!(f, "response carries unknown correlation tag {tag}")
-            }
-            ServiceError::DuplicateTag { tag } => {
-                write!(f, "correlation tag {tag} is already in flight")
             }
         }
     }

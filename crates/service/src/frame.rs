@@ -184,7 +184,7 @@ pub fn write_message<T: WireEncode>(
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use vaq_wire::{frame_header, Request, Response};
+    use vaq_wire::{frame_header, Request};
 
     #[test]
     fn frame_roundtrips_through_a_stream() {
@@ -440,11 +440,9 @@ mod tests {
         assert_eq!(request.to_framed_bytes()[..FRAME_HEADER_LEN], header);
         let reused = request.to_framed_bytes_reusing(&mut Vec::new());
         assert_eq!(reused[..FRAME_HEADER_LEN], header);
-
-        let inner = Response::Pong.to_wire_bytes();
-        let tagged = Response::tagged_frame_from_payload(7, &inner);
-        let header = frame_header(tagged.len() - FRAME_HEADER_LEN);
-        assert_eq!(tagged[..FRAME_HEADER_LEN], header);
-        assert_eq!(parse_frame_header(&header), Ok(1 + 8 + inner.len()));
+        assert_eq!(
+            parse_frame_header(&header),
+            Ok(request.to_wire_bytes().len())
+        );
     }
 }

@@ -13,12 +13,9 @@
 //!   thread stack), dispatching
 //!   complete frames to a fixed worker pool (`std::thread` + `mpsc`) that
 //!   shares one [`vaq_authquery::Server`] behind an `Arc`. Each connection
-//!   holds one arrival-ordered queue of received requests: a
-//!   [`vaq_wire::Request::Tagged`] request at its head dispatches at once,
-//!   so tagged requests pipeline concurrently and complete out of order
-//!   (the correlation tag pairs each reply), while an untagged head waits
-//!   for the previous untagged reply, so untagged replies come back in
-//!   request order. The service answers framed
+//!   holds one arrival-ordered queue of received requests and keeps one of
+//!   them on the pool at a time, so a client may pipeline requests and
+//!   reads the replies in the order it sent them. The service answers framed
 //!   [`vaq_wire::Request`]s with framed [`vaq_wire::Response`]s, keeps a
 //!   bounded LRU cache of encoded responses keyed by epoch-prefixed
 //!   canonical query bytes, tracks counters + fixed-bucket latency
@@ -38,13 +35,13 @@
 //!   scatter-gathers every query across all shards, verifies each response
 //!   under its shard's key, and merges the answers so the logical result is
 //!   as sound and complete as a single server's.
-//! * **Batches** — [`ServiceClient::batch`] answers many queries with one
-//!   frame (arity-checked, typed errors for empty or mismatched batches);
-//!   the service resolves each batch item through the same epoch-keyed
-//!   cache entry the equivalent single query uses; and
-//!   [`ShardedClient::batch_verified`] scatters one epoch-pinned batch
-//!   frame per shard, verifying and merging each sub-query exactly like a
-//!   single sharded query — byte-identical to an unsharded batch.
+//! * **Batches** — [`ServiceClient::batch`] pipelines many queries on one
+//!   connection, one plain query frame each, in windows well under the
+//!   service's per-connection backlog; every answer must carry one epoch
+//!   stamp, and a closed connection is an error, never a short list.
+//!   [`ShardedClient::batch_verified`] pipelines the batch to every shard
+//!   pinned at its map epoch and merges each query exactly like a single
+//!   sharded query — byte-identical to an unsharded batch.
 //! * **Live updates** — every publication carries a monotonically
 //!   increasing, master-signed epoch bound into every signature.
 //!   [`QueryService::republish`] hot-swaps the served structure under an

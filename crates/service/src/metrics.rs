@@ -156,18 +156,11 @@ pub enum RequestKind {
     Range,
     /// KNN query.
     Knn,
-    /// Batch of queries.
-    Batch,
 }
 
 impl RequestKind {
     /// Every kind, in label order.
-    pub const ALL: [RequestKind; 4] = [
-        RequestKind::TopK,
-        RequestKind::Range,
-        RequestKind::Knn,
-        RequestKind::Batch,
-    ];
+    pub const ALL: [RequestKind; 3] = [RequestKind::TopK, RequestKind::Range, RequestKind::Knn];
 
     /// Stable position of this kind in [`RequestKind::ALL`].
     pub fn index(self) -> usize {
@@ -175,18 +168,15 @@ impl RequestKind {
             RequestKind::TopK => 0,
             RequestKind::Range => 1,
             RequestKind::Knn => 2,
-            RequestKind::Batch => 3,
         }
     }
 
-    /// Stable label used in stats payloads (`"topk"`, `"range"`, `"knn"`,
-    /// `"batch"`).
+    /// Stable label used in stats payloads (`"topk"`, `"range"`, `"knn"`).
     pub fn label(self) -> &'static str {
         match self {
             RequestKind::TopK => "topk",
             RequestKind::Range => "range",
             RequestKind::Knn => "knn",
-            RequestKind::Batch => "batch",
         }
     }
 }
@@ -229,9 +219,9 @@ pub struct Metrics {
     /// Reactor turns that ran past the configured stall threshold.
     pub reactor_stalls: AtomicU64,
     per_error: [AtomicU64; ErrorCode::ALL.len()],
-    latency: [Histogram; 4],
+    latency: [Histogram; 3],
     stage_latency: [Histogram; STAGES],
-    kind_stage: [[StageAccum; STAGES]; 4],
+    kind_stage: [[StageAccum; STAGES]; 3],
     sweep_latency: Histogram,
     started: Instant,
 }
@@ -406,17 +396,17 @@ mod tests {
         let m = Metrics::default();
         let stages = [0u64; STAGES];
         m.observe_request(&stages, Some(RequestKind::TopK), Duration::from_micros(10));
-        m.observe_request(&stages, Some(RequestKind::Batch), Duration::from_micros(20));
+        m.observe_request(&stages, Some(RequestKind::Knn), Duration::from_micros(20));
         Metrics::add(&m.requests_served, 2);
         let snap = m.snapshot(8, 5, CacheGauges::default());
         assert_eq!(snap.workers, 8);
         assert_eq!(snap.epoch, 5);
         assert_eq!(snap.requests_served, 2);
-        assert_eq!(snap.per_kind.len(), 4);
+        assert_eq!(snap.per_kind.len(), 3);
         let labels: Vec<&str> = snap.per_kind.iter().map(|k| k.kind.as_str()).collect();
-        assert_eq!(labels, ["topk", "range", "knn", "batch"]);
+        assert_eq!(labels, ["topk", "range", "knn"]);
         assert_eq!(snap.per_kind[0].histogram.count, 1);
-        assert_eq!(snap.per_kind[3].histogram.count, 1);
+        assert_eq!(snap.per_kind[2].histogram.count, 1);
     }
 
     #[test]

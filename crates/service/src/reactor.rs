@@ -40,14 +40,11 @@
 //! skipped, so a busy connection pushes nothing and a quiet one costs
 //! nothing until its time is up.
 //!
-//! Dispatch rule per connection: one arrival-ordered pending queue, and
-//! only its head is ever eligible. A tagged head
-//! ([`vaq_wire::Request::Tagged`]) goes to the worker pool at once and may
-//! complete out of order — which is what lets one connection pipeline many
-//! concurrent requests; an untagged head waits until the previous untagged
-//! reply is back, so untagged replies are written in request order. The
-//! queue is strictly FIFO: a tagged frame received behind an untagged frame
-//! that is still waiting its turn waits with it instead of overtaking it.
+//! Dispatch rule per connection: one arrival-ordered pending queue whose
+//! head goes to the worker pool once the previous request's reply is back.
+//! A connection therefore has at most one request on the pool, and its
+//! replies are written in request order — a client pipelines by sending
+//! frames back to back and reading the replies in the order it sent them.
 //!
 //! `Dispatcher::serve` is the one per-connection step (dispatch → write →
 //! count served requests → close or linger); `service` and the shutdown
@@ -63,7 +60,7 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vaq_wire::{ErrorCode, Request, Response, WireEncode, FRAME_HEADER_LEN};
+use vaq_wire::{ErrorCode, Response, WireEncode};
 
 use crate::conn::{Conn, PendingRequest};
 use crate::error::ServiceError;
@@ -104,7 +101,6 @@ pub(crate) struct Job {
 /// A worker's finished response frame headed back to the reactor.
 pub(crate) struct Completion {
     conn_id: u64,
-    tag: Option<u64>,
     frame: Vec<u8>,
     trace: Trace,
 }
@@ -112,25 +108,11 @@ pub(crate) struct Completion {
 /// Runs one job on a worker thread: decode, dispatch, encode — everything
 /// but the socket write, which the reactor owns.
 pub(crate) fn run_job(shared: &Shared, job: Job) {
-    let PendingRequest {
-        tag,
-        payload,
-        received,
-    } = job.request;
+    let PendingRequest { payload, received } = job.request;
     let mut trace = Trace::begin(received.elapsed());
     let frame = handle_request(shared, &payload, &mut trace);
-    let frame = match tag {
-        // Re-wrap without decoding: the result is byte-identical to
-        // encoding `Response::Tagged` directly, so cached frames stay
-        // shared between tagged and untagged callers.
-        Some(tag) => {
-            Response::tagged_frame_from_payload(tag, frame.get(FRAME_HEADER_LEN..).unwrap_or(&[]))
-        }
-        None => frame,
-    };
     let _ = job.completions.send(Completion {
         conn_id: job.conn_id,
-        tag,
         frame,
         trace,
     });
@@ -376,12 +358,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&completion.conn_id) else {
             return;
         };
-        match completion.tag {
-            Some(tag) => {
-                conn.tags_in_flight.remove(&tag);
-            }
-            None => conn.untagged_in_flight = false,
-        }
+        conn.in_flight = false;
         if conn.shed {
             return;
         }
@@ -450,7 +427,7 @@ impl Reactor {
     }
 
     /// Services the connections whose requests completed this turn: their
-    /// response frames go out, their next untagged request dispatches, and
+    /// response frames go out, their next request dispatches, and
     /// reads that stopped at [`MAX_CONN_BACKLOG`] resume. Then the
     /// worker-queue slots those completions freed are refilled.
     fn flush_completed(&mut self, mut ids: Vec<u64>) {
@@ -459,7 +436,7 @@ impl Reactor {
         for id in ids {
             self.service(id);
         }
-        self.dispatcher.refill(&self.shared, &mut self.conns);
+        self.dispatcher.refill(&mut self.conns);
     }
 
     /// Graceful shutdown: stop reading, bounded-drain in-flight requests
@@ -473,7 +450,7 @@ impl Reactor {
             conn.pending.clear();
         }
         let deadline = Instant::now() + DRAIN_DEADLINE;
-        while self.conns.values().any(|c| c.in_flight() > 0) && self.block_until(deadline) {
+        while self.conns.values().any(|c| c.in_flight) && self.block_until(deadline) {
             while let Ok(completion) = completions_rx.try_recv() {
                 self.complete(completion);
             }
@@ -528,7 +505,7 @@ impl Dispatcher {
     /// fully drained, and — when the write pass asked to close — decide
     /// whether the connection drops now (`true`) or lingers.
     fn serve(&mut self, shared: &Shared, conn_id: u64, conn: &mut Conn) -> bool {
-        self.dispatch(shared, conn_id, conn);
+        self.dispatch(conn_id, conn);
         if conn.wants_dispatch() && !conn.in_backlog {
             // The job queue was full; remember the connection so the next
             // completion refills the freed slot from here.
@@ -547,13 +524,13 @@ impl Dispatcher {
 
     /// Refills the worker-queue slots that completions just freed from the
     /// connections whose dispatch was blocked on a full queue.
-    fn refill(&mut self, shared: &Shared, conns: &mut HashMap<u64, Conn>) {
+    fn refill(&mut self, conns: &mut HashMap<u64, Conn>) {
         while let Some(id) = self.dispatch_backlog.pop_front() {
             let Some(conn) = conns.get_mut(&id) else {
                 continue; // closed while waiting
             };
             conn.in_backlog = false;
-            self.dispatch(shared, id, conn);
+            self.dispatch(id, conn);
             if conn.wants_dispatch() {
                 // Queue is full again; keep this connection at the head so
                 // backlog order stays FIFO.
@@ -564,51 +541,26 @@ impl Dispatcher {
         }
     }
 
-    /// Moves requests from the head of the connection's pending queue onto
-    /// the worker queue for as long as the head is eligible.
-    fn dispatch(&self, shared: &Shared, conn_id: u64, conn: &mut Conn) {
-        while conn.wants_dispatch() {
-            let Some(request) = conn.pending.pop_front() else {
-                break;
-            };
-            let tag = request.tag;
-            if let Some(tag) = tag.filter(|tag| conn.tags_in_flight.contains(tag)) {
-                // A tag reused while still in flight could never be answered
-                // unambiguously; refuse it with a typed, still-tagged reply.
-                let reply = error_response(
-                    shared,
-                    ErrorCode::Malformed,
-                    format!("correlation tag {tag} is already in flight on this connection"),
-                );
-                let frame = Response::Tagged {
-                    tag,
-                    response: Box::new(reply),
-                }
-                .to_framed_bytes();
-                let trace = Some(Trace::begin(request.received.elapsed()));
-                if !conn.enqueue(frame, trace, false, shared.config.write_queue_budget_bytes) {
-                    return shed_slow_reader(shared, conn);
-                }
-                continue;
-            }
-            let job = Job {
-                conn_id,
-                request,
-                completions: self.completions_tx.clone(),
-            };
-            match self.jobs.try_send(job) {
-                Ok(()) => match tag {
-                    Some(tag) => {
-                        conn.tags_in_flight.insert(tag);
-                    }
-                    None => conn.untagged_in_flight = true,
-                },
-                Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
-                    // The pool is saturated (or shutting down); put the
-                    // request back at the head for the dispatch backlog.
-                    conn.pending.push_front(job.request);
-                    break;
-                }
+    /// Hands the head of the connection's pending queue to the worker pool
+    /// once the previous request's reply is back.
+    fn dispatch(&self, conn_id: u64, conn: &mut Conn) {
+        if conn.in_flight {
+            return;
+        }
+        let Some(request) = conn.pending.pop_front() else {
+            return;
+        };
+        let job = Job {
+            conn_id,
+            request,
+            completions: self.completions_tx.clone(),
+        };
+        match self.jobs.try_send(job) {
+            Ok(()) => conn.in_flight = true,
+            Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
+                // The pool is saturated (or shutting down); put the request
+                // back at the head for the dispatch backlog.
+                conn.pending.push_front(job.request);
             }
         }
     }
@@ -634,8 +586,7 @@ fn close_or_linger(conn: &mut Conn, patience: Duration) -> bool {
     false
 }
 
-/// Splits the optional tag envelope off one received payload and queues it
-/// for dispatch.
+/// Queues one received payload for dispatch.
 fn queue_request(conn: &mut Conn, payload: Vec<u8>) {
     if conn.shed {
         // Shed connections keep reading only so the eventual close does
@@ -650,15 +601,9 @@ fn queue_request(conn: &mut Conn, payload: Vec<u8>) {
         conn.pending.len() < MAX_CONN_BACKLOG,
         "pending queue past MAX_CONN_BACKLOG: pump_reads stopped throttling"
     );
-    let received = Instant::now();
-    let (tag, payload) = match Request::split_tagged(&payload) {
-        Some((tag, inner)) => (Some(tag), inner.to_vec()),
-        None => (None, payload),
-    };
     conn.pending.push_back(PendingRequest {
-        tag,
         payload,
-        received,
+        received: Instant::now(),
     });
 }
 
@@ -733,6 +678,7 @@ fn shed_slow_reader(shared: &Shared, conn: &mut Conn) {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use vaq_wire::Request;
 
     #[test]
     fn accept_errors_are_classified_so_none_spins_or_strands_the_backlog() {

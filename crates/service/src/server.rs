@@ -32,9 +32,6 @@ use crate::trace::Trace;
 /// budget ([`LruCache::DEFAULT_MAX_BYTES`]).
 const CACHE_CAPACITY: usize = 1024;
 
-/// Largest accepted batch; a larger one gets a typed `BadQuery` reply.
-const MAX_BATCH_LEN: usize = 256;
-
 /// State shared between the reactor and every worker.
 pub(crate) struct Shared {
     /// The currently serving dataset + authenticated structure. Swapped
@@ -91,9 +88,9 @@ impl Shared {
 }
 
 /// The response-cache key of one query: the serving epoch prepended to the
-/// canonical bytes of the plain [`Request::Query`] asking it. Every way of
-/// asking — plain, pinned, batch item, tagged or not — maps to this one
-/// key, so they all share one cache entry. Keys from superseded epochs can
+/// canonical bytes of the plain [`Request::Query`] asking it. Both ways of
+/// asking — plain [`Request::Query`] and pinned [`Request::QueryAt`] — map
+/// to this one key, so they share one cache entry. Keys from superseded epochs can
 /// never collide with current ones, so a computation started before a
 /// republication inserts under its own epoch's key and cannot poison the
 /// new epoch's cache.
@@ -125,9 +122,8 @@ fn encode_frame<T: WireEncode>(response: &T) -> Vec<u8> {
 /// Linux `epoll`: the thread sleeps until one is ready); request execution
 /// runs on a fixed-size worker pool, so thousands of open connections cost
 /// no worker and, while silent, no CPU. Each connection
-/// carries any number of framed [`Request`]s: untagged requests are
-/// answered strictly in order, while [`Request::Tagged`] requests pipeline and complete out of
-/// order, re-associated by their correlation tag. Dropping the service (or
+/// carries any number of framed [`Request`]s, pipelined or not, and answers
+/// them strictly in the order they arrived. Dropping the service (or
 /// calling [`QueryService::shutdown`]) stops the listener, drains in-flight
 /// work and joins every thread.
 pub struct QueryService {
@@ -315,11 +311,7 @@ pub(crate) fn finish_request(shared: &Shared, trace: &Trace) {
 }
 
 /// Decodes and dispatches one request, returning the framed response bytes.
-///
-/// Runs on a worker thread; `payload` is the request's wire encoding with
-/// any tag envelope already stripped by the reactor, which also re-wraps
-/// the returned frame for tagged requests — so the response cache holds one
-/// shared entry per query regardless of how it was enveloped.
+/// Runs on a worker thread; `payload` is the request frame's payload.
 pub(crate) fn handle_request(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Vec<u8> {
     respond(shared, payload, trace).unwrap_or_else(|reply| Response::Error(reply).to_framed_bytes())
 }
@@ -338,16 +330,10 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Vec<u8>
     let serving = shared.serving();
     let epoch = serving.epoch();
 
-    // The four ways to ask a query differ only in an optional epoch pin and
-    // in whether one answer or a list comes back.
-    let (pin, asked) = match request {
-        Request::Query(query) => (None, Asked::One(query)),
-        Request::QueryAt { epoch: pin, query } => (Some(pin), Asked::One(query)),
-        Request::Batch(queries) => (None, Asked::Many(queries)),
-        Request::BatchAt {
-            epoch: pin,
-            queries,
-        } => (Some(pin), Asked::Many(queries)),
+    // The two ways to ask a query differ only in an optional epoch pin.
+    let (pin, query) = match request {
+        Request::Query(query) => (None, query),
+        Request::QueryAt { epoch: pin, query } => (Some(pin), query),
         Request::Ping => return Ok(Response::Pong.to_framed_bytes()),
         Request::StatsDeep => {
             return Ok(Response::StatsDeep(shared.deep_snapshot(epoch)).to_framed_bytes())
@@ -372,86 +358,13 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Vec<u8>
             })?;
             return Ok(Response::ShardMap(map.as_ref().clone()).to_framed_bytes());
         }
-        // The reactor strips the tag envelope before dispatch, so a payload
-        // that still decodes as `Tagged` here was wrapped twice — a client
-        // bug the wire format itself also rejects one level deeper.
-        Request::Tagged { tag, .. } => {
-            let message = format!("tagged envelope cannot nest (tag {tag})");
-            return Err(error_reply(shared, ErrorCode::Malformed, message));
-        }
     };
     if let Some(pinned) = pin.filter(|&pinned| pinned != epoch) {
         let message = format!("service serves publication epoch {epoch}, request pinned {pinned}");
         return Err(error_reply(shared, ErrorCode::StaleEpoch, message));
     }
-    match asked {
-        Asked::One(query) => {
-            let frame = query_frame(shared, &serving, &query, trace)?;
-            trace.set_kind(query_kind(&query));
-            Ok(frame)
-        }
-        Asked::Many(queries) => batch_frame(shared, &serving, &queries, trace),
-    }
-}
-
-/// The queries of one request, however it asked them.
-enum Asked {
-    /// [`Request::Query`] / [`Request::QueryAt`]: answered with
-    /// [`Response::Query`].
-    One(Query),
-    /// [`Request::Batch`] / [`Request::BatchAt`]: answered with
-    /// [`Response::Batch`].
-    Many(Vec<Query>),
-}
-
-/// Serves a batch through **per-item** epoch-keyed cache lookups: each query
-/// resolves exactly as the equivalent single [`Request::Query`] would —
-/// same cache key, same cache entry — so a batch sharing items with past
-/// singles and batches recomputes only the cold items, and a repeated batch
-/// with one changed query pays exactly one miss. A per-item error (bad
-/// dimensionality, internal failure) fails the whole batch with that item's
-/// typed reply, like the whole-batch path always did.
-fn batch_frame(
-    shared: &Shared,
-    serving: &Arc<Server>,
-    queries: &[Query],
-    trace: &mut Trace,
-) -> Result<Vec<u8>, ErrorReply> {
-    if queries.is_empty() {
-        // An empty batch used to sail under the max-batch check and cache a
-        // useless empty response; it carries no work and is a client bug.
-        let message = "batch holds no queries";
-        return Err(error_reply(shared, ErrorCode::BadQuery, message.into()));
-    }
-    if queries.len() > MAX_BATCH_LEN {
-        let message = format!(
-            "batch of {} queries exceeds the limit of {MAX_BATCH_LEN}",
-            queries.len()
-        );
-        return Err(error_reply(shared, ErrorCode::BadQuery, message));
-    }
-    let mut responses = Vec::with_capacity(queries.len());
-    for query in queries {
-        let frame = query_frame(shared, serving, query, trace)?;
-        // Decoding the cached single-query frame back into a QueryResponse
-        // costs one deserialization per item — the deliberate price of
-        // storing exactly one representation per item (the framed single
-        // response) in one unified cache; the expensive work (query
-        // processing and VO assembly) is what the shared entries dedupe.
-        match Response::from_framed_bytes(&frame) {
-            Ok(Response::Query { response, .. }) => responses.push(response),
-            Ok(Response::Error(reply)) => return Err(reply),
-            _ => {
-                let message = "batch item produced an unexpected frame";
-                return Err(error_reply(shared, ErrorCode::Internal, message.into()));
-            }
-        }
-    }
-    let epoch = serving.epoch();
-    let frame = trace.time(Stage::Encode, || {
-        encode_frame(&Response::Batch { epoch, responses })
-    });
-    trace.set_kind(RequestKind::Batch);
+    let frame = query_frame(shared, &serving, &query, trace)?;
+    trace.set_kind(query_kind(&query));
     Ok(frame)
 }
 
@@ -492,17 +405,38 @@ fn query_frame(
 /// Validates, processes and frames one query against a resolved serving
 /// snapshot, charging execution, VO-construction and encode time to the
 /// request's trace.
+///
+/// The weights must lie in the owner's published domain: the signed
+/// arrangement covers that box and nothing else, so an honest answer
+/// outside it fails verification (and a NaN or infinite weight compares
+/// false against every bound). A KNN target must be finite for the same
+/// reason. Refused queries are neither computed nor cached.
 fn compute_frame(
     shared: &Shared,
     serving: &Arc<Server>,
     query: &Query,
     trace: &mut Trace,
 ) -> Result<Vec<u8>, ErrorReply> {
-    let dims = serving.dataset().dims();
-    if query.weights().len() != dims {
-        let asked = query.weights().len();
+    let dataset = serving.dataset();
+    let (asked, dims) = (query.weights().len(), dataset.dims());
+    if asked != dims {
         let message = format!("query weight vector has {asked} dims, dataset has {dims}");
         return Err(error_reply(shared, ErrorCode::BadQuery, message));
+    }
+    if !dataset.domain.contains(query.weights()) {
+        let message = format!(
+            "query weights {:?} lie outside the published domain {:?}..={:?}",
+            query.weights(),
+            dataset.domain.lower,
+            dataset.domain.upper
+        );
+        return Err(error_reply(shared, ErrorCode::BadQuery, message));
+    }
+    if let Query::Knn { target, .. } = query {
+        if !target.is_finite() {
+            let message = format!("KNN target {target} is not a finite score");
+            return Err(error_reply(shared, ErrorCode::BadQuery, message));
+        }
     }
     let (response, timing) = catch_unwind(AssertUnwindSafe(|| serving.process_timed(query)))
         .map_err(|_| {

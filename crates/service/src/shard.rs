@@ -53,14 +53,12 @@ use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use vaq_authquery::{client, IfmhTree, Query, Server, SigningMode};
+use vaq_authquery::{client, IfmhTree, Query, QueryResponse, Server, SigningMode};
 use vaq_crypto::{PublicKey, SignatureScheme};
 use vaq_funcdb::{Dataset, FunctionTemplate, Record};
-use vaq_wire::{
-    ErrorCode, Request, Response, ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot,
-};
+use vaq_wire::{ErrorCode, ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot};
 
-use crate::client::{check_served_epoch, ServiceClient};
+use crate::client::{check_served_epoch, ServiceClient, PIPELINE_WINDOW};
 use crate::config::{ServiceConfig, ShardRole};
 use crate::error::ServiceError;
 use crate::partition::{attest_shard_map, partition_dataset, verify_shard_map, PartitionStrategy};
@@ -725,69 +723,47 @@ impl ShardedClient {
     /// epoch, and merges the results into the logical answer (ascending
     /// score order, exactly as a single server over the whole dataset would
     /// return). A dead scatter leg is retried against the shard's attested
-    /// standby addresses before the query is failed.
+    /// standby addresses before the query is failed. This is
+    /// [`ShardedClient::batch_verified`] of one query.
     pub fn query_verified(&mut self, query: &Query) -> Result<ShardedResponse, ServiceError> {
-        let request = Request::QueryAt {
-            epoch: self.epoch,
-            query: query.clone(),
-        };
-        let per_shard = self.scatter_verified(&request, &|response, template, entry, epoch| {
-            interpret_leg(response, query, template, entry, epoch)
-        })?;
-
-        let mut candidates: Vec<(f64, Record)> = Vec::new();
-        let mut per_shard_returned = Vec::with_capacity(per_shard.len());
-        for (records, scores) in per_shard {
-            per_shard_returned.push(records.len());
-            candidates.extend(scores.into_iter().zip(records));
-        }
-        merge(query, candidates, self.total_records, per_shard_returned)
+        let mut merged = self.batch_verified(std::slice::from_ref(query))?;
+        merged.pop().ok_or(ServiceError::UnexpectedResponse(
+            "a scatter without an answer",
+        ))
     }
 
-    /// Scatters a batch of queries to every shard in **one pinned frame per
-    /// shard** ([`vaq_wire::Request::BatchAt`] at the client's map epoch),
-    /// verifies every per-shard sub-response under that shard's attested
-    /// key at that epoch, and merges each sub-query's candidates through
-    /// the same path a single sharded query uses — so each merged answer
-    /// is byte-identical to what an unsharded [`ServiceClient::batch`]
-    /// returns against a single server at the same epoch.
+    /// Scatters a batch of queries to every shard, each shard's leg a
+    /// pipeline of [`vaq_wire::Request::QueryAt`] frames pinned at the
+    /// client's map epoch, verifies every per-shard answer under that
+    /// shard's attested key at that epoch, and merges each query's
+    /// candidates — so each merged answer is byte-identical to what an
+    /// unsharded [`ServiceClient::batch`] returns against a single server
+    /// at the same epoch.
     ///
-    /// The single-query guarantees carry over per leg: a dead scatter leg
-    /// fails over to the shard's attested standby addresses, a stale-epoch
-    /// rejection surfaces typed (refresh the map and retry), a sub-response
-    /// count that disagrees with the batch is a typed
-    /// [`ServiceError::BatchArity`] protocol violation, and any
-    /// unrecoverable leg fails the whole batch with
-    /// [`ServiceError::ShardFailed`] — never a silent partial answer.
-    ///
-    /// An empty `queries` slice errors exactly like the unsharded path:
-    /// the shards reject the empty batch frame with a typed `BadQuery`
-    /// (surfaced as [`ServiceError::ShardFailed`]), so switching a caller
-    /// between the two clients never changes whether a caller bug is
-    /// surfaced.
+    /// A dead scatter leg fails over to the shard's attested standby
+    /// addresses, a stale-epoch rejection surfaces typed (refresh the map
+    /// and retry), and any unrecoverable leg fails the whole batch with
+    /// [`ServiceError::ShardFailed`] — never a silent partial answer. An
+    /// empty batch sends nothing and answers an empty list.
     pub fn batch_verified(
         &mut self,
         queries: &[Query],
     ) -> Result<Vec<ShardedResponse>, ServiceError> {
-        let request = Request::BatchAt {
-            epoch: self.epoch,
-            queries: queries.to_vec(),
-        };
-        let per_shard = self.scatter_verified(&request, &|response, template, entry, epoch| {
-            interpret_batch_leg(response, queries, template, entry, epoch)
-        })?;
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let per_shard = self.scatter_verified(queries)?;
 
         // Transpose shard-major into query-major (moving, not cloning, the
-        // verified legs) and merge each sub-query exactly like a single
-        // sharded query: same candidate union, same window selection, same
-        // disjointness and completeness checks.
-        let shard_count = per_shard.len();
-        let mut per_query: Vec<Vec<VerifiedLeg>> = (0..queries.len())
-            .map(|_| Vec::with_capacity(shard_count))
+        // verified legs) and merge each query: candidate union, window
+        // selection, disjointness and completeness checks.
+        let mut per_query: Vec<Vec<VerifiedLeg>> = queries
+            .iter()
+            .map(|_| Vec::with_capacity(per_shard.len()))
             .collect();
-        for shard_results in per_shard {
-            for (j, leg) in shard_results.into_iter().enumerate() {
-                per_query[j].push(leg);
+        for shard_legs in per_shard {
+            for (legs, leg) in per_query.iter_mut().zip(shard_legs) {
+                legs.push(leg);
             }
         }
         queries
@@ -805,58 +781,63 @@ impl ShardedClient {
             .collect()
     }
 
-    /// Scatters one already-pinned request to every shard as a tagged
-    /// envelope (all sends go out before the first receive, so the
-    /// per-shard work overlaps, and the tags keep each leg paired), gathers
-    /// and interprets every leg, and retries dead legs against the attested
-    /// standby addresses. Returns the interpreted legs in shard-id order,
-    /// or the first unrecoverable leg failure as a typed
-    /// [`ServiceError::ShardFailed`].
+    /// Scatters `queries` to every shard as pinned query frames — each
+    /// window of [`PIPELINE_WINDOW`] goes out on every shard before the
+    /// first reply is read, so the shards work at once — gathers and
+    /// verifies every leg, and retries dead legs against the attested
+    /// standby addresses. Returns each shard's verified answers in query
+    /// order, shards in shard-id order, or the first unrecoverable leg
+    /// failure as a typed [`ServiceError::ShardFailed`].
     ///
-    /// Every in-flight response is read even after a failure, so surviving
+    /// Every in-flight reply is read even after a failure, so surviving
     /// connections stay request/response aligned for the next call.
-    fn scatter_verified<T>(
+    fn scatter_verified(
         &mut self,
-        request: &Request,
-        interpret: LegInterpreter<'_, T>,
-    ) -> Result<Vec<T>, ServiceError> {
-        // Scatter: put one tagged request in flight on every shard before
-        // reading any response. Each leg is a multiplexed stream — the
-        // correlation tag, not arrival order, pairs the reply with the
-        // request, so a shard connection shared with other in-flight work
-        // still gathers the right frame. A failed send is retried on a
-        // standby during the gather phase.
+        queries: &[Query],
+    ) -> Result<Vec<Vec<VerifiedLeg>>, ServiceError> {
         self.obs.scatters += 1;
-        let mut sent: Vec<Option<u64>> = vec![None; self.shards.len()];
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            sent[i] = shard.client.send_tagged(request).ok();
+        let epoch = self.epoch;
+        let mut legs: Vec<Result<Vec<VerifiedLeg>, ServiceError>> = self
+            .shards
+            .iter()
+            .map(|_| Ok(Vec::with_capacity(queries.len())))
+            .collect();
+        let mut leg_time = vec![Duration::ZERO; self.shards.len()];
+        for window in queries.chunks(PIPELINE_WINDOW) {
+            // A failed send is retried on a standby after the gather.
+            for (shard, leg) in self.shards.iter_mut().zip(&mut legs) {
+                if leg.is_ok() {
+                    if let Err(e) = shard.client.send_queries(Some(epoch), window) {
+                        *leg = Err(e);
+                    }
+                }
+            }
+            for ((shard, leg), time) in self.shards.iter_mut().zip(&mut legs).zip(&mut leg_time) {
+                let started = Instant::now();
+                if let Ok(verified) = leg {
+                    let answers = shard.client.receive_queries(&mut Some(epoch), window.len());
+                    match answers.and_then(|answers| {
+                        verify_leg(window, answers, &self.template, &shard.entry, epoch)
+                    }) {
+                        Ok(window_legs) => verified.extend(window_legs),
+                        Err(e) => *leg = Err(e),
+                    }
+                }
+                *time += started.elapsed();
+            }
         }
 
-        let mut results: Vec<T> = Vec::with_capacity(self.shards.len());
+        let mut results = Vec::with_capacity(legs.len());
         let mut failure: Option<ServiceError> = None;
-        for (i, &tag) in sent.iter().enumerate() {
-            let leg_started = Instant::now();
-            let outcome = if let Some(tag) = tag {
-                let epoch = self.epoch;
-                let template = &self.template;
-                let shard = &mut self.shards[i];
-                shard
-                    .client
-                    .receive_tagged(tag)
-                    .and_then(|response| interpret(response, template, &shard.entry, epoch))
-            } else {
-                Err(ServiceError::Io(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "scatter send failed",
-                )))
-            };
-            let outcome = match outcome {
-                Err(e) if is_failover_worthy(&e) => self.failover_leg(i, request, interpret, e),
+        for (i, (leg, time)) in legs.into_iter().zip(leg_time).enumerate() {
+            let started = Instant::now();
+            let outcome = match leg {
+                Err(e) if is_failover_worthy(&e) => self.failover_leg(i, queries, e),
                 other => other,
             };
             // The leg spans receive-through-verify (plus any failover), so a
             // straggling or flapping shard is visible per shard id.
-            let leg_micros = leg_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+            let leg_micros = (time + started.elapsed()).as_micros().min(u64::MAX as u128) as u64;
             self.obs.leg(i).record(leg_micros);
             match outcome {
                 Ok(result) => results.push(result),
@@ -892,13 +873,12 @@ impl ShardedClient {
     ///
     /// Only transport-level failures fall through to the next candidate;
     /// with no candidate left, the original error is returned.
-    fn failover_leg<T>(
+    fn failover_leg(
         &mut self,
         index: usize,
-        request: &Request,
-        interpret: LegInterpreter<'_, T>,
+        queries: &[Query],
         original: ServiceError,
-    ) -> Result<T, ServiceError> {
+    ) -> Result<Vec<VerifiedLeg>, ServiceError> {
         let entry = self.shards[index].entry.clone();
         let current = self.shards[index].addr;
         let epoch = self.epoch;
@@ -912,8 +892,8 @@ impl ShardedClient {
             };
             let outcome = connection
                 .client
-                .call(request)
-                .and_then(|response| interpret(response, &self.template, &entry, epoch));
+                .batch_at(epoch, queries)
+                .and_then(|answers| verify_leg(queries, answers, &self.template, &entry, epoch));
             match outcome {
                 Ok(result) => {
                     self.shards[index] = connection;
@@ -944,92 +924,38 @@ impl ShardedClient {
     }
 }
 
-/// How one scatter leg's raw [`Response`] is checked and verified into a
-/// typed result: the callback receives the response, the shared template,
-/// the shard's attested map entry and the pinned epoch. One interpreter
-/// exists per request shape ([`interpret_leg`] for single queries,
-/// [`interpret_batch_leg`] for batches); the scatter/gather/failover
-/// machinery is shared through this seam.
-type LegInterpreter<'a, T> =
-    &'a dyn Fn(Response, &FunctionTemplate, &ShardEntry, u64) -> Result<T, ServiceError>;
-
 /// One verified scatter leg's contribution to one query: the records a
 /// shard returned, with their verified scores in record order.
 type VerifiedLeg = (Vec<Record>, Vec<f64>);
 
-/// Verifies one per-query response from one shard — records + VO under the
-/// shard's attested key, at the pinned epoch — and returns the verified
-/// (records, scores). The single security-sensitive verification step, one
-/// copy shared by the single-query and batch interpreters.
-fn verify_sub_response(
-    query: &Query,
-    response: vaq_authquery::QueryResponse,
-    template: &FunctionTemplate,
-    entry: &ShardEntry,
-    epoch: u64,
-) -> Result<VerifiedLeg, ServiceError> {
-    let verified = client::verify_at_epoch(
-        query,
-        &response.records,
-        &response.vo,
-        template,
-        &entry.public_key,
-        epoch,
-    )?;
-    Ok((response.records, verified.scores))
-}
-
-/// Interprets one scatter-leg response: checks the envelope epoch stamp,
-/// verifies the records + VO under the shard's attested key at the pinned
-/// epoch, and returns the verified (records, scores).
-fn interpret_leg(
-    response: Response,
-    query: &Query,
-    template: &FunctionTemplate,
-    entry: &ShardEntry,
-    epoch: u64,
-) -> Result<VerifiedLeg, ServiceError> {
-    match response {
-        Response::Query {
-            epoch: served,
-            response,
-        } => {
-            check_served_epoch(epoch, served)?;
-            verify_sub_response(query, response, template, entry, epoch)
-        }
-        other => Err(crate::client::unexpected(&other)),
-    }
-}
-
-/// Interprets one batch scatter-leg response: checks the envelope epoch
-/// stamp and the answer arity against the batch, then verifies every
-/// sub-response's records + VO under the shard's attested key at the
-/// pinned epoch. Returns the verified (records, scores) per query, in
-/// query order.
-fn interpret_batch_leg(
-    response: Response,
+/// Verifies one shard's answers to `queries` — each one's records + VO
+/// under the shard's attested key, at the pinned epoch — and returns the
+/// verified (records, scores) per query, in query order. The scatter's one
+/// security-sensitive step. The answers come from
+/// [`ServiceClient::receive_queries`] or [`ServiceClient::batch_at`], which
+/// return one per query or fail.
+fn verify_leg(
     queries: &[Query],
+    answers: Vec<QueryResponse>,
     template: &FunctionTemplate,
     entry: &ShardEntry,
     epoch: u64,
 ) -> Result<Vec<VerifiedLeg>, ServiceError> {
-    match response {
-        Response::Batch {
-            epoch: served,
-            responses,
-        } => {
-            check_served_epoch(epoch, served)?;
-            crate::client::check_batch_arity(queries.len(), &responses)?;
-            queries
-                .iter()
-                .zip(responses)
-                .map(|(query, response)| {
-                    verify_sub_response(query, response, template, entry, epoch)
-                })
-                .collect()
-        }
-        other => Err(crate::client::unexpected(&other)),
-    }
+    queries
+        .iter()
+        .zip(answers)
+        .map(|(query, answer)| {
+            let verified = client::verify_at_epoch(
+                query,
+                &answer.records,
+                &answer.vo,
+                template,
+                &entry.public_key,
+                epoch,
+            )?;
+            Ok((answer.records, verified.scores))
+        })
+        .collect()
 }
 
 fn shard_failed(shard_id: u32, error: ServiceError) -> ServiceError {

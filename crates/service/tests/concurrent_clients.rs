@@ -215,59 +215,58 @@ fn batches_round_trip_and_verify() {
 }
 
 #[test]
-fn batches_past_the_length_limit_are_rejected_with_a_typed_bad_query() {
-    // The service answers at most 256 queries a batch: a batch of exactly
-    // that many is served, one more gets a typed BadQuery and leaves the
-    // connection usable.
-    const LIMIT: usize = 256;
-    let (_, server, _) = owner_setup(10, 1, 23);
-    let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
+fn a_batch_longer_than_the_connection_backlog_is_answered_in_order() {
+    // 1,000 queries, far past the 128 requests the service buffers per
+    // connection: the client keeps a bounded window in flight, so the
+    // service never stops reading it and every answer comes back in order
+    // (record count k is the witness) and verifies.
+    const N: usize = 1_000;
+    let (dataset, server, scheme) = owner_setup(12, 1, 23);
+    let service = QueryService::bind(ServiceConfig::ephemeral().workers(2), server).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
-    let queries: Vec<Query> = (0..=LIMIT)
-        .map(|i| Query::top_k(vec![i as f64 / LIMIT as f64], 1))
+    let verifier = scheme.verifier();
+    let queries: Vec<Query> = (0..N)
+        .map(|i| Query::top_k(vec![(i % 7) as f64 / 7.0], i % 12 + 1))
         .collect();
 
-    match client.batch(&queries).expect_err("oversized batch") {
-        ServiceError::Remote(reply) => {
-            assert_eq!(reply.code, ErrorCode::BadQuery);
-            assert!(reply.message.contains("limit"), "{}", reply.message);
-        }
-        other => panic!("expected a remote BadQuery, got {other}"),
+    let answers = client.batch(&queries).expect("a long batch");
+    assert_eq!(answers.len(), N);
+    for (i, (query, answer)) in queries.iter().zip(&answers).enumerate() {
+        assert_eq!(answer.records.len(), i % 12 + 1, "answer {i} out of order");
+        client::verify(
+            query,
+            &answer.records,
+            &answer.vo,
+            &dataset.template,
+            verifier.as_ref(),
+        )
+        .unwrap_or_else(|e| panic!("answer {i}: {e:?}"));
     }
-    let answers = client.batch(&queries[..LIMIT]).expect("batch at the limit");
-    assert_eq!(answers.len(), LIMIT);
+    let stats = client.stats_deep().unwrap().snapshot;
+    assert_eq!(stats.requests_served, N as u64);
+    assert_eq!(stats.cache_hits + stats.cache_misses, N as u64);
     service.shutdown();
 }
 
 #[test]
-fn empty_batches_are_rejected_with_a_typed_bad_query() {
-    // Regression: an empty batch sailed under the max-batch-length check,
-    // computed nothing, and still cached a useless empty response. Both the
-    // plain and the epoch-pinned path must reject it typed instead.
+fn empty_batches_send_nothing_and_answer_empty() {
+    // An empty batch has no question to ask: both the plain and the
+    // epoch-pinned path answer an empty list without a byte on the wire.
     let (_, server, _) = owner_setup(10, 1, 22);
     let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
 
-    for err in [
-        client.batch(&[]).expect_err("empty batch"),
-        client
-            .batch_at(service.epoch(), &[])
-            .expect_err("empty pinned batch"),
-    ] {
-        match err {
-            ServiceError::Remote(reply) => {
-                assert_eq!(reply.code, ErrorCode::BadQuery);
-                assert!(reply.message.contains("no queries"), "{}", reply.message);
-            }
-            other => panic!("expected a remote BadQuery, got {other}"),
-        }
-    }
+    assert!(client.batch(&[]).expect("empty batch").is_empty());
+    let pinned = client.batch_at(service.epoch(), &[]);
+    assert!(pinned.expect("empty pinned batch").is_empty());
 
-    // The connection survives the typed errors, and nothing was cached or
-    // counted as computed.
-    client.ping().unwrap();
+    // The scrape is the first frame the service sees on this connection.
     let stats = client.stats_deep().unwrap().snapshot;
-    assert_eq!(stats.errors, 2);
+    assert_eq!(
+        stats.bytes_in,
+        Request::StatsDeep.to_framed_bytes().len() as u64
+    );
+    assert_eq!(stats.requests_served, 0);
     assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     service.shutdown();
 }
@@ -275,58 +274,122 @@ fn empty_batches_are_rejected_with_a_typed_bad_query() {
 #[test]
 fn mismatched_batch_arity_is_a_typed_protocol_violation() {
     use std::net::TcpListener;
-    // Regression: a malicious (or buggy) server answering a 2-query batch
-    // with 1 response used to be silently zip-truncated by callers. The
-    // client must reject the frame with a typed arity error — and, since
-    // exactly one frame answered the batch, stay usable afterwards.
+    // A malicious (or buggy) server that answers one query of a two-query
+    // batch and then closes must never hand the caller a short list: the
+    // missing answer is a typed error.
     let (_, server, _) = owner_setup(10, 1, 23);
-    let genuine = std::sync::Arc::new(server);
-
-    // A hand-rolled server that strips the last response from every batch.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let truncating = {
-        let genuine = std::sync::Arc::clone(&genuine);
-        std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            loop {
-                let request: Request = match vaq_service::frame::read_message(&mut stream, 1 << 20)
-                {
-                    Ok(Some(request)) => request,
-                    _ => return,
-                };
-                let reply = match request {
-                    Request::Batch(queries) => {
-                        let mut responses: Vec<_> =
-                            queries.iter().map(|q| genuine.process(q)).collect();
-                        responses.pop();
-                        Response::Batch {
-                            epoch: 0,
-                            responses,
-                        }
-                    }
-                    Request::Ping => Response::Pong,
-                    _ => return,
-                };
-                if vaq_service::frame::write_message(&mut stream, &reply).is_err() {
-                    return;
-                }
+    let truncating = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        // Read both queries first, so the close is a clean FIN rather than
+        // a reset over unread bytes.
+        let mut read = || -> Query {
+            match vaq_service::frame::read_message(&mut stream, 1 << 20) {
+                Ok(Some(Request::Query(query))) => query,
+                other => panic!("expected a query frame, got {other:?}"),
             }
-        })
-    };
+        };
+        let (first, _) = (read(), read());
+        let reply = Response::Query {
+            epoch: 0,
+            response: server.process(&first),
+        };
+        vaq_service::frame::write_message(&mut stream, &reply).unwrap();
+    });
 
     let mut client = ServiceClient::connect(addr).unwrap();
     let queries = vec![Query::top_k(vec![0.7], 3), Query::top_k(vec![0.2], 2)];
-    match client.batch(&queries).expect_err("truncated batch") {
-        ServiceError::BatchArity { expected, got } => {
-            assert_eq!((expected, got), (2, 1));
-        }
-        other => panic!("expected BatchArity, got {other}"),
+    match client.batch(&queries).expect_err("half-answered batch") {
+        ServiceError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected the closed-connection error, got {other}"),
     }
-    // One request, one frame: the connection is still aligned and usable.
-    client.ping().unwrap();
-    drop(client);
     truncating.join().unwrap();
+    // The connection is gone, and the client says so instead of pairing a
+    // later request with a frame that will never come.
+    assert!(client.ping().is_err());
+}
+
+#[test]
+fn unpinned_batches_never_span_two_epochs() {
+    use std::net::TcpListener;
+    // A batch asks every query at the epoch of its first answer: a second
+    // answer stamped with another epoch (a republication landing mid-batch,
+    // or a server mixing publications) fails it with a typed StaleEpoch.
+    let (_, server, _) = owner_setup(10, 1, 24);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mixing = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        for epoch in [3, 4] {
+            let query = match vaq_service::frame::read_message(&mut stream, 1 << 20) {
+                Ok(Some(Request::Query(query))) => query,
+                other => panic!("expected a query frame, got {other:?}"),
+            };
+            let reply = Response::Query {
+                epoch,
+                response: server.process(&query),
+            };
+            vaq_service::frame::write_message(&mut stream, &reply).unwrap();
+        }
+    });
+
+    let mut client = ServiceClient::connect(addr).unwrap();
+    let queries = vec![Query::top_k(vec![0.7], 3), Query::top_k(vec![0.2], 2)];
+    match client
+        .batch(&queries)
+        .expect_err("a batch across two epochs")
+    {
+        ServiceError::StaleEpoch { expected, got } => assert_eq!((expected, got), (3, 4)),
+        other => panic!("expected a typed StaleEpoch, got {other}"),
+    }
+    mixing.join().unwrap();
+}
+
+#[test]
+fn out_of_domain_and_non_finite_queries_get_a_typed_bad_query() {
+    // The signed arrangement covers the published weight domain and nothing
+    // else: an honest answer outside it fails verification, and one at a
+    // NaN or infinite weight is vacuous. The service refuses such queries
+    // typed, before computing or caching anything, at d = 1 and 2 in both
+    // signing modes, and the connection stays usable.
+    for dims in [1, 2] {
+        let dataset = uniform_dataset(24, dims, 7);
+        let scheme = SignatureScheme::test_rsa(7);
+        for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {
+            let tree = IfmhTree::build(&dataset, mode, &scheme);
+            let server = Server::new(dataset.clone(), tree);
+            let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
+            let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+            let at = |w: f64| vec![w; dims];
+            let refused = [
+                Query::top_k(at(1.5), 3),
+                Query::range(at(-0.25), 0.1, 0.9),
+                Query::top_k(at(f64::NAN), 3),
+                Query::knn(at(f64::INFINITY), 2, 0.4),
+                Query::knn(at(0.5), 2, f64::NAN),
+            ];
+            for query in &refused {
+                match client.query(query).expect_err("refused") {
+                    ServiceError::Remote(reply) => {
+                        assert_eq!(reply.code, ErrorCode::BadQuery, "{query}: {reply:?}")
+                    }
+                    other => panic!("d = {dims}, {mode:?}, {query}: got {other}"),
+                }
+            }
+            let stats = client.stats_deep().unwrap().snapshot;
+            assert_eq!(stats.cache_hits + stats.cache_misses, 0, "{stats:?}");
+            assert_eq!(stats.errors, refused.len() as u64);
+            client
+                .query_verified(
+                    &Query::top_k(at(0.5), 3),
+                    &dataset.template,
+                    &scheme.public_key(),
+                )
+                .expect("the connection still serves in-domain queries");
+            service.shutdown();
+        }
+    }
 }
 
 #[test]
@@ -408,10 +471,12 @@ fn oversized_and_garbage_frames_are_rejected() {
 
 #[test]
 fn a_frame_of_twenty_thousand_nested_tags_gets_a_typed_malformed_reply() {
-    // 180,011 bytes, well inside the frame limit: 20,000 tagged envelopes
-    // around a ping. A decoder that recursed into each level before refusing
-    // the nesting overflowed the worker's stack and aborted the whole
-    // process; the reply must be a typed error and the service must live on.
+    // 180,011 bytes, well inside the frame limit: 20,000 correlation-tag
+    // envelopes around a ping. A decoder that recursed into each level
+    // before refusing the nesting overflowed the worker's stack and aborted
+    // the whole process. The tag is retired, so the frame is now refused at
+    // its first byte: the reply must be a typed error, the connection must
+    // stay usable and the service must live on.
     use std::io::Write;
     let (_, server, _) = owner_setup(10, 1, 43);
     let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
@@ -430,14 +495,16 @@ fn a_frame_of_twenty_thousand_nested_tags_gets_a_typed_malformed_reply() {
         .unwrap();
     stream.write_all(&frame).unwrap();
     let reply: Option<Response> = vaq_service::frame::read_message(&mut stream, 1 << 20).unwrap();
-    // The service strips the outer envelope and answers under its tag.
     match reply {
-        Some(Response::Tagged { tag: 0, response }) => match *response {
-            Response::Error(reply) => assert_eq!(reply.code, ErrorCode::Malformed),
-            other => panic!("expected Malformed, got {other:?}"),
-        },
-        other => panic!("expected a tagged reply, got {other:?}"),
+        Some(Response::Error(reply)) => {
+            assert_eq!(reply.code, ErrorCode::Malformed);
+            assert!(reply.message.contains("tag 10"), "{}", reply.message);
+        }
+        other => panic!("expected Malformed, got {other:?}"),
     }
+    stream.write_all(&Request::Ping.to_framed_bytes()).unwrap();
+    let reply: Option<Response> = vaq_service::frame::read_message(&mut stream, 1 << 20).unwrap();
+    assert!(matches!(reply, Some(Response::Pong)), "{reply:?}");
     let mut next = ServiceClient::connect(service.local_addr()).unwrap();
     next.ping().expect("the service outlives the frame");
     service.shutdown();
@@ -591,7 +658,8 @@ fn concurrent_batches_and_singles_share_per_item_cache_entries() {
     client
         .batch(&[query_a.clone(), query_c.clone()])
         .expect("changed batch");
-    let stats = stats_once_served(&service, (BATCH_CLIENTS + SINGLE_CLIENTS + 1) as u64);
+    let asked = 2 * BATCH_CLIENTS + SINGLE_CLIENTS + 2;
+    let stats = stats_once_served(&service, asked as u64);
     assert_eq!(
         stats.cache_misses,
         before.cache_misses + 1,
@@ -599,14 +667,15 @@ fn concurrent_batches_and_singles_share_per_item_cache_entries() {
     );
     assert_eq!(stats.cache_hits, before.cache_hits + 1);
 
-    // The whole-batch latency histogram saw every batch request.
-    let batch_histogram = &stats
+    // A batch item is timed as the query it is: the range histogram saw
+    // every item of every batch and every single.
+    let range_histogram = &stats
         .per_kind
         .iter()
-        .find(|k| k.kind == "batch")
-        .expect("batch kind tracked")
+        .find(|k| k.kind == "range")
+        .expect("range kind tracked")
         .histogram;
-    assert_eq!(batch_histogram.count, (BATCH_CLIENTS + 1) as u64);
+    assert_eq!(range_histogram.count, asked as u64);
     service.shutdown();
 }
 
@@ -724,13 +793,13 @@ fn republish_races_inflight_identical_queries_without_mixing_epochs() {
 }
 
 #[test]
-fn tagged_pipelining_races_a_republish_without_mixing_epochs() {
-    // The multiplexed variant of the republish race: every client keeps a
-    // *window* of tagged requests in flight on one connection (the service
-    // dispatches them in parallel and may answer out of order) while the
-    // owner hot-swaps to the next epoch mid-run. Each response must still
-    // verify as one self-consistent epoch — records, VO and signatures from
-    // one structure — and the cache counters must stay exact.
+fn pipelining_races_a_republish_without_mixing_epochs() {
+    // The pipelined variant of the republish race: every client keeps a
+    // *window* of requests in flight on one connection while the owner
+    // hot-swaps to the next epoch mid-run. Each response must still verify
+    // as one self-consistent epoch — records, VO and signatures from one
+    // structure — the replies must come back in order with stamps that
+    // never go backwards, and the cache counters must stay exact.
     const CLIENTS: usize = 4;
     const WINDOW: usize = 5;
     const ROUNDS: usize = 6;
@@ -766,14 +835,11 @@ fn tagged_pipelining_races_a_republish_without_mixing_epochs() {
                 barrier.wait();
                 let mut epochs_seen = Vec::new();
                 for round in 0..ROUNDS {
-                    let tags: Vec<u64> = (0..WINDOW)
-                        .map(|_| client.send_tagged(&Request::Query(query.clone())).unwrap())
-                        .collect();
-                    // Collect the window back to front: with out-of-order
-                    // completion this exercises parking and re-association
-                    // under the race, not just FIFO delivery.
-                    for &tag in tags.iter().rev() {
-                        let (epoch, response) = match client.receive_tagged(tag) {
+                    for _ in 0..WINDOW {
+                        client.send(&Request::Query(query.clone())).unwrap();
+                    }
+                    for _ in 0..WINDOW {
+                        let (epoch, response) = match client.receive() {
                             Ok(Response::Query { epoch, response }) => (epoch, response),
                             other => panic!("client {i} round {round}: {other:?}"),
                         };
@@ -806,12 +872,15 @@ fn tagged_pipelining_races_a_republish_without_mixing_epochs() {
 
     let mut all_epochs = Vec::new();
     for thread in threads {
-        all_epochs.extend(thread.join().unwrap());
+        let epochs = thread.join().unwrap();
+        // A connection answers in request order, so its stamps never go
+        // backwards even with a window in flight across the swap.
+        assert!(
+            epochs.windows(2).all(|w| w[0] <= w[1]),
+            "epoch went backwards: {epochs:?}"
+        );
+        all_epochs.extend(epochs);
     }
-    // Tagged requests dispatch in parallel, so unlike the serialized path
-    // there is no per-connection receive-order monotonicity to assert — but
-    // every stamp is one of the two published epochs, and both sides of the
-    // swap were actually exercised somewhere in the run.
     assert!(
         all_epochs.iter().all(|e| *e == 0 || *e == 1),
         "unexpected epoch in {all_epochs:?}"
@@ -825,10 +894,10 @@ fn tagged_pipelining_races_a_republish_without_mixing_epochs() {
         "every query is accounted a hit or a miss"
     );
     // The misses are each epoch's concurrent first askers plus swap-window
-    // stragglers — never once per in-flight tag.
+    // stragglers — never once per request in flight.
     assert!(
         stats.cache_misses >= 1 && stats.cache_misses <= 2 + (2 * CLIENTS) as u64,
-        "cache_misses inconsistent under a multiplexed republish race: {}",
+        "cache_misses inconsistent under a pipelined republish race: {}",
         stats.cache_misses
     );
     assert_eq!(stats.epoch, 1, "final snapshot reports the new epoch");

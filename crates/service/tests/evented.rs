@@ -90,9 +90,9 @@ fn replies_past_the_socket_buffers_resume_when_the_peer_reads() {
         QueryService::bind(ServiceConfig::ephemeral().workers(2), server(300, 91)).unwrap();
     let mut client = client(&service);
     let request = Request::Query(Query::top_k(vec![0.5], 300));
-    let tags: Vec<u64> = (0..N)
-        .map(|_| client.send_tagged(&request).unwrap())
-        .collect();
+    for _ in 0..N {
+        client.send(&request).unwrap();
+    }
     // Wait (off the socket) until two samples 20 ms apart agree: the
     // service has stopped making progress.
     let mut last = 0;
@@ -106,10 +106,10 @@ fn replies_past_the_socket_buffers_resume_when_the_peer_reads() {
         served < N as u64,
         "the socket never filled: {served} served"
     );
-    for tag in tags {
-        match client.receive_tagged(tag).unwrap() {
+    for i in 0..N {
+        match client.receive().unwrap() {
             Response::Query { response, .. } => assert_eq!(response.records.len(), 300),
-            other => panic!("tag {tag}: {other:?}"),
+            other => panic!("reply {i}: {other:?}"),
         }
     }
     settle(&service, |stats| stats.requests_served == N as u64);
@@ -151,7 +151,7 @@ fn a_shed_slow_reader_that_never_closes_is_dropped_at_the_linger_deadline() {
     let service = QueryService::bind(config, server(300, 91)).unwrap();
     let mut slow = client(&service);
     let request = Request::Query(Query::top_k(vec![0.5], 300));
-    slow.send_tagged(&request).unwrap();
+    slow.send(&request).unwrap();
     match slow.receive().unwrap_err() {
         ServiceError::Remote(reply) => assert_eq!(reply.code, ErrorCode::Overloaded),
         other => panic!("expected a remote Overloaded reply, got {other}"),

@@ -1,6 +1,6 @@
-//! Integration tests for the evented multiplexed service core: tagged
-//! request pipelining with out-of-order completion, connection shedding at
-//! the configured limit, and typed mid-frame stall detection.
+//! Integration tests for the evented multiplexed service core: in-order
+//! request pipelining, a saturated worker pool, connection shedding at the
+//! configured limit, and typed mid-frame stall detection.
 
 use std::io::Write;
 use std::time::Duration;
@@ -22,62 +22,14 @@ fn owner_setup(n: usize, dims: usize, seed: u64) -> (Dataset, Server, SignatureS
 }
 
 #[test]
-fn tagged_pipelining_reassociates_out_of_order_receives() {
-    // N distinguishable queries (top-k with k = i + 1) go out back to back
-    // on one connection; the responses are then collected in several
-    // receive orders that disagree with the send order. Every response must
-    // land with its own request — record count k is the witness.
-    const N: usize = 12;
-    let (_, server, _) = owner_setup(2 * N, 1, 4242);
-    let service = QueryService::bind(ServiceConfig::ephemeral().workers(4), server).unwrap();
-    let addr = service.local_addr();
-
-    // A deterministic family of permutations of 0..N (7 and 5 are coprime
-    // with 12): reverse order, strided orders, and identity.
-    let orders: Vec<Vec<usize>> = vec![
-        (0..N).rev().collect(),
-        (0..N).map(|i| (i * 7) % N).collect(),
-        (0..N).map(|i| (i * 5) % N).collect(),
-        (0..N).collect(),
-    ];
-    for order in orders {
-        let mut client = ServiceClient::connect(addr).unwrap();
-        let tags: Vec<u64> = (0..N)
-            .map(|i| {
-                client
-                    .send_tagged(&Request::Query(Query::top_k(vec![0.5], i + 1)))
-                    .unwrap()
-            })
-            .collect();
-        for &i in &order {
-            let response = client.receive_tagged(tags[i]).unwrap();
-            match response {
-                Response::Query { response, .. } => assert_eq!(
-                    response.records.len(),
-                    i + 1,
-                    "tag {} answered with the wrong response",
-                    tags[i]
-                ),
-                other => panic!(
-                    "expected a query response for tag {}, got {other:?}",
-                    tags[i]
-                ),
-            }
-        }
-    }
-    let stats = service.shutdown();
-    assert_eq!(stats.requests_served, (4 * N) as u64);
-}
-
-#[test]
 fn untagged_pipeline_keeps_send_order_ahead_of_a_trailing_tagged_frame() {
-    // The single pending queue's contract: N untagged queries written back
-    // to back without reading a reply, then one tagged query behind them.
-    // The untagged replies must come back in send order (record count k is
-    // the witness), the tagged reply must echo its tag wherever it lands in
-    // the stream, and every frame counts as served.
+    // The single pending queue's contract: N queries written back to back
+    // without reading a reply, then one frame in the retired correlation-tag
+    // envelope behind them, then a ping. The query replies must come back in
+    // send order (record count k is the witness), the tagged frame gets a
+    // typed Malformed reply in its turn, the ping is still answered, and
+    // every frame counts as served.
     const N: usize = 10;
-    const TAG: u64 = 0xC0FFEE;
     let (_, server, _) = owner_setup(2 * N, 1, 1717);
     let service = QueryService::bind(ServiceConfig::ephemeral().workers(4), server).unwrap();
     let mut stream = std::net::TcpStream::connect(service.local_addr()).unwrap();
@@ -86,44 +38,42 @@ fn untagged_pipeline_keeps_send_order_ahead_of_a_trailing_tagged_frame() {
     for i in 0..N {
         bytes.extend_from_slice(&Request::Query(Query::top_k(vec![0.5], i + 1)).to_framed_bytes());
     }
-    let tagged = Request::Tagged {
-        tag: TAG,
-        request: Box::new(Request::Query(Query::top_k(vec![0.5], N + 1))),
-    };
-    bytes.extend_from_slice(&tagged.to_framed_bytes());
+    let mut tagged = vec![10]; // the retired `Request::Tagged` tag byte
+    tagged.extend_from_slice(&0xC0FFEEu64.to_le_bytes());
+    tagged.extend_from_slice(&Request::Query(Query::top_k(vec![0.5], N + 1)).to_wire_bytes());
+    bytes.extend_from_slice(&vaq_wire::frame_header(tagged.len()));
+    bytes.extend_from_slice(&tagged);
+    bytes.extend_from_slice(&Request::Ping.to_framed_bytes());
     stream.write_all(&bytes).unwrap();
 
-    let mut untagged_sizes = Vec::new();
-    let mut tagged_size = None;
-    for _ in 0..=N {
-        let reply = vaq_service::frame::read_message::<Response>(&mut stream, 1 << 20)
+    let mut read = || {
+        vaq_service::frame::read_message::<Response>(&mut stream, 1 << 20)
             .unwrap()
-            .expect("service closed before answering every frame");
-        match reply {
-            Response::Query { response, .. } => untagged_sizes.push(response.records.len()),
-            Response::Tagged { tag, response } => {
-                assert_eq!(tag, TAG);
-                match *response {
-                    Response::Query { response, .. } => tagged_size = Some(response.records.len()),
-                    other => panic!("unexpected tagged payload: {other:?}"),
-                }
-            }
-            other => panic!("expected query replies, got {other:?}"),
+            .expect("service closed before answering every frame")
+    };
+    for i in 0..N {
+        match read() {
+            Response::Query { response, .. } => assert_eq!(response.records.len(), i + 1),
+            other => panic!("reply {i}: expected a query reply, got {other:?}"),
         }
     }
-    assert_eq!(untagged_sizes, (1..=N).collect::<Vec<_>>());
-    assert_eq!(tagged_size, Some(N + 1));
+    match read() {
+        Response::Error(reply) => assert_eq!(reply.code, ErrorCode::Malformed),
+        other => panic!("expected a Malformed reply to the tagged frame, got {other:?}"),
+    }
+    assert!(matches!(read(), Response::Pong));
     let stats = service.shutdown();
-    assert_eq!(stats.requests_served, (N + 1) as u64);
+    assert_eq!(stats.requests_served, (N + 2) as u64);
 }
 
 #[test]
 fn saturated_worker_pool_answers_every_connection() {
-    // One worker means a job queue of two: sixteen requests arriving at
-    // once overflow it, so most of them wait in the reactor's dispatch
-    // backlog and are admitted as the worker frees slots. Every one must
-    // still be answered, on its own connection, with an answer that
-    // verifies.
+    // One worker means a job queue of two: eight single requests plus the
+    // head of an eight-request pipeline arriving at once overflow it, so
+    // most of them wait in the reactor's dispatch backlog and are admitted
+    // as the worker frees slots, the pipeline's one at a time. Every one
+    // must still be answered, on its own connection and in order, with an
+    // answer that verifies.
     const CONNS: usize = 8;
     const PIPELINED: usize = 8;
     let (dataset, server, scheme) = owner_setup(40, 1, 808);
@@ -150,113 +100,20 @@ fn saturated_worker_pool_answers_every_connection() {
     for (client, query) in &mut singles {
         client.send(&Request::Query(query.clone())).unwrap();
     }
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut pipelining = ServiceClient::connect(addr).unwrap();
     let pipelined: Vec<Query> = (0..PIPELINED).map(|i| wide(CONNS + i)).collect();
-    let mut bytes = Vec::new();
-    for (tag, query) in pipelined.iter().enumerate() {
-        let tagged = Request::Tagged {
-            tag: tag as u64,
-            request: Box::new(Request::Query(query.clone())),
-        };
-        bytes.extend_from_slice(&tagged.to_framed_bytes());
+    for query in &pipelined {
+        pipelining.send(&Request::Query(query.clone())).unwrap();
     }
-    stream.write_all(&bytes).unwrap();
 
     for (client, query) in &mut singles {
         verify(query, client.receive().unwrap());
     }
-    let mut answered = [false; PIPELINED];
-    for _ in 0..PIPELINED {
-        let reply = vaq_service::frame::read_message::<Response>(&mut stream, 1 << 20)
-            .unwrap()
-            .expect("service closed before answering every tagged frame");
-        match reply {
-            Response::Tagged { tag, response } => {
-                let tag = tag as usize;
-                assert!(!answered[tag], "tag {tag} answered twice");
-                answered[tag] = true;
-                verify(&pipelined[tag], *response);
-            }
-            other => panic!("expected a tagged reply, got {other:?}"),
-        }
+    for query in &pipelined {
+        verify(query, pipelining.receive().unwrap());
     }
     let stats = service.shutdown();
     assert_eq!(stats.requests_served, (CONNS + PIPELINED) as u64);
-}
-
-#[test]
-fn unknown_tag_is_a_typed_error_that_keeps_the_connection() {
-    let (_, server, _) = owner_setup(10, 1, 7);
-    let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
-    let mut client = ServiceClient::connect(service.local_addr()).unwrap();
-
-    // Asking for a tag that was never sent is a caller bug, reported
-    // without touching (or desyncing) the stream.
-    match client.receive_tagged(999).unwrap_err() {
-        ServiceError::UnknownTag { tag } => assert_eq!(tag, 999),
-        other => panic!("expected a typed unknown-tag error, got {other}"),
-    }
-    client.ping().unwrap();
-
-    // A tag already collected is no longer pending either: the pairing
-    // state refuses a double receive instead of stealing another tag's
-    // frame.
-    let tag = client.send_tagged(&Request::Ping).unwrap();
-    assert!(matches!(client.receive_tagged(tag), Ok(Response::Pong)));
-    match client.receive_tagged(tag).unwrap_err() {
-        ServiceError::UnknownTag { tag: got } => assert_eq!(got, tag),
-        other => panic!("expected a typed unknown-tag error, got {other}"),
-    }
-    client.ping().unwrap();
-    service.shutdown();
-}
-
-#[test]
-fn duplicate_in_flight_tag_gets_a_typed_reply_from_the_service() {
-    // Two frames carrying the *same* correlation tag go out in one write: a
-    // slow query and a ping. The service must answer the first and reject
-    // the second with a tagged Malformed reply naming the collision — never
-    // two responses under one tag.
-    let (_, server, _) = owner_setup(24, 1, 77);
-    let service = QueryService::bind(ServiceConfig::ephemeral().workers(2), server).unwrap();
-    let mut stream = std::net::TcpStream::connect(service.local_addr()).unwrap();
-
-    let slow = Request::Tagged {
-        tag: 7,
-        request: Box::new(Request::Query(Query::range(vec![0.5], -1.0, 2.0))),
-    };
-    let dup = Request::Tagged {
-        tag: 7,
-        request: Box::new(Request::Ping),
-    };
-    let mut bytes = slow.to_framed_bytes();
-    bytes.extend_from_slice(&dup.to_framed_bytes());
-    stream.write_all(&bytes).unwrap();
-
-    let mut saw_answer = false;
-    let mut saw_collision = false;
-    for _ in 0..2 {
-        let response = vaq_service::frame::read_message::<Response>(&mut stream, 1 << 20)
-            .unwrap()
-            .expect("service closed before answering both frames");
-        match response {
-            Response::Tagged { tag, response } => {
-                assert_eq!(tag, 7);
-                match *response {
-                    Response::Error(reply) => {
-                        assert_eq!(reply.code, ErrorCode::Malformed);
-                        assert!(reply.message.contains("already in flight"), "{reply:?}");
-                        saw_collision = true;
-                    }
-                    Response::Query { .. } => saw_answer = true,
-                    other => panic!("unexpected tagged payload: {other:?}"),
-                }
-            }
-            other => panic!("expected tagged replies, got {other:?}"),
-        }
-    }
-    assert!(saw_answer && saw_collision);
-    service.shutdown();
 }
 
 #[test]
@@ -363,10 +220,10 @@ fn mid_frame_stall_gets_a_typed_stalled_reply() {
 }
 
 #[test]
-fn fifty_connections_each_hold_a_tagged_query_in_flight() {
-    // 50 sockets, one tagged query sent on every one of them before the
-    // first reply is read: the reactor serves the whole fleet concurrently
-    // and every reply comes back on its own connection, verified.
+fn fifty_connections_each_hold_a_query_in_flight() {
+    // 50 sockets, one query sent on every one of them before the first
+    // reply is read: the reactor serves the whole fleet concurrently and
+    // every reply comes back on its own connection, verified.
     const CONNS: usize = 50;
     let (dataset, server, scheme) = owner_setup(12, 1, 99);
     let service = QueryService::bind(ServiceConfig::ephemeral().workers(2), server).unwrap();
@@ -376,11 +233,11 @@ fn fifty_connections_each_hold_a_tagged_query_in_flight() {
     for i in 0..CONNS {
         let mut client = ServiceClient::connect(service.local_addr()).unwrap();
         let query = Query::top_k(vec![0.5], i % 12 + 1);
-        let tag = client.send_tagged(&Request::Query(query.clone())).unwrap();
-        in_flight.push((client, tag, query));
+        client.send(&Request::Query(query.clone())).unwrap();
+        in_flight.push((client, query));
     }
-    for (mut client, tag, query) in in_flight {
-        match client.receive_tagged(tag).unwrap() {
+    for (mut client, query) in in_flight {
+        match client.receive().unwrap() {
             Response::Query { response, .. } => {
                 vaq_authquery::client::verify(
                     &query,
@@ -420,7 +277,7 @@ fn slow_reader_is_shed_with_a_typed_overloaded_reply() {
     healthy.ping().unwrap();
 
     let mut slow = ServiceClient::connect(addr).unwrap();
-    slow.send_tagged(&Request::Query(Query::top_k(vec![0.5], 300)))
+    slow.send(&Request::Query(Query::top_k(vec![0.5], 300)))
         .unwrap();
     match slow.receive().unwrap_err() {
         ServiceError::Remote(reply) => {

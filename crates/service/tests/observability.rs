@@ -30,8 +30,9 @@ fn owner_setup(n: usize, seed: u64) -> (Dataset, Server) {
 }
 
 /// Drives a deterministic mixed workload over one connection: 3 top-k (one
-/// repeated, so the cache must hit), 2 range, 2 KNN, and one 3-query batch.
-/// Returns (requests issued, query-shaped items issued).
+/// repeated, so the cache must hit), 2 range, 2 KNN, and one 3-query batch
+/// of one query per kind. Returns (requests issued, query-shaped items
+/// issued).
 fn drive_mixed_workload(client: &mut ServiceClient) -> (u64, u64) {
     let topk = Query::top_k(vec![0.5], 3);
     client.query(&topk).expect("topk");
@@ -52,8 +53,9 @@ fn drive_mixed_workload(client: &mut ServiceClient) -> (u64, u64) {
             Query::knn(vec![0.75], 1, 2.0),
         ])
         .expect("batch");
-    // 7 single requests + 1 batch request; 7 + 3 cache-probed query items.
-    (8, 10)
+    // A batch item is a request of its own: 7 + 3 requests, each one a
+    // cache-probed query.
+    (10, 10)
 }
 
 /// Every hot-path stage label, in hot-path order — the vocabulary the deep
@@ -99,8 +101,9 @@ fn every_request_lands_in_every_stage_histogram() {
         );
     }
 
-    // Whole-request per-kind histograms: 3 topk, 2 range, 2 knn, 1 batch.
-    for (kind, expected) in [("topk", 3), ("range", 2), ("knn", 2), ("batch", 1)] {
+    // Whole-request per-kind histograms, each batch item under its kind:
+    // 3 + 1 topk, 2 + 1 range, 2 + 1 knn.
+    for (kind, expected) in [("topk", 4), ("range", 3), ("knn", 3)] {
         let histogram = &snapshot
             .per_kind
             .iter()
@@ -120,7 +123,7 @@ fn stage_spans_sum_within_whole_request_bounds_for_every_kind() {
     drive_mixed_workload(&mut client);
 
     let deep = client.stats_deep().unwrap();
-    for kind in ["topk", "range", "knn", "batch"] {
+    for kind in ["topk", "range", "knn"] {
         let whole = &deep
             .snapshot
             .per_kind
@@ -214,7 +217,7 @@ fn metrics_stay_consistent_under_concurrent_clients() {
     }
     // Per-kind whole-request histograms account for every query request.
     let per_kind_total: u64 = snapshot.per_kind.iter().map(|k| k.histogram.count).sum();
-    assert_eq!(per_kind_total, CLIENTS as u64 * 8);
+    assert_eq!(per_kind_total, query_items);
 
     // A second scrape is monotone in every counter.
     let later = scraper.stats_deep().unwrap();
@@ -235,9 +238,10 @@ fn error_replies_break_out_per_code() {
     let service = QueryService::bind(ServiceConfig::ephemeral().workers(1), server).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
 
-    // An empty batch is a typed BadQuery; ShardInfo against an unsharded
-    // service is a typed NotSharded. Both leave the connection usable.
-    assert!(client.batch(&[]).is_err());
+    // A query outside the published domain is a typed BadQuery; ShardInfo
+    // against an unsharded service is a typed NotSharded. Both leave the
+    // connection usable.
+    assert!(client.query(&Query::top_k(vec![2.0], 2)).is_err());
     assert!(client.shard_info().is_err());
     client
         .query(&Query::top_k(vec![0.5], 2))

@@ -9,9 +9,7 @@
 //! - `[u8; 32]` (a digest): the 32 bytes, no prefix;
 //! - `Vec<T>`: a `u32` element count, then the elements;
 //! - `Option<T>`: a `bool`, then the value when it is `true`;
-//! - `(A, B)`: `A`, then `B`;
-//! - `Box<T>`: the `T` it holds. Decoding one is the boxed type's business:
-//!   only the two envelopes box, and they refuse to nest.
+//! - `(A, B)`: `A`, then `B`.
 //!
 //! [`wire_struct!`] turns a struct's ordered field list into its encoder and
 //! its decoder; [`wire_enum!`] turns a tag table into an enum's tag byte,
@@ -123,12 +121,6 @@ impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
 impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
-impl<T: WireEncode + ?Sized> WireEncode for Box<T> {
-    fn encode(&self, w: &mut Writer) {
-        (**self).encode(w);
     }
 }
 

@@ -4,18 +4,19 @@
 //! server and results plus verification objects travel back. This module
 //! pins down the byte-level shape of that exchange: a [`Request`] /
 //! [`Response`] pair of tagged unions, each sent as one `VAQ1` frame
-//! (see [`crate::WireEncode::to_framed_bytes`]). Everything a response needs
-//! for client-side verification rides inside the existing
-//! [`QueryResponse`] encoding, so a remote round-trip verifies exactly like
-//! a local call.
+//! (see [`crate::WireEncode::to_framed_bytes`]). One query is one request
+//! frame ([`Request::Query`], or [`Request::QueryAt`] pinned to an epoch)
+//! answered by one [`Response::Query`] frame; a connection answers its
+//! frames in the order they arrived, so a client pipelines many queries by
+//! sending them back to back. Everything a response needs for client-side
+//! verification rides inside the existing [`QueryResponse`] encoding, so a
+//! remote round-trip verifies exactly like a local call.
 //!
 //! Service health telemetry ([`StatsSnapshot`]) is part of the protocol so
 //! operators can scrape a running service with nothing but a socket.
 
 use crate::codec::{wire_enum, wire_struct};
-use crate::error::WireError;
-use crate::io::Reader;
-use crate::{WireDecode, WireEncode};
+use crate::WireEncode;
 use vaq_authquery::{Query, QueryResponse};
 use vaq_crypto::sha256::{sha256, Digest};
 use vaq_crypto::{PublicKey, Signature};
@@ -38,8 +39,6 @@ pub enum Request {
     /// One analytic query (top-k, range or KNN); answered with
     /// [`Response::Query`] at whatever epoch the service currently serves.
     Query(Query),
-    /// A batch of queries answered in order with [`Response::Batch`].
-    Batch(Vec<Query>),
     /// Asks which shard of a sharded deployment this service hosts; answered
     /// with [`Response::ShardInfo`] (or a [`ErrorCode::NotSharded`] error by
     /// a standalone service).
@@ -61,37 +60,12 @@ pub enum Request {
         /// The query itself.
         query: Query,
     },
-    /// A batch of queries pinned to a publication epoch, mirroring
-    /// [`Request::QueryAt`]: the service answers with [`Response::Batch`]
-    /// only if it currently serves exactly `epoch`, and with a typed
-    /// [`ErrorCode::StaleEpoch`] error otherwise. This is what lets a
-    /// scatter-gather client send one batch frame per shard and still
-    /// guarantee that no merged sub-answer ever mixes epochs.
-    BatchAt {
-        /// The publication epoch the client expects (from its verified
-        /// shard map or published metadata).
-        epoch: u64,
-        /// The queries, answered in order.
-        queries: Vec<Query>,
-    },
     /// Deep-telemetry scrape; answered with [`Response::StatsDeep`]. On top
     /// of the flat [`StatsSnapshot`] this carries per-stage latency
     /// histograms for the server hot path, so an operator can tell whether a
     /// slow p99 comes from queue wait, cache lookup, query execution, VO
     /// construction, encoding, or the socket write.
     StatsDeep,
-    /// A request wrapped with a client-chosen correlation tag. The service
-    /// echoes the tag on the matching [`Response::Tagged`] reply, which is
-    /// what lets one connection pipeline many requests and receive the
-    /// responses out of order — the tag, not the frame position, pairs a
-    /// reply with its request. Nesting a `Tagged` request inside another is
-    /// rejected at decode time.
-    Tagged {
-        /// Client-chosen correlation tag, echoed verbatim in the reply.
-        tag: u64,
-        /// The wrapped request (never itself `Tagged`).
-        request: Box<Request>,
-    },
 }
 
 impl Request {
@@ -104,31 +78,6 @@ impl Request {
     /// use this method to obtain the same bytes.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         self.to_wire_bytes()
-    }
-
-    /// Reads the correlation tag of a tagged request payload without
-    /// decoding the wrapped request, so a server can route a frame by tag
-    /// before paying for a full decode. Returns `None` for untagged (or too
-    /// short) payloads.
-    pub fn peek_tag(payload: &[u8]) -> Option<u64> {
-        let (&variant, rest) = payload.split_first()?;
-        if variant != REQUEST_TAG_TAGGED {
-            return None;
-        }
-        let tag_bytes: [u8; 8] = rest.get(..8)?.try_into().ok()?;
-        Some(u64::from_le_bytes(tag_bytes))
-    }
-
-    /// Splits a tagged request payload into its correlation tag and the
-    /// wrapped request's payload bytes, without decoding the wrapped
-    /// request. The returned inner slice is exactly the wrapped request's
-    /// canonical encoding — the bytes [`Request::canonical_bytes`] would
-    /// produce — so a response cache keyed on received payload bytes treats
-    /// a tagged and an untagged copy of the same request as one entry.
-    /// Returns `None` for untagged payloads.
-    pub fn split_tagged(payload: &[u8]) -> Option<(u64, &[u8])> {
-        let tag = Self::peek_tag(payload)?;
-        Some((tag, payload.get(1 + 8..)?))
     }
 }
 
@@ -153,14 +102,6 @@ pub enum Response {
         /// The result + verification object.
         response: QueryResponse,
     },
-    /// Answer to [`Request::Batch`], in query order, stamped with the
-    /// serving epoch (every response in the batch is computed at it).
-    Batch {
-        /// The publication epoch of every response in the batch.
-        epoch: u64,
-        /// The per-query results, in request order.
-        responses: Vec<QueryResponse>,
-    },
     /// Answer to [`Request::ShardInfo`]: the serving shard's identity.
     ShardInfo(ShardInfo),
     /// Answer to [`Request::ShardMap`]: the owner-signed map currently
@@ -172,33 +113,6 @@ pub enum Response {
     /// Answer to [`Request::StatsDeep`]: flat snapshot plus per-stage
     /// latency breakdowns.
     StatsDeep(StatsDeep),
-    /// Answer to a [`Request::Tagged`] request: the wrapped response,
-    /// carrying the request's correlation tag so a pipelining client can
-    /// pair it with the right in-flight request regardless of delivery
-    /// order. Never nests.
-    Tagged {
-        /// The correlation tag of the request this response answers.
-        tag: u64,
-        /// The wrapped response (never itself `Tagged`).
-        response: Box<Response>,
-    },
-}
-
-impl Response {
-    /// Builds a framed [`Response::Tagged`] frame around an already-encoded
-    /// (unframed) inner response payload, without decoding it. This is the
-    /// cached-response fast path: the service caches complete untagged
-    /// response payloads, and re-wrapping one for a tagged request must not
-    /// cost a decode/re-encode of a potentially large verification object.
-    pub fn tagged_frame_from_payload(tag: u64, inner_payload: &[u8]) -> Vec<u8> {
-        let payload_len = 1 + 8 + inner_payload.len();
-        let mut out = Vec::with_capacity(crate::FRAME_HEADER_LEN + payload_len);
-        out.extend_from_slice(&crate::frame_header(payload_len));
-        out.push(RESPONSE_TAG_TAGGED);
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(inner_payload);
-        out
-    }
 }
 
 /// Machine-readable error category of an [`ErrorReply`].
@@ -298,7 +212,7 @@ pub struct LatencyHistogram {
 /// Latency histogram of one request kind, labelled for self-description.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KindLatency {
-    /// Request-kind label (`"topk"`, `"range"`, `"knn"`, `"batch"`).
+    /// Request-kind label (`"topk"`, `"range"`, `"knn"`).
     pub kind: String,
     /// The kind's latency histogram.
     pub histogram: LatencyHistogram,
@@ -343,7 +257,7 @@ pub struct StageMicros {
 /// Per-stage time attribution for one request kind.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KindStages {
-    /// Request-kind label (`"topk"`, `"range"`, `"knn"`, `"batch"`).
+    /// Request-kind label (`"topk"`, `"range"`, `"knn"`).
     pub kind: String,
     /// Stage sums, in hot-path order. For every kind the stage sums are
     /// bounded by the kind's whole-request histogram: stages are disjoint
@@ -503,59 +417,28 @@ pub struct SignedShardMap {
     pub signature: Signature,
 }
 
-// Tag 2 (the flat stats scrape `StatsDeep` embeds) is retired, not reused:
-// a peer that still sends it gets the `InvalidTag` decode error.
-const REQUEST_TAG_TAGGED: u8 = 10;
-
+// Retired tags are not reused, so a peer that still sends one gets the
+// `InvalidTag` decode error: request tag 2 (the flat stats scrape `StatsDeep`
+// embeds) and 4, 8 and 10 (the batch, pinned-batch and correlation-tag
+// envelopes, whose work in-order pipelining of `Query` frames now does).
 wire_enum!(Request {
     1 => Ping,
     3 => Query(query),
-    4 => Batch(queries),
     5 => ShardInfo,
     6 => ShardMap,
     7 => QueryAt { epoch, query },
-    8 => BatchAt { epoch, queries },
     9 => StatsDeep,
-    REQUEST_TAG_TAGGED => Tagged { tag, request },
 });
 
-// Tag 2 (the answer to the retired request tag 2) is likewise left unused.
-const RESPONSE_TAG_TAGGED: u8 = 9;
-
+// Likewise retired: response tags 2, 4 (batch) and 9 (correlation tag).
 wire_enum!(Response {
     1 => Pong,
     3 => Query { epoch, response },
-    4 => Batch { epoch, responses },
     5 => Error(reply),
     6 => ShardInfo(info),
     7 => ShardMap(map),
     8 => StatsDeep(deep),
-    RESPONSE_TAG_TAGGED => Tagged { tag, response },
 });
-
-/// One level of tagging only: a tagged envelope inside another has no reply
-/// shape. The wrapped message's tag byte is refused before anything is
-/// decoded, so the decoder never recurses, however deep a frame nests.
-fn refuse_nested(r: &Reader<'_>, tagged: u8, type_name: &'static str) -> Result<(), WireError> {
-    match r.peek_u8()? {
-        tag if tag == tagged => Err(WireError::InvalidTag { type_name, tag }),
-        _ => Ok(()),
-    }
-}
-
-impl WireDecode for Box<Request> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        refuse_nested(r, REQUEST_TAG_TAGGED, "Request::Tagged (nested)")?;
-        Request::decode(r).map(Box::new)
-    }
-}
-
-impl WireDecode for Box<Response> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        refuse_nested(r, RESPONSE_TAG_TAGGED, "Response::Tagged (nested)")?;
-        Response::decode(r).map(Box::new)
-    }
-}
 
 wire_enum!(ErrorCode {
     1 => Malformed,
@@ -593,38 +476,20 @@ wire_struct! {
 mod tests {
     use super::*;
     use crate::io::Writer;
+    use crate::{WireDecode, WireError};
 
     #[test]
     fn request_variants_roundtrip() {
         let requests = vec![
             Request::Ping,
             Request::Query(Query::top_k(vec![0.2, 0.8], 3)),
-            Request::Batch(vec![
-                Query::range(vec![0.5], 0.1, 0.9),
-                Query::knn(vec![0.3, 0.7], 2, 0.4),
-            ]),
             Request::ShardInfo,
             Request::ShardMap,
             Request::QueryAt {
                 epoch: u64::MAX,
                 query: Query::top_k(vec![0.1, 0.9], 2),
             },
-            Request::BatchAt {
-                epoch: 0,
-                queries: vec![],
-            },
-            Request::BatchAt {
-                epoch: u64::MAX,
-                queries: vec![
-                    Query::top_k(vec![0.1, 0.9], 2),
-                    Query::range(vec![0.5], 0.1, 0.9),
-                ],
-            },
             Request::StatsDeep,
-            Request::Tagged {
-                tag: u64::MAX,
-                request: Box::new(Request::Query(Query::top_k(vec![0.4, 0.6], 1))),
-            },
         ];
         for request in requests {
             let bytes = request.to_framed_bytes();
@@ -634,97 +499,65 @@ mod tests {
 
     #[test]
     fn retired_tag_two_is_unused_and_its_neighbours_keep_their_bytes() {
-        for error in [
-            Request::from_wire_bytes(&[2]).err(),
-            Response::from_wire_bytes(&[2]).err(),
-        ] {
-            assert!(matches!(error, Some(WireError::InvalidTag { tag: 2, .. })));
+        // Tag 2 went with the flat stats scrape; 4, 8 and 10 (requests) and
+        // 4 and 9 (responses) with the batch and correlation-tag envelopes.
+        // Each is refused on its first byte, whatever follows it.
+        let after = Request::Query(Query::top_k(vec![0.5], 1)).to_wire_bytes();
+        for tag in [2, 4, 8, 10] {
+            let payload = [&[tag][..], &after].concat();
+            let error = Request::from_wire_bytes(&payload).err();
+            assert!(
+                matches!(error, Some(WireError::InvalidTag { tag: t, .. }) if t == tag),
+                "request tag {tag}: {error:?}"
+            );
+        }
+        for tag in [2, 4, 9] {
+            let payload = [&[tag][..], &Response::Pong.to_wire_bytes()].concat();
+            let error = Response::from_wire_bytes(&payload).err();
+            assert!(
+                matches!(error, Some(WireError::InvalidTag { tag: t, .. }) if t == tag),
+                "response tag {tag}: {error:?}"
+            );
         }
         assert_eq!(Request::Ping.to_wire_bytes(), [1]);
+        assert_eq!(after.first(), Some(&3));
         assert_eq!(Request::ShardInfo.to_wire_bytes(), [5]);
         assert_eq!(Request::ShardMap.to_wire_bytes(), [6]);
+        let pinned = Request::QueryAt {
+            epoch: 0,
+            query: Query::top_k(vec![0.5], 1),
+        };
+        assert_eq!(pinned.to_wire_bytes().first(), Some(&7));
         assert_eq!(Request::StatsDeep.to_wire_bytes(), [9]);
         assert_eq!(Response::Pong.to_wire_bytes(), [1]);
     }
 
     #[test]
-    fn tagged_request_helpers_agree_with_the_encoding() {
-        let inner = Request::Query(Query::top_k(vec![0.2, 0.8], 3));
-        let tagged = Request::Tagged {
-            tag: 0xDEAD_BEEF,
-            request: Box::new(inner.clone()),
-        };
-        let payload = tagged.to_wire_bytes();
-        assert_eq!(Request::from_wire_bytes(&payload).unwrap(), tagged);
-        assert_eq!(Request::peek_tag(&payload), Some(0xDEAD_BEEF));
-        let (tag, inner_bytes) = Request::split_tagged(&payload).unwrap();
-        assert_eq!(tag, 0xDEAD_BEEF);
-        // The inner slice is the wrapped request's canonical bytes, so a
-        // payload-keyed response cache unifies tagged and untagged copies.
-        assert_eq!(inner_bytes, inner.canonical_bytes().as_slice());
-        assert_eq!(Request::peek_tag(&inner.canonical_bytes()), None);
-        assert_eq!(Request::split_tagged(&inner.canonical_bytes()), None);
-        assert_eq!(Request::peek_tag(&[]), None);
-    }
-
-    #[test]
     fn nested_tagged_envelopes_are_rejected() {
-        // Hand-build a Tagged-in-Tagged payload; the decoder must reject it.
+        // A frame of correlation-tag envelopes, each wrapping the next, as
+        // a peer of the retired protocol would nest them: the decoder
+        // refuses the outermost tag byte and never looks inside.
         let mut w = Writer::new();
-        w.put_u8(10); // REQUEST_TAG_TAGGED
-        w.put_u64(1);
-        Request::Tagged {
-            tag: 2,
-            request: Box::new(Request::Ping),
+        for (level, tag) in [(1u64, 10u8), (2, 10)] {
+            w.put_u8(tag);
+            w.put_u64(level);
         }
-        .encode(&mut w);
+        Request::Ping.encode(&mut w);
         assert!(matches!(
             Request::from_wire_bytes(&w.into_bytes()),
-            Err(WireError::InvalidTag { .. })
+            Err(WireError::InvalidTag { tag: 10, .. })
         ));
 
         let mut w = Writer::new();
-        w.put_u8(9); // RESPONSE_TAG_TAGGED
-        w.put_u64(1);
-        Response::Tagged {
-            tag: 2,
-            response: Box::new(Response::Pong),
+        for level in [1u64, 2] {
+            w.put_u8(9);
+            w.put_u64(level);
         }
-        .encode(&mut w);
+        Response::Pong.encode(&mut w);
         assert!(matches!(
             Response::from_wire_bytes(&w.into_bytes()),
-            Err(WireError::InvalidTag { .. })
+            Err(WireError::InvalidTag { tag: 9, .. })
         ));
-    }
-
-    #[test]
-    fn tagged_frame_from_payload_matches_the_direct_encoding() {
-        let reply = Response::Error(ErrorReply {
-            code: ErrorCode::Overloaded,
-            message: "connection limit reached".into(),
-        });
-        let framed = Response::tagged_frame_from_payload(7, &reply.to_wire_bytes());
-        // Byte-identical to encoding the tagged value directly: the fast
-        // path re-wraps cached payloads without changing the wire contract.
-        let direct = Response::Tagged {
-            tag: 7,
-            response: Box::new(reply),
-        }
-        .to_framed_bytes();
-        assert_eq!(framed, direct);
-        match Response::from_framed_bytes(&framed).unwrap() {
-            Response::Tagged { tag, response } => {
-                assert_eq!(tag, 7);
-                match *response {
-                    Response::Error(e) => {
-                        assert_eq!(e.code, ErrorCode::Overloaded);
-                        assert_eq!(e.message, "connection limit reached");
-                    }
-                    other => panic!("expected Error, got {other:?}"),
-                }
-            }
-            other => panic!("expected Tagged, got {other:?}"),
-        }
     }
 
     #[test]
@@ -931,19 +764,14 @@ mod tests {
         let b = Request::Query(Query::top_k(vec![0.5], 4));
         assert_ne!(a.canonical_bytes(), b.canonical_bytes());
         assert_eq!(a.canonical_bytes(), a.canonical_bytes());
-    }
-
-    #[test]
-    fn canonical_bytes_distinguish_pinned_and_unpinned_batches() {
-        let queries = vec![Query::top_k(vec![0.5], 3)];
-        let plain = Request::Batch(queries.clone());
-        let pinned = Request::BatchAt {
-            epoch: 0,
-            queries: queries.clone(),
+        // A pin is part of the request: pinned and unpinned copies of one
+        // query, and pins at two epochs, never share bytes.
+        let pinned = |epoch| Request::QueryAt {
+            epoch,
+            query: Query::top_k(vec![0.5], 3),
         };
-        let later = Request::BatchAt { epoch: 1, queries };
-        assert_ne!(plain.canonical_bytes(), pinned.canonical_bytes());
-        assert_ne!(pinned.canonical_bytes(), later.canonical_bytes());
+        assert_ne!(a.canonical_bytes(), pinned(0).canonical_bytes());
+        assert_ne!(pinned(0).canonical_bytes(), pinned(1).canonical_bytes());
     }
 
     #[test]

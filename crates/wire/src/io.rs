@@ -148,11 +148,6 @@ impl<'a> Reader<'a> {
         self.take(1).first().copied().ok_or(WireError::Truncated)
     }
 
-    /// The next byte, left unread.
-    pub(crate) fn peek_u8(&self) -> Result<u8, WireError> {
-        self.buf.first().copied().ok_or(WireError::Truncated)
-    }
-
     /// Reads a boolean: exactly `0` or `1`, so that every value has one
     /// encoding.
     pub fn get_bool(&mut self) -> Result<bool, WireError> {

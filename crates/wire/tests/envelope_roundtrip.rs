@@ -54,26 +54,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn requests_roundtrip_framed(parts in query_parts(), selector in 0u8..9, epoch_selector in 0u64..) {
+    fn requests_roundtrip_framed(parts in query_parts(), selector in 0u8..6, epoch_selector in 0u64..) {
         let request = match selector {
             0 => Request::Ping,
-            1 => Request::Batch(vec![query_from(&parts), query_from(&parts)]),
-            2 => Request::Query(query_from(&parts)),
-            3 => Request::ShardInfo,
-            4 => Request::ShardMap,
-            5 => Request::QueryAt {
+            1 => Request::Query(query_from(&parts)),
+            2 => Request::ShardInfo,
+            3 => Request::ShardMap,
+            4 => Request::QueryAt {
                 epoch: epoch_from(epoch_selector),
                 query: query_from(&parts),
             },
-            6 => Request::BatchAt {
-                epoch: epoch_from(epoch_selector),
-                queries: vec![query_from(&parts), query_from(&parts)],
-            },
-            7 => Request::StatsDeep,
-            _ => Request::Tagged {
-                tag: epoch_selector,
-                request: Box::new(Request::Query(query_from(&parts))),
-            },
+            _ => Request::StatsDeep,
         };
         let bytes = request.to_framed_bytes();
         let back = Request::from_framed_bytes(&bytes);
@@ -81,118 +72,27 @@ proptest! {
     }
 
     #[test]
-    fn tagged_requests_encode_canonically_and_expose_their_tag(
-        parts in query_parts(),
-        tag in 0u64..,
-        other_tag in 0u64..,
-    ) {
-        // Bijectivity: the tagged canonical bytes determine (tag, request)
-        // exactly, the inner slice equals the wrapped request's own
-        // canonical bytes (so tagged and untagged copies of one query share
-        // a response-cache entry), and peek_tag reads the tag without a
-        // decode.
-        let inner = Request::Query(query_from(&parts));
-        let tagged = Request::Tagged { tag, request: Box::new(inner.clone()) };
-        let bytes = tagged.canonical_bytes();
-        let decoded = Request::from_wire_bytes(&bytes).ok();
-        prop_assert_eq!(decoded.as_ref(), Some(&tagged));
-        prop_assert_eq!(&tagged.canonical_bytes(), &bytes, "encoding must be deterministic");
-        prop_assert_eq!(Request::peek_tag(&bytes), Some(tag));
-        let (peeked, inner_bytes) = Request::split_tagged(&bytes).expect("tagged payload splits");
-        prop_assert_eq!(peeked, tag);
-        let inner_canonical = inner.canonical_bytes();
-        prop_assert_eq!(inner_bytes, inner_canonical.as_slice());
-        prop_assert_ne!(bytes.clone(), inner_canonical);
-        if other_tag != tag {
-            let retagged = Request::Tagged { tag: other_tag, request: Box::new(inner) };
-            prop_assert_ne!(retagged.canonical_bytes(), bytes);
-        }
-    }
-
-    #[test]
-    fn tagged_responses_echo_the_tag_through_framing(tag in 0u64.., k in 1usize..4) {
-        let inner = Response::Query { epoch: 3, response: sample_response(k) };
-        let tagged = Response::Tagged { tag, response: Box::new(inner.clone()) };
-        let bytes = tagged.to_framed_bytes();
-        // The no-decode re-framing helper produces the identical frame.
-        prop_assert_eq!(
-            Response::tagged_frame_from_payload(tag, &inner.to_wire_bytes()),
-            bytes.clone()
-        );
-        match Response::from_framed_bytes(&bytes) {
-            Ok(Response::Tagged { tag: back, response }) => {
-                prop_assert_eq!(back, tag);
-                match (*response, inner) {
-                    (
-                        Response::Query { epoch: be, response: bp },
-                        Response::Query { epoch: ie, response: ip },
-                    ) => {
-                        prop_assert_eq!(be, ie);
-                        prop_assert_eq!(bp.records, ip.records);
-                        prop_assert_eq!(bp.vo, ip.vo);
-                    }
-                    other => prop_assert!(false, "wrong inner decode: {:?}", other.0),
-                }
+    fn nested_tagged_frames_are_always_rejected(outer in 0u64.., inner in 0u64.., depth in 1usize..4) {
+        // The correlation-tag envelopes are retired: a frame of them, however
+        // deep and whatever the tags, is refused at its first byte.
+        let nest = |tagged: u8, innermost: Vec<u8>| {
+            let mut bytes = Vec::new();
+            for tag in [outer].into_iter().chain(std::iter::repeat_n(inner, depth)) {
+                bytes.push(tagged);
+                bytes.extend_from_slice(&tag.to_le_bytes());
             }
-            other => prop_assert!(false, "wrong decode: {:?}", other),
-        }
-    }
-
-    #[test]
-    fn nested_tagged_frames_are_always_rejected(outer in 0u64.., inner in 0u64..) {
-        // A Tagged wrapping a Tagged has no meaningful reply pairing; the
-        // decoder must reject every such frame, whatever the tags.
-        let mut bytes = Vec::new();
-        bytes.push(10u8); // request Tagged variant byte
-        bytes.extend_from_slice(&outer.to_le_bytes());
-        bytes.extend_from_slice(
-            &Request::Tagged { tag: inner, request: Box::new(Request::Ping) }.to_wire_bytes(),
-        );
-        prop_assert!(matches!(
-            Request::from_wire_bytes(&bytes),
-            Err(WireError::InvalidTag { .. })
-        ));
-
-        let mut bytes = Vec::new();
-        bytes.push(9u8); // response Tagged variant byte
-        bytes.extend_from_slice(&outer.to_le_bytes());
-        bytes.extend_from_slice(
-            &Response::Tagged { tag: inner, response: Box::new(Response::Pong) }.to_wire_bytes(),
-        );
-        prop_assert!(matches!(
-            Response::from_wire_bytes(&bytes),
-            Err(WireError::InvalidTag { .. })
-        ));
-    }
-
-    #[test]
-    fn pinned_batches_encode_canonically_at_epoch_boundaries(
-        parts in query_parts(),
-        epoch_selector in 0u64..,
-        batch_len in 0usize..4,
-    ) {
-        // The canonical encoding is bijective: the bytes determine (epoch,
-        // queries) exactly, so a pinned batch at one epoch can never alias a
-        // pinned batch at another epoch or an unpinned batch — which is what
-        // the service's epoch-prefixed response-cache keys rely on.
-        let epoch = epoch_from(epoch_selector);
-        let queries: Vec<Query> = (0..batch_len).map(|_| query_from(&parts)).collect();
-        let pinned = Request::BatchAt { epoch, queries: queries.clone() };
-        let bytes = pinned.canonical_bytes();
-        let decoded = Request::from_wire_bytes(&bytes).ok();
-        prop_assert_eq!(decoded.as_ref(), Some(&pinned));
-        prop_assert_eq!(&pinned.canonical_bytes(), &bytes, "encoding must be deterministic");
-        let unpinned = Request::Batch(queries.clone());
-        prop_assert_ne!(unpinned.canonical_bytes(), bytes.clone());
-        if epoch != u64::MAX {
-            let shifted = Request::BatchAt { epoch: epoch + 1, queries };
-            prop_assert_ne!(shifted.canonical_bytes(), bytes);
-        }
+            bytes.extend(innermost);
+            bytes
+        };
+        let request = Request::from_wire_bytes(&nest(10, Request::Ping.to_wire_bytes()));
+        prop_assert!(matches!(request, Err(WireError::InvalidTag { tag: 10, .. })));
+        let response = Response::from_wire_bytes(&nest(9, Response::Pong.to_wire_bytes()));
+        prop_assert!(matches!(response, Err(WireError::InvalidTag { tag: 9, .. })));
     }
 
     #[test]
     fn truncated_frames_never_decode(parts in query_parts(), cut_fraction in 0.0f64..1.0) {
-        let request = Request::Batch(vec![query_from(&parts)]);
+        let request = Request::QueryAt { epoch: 7, query: query_from(&parts) };
         let bytes = request.to_framed_bytes();
         // Any strict prefix must be rejected.
         let cut = ((bytes.len() - 1) as f64 * cut_fraction) as usize;
@@ -226,7 +126,7 @@ proptest! {
 
     #[test]
     fn corrupting_any_payload_byte_never_panics(parts in query_parts(), position in 0usize..4096, xor in 1u8..=255) {
-        let request = Request::Batch(vec![query_from(&parts), query_from(&parts)]);
+        let request = Request::QueryAt { epoch: 7, query: query_from(&parts) };
         let mut bytes = request.to_wire_bytes();
         let position = position % bytes.len();
         bytes[position] ^= xor;
@@ -259,7 +159,7 @@ proptest! {
             epoch: epoch_from(epoch_selector),
             per_kind: vec![
                 KindLatency { kind: "topk".into(), histogram: histogram.clone() },
-                KindLatency { kind: "batch".into(), histogram },
+                KindLatency { kind: "knn".into(), histogram },
             ],
             uptime_micros: counters[2].wrapping_mul(3),
             cache_entries: counters[3] % 4096,
@@ -444,9 +344,9 @@ proptest! {
     #[test]
     fn query_responses_roundtrip_with_epoch_stamp(epoch_selector in 0u64.., k in 1usize..5) {
         // A *real* server-produced QueryResponse (records + verification
-        // object) rides inside the epoch-stamped Query and Batch response
-        // envelopes; both the stamp (at its boundary values) and the inner
-        // payload must survive framing bit-exactly.
+        // object) rides inside the epoch-stamped Query response envelope;
+        // both the stamp (at its boundary values) and the inner payload must
+        // survive framing bit-exactly.
         let epoch = epoch_from(epoch_selector);
         let inner = sample_response(k);
         let response = Response::Query { epoch, response: inner.clone() };
@@ -456,18 +356,6 @@ proptest! {
                 prop_assert_eq!(back, epoch);
                 prop_assert_eq!(&payload.records, &inner.records);
                 prop_assert_eq!(&payload.vo, &inner.vo);
-            }
-            other => prop_assert!(false, "wrong decode: {:?}", other),
-        }
-
-        let batch = Response::Batch { epoch, responses: vec![inner.clone(), inner.clone()] };
-        let bytes = batch.to_framed_bytes();
-        match Response::from_framed_bytes(&bytes) {
-            Ok(Response::Batch { epoch: back, responses }) => {
-                prop_assert_eq!(back, epoch);
-                prop_assert_eq!(responses.len(), 2);
-                prop_assert_eq!(&responses[0].records, &inner.records);
-                prop_assert_eq!(&responses[1].vo, &inner.vo);
             }
             other => prop_assert!(false, "wrong decode: {:?}", other),
         }
@@ -494,11 +382,12 @@ fn sample_response(k: usize) -> vaq_authquery::QueryResponse {
 }
 
 #[test]
-fn a_frame_of_nested_tags_is_refused_at_the_second_level() {
-    // Each level is the tagged tag byte plus an 8-byte tag, so a 16 MiB
-    // frame declares ≈1.9 M levels. A decoder that recursed into the wrapped
-    // message before refusing the nesting overflowed a thread's stack at a
-    // few thousand; this one refuses the second tag byte before it recurses.
+fn a_frame_of_nested_tags_is_refused_at_the_first_byte() {
+    // Each level is the retired correlation-tag byte plus an 8-byte tag, so
+    // a 16 MiB frame declares ≈1.9 M levels. A decoder that recursed into
+    // the wrapped message before refusing the nesting overflowed a thread's
+    // stack at a few thousand; the tag is retired, so the first byte is
+    // refused and nothing behind it is read.
     const LEVELS: usize = (16 << 20) / 9;
     let nested = |tagged: u8, innermost: u8| {
         let mut bytes = Vec::with_capacity(LEVELS * 9 + 1);

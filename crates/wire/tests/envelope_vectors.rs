@@ -174,10 +174,6 @@ fn build_samples() -> Vec<Sample> {
     let mut out = vec![
         sample("Request::Ping", &Request::Ping),
         sample("Request::Query", &Request::Query(top_k.clone())),
-        sample(
-            "Request::Batch",
-            &Request::Batch(vec![range.clone(), knn.clone()]),
-        ),
         sample("Request::ShardInfo", &Request::ShardInfo),
         sample("Request::ShardMap", &Request::ShardMap),
         sample(
@@ -187,21 +183,7 @@ fn build_samples() -> Vec<Sample> {
                 query: knn.clone(),
             },
         ),
-        sample(
-            "Request::BatchAt",
-            &Request::BatchAt {
-                epoch: 5,
-                queries: vec![top_k.clone(), range.clone()],
-            },
-        ),
         sample("Request::StatsDeep", &Request::StatsDeep),
-        sample(
-            "Request::Tagged",
-            &Request::Tagged {
-                tag: 0xDEAD_BEEF,
-                request: Box::new(Request::Query(range.clone())),
-            },
-        ),
         sample("Query::TopK", &top_k),
         sample("Query::Range", &range),
         sample("Query::Knn", &knn),
@@ -211,13 +193,6 @@ fn build_samples() -> Vec<Sample> {
             &Response::Query {
                 epoch: 2,
                 response: one.clone(),
-            },
-        ),
-        sample(
-            "Response::Batch(multi signature, one signature)",
-            &Response::Batch {
-                epoch: 2,
-                responses: vec![multi.clone(), one.clone()],
             },
         ),
         sample(
@@ -238,16 +213,6 @@ fn build_samples() -> Vec<Sample> {
             &Response::ShardMap(signed_map(&dsa, 0)),
         ),
         sample("Response::StatsDeep", &Response::StatsDeep(stats_deep())),
-        sample(
-            "Response::Tagged",
-            &Response::Tagged {
-                tag: 7,
-                response: Box::new(Response::Query {
-                    epoch: 2,
-                    response: one.clone(),
-                }),
-            },
-        ),
     ];
     for code in ErrorCode::ALL {
         let reply = ErrorReply {
@@ -305,24 +270,19 @@ fn build_samples() -> Vec<Sample> {
 const RECORDED: &str = "\
 4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a  Request::Ping
 6428bfd325db1ef3fa57c6ff44dcfdc0cb5253be46d91f08e548321fd4d7193f  Request::Query
-49e5a7d25cc42fbfc770758274ca1c0df3a452007e1e291501f7b3c1f81ae8de  Request::Batch
 e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db  Request::ShardInfo
 67586e98fad27da0b9968bc039a1ef34c939b9b8e523a8bef89d478608c5ecf6  Request::ShardMap
 5a31f01776a0630ca6e6cc7ef91feab75b182f58f9284f2752a0e3476cc8b1a8  Request::QueryAt
-28f2d2d57d1b55b5acf81674212de688b44ee5be6ff8d22c3b92d9411792b382  Request::BatchAt
 2b4c342f5433ebe591a1da77e013d1b72475562d48578dca8b84bac6651c3cb9  Request::StatsDeep
-74182e764aaa7b4b86ef0dd6e969703c70ed18cafa1a4c95879c9d27cd898ad3  Request::Tagged
 7e1fdb16989086ed0ddf8e2578521e65c979b409f0ca0873fcba58b9d83cc803  Query::TopK
 f53e12dc32f671d012e6a3cead2dd1410be6c5e53c09424c643d3b1f6cab599f  Query::Range
 b7969a2910d1b598b9dfab25bfe2ab72aee3ba318f3265b5321c19e01439a069  Query::Knn
 4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a  Response::Pong
 463d04cf1e453e139f35f4d50be99c789d0124dccf1334abb6b9670045ced336  Response::Query(one signature)
-aed6d7495373bce6ed2dd9c553e1de10145c6a41a497fc4a0af00119bb569dbc  Response::Batch(multi signature, one signature)
 fb4ffb1616cb4c2129dc816b085c41fe1fb3f7e6987cbc458b66c59bf0d94d54  Response::ShardInfo
 f8d445dcf5c77f4f41056619e027c909c518078f4338f2b7ba66b1ece3569e68  Response::ShardMap(rsa)
 4a6e49d8aaaf0e622cf027caedc3c262479fb2f966c29b9c18364df0c0384d8e  Response::ShardMap(dsa)
 71b0c72fc27deb597e429347da005a8b6ab5520fb0f909eb9bbd97165cab8408  Response::StatsDeep
-6eca0ecde9d9176f49163bc66d018f249f8a67a540ae9d08e797f7fc004305b9  Response::Tagged
 97a3b9a391e599075997be69b5e7f35637a0436fa75639684d1e38a1fc040b9b  Response::Error(Malformed)
 a23b8ebfad67efa3ca94976d4c9d9b7c3cd3d53a4dc9d56c63c38d34af7657a7  Response::Error(BadQuery)
 9430a7f41f46f818ab794d3af8fde23ca66b60944f3d9b4bdce1d778e441b825  Response::Error(FrameTooLarge)

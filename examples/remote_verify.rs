@@ -58,7 +58,7 @@ fn main() {
         verified.cost.signature_verifications
     );
 
-    // --- A batch: many queries, one frame, every answer verified ----------
+    // --- A batch: many queries pipelined, every answer verified -----------
     let batch = vec![
         Query::top_k(vec![0.8, 0.4], 5),
         Query::range(vec![0.5, 0.5], 0.2, 0.7),
@@ -76,7 +76,7 @@ fn main() {
         .expect("every batch member must verify");
     }
     println!(
-        "user: batch of {} answered in one round-trip, every member verified \
+        "user: batch of {} pipelined on one connection, every member verified \
          (items are cached individually — the top-k above was a cache hit)",
         batch.len()
     );

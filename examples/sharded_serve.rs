@@ -68,8 +68,8 @@ fn main() {
         );
     }
 
-    // A batch: one epoch-pinned frame per shard carries all queries, every
-    // per-shard sub-response is verified and each sub-answer merged.
+    // A batch: the queries are pipelined to every shard as epoch-pinned
+    // frames, every per-shard answer is verified and each query merged.
     let batch = vec![
         Query::top_k(weights.clone(), 4),
         Query::range(weights.clone(), 0.1, 0.5),
