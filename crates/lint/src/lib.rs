@@ -17,8 +17,7 @@
 //!   accesses key on the epoch-prefixed `key`.
 //! - **reactor-discipline** — reactor-thread code (`reactor.rs`,
 //!   `conn.rs`) never blocks: no `sleep`, no blocking `recv()`, no condvar
-//!   waits, no locks ranked above the `reactor_safe_ceiling`, no blocking
-//!   socket I/O.
+//!   waits, no blocking socket I/O.
 //! - **bounded-queue** — every growth site of a queue named in
 //!   `crates/lint/queue_budgets.toml` sits in a function that tests the
 //!   queue's declared budget before inserting.
@@ -157,7 +156,7 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
     raw.extend(panic_path::run(&panic_files));
 
     let service_files: Vec<&SourceFile> = service_src.iter().collect();
-    raw.extend(reactor_discipline::run(&service_files, manifest.as_ref()));
+    raw.extend(reactor_discipline::run(&service_files));
     raw.extend(bounded_queue::run(&service_files, budgets.as_ref()));
 
     if let Some(envelope) = wire_src.iter().find(|f| f.file_name() == "envelope.rs") {

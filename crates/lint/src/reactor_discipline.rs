@@ -1,20 +1,14 @@
-//! The reactor-discipline pass: code that runs on the reactor thread
+//! The reactor-discipline pass: code that runs on a reactor thread
 //! (`reactor.rs`, `conn.rs`) must never block, except in its one sanctioned
 //! place — `Poller::poll`, where the thread waits in the kernel for a ready
-//! socket, a worker's wake-up or the nearest deadline. Any other blocked
-//! call stalls every connection at once — the multiplexed design
-//! concentrates what used to be a per-connection hazard into a
-//! whole-service one — so the pass forbids, in non-test reactor-thread
-//! code:
+//! socket, the shutdown wake-up or the nearest deadline. Any other blocked
+//! call stalls every connection of that reactor at once — the multiplexed
+//! design concentrates what used to be a per-connection hazard into a
+//! per-reactor one — so the pass forbids, in non-test reactor-thread code:
 //!
 //! - `sleep(…)` calls (`std::thread::sleep` and friends);
-//! - blocking channel receives: `.recv()` must be `try_recv` (the waker
-//!   ends the `poll` when there is something to take);
+//! - blocking channel receives: `.recv()` must be `try_recv`;
 //! - condvar `.wait(…)`;
-//! - `.lock()` / `.read()` / `.write()` on a lock ranked above the
-//!   `reactor_safe_ceiling` entry of `crates/lint/lock_ranks.toml` (or on
-//!   an unranked lock) — high-ranked locks are worker-side and may be held
-//!   across request execution;
 //! - `.set_nonblocking(false)` and blocking stream I/O (`read_exact`,
 //!   `write_all`, `read_to_end`, `read_to_string`) — every reactor socket
 //!   op must be a non-blocking pump.
@@ -25,13 +19,17 @@
 //! pure state machine — no socket, lock or clock — so that file, which also
 //! holds the blocking client reader, stays outside this pass too.
 //!
+//! Locks are not policed here: a reactor answers requests in place, so it
+//! takes every lock in the crate, each for an O(1) critical section (a
+//! snapshot `Arc` clone, a cache probe, a slow-log line), and the
+//! lock-order pass ranks them all.
+//!
 //! A deliberate exception would carry
 //! `// lint:allow(reactor-discipline, <reason>)`; the reactor has none —
-//! shutdown's drain and goodbye flush wait in the same `poll` with their
-//! deadline as its timeout. The runtime cross-check is the turn-duration
-//! stall watchdog (`Metrics::observe_sweep`).
+//! shutdown's goodbye flush waits in the same `poll` with its deadline as
+//! the timeout. The runtime cross-check is the turn-duration stall watchdog
+//! (`Metrics::observe_sweep`).
 
-use crate::manifest::Manifest;
 use crate::scan::SourceFile;
 use crate::Finding;
 
@@ -41,17 +39,13 @@ pub const PASS: &str = "reactor-discipline";
 /// Files whose non-test code runs on the reactor thread.
 const REACTOR_FILES: [&str; 2] = ["reactor.rs", "conn.rs"];
 
-/// The `lock_ranks.toml` entry naming the highest lock rank the reactor
-/// thread may acquire.
-pub const CEILING_KEY: &str = "reactor_safe_ceiling";
-
 /// Stream methods that block until their transfer completes.
 const BLOCKING_IO_METHODS: [&str; 4] = ["read_exact", "write_all", "read_to_end", "read_to_string"];
 
 /// Runs the pass over the vaq-service sources; only the reactor-thread
 /// files are scanned, but the whole tree is passed in so a renamed reactor
 /// file cannot silently drop out of coverage.
-pub fn run(files: &[&SourceFile], manifest: Option<&Manifest>) -> Vec<Finding> {
+pub fn run(files: &[&SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Real crate trees always carry a `lib.rs`; the unit-test fixture trees
     // don't, so they are exempt from the presence check (same contract as
@@ -71,22 +65,16 @@ pub fn run(files: &[&SourceFile], manifest: Option<&Manifest>) -> Vec<Finding> {
             }
         }
     }
-    let ceiling = manifest.and_then(|m| m.get(CEILING_KEY).copied());
     for file in files
         .iter()
         .filter(|f| REACTOR_FILES.contains(&f.file_name()))
     {
-        scan_file(file, manifest, ceiling, &mut findings);
+        scan_file(file, &mut findings);
     }
     findings
 }
 
-fn scan_file(
-    file: &SourceFile,
-    manifest: Option<&Manifest>,
-    ceiling: Option<u32>,
-    findings: &mut Vec<Finding>,
-) {
+fn scan_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     let tokens = &file.tokens;
     for i in 0..tokens.len() {
         let line = tokens[i].line;
@@ -129,12 +117,9 @@ fn scan_file(
                 file,
                 method_line,
                 "condvar `.wait(…)` on the reactor thread blocks every connection; \
-                 signal the reactor through the completion channel and its waker \
-                 instead"
+                 signal the reactor through its waker instead"
                     .to_string(),
             ));
-        } else if matches!(method, "lock" | "read" | "write") && zero_arg {
-            lock_check(file, i, method_line, manifest, ceiling, findings);
         } else if method == "set_nonblocking"
             && tokens.get(i + 3).map(|t| t.text.as_str()) == Some("false")
         {
@@ -158,64 +143,6 @@ fn scan_file(
     }
 }
 
-/// Ranks a `.lock()`-shaped acquisition on the reactor thread against the
-/// `reactor_safe_ceiling` manifest entry.
-fn lock_check(
-    file: &SourceFile,
-    dot: usize,
-    line: u32,
-    manifest: Option<&Manifest>,
-    ceiling: Option<u32>,
-    findings: &mut Vec<Finding>,
-) {
-    // No manifest at all is already a lock-order finding; don't double-report.
-    let Some(manifest) = manifest else { return };
-    let name = receiver(file, dot);
-    let Some(ceiling) = ceiling else {
-        findings.push(finding(
-            file,
-            line,
-            format!(
-                "lock '{name}' taken on the reactor thread but \
-                 crates/lint/lock_ranks.toml has no `{CEILING_KEY}` entry to rank it \
-                 against"
-            ),
-        ));
-        return;
-    };
-    match manifest.get(&name).copied() {
-        None => findings.push(finding(
-            file,
-            line,
-            format!(
-                "unranked lock '{name}' taken on the reactor thread; rank it in \
-                 crates/lint/lock_ranks.toml at or below `{CEILING_KEY}` ({ceiling}) \
-                 or keep it off the reactor"
-            ),
-        )),
-        Some(rank) if rank > ceiling => findings.push(finding(
-            file,
-            line,
-            format!(
-                "lock '{name}' (rank {rank}) taken on the reactor thread exceeds \
-                 `{CEILING_KEY}` ({ceiling}); locks above the ceiling are worker-side \
-                 and may be held across request execution, which would stall every \
-                 connection"
-            ),
-        )),
-        Some(_) => {}
-    }
-}
-
-/// The identifier the method is called on: `shared.cache.lock()` → `cache`.
-fn receiver(file: &SourceFile, dot: usize) -> String {
-    if dot > 0 && file.tokens[dot - 1].is_ident() {
-        file.tokens[dot - 1].text.clone()
-    } else {
-        "<expression>".to_string()
-    }
-}
-
 fn finding(file: &SourceFile, line: u32, message: String) -> Finding {
     Finding {
         pass: PASS,
@@ -235,87 +162,61 @@ mod tests {
         SourceFile::from_source(Path::new(name), source)
     }
 
-    fn manifest(entries: &[(&str, u32)]) -> Manifest {
-        entries
-            .iter()
-            .map(|(name, rank)| (name.to_string(), *rank))
-            .collect()
-    }
-
     #[test]
     fn every_blocking_shape_is_flagged_in_reactor_files() {
         let source = concat!(
             "fn f(rx: &Receiver<C>, shared: &S, stream: &TcpStream) {\n",
             "    std::thread::sleep(NAP);\n",
             "    let c = rx.recv();\n",
-            "    let g = shared.cache.lock();\n",
             "    shared.done.wait(g);\n",
             "    stream.set_nonblocking(false);\n",
             "    stream.write_all(buf);\n",
             "}\n",
         );
         let reactor = file("crates/service/src/reactor.rs", source);
-        let ranks = manifest(&[("cache", 40), ("reactor_safe_ceiling", 20)]);
-        let findings = run(&[&reactor], Some(&ranks));
+        let findings = run(&[&reactor]);
         let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![2, 3, 4, 5, 6, 7], "{findings:?}");
-        assert!(findings[2].message.contains("rank 40"), "{findings:?}");
+        assert_eq!(lines, vec![2, 3, 4, 5, 6], "{findings:?}");
     }
 
     #[test]
     fn non_reactor_files_and_test_code_are_exempt() {
         let elsewhere = file(
-            "crates/service/src/pool.rs",
+            "crates/service/src/server.rs",
             "fn f(rx: &Receiver<C>) { let c = rx.recv(); }\n",
         );
-        assert!(run(&[&elsewhere], None).is_empty());
+        assert!(run(&[&elsewhere]).is_empty());
 
         let test_only = file(
             "crates/service/src/conn.rs",
             "#[test]\nfn t() { std::thread::sleep(NAP); }\n",
         );
-        assert!(run(&[&test_only], None).is_empty());
+        assert!(run(&[&test_only]).is_empty());
     }
 
     #[test]
     fn nonblocking_shapes_and_safe_locks_pass() {
+        // A reactor answers requests in place, so it may take any lock: the
+        // lock-order pass ranks them, this one does not.
         let source = concat!(
             "fn f(rx: &Receiver<C>, shared: &S, stream: &TcpStream) {\n",
             "    let a = rx.try_recv();\n",
             "    let b = rx.recv_timeout(NAP);\n",
-            "    let g = shared.receiver.lock();\n",
+            "    let g = shared.cache.lock();\n",
             "    stream.set_nonblocking(true);\n",
             "    let n = stream.read(&mut buf);\n",
             "}\n",
         );
         let reactor = file("crates/service/src/reactor.rs", source);
-        let ranks = manifest(&[("receiver", 10), ("reactor_safe_ceiling", 20)]);
-        let findings = run(&[&reactor], Some(&ranks));
+        let findings = run(&[&reactor]);
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn unranked_locks_and_a_missing_ceiling_are_findings() {
-        let reactor = file(
-            "crates/service/src/reactor.rs",
-            "fn f(shared: &S) { let g = shared.mystery.lock(); }\n",
-        );
-        let with_ceiling = manifest(&[("reactor_safe_ceiling", 20)]);
-        let findings = run(&[&reactor], Some(&with_ceiling));
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("unranked"), "{findings:?}");
-
-        let no_ceiling = manifest(&[("mystery", 10)]);
-        let findings = run(&[&reactor], Some(&no_ceiling));
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains(CEILING_KEY), "{findings:?}");
     }
 
     #[test]
     fn a_missing_reactor_file_is_a_finding_in_a_real_tree() {
         let lib = file("crates/service/src/lib.rs", "pub mod reactor;\n");
         let reactor = file("crates/service/src/reactor.rs", "fn ok() {}\n");
-        let findings = run(&[&lib, &reactor], None);
+        let findings = run(&[&lib, &reactor]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("`conn.rs`"), "{findings:?}");
     }

@@ -8,11 +8,6 @@ fn next_completion(completions_rx: &Receiver<Completion>) -> Option<Completion> 
     completions_rx.recv().ok()
 }
 
-fn cache_peek(shared: &Shared) -> usize {
-    let cache = shared.cache.lock();
-    cache.len()
-}
-
 fn wait_done(result: &OrderedMutex<bool>, done: &Condvar) {
     let guard = result.lock();
     done.wait(guard);

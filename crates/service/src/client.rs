@@ -16,10 +16,9 @@ use crate::frame::{read_message, write_message};
 const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Most queries a batch keeps in flight on one connection before reading
-/// their replies. Well under the service's per-connection backlog of 128
-/// buffered requests, so the service never stops reading a batching
-/// client, and a long batch never queues more than a window of unread
-/// replies on the service side.
+/// their replies. Well under the 128 requests one service read pass takes
+/// off a connection, so a window never reaches that bound, and a long batch
+/// never queues more than a window of unread replies on the service side.
 pub(crate) const PIPELINE_WINDOW: usize = 64;
 
 /// A blocking connection to a [`crate::QueryService`].

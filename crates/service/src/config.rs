@@ -64,16 +64,16 @@ pub struct ShardRole {
 pub struct ServiceConfig {
     /// Address to bind; use port 0 for an ephemeral port.
     pub bind_addr: SocketAddr,
-    /// Worker threads executing requests (at least 1). Connections are
-    /// multiplexed by the evented reactor, so this bounds concurrent
-    /// request *execution*, not concurrent connections — thousands of idle
-    /// connections cost no worker.
+    /// Reactor threads, each answering its own connections (at least 1):
+    /// a reactor accepts, reads, executes and writes on its own thread, so
+    /// this bounds concurrent request *execution*, not concurrent
+    /// connections — thousands of idle connections cost no thread.
     pub workers: usize,
     /// Largest accepted (and produced) frame payload, in bytes.
     pub max_frame_bytes: usize,
     /// The reactor's quiet-connection reap budget: a connection with no
-    /// frame started, nothing pending, in flight or queued to write, and no
-    /// byte moved for this long is closed silently. `None` keeps quiet
+    /// frame started, nothing queued to write, and no byte moved for this
+    /// long is closed silently. `None` keeps quiet
     /// connections open for as long as the peer does.
     pub read_timeout: Option<Duration>,
     /// The shard this instance hosts, when part of a sharded deployment;
@@ -90,9 +90,9 @@ pub struct ServiceConfig {
     /// started frame) before the service gives up on the connection with a
     /// typed [`vaq_wire::ErrorCode::Stalled`] reply.
     pub mid_frame_patience: Duration,
-    /// Most connections the reactor's table holds at once; a connection
-    /// accepted beyond this limit is never read and is closed behind a typed
-    /// [`vaq_wire::ErrorCode::Overloaded`] reply.
+    /// Most connections the service holds at once, across every reactor; a
+    /// connection accepted beyond this limit is never read and is closed
+    /// behind a typed [`vaq_wire::ErrorCode::Overloaded`] reply.
     pub max_connections: usize,
     /// Per-connection write-queue byte budget: the most queued-but-unflushed
     /// response bytes one connection may hold. A peer that requests faster
@@ -103,13 +103,14 @@ pub struct ServiceConfig {
     /// than it sheds the connection.
     pub write_queue_budget_bytes: usize,
     /// Reactor stall watchdog threshold, in micros: a single reactor turn
-    /// (everything between two waits in the poller — the ready sockets,
-    /// completions and due deadlines one wake-up brought) taking at least
-    /// this long counts as a `reactor_stalls` tick in the deep stats (every
-    /// turn also feeds the `sweeps` duration histogram). One stalled turn
-    /// delays every connection at once, so the threshold is deliberately
-    /// coarse — it flags blocking calls and pathological bursts, not
-    /// routine jitter.
+    /// (everything between two waits in the poller — the ready sockets and
+    /// due deadlines one wake-up brought, and executing every request they
+    /// carried) taking at least this long counts as a `reactor_stalls` tick
+    /// in the deep stats (every turn also feeds the `sweeps` duration
+    /// histogram, so its mean includes execution time). One stalled turn
+    /// delays every connection on that reactor, so the threshold is
+    /// deliberately coarse — it flags blocking calls and pathological
+    /// bursts, not routine jitter.
     pub reactor_stall_micros: u64,
 }
 
@@ -143,7 +144,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1).
+    /// Sets the reactor-thread count (clamped to at least 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self

@@ -2,10 +2,8 @@
 //!
 //! One [`Conn`] owns a non-blocking socket plus everything the reactor
 //! needs to multiplex it from a single thread: the incremental frame parser
-//! from [`crate::frame`] (a frame may arrive across many readiness events),
-//! one arrival-ordered queue of fully received requests awaiting dispatch,
-//! whether one of them is on the worker pool, and a write queue that
-//! survives partial writes. Nothing here blocks.
+//! from [`crate::frame`] (a frame may arrive across many readiness events)
+//! and a write queue that survives partial writes. Nothing here blocks.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -18,15 +16,6 @@ use crate::error::ServiceError;
 use crate::frame::FrameAssembler;
 use crate::metrics::Stage;
 use crate::trace::Trace;
-
-/// One fully received request awaiting dispatch to the worker pool.
-#[derive(Debug)]
-pub(crate) struct PendingRequest {
-    /// The request frame's payload.
-    pub(crate) payload: Vec<u8>,
-    /// When the frame finished arriving; queue wait is measured from here.
-    pub(crate) received: Instant,
-}
 
 /// One queued response frame, possibly partially written.
 #[derive(Debug)]
@@ -44,7 +33,8 @@ pub(crate) struct ReadPass {
     /// Bytes actually read off the socket this pass — including those of
     /// a frame that was then rejected: they still crossed the wire.
     pub(crate) bytes: u64,
-    /// Complete frame payloads, in arrival order.
+    /// Complete frame payloads, in arrival order; at most the pass's
+    /// `backlog`.
     pub(crate) frames: Vec<Vec<u8>>,
     /// A frame-level or transport failure; no further reads will happen.
     /// (A clean close at a frame boundary only sets [`Conn::reads_done`].)
@@ -67,24 +57,14 @@ pub(crate) struct WritePass {
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     assembler: FrameAssembler,
-    /// Fully received requests not yet handed to the worker pool, in
-    /// arrival order. Only the head is ever eligible to dispatch.
-    pub(crate) pending: VecDeque<PendingRequest>,
-    /// A request is on the worker pool: the head of `pending` waits for its
-    /// reply, which keeps replies in request order.
-    pub(crate) in_flight: bool,
-    /// Already queued in the reactor's dispatch backlog (requests waiting
-    /// for a worker-queue slot); guards against duplicate backlog entries.
-    pub(crate) in_backlog: bool,
     write_queue: VecDeque<Outgoing>,
     /// Queued-but-unflushed response bytes: the sum of every queued frame's
     /// unwritten remainder, maintained incrementally so the write-queue
     /// budget check is O(1) per enqueue.
     queued_bytes: usize,
-    /// Shed as a slow reader: the write-queue budget tripped, pending work
-    /// was dropped, and a typed overloaded goodbye is (or was) queued. Late
-    /// completions for this connection are discarded instead of re-tripping
-    /// the budget, and newly read request frames are discarded unanswered.
+    /// Shed as a slow reader: the write-queue budget tripped, the rest of
+    /// the read pass was dropped, and a typed overloaded goodbye is (or
+    /// was) queued. Newly read request frames are discarded unanswered.
     pub(crate) shed: bool,
     /// The earliest entry the reactor's deadline heap holds for this
     /// connection; a popped entry that differs from it is stale.
@@ -108,9 +88,6 @@ impl Conn {
         Conn {
             stream,
             assembler: FrameAssembler::default(),
-            pending: VecDeque::new(),
-            in_flight: false,
-            in_backlog: false,
             write_queue: VecDeque::new(),
             queued_bytes: 0,
             shed: false,
@@ -127,12 +104,6 @@ impl Conn {
         self.assembler.mid_frame()
     }
 
-    /// True when the head of the pending queue may go to the worker pool
-    /// right now: there is one, and the previous reply is back.
-    pub(crate) fn wants_dispatch(&self) -> bool {
-        !self.in_flight && !self.pending.is_empty()
-    }
-
     /// True while queued output remains to flush.
     pub(crate) fn wants_write(&self) -> bool {
         !self.write_queue.is_empty()
@@ -143,13 +114,9 @@ impl Conn {
         self.queued_bytes
     }
 
-    /// True once nothing remains to read, run or flush: safe to drop.
+    /// True once nothing remains to read or flush: safe to drop.
     pub(crate) fn drained(&self) -> bool {
-        self.dead
-            || (self.reads_done
-                && self.pending.is_empty()
-                && !self.in_flight
-                && !self.wants_write())
+        self.dead || (self.reads_done && !self.wants_write())
     }
 
     /// A stalled peer in the making: the stream offset sits inside a frame
@@ -165,7 +132,7 @@ impl Conn {
     /// shed connection's typed goodbye left unread, gets `patience` from
     /// the last byte that moved in either direction; a shed connection
     /// draining after its goodbye gets until its linger deadline; one with
-    /// nothing buffered, running or queued gets `read_timeout`, exactly
+    /// no frame started and nothing queued gets `read_timeout`, exactly
     /// like the old per-connection idle budget. A sum that overflows never
     /// lapses.
     pub(crate) fn next_deadline(
@@ -176,10 +143,7 @@ impl Conn {
         let window = if self.stalling() || (self.shed && self.wants_write()) {
             Some(patience)
         } else {
-            let quiet = !self.mid_frame()
-                && self.pending.is_empty()
-                && !self.in_flight
-                && !self.wants_write();
+            let quiet = !self.mid_frame() && !self.wants_write();
             read_timeout.filter(|_| quiet)
         };
         let idle = window.and_then(|window| self.last_progress.checked_add(window));
@@ -238,17 +202,17 @@ impl Conn {
         true
     }
 
-    /// Reads everything the socket has ready, stopping early once `backlog`
-    /// requests are buffered (TCP backpressure then throttles the peer). The
-    /// bound is also what ends a pass over a peer that writes faster than
-    /// this reads, whose socket never runs dry.
+    /// Reads everything the socket has ready, stopping early once the pass
+    /// holds `backlog` requests (TCP backpressure then throttles the peer).
+    /// The bound is also what ends a pass over a peer that writes faster
+    /// than this reads, whose socket never runs dry.
     pub(crate) fn pump_reads(&mut self, max_payload: usize, backlog: usize) -> ReadPass {
         let mut pass = ReadPass {
             bytes: 0,
             frames: Vec::new(),
             error: None,
         };
-        while !self.reads_done && self.pending.len() + pass.frames.len() < backlog {
+        while !self.reads_done && pass.frames.len() < backlog {
             let spare = self.assembler.spare();
             match self.stream.read(spare) {
                 Ok(0) => {

@@ -6,15 +6,15 @@
 //! crates implement that protocol in-process; this crate puts the real
 //! network boundary in, std-only:
 //!
-//! * [`QueryService`] — binds a TCP listener and hands it to one evented
-//!   reactor thread that owns every socket: it accepts, then multiplexes
-//!   each connection (std-only and Linux-only: non-blocking sockets behind
-//!   `epoll`, a per-connection read/write state machine instead of a
-//!   thread stack), dispatching
-//!   complete frames to a fixed worker pool (`std::thread` + `mpsc`) that
-//!   shares one [`vaq_authquery::Server`] behind an `Arc`. Each connection
-//!   holds one arrival-ordered queue of received requests and keeps one of
-//!   them on the pool at a time, so a client may pipeline requests and
+//! * [`QueryService`] — binds a TCP listener and shares it between
+//!   [`ServiceConfig::workers`] evented reactor threads, each answering its
+//!   own connections: a reactor accepts, multiplexes what it accepted
+//!   (std-only and Linux-only: non-blocking sockets behind `epoll`, a
+//!   per-connection read/write state machine instead of a thread stack) and
+//!   answers every complete frame in place — decode, cache or compute
+//!   against one [`vaq_authquery::Server`] shared behind an `Arc`, encode,
+//!   write — so a request never changes threads. Each connection's frames
+//!   are answered in arrival order, so a client may pipeline requests and
 //!   reads the replies in the order it sent them. The service answers framed
 //!   [`vaq_wire::Request`]s with framed [`vaq_wire::Response`]s, keeps a
 //!   bounded LRU cache of encoded responses keyed by epoch-prefixed
@@ -22,8 +22,8 @@
 //!   histograms, sheds over-limit connections with a typed
 //!   [`vaq_wire::ErrorCode::Overloaded`] reply, answers mid-frame stalls
 //!   with a typed [`vaq_wire::ErrorCode::Stalled`] reply, and shuts down
-//!   gracefully via a flag and a wake-up: the reactor closes the listener,
-//!   drains in-flight work and says a typed goodbye on every connection.
+//!   gracefully via a flag and a wake-up per reactor: each lets go of the
+//!   listener and says a typed goodbye on every connection it holds.
 //! * [`ServiceClient`] — a blocking connector whose
 //!   [`ServiceClient::query_verified`] feeds remote responses straight into
 //!   [`vaq_authquery::client::verify`], so a network round-trip carries the
@@ -109,7 +109,6 @@ pub mod partition;
 // `unsafe`, pinned to this file by `tests/workspace_integration.rs`.
 #[allow(unsafe_code)]
 mod poll;
-mod pool;
 pub(crate) mod reactor;
 pub mod server;
 pub mod shard;

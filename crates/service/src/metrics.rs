@@ -19,11 +19,10 @@ pub const STAGES: usize = 7;
 /// untimed glue), so per-stage sums never exceed whole-request time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Per request: from the moment its frame finished arriving at the
-    /// reactor to the moment a worker starts it — the connection's pending
-    /// queue, the dispatch backlog and the worker queue together. The only
-    /// stage in which a request waits on other requests: once a worker has
-    /// it, nothing below blocks on another worker.
+    /// Per request: from the end of the read pass that brought its frame
+    /// to the moment its reactor starts it — the wait behind the earlier
+    /// frames of the same pass, ≈0 for a request that arrives alone. The
+    /// only stage in which a request waits on other requests.
     QueueWait,
     /// Decoding the request payload into a [`vaq_wire::Request`].
     Decode,
@@ -270,8 +269,8 @@ impl Metrics {
     }
 
     /// Records one reactor turn's duration (the time away from the poller,
-    /// not the time blocked in it; "sweep" is the name the wire format
-    /// kept), counting it as a stall when it ran for at least
+    /// executing the requests it read included, not the time blocked in
+    /// it; "sweep" is the name the wire format kept), counting it as a stall when it ran for at least
     /// `stall_threshold_micros` — the runtime twin of the static
     /// reactor-discipline lint pass: a blocking call that slipped past the
     /// linter surfaces here as a stall tick.

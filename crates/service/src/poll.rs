@@ -30,9 +30,11 @@ extern "C" {
 const CLOEXEC: c_int = 0o2_000_000; // EPOLL_CLOEXEC == EFD_CLOEXEC == O_CLOEXEC
 const EFD_NONBLOCK: c_int = 0o4_000;
 const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLEXCLUSIVE: u32 = 1 << 28;
 const EPOLLET: u32 = 1 << 31;
 
 /// Interest in readability, level-triggered: every `poll` reports it until
@@ -40,8 +42,14 @@ const EPOLLET: u32 = 1 << 31;
 pub(crate) const LEVEL: u32 = EPOLLIN;
 /// Interest in readable, writable or closed by the peer, edge-triggered:
 /// reported at registration and then once per change, so the owner must
-/// read, write or accept until `WouldBlock` (the listener, every connection).
+/// read or write until `WouldBlock` (every connection).
 pub(crate) const EDGE: u32 = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
+/// Interest in a listener that several pollers share: readable,
+/// edge-triggered (the owner accepts until `WouldBlock`) and exclusive, so
+/// an arrival wakes one blocked poller instead of every one of them — the
+/// first blocked one in registration order (see [`Poller::requeue`]). The
+/// kernel refuses `EPOLLRDHUP` beside `EPOLLEXCLUSIVE`, hence not [`EDGE`].
+pub(crate) const ACCEPT: u32 = EPOLLIN | EPOLLET | EPOLLEXCLUSIVE;
 
 /// One readiness report: the kernel's `struct epoll_event`, which is packed
 /// on x86-64 only (12 bytes there, 16 elsewhere) — a wrong layout makes
@@ -92,6 +100,21 @@ impl Poller {
         // kernel copies before returning; a bad `fd` is an `EBADF` error.
         match unsafe { epoll_ctl(self.0.as_raw_fd(), EPOLL_CTL_ADD, fd, &mut event) } {
             0 => Ok(()),
+            _ => Err(io::Error::last_os_error()),
+        }
+    }
+
+    /// Registers `fd` afresh, which moves this poller to the back of `fd`'s
+    /// wake order. Under [`ACCEPT`] the kernel wakes the first blocked
+    /// poller in that order, so pollers that requeue after each accept pass
+    /// take idle-time arrivals in turn instead of the first one taking all.
+    /// Like [`Poller::add`], this reports `fd`'s current readiness.
+    pub(crate) fn requeue(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+        // Removal ignores the event, but kernels before 2.6.9 want it.
+        let mut unused = Event::default();
+        // SAFETY: as in `add`.
+        match unsafe { epoll_ctl(self.0.as_raw_fd(), EPOLL_CTL_DEL, fd, &mut unused) } {
+            0 => self.add(fd, token, interest),
             _ => Err(io::Error::last_os_error()),
         }
     }
@@ -214,6 +237,43 @@ mod tests {
         assert_eq!((&waker.0).read(&mut count).unwrap(), 8);
         assert_eq!(u64::from_ne_bytes(count), 10_000, "a wake failed");
         waker.drain(); // empty now: must not block either
+    }
+
+    #[test]
+    fn a_shared_listener_wakes_blocked_pollers_in_turn_when_they_requeue() {
+        // Two threads block in their own poller on one listener. Each
+        // arrival wakes one of them; it accepts, requeues, reports and
+        // blocks again, and the next arrival wakes the other.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let (woke, report) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for id in 0..2u64 {
+                let poller = Poller::new().unwrap();
+                poller.add(listener.as_raw_fd(), id, ACCEPT).unwrap();
+                let (listener, woke) = (&listener, woke.clone());
+                scope.spawn(move || {
+                    let mut events = [Event::default(); 4];
+                    let mut accepted = Vec::new();
+                    while poller.poll(&mut events, Some(Duration::from_millis(500))) > 0 {
+                        while let Ok((stream, _)) = listener.accept() {
+                            accepted.push(stream);
+                            woke.send(id).unwrap();
+                        }
+                        poller.requeue(listener.as_raw_fd(), id, ACCEPT).unwrap();
+                    }
+                });
+            }
+            let mut peers = Vec::new();
+            let mut order = Vec::new();
+            for _ in 0..6 {
+                // Let the last waker get back into its `poll` first.
+                std::thread::sleep(Duration::from_millis(20));
+                peers.push(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+                order.push(report.recv().unwrap());
+            }
+            assert!(order.windows(2).all(|w| w[0] != w[1]), "{order:?}");
+        });
     }
 
     #[test]

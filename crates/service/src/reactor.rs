@@ -1,71 +1,76 @@
-//! The evented reactor: one thread owning the listener and every client
-//! connection, blocked in [`Poller::poll`] (Linux `epoll`) until a socket is
-//! ready, a worker finishes a request or a deadline comes due.
+//! The evented reactors: [`crate::ServiceConfig::workers`] threads, each with
+//! its own poller and connection table, blocked in [`Poller::poll`] (Linux
+//! `epoll`) until one of its sockets is ready or a deadline comes due. A
+//! reactor answers its own connections in place: it reads a frame, decodes
+//! it, looks the answer up or computes it, encodes it and writes it on its
+//! own thread — run to completion, the shared-nothing shape of IX (Belay et
+//! al., OSDI 2014). A request never changes threads, and a silent
+//! connection costs nothing.
 //!
 //! One reactor **turn** is: `poll` with the nearest deadline as its timeout
-//! → for each event accept, drain the waker or [`Reactor::service`] that
-//! connection → take finished responses off the completion channel and
-//! service their connections → fire the deadlines that came due. Request
-//! execution stays on the worker pool: the reactor turns complete frames
-//! into [`Job`]s, workers send framed responses back as [`Completion`]s
-//! (then wake the poller) and the reactor owns every socket write — a
-//! connection never pins a thread, and a silent one costs nothing.
+//! → for each event accept, or [`Reactor::service`] that connection (the
+//! waker only ends the `poll`, for shutdown) → fire the deadlines that came
+//! due.
 //!
-//! Every socket is non-blocking and registered once, edge-triggered. Three
-//! things make that correct: `pump_reads` and `pump_writes` run to
-//! `WouldBlock`; a connection whose reads stopped at [`MAX_CONN_BACKLOG`]
-//! is read again when a completion drains its queue (no new edge would ever
-//! come), which is why completions run the whole of `service` (a shed
-//! connection, whose requests are discarded, is read again through the
-//! deadline heap instead); and registering reports the socket's current
-//! readiness, which flushes an over-limit connection's goodbye and arms
-//! every new connection's read timeout. The listener is edge-triggered too, because a level-triggered
-//! one would re-report an accept error that does not clear (descriptor or
-//! memory exhaustion) at once and spin the thread: each event accepts until
-//! `WouldBlock`, a connection that died in the backlog is skipped, and any
-//! other error ends the pass and retries it through the deadline heap
-//! after [`ACCEPT_BACKOFF`]. The connection table *is* the connection
-//! count — a connection arriving while it holds
-//! [`crate::ServiceConfig::max_connections`] entries is shed with a typed
+//! Every reactor registers the one listener with [`poll::ACCEPT`]: an
+//! arrival wakes one blocked reactor rather than all of them (a busy one
+//! finds it on its next `poll`), and whichever reactor looks accepts until
+//! `WouldBlock` and keeps what it accepted. The kernel wakes the first
+//! blocked reactor in registration order, so a reactor that accepted
+//! requeues its registration behind the others' ([`Poller::requeue`]):
+//! connections arriving at an idle service go round the reactors instead
+//! of all landing on one. The listener is edge-triggered
+//! because a level-triggered one would re-report an accept error that does
+//! not clear (descriptor or memory exhaustion) at once and spin the thread:
+//! a connection that died in the backlog is skipped, and any other error
+//! ends the pass and retries it through the deadline heap after
+//! [`ACCEPT_BACKOFF`]. `Shared::live` counts the connections in every
+//! reactor's table — a connection arriving while it holds
+//! [`crate::ServiceConfig::max_connections`] is shed with a typed
 //! `Overloaded` goodbye through the same non-blocking write queue every
-//! other close-after reply uses (counted under `connections_shed`, never
-//! in `requests_served`). On shutdown the listener closes before the drain
-//! starts, so no connection is accepted that could not be answered.
+//! other close-after reply uses (counted under `connections_shed`, never in
+//! `requests_served`). On shutdown each reactor lets go of the listener
+//! before its drain starts, so no connection is accepted that could not be
+//! answered.
+//!
+//! Every connection is non-blocking and registered once, edge-triggered.
+//! Three things make that correct: `pump_reads` and `pump_writes` run to
+//! `WouldBlock`; a connection whose read pass stopped at
+//! [`MAX_CONN_BACKLOG`] is read again through the deadline heap, due at
+//! once (no new edge would come for the bytes behind it); and registering
+//! reports the socket's current readiness, which flushes an over-limit
+//! connection's goodbye and arms every new connection's read timeout.
 //!
 //! Time limits — the mid-frame stall window, a shed connection's unread
-//! goodbye and linger, a quiet connection's read timeout — share one
-//! min-heap with lazy validation: `service` pushes the earliest deadline
-//! the connection's state implies only if it is earlier than
-//! [`Conn::armed`], and a popped entry that no longer equals `armed` is
-//! skipped, so a busy connection pushes nothing and a quiet one costs
-//! nothing until its time is up.
+//! goodbye and linger, a quiet connection's read timeout, a read pass cut
+//! short at the backlog — share one min-heap with lazy validation:
+//! `service` pushes the earliest deadline the connection's state implies
+//! only if it is earlier than [`Conn::armed`], and a popped entry that no
+//! longer equals `armed` is skipped, so a busy connection pushes nothing and
+//! a quiet one costs nothing until its time is up.
 //!
-//! Dispatch rule per connection: one arrival-ordered pending queue whose
-//! head goes to the worker pool once the previous request's reply is back.
-//! A connection therefore has at most one request on the pool, and its
-//! replies are written in request order — a client pipelines by sending
-//! frames back to back and reading the replies in the order it sent them.
-//!
-//! `Dispatcher::serve` is the one per-connection step (dispatch → write →
+//! The frames of one read pass are answered in arrival order before the
+//! next pass, so replies are written in request order — a client pipelines
+//! by sending frames back to back and reading the replies in the order it
+//! sent them. [`serve`] is the one per-connection step (answer → write →
 //! count served requests → close or linger); `service` and the shutdown
 //! flush both run it.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, ErrorKind};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vaq_wire::{ErrorCode, Response, WireEncode};
 
-use crate::conn::{Conn, PendingRequest};
+use crate::conn::Conn;
 use crate::error::ServiceError;
 use crate::metrics::Metrics;
-use crate::poll::{self, Event, Poller};
+use crate::poll::{self, Event, Poller, Waker};
 use crate::server::{error_response, finish_request, handle_request, Shared};
 use crate::trace::Trace;
 
@@ -81,64 +86,27 @@ const EVENT_BATCH: usize = 256;
 /// would only repeat.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Most buffered requests per connection before the reactor stops reading
-/// it and lets TCP backpressure throttle the peer.
+/// Most requests one read pass takes off a connection before the reactor
+/// answers them and turns to its other connections; the rest wait in the
+/// socket, where TCP backpressure throttles the peer.
 const MAX_CONN_BACKLOG: usize = 128;
-
-/// How long graceful shutdown waits for in-flight requests to complete.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How long graceful shutdown spends flushing final replies.
 const FLUSH_DEADLINE: Duration = Duration::from_secs(1);
 
-/// One received request headed for the worker pool.
-pub(crate) struct Job {
-    conn_id: u64,
-    request: PendingRequest,
-    completions: Sender<Completion>,
-}
-
-/// A worker's finished response frame headed back to the reactor.
-pub(crate) struct Completion {
-    conn_id: u64,
-    frame: Vec<u8>,
-    trace: Trace,
-}
-
-/// Runs one job on a worker thread: decode, dispatch, encode — everything
-/// but the socket write, which the reactor owns.
-pub(crate) fn run_job(shared: &Shared, job: Job) {
-    let PendingRequest { payload, received } = job.request;
-    let mut trace = Trace::begin(received.elapsed());
-    let frame = handle_request(shared, &payload, &mut trace);
-    let _ = job.completions.send(Completion {
-        conn_id: job.conn_id,
-        frame,
-        trace,
-    });
-    // After the send, so the reactor finds the completion when it wakes.
-    shared.waker.wake();
-}
-
-/// The reactor entry point, run on its own thread until shutdown, with the
+/// A reactor's entry point, run on its own thread until shutdown, with the
 /// `listener` that `reactor` was built over.
-pub(crate) fn run(
-    mut reactor: Reactor,
-    listener: TcpListener,
-    completions_rx: Receiver<Completion>,
-) {
-    // `shutdown_inner` raises the flag and then wakes the poller, so the
+pub(crate) fn run(mut reactor: Reactor, listener: Arc<TcpListener>) {
+    // `shutdown_inner` raises the flag and then wakes every reactor, so the
     // turn that is blocked (or about to block) returns at once.
     while !reactor.shared.shutdown.load(Ordering::SeqCst) {
-        reactor.turn(&listener, &completions_rx);
+        reactor.turn(&listener);
     }
-    // Stop listening before the drain: a connect from here on is refused
-    // by the kernel instead of queueing behind a reactor that will never
-    // accept it.
+    // Let go of the listener before the drain: once every reactor has, a
+    // connect is refused by the kernel instead of queueing behind reactors
+    // that will never accept it.
     drop(listener);
-    reactor.drain(&completions_rx);
-    // Dropping the reactor drops the only job sender; the workers drain the
-    // queue and exit, and `QueryService::shutdown` joins them.
+    reactor.drain();
 }
 
 /// `(when, connection id)`, earliest first.
@@ -147,7 +115,9 @@ type Deadlines = BinaryHeap<Reverse<(Instant, u64)>>;
 pub(crate) struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
-    dispatcher: Dispatcher,
+    /// Ends this reactor's `poll` for shutdown; `QueryService` holds the
+    /// other handle.
+    waker: Arc<Waker>,
     conns: HashMap<u64, Conn>,
     next_id: u64,
     /// Every armed deadline, plus entries that went stale since (their
@@ -157,18 +127,6 @@ pub(crate) struct Reactor {
     deadlines: Deadlines,
     /// The listener's `armed`: its pending accept retry, under [`LISTENER`].
     accept_armed: Option<Instant>,
-}
-
-/// The reactor's way onto the worker pool, kept apart from the connection
-/// table so one connection can be served while the table is borrowed.
-struct Dispatcher {
-    jobs: SyncSender<Job>,
-    completions_tx: Sender<Completion>,
-    /// Connections holding requests that could not be handed to the worker
-    /// pool (the bounded job queue was full). Each completion frees a queue
-    /// slot, and the backlog refills it in FIFO order — no socket event
-    /// would ever come for a request that is already buffered.
-    dispatch_backlog: VecDeque<u64>,
 }
 
 /// Pushes `(when, id)` unless its owner already holds an entry at least as
@@ -207,24 +165,16 @@ fn classify_accept_error(kind: ErrorKind) -> AcceptFailure {
 
 impl Reactor {
     /// A reactor over `listener` (already non-blocking), registered with a
-    /// new poller beside `shared`'s waker under their reserved tokens.
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        listener: &TcpListener,
-        jobs: SyncSender<Job>,
-        completions_tx: Sender<Completion>,
-    ) -> io::Result<Reactor> {
+    /// new poller beside a new waker under their reserved tokens.
+    pub(crate) fn new(shared: Arc<Shared>, listener: &TcpListener) -> io::Result<Reactor> {
         let poller = Poller::new()?;
-        poller.add(listener.as_raw_fd(), LISTENER, poll::EDGE)?;
-        poller.add(shared.waker.fd(), WAKER, poll::LEVEL)?;
+        let waker = Arc::new(Waker::new()?);
+        poller.add(listener.as_raw_fd(), LISTENER, poll::ACCEPT)?;
+        poller.add(waker.fd(), WAKER, poll::LEVEL)?;
         Ok(Reactor {
             shared,
             poller,
-            dispatcher: Dispatcher {
-                jobs,
-                completions_tx,
-                dispatch_backlog: VecDeque::new(),
-            },
+            waker,
             conns: HashMap::new(),
             next_id: 0,
             deadlines: BinaryHeap::new(),
@@ -232,9 +182,14 @@ impl Reactor {
         })
     }
 
+    /// The handle that ends this reactor's `poll` from another thread.
+    pub(crate) fn waker(&self) -> Arc<Waker> {
+        Arc::clone(&self.waker)
+    }
+
     /// One reactor turn: block until something is ready or due, then handle
     /// all of it.
-    fn turn(&mut self, listener: &TcpListener, completions_rx: &Receiver<Completion>) {
+    fn turn(&mut self, listener: &TcpListener) {
         let mut events = [Event::default(); EVENT_BATCH];
         let nearest = self.deadlines.peek().map(|Reverse((when, _))| *when);
         let timeout = nearest.map(|when| when.saturating_duration_since(Instant::now()));
@@ -243,16 +198,10 @@ impl Reactor {
         for event in events.iter().take(ready) {
             match event.token() {
                 LISTENER => self.accept_ready(listener),
-                WAKER => self.shared.waker.drain(),
+                WAKER => self.waker.drain(),
                 id => self.service(id),
             }
         }
-        let mut completed = Vec::new();
-        while let Ok(completion) = completions_rx.try_recv() {
-            completed.push(completion.conn_id);
-            self.complete(completion);
-        }
-        self.flush_completed(completed);
         self.fire_due(listener, Instant::now());
         // A stale entry leaves when it comes due, which under connection
         // churn is a whole read timeout away. Once stale entries outnumber
@@ -264,10 +213,10 @@ impl Reactor {
             let retry = self.accept_armed.map(|when| Reverse((when, LISTENER)));
             self.deadlines = self.conns.iter().filter_map(armed).chain(retry).collect();
         }
-        // The stall watchdog: every turn feeds the duration histogram, and
-        // one that kept the reactor away from the poller past the
-        // configured threshold counts as a stall — the runtime cross-check
-        // of the static reactor-discipline pass.
+        // The stall watchdog: every turn — the requests it answered
+        // included — feeds the duration histogram, and one that kept the
+        // reactor away from the poller past the configured threshold counts
+        // as a stall.
         let stall = self.shared.config.reactor_stall_micros;
         self.shared.metrics.observe_sweep(started.elapsed(), stall);
     }
@@ -275,11 +224,25 @@ impl Reactor {
     /// Accepts until the listener would block (it is edge-triggered: what
     /// this pass leaves in the backlog raises no further event).
     fn accept_ready(&mut self, listener: &TcpListener) {
+        let mut admitted = false;
         loop {
             let accepted = listener.accept();
             match accepted.map_err(|error| classify_accept_error(error.kind())) {
-                Ok((stream, _)) => self.admit(stream),
-                Err(AcceptFailure::Drained) => return,
+                Ok((stream, _)) => {
+                    self.admit(stream);
+                    admitted = true;
+                }
+                Err(AcceptFailure::Drained) => {
+                    // To the back of the listener's wake order, so the next
+                    // arrival at an idle service goes to another reactor.
+                    // Should that fail, this reactor keeps its connections
+                    // and accepts no more; the others still do.
+                    if admitted && self.shared.config.workers > 1 {
+                        let fd = listener.as_raw_fd();
+                        let _ = self.poller.requeue(fd, LISTENER, poll::ACCEPT);
+                    }
+                    return;
+                }
                 Err(AcceptFailure::TryNext) => {}
                 Err(AcceptFailure::BackOff) => {
                     let retry = Instant::now() + ACCEPT_BACKOFF;
@@ -314,10 +277,10 @@ impl Reactor {
         }
     }
 
-    /// Adopts one accepted connection — or, with the table already holding
-    /// `max_connections` entries, sheds it: the connection is never read,
-    /// and a typed `Overloaded` goodbye closes it once flushed, so the
-    /// client can tell overload from a crash.
+    /// Adopts one accepted connection — or, with the service already holding
+    /// `max_connections` across every reactor, sheds it: the connection is
+    /// never read, and a typed `Overloaded` goodbye closes it once flushed,
+    /// so the client can tell overload from a crash.
     fn admit(&mut self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         // The reactor multiplexes this socket; it must never block.
@@ -325,7 +288,10 @@ impl Reactor {
             return;
         }
         let mut conn = Conn::new(stream);
-        if self.conns.len() >= self.shared.config.max_connections {
+        // A shed connection counts too, until its goodbye is out and it
+        // closes.
+        let live = self.shared.live.fetch_add(1, Ordering::Relaxed);
+        if live >= self.shared.config.max_connections {
             Metrics::add(&self.shared.metrics.connections_shed, 1);
             conn.reads_done = true;
             let reply = error_response(
@@ -346,32 +312,15 @@ impl Reactor {
         let fd = conn.stream.as_raw_fd();
         if self.poller.add(fd, id, poll::EDGE).is_ok() {
             self.conns.insert(id, conn);
+        } else {
+            self.shared.live.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Routes one finished response frame onto its connection's write
-    /// queue, enforcing the per-connection write-queue byte budget. A
-    /// connection that died (or was shed) while the request was in flight
-    /// just drops the frame — there is nowhere left to write it; one whose
-    /// queued bytes would exceed the budget is shed as a slow reader.
-    fn complete(&mut self, completion: Completion) {
-        let Some(conn) = self.conns.get_mut(&completion.conn_id) else {
-            return;
-        };
-        conn.in_flight = false;
-        if conn.shed {
-            return;
-        }
-        let budget = self.shared.config.write_queue_budget_bytes;
-        if !conn.enqueue(completion.frame, Some(completion.trace), false, budget) {
-            shed_slow_reader(&self.shared, conn);
-        }
-    }
-
-    /// Everything one connection needs right now — on a readiness event, a
-    /// completion or a due deadline: reads, frame and stall errors,
-    /// [`Dispatcher::serve`], the shed / linger / drained / quiet checks,
-    /// and the deadline its new state implies.
+    /// Everything one connection needs right now — on a readiness event or
+    /// a due deadline: reads, frame and stall errors, [`serve`], the shed /
+    /// linger / drained / quiet checks, and the deadline its new state
+    /// implies.
     fn service(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return; // closed earlier in this turn
@@ -384,11 +333,12 @@ impl Reactor {
         }
         // The pass stopped at the backlog bound, not at `WouldBlock`: the
         // socket may hold more, and raises no new edge for it.
-        let more = !conn.reads_done && conn.pending.len() + pass.frames.len() >= MAX_CONN_BACKLOG;
-        for payload in pass.frames {
-            queue_request(conn, payload);
-        }
+        let more = !conn.reads_done && pass.frames.len() >= MAX_CONN_BACKLOG;
+        let mut frames = pass.frames;
         if let Some(error) = pass.error {
+            // The connection ends here, and the frames read ahead of the
+            // failure go unanswered.
+            frames.clear();
             if conn.shed {
                 // The goodbye can no longer be delivered cleanly;
                 // nothing else on a shed connection is worth saving.
@@ -404,58 +354,34 @@ impl Reactor {
         if conn.stalling() && limit(conn).is_some_and(lapsed) {
             frame_error(shared, conn, ServiceError::Stalled { patience });
         }
-        let close = self.dispatcher.serve(shared, id, conn);
+        let close = serve(shared, conn, frames);
         // Every other limit is judged after the write pass, which may just
         // have moved bytes, and ends the connection silently: a shed slow
         // reader that will not read its goodbye cannot pin its write queue,
         // the post-goodbye draining linger is bounded, and a quiet
         // connection past its read timeout is reaped.
         let next = limit(conn);
-        // A queue that filled resumes its reads when a completion drains it;
-        // a shed connection's requests are discarded, so no completion will
-        // come, and a peer that keeps sending would hold the thread for as
-        // long as it liked if the pump simply ran on. It is read again
-        // through the deadline heap, due at once: one backlog's worth at a
-        // time, with every other event, deadline and the shutdown flag
-        // getting their turn in between.
-        let again = (more && conn.shed).then(Instant::now);
+        // A pass cut short at the backlog is read again through the
+        // deadline heap, due at once: one backlog's worth at a time, with
+        // every other connection, deadline and the shutdown flag getting
+        // their turn in between. That bounds the head-of-line blocking a
+        // deep pipeline causes, and a shed peer that never stops sending
+        // cannot hold the thread either.
+        let again = more.then(Instant::now);
         if close || conn.drained() || (!conn.stalling() && next.is_some_and(lapsed)) {
             self.conns.remove(&id);
+            self.shared.live.fetch_sub(1, Ordering::Relaxed);
         } else if let Some(when) = again.or(next) {
             arm(&mut self.deadlines, &mut conn.armed, when, id);
         }
     }
 
-    /// Services the connections whose requests completed this turn: their
-    /// response frames go out, their next request dispatches, and
-    /// reads that stopped at [`MAX_CONN_BACKLOG`] resume. Then the
-    /// worker-queue slots those completions freed are refilled.
-    fn flush_completed(&mut self, mut ids: Vec<u64>) {
-        ids.sort_unstable();
-        ids.dedup();
-        for id in ids {
-            self.service(id);
-        }
-        self.dispatcher.refill(&mut self.conns);
-    }
-
-    /// Graceful shutdown: stop reading, bounded-drain in-flight requests
-    /// (flushing responses as they land), then a best-effort typed
-    /// `ShuttingDown` reply on every surviving connection before the close.
-    /// Both waits block in the poller — on the waker for completions, on
-    /// writability for the flush — with their deadline as the timeout.
-    fn drain(mut self, completions_rx: &Receiver<Completion>) {
-        for conn in self.conns.values_mut() {
-            conn.reads_done = true;
-            conn.pending.clear();
-        }
-        let deadline = Instant::now() + DRAIN_DEADLINE;
-        while self.conns.values().any(|c| c.in_flight) && self.block_until(deadline) {
-            while let Ok(completion) = completions_rx.try_recv() {
-                self.complete(completion);
-            }
-            self.flush_all();
-        }
+    /// Graceful shutdown: stop reading, then a best-effort typed
+    /// `ShuttingDown` reply on every connection before the close. Every
+    /// request already read was answered in its own turn, so only writes
+    /// are left; the flush blocks in the poller on writability, with its
+    /// deadline as the timeout.
+    fn drain(mut self) {
         let goodbye = error_response(
             &self.shared,
             ErrorCode::ShuttingDown,
@@ -464,6 +390,7 @@ impl Reactor {
         .to_framed_bytes();
         let budget = self.shared.config.write_queue_budget_bytes;
         for conn in self.conns.values_mut() {
+            conn.reads_done = true;
             conn.enqueue(goodbye.clone(), None, true, budget);
         }
         let flush_deadline = Instant::now() + FLUSH_DEADLINE;
@@ -475,8 +402,10 @@ impl Reactor {
         }
     }
 
-    /// Shutdown's wait: blocks until a socket or the waker is ready, and
-    /// returns `false` without blocking once `deadline` has passed.
+    /// Shutdown's wait: blocks until a socket is ready, and returns `false`
+    /// without blocking once `deadline` has passed. The shutdown wake may
+    /// still be pending (the turn it interrupted never polled again), so it
+    /// is drained here, or every wait after it would return at once.
     fn block_until(&self, deadline: Instant) -> bool {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
@@ -484,86 +413,51 @@ impl Reactor {
         }
         self.poller
             .poll(&mut [Event::default(); EVENT_BATCH], Some(left));
-        self.shared.waker.drain();
+        self.waker.drain();
         true
     }
 
     /// Serves every connection with output queued (shutdown has already
-    /// stopped reads and dropped pending work, so serving them only
-    /// writes), dropping the ones whose final frame drained.
+    /// stopped reads, so serving them only writes), dropping the ones whose
+    /// final frame drained.
     fn flush_all(&mut self) {
-        let (shared, dispatcher) = (&*self.shared, &mut self.dispatcher);
+        let (shared, before) = (&*self.shared, self.conns.len());
         self.conns
-            .retain(|&id, conn| !(conn.wants_write() && dispatcher.serve(shared, id, conn)));
+            .retain(|_, conn| !(conn.wants_write() && serve(shared, conn, Vec::new())));
+        let closed = before - self.conns.len();
+        shared.live.fetch_sub(closed, Ordering::Relaxed);
     }
 }
 
-impl Dispatcher {
-    /// The one per-connection step: hand the head of the pending queue to
-    /// the worker pool (joining the dispatch backlog when the pool's queue
-    /// is full), flush queued output, count every request whose response
-    /// fully drained, and — when the write pass asked to close — decide
-    /// whether the connection drops now (`true`) or lingers.
-    fn serve(&mut self, shared: &Shared, conn_id: u64, conn: &mut Conn) -> bool {
-        self.dispatch(conn_id, conn);
-        if conn.wants_dispatch() && !conn.in_backlog {
-            // The job queue was full; remember the connection so the next
-            // completion refills the freed slot from here.
-            conn.in_backlog = true;
-            self.dispatch_backlog.push_back(conn_id);
+/// The one per-connection step: answer `frames` in arrival order on this
+/// thread, flush queued output, count every request whose response fully
+/// drained, and — when the write pass asked to close — decide whether the
+/// connection drops now (`true`) or lingers.
+fn serve(shared: &Shared, conn: &mut Conn, frames: Vec<Vec<u8>>) -> bool {
+    // A frame's queue wait is the time it spends behind the earlier frames
+    // of its own read pass.
+    let received = Instant::now();
+    let budget = shared.config.write_queue_budget_bytes;
+    for payload in frames {
+        if conn.shed {
+            // Shed connections keep reading only so the eventual close does
+            // not reset the peer; their requests are discarded unanswered.
+            break;
         }
-        let wrote = conn.pump_writes();
-        if wrote.bytes > 0 {
-            Metrics::add(&shared.metrics.bytes_out, wrote.bytes);
-        }
-        for trace in wrote.finished {
-            finish_request(shared, &trace);
-        }
-        wrote.close && close_or_linger(conn, shared.config.mid_frame_patience)
-    }
-
-    /// Refills the worker-queue slots that completions just freed from the
-    /// connections whose dispatch was blocked on a full queue.
-    fn refill(&mut self, conns: &mut HashMap<u64, Conn>) {
-        while let Some(id) = self.dispatch_backlog.pop_front() {
-            let Some(conn) = conns.get_mut(&id) else {
-                continue; // closed while waiting
-            };
-            conn.in_backlog = false;
-            self.dispatch(id, conn);
-            if conn.wants_dispatch() {
-                // Queue is full again; keep this connection at the head so
-                // backlog order stays FIFO.
-                conn.in_backlog = true;
-                self.dispatch_backlog.push_front(id);
-                break;
-            }
+        let mut trace = Trace::begin(received.elapsed());
+        let frame = handle_request(shared, &payload, &mut trace);
+        if !conn.enqueue(frame, Some(trace), false, budget) {
+            shed_slow_reader(shared, conn);
         }
     }
-
-    /// Hands the head of the connection's pending queue to the worker pool
-    /// once the previous request's reply is back.
-    fn dispatch(&self, conn_id: u64, conn: &mut Conn) {
-        if conn.in_flight {
-            return;
-        }
-        let Some(request) = conn.pending.pop_front() else {
-            return;
-        };
-        let job = Job {
-            conn_id,
-            request,
-            completions: self.completions_tx.clone(),
-        };
-        match self.jobs.try_send(job) {
-            Ok(()) => conn.in_flight = true,
-            Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
-                // The pool is saturated (or shutting down); put the request
-                // back at the head for the dispatch backlog.
-                conn.pending.push_front(job.request);
-            }
-        }
+    let wrote = conn.pump_writes();
+    if wrote.bytes > 0 {
+        Metrics::add(&shared.metrics.bytes_out, wrote.bytes);
     }
+    for trace in wrote.finished {
+        finish_request(shared, &trace);
+    }
+    wrote.close && close_or_linger(conn, shared.config.mid_frame_patience)
 }
 
 /// After a write pass asked to close: returns whether the connection
@@ -586,27 +480,6 @@ fn close_or_linger(conn: &mut Conn, patience: Duration) -> bool {
     false
 }
 
-/// Queues one received payload for dispatch.
-fn queue_request(conn: &mut Conn, payload: Vec<u8>) {
-    if conn.shed {
-        // Shed connections keep reading only so the eventual close does
-        // not reset the peer; their requests are discarded unanswered.
-        return;
-    }
-    // `pump_reads` stops reading once MAX_CONN_BACKLOG requests are
-    // buffered, so the pending queue is bounded by construction; the assert
-    // keeps the budget test next to the push (for the bounded-queue lint
-    // pass) and loud in debug builds.
-    debug_assert!(
-        conn.pending.len() < MAX_CONN_BACKLOG,
-        "pending queue past MAX_CONN_BACKLOG: pump_reads stopped throttling"
-    );
-    conn.pending.push_back(PendingRequest {
-        payload,
-        received: Instant::now(),
-    });
-}
-
 /// Queues a typed error reply that closes the connection once it flushes.
 /// Typed replies count as served once written — the documented contract is
 /// that `requests_served` includes error replies.
@@ -620,7 +493,6 @@ fn goodbye(shared: &Shared, conn: &mut Conn, reply: Response) {
 /// transport failure closes the connection outright.
 fn frame_error(shared: &Shared, conn: &mut Conn, error: ServiceError) {
     conn.reads_done = true;
-    conn.pending.clear();
     let reply = match error {
         ServiceError::FrameTooLarge { declared, limit } => error_response(
             shared,
@@ -644,21 +516,20 @@ fn frame_error(shared: &Shared, conn: &mut Conn, error: ServiceError) {
 /// Sheds a slow reader: a connection whose queued-but-unflushed response
 /// bytes exceeded [`crate::ServiceConfig::write_queue_budget_bytes`]. The
 /// peer requested faster than it reads, so buffering more would grow
-/// without bound; instead its pending work is dropped, its unstarted
-/// queued frames are discarded (a partially-written head stays so the
-/// stream remains frame-aligned), and a typed `Overloaded` goodbye closes
-/// the connection — via a draining half-close (see [`close_or_linger`]) so
-/// the goodbye survives the flooder's own unread backlog. Counted under
-/// `slow_readers_shed` in the deep stats.
+/// without bound; instead the rest of its read pass is discarded, its
+/// unstarted queued frames are dropped (a partially-written head stays so
+/// the stream remains frame-aligned), and a typed `Overloaded` goodbye
+/// closes the connection — via a draining half-close (see
+/// [`close_or_linger`]) so the goodbye survives the flooder's own unread
+/// backlog. Counted under `slow_readers_shed` in the deep stats.
 fn shed_slow_reader(shared: &Shared, conn: &mut Conn) {
     if conn.shed {
         return;
     }
-    conn.shed = true;
     // Reads stay open: the flooder's pipelined requests keep draining (and
-    // are discarded in `queue_request`) so the close never resets the peer
-    // with unread bytes and the typed goodbye below actually arrives.
-    conn.pending.clear();
+    // are discarded in `serve`) so the close never resets the peer with
+    // unread bytes and the typed goodbye below actually arrives.
+    conn.shed = true;
     let queued = conn.queued_bytes();
     conn.drop_unwritten();
     Metrics::add(&shared.metrics.slow_readers_shed, 1);
@@ -705,25 +576,20 @@ mod tests {
         let mode = vaq_authquery::SigningMode::OneSignature;
         let tree = vaq_authquery::IfmhTree::build(&dataset, mode, &scheme);
         let server = vaq_authquery::Server::new(dataset, tree);
-        let shared = Arc::new(Shared::new(crate::ServiceConfig::ephemeral(), server).unwrap());
+        let shared = Arc::new(Shared::new(crate::ServiceConfig::ephemeral(), server));
         let listener = TcpListener::bind(shared.config.bind_addr).unwrap();
         listener.set_nonblocking(true).unwrap();
-        let (completions_tx, completions_rx) = std::sync::mpsc::channel();
-        let worker = Arc::clone(&shared);
-        let (pool, jobs) =
-            crate::pool::WorkerPool::spawn(1, move |job| run_job(&worker, job)).unwrap();
-        let mut reactor =
-            Reactor::new(Arc::clone(&shared), &listener, jobs, completions_tx).unwrap();
+        let mut reactor = Reactor::new(Arc::clone(&shared), &listener).unwrap();
 
         // The test thread is the reactor: every turn blocks in the poller
-        // until the peer's bytes or the worker's completion arrive.
+        // until the peer's bytes arrive, and answers them in place.
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let ping = Request::Ping.to_framed_bytes();
         let mut pong = vec![0u8; Response::Pong.to_framed_bytes().len()];
         for served in 1..=10_000 {
             peer.write_all(&ping).unwrap();
             while Metrics::get(&shared.metrics.requests_served) < served {
-                reactor.turn(&listener, &completions_rx);
+                reactor.turn(&listener);
             }
             peer.read_exact(&mut pong).unwrap();
         }
@@ -735,7 +601,7 @@ mod tests {
 
         drop(peer);
         while !reactor.conns.is_empty() {
-            reactor.turn(&listener, &completions_rx);
+            reactor.turn(&listener);
         }
         assert!(
             !reactor.deadlines.is_empty(),
@@ -749,15 +615,18 @@ mod tests {
         for _ in 0..2_000 {
             let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             while !reactor.conns.values().any(|conn| conn.armed.is_some()) {
-                reactor.turn(&listener, &completions_rx);
+                reactor.turn(&listener);
             }
             drop(peer);
             while !reactor.conns.is_empty() {
-                reactor.turn(&listener, &completions_rx);
+                reactor.turn(&listener);
             }
         }
         assert!(reactor.deadlines.len() <= EVENT_BATCH + 1);
-        drop(reactor);
-        pool.join();
+        assert_eq!(
+            shared.live.load(Ordering::Relaxed),
+            0,
+            "every close counted"
+        );
     }
 }

@@ -1,13 +1,12 @@
-//! The running query service: bind, worker pool, request dispatch, response
-//! cache, republication and graceful shutdown. Every socket — the listener
-//! included — belongs to the reactor thread ([`crate::reactor`]); nothing
-//! here accepts, reads or writes one.
+//! The running query service: bind, the reactor threads, request handling,
+//! response cache, republication and graceful shutdown. Every socket — the
+//! listener included — belongs to the reactors ([`crate::reactor`]);
+//! nothing here accepts, reads or writes one.
 
 use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -23,8 +22,7 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::metrics::{CacheGauges, Metrics, RequestKind, Stage};
 use crate::poll::Waker;
-use crate::pool::WorkerPool;
-use crate::reactor::{self, Job, Reactor};
+use crate::reactor::{self, Reactor};
 use crate::sync::{rank, OrderedMutex};
 use crate::trace::Trace;
 
@@ -32,7 +30,7 @@ use crate::trace::Trace;
 /// budget ([`LruCache::DEFAULT_MAX_BYTES`]).
 const CACHE_CAPACITY: usize = 1024;
 
-/// State shared between the reactor and every worker.
+/// State shared between every reactor.
 pub(crate) struct Shared {
     /// The currently serving dataset + authenticated structure. Swapped
     /// atomically by [`QueryService::republish`]: every request resolves
@@ -46,22 +44,24 @@ pub(crate) struct Shared {
     pub(crate) metrics: Metrics,
     cache: OrderedMutex<LruCache>,
     pub(crate) shutdown: AtomicBool,
-    /// Ends the reactor's blocking `poll`: workers wake it after sending a
-    /// completion, shutdown after raising the flag.
-    pub(crate) waker: Waker,
+    /// Connections in every reactor's table, shed ones included: counted at
+    /// admit and given back at close, so
+    /// [`ServiceConfig::max_connections`] bounds the service, not each
+    /// reactor.
+    pub(crate) live: AtomicUsize,
 }
 
 impl Shared {
-    pub(crate) fn new(config: ServiceConfig, server: Server) -> std::io::Result<Shared> {
-        Ok(Shared {
+    pub(crate) fn new(config: ServiceConfig, server: Server) -> Shared {
+        Shared {
             cache: OrderedMutex::new(rank::CACHE, "cache", LruCache::new(CACHE_CAPACITY)),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
-            waker: Waker::new()?,
+            live: AtomicUsize::new(0),
             serving: OrderedMutex::new(rank::SERVING, "serving", Arc::new(server)),
             shard_map: OrderedMutex::new(rank::SHARD_MAP, "shard_map", None),
             config,
-        })
+        }
     }
 
     /// The serving snapshot: one clone of the `Arc`, taken once per request.
@@ -103,42 +103,42 @@ fn epoch_cache_key(epoch: u64, query: &Query) -> Vec<u8> {
 }
 
 thread_local! {
-    /// Per-worker frame-assembly scratch. Response encoding on the hot path
+    /// Per-reactor frame-assembly scratch. Response encoding on the hot path
     /// runs through [`WireEncode::to_framed_bytes_reusing`] with this
-    /// buffer, so a warm worker frames each response with one exact-size
+    /// buffer, so a warm reactor frames each response with one exact-size
     /// allocation instead of growing a fresh payload vector per request.
     static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Frames one response through the calling worker's reusable encode scratch.
+/// Frames one response through the calling reactor's reusable encode scratch.
 fn encode_frame<T: WireEncode>(response: &T) -> Vec<u8> {
     ENCODE_SCRATCH.with(|scratch| response.to_framed_bytes_reusing(&mut scratch.borrow_mut()))
 }
 
 /// A running networked query service over one [`Server`].
 ///
-/// Binds a TCP listener and hands it to one evented reactor thread, which
-/// accepts and multiplexes every connection (non-blocking sockets behind
-/// Linux `epoll`: the thread sleeps until one is ready); request execution
-/// runs on a fixed-size worker pool, so thousands of open connections cost
-/// no worker and, while silent, no CPU. Each connection
-/// carries any number of framed [`Request`]s, pipelined or not, and answers
-/// them strictly in the order they arrived. Dropping the service (or
-/// calling [`QueryService::shutdown`]) stops the listener, drains in-flight
-/// work and joins every thread.
+/// Binds a TCP listener and shares it between
+/// [`ServiceConfig::workers`] reactor threads, each answering its own
+/// connections: a reactor accepts, multiplexes its connections
+/// (non-blocking sockets behind Linux `epoll`: the thread sleeps until one
+/// is ready) and handles every request it reads in place, so thousands of
+/// open connections cost no thread and, while silent, no CPU. Each
+/// connection carries any number of framed [`Request`]s, pipelined or not,
+/// and answers them strictly in the order they arrived. Dropping the
+/// service (or calling [`QueryService::shutdown`]) stops the listener,
+/// says a typed goodbye on every connection and joins every thread.
 pub struct QueryService {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    reactor_thread: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
-    workers: usize,
+    /// Each reactor's thread and the waker that ends its `poll`.
+    reactors: Vec<(JoinHandle<()>, Arc<Waker>)>,
 }
 
 impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryService")
             .field("local_addr", &self.local_addr)
-            .field("workers", &self.workers)
+            .field("workers", &self.shared.config.workers)
             .finish()
     }
 }
@@ -146,41 +146,38 @@ impl std::fmt::Debug for QueryService {
 impl QueryService {
     /// Binds the configured address and starts serving `server`'s dataset.
     ///
-    /// Connections are multiplexed by one evented reactor thread, so
-    /// [`ServiceConfig::workers`] sizes concurrent request *execution*, not
-    /// concurrent connections — [`ServiceConfig::max_connections`] bounds
-    /// those, and the reactor sheds a connection beyond the limit with a
-    /// typed [`ErrorCode::Overloaded`] reply instead of a silent close.
+    /// [`ServiceConfig::workers`] reactor threads serve, each answering the
+    /// connections it accepted; [`ServiceConfig::max_connections`] bounds
+    /// the connections of all of them together, and a connection beyond
+    /// the limit is shed with a typed [`ErrorCode::Overloaded`] reply
+    /// instead of a silent close.
     pub fn bind(mut config: ServiceConfig, server: Server) -> Result<QueryService, ServiceError> {
         let listener = TcpListener::bind(config.bind_addr)?;
         let local_addr = listener.local_addr()?;
-        // The reactor accepts until `WouldBlock`; it must never block here.
+        // A reactor accepts until `WouldBlock`; it must never block here.
         listener.set_nonblocking(true)?;
-        // Clamp once so every consumer (pool sizing, stats) agrees.
+        // Clamp once so every consumer (reactor count, stats) agrees.
         config.workers = config.workers.max(1);
         let workers = config.workers;
-        let shared = Arc::new(Shared::new(config, server)?);
-
-        let worker_shared = Arc::clone(&shared);
-        let (completions_tx, completions_rx) = mpsc::channel();
-        let (pool, jobs) = WorkerPool::spawn(workers, move |job: Job| {
-            reactor::run_job(&worker_shared, job);
-        })?;
-
-        // Built here so a refused epoll instance is a bind error, not a
-        // reactor thread that dies at start-up.
-        let reactor = Reactor::new(Arc::clone(&shared), &listener, jobs, completions_tx)?;
-        let reactor_thread = std::thread::Builder::new()
-            .name("vaq-service-reactor".into())
-            .spawn(move || reactor::run(reactor, listener, completions_rx))?;
-
-        Ok(QueryService {
-            shared,
+        let listener = Arc::new(listener);
+        let mut service = QueryService {
+            shared: Arc::new(Shared::new(config, server)),
             local_addr,
-            reactor_thread: Some(reactor_thread),
-            pool: Some(pool),
-            workers,
-        })
+            reactors: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            // Built here so a refused epoll instance is a bind error, not a
+            // reactor thread that dies at start-up; on any error, dropping
+            // `service` shuts down the reactors already started.
+            let reactor = Reactor::new(Arc::clone(&service.shared), &listener)?;
+            let waker = reactor.waker();
+            let listener = Arc::clone(&listener);
+            let thread = std::thread::Builder::new()
+                .name(format!("vaq-service-reactor-{i}"))
+                .spawn(move || reactor::run(reactor, listener))?;
+            service.reactors.push((thread, waker));
+        }
+        Ok(service)
     }
 
     /// The address the service actually listens on (resolves port 0).
@@ -256,8 +253,9 @@ impl QueryService {
         self.shared.deep_snapshot(self.epoch())
     }
 
-    /// Stops accepting connections, drains in-flight work, joins every
-    /// thread and returns the final counter snapshot.
+    /// Stops accepting connections, says a typed goodbye on every
+    /// connection, joins every thread and returns the final counter
+    /// snapshot.
     pub fn shutdown(mut self) -> StatsSnapshot {
         let epoch = self.epoch();
         self.shutdown_inner();
@@ -265,20 +263,15 @@ impl QueryService {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
+        // Raised before any wake: woken out of its `poll`, each reactor sees
+        // the flag, lets go of the listener, answers every connection it
+        // holds with a typed ShuttingDown reply and exits.
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        for (_, waker) in &self.reactors {
+            waker.wake();
         }
-        // Woken out of its `poll`, the reactor sees the flag, closes the
-        // listener, bounded-drains in-flight requests, answers every
-        // surviving connection with a typed ShuttingDown reply and exits —
-        // dropping the only job sender…
-        self.shared.waker.wake();
-        if let Some(thread) = self.reactor_thread.take() {
+        for (thread, _) in self.reactors.drain(..) {
             let _ = thread.join();
-        }
-        // …so the workers drain the queue and stop.
-        if let Some(pool) = self.pool.take() {
-            pool.join();
         }
     }
 }
@@ -291,7 +284,7 @@ impl Drop for QueryService {
 
 /// Counts one fully served request and folds its trace into the metrics;
 /// emits a slow-request log line when the request crossed the configured
-/// threshold. The reactor calls this once the response frame fully drains
+/// threshold. A reactor calls this once the response frame fully drains
 /// to the socket, with the measured write time already charged.
 pub(crate) fn finish_request(shared: &Shared, trace: &Trace) {
     Metrics::add(&shared.metrics.requests_served, 1);
@@ -310,8 +303,9 @@ pub(crate) fn finish_request(shared: &Shared, trace: &Trace) {
     }
 }
 
-/// Decodes and dispatches one request, returning the framed response bytes.
-/// Runs on a worker thread; `payload` is the request frame's payload.
+/// Decodes and answers one request, returning the framed response bytes.
+/// Runs on the reactor that read it; `payload` is the request frame's
+/// payload.
 pub(crate) fn handle_request(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Vec<u8> {
     respond(shared, payload, trace).unwrap_or_else(|reply| Response::Error(reply).to_framed_bytes())
 }
@@ -379,7 +373,7 @@ fn query_kind(query: &Query) -> RequestKind {
 
 /// Serves one analytic query through the epoch-keyed response cache: a hit
 /// returns the cached frame, a miss computes, inserts and returns it. Two
-/// workers that miss on the same key at once both compute — the frames are
+/// reactors that miss on the same key at once both compute — the frames are
 /// byte-identical and the second insert replaces the first. An error reply
 /// is returned to the requester but never cached (the next requester
 /// retries the computation). The cache probe is charged to the request's

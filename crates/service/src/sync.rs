@@ -28,8 +28,6 @@ use std::sync::{Mutex, MutexGuard};
 /// Lower ranks are acquired first. Gaps of 10 leave room to slot new locks
 /// between existing ones without renumbering.
 pub mod rank {
-    /// Worker-pool receiver: held only while popping one queued item.
-    pub const RECEIVER: u32 = 10;
     /// The currently serving prover/server snapshot.
     pub const SERVING: u32 = 20;
     /// The signed shard map republished to shard-map requests.
@@ -38,14 +36,6 @@ pub mod rank {
     pub const CACHE: u32 = 40;
     /// The in-memory slow-log capture buffer.
     pub const BUFFER: u32 = 70;
-
-    /// Not a lock: the highest rank the reactor thread may acquire. Locks
-    /// above this ceiling are worker-side and may be held across request
-    /// execution — taking one on the reactor thread would let a single
-    /// request stall every connection at once. Enforced statically by the
-    /// `vaq-lint` reactor-discipline pass (via the `reactor_safe_ceiling`
-    /// manifest entry) and at runtime by the reactor stall watchdog.
-    pub const REACTOR_SAFE_CEILING: u32 = SERVING;
 }
 
 #[cfg(debug_assertions)]
@@ -130,7 +120,7 @@ impl<T> OrderedMutex<T> {
         if inner.is_err() {
             held::release(self.rank, self.name);
         }
-        // lint:allow(panic-path, a poisoned lock means a peer worker already panicked mid-update; propagating beats serving torn state)
+        // lint:allow(panic-path, a poisoned lock means a peer thread already panicked mid-update; propagating beats serving torn state)
         let inner = inner.unwrap_or_else(|_| panic!("lock '{}' is poisoned", self.name));
         OrderedGuard { lock: self, inner }
     }

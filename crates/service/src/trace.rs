@@ -1,7 +1,7 @@
 //! Request-scoped stage tracing for the server hot path.
 //!
-//! A [`Trace`] rides along with one request from worker pickup to socket
-//! write and accumulates wall-clock time per [`Stage`]. Stages are timed as
+//! A [`Trace`] rides along with one request from its reactor's pickup to
+//! the socket write and accumulates wall-clock time per [`Stage`]. Stages are timed as
 //! disjoint sub-intervals of the request, so their sum is always bounded by
 //! the whole-request time — which is what lets the per-kind stage
 //! attribution in deep stats be read as "where did the latency go".
@@ -26,8 +26,9 @@ pub struct Trace {
 impl Trace {
     /// Starts a trace for a request whose payload has just been read.
     ///
-    /// `queue_wait` is time already spent before the worker picked the
-    /// connection up (accept-to-pickup); it is folded into the total.
+    /// `queue_wait` is time already spent before the reactor picked the
+    /// request up (behind earlier frames of its read pass); it is folded
+    /// into the total.
     pub fn begin(queue_wait: Duration) -> Self {
         let mut stages = [Duration::ZERO; STAGES];
         stages[Stage::QueueWait.index()] = queue_wait;

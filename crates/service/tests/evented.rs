@@ -1,7 +1,8 @@
 //! What the old readiness sweep gave for free and a reactor blocked in the
 //! kernel has to earn: with edge-triggered sockets nothing is looked at
-//! again unless an event, a completion or a deadline says so. Each test
-//! here hangs or fails when one of those three is forgotten. Real sockets;
+//! again unless an event or a deadline says so. Each test here hangs or
+//! fails when one of those is forgotten, or when one connection holds up
+//! the others on its reactor, or one reactor misses shutdown. Real sockets;
 //! every wait is a blocking read with a generous timeout, except where the
 //! point of the test is that time passes with no traffic at all.
 
@@ -140,28 +141,67 @@ fn a_quiet_connection_is_reaped_by_the_read_timeout_with_no_other_traffic() {
 }
 
 #[test]
+fn a_deep_pipeline_holds_up_another_connection_for_a_backlog_not_its_whole_burst() {
+    // One reactor, two connections. A writes 1,000 distinct wide-range
+    // queries in one burst and reads nothing; a read pass stops at the
+    // 128-request backlog and comes back through the deadline heap, so B's
+    // ping is answered between two of A's backlogs. A reactor that reads
+    // until `WouldBlock` computes all of A's burst first; one that stops at
+    // the backlog without re-arming never answers A's tail.
+    const N: u64 = 1000;
+    let service =
+        QueryService::bind(ServiceConfig::ephemeral().workers(1), server(64, 13)).unwrap();
+    let mut a = connect(&service);
+    let mut b = client(&service);
+    b.ping().unwrap();
+    let burst: Vec<u8> = (0..N)
+        .map(|i| Query::range(vec![0.5], -1.0 - i as f64, 2.0))
+        .flat_map(|query| Request::Query(query).to_framed_bytes())
+        .collect();
+    a.write_all(&burst).unwrap();
+    b.ping().unwrap();
+    let computed = service.stats().cache_misses;
+    assert!(
+        computed < N,
+        "B's ping waited for all {computed} of A's queries"
+    );
+    for i in 0..N {
+        match read_message::<Response>(&mut a, 1 << 20) {
+            Ok(Some(Response::Query { response, .. })) => assert!(!response.records.is_empty()),
+            other => panic!("reply {i}: {other:?}"),
+        }
+    }
+    assert_eq!(service.shutdown().cache_misses, N);
+}
+
+#[test]
 fn a_shed_slow_reader_that_never_closes_is_dropped_at_the_linger_deadline() {
     // The shed connection reads its typed goodbye and then just sits there,
     // holding the service's only slot; nothing else talks to the service,
-    // so only the linger deadline can free it.
-    let config = ServiceConfig::ephemeral()
-        .max_connections(1)
-        .write_queue_budget_bytes(4096)
-        .mid_frame_patience(Duration::from_millis(100));
-    let service = QueryService::bind(config, server(300, 91)).unwrap();
-    let mut slow = client(&service);
-    let request = Request::Query(Query::top_k(vec![0.5], 300));
-    slow.send(&request).unwrap();
-    match slow.receive().unwrap_err() {
-        ServiceError::Remote(reply) => assert_eq!(reply.code, ErrorCode::Overloaded),
-        other => panic!("expected a remote Overloaded reply, got {other}"),
+    // so only the linger deadline can free it. With several reactors the
+    // next connection may land on another one, which sees the slot free
+    // only through the service-wide count.
+    for workers in [1, 4] {
+        let config = ServiceConfig::ephemeral()
+            .workers(workers)
+            .max_connections(1)
+            .write_queue_budget_bytes(4096)
+            .mid_frame_patience(Duration::from_millis(100));
+        let service = QueryService::bind(config, server(300, 91)).unwrap();
+        let mut slow = client(&service);
+        let request = Request::Query(Query::top_k(vec![0.5], 300));
+        slow.send(&request).unwrap();
+        match slow.receive().unwrap_err() {
+            ServiceError::Remote(reply) => assert_eq!(reply.code, ErrorCode::Overloaded),
+            other => panic!("workers {workers}: expected a remote Overloaded reply, got {other}"),
+        }
+        std::thread::sleep(Duration::from_millis(600));
+        let mut next = client(&service);
+        next.ping()
+            .unwrap_or_else(|e| panic!("workers {workers}: the slot was never freed: {e}"));
+        drop(slow);
+        service.shutdown();
     }
-    std::thread::sleep(Duration::from_millis(600));
-    let mut next = client(&service);
-    next.ping()
-        .expect("the lingering connection still holds the slot");
-    drop(slow);
-    service.shutdown();
 }
 
 #[test]
@@ -229,6 +269,50 @@ fn an_idle_service_does_not_turn() {
     assert!(turns <= 2, "{turns} turns in 400 ms with nothing to do");
     drop(fleet);
     service.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_every_reactor_and_says_a_typed_goodbye_on_every_connection() {
+    // Sixteen connections over four reactors, each admitted (one ping) and
+    // then holding a query whose answer it has not read. Shutdown has to
+    // wake every reactor, and each connection reads its answer, if its
+    // reactor read the query first, and then the typed goodbye — never a
+    // bare close.
+    const CONNS: usize = 16;
+    let service =
+        QueryService::bind(ServiceConfig::ephemeral().workers(4), server(12, 21)).unwrap();
+    let read = |stream: &mut TcpStream| read_message::<Response>(stream, 1 << 20).unwrap();
+    let mut streams: Vec<TcpStream> = (0..CONNS).map(|_| connect(&service)).collect();
+    for (i, stream) in streams.iter_mut().enumerate() {
+        stream.write_all(&Request::Ping.to_framed_bytes()).unwrap();
+        assert!(
+            matches!(read(stream), Some(Response::Pong)),
+            "connection {i}"
+        );
+        let query = Request::Query(Query::top_k(vec![0.5], i % 12 + 1));
+        stream.write_all(&query.to_framed_bytes()).unwrap();
+    }
+    // On its own thread, so a reactor left asleep fails the test instead
+    // of hanging it.
+    let (done, returned) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        service.shutdown();
+        let _ = done.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown returns within 2 s, every reactor woken");
+    for (i, stream) in streams.iter_mut().enumerate() {
+        let mut reply = read(stream);
+        if let Some(Response::Query { response, .. }) = &reply {
+            assert_eq!(response.records.len(), i % 12 + 1, "connection {i}");
+            reply = read(stream);
+        }
+        match reply {
+            Some(Response::Error(reply)) => assert_eq!(reply.code, ErrorCode::ShuttingDown),
+            other => panic!("connection {i}: expected the typed goodbye, got {other:?}"),
+        }
+    }
 }
 
 #[test]

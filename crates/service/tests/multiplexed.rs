@@ -1,5 +1,5 @@
 //! Integration tests for the evented multiplexed service core: in-order
-//! request pipelining, a saturated worker pool, connection shedding at the
+//! request pipelining, a saturated reactor, connection shedding at the
 //! configured limit, and typed mid-frame stall detection.
 
 use std::io::Write;
@@ -67,13 +67,12 @@ fn untagged_pipeline_keeps_send_order_ahead_of_a_trailing_tagged_frame() {
 }
 
 #[test]
-fn saturated_worker_pool_answers_every_connection() {
-    // One worker means a job queue of two: eight single requests plus the
-    // head of an eight-request pipeline arriving at once overflow it, so
-    // most of them wait in the reactor's dispatch backlog and are admitted
-    // as the worker frees slots, the pipeline's one at a time. Every one
-    // must still be answered, on its own connection and in order, with an
-    // answer that verifies.
+fn saturated_reactor_answers_every_connection() {
+    // One reactor owns all nine connections: eight single requests plus an
+    // eight-request pipeline arrive at once, and it computes each in turn
+    // while the others wait in their sockets. Every one must still be
+    // answered, on its own connection and in order, with an answer that
+    // verifies.
     const CONNS: usize = 8;
     const PIPELINED: usize = 8;
     let (dataset, server, scheme) = owner_setup(40, 1, 808);
@@ -121,57 +120,62 @@ fn shed_connections_get_a_typed_overloaded_reply() {
     // Regression: over the limit the accept loop used to drop the socket on
     // the floor — the client saw a bare EOF with no way to distinguish
     // overload from a crash. Now the connection is counted, answered with a
-    // typed Overloaded reply, and closed.
-    let (_, server, _) = owner_setup(10, 1, 33);
-    let service =
-        QueryService::bind(ServiceConfig::ephemeral().max_connections(1), server).unwrap();
-    let addr = service.local_addr();
+    // typed Overloaded reply, and closed. The limit is the service's, so it
+    // holds however many reactors share the connections.
+    for workers in [1, 4] {
+        let (_, server, _) = owner_setup(10, 1, 33);
+        let config = ServiceConfig::ephemeral()
+            .workers(workers)
+            .max_connections(1);
+        let service = QueryService::bind(config, server).unwrap();
+        let addr = service.local_addr();
 
-    let mut first = ServiceClient::connect(addr).unwrap();
-    first.ping().unwrap(); // the slot is definitely taken once this answers
+        let mut first = ServiceClient::connect(addr).unwrap();
+        first.ping().unwrap(); // the slot is definitely taken once this answers
 
-    // Read the shed reply without sending anything first: the service
-    // writes Overloaded and closes immediately, so a request racing the
-    // close could RST the unread reply away.
-    let mut second = ServiceClient::connect(addr).unwrap();
-    match second.receive().unwrap_err() {
-        ServiceError::Remote(reply) => {
-            assert_eq!(reply.code, ErrorCode::Overloaded);
-            assert!(reply.message.contains("connection limit"), "{reply:?}");
+        // Read the shed reply without sending anything first: the service
+        // writes Overloaded and closes immediately, so a request racing the
+        // close could RST the unread reply away.
+        let mut second = ServiceClient::connect(addr).unwrap();
+        match second.receive().unwrap_err() {
+            ServiceError::Remote(reply) => {
+                assert_eq!(reply.code, ErrorCode::Overloaded);
+                assert!(reply.message.contains("connection limit"), "{reply:?}");
+            }
+            other => panic!("workers {workers}: expected a remote Overloaded reply, got {other}"),
         }
-        other => panic!("expected a remote Overloaded reply, got {other}"),
-    }
-    // The shed connection is desynced (the service closed it); the
-    // surviving connection is untouched.
-    assert!(second.ping().is_err());
-    first.ping().unwrap();
+        // The shed connection is desynced (the service closed it); the
+        // surviving connection is untouched.
+        assert!(second.ping().is_err());
+        first.ping().unwrap();
 
-    let deep = service.stats_deep();
-    assert_eq!(deep.reactor.connections_shed, 1);
-    let overloaded = deep
-        .snapshot
-        .per_error
-        .iter()
-        .find(|e| e.code == ErrorCode::Overloaded.label())
-        .map(|e| e.count)
-        .unwrap_or(0);
-    assert_eq!(overloaded, 1, "shed reply missing from per-error breakdown");
+        let deep = service.stats_deep();
+        assert_eq!(deep.reactor.connections_shed, 1, "workers {workers}");
+        let overloaded = deep
+            .snapshot
+            .per_error
+            .iter()
+            .find(|e| e.code == ErrorCode::Overloaded.label())
+            .map(|e| e.count)
+            .unwrap_or(0);
+        assert_eq!(overloaded, 1, "shed reply missing from per-error breakdown");
 
-    // Freeing the slot makes room for a fresh connection.
-    drop(first);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let mut retry = ServiceClient::connect(addr).unwrap();
-        if retry.ping().is_ok() {
-            break;
+        // Freeing the slot makes room for a fresh connection.
+        drop(first);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut retry = ServiceClient::connect(addr).unwrap();
+            if retry.ping().is_ok() {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers {workers}: slot never freed after the first client disconnected"
+            );
+            std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "slot never freed after the first client disconnected"
-        );
-        std::thread::sleep(Duration::from_millis(20));
+        service.shutdown();
     }
-    service.shutdown();
 }
 
 #[test]

@@ -70,10 +70,10 @@ fn declares(source: &str, name: &str) -> bool {
 fn manifest_is_checked_in_and_names_the_reactor_queues() {
     let budgets = manifest();
     assert!(!budgets.is_empty(), "queue_budgets.toml must not be empty");
-    // The queues the slow-reader defence, dispatch backpressure and the
+    // The queues the slow-reader defence, read backpressure and the
     // reactor's timers depend on must stay declared; removing one silently
     // unchecks its pushes.
-    for field in ["write_queue", "pending", "dispatch_backlog", "deadlines"] {
+    for field in ["write_queue", "frames", "deadlines"] {
         assert!(
             budgets.contains_key(field),
             "queue_budgets.toml lost its `{field}` entry"

@@ -35,7 +35,6 @@ fn manifest() -> BTreeMap<String, u32> {
 fn manifest_matches_runtime_rank_constants() {
     let ranks = manifest();
     let expected = [
-        ("receiver", rank::RECEIVER),
         ("serving", rank::SERVING),
         ("shard_map", rank::SHARD_MAP),
         ("cache", rank::CACHE),
@@ -48,18 +47,10 @@ fn manifest_matches_runtime_rank_constants() {
             "manifest entry '{name}' must equal vaq_service::sync::rank"
         );
     }
-    // The reactor-safe ceiling (read by the reactor-discipline lint pass)
-    // must match its runtime constant.
-    assert_eq!(
-        ranks.get("reactor_safe_ceiling").copied(),
-        Some(rank::REACTOR_SAFE_CEILING),
-        "manifest `reactor_safe_ceiling` must equal rank::REACTOR_SAFE_CEILING"
-    );
-    // No manifest entries beyond the runtime set (5 mutexes + the
-    // reactor-safe ceiling).
+    // No manifest entries beyond the runtime set of four mutexes.
     assert_eq!(
         ranks.len(),
-        6,
+        4,
         "unexpected extra manifest entries: {ranks:?}"
     );
 }
@@ -68,13 +59,7 @@ fn manifest_matches_runtime_rank_constants() {
 fn ranks_are_strictly_ordered_along_the_nesting_chain() {
     // The deepest legal nesting chain in vaq-service; strictly increasing
     // ranks are what make the lock graph acyclic.
-    let chain = [
-        rank::RECEIVER,
-        rank::SERVING,
-        rank::SHARD_MAP,
-        rank::CACHE,
-        rank::BUFFER,
-    ];
+    let chain = [rank::SERVING, rank::SHARD_MAP, rank::CACHE, rank::BUFFER];
     for pair in chain.windows(2) {
         assert!(pair[0] < pair[1], "ranks must strictly increase: {chain:?}");
     }

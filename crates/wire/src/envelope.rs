@@ -319,7 +319,7 @@ pub struct StatsSnapshot {
     pub bytes_out: u64,
     /// Error replies sent.
     pub errors: u64,
-    /// Worker threads serving connections.
+    /// Reactor threads serving connections, each answering its own.
     pub workers: u32,
     /// The publication epoch the service currently serves (operators scrape
     /// this to watch a fleet converge after a republication).
