@@ -1,26 +1,18 @@
 //! `vaq-lint`: workspace-native static analysis for the verified-analytics
 //! service tier.
 //!
-//! Six passes, each a cheap token-level scan (no rustc internals, no
-//! crates.io dependencies), enforce properties the type system cannot:
+//! Three passes, each a cheap token-level scan (no rustc internals, no
+//! crates.io dependencies), enforce properties the type system cannot and
+//! no runtime check or test covers on its own:
 //!
-//! - **lock-order** — every mutex/condvar acquisition in vaq-service is
-//!   ranked against `crates/lint/lock_ranks.toml`; nestings must strictly
-//!   increase in rank and the observed nesting graph must be acyclic.
 //! - **panic-path** — no `unwrap`/`expect`/`panic!`/`todo!` (or hot-path
 //!   slice indexing) in non-test vaq-service / vaq-wire code, nor in the
 //!   crypto/VO fast-path files (`montgomery.rs`, `sign_pool.rs`,
-//!   `proof_cache.rs`); requests die as typed errors, never as worker
+//!   `proof_cache.rs`); requests die as typed errors, never as reactor
 //!   panics.
 //! - **epoch-discipline** — epoch ordering goes through
 //!   `vaq_wire::epoch::{advances, rolls_back, next}` and response-cache
 //!   accesses key on the epoch-prefixed `key`.
-//! - **reactor-discipline** — reactor-thread code (`reactor.rs`,
-//!   `conn.rs`) never blocks: no `sleep`, no blocking `recv()`, no condvar
-//!   waits, no blocking socket I/O.
-//! - **bounded-queue** — every growth site of a queue named in
-//!   `crates/lint/queue_budgets.toml` sits in a function that tests the
-//!   queue's declared budget before inserting.
 //! - **error-accounting** — every `ErrorCode` variant has a per-code
 //!   counter increment site in vaq-service, so no typed error is invisible
 //!   in the deep stats.
@@ -36,16 +28,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod bounded_queue;
 pub mod epoch_discipline;
 pub mod error_accounting;
-pub mod lock_order;
-pub mod manifest;
 pub mod panic_path;
-pub mod reactor_discipline;
 pub mod scan;
 
-pub use manifest::Manifest;
 use scan::SourceFile;
 
 /// One reported lint violation.
@@ -82,9 +69,6 @@ pub enum LintError {
     Io(PathBuf, std::io::Error),
     /// The root does not contain the expected workspace source trees.
     NoSources(PathBuf),
-    /// A manifest (`lock_ranks.toml`, `queue_budgets.toml`) exists but
-    /// could not be parsed.
-    Manifest(String),
 }
 
 impl fmt::Display for LintError {
@@ -96,14 +80,13 @@ impl fmt::Display for LintError {
                 "no sources found under {} (expected crates/service/src and crates/wire/src)",
                 root.display()
             ),
-            LintError::Manifest(message) => write!(f, "bad manifest: {message}"),
         }
     }
 }
 
 impl std::error::Error for LintError {}
 
-/// Runs all six passes over the workspace rooted at `root` and returns
+/// Runs all three passes over the workspace rooted at `root` and returns
 /// the surviving (non-allowed) findings, sorted by file and line.
 pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
     let service_src = read_tree(&root.join("crates/service/src"))?;
@@ -120,10 +103,6 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
         .chain(read_tree(&root.join("crates/authquery/src"))?)
         .filter(|f| panic_path::CRYPTO_HOT_FILES.contains(&f.file_name()))
         .collect();
-    let manifest =
-        manifest::load(&root.join("crates/lint/lock_ranks.toml")).map_err(LintError::Manifest)?;
-    let budgets = manifest::load_queue_budgets(&root.join("crates/lint/queue_budgets.toml"))
-        .map_err(LintError::Manifest)?;
 
     let mut findings = Vec::new();
 
@@ -142,12 +121,6 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
 
     let mut raw = Vec::new();
 
-    let lock_files: Vec<&SourceFile> = service_src
-        .iter()
-        .filter(|f| f.file_name() != "sync.rs")
-        .collect();
-    raw.extend(lock_order::run(&lock_files, manifest.as_ref()));
-
     let panic_files: Vec<&SourceFile> = service_src
         .iter()
         .chain(&wire_src)
@@ -155,11 +128,8 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, LintError> {
         .collect();
     raw.extend(panic_path::run(&panic_files));
 
-    let service_files: Vec<&SourceFile> = service_src.iter().collect();
-    raw.extend(reactor_discipline::run(&service_files));
-    raw.extend(bounded_queue::run(&service_files, budgets.as_ref()));
-
     if let Some(envelope) = wire_src.iter().find(|f| f.file_name() == "envelope.rs") {
+        let service_files: Vec<&SourceFile> = service_src.iter().collect();
         raw.extend(error_accounting::run(envelope, &service_files));
     }
 

@@ -7,9 +7,9 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: vaq-lint [--root DIR]
 
-Runs the workspace static-analysis passes (lock-order, panic-path,
-epoch-discipline, reactor-discipline, bounded-queue, error-accounting) over the verified-analytics workspace rooted at DIR
-(default: the current directory).
+Runs the workspace static-analysis passes (panic-path,
+epoch-discipline, error-accounting) over the verified-analytics
+workspace rooted at DIR (default: the current directory).
 
 Exit codes: 0 clean, 1 findings, 2 usage/scan error.";
 

@@ -10,14 +10,7 @@
 use std::path::{Path, PathBuf};
 
 /// The pass names a `// lint:allow(<pass>, <reason>)` annotation may name.
-pub const PASSES: [&str; 6] = [
-    "lock-order",
-    "panic-path",
-    "epoch-discipline",
-    "reactor-discipline",
-    "bounded-queue",
-    "error-accounting",
-];
+pub const PASSES: [&str; 3] = ["panic-path", "epoch-discipline", "error-accounting"];
 
 /// Two-character punctuation tokens, matched with maximal munch.
 const TWO_CHAR: [&str; 14] = [
@@ -503,6 +496,19 @@ mod tests {
         assert_eq!(file.malformed_allows[0].0, 3);
         assert!(file.malformed_allows[0].1.contains("missing a reason"));
         assert!(file.malformed_allows[1].1.contains("unknown pass"));
+    }
+
+    #[test]
+    fn retired_pass_names_are_unknown_passes() {
+        for pass in ["lock-order", "reactor-discipline", "bounded-queue"] {
+            let file = scan(&format!("// lint:allow({pass}, a reason)\n"));
+            assert!(file.allows.is_empty(), "{pass}");
+            assert_eq!(file.malformed_allows.len(), 1, "{pass}");
+            assert!(
+                file.malformed_allows[0].1.contains("unknown pass"),
+                "{pass}"
+            );
+        }
     }
 
     #[test]

@@ -41,56 +41,6 @@ fn dump(findings: &[Finding]) -> String {
 }
 
 #[test]
-fn lock_order_bad_fixture_is_fully_flagged() {
-    let f = findings("lock_order_bad");
-    let listing = dump(&f);
-    assert!(
-        has(&f, "lock-order", "src/server.rs", 3, "lock-order violation"),
-        "missing the shutdown-shaped violation:\n{listing}"
-    );
-    assert!(
-        has(&f, "lock-order", "src/server.rs", 3, "'serving' (rank 20)"),
-        "violation must name both locks and ranks:\n{listing}"
-    );
-    assert!(
-        has(
-            &f,
-            "lock-order",
-            "src/server.rs",
-            8,
-            "'mystery' has no rank"
-        ),
-        "missing the unranked-lock finding:\n{listing}"
-    );
-    assert!(
-        has(&f, "lock-order", "src/server.rs", 14, "condvar 'done'"),
-        "missing the wait-rank mismatch:\n{listing}"
-    );
-    assert!(
-        has(&f, "lock-order", "src/server.rs", 18, "rank::BOGUS"),
-        "missing the declaration-site check:\n{listing}"
-    );
-    assert!(
-        has(&f, "lock-order", "src/a.rs", 2, "'alpha' has no rank"),
-        "missing the unranked 'alpha' site:\n{listing}"
-    );
-    assert!(
-        f.iter()
-            .any(|x| x.pass == "lock-order" && x.message.contains("lock-order cycle")),
-        "missing the AB/BA cycle finding:\n{listing}"
-    );
-    // 1 violation + 1 unranked 'mystery' + 1 wait mismatch + 1 bad
-    // declaration + 4 unranked alpha/beta sites + 1 cycle.
-    assert_eq!(f.len(), 9, "unexpected finding set:\n{listing}");
-}
-
-#[test]
-fn lock_order_good_fixture_is_clean() {
-    let f = findings("lock_order_good");
-    assert!(f.is_empty(), "expected clean, got:\n{}", dump(&f));
-}
-
-#[test]
 fn panic_path_bad_fixture_flags_every_panicking_shape() {
     let f = findings("panic_path_bad");
     let listing = dump(&f);
@@ -188,91 +138,6 @@ fn epoch_good_fixture_is_clean() {
 }
 
 #[test]
-fn reactor_bad_fixture_flags_every_blocking_shape() {
-    let f = findings("reactor_bad");
-    let listing = dump(&f);
-    assert!(
-        has(&f, "reactor-discipline", "src/reactor.rs", 4, "`sleep(…)`"),
-        "missing the sleep finding:\n{listing}"
-    );
-    assert!(
-        has(&f, "reactor-discipline", "src/reactor.rs", 8, "`.recv()`"),
-        "missing the blocking-recv finding:\n{listing}"
-    );
-    assert!(
-        has(&f, "reactor-discipline", "src/reactor.rs", 13, "`.wait(…)`"),
-        "missing the condvar-wait finding:\n{listing}"
-    );
-    assert!(
-        has(
-            &f,
-            "reactor-discipline",
-            "src/reactor.rs",
-            17,
-            "`.set_nonblocking(false)`"
-        ),
-        "missing the blocking-socket finding:\n{listing}"
-    );
-    assert!(
-        has(
-            &f,
-            "reactor-discipline",
-            "src/reactor.rs",
-            18,
-            "`.write_all(…)`"
-        ),
-        "missing the blocking-I/O finding:\n{listing}"
-    );
-    // Exactly the five reactor-discipline findings: the fixture's lock
-    // nesting and wait pairing are lock-order clean by construction, and a
-    // lock of any rank is fine on a reactor.
-    assert_eq!(f.len(), 5, "unexpected finding set:\n{listing}");
-}
-
-#[test]
-fn reactor_good_fixture_is_clean() {
-    // recv_timeout / try_recv pacing, a ranked lock, a justified
-    // pacing sleep, and non-blocking socket pumps are all fine.
-    let f = findings("reactor_good");
-    assert!(f.is_empty(), "expected clean, got:\n{}", dump(&f));
-}
-
-#[test]
-fn queue_bad_fixture_flags_unbudgeted_pushes() {
-    let f = findings("queue_bad");
-    let listing = dump(&f);
-    assert!(
-        has(
-            &f,
-            "bounded-queue",
-            "src/conn.rs",
-            3,
-            "never tests its budget `write_queue_budget_bytes`"
-        ),
-        "missing the write-queue finding:\n{listing}"
-    );
-    assert!(
-        has(
-            &f,
-            "bounded-queue",
-            "src/conn.rs",
-            7,
-            "never tests its budget `MAX_CONN_BACKLOG`"
-        ),
-        "missing the pending-queue finding:\n{listing}"
-    );
-    assert_eq!(f.len(), 2, "unexpected finding set:\n{listing}");
-}
-
-#[test]
-fn queue_good_fixture_is_clean() {
-    // Budget-tested pushes, plus a push onto a queue the manifest does not
-    // name, scan clean.
-    let f = findings("queue_good");
-    assert!(f.is_empty(), "expected clean, got:\n{}", dump(&f));
-}
-
-#[test]
 fn error_bad_fixture_flags_the_uncounted_code() {
     let f = findings("error_bad");
     let listing = dump(&f);
@@ -308,15 +173,7 @@ fn cli_status(args: &[&str]) -> Option<i32> {
 
 #[test]
 fn cli_exits_nonzero_on_every_bad_fixture() {
-    for bad in [
-        "lock_order_bad",
-        "panic_path_bad",
-        "allow_bad",
-        "epoch_bad",
-        "reactor_bad",
-        "queue_bad",
-        "error_bad",
-    ] {
+    for bad in ["panic_path_bad", "allow_bad", "epoch_bad", "error_bad"] {
         let root = fixture(bad);
         let code = cli_status(&["--root", root.to_str().expect("utf-8 path")]);
         assert_eq!(code, Some(1), "fixture {bad} must exit 1");
@@ -325,14 +182,7 @@ fn cli_exits_nonzero_on_every_bad_fixture() {
 
 #[test]
 fn cli_exits_zero_on_every_good_fixture() {
-    for good in [
-        "lock_order_good",
-        "panic_path_good",
-        "epoch_good",
-        "reactor_good",
-        "queue_good",
-        "error_good",
-    ] {
+    for good in ["panic_path_good", "epoch_good", "error_good"] {
         let root = fixture(good);
         let code = cli_status(&["--root", root.to_str().expect("utf-8 path")]);
         assert_eq!(code, Some(0), "fixture {good} must exit 0");
@@ -344,7 +194,7 @@ fn cli_usage_errors_exit_two() {
     assert_eq!(cli_status(&["--frobnicate"]), Some(2));
     assert_eq!(cli_status(&["--root"]), Some(2));
     // A root with no scannable sources is a scan error, not "clean".
-    let empty = fixture("lock_order_good").join("crates/lint");
+    let empty = fixture("panic_path_good").join("crates");
     assert_eq!(
         cli_status(&["--root", empty.to_str().expect("utf-8 path")]),
         Some(2)

@@ -1,6 +1,6 @@
 //! The real workspace must lint clean. This folds `vaq-lint` into tier-1:
-//! a lock-order regression, a new panic path, an uncovered wire variant, or
-//! raw epoch arithmetic fails `cargo test` even if nobody runs the binary.
+//! a new panic path, raw epoch arithmetic, or an uncounted error code
+//! fails `cargo test` even if nobody runs the binary.
 
 use std::path::Path;
 

@@ -7,8 +7,10 @@
 //! socket itself. The reactor feeds it from non-blocking reads (`conn.rs`);
 //! the blocking client reader [`read_frame`] feeds it from a read loop.
 //! Either way the declared length is checked against a caller-supplied
-//! limit **before** the payload is allocated, so a hostile peer cannot make
-//! either side reserve gigabytes with a 10-byte header.
+//! limit **before** the payload is allocated, and the payload buffer grows
+//! with the bytes that arrive rather than with the length the header
+//! declares, so a hostile peer cannot make either side reserve megabytes
+//! with a 10-byte header.
 
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
@@ -25,18 +27,27 @@ use crate::error::ServiceError;
 /// uses this default.
 pub const DEFAULT_MID_FRAME_PATIENCE: Duration = Duration::from_secs(10);
 
+/// The most payload buffer a frame header alone can claim. A frame of up to
+/// this many bytes gets one exact-size buffer when its header completes;
+/// a longer one starts here and doubles, up to its declared length, as its
+/// payload lands.
+const FIRST_PAYLOAD_CHUNK: usize = 64 * 1024;
+
 /// Incremental VAQ1 frame parser.
 ///
 /// The caller reads stream bytes directly into [`FrameAssembler::spare`]
 /// and reports how many landed via [`FrameAssembler::advance`]; the
 /// assembler validates the header (magic, version, length limit) the moment
 /// it completes, so an oversized frame is rejected before its payload is
-/// ever allocated.
+/// ever allocated, and allocates at most [`FIRST_PAYLOAD_CHUNK`] bytes
+/// ahead of the payload bytes it has received.
 #[derive(Debug, Default)]
 pub(crate) struct FrameAssembler {
     header: [u8; FRAME_HEADER_LEN],
     filled: usize,
     payload: Vec<u8>,
+    /// The payload length the current frame's header declared.
+    declared: usize,
     in_payload: bool,
 }
 
@@ -79,10 +90,16 @@ impl FrameAssembler {
                 });
             }
             self.filled = 0;
-            self.payload = vec![0u8; len];
+            self.declared = len;
+            self.payload = vec![0u8; len.min(FIRST_PAYLOAD_CHUNK)];
             self.in_payload = len > 0;
         }
         if self.filled < self.payload.len() {
+            return Ok(None);
+        }
+        if self.filled < self.declared {
+            let grown = self.declared.min(2 * self.payload.len());
+            self.payload.resize(grown, 0);
             return Ok(None);
         }
         self.filled = 0;
@@ -105,8 +122,8 @@ pub enum FrameRead {
 }
 
 /// Reads one frame payload from a blocking stream, enforcing `max_payload`
-/// before allocation. A frame that arrives whole costs two reads: one for
-/// the header, one for the payload.
+/// before allocation. A frame of up to 64 KiB that arrives whole costs two
+/// reads: one for the header, one for the payload.
 pub fn read_frame(stream: &mut impl Read, max_payload: usize) -> Result<FrameRead, ServiceError> {
     read_frame_with_patience(stream, max_payload, DEFAULT_MID_FRAME_PATIENCE)
 }
@@ -365,8 +382,28 @@ mod tests {
     }
 
     #[test]
+    fn a_header_followed_by_silence_claims_at_most_the_first_chunk() {
+        let max_payload = crate::ServiceConfig::default().max_frame_bytes;
+        let mut assembler = FrameAssembler::default();
+        assembler.spare()[..FRAME_HEADER_LEN].copy_from_slice(&frame_header(max_payload));
+        assert!(assembler
+            .advance(FRAME_HEADER_LEN, max_payload)
+            .unwrap()
+            .is_none());
+        assert!(assembler.mid_frame());
+        assert_eq!(assembler.spare().len(), FIRST_PAYLOAD_CHUNK);
+        assert!(assembler.payload.capacity() <= FIRST_PAYLOAD_CHUNK);
+        // The buffer then grows with what arrives: one full chunk of payload
+        // buys one doubling, not the declared 16 MiB.
+        let n = assembler.spare().len();
+        assert!(assembler.advance(n, max_payload).unwrap().is_none());
+        assert!(assembler.payload.capacity() <= 2 * FIRST_PAYLOAD_CHUNK);
+        assert_eq!(assembler.spare().len(), FIRST_PAYLOAD_CHUNK);
+    }
+
+    #[test]
     fn one_parser_one_verdict_for_every_stream_and_chunking() {
-        const LIMIT: usize = 4096;
+        const LIMIT: usize = 256 * 1024;
         let ping = Request::Ping.to_framed_bytes();
         let query =
             Request::Query(vaq_authquery::Query::top_k(vec![0.25, 0.75], 3)).to_framed_bytes();
@@ -380,6 +417,9 @@ mod tests {
             limit: LIMIT,
         };
         let truncated = || failed(WireError::Truncated.into());
+        // Past the first chunk the payload buffer grows 64 → 128 → 150 KB.
+        let big_payload: Vec<u8> = (0..150_000u32).map(|i| i as u8).collect();
+        let big = [&frame_header(big_payload.len())[..], &big_payload].concat();
 
         let table: Vec<(&str, Vec<u8>, Parsed)> = vec![
             ("valid", query.clone(), (vec![payload(&query)], Ok(()))),
@@ -417,6 +457,11 @@ mod tests {
                 "two frames back to back",
                 [ping.as_slice(), query.as_slice()].concat(),
                 (vec![payload(&ping), payload(&query)], Ok(())),
+            ),
+            (
+                "frame larger than the first chunk, then another",
+                [big.as_slice(), ping.as_slice()].concat(),
+                (vec![big_payload.clone(), payload(&ping)], Ok(())),
             ),
         ];
         for (name, bytes, expected) in &table {

@@ -270,10 +270,9 @@ impl Metrics {
 
     /// Records one reactor turn's duration (the time away from the poller,
     /// executing the requests it read included, not the time blocked in
-    /// it; "sweep" is the name the wire format kept), counting it as a stall when it ran for at least
-    /// `stall_threshold_micros` — the runtime twin of the static
-    /// reactor-discipline lint pass: a blocking call that slipped past the
-    /// linter surfaces here as a stall tick.
+    /// it; "sweep" is the name the wire format kept), counting it as a
+    /// stall when it ran for at least `stall_threshold_micros`: a blocking
+    /// call on a reactor surfaces here as a stall tick.
     pub fn observe_sweep(&self, duration: Duration, stall_threshold_micros: u64) {
         let micros = duration.as_micros().min(u64::MAX as u128) as u64;
         self.sweep_latency.observe_micros(micros);

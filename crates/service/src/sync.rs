@@ -1,29 +1,22 @@
-//! Rank-ordered locking: the runtime complement of `vaq-lint`'s static
-//! lock-order pass.
+//! Rank-ordered locking.
 //!
-//! Every mutex in `vaq-service` carries a **rank** from the
-//! checked-in manifest `crates/lint/lock_ranks.toml`. A thread may only
-//! acquire locks in strictly increasing rank order, which makes the
-//! whole-program lock graph acyclic by construction — the property whose
-//! absence produced the PR 2 shutdown deadlock. `vaq-lint` proves the rule
-//! about the source statically; [`OrderedMutex`] asserts it dynamically on
-//! every `debug_assertions` run, so a nesting the lint's heuristics cannot
-//! see (e.g. one threaded through callbacks) still dies loudly in tests
-//! with a rank diagnostic instead of hanging.
+//! Every mutex in `vaq-service` carries a **rank**, one of the [`rank`]
+//! constants below. A thread may only acquire locks in strictly increasing
+//! rank order, which makes the whole-program lock graph acyclic by
+//! construction — the property whose absence produced the PR 2 shutdown
+//! deadlock. [`OrderedMutex`] asserts the rule on every `debug_assertions`
+//! run, so a mis-ordered nesting, however it is reached, dies loudly in
+//! tests with a rank diagnostic instead of hanging.
 //!
 //! In release builds the rank bookkeeping compiles away entirely:
 //! [`OrderedMutex::lock`] is a plain `Mutex::lock` plus a poison check.
-//!
-//! The `rank` constants below are the single source of truth in code; a
-//! test asserts they match `lock_ranks.toml` so the manifest the lint reads
-//! and the ranks the runtime asserts can never drift apart.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};
 
-/// Lock ranks for every lock in `vaq-service`, mirroring
-/// `crates/lint/lock_ranks.toml` (a unit test asserts the two agree).
+/// Lock ranks for every lock in `vaq-service`: the only place a lock's
+/// rank is declared.
 ///
 /// Lower ranks are acquired first. Gaps of 10 leave room to slot new locks
 /// between existing ones without renumbering.
@@ -57,7 +50,7 @@ mod held {
                     rank > top_rank,
                     "lock-order violation: acquiring '{name}' (rank {rank}) while holding \
                      '{top_name}' (rank {top_rank}); ranks must strictly increase \
-                     (see crates/lint/lock_ranks.toml)"
+                     (see vaq_service::sync::rank)"
                 );
             }
             held.push((rank, name));
@@ -99,8 +92,8 @@ pub struct OrderedMutex<T> {
 impl<T> OrderedMutex<T> {
     /// Wraps `value` in a mutex with the given rank and diagnostic name.
     ///
-    /// `rank` should be one of the [`rank`] constants and `name` the
-    /// matching `lock_ranks.toml` key; `vaq-lint` checks declaration sites.
+    /// `rank` should be one of the [`rank`] constants and `name` that
+    /// constant's name in lower case.
     pub fn new(rank: u32, name: &'static str, value: T) -> Self {
         OrderedMutex {
             rank,
@@ -205,6 +198,16 @@ mod tests {
         drop(a);
         // Re-acquiring after release works (the stack is empty again).
         let _ = high.lock();
+    }
+
+    #[test]
+    fn ranks_are_strictly_ordered_along_the_nesting_chain() {
+        // The deepest legal nesting chain in vaq-service; strictly increasing
+        // ranks are what make the lock graph acyclic.
+        let chain = [rank::SERVING, rank::SHARD_MAP, rank::CACHE, rank::BUFFER];
+        for pair in chain.windows(2) {
+            assert!(pair[0] < pair[1], "ranks must strictly increase: {chain:?}");
+        }
     }
 
     #[cfg(debug_assertions)]

@@ -72,6 +72,16 @@ mod tests {
     }
 
     #[test]
+    fn mesh_vo_wire_size_scales_with_result_length() {
+        let ds = uniform_dataset(40, 1, 62);
+        let scheme = SignatureScheme::test_rsa(62);
+        let mesh = SignatureMesh::build(&ds, &scheme);
+        let small = mesh.process(&ds, &Query::top_k(vec![0.5], 2));
+        let large = mesh.process(&ds, &Query::top_k(vec![0.5], 30));
+        assert!(large.vo.byte_size() > small.vo.byte_size() * 5);
+    }
+
+    #[test]
     fn mesh_detects_dropped_record() {
         let ds = uniform_dataset(12, 1, 23);
         let scheme = SignatureScheme::test_rsa(7);

@@ -266,11 +266,10 @@ pub struct KindStages {
     pub stages: Vec<StageMicros>,
 }
 
-/// Health telemetry of the service's reactor thread: turn-duration
-/// distribution, stall count, and the shed counters for connections the
-/// reactor gave up on. The runtime cross-check of the static
-/// reactor-discipline and bounded-queue lint passes — a blocking call
-/// shows up here as a turn-duration outlier and a `reactor_stalls` bump.
+/// Health telemetry of the service's reactor threads: turn-duration
+/// distribution, stall count, and the shed counters for connections a
+/// reactor gave up on. A blocking call on a reactor shows up here as a
+/// turn-duration outlier and a `reactor_stalls` bump.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct ReactorStats {
     /// Duration distribution of reactor turns: the work one wake-up from

@@ -34,7 +34,6 @@ pub mod epoch;
 pub mod error;
 pub mod funcdb_impls;
 pub mod io;
-pub mod sigmesh_impls;
 
 pub use envelope::{
     ErrorCode, ErrorCount, ErrorReply, KindLatency, KindStages, LatencyHistogram, ReactorStats,

@@ -1,8 +1,8 @@
 //! The bytes of every wire message, recorded once: one SHA-256 per sample
 //! in [`samples`], covering every `Request` and `Response` variant, every
 //! `ErrorCode`, a populated `StatsDeep`, RSA- and DSA-signed shard maps,
-//! both signing modes' `QueryResponse`, a `MeshResponse` and every variant
-//! of the enums those carry. A change to how any message is encoded moves a
+//! both signing modes' `QueryResponse` and every variant of the enums those
+//! carry. A change to how any message is encoded moves a
 //! digest here, whatever the round-trip tests say.
 //!
 //! The same list is the round-trip list: every sample decodes and
@@ -18,7 +18,6 @@ use vaq_authquery::{
 use vaq_crypto::sha256::{sha256, to_hex};
 use vaq_crypto::{PublicKey, Signature, SignatureScheme, Signer};
 use vaq_funcdb::{FuncId, FunctionTemplate, LinearFunction, Record};
-use vaq_sigmesh::{MeshBoundary, SignatureMesh};
 use vaq_wire::{
     ErrorCode, ErrorCount, ErrorReply, KindLatency, KindStages, LatencyHistogram, ReactorStats,
     Request, Response, ShardEntry, ShardInfo, ShardMap, SignedShardMap, StageLatency, StageMicros,
@@ -167,7 +166,6 @@ fn build_samples() -> Vec<Sample> {
         SigningMode::MultiSignature,
         &Query::range(vec![0.6], 0.2, 0.7),
     );
-    let mesh = SignatureMesh::build(&dataset, &rsa).process(&dataset, &Query::top_k(vec![0.4], 2));
     let labelled = Record::with_label(7, vec![0.5, -1.25], "alice");
     let digest = sha256(b"envelope vectors");
 
@@ -240,18 +238,11 @@ fn build_samples() -> Vec<Sample> {
         ),
         sample("BoundaryEntry::MinSentinel", &BoundaryEntry::MinSentinel),
         sample("BoundaryEntry::MaxSentinel", &BoundaryEntry::MaxSentinel),
-        sample(
-            "BoundaryEntry::Record",
-            &BoundaryEntry::Record(labelled.clone()),
-        ),
+        sample("BoundaryEntry::Record", &BoundaryEntry::Record(labelled)),
         sample("Signature::Rsa", &rsa.sign_digest(&digest)),
         sample("Signature::Dsa", &dsa.sign_digest(&digest)),
         sample("PublicKey::Rsa", &rsa.public_key()),
         sample("PublicKey::Dsa", &dsa.public_key()),
-        sample("MeshResponse", &mesh),
-        sample("MeshBoundary::MinToken", &MeshBoundary::MinToken),
-        sample("MeshBoundary::MaxToken", &MeshBoundary::MaxToken),
-        sample("MeshBoundary::Record", &MeshBoundary::Record(labelled)),
         sample(
             "FunctionTemplate",
             &FunctionTemplate::new(vec!["gpa", "awards"]),
@@ -312,10 +303,6 @@ dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986  BoundaryEntry:
 796606127c2e00107a0e7701a28d18880e70d5ddf9d0e33fb0a449966914ae58  Signature::Dsa
 d5031f99de26c326bc7e390d522abcc390397d3f71dfde8c384c1b8f0b72613e  PublicKey::Rsa
 c7954cf710c82882c90c140c747203935b2602410d54ad3e50b72ccc63daeee6  PublicKey::Dsa
-7513f66bb5d5b4b0c7a9c738c3bc55bf02063a8b1afdf68ba4cfede61199a019  MeshResponse
-4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a  MeshBoundary::MinToken
-dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986  MeshBoundary::MaxToken
-32f408281989a5c439cab87d1108e078d52db8748d383730836dce908d90307d  MeshBoundary::Record
 7df423f7fbb521b40fb6aea9528197f777c4d461aac726896a5fe11948359392  FunctionTemplate
 308350034f385a45930389b4638f8c33005a6521191eb287ad21cd0c6143d446  LinearFunction
 ";
@@ -358,7 +345,6 @@ fn every_tag_a_decoder_accepts_has_a_round_trip_sample() {
         declared_tags::<IntersectionVerification>(),
         declared_tags::<Signature>(),
         declared_tags::<PublicKey>(),
-        declared_tags::<MeshBoundary>(),
     ];
     for (ty, tags) in enums {
         assert!(tags.len() >= 2, "{ty} declares {tags:?}");

@@ -49,9 +49,9 @@ fn sharded_tier_through_umbrella_reexports() {
         assert_eq!(merged.scores.len(), merged.records.len());
     }
 
-    // The same queries as one epoch-pinned batch: one frame per shard,
-    // every sub-response verified, each sub-answer equal to the local
-    // single server's.
+    // The same queries as one epoch-pinned batch, a pipeline of `QueryAt`
+    // frames to each shard: every sub-response verified, each sub-answer
+    // equal to the local single server's.
     let queries = vec![
         Query::top_k(vec![1.0, 0.3, 0.6], 4),
         Query::range(vec![0.4, 0.4, 0.2], 0.3, 0.7),
