@@ -350,9 +350,10 @@ pub fn check_window_semantics(
                 }
             }
             // Completeness: the entries flanking the window fall outside it.
-            // Compared exactly, as `Query::select_window` does on the same
-            // recomputed scores: a tolerance here would reject the honest
-            // answer whenever a record scores just outside the range.
+            // Compared exactly, as the server's window search
+            // (`Query::select_window_by`) compares the same scores: a
+            // tolerance here would reject the honest answer whenever a
+            // record scores just outside the range.
             if left_score.is_some_and(|ls| ls >= *lower) {
                 return Err(VerifyError::Incomplete(
                     "left boundary record also satisfies the range".into(),

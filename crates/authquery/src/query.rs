@@ -1,5 +1,7 @@
 //! Analytic query types and result-window selection.
 
+use std::ops::Range;
+
 /// The three representative analytic query types of the paper (Sec. 2.1).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Query {
@@ -80,48 +82,43 @@ impl Query {
         }
     }
 
-    /// Selects the contiguous window of an *ascending* score list that
-    /// answers this query.
+    /// Selects the contiguous window of an *ascending* list of `n` scores
+    /// that answers this query, reading `score(i)` (the i-th record's score
+    /// in the subdomain's sorted order) only where the search looks: a
+    /// top-k query reads none, a range query two bisections, a KNN query one
+    /// bisection and two candidates per record it takes.
     ///
-    /// `scores[i]` is the score of the i-th record in the subdomain's sorted
-    /// order. Returns `Some((start, end))` — inclusive 0-based positions —
-    /// or `None` when the result is empty. This selection logic is shared by
-    /// the server (to answer) and the client (to re-check what the answer
-    /// *should* have been).
-    pub fn select_window(&self, scores: &[f64]) -> Option<(usize, usize)> {
-        let n = scores.len();
-        if n == 0 {
-            return None;
-        }
+    /// Returns the half-open window of positions. An empty answer is the
+    /// empty range `p..p` at the position the answer would have started:
+    /// the first score at or above the lower bound for a range query, `n`
+    /// otherwise.
+    ///
+    /// The bisection probes the positions the standard library's
+    /// `slice::partition_point` probes (as of Rust 1.95). So on a list that
+    /// is not ascending at the query point, a sliver whose signed order does
+    /// not hold there, the window is still the one a search over the whole
+    /// score vector would choose. The client re-scores what it receives
+    /// either way.
+    pub fn select_window_by(&self, n: usize, mut score: impl FnMut(usize) -> f64) -> Range<usize> {
         match self {
-            Query::TopK { k, .. } => {
-                let k = (*k).min(n);
-                if k == 0 {
-                    None
-                } else {
-                    Some((n - k, n - 1))
-                }
-            }
+            Query::TopK { k, .. } => n - (*k).min(n)..n,
             Query::Range { lower, upper, .. } => {
-                // First index with score >= lower.
-                let start = scores.partition_point(|s| *s < *lower);
-                // First index with score > upper.
-                let end = scores.partition_point(|s| *s <= *upper);
-                if start >= end {
-                    None
-                } else {
-                    Some((start, end - 1))
-                }
+                let start = partition_point(n, |i| score(i) < *lower);
+                // `end >= start` on any list, ascending or not: the two
+                // searches step alike until the second moves right of the
+                // first, since `score < lower` implies `score <= upper`.
+                let end = partition_point(n, |i| score(i) <= *upper);
+                start..end
             }
             Query::Knn { k, target, .. } => {
                 let k = (*k).min(n);
                 if k == 0 {
-                    return None;
+                    return n..n;
                 }
                 // Insertion point of the target, then grow the window towards
                 // whichever side is closer until it holds k records.
-                let mut left = scores.partition_point(|s| *s < *target);
-                let mut right = left; // window is [left, right)
+                let mut left = partition_point(n, |i| score(i) < *target);
+                let mut right = left;
                 while right - left < k {
                     let take_left = if left == 0 {
                         false
@@ -129,7 +126,7 @@ impl Query {
                         true
                     } else {
                         // Compare distances of the next candidates.
-                        (target - scores[left - 1]).abs() <= (scores[right] - target).abs()
+                        (target - score(left - 1)).abs() <= (score(right) - target).abs()
                     };
                     if take_left {
                         left -= 1;
@@ -137,10 +134,39 @@ impl Query {
                         right += 1;
                     }
                 }
-                Some((left, right - 1))
+                left..right
             }
         }
     }
+
+    /// [`select_window_by`](Self::select_window_by) over scores already in
+    /// hand: `Some((start, end))`, inclusive, or `None` when the answer is
+    /// empty. The sharded client merges legs with it.
+    pub fn select_window(&self, scores: &[f64]) -> Option<(usize, usize)> {
+        let window = self.select_window_by(scores.len(), |i| scores[i]);
+        (!window.is_empty()).then(|| (window.start, window.end - 1))
+    }
+}
+
+/// The first of `0..n` at which `pred` is false, for a `pred` that is true
+/// on a prefix: `slice::partition_point`'s search over positions rather
+/// than a slice, calling `pred` at the same positions in the same order
+/// (⌈log₂ n⌉ + 1 calls).
+fn partition_point(n: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let mut base = 0;
+    let mut size = n;
+    while size > 1 {
+        let half = size / 2;
+        let mid = base + half;
+        if pred(mid) {
+            base = mid;
+        }
+        size -= half;
+    }
+    base + usize::from(pred(base))
 }
 
 impl std::fmt::Display for Query {
@@ -162,6 +188,7 @@ impl std::fmt::Display for Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     const SCORES: [f64; 6] = [0.1, 0.2, 0.4, 0.5, 0.7, 0.9];
 
@@ -231,6 +258,114 @@ mod tests {
     #[should_panic(expected = "lower > upper")]
     fn invalid_range_panics() {
         let _ = Query::range(vec![0.5], 1.0, 0.0);
+    }
+
+    /// The reference selector: the whole score list in hand and
+    /// `slice::partition_point` on it, an empty range answer placed at the
+    /// first score at or above the lower bound.
+    fn reference_window(query: &Query, scores: &[f64]) -> Range<usize> {
+        let n = scores.len();
+        match query {
+            Query::TopK { k, .. } => n - (*k).min(n)..n,
+            Query::Range { lower, upper, .. } => {
+                let start = scores.partition_point(|s| s < lower);
+                let end = scores.partition_point(|s| s <= upper);
+                start..end.max(start)
+            }
+            Query::Knn { k, target, .. } => {
+                let k = (*k).min(n);
+                if k == 0 {
+                    return n..n;
+                }
+                let mut left = scores.partition_point(|s| s < target);
+                let mut right = left;
+                while right - left < k {
+                    let take_left = right == n
+                        || (left > 0
+                            && (target - scores[left - 1]).abs() <= (scores[right] - target).abs());
+                    if take_left {
+                        left -= 1;
+                    } else {
+                        right += 1;
+                    }
+                }
+                left..right
+            }
+        }
+    }
+
+    /// Every query the selector property runs over `scores`: each kind, k in
+    /// {0, 1, 5, n, n + 3}, and bounds and targets on a score, between two,
+    /// and outside the list.
+    fn queries_over(scores: &[f64]) -> Vec<Query> {
+        let n = scores.len();
+        let mut points = vec![-1.0, 1e6];
+        for (i, s) in scores.iter().enumerate().step_by(1 + n / 8) {
+            points.push(*s);
+            if let Some(next) = scores.get(i + 1) {
+                points.push((s + next) / 2.0);
+            }
+        }
+        let mut queries = Vec::new();
+        for k in [0, 1, 5, n, n + 3] {
+            queries.push(Query::top_k(vec![0.5], k));
+            for target in &points {
+                queries.push(Query::knn(vec![0.5], k, *target));
+            }
+        }
+        for lower in &points {
+            for upper in points.iter().filter(|upper| *upper >= lower) {
+                queries.push(Query::range(vec![0.5], *lower, *upper));
+            }
+        }
+        queries
+    }
+
+    fn ceil_log2(m: usize) -> usize {
+        m.next_power_of_two().trailing_zeros() as usize
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        #[test]
+        fn prop_lazy_window_equals_the_slice_search_within_a_logarithmic_count(
+            raw in proptest::collection::vec(0u32..1_000_000, 0..=300),
+            spread in 1u32..400,
+            swaps in 1usize..64,
+        ) {
+            // Few distinct values when `spread` is small: long runs of ties.
+            let mut scores: Vec<f64> = raw.iter().map(|v| f64::from(v % spread) * 0.25).collect();
+            scores.sort_by(f64::total_cmp);
+            let n = scores.len();
+            for query in queries_over(&scores) {
+                let calls = Cell::new(0usize);
+                let window = query.select_window_by(n, |i| {
+                    calls.set(calls.get() + 1);
+                    scores[i]
+                });
+                proptest::prop_assert_eq!(window.clone(), reference_window(&query, &scores), "{}", query);
+                let k = match &query {
+                    Query::TopK { k, .. } | Query::Knn { k, .. } => (*k).min(n),
+                    Query::Range { .. } => 0,
+                };
+                let bound = 2 * ceil_log2(n + 1) + 2 * k + 2;
+                proptest::prop_assert!(calls.get() <= bound, "{}: {} > {}", query, calls.get(), bound);
+                let expected = (!window.is_empty()).then(|| (window.start, window.end - 1));
+                proptest::prop_assert_eq!(query.select_window(&scores), expected);
+            }
+            // Out of order (a sliver whose signed order does not hold at the
+            // query point): the probes are the slice search's, so the window
+            // still is too.
+            let mut shuffled = scores.clone();
+            for v in raw.iter().take(swaps) {
+                let v = *v as usize;
+                shuffled.swap(v % n, v / 1000 % n);
+            }
+            for query in queries_over(&scores) {
+                let window = query.select_window_by(n, |i| shuffled[i]);
+                proptest::prop_assert_eq!(window, reference_window(&query, &shuffled), "{}", query);
+            }
+        }
     }
 
     proptest::proptest! {

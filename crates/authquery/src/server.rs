@@ -27,7 +27,8 @@ pub struct QueryResponse {
 /// the verification object.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProcessTiming {
-    /// Subdomain location, scoring, and result-window selection.
+    /// Subdomain location, result-window selection (scoring only the
+    /// positions it reads), and copying out the result and flanking records.
     pub execute: Duration,
     /// FMH range proof, subdomain verification data, and signature binding.
     pub vo_build: Duration,
@@ -97,32 +98,23 @@ impl Server {
         let located = self.tree.itree.locate(x);
         let leaf = located.leaf;
         let sorted = self.tree.itree.sorted_list(leaf);
-        let scores: Vec<f64> = sorted.iter().map(|id| self.dataset.score(*id, x)).collect();
         let n = sorted.len();
 
-        // 2. Select the result window on the sorted list.
-        let window = query.select_window(&scores);
+        // 2. Select the result window on the sorted list, scoring only the
+        //    positions the search reads.
+        let window = query.select_window_by(n, |i| self.dataset.score(sorted[i], x));
 
         // 3. Map the window to FMH leaf indices (leaf 0 is the f_min
-        //    sentinel, records occupy leaves 1..=n, leaf n+1 is f_max).
-        let (records, first_leaf, last_leaf): (Vec<Record>, usize, usize) = match window {
-            Some((s, e)) => {
-                let records = sorted[s..=e]
-                    .iter()
-                    .map(|id| self.dataset.record(*id).clone())
-                    .collect();
-                (records, s, e + 2)
-            }
-            None => {
-                // Empty result: prove the gap between the two adjacent
-                // entries bracketing where the result would have been.
-                let p = match query {
-                    Query::Range { lower, .. } => scores.partition_point(|v| *v < *lower),
-                    _ => n,
-                };
-                (Vec::new(), p, p + 1)
-            }
-        };
+        //    sentinel, records occupy leaves 1..=n, leaf n+1 is f_max). The
+        //    proven run is the window and one entry either side; an empty
+        //    window proves the gap between the two adjacent entries
+        //    bracketing where the result would have been.
+        let first_leaf = window.start;
+        let last_leaf = window.end + 1;
+        let records: Vec<Record> = sorted[window]
+            .iter()
+            .map(|id| self.dataset.record(*id).clone())
+            .collect();
 
         let left_boundary = if first_leaf == 0 {
             BoundaryEntry::MinSentinel

@@ -109,7 +109,10 @@ mod tests {
     fn record_and_function_lookup_agree() {
         let ds = small_dataset();
         for i in 0..ds.len() as u32 {
-            assert_eq!(ds.record(FuncId(i)).attrs, ds.function(FuncId(i)).coeffs);
+            assert_eq!(
+                *ds.record(FuncId(i)).attrs,
+                ds.function(FuncId(i)).coeffs[..]
+            );
         }
     }
 

@@ -44,7 +44,7 @@ pub use feasibility::{
 };
 pub use function::{FuncId, LinearFunction};
 pub use halfspace::HalfSpace;
-pub use record::Record;
+pub use record::{Attrs, Record};
 pub use simplex::{LpOutcome, LpProblem};
 pub use sort::sort_functions_at;
 pub use subdomain::{centroid, inequality_set_digest, SubdomainConstraints};

@@ -1,6 +1,96 @@
 //! Database records.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 use vaq_crypto::sha256::{sha256, sha256_two, Digest, Sha256, ONE_BLOCK_MAX};
+
+/// A record's attribute values, read and written as a `[f64]`.
+///
+/// Up to [`Attrs::INLINE`] values live in the value itself, more on the
+/// heap, so cloning, decoding or dropping a record of a low-dimensional
+/// table allocates nothing for its attributes. Equality and `Debug` are the
+/// slice's.
+#[derive(Clone)]
+pub struct Attrs(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `values[..len]`, with `len <= Attrs::INLINE`.
+    Inline {
+        len: u8,
+        values: [f64; Attrs::INLINE],
+    },
+    /// More than `Attrs::INLINE` values.
+    Heap(Vec<f64>),
+}
+
+impl Attrs {
+    /// The most values kept without a heap allocation.
+    pub const INLINE: usize = 4;
+}
+
+impl From<&[f64]> for Attrs {
+    #[inline]
+    fn from(values: &[f64]) -> Self {
+        let mut inline = [0.0; Attrs::INLINE];
+        match inline.get_mut(..values.len()) {
+            Some(head) => {
+                head.copy_from_slice(values);
+                Attrs(Repr::Inline {
+                    len: values.len() as u8,
+                    values: inline,
+                })
+            }
+            None => Attrs(Repr::Heap(values.to_vec())),
+        }
+    }
+}
+
+impl From<Vec<f64>> for Attrs {
+    #[inline]
+    fn from(values: Vec<f64>) -> Self {
+        if values.len() <= Attrs::INLINE {
+            Attrs::from(values.as_slice())
+        } else {
+            Attrs(Repr::Heap(values))
+        }
+    }
+}
+
+impl Deref for Attrs {
+    type Target = [f64];
+
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        match &self.0 {
+            Repr::Inline { len, values } => &values[..usize::from(*len)],
+            Repr::Heap(values) => values,
+        }
+    }
+}
+
+impl DerefMut for Attrs {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f64] {
+        match &mut self.0 {
+            Repr::Inline { len, values } => &mut values[..usize::from(*len)],
+            Repr::Heap(values) => values,
+        }
+    }
+}
+
+impl PartialEq for Attrs {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Attrs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// A single record of the outsourced table.
 ///
@@ -13,7 +103,7 @@ pub struct Record {
     /// Unique identifier assigned by the data owner.
     pub id: u64,
     /// Numeric attribute values, in template order.
-    pub attrs: Vec<f64>,
+    pub attrs: Attrs,
     /// Optional human-readable label (applicant name, patient id, ...).
     pub label: Option<String>,
 }
@@ -23,7 +113,7 @@ impl Record {
     pub fn new(id: u64, attrs: Vec<f64>) -> Self {
         Record {
             id,
-            attrs,
+            attrs: attrs.into(),
             label: None,
         }
     }
@@ -32,7 +122,7 @@ impl Record {
     pub fn with_label(id: u64, attrs: Vec<f64>, label: impl Into<String>) -> Self {
         Record {
             id,
-            attrs,
+            attrs: attrs.into(),
             label: Some(label.into()),
         }
     }
@@ -123,7 +213,7 @@ impl Record {
     fn write_canonical(&self, mut sink: impl FnMut(&[u8])) {
         sink(&self.id.to_be_bytes());
         sink(&(self.attrs.len() as u32).to_be_bytes());
-        for a in &self.attrs {
+        for a in self.attrs.iter() {
             sink(&a.to_be_bytes());
         }
         if let Some(label) = &self.label {
@@ -157,7 +247,7 @@ mod tests {
             for label in labels {
                 let record = Record {
                     id: rng.gen(),
-                    attrs: attrs.clone(),
+                    attrs: attrs.clone().into(),
                     label,
                 };
                 assert_eq!(
@@ -188,7 +278,7 @@ mod tests {
             ];
             for label in labels {
                 let id = rng.gen();
-                let attrs = attrs.clone();
+                let attrs = attrs.clone().into();
                 records.push(Record { id, attrs, label });
             }
         }
@@ -251,5 +341,54 @@ mod tests {
         let a = Record::new(1, vec![1.0, 2.0]);
         let b = Record::new(1, vec![2.0, 1.0]);
         assert_ne!(a.digest(), b.digest());
+    }
+
+    /// True when the values sit inside the `Attrs` value, not on the heap.
+    fn stored_inline(attrs: &Attrs) -> bool {
+        let start = attrs as *const Attrs as usize;
+        let values = attrs.as_ptr() as usize;
+        (start..start + std::mem::size_of::<Attrs>()).contains(&values)
+    }
+
+    #[test]
+    fn attrs_read_like_the_vec_they_came_from_inline_up_to_four() {
+        let mut rng = StdRng::seed_from_u64(33);
+        for arity in 0..=9 {
+            let values: Vec<f64> = (0..arity).map(|_| rng.gen::<f64>() - 0.5).collect();
+            for attrs in [Attrs::from(values.clone()), Attrs::from(values.as_slice())] {
+                assert_eq!(*attrs, values[..]);
+                assert_eq!(format!("{attrs:?}"), format!("{values:?}"));
+                assert_eq!(
+                    stored_inline(&attrs),
+                    arity <= Attrs::INLINE,
+                    "arity {arity}"
+                );
+                let copy = attrs.clone();
+                assert_eq!(copy, attrs);
+                assert_eq!(stored_inline(&copy), arity <= Attrs::INLINE);
+            }
+        }
+        // Equal values are equal whatever is left in the unused inline slots.
+        let mut shrunk = Attrs::from(vec![1.0, 2.0]);
+        shrunk[1] = 3.0;
+        assert_eq!(shrunk, Attrs::from(vec![1.0, 3.0]));
+        assert_ne!(shrunk, Attrs::from(vec![1.0, 3.0, 0.0]));
+    }
+
+    #[test]
+    fn editing_attrs_in_place_changes_the_digest() {
+        for arity in [1, Attrs::INLINE, Attrs::INLINE + 1, 9] {
+            let record = Record::new(5, (0..arity).map(|i| i as f64 / 8.0).collect());
+            let mut tampered = record.clone();
+            tampered.attrs[arity - 1] += 0.01;
+            assert_ne!(tampered.digest(), record.digest(), "arity {arity}");
+            if let Some(first) = tampered.attrs.first_mut() {
+                *first = -1.0;
+            }
+            let mut digests = Vec::new();
+            Record::digests_into(&[record.clone(), tampered.clone()], &mut digests);
+            assert_eq!(digests, [record.digest(), tampered.digest()]);
+            assert_ne!(digests[0], digests[1]);
+        }
     }
 }

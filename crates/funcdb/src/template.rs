@@ -48,7 +48,7 @@ impl FunctionTemplate {
             record.arity(),
             self.dims()
         );
-        LinearFunction::new(func_id, record.attrs.clone(), 0.0)
+        LinearFunction::new(func_id, record.attrs.to_vec(), 0.0)
     }
 }
 

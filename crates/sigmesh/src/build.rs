@@ -142,29 +142,19 @@ impl SignatureMesh {
         let cell = &self.cells[cell_idx];
         let n = cell.sorted.len();
 
-        let scores: Vec<f64> = cell.sorted.iter().map(|id| dataset.score(*id, x)).collect();
-        let window = query.select_window(&scores);
+        // The IFMH server's selector, scoring only the positions it reads.
+        let window = query.select_window_by(n, |i| dataset.score(cell.sorted[i], x));
 
         // Positions in the token-extended chain: token 0 = min, records at
         // 1..=n, token n+1 = max. Pair p sits between chain positions p and
-        // p+1.
-        let (records, first_chain, last_chain): (Vec<_>, usize, usize) = match window {
-            Some((s, e)) => (
-                cell.sorted[s..=e]
-                    .iter()
-                    .map(|id| dataset.record(*id).clone())
-                    .collect(),
-                s,
-                e + 2,
-            ),
-            None => {
-                let p = match query {
-                    Query::Range { lower, .. } => scores.partition_point(|v| *v < *lower),
-                    _ => n,
-                };
-                (Vec::new(), p, p + 1)
-            }
-        };
+        // p+1. The chain covers the window and one entry either side; an
+        // empty window covers the one pair where the result would have been.
+        let first_chain = window.start;
+        let last_chain = window.end + 1;
+        let records: Vec<_> = cell.sorted[window]
+            .iter()
+            .map(|id| dataset.record(*id).clone())
+            .collect();
 
         let left_boundary = if first_chain == 0 {
             MeshBoundary::MinToken

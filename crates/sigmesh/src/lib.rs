@@ -115,6 +115,54 @@ mod tests {
     }
 
     #[test]
+    fn mesh_and_ifmh_server_select_the_same_window() {
+        // One selector serves both schemes: on the same subdomain they
+        // return the same records between the same flanks, empty answers
+        // (above, below and between the scores) included.
+        use vaq_authquery::{BoundaryEntry, IfmhTree, Server, SigningMode};
+        let ds = uniform_dataset(14, 2, 26);
+        let scheme = SignatureScheme::test_rsa(10);
+        let mesh = SignatureMesh::build(&ds, &scheme);
+        let tree = IfmhTree::build(&ds, SigningMode::OneSignature, &scheme);
+        let server = Server::new(ds.clone(), tree);
+        let mesh_flank = |b: &MeshBoundary| match b {
+            MeshBoundary::Record(r) => Some(r.id),
+            _ => None,
+        };
+        let ifmh_flank = |b: &BoundaryEntry| match b {
+            BoundaryEntry::Record(r) => Some(r.id),
+            _ => None,
+        };
+        for x in [vec![0.3, 0.7], vec![0.61, 0.17], vec![0.9, 0.45]] {
+            for query in [
+                Query::top_k(x.clone(), 0),
+                Query::top_k(x.clone(), 3),
+                Query::top_k(x.clone(), 40),
+                Query::range(x.clone(), 0.2, 0.5),
+                Query::range(x.clone(), 0.4, 0.4),
+                Query::range(x.clone(), 5.0, 6.0),
+                Query::range(x.clone(), -1.0, -0.5),
+                Query::knn(x.clone(), 4, 0.4),
+                Query::knn(x.clone(), 0, 0.4),
+            ] {
+                let by_mesh = mesh.process(&ds, &query);
+                let by_ifmh = server.process(&query);
+                assert_eq!(by_mesh.records, by_ifmh.records, "{query}");
+                assert_eq!(
+                    mesh_flank(&by_mesh.vo.left_boundary),
+                    ifmh_flank(&by_ifmh.vo.left_boundary),
+                    "{query}"
+                );
+                assert_eq!(
+                    mesh_flank(&by_mesh.vo.right_boundary),
+                    ifmh_flank(&by_ifmh.vo.right_boundary),
+                    "{query}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn mesh_server_cost_reflects_linear_search() {
         let ds = uniform_dataset(10, 1, 25);
         let scheme = SignatureScheme::test_rsa(9);

@@ -8,6 +8,7 @@
 //! - `String`: a `u32` byte length, then UTF-8;
 //! - `[u8; 32]` (a digest): the 32 bytes, no prefix;
 //! - `Vec<T>`: a `u32` element count, then the elements;
+//! - `Attrs` (a record's attributes): the bytes of the same `Vec<f64>`;
 //! - `Option<T>`: a `bool`, then the value when it is `true`;
 //! - `(A, B)`: `A`, then `B`.
 //!
@@ -79,12 +80,15 @@ impl<T: WireEncode> WireEncode for Vec<T> {
     }
 }
 
+/// The most elements a decoder reserves on a peer's count claim; the
+/// elements that actually arrive grow the rest.
+pub(crate) const MAX_RESERVE: usize = 1024;
+
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.get_len()?;
-        // The count is the peer's claim: reserve a bounded amount up front
-        // and let the elements that actually arrive grow the rest.
-        let mut items = Vec::with_capacity(len.min(1024));
+        // The count is the peer's claim: reserve a bounded amount up front.
+        let mut items = Vec::with_capacity(len.min(MAX_RESERVE));
         for _ in 0..len {
             items.push(T::decode(r)?);
         }

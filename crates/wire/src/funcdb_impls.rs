@@ -1,11 +1,12 @@
 //! Wire encodings for function-database values.
 
-use crate::codec::wire_struct;
+use crate::codec::{wire_struct, MAX_RESERVE};
 use crate::error::WireError;
 use crate::io::{Reader, Writer};
 use crate::{WireDecode, WireEncode};
 use vaq_funcdb::{
-    Domain, FuncId, FunctionTemplate, HalfSpace, LinearFunction, Record, SubdomainConstraints,
+    Attrs, Domain, FuncId, FunctionTemplate, HalfSpace, LinearFunction, Record,
+    SubdomainConstraints,
 };
 
 wire_struct! {
@@ -15,6 +16,37 @@ wire_struct! {
     FunctionTemplate { attr_names }
     HalfSpace { coeffs, constant, non_negative, pair }
     SubdomainConstraints { domain, halfspaces }
+}
+
+/// Written by hand: the bytes are exactly `Vec<f64>`'s (a `u32` count, then
+/// the values), but a list of at most [`Attrs::INLINE`] values is read
+/// straight into the inline array, with no heap allocation, and only a
+/// longer one goes through a bounded `Vec` reserve.
+impl WireEncode for Attrs {
+    fn encode(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        for value in self.iter() {
+            w.put_f64(*value);
+        }
+    }
+}
+
+impl WireDecode for Attrs {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.get_len()?;
+        let mut inline = [0.0; Attrs::INLINE];
+        if let Some(values) = inline.get_mut(..len) {
+            for value in values.iter_mut() {
+                *value = r.get_f64()?;
+            }
+            return Ok(Attrs::from(&*values));
+        }
+        let mut values = Vec::with_capacity(len.min(MAX_RESERVE));
+        for _ in 0..len {
+            values.push(r.get_f64()?);
+        }
+        Ok(Attrs::from(values))
+    }
 }
 
 /// Written by hand: a box whose bounds differ in length, are NaN or are out
@@ -61,6 +93,53 @@ mod tests {
             // The digest (and therefore the Merkle leaf) must be identical.
             assert_eq!(r.digest(), back.digest());
         }
+    }
+
+    /// True when the values sit inside the `Attrs` value, not on the heap.
+    fn stored_inline(attrs: &Attrs) -> bool {
+        let start = attrs as *const Attrs as usize;
+        let values = attrs.as_ptr() as usize;
+        (start..start + std::mem::size_of::<Attrs>()).contains(&values)
+    }
+
+    #[test]
+    fn attrs_bytes_are_the_vec_codec_bytes_on_both_sides_of_the_inline_limit() {
+        for arity in 0..=9 {
+            let values: Vec<f64> = (0..arity).map(|i| i as f64 * 0.37 - 1.0).collect();
+            let attrs = Attrs::from(values.clone());
+            let bytes = attrs.to_wire_bytes();
+            assert_eq!(bytes, values.to_wire_bytes(), "arity {arity}");
+            let back = Attrs::from_wire_bytes(&bytes).unwrap();
+            assert_eq!(back, attrs);
+            assert_eq!(
+                stored_inline(&back),
+                arity <= Attrs::INLINE,
+                "arity {arity}"
+            );
+            assert_eq!(Vec::<f64>::from_wire_bytes(&bytes).unwrap(), values);
+            for cut in 0..bytes.len() {
+                assert!(Attrs::from_wire_bytes(&bytes[..cut]).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_of_up_to_four_attributes_decodes_inline() {
+        for arity in 0..=Attrs::INLINE + 1 {
+            let record = Record::with_label(9, vec![0.25; arity], "carol");
+            let back = Record::from_wire_bytes(&record.to_wire_bytes()).unwrap();
+            assert_eq!(back, record);
+            assert_eq!(back.digest(), record.digest());
+            assert_eq!(stored_inline(&back.attrs), arity <= Attrs::INLINE);
+        }
+    }
+
+    #[test]
+    fn an_attribute_count_claim_reserves_a_bounded_amount() {
+        let mut claim = Writer::new();
+        claim.put_len(u32::MAX as usize);
+        claim.put_f64(1.0);
+        assert!(Attrs::from_wire_bytes(&claim.into_bytes()).is_err());
     }
 
     #[test]
