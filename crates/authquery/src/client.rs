@@ -326,16 +326,20 @@ pub fn check_window_semantics(
         Ok(dot + 0.0)
     };
 
-    let scores: Vec<f64> = records
-        .iter()
-        .map(&score_of)
-        .collect::<Result<Vec<_>, _>>()?;
-
-    // The authenticated list is sorted ascending, so the result must be too.
-    for w in scores.windows(2) {
-        if w[0] > w[1] + SCORE_EPS {
-            return Err(VerifyError::InconsistentResultOrder);
+    // One pass scores the window and checks its order: the authenticated
+    // list is sorted ascending, so the result must be too. A record of the
+    // wrong arity anywhere is reported before an order violation.
+    let mut scores = Vec::with_capacity(records.len());
+    let mut disordered = false;
+    for record in records {
+        let score = score_of(record)?;
+        if let Some(&previous) = scores.last() {
+            disordered |= previous > score + SCORE_EPS;
         }
+        scores.push(score);
+    }
+    if disordered {
+        return Err(VerifyError::InconsistentResultOrder);
     }
 
     let left_score = left.map(&score_of).transpose()?;
@@ -432,6 +436,30 @@ mod tests {
             &FunctionTemplate::anonymous(2),
         );
         assert_eq!(zero.map(|s| s[0].to_bits()), Ok(0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn a_record_of_the_wrong_arity_is_reported_before_a_disorder_ahead_of_it() {
+        let template = FunctionTemplate::anonymous(1);
+        let check = |records: &[Record]| {
+            check_window_semantics(
+                &Query::range(vec![1.0], -9.0, 9.0),
+                records,
+                None,
+                None,
+                &template,
+            )
+        };
+        let (high, low) = (Record::new(0, vec![2.0]), Record::new(1, vec![1.0]));
+        let wide = Record::new(2, vec![0.5, 0.5]);
+        assert_eq!(
+            check(&[high.clone(), low.clone()]),
+            Err(VerifyError::InconsistentResultOrder)
+        );
+        assert!(matches!(
+            check(&[high, low, wide]),
+            Err(VerifyError::BadRecord(_))
+        ));
     }
 
     #[test]

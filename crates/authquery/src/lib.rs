@@ -84,6 +84,6 @@ pub use ifmh::IfmhTree;
 pub use owner::{DataOwner, PublishedMetadata};
 pub use proof_cache::{LeafProof, ProofCache};
 pub use query::{Query, QueryKind};
-pub use server::{ProcessTiming, QueryResponse, Server};
+pub use server::{Answer, ProcessTiming, QueryResponse, Server};
 pub use signing::SigningMode;
 pub use vo::{BoundaryEntry, IntersectionVerification, IvStep, VerificationObject};

@@ -7,7 +7,7 @@ use crate::signing::SigningMode;
 use crate::vo::{BoundaryEntry, IntersectionVerification, IvStep, VerificationObject};
 use std::time::{Duration, Instant};
 use vaq_crypto::Signature;
-use vaq_funcdb::{Dataset, Record};
+use vaq_funcdb::{Dataset, FuncId, Record};
 use vaq_itree::{LocateResult, Node, NodeId};
 
 /// A query result together with its verification object and the server's
@@ -22,15 +22,34 @@ pub struct QueryResponse {
     pub cost: ServerCost,
 }
 
-/// Wall-clock breakdown of [`Server::process_timed`]: how long was spent
-/// answering the query versus constructing (and binding signatures into)
-/// the verification object.
+/// A query's answer as the server computes it, before any record is
+/// copied: the result window as a slice of the subdomain's sorted list, the
+/// verification object and the traversal cost. [`Server::process_timed`]
+/// copies the window's records out of the dataset into a [`QueryResponse`];
+/// a caller that already holds every record's encoding (the networked
+/// service keeps one per publication) frames the reply from the ids alone.
+#[derive(Clone, Debug)]
+pub struct Answer<'a> {
+    /// The ids of the result records `R(q)`, in ascending score order.
+    pub window: &'a [FuncId],
+    /// The verification object `VO(q)`.
+    pub vo: VerificationObject,
+    /// The server's cost counters for this query (Fig. 6 metric).
+    pub cost: ServerCost,
+}
+
+/// Wall-clock breakdown of [`Server::answer`] / [`Server::process_timed`]:
+/// how long was spent answering the query versus constructing (and binding
+/// signatures into) the verification object.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProcessTiming {
-    /// Subdomain location, result-window selection (scoring only the
-    /// positions it reads), and copying out the result and flanking records.
+    /// Subdomain location and result-window selection (scoring only the
+    /// positions it reads); [`Server::process_timed`] adds copying the
+    /// result records out of the dataset. The flanking records the VO
+    /// carries are copied under `vo_build`.
     pub execute: Duration,
-    /// FMH range proof, subdomain verification data, and signature binding.
+    /// FMH range proof, flanking records, subdomain verification data, and
+    /// signature binding.
     pub vo_build: Duration,
 }
 
@@ -73,7 +92,7 @@ impl Server {
     /// split between query execution and VO construction, so callers can
     /// attribute latency to the right stage.
     pub fn process_timed(&self, query: &Query) -> (QueryResponse, ProcessTiming) {
-        self.process_inner(query, true)
+        self.materialise(self.answer_inner(query, true))
     }
 
     /// Reference path: identical to [`Server::process`] but assembles the
@@ -81,10 +100,34 @@ impl Server {
     /// the interior-proof cache. Kept for differential testing — the VO
     /// bytes must be identical to the cached path.
     pub fn process_uncached(&self, query: &Query) -> QueryResponse {
-        self.process_inner(query, false).0
+        self.materialise(self.answer_inner(query, false)).0
     }
 
-    fn process_inner(&self, query: &Query, use_cache: bool) -> (QueryResponse, ProcessTiming) {
+    /// Answers a query without copying a result record: the window's ids,
+    /// the VO and the cost, plus the time split. [`Server::process_timed`]
+    /// is this followed by copying the window's records out.
+    pub fn answer(&self, query: &Query) -> (Answer<'_>, ProcessTiming) {
+        self.answer_inner(query, true)
+    }
+
+    /// Copies an answer's result records out of the dataset, charging the
+    /// copy to `execute`.
+    fn materialise(
+        &self,
+        (answer, mut timing): (Answer<'_>, ProcessTiming),
+    ) -> (QueryResponse, ProcessTiming) {
+        let t_copy = Instant::now();
+        let records = answer
+            .window
+            .iter()
+            .map(|id| self.dataset.record(*id).clone())
+            .collect();
+        timing.execute += t_copy.elapsed();
+        let Answer { vo, cost, .. } = answer;
+        (QueryResponse { records, vo, cost }, timing)
+    }
+
+    fn answer_inner(&self, query: &Query, use_cache: bool) -> (Answer<'_>, ProcessTiming) {
         let x = query.weights();
         assert_eq!(
             x.len(),
@@ -101,21 +144,22 @@ impl Server {
         let n = sorted.len();
 
         // 2. Select the result window on the sorted list, scoring only the
-        //    positions the search reads.
+        //    positions the search reads. The window stays a slice of ids:
+        //    no record is copied here.
         let window = query.select_window_by(n, |i| self.dataset.score(sorted[i], x));
+
+        let execute = t_start.elapsed();
+        let t_vo = Instant::now();
 
         // 3. Map the window to FMH leaf indices (leaf 0 is the f_min
         //    sentinel, records occupy leaves 1..=n, leaf n+1 is f_max). The
         //    proven run is the window and one entry either side; an empty
         //    window proves the gap between the two adjacent entries
-        //    bracketing where the result would have been.
+        //    bracketing where the result would have been. The two flanking
+        //    records travel inside the VO, so they are copied here.
         let first_leaf = window.start;
         let last_leaf = window.end + 1;
-        let records: Vec<Record> = sorted[window]
-            .iter()
-            .map(|id| self.dataset.record(*id).clone())
-            .collect();
-
+        let window = &sorted[window];
         let left_boundary = if first_leaf == 0 {
             BoundaryEntry::MinSentinel
         } else {
@@ -126,9 +170,6 @@ impl Server {
         } else {
             BoundaryEntry::Record(self.dataset.record(sorted[last_leaf - 1]).clone())
         };
-
-        let execute = t_start.elapsed();
-        let t_vo = Instant::now();
 
         // 4. FMH range proof over [first_leaf, last_leaf].
         let fmh = self
@@ -161,7 +202,7 @@ impl Server {
                 + range_proof.nodes.len()
                 + fmh.height(),
             vo_nodes_collected,
-            result_len: records.len(),
+            result_len: window.len(),
         };
 
         let vo = VerificationObject {
@@ -177,7 +218,7 @@ impl Server {
             execute,
             vo_build: t_vo.elapsed(),
         };
-        (QueryResponse { records, vo, cost }, timing)
+        (Answer { window, vo, cost }, timing)
     }
 
     /// Legacy interior-proof assembly: re-walks the located path and reads

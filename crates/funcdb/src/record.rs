@@ -27,6 +27,18 @@ enum Repr {
 impl Attrs {
     /// The most values kept without a heap allocation.
     pub const INLINE: usize = 4;
+
+    /// The first `len` of `values`, kept inline, or `None` when `len`
+    /// exceeds [`Attrs::INLINE`]. Unlike `From<&[f64]>`, which copies a
+    /// slice of run-time length, this moves a whole array, which a decoder
+    /// filling the array value by value can build in place.
+    #[inline]
+    pub fn inline(values: [f64; Attrs::INLINE], len: usize) -> Option<Attrs> {
+        (len <= Attrs::INLINE).then_some(Attrs(Repr::Inline {
+            len: len as u8,
+            values,
+        }))
+    }
 }
 
 impl From<&[f64]> for Attrs {
@@ -373,6 +385,17 @@ mod tests {
         shrunk[1] = 3.0;
         assert_eq!(shrunk, Attrs::from(vec![1.0, 3.0]));
         assert_ne!(shrunk, Attrs::from(vec![1.0, 3.0, 0.0]));
+    }
+
+    #[test]
+    fn an_inline_array_prefix_reads_like_the_same_slice() {
+        let values = [0.5, -1.25, 3.0, -0.0];
+        for len in 0..=Attrs::INLINE {
+            let attrs = Attrs::inline(values, len).expect("fits inline");
+            assert_eq!(attrs, Attrs::from(&values[..len]));
+            assert!(stored_inline(&attrs));
+        }
+        assert!(Attrs::inline(values, Attrs::INLINE + 1).is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the request), so structurally identical queries hit the same entry no
 //! matter which client or connection sent them. Values are fully encoded
 //! response frames, ready to write to a socket — a hit costs one map lookup
-//! and one buffer clone, no re-encoding.
+//! and one `Arc` clone: the connection writes the cached buffer itself.
 
 use crate::metrics::CacheGauges;
 use std::collections::{BTreeMap, HashMap};

@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vaq_wire::WireError;
@@ -17,10 +18,11 @@ use crate::frame::FrameAssembler;
 use crate::metrics::Stage;
 use crate::trace::Trace;
 
-/// One queued response frame, possibly partially written.
+/// One queued response frame, possibly partially written. The frame is
+/// shared: a query reply's buffer is the one the response cache holds.
 #[derive(Debug)]
 struct Outgoing {
-    frame: Vec<u8>,
+    frame: Arc<Vec<u8>>,
     written: usize,
     write_time: Duration,
     trace: Option<Trace>,
@@ -182,7 +184,7 @@ impl Conn {
     /// frame flushes.
     pub(crate) fn enqueue(
         &mut self,
-        frame: Vec<u8>,
+        frame: Arc<Vec<u8>>,
         trace: Option<Trace>,
         close_after: bool,
         write_queue_budget_bytes: usize,
@@ -452,12 +454,12 @@ mod tests {
         let first = vec![1u8; 64];
         let second = vec![2u8; 32];
         assert!(conn.enqueue(
-            first.clone(),
+            Arc::new(first.clone()),
             Some(Trace::begin(Duration::ZERO)),
             false,
             1 << 20
         ));
-        assert!(conn.enqueue(second.clone(), None, true, 1 << 20));
+        assert!(conn.enqueue(Arc::new(second.clone()), None, true, 1 << 20));
         assert_eq!(conn.queued_bytes(), 96);
         let pass = conn.pump_writes();
         assert_eq!(pass.bytes, 96);
@@ -474,14 +476,17 @@ mod tests {
     fn enqueue_rejects_frames_past_the_write_queue_budget() {
         let (serving, _peer) = tcp_pair();
         let mut conn = Conn::new(serving);
-        assert!(conn.enqueue(vec![0u8; 48], None, false, 64), "fits budget");
         assert!(
-            !conn.enqueue(vec![0u8; 32], None, false, 64),
+            conn.enqueue(Arc::new(vec![0u8; 48]), None, false, 64),
+            "fits budget"
+        );
+        assert!(
+            !conn.enqueue(Arc::new(vec![0u8; 32]), None, false, 64),
             "48 + 32 > 64: rejected"
         );
         assert_eq!(conn.queued_bytes(), 48, "the rejected frame left no trace");
         // The typed goodbye that sheds the connection bypasses the budget.
-        assert!(conn.enqueue(vec![0u8; 32], None, true, 64));
+        assert!(conn.enqueue(Arc::new(vec![0u8; 32]), None, true, 64));
         assert_eq!(conn.queued_bytes(), 80);
     }
 
@@ -490,8 +495,8 @@ mod tests {
         let (serving, mut peer) = tcp_pair();
         let mut conn = Conn::new(serving);
         let first = vec![7u8; 64];
-        assert!(conn.enqueue(first.clone(), None, false, 1 << 20));
-        assert!(conn.enqueue(vec![8u8; 128], None, false, 1 << 20));
+        assert!(conn.enqueue(Arc::new(first.clone()), None, false, 1 << 20));
+        assert!(conn.enqueue(Arc::new(vec![8u8; 128]), None, false, 1 << 20));
         // Flush the head fully into the socket buffer, then pretend the
         // second frame is mid-write by splitting it manually: easier to
         // exercise via a fresh queue where nothing flushed at all.
@@ -499,7 +504,7 @@ mod tests {
         assert_eq!(conn.queued_bytes(), 0, "nothing had started flushing");
         assert!(!conn.wants_write());
         // A close-after goodbye still goes out and drains cleanly.
-        assert!(conn.enqueue(vec![9u8; 16], None, true, 1 << 20));
+        assert!(conn.enqueue(Arc::new(vec![9u8; 16]), None, true, 1 << 20));
         let pass = conn.pump_writes();
         assert!(pass.close);
         let mut got = vec![0u8; 16];

@@ -301,7 +301,7 @@ impl Reactor {
             );
             // No trace: a shed reply is not a served request.
             let budget = self.shared.config.write_queue_budget_bytes;
-            conn.enqueue(reply.to_framed_bytes(), None, true, budget);
+            conn.enqueue(Arc::new(reply.to_framed_bytes()), None, true, budget);
         }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
@@ -382,16 +382,18 @@ impl Reactor {
     /// are left; the flush blocks in the poller on writability, with its
     /// deadline as the timeout.
     fn drain(mut self) {
-        let goodbye = error_response(
-            &self.shared,
-            ErrorCode::ShuttingDown,
-            "service is shutting down".into(),
-        )
-        .to_framed_bytes();
+        let goodbye = Arc::new(
+            error_response(
+                &self.shared,
+                ErrorCode::ShuttingDown,
+                "service is shutting down".into(),
+            )
+            .to_framed_bytes(),
+        );
         let budget = self.shared.config.write_queue_budget_bytes;
         for conn in self.conns.values_mut() {
             conn.reads_done = true;
-            conn.enqueue(goodbye.clone(), None, true, budget);
+            conn.enqueue(Arc::clone(&goodbye), None, true, budget);
         }
         let flush_deadline = Instant::now() + FLUSH_DEADLINE;
         loop {
@@ -486,7 +488,7 @@ fn close_or_linger(conn: &mut Conn, patience: Duration) -> bool {
 fn goodbye(shared: &Shared, conn: &mut Conn, reply: Response) {
     let budget = shared.config.write_queue_budget_bytes;
     let trace = Some(Trace::begin(Duration::ZERO));
-    conn.enqueue(reply.to_framed_bytes(), trace, true, budget);
+    conn.enqueue(Arc::new(reply.to_framed_bytes()), trace, true, budget);
 }
 
 /// Answers a frame-level failure with a best-effort typed goodbye; a

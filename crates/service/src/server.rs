@@ -13,8 +13,8 @@ use std::thread::JoinHandle;
 use vaq_authquery::{Query, Server};
 use vaq_wire::epoch;
 use vaq_wire::{
-    ErrorCode, ErrorReply, Request, Response, ShardInfo, SignedShardMap, StatsDeep, StatsSnapshot,
-    WireDecode, WireEncode,
+    query_response_frame, ErrorCode, ErrorReply, RecordBytes, Request, Response, ShardInfo,
+    SignedShardMap, StatsDeep, StatsSnapshot, WireDecode, WireEncode,
 };
 
 use crate::cache::LruCache;
@@ -30,13 +30,32 @@ use crate::trace::Trace;
 /// budget ([`LruCache::DEFAULT_MAX_BYTES`]).
 const CACHE_CAPACITY: usize = 1024;
 
+/// One publication as the service serves it: the dataset + authenticated
+/// structure, and every record's wire encoding, which query replies copy
+/// instead of cloning and encoding the records per request.
+struct Serving {
+    server: Server,
+    records: RecordBytes,
+}
+
+impl Serving {
+    fn new(server: Server) -> Serving {
+        let records = RecordBytes::new(server.dataset());
+        Serving { server, records }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.server.epoch()
+    }
+}
+
 /// State shared between every reactor.
 pub(crate) struct Shared {
-    /// The currently serving dataset + authenticated structure. Swapped
-    /// atomically by [`QueryService::republish`]: every request resolves
-    /// this `Arc` exactly once, so a single response can never mix records
-    /// from one epoch with signatures (or an envelope stamp) from another.
-    serving: OrderedMutex<Arc<Server>>,
+    /// The currently serving publication. Swapped atomically by
+    /// [`QueryService::republish`]: every request resolves this `Arc`
+    /// exactly once, so a single response can never mix records from one
+    /// epoch with signatures (or an envelope stamp) from another.
+    serving: OrderedMutex<Arc<Serving>>,
     /// The owner-signed shard map this service publishes to clients (reply
     /// to [`Request::ShardMap`]); `None` on a standalone service.
     shard_map: OrderedMutex<Option<Arc<SignedShardMap>>>,
@@ -58,14 +77,14 @@ impl Shared {
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
-            serving: OrderedMutex::new(rank::SERVING, "serving", Arc::new(server)),
+            serving: OrderedMutex::new(rank::SERVING, "serving", Arc::new(Serving::new(server))),
             shard_map: OrderedMutex::new(rank::SHARD_MAP, "shard_map", None),
             config,
         }
     }
 
     /// The serving snapshot: one clone of the `Arc`, taken once per request.
-    fn serving(&self) -> Arc<Server> {
+    fn serving(&self) -> Arc<Serving> {
         Arc::clone(&self.serving.lock())
     }
 
@@ -103,16 +122,11 @@ fn epoch_cache_key(epoch: u64, query: &Query) -> Vec<u8> {
 }
 
 thread_local! {
-    /// Per-reactor frame-assembly scratch. Response encoding on the hot path
-    /// runs through [`WireEncode::to_framed_bytes_reusing`] with this
-    /// buffer, so a warm reactor frames each response with one exact-size
-    /// allocation instead of growing a fresh payload vector per request.
+    /// Per-reactor frame-assembly scratch. A query reply is framed through
+    /// [`query_response_frame`] with this buffer, so a warm reactor frames
+    /// each reply with one exact-size allocation instead of growing a fresh
+    /// payload vector per request.
     static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Frames one response through the calling reactor's reusable encode scratch.
-fn encode_frame<T: WireEncode>(response: &T) -> Vec<u8> {
-    ENCODE_SCRATCH.with(|scratch| response.to_framed_bytes_reusing(&mut scratch.borrow_mut()))
 }
 
 /// A running networked query service over one [`Server`].
@@ -204,6 +218,9 @@ impl QueryService {
     /// generations apart even while both are briefly in flight.
     pub fn republish(&self, server: Server) -> Result<u64, ServiceError> {
         let new_epoch = server.epoch();
+        // Encoded outside the lock: the swap below publishes the structure
+        // and its record bytes together.
+        let publication = Arc::new(Serving::new(server));
         {
             let mut serving = self.shared.serving.lock();
             let current = serving.epoch();
@@ -213,7 +230,7 @@ impl QueryService {
                     got: new_epoch,
                 });
             }
-            *serving = Arc::new(server);
+            *serving = publication;
         }
         // Flush after the swap: every response cached from here on belongs
         // to a visible epoch. Old-epoch in-flight requests may still insert
@@ -306,13 +323,15 @@ pub(crate) fn finish_request(shared: &Shared, trace: &Trace) {
 /// Decodes and answers one request, returning the framed response bytes.
 /// Runs on the reactor that read it; `payload` is the request frame's
 /// payload.
-pub(crate) fn handle_request(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Vec<u8> {
-    respond(shared, payload, trace).unwrap_or_else(|reply| Response::Error(reply).to_framed_bytes())
+pub(crate) fn handle_request(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Arc<Vec<u8>> {
+    respond(shared, payload, trace)
+        .unwrap_or_else(|reply| Arc::new(Response::Error(reply).to_framed_bytes()))
 }
 
 /// The framed success response to one request, or the typed error reply
-/// [`handle_request`] frames in its place.
-fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Vec<u8>, ErrorReply> {
+/// [`handle_request`] frames in its place. A query's frame is the one the
+/// response cache holds, shared rather than copied.
+fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Arc<Vec<u8>>, ErrorReply> {
     let request = trace
         .time(Stage::Decode, || Request::from_wire_bytes(payload))
         .map_err(|e| error_reply(shared, ErrorCode::Malformed, format!("bad request: {e}")))?;
@@ -328,9 +347,10 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Vec<u8>
     let (pin, query) = match request {
         Request::Query(query) => (None, query),
         Request::QueryAt { epoch: pin, query } => (Some(pin), query),
-        Request::Ping => return Ok(Response::Pong.to_framed_bytes()),
+        Request::Ping => return Ok(Arc::new(Response::Pong.to_framed_bytes())),
         Request::StatsDeep => {
-            return Ok(Response::StatsDeep(shared.deep_snapshot(epoch)).to_framed_bytes())
+            let deep = Response::StatsDeep(shared.deep_snapshot(epoch));
+            return Ok(Arc::new(deep.to_framed_bytes()));
         }
         Request::ShardInfo => {
             let role = shared.config.shard.ok_or_else(|| {
@@ -340,17 +360,19 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Vec<u8>
             let info = ShardInfo {
                 shard_id: role.shard_id,
                 shard_count: role.shard_count,
-                records: serving.dataset().len() as u64,
+                records: serving.server.dataset().len() as u64,
                 epoch,
             };
-            return Ok(Response::ShardInfo(info).to_framed_bytes());
+            return Ok(Arc::new(Response::ShardInfo(info).to_framed_bytes()));
         }
         Request::ShardMap => {
             let map = shared.shard_map.lock().clone().ok_or_else(|| {
                 let message = "service has no published shard map";
                 error_reply(shared, ErrorCode::NotSharded, message.into())
             })?;
-            return Ok(Response::ShardMap(map.as_ref().clone()).to_framed_bytes());
+            return Ok(Arc::new(
+                Response::ShardMap(map.as_ref().clone()).to_framed_bytes(),
+            ));
         }
     };
     if let Some(pinned) = pin.filter(|&pinned| pinned != epoch) {
@@ -372,7 +394,8 @@ fn query_kind(query: &Query) -> RequestKind {
 }
 
 /// Serves one analytic query through the epoch-keyed response cache: a hit
-/// returns the cached frame, a miss computes, inserts and returns it. Two
+/// returns the cached frame, a miss computes, inserts and returns it; either
+/// way the cache and the connection's write queue share one buffer. Two
 /// reactors that miss on the same key at once both compute — the frames are
 /// byte-identical and the second insert replaces the first. An error reply
 /// is returned to the requester but never cached (the next requester
@@ -380,25 +403,26 @@ fn query_kind(query: &Query) -> RequestKind {
 /// trace.
 fn query_frame(
     shared: &Shared,
-    serving: &Arc<Server>,
+    serving: &Serving,
     query: &Query,
     trace: &mut Trace,
-) -> Result<Vec<u8>, ErrorReply> {
+) -> Result<Arc<Vec<u8>>, ErrorReply> {
     let key = epoch_cache_key(serving.epoch(), query);
     let cached = trace.time(Stage::CacheLookup, || shared.cache.lock().get(&key));
     if let Some(frame) = cached {
         Metrics::add(&shared.metrics.cache_hits, 1);
-        return Ok(frame.as_ref().clone());
+        return Ok(frame);
     }
-    let frame = compute_frame(shared, serving, query, trace)?;
+    let frame = Arc::new(compute_frame(shared, serving, query, trace)?);
     Metrics::add(&shared.metrics.cache_misses, 1);
-    shared.cache.lock().insert(key, Arc::new(frame.clone()));
+    shared.cache.lock().insert(key, Arc::clone(&frame));
     Ok(frame)
 }
 
-/// Validates, processes and frames one query against a resolved serving
+/// Validates, answers and frames one query against a resolved serving
 /// snapshot, charging execution, VO-construction and encode time to the
-/// request's trace.
+/// request's trace. The reply's records are copied as bytes out of the
+/// publication's [`RecordBytes`]: no `Record` is cloned or encoded here.
 ///
 /// The weights must lie in the owner's published domain: the signed
 /// arrangement covers that box and nothing else, so an honest answer
@@ -407,11 +431,11 @@ fn query_frame(
 /// reason. Refused queries are neither computed nor cached.
 fn compute_frame(
     shared: &Shared,
-    serving: &Arc<Server>,
+    serving: &Serving,
     query: &Query,
     trace: &mut Trace,
 ) -> Result<Vec<u8>, ErrorReply> {
-    let dataset = serving.dataset();
+    let dataset = serving.server.dataset();
     let (asked, dims) = (query.weights().len(), dataset.dims());
     if asked != dims {
         let message = format!("query weight vector has {asked} dims, dataset has {dims}");
@@ -432,20 +456,21 @@ fn compute_frame(
             return Err(error_reply(shared, ErrorCode::BadQuery, message));
         }
     }
-    let (response, timing) = catch_unwind(AssertUnwindSafe(|| serving.process_timed(query)))
-        .map_err(|_| {
-            error_reply(
-                shared,
-                ErrorCode::Internal,
-                "query processing failed".into(),
-            )
-        })?;
+    let failed = || {
+        let message = "query processing failed".into();
+        error_reply(shared, ErrorCode::Internal, message)
+    };
+    let (answer, timing) =
+        catch_unwind(AssertUnwindSafe(|| serving.server.answer(query))).map_err(|_| failed())?;
     trace.add(Stage::Execute, timing.execute);
     trace.add(Stage::VoBuild, timing.vo_build);
     let epoch = serving.epoch();
-    Ok(trace.time(Stage::Encode, || {
-        encode_frame(&Response::Query { epoch, response })
-    }))
+    let frame = trace.time(Stage::Encode, || {
+        ENCODE_SCRATCH.with(|scratch| {
+            query_response_frame(epoch, &answer, &serving.records, &mut scratch.borrow_mut())
+        })
+    });
+    frame.ok_or_else(failed)
 }
 
 /// Builds a typed error reply, bumping the flat and per-code error

@@ -9,6 +9,8 @@
 //! - `[u8; 32]` (a digest): the 32 bytes, no prefix;
 //! - `Vec<T>`: a `u32` element count, then the elements;
 //! - `Attrs` (a record's attributes): the bytes of the same `Vec<f64>`;
+//! - `Record`: its fields `id`, `attrs`, `label` in that order, decoded by
+//!   hand because a reply carries hundreds of them (see its `impl`);
 //! - `Option<T>`: a `bool`, then the value when it is `true`;
 //! - `(A, B)`: `A`, then `B`.
 //!

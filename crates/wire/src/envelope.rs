@@ -429,10 +429,14 @@ wire_enum!(Request {
     9 => StatsDeep,
 });
 
+/// The tag of [`Response::Query`], which [`crate::query_response_frame`]
+/// also writes.
+pub(crate) const RESPONSE_TAG_QUERY: u8 = 3;
+
 // Likewise retired: response tags 2, 4 (batch) and 9 (correlation tag).
 wire_enum!(Response {
     1 => Pong,
-    3 => Query { epoch, response },
+    RESPONSE_TAG_QUERY => Query { epoch, response },
     5 => Error(reply),
     6 => ShardInfo(info),
     7 => ShardMap(map),

@@ -209,12 +209,34 @@ impl<'a> Reader<'a> {
 
     /// Reads a collection length prefix, enforcing [`MAX_COLLECTION_LEN`].
     pub fn get_len(&mut self) -> Result<usize, WireError> {
-        let len = self.get_u32()? as usize;
-        if len > MAX_COLLECTION_LEN {
-            return Err(WireError::LengthLimitExceeded(len));
-        }
-        Ok(len)
+        checked_len(self.get_u32()?)
     }
+
+    /// Consumes the next `n` bytes as one slice, with one bounds check.
+    pub(crate) fn get_slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.need(n)?;
+        Ok(self.take(n))
+    }
+
+    /// Consumes the next `N` bytes as an array, with one bounds check.
+    pub(crate) fn get_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, tail) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
+        self.buf = tail;
+        Ok(*head)
+    }
+}
+
+/// A collection length as read off the wire, refused past
+/// [`MAX_COLLECTION_LEN`].
+pub(crate) fn checked_len(len: u32) -> Result<usize, WireError> {
+    let len = len as usize;
+    if len > MAX_COLLECTION_LEN {
+        return Err(WireError::LengthLimitExceeded(len));
+    }
+    Ok(len)
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ pub mod epoch;
 pub mod error;
 pub mod funcdb_impls;
 pub mod io;
+pub mod record_bytes;
 
 pub use envelope::{
     ErrorCode, ErrorCount, ErrorReply, KindLatency, KindStages, LatencyHistogram, ReactorStats,
@@ -42,6 +43,7 @@ pub use envelope::{
 };
 pub use error::WireError;
 pub use io::{Reader, Writer};
+pub use record_bytes::{query_response_frame, RecordBytes};
 
 /// Magic bytes at the start of every framed message.
 pub const MAGIC: [u8; 4] = *b"VAQ1";
@@ -103,16 +105,22 @@ pub trait WireEncode {
     /// scratch contents, so a warm caller pays one allocation and one
     /// memcpy per message instead of two of each.
     fn to_framed_bytes_reusing(&self, scratch: &mut Vec<u8>) -> Vec<u8> {
-        let mut w = Writer::reusing(std::mem::take(scratch));
-        w.put_raw(&[0u8; FRAME_HEADER_LEN]);
-        self.encode(&mut w);
-        *scratch = w.into_bytes();
-        let payload_len = scratch.len().saturating_sub(FRAME_HEADER_LEN);
-        if let Some(header) = scratch.get_mut(..FRAME_HEADER_LEN) {
-            header.copy_from_slice(&frame_header(payload_len));
-        }
-        scratch.clone()
+        framed_reusing(scratch, |w| self.encode(w))
     }
+}
+
+/// Frames the payload `write` appends, assembled in `scratch` as
+/// [`WireEncode::to_framed_bytes_reusing`] describes.
+pub(crate) fn framed_reusing(scratch: &mut Vec<u8>, write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::reusing(std::mem::take(scratch));
+    w.put_raw(&[0u8; FRAME_HEADER_LEN]);
+    write(&mut w);
+    *scratch = w.into_bytes();
+    let payload_len = scratch.len().saturating_sub(FRAME_HEADER_LEN);
+    if let Some(header) = scratch.get_mut(..FRAME_HEADER_LEN) {
+        header.copy_from_slice(&frame_header(payload_len));
+    }
+    scratch.clone()
 }
 
 /// Types that can deserialize themselves from the wire format.
