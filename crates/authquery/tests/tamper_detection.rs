@@ -514,6 +514,49 @@ fn an_empty_label_swapped_for_an_absent_one_is_detected() {
 }
 
 #[test]
+fn a_wide_answer_rejects_a_flipped_bit_or_a_swap_at_every_group_boundary() {
+    // The client hashes a wide answer's records sixteen to a batch: a bit
+    // flipped in the first, last and middle lanes of the first groups and
+    // in the last record, and adjacent records swapped inside a group and
+    // across a group boundary, must each fail; the honest answer verifies.
+    let s = setup(SigningMode::OneSignature, 3520, 36);
+    let query = Query::range(vec![0.5], 0.1, 0.225);
+    let resp = s.server.process(&query);
+    let n = resp.records.len();
+    assert!((800..=960).contains(&n), "{n} records");
+    let verify = |records: &[Record]| {
+        client::verify(
+            &query,
+            records,
+            &resp.vo,
+            &s.dataset.template,
+            s.verifier.as_ref(),
+        )
+    };
+    assert!(verify(&resp.records).is_ok(), "honest answer");
+    for at in [0, 15, 16, 17, 31, 32, n - 1] {
+        let mut records = resp.records.clone();
+        let attr = &mut records[at].attrs[0];
+        *attr = f64::from_bits(attr.to_bits() ^ 1);
+        let out = verify(&records);
+        assert_eq!(
+            out.err(),
+            Some(VerifyError::SignatureMismatch),
+            "bit flipped in record {at}"
+        );
+    }
+    for at in [4, 15] {
+        let mut records = resp.records.clone();
+        records.swap(at, at + 1);
+        assert!(
+            verify(&records).is_err(),
+            "records {at} and {} swapped",
+            at + 1
+        );
+    }
+}
+
+#[test]
 fn honest_responses_still_verify_after_adversarial_suite() {
     // Guard against the checks being trivially over-strict: honest responses
     // for the same configurations used above must all pass.

@@ -12,8 +12,9 @@
 //! whole stack from scratch:
 //!
 //! * [`sha256`] — the FIPS 180-4 SHA-256 compression function (through the
-//!   SHA extensions on x86-64 CPUs that have them, portable otherwise) and
-//!   a streaming [`sha256::Sha256`] hasher.
+//!   SHA extensions on x86-64 CPUs that have them, sixteen messages at a
+//!   time through AVX-512 on those that have it, portable otherwise) and a
+//!   streaming [`sha256::Sha256`] hasher.
 //! * [`bignum`] — an arbitrary-precision unsigned integer
 //!   ([`bignum::BigUint`]) with the arithmetic needed for public-key
 //!   signatures (modular exponentiation, modular inverse, division).
@@ -32,9 +33,9 @@
 //! magnitude more expensive, RSA verification is cheaper than DSA
 //! verification). They are **not** hardened implementations: there is no
 //! padding scheme beyond a minimal deterministic one, no blinding, and no
-//! constant-time guarantee. The SHA-extension kernel behind [`sha256`] is
+//! constant-time guarantee. The hardware kernels behind [`sha256`] are
 //! not constant-time-audited either, though SHA-256 has no secret-dependent
-//! branch or address in either of its paths. Do not use this crate to
+//! branch or address in any of its paths. Do not use this crate to
 //! protect real data.
 
 #![deny(unsafe_code)]
@@ -46,8 +47,8 @@ pub mod montgomery;
 pub mod prime;
 pub mod rsa;
 pub mod sha256;
-// The SHA-extension call behind `sha256`: the crate's only `unsafe`, pinned
-// to this file by `tests/workspace_integration.rs`.
+// The SHA-extension and AVX-512 kernels behind `sha256`: the crate's only
+// `unsafe`, pinned to this file by `tests/workspace_integration.rs`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod sha_ni;

@@ -4,28 +4,41 @@
 //! (Merkle hashing of sorted function lists) and the IMH-tree (hashing of
 //! intersection nodes), as well as inside the baseline signature mesh.
 //!
-//! Two functions compress blocks. On x86-64 CPUs with the SHA extensions
-//! (detected at run time) it is the hardware kernel in `sha_ni`; everywhere
-//! else — other architectures, x86-64 hosts without the extension — it is
-//! the scalar `compress_blocks_portable` below, written for clarity because
-//! it is also the reference the tests hold the kernel equal to, block by
-//! block. Nothing selects between them but the CPU.
+//! Three functions compress blocks. On x86-64 CPUs with the SHA extensions
+//! (detected at run time) it is the SHA-extension kernel in `sha_ni`, and on
+//! x86-64 CPUs with AVX-512 (`avx512f` + `avx512bw`) a batch of sixteen
+//! messages goes to the sixteen-lane kernel beside it; everywhere else —
+//! other architectures, x86-64 hosts without the extensions — it is the
+//! scalar `compress_blocks_portable` below, written for clarity because it
+//! is also the reference the tests hold both kernels equal to, block by
+//! block. Nothing selects between them but the CPU and the batch length.
 //!
-//! Both sit behind one dispatch over *lanes*: one or two independent
-//! messages, as many blocks each, folded in lockstep (the kernel interleaves
-//! the two hashes; the portable path runs them one after the other), and
-//! optionally finished by the padding block of a 64-byte message, which the
-//! kernel takes from a constant table. A verified answer is hundreds of
-//! record- and pair-sized hashes and little else, so the one-shot functions
-//! pad on the stack and come in three shapes:
+//! All of them sit behind one dispatch over *lanes*: one, two or sixteen
+//! independent messages, as many blocks each, folded in lockstep, and
+//! optionally finished by the padding block of a 64-byte message, which
+//! the kernels take from a constant table. One or two lanes run on the
+//! SHA-extension kernel (it interleaves the two hashes) or the portable
+//! path (one after the other). Sixteen lanes run on the sixteen-lane
+//! kernel, one message in each 32-bit lane of a 512-bit register, where the
+//! CPU has AVX-512, and as eight two-lane calls where it does not. A
+//! verified answer is hundreds of record- and pair-sized hashes and little
+//! else, so the one-shot functions pad on the stack and come in four
+//! shapes:
 //!
 //! * [`sha256`] — one message of any length, one lane;
 //! * [`sha256_pair`] / [`sha256_pairs`] — `H(a ‖ b)` of one pair, or of
-//!   every pair of a Merkle layer two at a time (an odd tail on one lane);
-//!   a 64-byte message is one block plus the constant padding;
+//!   every pair of a Merkle layer: each full group of sixteen parents in
+//!   sixteen lanes, the rest two at a time (an odd tail on one lane); a
+//!   64-byte message is one block plus the constant padding;
 //! * [`sha256_two`] — two messages of one padded block each (at most
 //!   [`ONE_BLOCK_MAX`] bytes: a record of up to five attributes), in two
-//!   lanes; a longer message takes [`sha256`].
+//!   lanes; a longer message takes [`sha256`];
+//! * [`sha256_sixteen`] — sixteen such messages, staged by the caller in
+//!   the blocks they are padded in, in sixteen lanes.
+//!
+//! So a batch reaches the sixteen-lane kernel only when it holds sixteen
+//! messages: a point query's dozen records and its short Merkle layers
+//! keep the one- and two-lane paths.
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -45,7 +58,7 @@ pub(crate) const K: [u32; 64] = [
 
 /// Initial hash state (first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -138,7 +151,7 @@ pub(crate) const PAD64: [u8; 64] = {
 
 /// The longest message that pads into one block (the 0x80 byte and the
 /// 64-bit length take the other nine): what [`sha256_two`] hashes in two
-/// lanes.
+/// lanes and [`sha256_sixteen`] in sixteen.
 pub const ONE_BLOCK_MAX: usize = 55;
 
 /// Folds `blocks` (whole 64-byte blocks) into `state`, on the hardware path
@@ -159,6 +172,23 @@ fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: [&[u8]; L]
         return;
     }
     compress_lanes_portable(states, blocks, pad64);
+}
+
+/// [`compress_lanes`] for sixteen lanes: one call to the sixteen-lane kernel
+/// where the CPU has AVX-512, eight two-lane [`compress_lanes`] elsewhere.
+fn compress_sixteen(states: &mut [[u32; 8]; 16], blocks: [&[u8]; 16], pad64: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::compress_sixteen(states, blocks, pad64) {
+        #[cfg(test)]
+        tests::SIXTEEN_LANE_CALLS.with(|calls| calls.set(calls.get() + 1));
+        return;
+    }
+    let (pairs, []) = states.as_chunks_mut::<2>() else {
+        unreachable!("sixteen is even")
+    };
+    for (pair, lanes) in pairs.iter_mut().zip(blocks.as_chunks::<2>().0) {
+        compress_lanes(pair, *lanes, pad64);
+    }
 }
 
 /// [`compress_lanes`] through the portable function alone.
@@ -269,12 +299,24 @@ pub fn sha256_pair(a: &Digest, b: &Digest) -> Digest {
     digest
 }
 
-/// One Merkle layer: `out[i] = H(children[2i] ‖ children[2i + 1])`, two
-/// parents at a time in two lanes, an odd last parent on one.
+/// One Merkle layer: `out[i] = H(children[2i] ‖ children[2i + 1])`, sixteen
+/// parents at a time in sixteen lanes, then the rest two at a time in two
+/// lanes, an odd last parent on one.
 ///
 /// Panics unless `children` holds exactly two digests per slot of `out`.
 pub fn sha256_pairs(children: &[Digest], out: &mut [Digest]) {
     assert_eq!(children.len(), 2 * out.len(), "two children per parent");
+    let mut groups = out.chunks_exact_mut(16);
+    let mut children_of_groups = children.chunks_exact(32);
+    for (parents, children) in (&mut groups).zip(&mut children_of_groups) {
+        let blocks = std::array::from_fn(|l| children[2 * l..2 * l + 2].as_flattened());
+        let mut states = [H0; 16];
+        compress_sixteen(&mut states, blocks, true);
+        for (parent, state) in parents.iter_mut().zip(&states) {
+            *parent = digest_of(state);
+        }
+    }
+    let (children, out) = (children_of_groups.remainder(), groups.into_remainder());
     let mut parents = out.chunks_exact_mut(2);
     let mut quads = children.chunks_exact(4);
     for (parents, quad) in (&mut parents).zip(&mut quads) {
@@ -314,6 +356,29 @@ pub fn sha256_two(messages: [&[u8]; 2]) -> [Digest; 2] {
     states.map(|state| digest_of(&state))
 }
 
+/// SHA-256 of sixteen messages at once, staged in place: message `l` is the
+/// first `lens[l]` bytes of `blocks[l]`, at most [`ONE_BLOCK_MAX`]. Each
+/// block is padded where it lies (the bytes past the message are
+/// overwritten) and the sixteen are compressed in sixteen lanes where the
+/// CPU has them, two at a time elsewhere — equal to [`sha256`] of each
+/// message.
+///
+/// Panics if a length exceeds [`ONE_BLOCK_MAX`].
+pub fn sha256_sixteen(blocks: &mut [[u8; 64]; 16], lens: [usize; 16]) -> [Digest; 16] {
+    for (block, &len) in blocks.iter_mut().zip(&lens) {
+        assert!(
+            len <= ONE_BLOCK_MAX,
+            "a {len}-byte message is not one block"
+        );
+        block[len] = 0x80;
+        block[len + 1..56].fill(0);
+        block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    }
+    let mut states = [H0; 16];
+    compress_sixteen(&mut states, blocks.each_ref().map(|b| &b[..]), false);
+    states.map(|state| digest_of(&state))
+}
+
 /// SHA-256 of the concatenation of several byte slices, streamed through the
 /// hasher with no intermediate staging buffer.
 pub fn sha256_multi(parts: &[&[u8]]) -> Digest {
@@ -344,6 +409,9 @@ mod tests {
         /// Probe: how often this thread's `compress_blocks` took the
         /// hardware path.
         pub(super) static HARDWARE_CALLS: Cell<u64> = const { Cell::new(0) };
+        /// Probe: how often this thread's `compress_sixteen` took the
+        /// sixteen-lane kernel.
+        pub(super) static SIXTEEN_LANE_CALLS: Cell<u64> = const { Cell::new(0) };
     }
 
     fn hex(d: &[u8]) -> String {
@@ -365,6 +433,17 @@ mod tests {
         }
         eprintln!("skipped: no SHA extensions on this host, the hardware-side cases did not run");
         None
+    }
+
+    /// Whether this host runs the sixteen-lane kernel — said out loud when
+    /// it does not, where the sixteen-lane cases test the two-lane path.
+    fn sixteen_lane_kernel() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha_ni::compress_sixteen(&mut [[0; 8]; 16], [&[]; 16], false) {
+            return true;
+        }
+        eprintln!("skipped: no AVX-512 on this host, the sixteen-lane kernel did not run");
+        false
     }
 
     /// SHA-256 by the book — pad a copy of the whole message, compress it —
@@ -507,9 +586,11 @@ mod tests {
     fn two_lanes_equal_one_lane_and_the_reference() {
         // Seeded states (not only H0) and blocks, 0..=4 blocks a lane, with
         // and without the padding table: the two-lane kernel, each lane
-        // alone on the one-lane kernel, and the portable lanes all equal
-        // the book. The portable side runs on every host.
+        // alone on the one-lane kernel, the sixteen-lane kernel, the
+        // sixteen-lane dispatch and the portable lanes all equal the book.
+        // The portable side and the dispatch run on every host.
         let kernel = hardware_kernel().is_some();
+        let sixteen = sixteen_lane_kernel();
         let mut rng = StdRng::seed_from_u64(0x2_1A4E);
         for blocks in 0..=4 {
             for pad64 in [false, true] {
@@ -536,14 +617,69 @@ mod tests {
                         }
                     }
                 }
+                for case in 0..20 {
+                    let states: [[u32; 8]; 16] =
+                        std::array::from_fn(|_| std::array::from_fn(|_| rng.gen()));
+                    let messages = [0; 16].map(|_| seeded_bytes(&mut rng, 64 * blocks));
+                    let lanes = messages.each_ref().map(|m| &m[..]);
+                    let expected = lanes_by_the_book(&states, lanes, pad64);
+                    let at = format!("{blocks} blocks, pad64 {pad64}, case {case}");
+
+                    let mut dispatched = states;
+                    compress_sixteen(&mut dispatched, lanes, pad64);
+                    assert_eq!(dispatched, expected, "sixteen-lane dispatch, {at}");
+                    #[cfg(target_arch = "x86_64")]
+                    if sixteen {
+                        let mut lanes16 = states;
+                        assert!(crate::sha_ni::compress_sixteen(&mut lanes16, lanes, pad64));
+                        assert_eq!(lanes16, expected, "sixteen lanes, {at}");
+                    }
+                }
             }
+        }
+        // One-block messages as records are hashed: every length 0..=55 in
+        // every lane position, the other lanes of random lengths, padded by
+        // `sha256_sixteen` in place over stale bytes; and 64-byte messages
+        // through the padding table, from H0, as a Merkle layer is hashed.
+        for len in 0..=ONE_BLOCK_MAX {
+            for position in 0..16 {
+                let lens: [usize; 16] = std::array::from_fn(|l| {
+                    if l == position {
+                        len
+                    } else {
+                        rng.gen_range(0..=ONE_BLOCK_MAX)
+                    }
+                });
+                let mut blocks = [[0u8; 64]; 16];
+                for block in &mut blocks {
+                    block.iter_mut().for_each(|byte| *byte = rng.gen());
+                }
+                let messages = std::array::from_fn::<_, 16, _>(|l| blocks[l][..lens[l]].to_vec());
+                let digests = sha256_sixteen(&mut blocks, lens);
+                let at = format!("{len} bytes in lane {position}");
+                for l in 0..16 {
+                    let padded = blocks[l];
+                    let [book] = lanes_by_the_book(&[H0], [&padded], false);
+                    assert_eq!(digests[l], digest_of(&book), "lane {l}, {at}");
+                    assert_eq!(digests[l], sha256(&messages[l]), "lane {l}, {at}");
+                }
+            }
+        }
+        for case in 0..50 {
+            let messages = [0; 16].map(|_| seeded_bytes(&mut rng, 64));
+            let lanes = messages.each_ref().map(|m| &m[..]);
+            let expected = lanes_by_the_book(&[H0; 16], lanes, true);
+            let mut states = [H0; 16];
+            compress_sixteen(&mut states, lanes, true);
+            assert_eq!(states, expected, "64-byte messages, case {case}");
         }
     }
 
     #[test]
     fn pairs_equal_one_pair_at_a_time() {
+        // Layer sizes crossing one and two groups of sixteen.
         let mut rng = StdRng::seed_from_u64(0xFA1D);
-        for parents in 0..=9 {
+        for parents in 0..=70 {
             let children: Vec<Digest> = (0..2 * parents)
                 .map(|_| std::array::from_fn(|_| rng.gen()))
                 .collect();
@@ -623,6 +759,29 @@ mod tests {
         sha256_two([&[5; 55], &[6; 20]]);
         let calls = HARDWARE_CALLS.get() - before;
         assert_eq!(calls, 7 * expected, "two one-block messages, one call");
+
+        // A group of sixteen takes one sixteen-lane call where the CPU has
+        // AVX-512 and eight two-lane calls elsewhere; a tail takes two lanes.
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        let (wide, narrow) = if avx512 { (1, 0) } else { (0, 8 * expected) };
+        let before = (HARDWARE_CALLS.get(), SIXTEEN_LANE_CALLS.get());
+        let calls = || {
+            let (hardware, sixteen) = (HARDWARE_CALLS.get(), SIXTEEN_LANE_CALLS.get());
+            (hardware - before.0, sixteen - before.1)
+        };
+        sha256_pairs(&[[7; 32]; 32], &mut [[0; 32]; 16]);
+        assert_eq!(calls(), (narrow, wide), "sixteen parents");
+        sha256_sixteen(&mut [[8; 64]; 16], [ONE_BLOCK_MAX; 16]);
+        assert_eq!(calls(), (2 * narrow, 2 * wide), "sixteen messages");
+        sha256_pairs(&[[9; 32]; 34], &mut [[0; 32]; 17]);
+        let tail = expected;
+        assert_eq!(calls(), (3 * narrow + tail, 3 * wide), "sixteen, then one");
+        sha256_pairs(&[[10; 32]; 30], &mut [[0; 32]; 15]);
+        let tail = tail + 8 * expected;
+        assert_eq!(calls(), (3 * narrow + tail, 3 * wide), "fifteen: two lanes");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use vaq_crypto::sha256::{sha256, sha256_two, Digest, Sha256, ONE_BLOCK_MAX};
+use vaq_crypto::sha256::{sha256, sha256_sixteen, sha256_two, Digest, Sha256, ONE_BLOCK_MAX};
 
 /// A record's attribute values, read and written as a `[f64]`.
 ///
@@ -173,37 +173,41 @@ impl Record {
     /// Appends [`digest`](Self::digest) of each of `records` to `out`, in
     /// order. A record whose canonical bytes fit one SHA-256 block (at most
     /// [`ONE_BLOCK_MAX`] bytes: every unlabelled record up to five
-    /// attributes) is staged on the stack and hashed in a pair with the next
-    /// such record; any other takes [`digest`](Self::digest).
+    /// attributes) is staged straight into a block and hashed with the next
+    /// fifteen such records ([`sha256_sixteen`]); fewer than sixteen left at
+    /// the end go in pairs ([`sha256_two`]). Any other record takes
+    /// [`digest`](Self::digest).
     pub fn digests_into(records: &[Record], out: &mut Vec<Digest>) {
         out.reserve(records.len());
-        // Two stacked records at most: the first waits in `staged[0]`, its
-        // digest due at `out[waiting]`, until a second joins it.
-        let mut staged = [[0u8; ONE_BLOCK_MAX]; 2];
-        let mut lens = [0; 2];
-        let mut waiting = None;
+        // Sixteen staged records at most, lane `l`'s digest due at
+        // `out[slots[l]]`.
+        let mut blocks = [[0u8; 64]; 16];
+        let mut lens = [0; 16];
+        let mut slots = [0; 16];
+        let mut staged = 0;
         for record in records {
-            let lane = usize::from(waiting.is_some());
-            let Some(len) = record.stage(&mut staged[lane]) else {
+            let Some(len) = record.stage(&mut blocks[staged][..ONE_BLOCK_MAX]) else {
                 out.push(record.digest());
                 continue;
             };
-            lens[lane] = len;
-            match waiting.take() {
-                None => {
-                    waiting = Some(out.len());
-                    out.push(Digest::default());
+            (lens[staged], slots[staged]) = (len, out.len());
+            out.push(Digest::default());
+            staged += 1;
+            if staged == 16 {
+                for (&slot, digest) in slots.iter().zip(sha256_sixteen(&mut blocks, lens)) {
+                    out[slot] = digest;
                 }
-                Some(slot) => {
-                    let [first, second] = &staged;
-                    let [a, b] = sha256_two([&first[..lens[0]], &second[..len]]);
-                    out[slot] = a;
-                    out.push(b);
-                }
+                staged = 0;
             }
         }
-        if let Some(slot) = waiting {
-            out[slot] = sha256(&staged[0][..lens[0]]);
+        // Fewer than sixteen left: two at a time, an odd last one alone.
+        let message = |l: usize| &blocks[l][..lens[l]];
+        for l in (0..staged).step_by(2) {
+            if l + 1 < staged {
+                [out[slots[l]], out[slots[l + 1]]] = sha256_two([message(l), message(l + 1)]);
+            } else {
+                out[slots[l]] = sha256(message(l));
+            }
         }
     }
 
@@ -275,9 +279,9 @@ mod tests {
     fn slice_digests_equal_one_record_at_a_time() {
         // Arities 0..=9 × {no label, "", short, > 64 bytes}: the encoding
         // straddles the 55-byte staging limit (arity 5 unlabelled is 52
-        // bytes, with a marker and "alice" 58), so runs mix paired, lone
-        // and streamed records in every order; every prefix length covers
-        // odd and even counts of the paired kind.
+        // bytes, with a marker and "alice" 58), so runs mix staged and
+        // streamed records in every order; every prefix length covers odd
+        // and even counts of the staged kind.
         let mut rng = StdRng::seed_from_u64(27);
         let mut records = Vec::new();
         for arity in 0..=9 {
@@ -301,14 +305,40 @@ mod tests {
             }
             shuffled
         };
-        for list in [&records, &shuffled] {
+        // Runs of 0..=70 one-block records (arity 0..=5, unlabelled, empty
+        // or short labels) cross one and two groups of sixteen; a labelled
+        // record longer than a block, at each position of the first group,
+        // shifts every record after it one lane.
+        let one_block: Vec<Record> = (0..70)
+            .map(|i| {
+                let attrs: Vec<f64> = (0..i % 6).map(|_| rng.gen::<f64>() * 100.0).collect();
+                let label = [None, Some(String::new()), Some("al".to_string())][i % 3].clone();
+                Record {
+                    id: rng.gen(),
+                    attrs: attrs.into(),
+                    label,
+                }
+            })
+            .collect();
+        assert!(one_block
+            .iter()
+            .all(|r| r.canonical_bytes().len() <= ONE_BLOCK_MAX));
+        let long = Record::with_label(rng.gen(), vec![1.5, 2.5], "x".repeat(40));
+        assert!(long.canonical_bytes().len() > ONE_BLOCK_MAX);
+        let mut lists = vec![records, shuffled, one_block.clone()];
+        for position in 0..16 {
+            let mut list = one_block.clone();
+            list.insert(position, long.clone());
+            lists.push(list);
+        }
+        for (at, list) in lists.iter().enumerate() {
             let expected: Vec<Digest> = list.iter().map(Record::digest).collect();
             for len in 0..=list.len() {
                 // Appends after what `out` already holds.
                 let mut out = vec![[7; 32]];
                 Record::digests_into(&list[..len], &mut out);
                 assert_eq!(out[0], [7; 32]);
-                assert_eq!(out[1..], expected[..len], "first {len} records");
+                assert_eq!(out[1..], expected[..len], "list {at}, first {len} records");
             }
         }
     }

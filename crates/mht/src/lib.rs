@@ -455,8 +455,9 @@ impl ForestTree<'_> {
 ///
 /// Returns the reconstructed root and the number of hash operations; the
 /// caller compares the root against a trusted (signed) value. Each layer's
-/// parents whose two children are both known are hashed two at a time
-/// ([`sha256_pairs`]); only the run's ends read the proof.
+/// parents whose two children are both known are hashed as one batch
+/// ([`sha256_pairs`]: sixteen at a time, then two); only the run's ends
+/// read the proof.
 pub fn verify_range(
     first_index: usize,
     leaves: &[Digest],

@@ -53,7 +53,7 @@ use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use vaq_authquery::{client, IfmhTree, Query, QueryResponse, Server, SigningMode};
+use vaq_authquery::{client, IfmhTree, Query, QueryResponse, Server, SigningMode, VerifyScratch};
 use vaq_crypto::{PublicKey, SignatureScheme};
 use vaq_funcdb::{Dataset, FunctionTemplate, Record};
 use vaq_wire::{ErrorCode, ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot};
@@ -931,9 +931,9 @@ type VerifiedLeg = (Vec<Record>, Vec<f64>);
 /// Verifies one shard's answers to `queries` — each one's records + VO
 /// under the shard's attested key, at the pinned epoch — and returns the
 /// verified (records, scores) per query, in query order. The scatter's one
-/// security-sensitive step. The answers come from
-/// [`ServiceClient::receive_queries`] or [`ServiceClient::batch_at`], which
-/// return one per query or fail.
+/// security-sensitive step, run through one [`VerifyScratch`] for the whole
+/// leg. The answers come from [`ServiceClient::receive_queries`] or
+/// [`ServiceClient::batch_at`], which return one per query or fail.
 fn verify_leg(
     queries: &[Query],
     answers: Vec<QueryResponse>,
@@ -941,17 +941,19 @@ fn verify_leg(
     entry: &ShardEntry,
     epoch: u64,
 ) -> Result<Vec<VerifiedLeg>, ServiceError> {
+    let mut scratch = VerifyScratch::default();
     queries
         .iter()
         .zip(answers)
         .map(|(query, answer)| {
-            let verified = client::verify_at_epoch(
+            let verified = client::verify_at_epoch_with_scratch(
                 query,
                 &answer.records,
                 &answer.vo,
                 template,
                 &entry.public_key,
                 epoch,
+                &mut scratch,
             )?;
             Ok((answer.records, verified.scores))
         })
