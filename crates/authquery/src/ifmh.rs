@@ -31,9 +31,9 @@ use vaq_mht::{ForestTree, LeafId, MerkleForest, MerkleForestBuilder, TreeId};
 
 /// The Intersection and Function Merkle Hash tree.
 ///
-/// `Clone` exists for replica deployments: signing is deterministic, so a
-/// primary and its standbys can share one build and hand out clones instead
-/// of paying the LP-oracle pass and the per-subdomain signatures again.
+/// `Clone` lets a caller keep a copy of a built tree beside the one a
+/// [`Server`](crate::Server) takes, without paying the LP-oracle pass and
+/// the per-subdomain signatures again.
 #[derive(Clone, Debug)]
 pub struct IfmhTree {
     pub(crate) itree: ITree,

@@ -49,11 +49,6 @@
 //!   clients pin queries to their verified epoch and converge through
 //!   typed stale-epoch rejections plus a signed-map re-fetch
 //!   ([`ShardedClient::refresh`]) that rejects replayed older maps.
-//! * **Failover** — [`ShardedDeployment::launch_with_standbys`] binds
-//!   standby replicas per shard (same data, same attested key; every
-//!   serving address listed in the signed map), and [`ShardedClient`]
-//!   retries a dead scatter leg against the attested standby addresses,
-//!   preserving the byte-identical-to-unsharded merge guarantee.
 //! * **Observability** — every request carries a trace that times the
 //!   seven hot-path [`Stage`]s (queue wait, decode, cache lookup, query
 //!   execution, VO build, encode, socket write) into per-stage histograms

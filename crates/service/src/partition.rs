@@ -95,10 +95,10 @@ pub fn partition_dataset(
 
 /// Builds the owner's attested shard map over already partitioned shards:
 /// one [`ShardEntry`] per shard carrying its record count, per-shard public
-/// key and serving addresses (primary first, standbys after), the whole map
-/// — including the publication `epoch` — signed by the owner's master key.
+/// key and serving address, the whole map — including the publication
+/// `epoch` — signed by the owner's master key.
 ///
-/// `addrs` holds one address list per shard; pass an empty slice when the
+/// `addrs` holds one address per shard; pass an empty slice when the
 /// deployment topology is distributed out of band. The epoch is what makes
 /// republication safe: clients never replace a verified map with one whose
 /// epoch is not strictly greater, so a replayed older signed map cannot
@@ -108,7 +108,7 @@ pub fn attest_shard_map(
     shard_keys: &[PublicKey],
     master: &dyn Signer,
     epoch: u64,
-    addrs: &[Vec<std::net::SocketAddr>],
+    addrs: &[std::net::SocketAddr],
 ) -> SignedShardMap {
     assert_eq!(
         shards.len(),
@@ -117,7 +117,7 @@ pub fn attest_shard_map(
     );
     assert!(
         addrs.is_empty() || addrs.len() == shards.len(),
-        "one address list per shard (or none at all) is required"
+        "one address per shard (or none at all) is required"
     );
     assert!(!shards.is_empty(), "a shard map needs at least one shard");
     let dims = shards[0].dims();
@@ -136,7 +136,7 @@ pub fn attest_shard_map(
                 public_key: public_key.clone(),
                 addrs: addrs
                     .get(shard_id)
-                    .map(|list| list.iter().map(|a| a.to_string()).collect())
+                    .map(|a| vec![a.to_string()])
                     .unwrap_or_default(),
             })
             .collect(),
@@ -269,19 +269,15 @@ mod tests {
             .map(|i| SignatureScheme::test_rsa(100 + i).public_key())
             .collect();
         let master = SignatureScheme::test_rsa(99);
-        let addrs: Vec<Vec<std::net::SocketAddr>> = (0..3)
-            .map(|i| {
-                vec![
-                    format!("127.0.0.1:{}", 4200 + 2 * i).parse().unwrap(),
-                    format!("127.0.0.1:{}", 4201 + 2 * i).parse().unwrap(),
-                ]
-            })
+        let addrs: Vec<std::net::SocketAddr> = (0..3)
+            .map(|i| format!("127.0.0.1:{}", 4200 + i).parse().unwrap())
             .collect();
         let signed = attest_shard_map(&shards, &keys, &master, 5, &addrs);
         assert_eq!(signed.map.shard_count, 3);
         assert_eq!(signed.map.total_records, 10);
         assert_eq!(signed.map.epoch, 5);
-        assert_eq!(signed.map.shards[1].addrs.len(), 2);
+        assert!(signed.map.shards.iter().all(|entry| entry.addrs.len() == 1));
+        assert_eq!(signed.map.shards[1].addrs, ["127.0.0.1:4201"]);
         verify_shard_map(&signed, &master.public_key()).expect("honest map verifies");
 
         // A different master key must reject the map.

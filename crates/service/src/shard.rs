@@ -1,5 +1,5 @@
 //! Sharded deployment tier: scatter-gather querying over disjoint shards,
-//! with epoch-versioned live republication and standby failover.
+//! with epoch-versioned live republication.
 //!
 //! One logical dataset is split by the owner into `S` disjoint shards (see
 //! [`crate::partition`]), each hosted by its own [`QueryService`] over its
@@ -40,14 +40,9 @@
 //! a newer one — and a replayed *response* from a superseded epoch fails
 //! signature verification because its signatures bind the old epoch.
 //!
-//! # Failover: standbys
-//!
-//! Each map entry lists every address serving that shard (primary first,
-//! standbys after); all of them hold the same shard data under the same
-//! attested per-shard key. When a scatter leg dies mid-query, the client
-//! retries that leg against the remaining attested addresses — the standby
-//! handshake and response verify against the very same map entry, so the
-//! takeover cannot weaken the completeness argument.
+//! Each shard is served from the one address its map entry attests. A dead
+//! shard fails every query with a typed [`ServiceError::ShardFailed`] naming
+//! it; there is no partial answer and no retry elsewhere.
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -56,7 +51,7 @@ use std::time::{Duration, Instant};
 use vaq_authquery::{client, IfmhTree, Query, QueryResponse, Server, SigningMode, VerifyScratch};
 use vaq_crypto::{PublicKey, SignatureScheme};
 use vaq_funcdb::{Dataset, FunctionTemplate, Record};
-use vaq_wire::{ErrorCode, ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot};
+use vaq_wire::{ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot};
 
 use crate::client::{check_served_epoch, ServiceClient, PIPELINE_WINDOW};
 use crate::config::{ServiceConfig, ShardRole};
@@ -70,8 +65,8 @@ use crate::server::QueryService;
 /// [`vaq_authquery::PublishedMetadata`].
 #[derive(Clone, Debug)]
 pub struct ShardedPublication {
-    /// The owner-signed partition description (carries the epoch and every
-    /// serving address per shard).
+    /// The owner-signed partition description (carries the epoch and each
+    /// shard's serving address).
     pub shard_map: SignedShardMap,
     /// The owner's master public key (verifies the shard map itself).
     pub master_key: PublicKey,
@@ -79,10 +74,9 @@ pub struct ShardedPublication {
     pub template: FunctionTemplate,
 }
 
-/// An owner-launched sharded deployment: `S` primary [`QueryService`]s (plus
-/// optional standby replicas per shard), each hosting one disjoint shard of
-/// one logical dataset under its own signing key, plus the attested shard
-/// map clients verify against.
+/// An owner-launched sharded deployment: `S` [`QueryService`]s, each hosting
+/// one disjoint shard of one logical dataset under its own signing key, plus
+/// the attested shard map clients verify against.
 ///
 /// In production the services would run on separate hosts; this harness
 /// wires the same objects up in one process, which is exactly what the
@@ -90,17 +84,12 @@ pub struct ShardedPublication {
 /// the wire protocol, verification and merge paths are identical either
 /// way.
 pub struct ShardedDeployment {
-    /// `None` marks a primary stopped via [`ShardedDeployment::stop_shard`];
+    /// `None` marks a shard stopped via [`ShardedDeployment::stop_shard`];
     /// indices stay aligned with shard ids and [`ShardedDeployment::addrs`].
-    primaries: Vec<Option<QueryService>>,
-    /// Standby replicas per shard, each holding the same shard data and key
-    /// as its primary.
-    standbys: Vec<Vec<QueryService>>,
-    /// Primary addresses, in shard-id order.
+    services: Vec<Option<QueryService>>,
+    /// Service addresses, in shard-id order — the ones the attested map
+    /// carries.
     addrs: Vec<SocketAddr>,
-    /// Every address serving each shard (primary first, standbys after) —
-    /// the lists the attested map carries.
-    shard_addrs: Vec<Vec<SocketAddr>>,
     /// Per-shard signing keys, kept so a republication re-signs each shard
     /// under the same attested key.
     schemes: Vec<SignatureScheme>,
@@ -115,8 +104,7 @@ pub struct ShardedDeployment {
 impl std::fmt::Debug for ShardedDeployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedDeployment")
-            .field("shards", &self.primaries.len())
-            .field("standbys_per_shard", &self.standbys.first().map(Vec::len))
+            .field("shards", &self.services.len())
             .field("epoch", &self.epoch)
             .field("addrs", &self.addrs)
             .finish()
@@ -129,6 +117,9 @@ impl ShardedDeployment {
     /// `seed`), signs the shard map with a fresh master key, and binds one
     /// [`QueryService`] per shard using `base_config` (whose bind address
     /// must carry port 0 so every shard gets its own ephemeral port).
+    ///
+    /// Zero shards, fewer records than shards and a fixed port under more
+    /// than one shard are typed [`std::io::ErrorKind::InvalidInput`] errors.
     pub fn launch(
         dataset: &Dataset,
         shard_count: usize,
@@ -136,28 +127,23 @@ impl ShardedDeployment {
         seed: u64,
         base_config: ServiceConfig,
     ) -> Result<ShardedDeployment, ServiceError> {
-        Self::launch_with_standbys(dataset, shard_count, mode, seed, base_config, 0)
-    }
-
-    /// Like [`ShardedDeployment::launch`], additionally binding
-    /// `standby_count` standby [`QueryService`]s per shard. Each standby
-    /// hosts the same shard data under the same per-shard signing key, and
-    /// every serving address is listed (primary first) in the attested map
-    /// entry — which is what lets a [`ShardedClient`] fail a dead scatter
-    /// leg over without weakening verification.
-    pub fn launch_with_standbys(
-        dataset: &Dataset,
-        shard_count: usize,
-        mode: SigningMode,
-        seed: u64,
-        base_config: ServiceConfig,
-        standby_count: usize,
-    ) -> Result<ShardedDeployment, ServiceError> {
-        if (shard_count > 1 || standby_count > 0) && base_config.bind_addr.port() != 0 {
-            return Err(ServiceError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "a multi-service deployment needs an ephemeral bind port (port 0)",
-            )));
+        let invalid = |reason: String| {
+            let kind = std::io::ErrorKind::InvalidInput;
+            Err(ServiceError::Io(std::io::Error::new(kind, reason)))
+        };
+        if shard_count == 0 {
+            return invalid("a sharded deployment needs at least one shard".into());
+        }
+        if dataset.len() < shard_count {
+            let records = dataset.len();
+            return invalid(format!(
+                "{records} records cannot fill {shard_count} shards"
+            ));
+        }
+        if shard_count > 1 && base_config.bind_addr.port() != 0 {
+            return invalid(
+                "a multi-service deployment needs an ephemeral bind port (port 0)".into(),
+            );
         }
         let strategy = PartitionStrategy::RoundRobin;
         let shards = partition_dataset(dataset, shard_count, strategy);
@@ -170,48 +156,30 @@ impl ShardedDeployment {
         let master = SignatureScheme::new_rsa(128, seed);
         let epoch = 0u64;
 
-        let mut primaries = Vec::with_capacity(shard_count);
-        let mut standbys: Vec<Vec<QueryService>> = Vec::with_capacity(shard_count);
+        let mut services = Vec::with_capacity(shard_count);
         let mut addrs = Vec::with_capacity(shard_count);
-        let mut shard_addrs: Vec<Vec<SocketAddr>> = Vec::with_capacity(shard_count);
         for (shard_id, (shard_dataset, scheme)) in shards.iter().zip(&schemes).enumerate() {
             let role = ShardRole {
                 shard_id: shard_id as u32,
                 shard_count: shard_count as u32,
             };
-            let mut replica_addrs = Vec::with_capacity(1 + standby_count);
-            let mut replicas = Vec::with_capacity(1 + standby_count);
-            // One build per shard; the replicas share clones, so every
-            // signature a client sees is identical across the primary and
-            // its standbys by construction (and the owner pays the
-            // LP-oracle pass and the signatures once, not once per
-            // replica). `repeat_n` moves the build itself into the last.
             let tree = IfmhTree::build_at_epoch(shard_dataset, mode, scheme, epoch);
-            for tree in std::iter::repeat_n(tree, 1 + standby_count) {
-                let config = base_config.clone().shard_role(role);
-                let service = QueryService::bind(config, Server::new(shard_dataset.clone(), tree))?;
-                replica_addrs.push(service.local_addr());
-                replicas.push(service);
-            }
-            addrs.push(replica_addrs[0]);
-            shard_addrs.push(replica_addrs);
-            let mut replicas = replicas.into_iter();
-            primaries.push(replicas.next());
-            standbys.push(replicas.collect());
+            let config = base_config.clone().shard_role(role);
+            let service = QueryService::bind(config, Server::new(shard_dataset.clone(), tree))?;
+            addrs.push(service.local_addr());
+            services.push(Some(service));
         }
 
         let keys: Vec<PublicKey> = schemes.iter().map(|s| s.public_key()).collect();
-        let shard_map = attest_shard_map(&shards, &keys, &master, epoch, &shard_addrs);
+        let shard_map = attest_shard_map(&shards, &keys, &master, epoch, &addrs);
         let publication = ShardedPublication {
             shard_map: shard_map.clone(),
             master_key: master.public_key(),
             template: dataset.template.clone(),
         };
         let deployment = ShardedDeployment {
-            primaries,
-            standbys,
+            services,
             addrs,
-            shard_addrs,
             schemes,
             master,
             mode,
@@ -226,24 +194,16 @@ impl ShardedDeployment {
     /// Hands the current signed map to every live service so clients can
     /// re-fetch it over the wire ([`vaq_wire::Request::ShardMap`]).
     fn push_shard_map(&self, map: &SignedShardMap) -> Result<(), ServiceError> {
-        for service in self.live_services() {
+        for service in self.services.iter().flatten() {
             service.set_shard_map(map.clone())?;
         }
         Ok(())
     }
 
-    fn live_services(&self) -> impl Iterator<Item = &QueryService> {
-        self.primaries
-            .iter()
-            .flatten()
-            .chain(self.standbys.iter().flatten())
-    }
-
     /// Republishes the logical dataset: re-partitions `dataset`, rebuilds
     /// every shard's authenticated structure **at the next epoch** under
     /// the same per-shard keys, re-signs the shard map with the master key,
-    /// and hot-swaps every live service (primaries and standbys) without
-    /// dropping a connection.
+    /// and hot-swaps every live service without dropping a connection.
     ///
     /// Services flip one at a time, so a scatter pinned to either epoch can
     /// transiently observe a mix of old- and new-epoch shards; the
@@ -253,24 +213,14 @@ impl ShardedDeployment {
     /// epoch.
     pub fn republish(&mut self, dataset: &Dataset) -> Result<u64, ServiceError> {
         let epoch = vaq_wire::epoch::next(self.epoch);
-        let shard_count = self.primaries.len();
-        let shards = partition_dataset(dataset, shard_count, self.strategy);
+        let shards = partition_dataset(dataset, self.services.len(), self.strategy);
         let keys: Vec<PublicKey> = self.schemes.iter().map(|s| s.public_key()).collect();
-        let shard_map = attest_shard_map(&shards, &keys, &self.master, epoch, &self.shard_addrs);
+        let shard_map = attest_shard_map(&shards, &keys, &self.master, epoch, &self.addrs);
 
-        for (shard_id, shard_dataset) in shards.iter().enumerate() {
-            let scheme = &self.schemes[shard_id];
-            let primary = self.primaries[shard_id].iter();
-            let replicas: Vec<_> = primary.chain(self.standbys[shard_id].iter()).collect();
-            // One rebuild per shard, cloned into every replica but the last,
-            // which takes the build itself — this keeps the rollout window
-            // (during which stale-epoch rejections are served) as short as
-            // the owner can make it.
-            let tree = IfmhTree::build_at_epoch(shard_dataset, self.mode, scheme, epoch);
-            for (service, tree) in replicas
-                .iter()
-                .zip(std::iter::repeat_n(tree, replicas.len()))
-            {
+        let live = self.services.iter().zip(&shards).zip(&self.schemes);
+        for ((service, shard_dataset), scheme) in live {
+            if let Some(service) = service {
+                let tree = IfmhTree::build_at_epoch(shard_dataset, self.mode, scheme, epoch);
                 service.republish(Server::new(shard_dataset.clone(), tree))?;
             }
         }
@@ -281,14 +231,14 @@ impl ShardedDeployment {
         Ok(epoch)
     }
 
-    /// The primary addresses the shards listen on, in shard-id order.
+    /// The addresses the shards listen on, in shard-id order.
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.primaries.len()
+        self.services.len()
     }
 
     /// The current publication epoch.
@@ -302,67 +252,61 @@ impl ShardedDeployment {
         &self.publication
     }
 
-    /// Connects a verifying scatter-gather client to this deployment's
-    /// primaries.
+    /// Connects a verifying scatter-gather client to this deployment.
     pub fn client(&self) -> Result<ShardedClient, ServiceError> {
         ShardedClient::connect(&self.addrs, &self.publication)
     }
 
-    /// Per-shard counter snapshots for the primaries still running, in
+    /// Per-shard counter snapshots for the shards still running, in
     /// shard-id order.
     pub fn stats(&self) -> Vec<StatsSnapshot> {
-        self.primaries.iter().flatten().map(|s| s.stats()).collect()
+        self.services.iter().flatten().map(|s| s.stats()).collect()
     }
 
-    /// Per-shard deep stats for the primaries still running, in shard-id
+    /// Per-shard deep stats for the shards still running, in shard-id
     /// order.
     pub fn stats_deep(&self) -> Vec<StatsDeep> {
-        self.primaries
+        self.services
             .iter()
             .flatten()
             .map(|s| s.stats_deep())
             .collect()
     }
 
-    /// Shuts down one shard's primary (simulating a shard outage; any
-    /// standbys keep serving) and returns its final stats. Panics if
-    /// `shard_id` is out of range or the primary is already down.
+    /// Shuts down one shard's service (simulating a shard outage: every
+    /// later query fails with [`ServiceError::ShardFailed`]) and returns its
+    /// final stats. Panics if `shard_id` is out of range or the shard is
+    /// already down.
     pub fn stop_shard(&mut self, shard_id: usize) -> StatsSnapshot {
-        self.primaries[shard_id]
+        self.services[shard_id]
             .take()
             // lint:allow(panic-path, documented panic in an owner-side test-harness API; never runs on the serving hot path)
-            .unwrap_or_else(|| panic!("shard {shard_id} primary is already down"))
+            .unwrap_or_else(|| panic!("shard {shard_id} is already down"))
             .shutdown()
     }
 
-    /// Stops every still-running service (primaries, then standbys) and
-    /// returns the primaries' final stats in shard-id order.
+    /// Stops every still-running service and returns their final stats in
+    /// shard-id order.
     pub fn shutdown(self) -> Vec<StatsSnapshot> {
-        let stats = self
-            .primaries
+        self.services
             .into_iter()
             .flatten()
             .map(|s| s.shutdown())
-            .collect();
-        for standby in self.standbys.into_iter().flatten() {
-            standby.shutdown();
-        }
-        stats
+            .collect()
     }
 }
 
-/// One shard connection plus its attested identity and current address.
+/// One shard connection plus its attested identity.
 struct ShardConnection {
     entry: ShardEntry,
     client: ServiceClient,
-    addr: SocketAddr,
 }
 
 /// Per-shard scatter-leg latency accumulator: how many legs this shard
 /// answered, their summed wall-clock micros and the slowest single leg.
 /// Timed from the gather-side read to the verified interpretation, so a
-/// shard that straggles (or keeps needing failover) shows up here even when
-/// every merged answer succeeds.
+/// shard that straggles shows up here even when every merged answer
+/// succeeds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LegLatency {
     /// Scatter legs this shard completed (successfully or not).
@@ -389,16 +333,16 @@ impl LegLatency {
 /// Client-side observability for a [`ShardedClient`]: what the scatter side
 /// of the deployment looked like from this client's seat. Server-side stats
 /// ([`ShardedClient::stats_deep_all`]) say what each shard did; these
-/// counters say what the *client* experienced — straggling legs, standby
-/// takeovers, update churn — which no single server can see.
+/// counters say what the *client* experienced — straggling legs and update
+/// churn — which no single server can see.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClientObservability {
     /// Scatter rounds issued (one per query or batch, counting retries).
     pub scatters: u64,
     /// Per-shard scatter-leg latency, in shard-id order.
     pub leg_latency: Vec<LegLatency>,
-    /// Failover activations: legs retried against a standby address after
-    /// the serving connection died mid-query.
+    /// Always 0: a dead scatter leg fails the query, and there is no other
+    /// address to retry it on. Kept so readers of the counter still build.
     pub failovers: u64,
     /// Scatter legs rejected with a typed stale-epoch error (the deployment
     /// republished under this client's pinned epoch).
@@ -439,8 +383,8 @@ pub struct ShardedResponse {
     pub per_shard_returned: Vec<usize>,
 }
 
-/// How long a failover connect to a standby address may take.
-const FAILOVER_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long a connect to a shard's address may take.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A verifying scatter-gather front-end over a sharded deployment.
 ///
@@ -448,12 +392,11 @@ const FAILOVER_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// client's verified map epoch and sent to all shards (pipelined: all
 /// requests go out before the first response is read), each response is
 /// verified under that shard's attested key **at that epoch**, and the
-/// verified per-shard answers are merged. A shard failure is retried
-/// against the shard's attested standby addresses; if no address serves the
-/// leg, the whole query fails with a typed [`ServiceError::ShardFailed`] —
-/// there are never silent partial answers. A typed stale-epoch rejection
-/// (the deployment republished) is surfaced so the caller can
-/// [`ShardedClient::refresh`] and retry at the new epoch.
+/// verified per-shard answers are merged. A shard failure fails the whole
+/// query with a typed [`ServiceError::ShardFailed`] — there are never
+/// silent partial answers. A typed stale-epoch rejection (the deployment
+/// republished) is surfaced so the caller can [`ShardedClient::refresh`]
+/// and retry at the new epoch.
 pub struct ShardedClient {
     shards: Vec<ShardConnection>,
     template: FunctionTemplate,
@@ -482,7 +425,7 @@ fn open_shard_connection(
     shard_count: u32,
     epoch: u64,
 ) -> Result<ShardConnection, ServiceError> {
-    let mut client = ServiceClient::connect_timeout(&addr, FAILOVER_CONNECT_TIMEOUT)?;
+    let mut client = ServiceClient::connect_timeout(&addr, CONNECT_TIMEOUT)?;
     let info = client.shard_info()?;
     if info.shard_id != entry.shard_id
         || info.shard_count != shard_count
@@ -502,55 +445,33 @@ fn open_shard_connection(
     Ok(ShardConnection {
         entry: entry.clone(),
         client,
-        addr,
     })
 }
 
-/// Opens the first of `candidates` that handshakes as `entry`, keeping the
-/// last error. A signed map is attacker-shaped input, so an entry with no
-/// usable address is a typed error, never an unchecked assumption.
+/// The address a map entry attests for its shard. A signed map is
+/// attacker-shaped input, so an entry with no usable address is a typed
+/// error, never an unchecked assumption.
+fn entry_addr(entry: &ShardEntry) -> Result<SocketAddr, ServiceError> {
+    entry
+        .addrs
+        .first()
+        .and_then(|a| a.parse().ok())
+        .ok_or_else(|| {
+            ServiceError::ShardMap(format!(
+                "map entry for shard {} lists no usable addresses",
+                entry.shard_id
+            ))
+        })
+}
+
+/// Opens and handshakes the connection to the address `entry` attests.
 fn connect_entry(
     entry: &ShardEntry,
-    candidates: Vec<SocketAddr>,
     shard_count: u32,
     epoch: u64,
 ) -> Result<ShardConnection, ServiceError> {
-    let mut last_error = None;
-    for addr in candidates {
-        match open_shard_connection(addr, entry, shard_count, epoch) {
-            Ok(connection) => return Ok(connection),
-            Err(e) => last_error = Some(e),
-        }
-    }
-    Err(match last_error {
-        Some(e) => shard_failed(entry.shard_id, e),
-        None => ServiceError::ShardMap(format!(
-            "map entry for shard {} lists no usable addresses",
-            entry.shard_id
-        )),
-    })
-}
-
-/// The attested failover candidates for one map entry, excluding `current`.
-fn failover_candidates(entry: &ShardEntry, current: SocketAddr) -> Vec<SocketAddr> {
-    entry
-        .addrs
-        .iter()
-        .filter_map(|a| a.parse().ok())
-        .filter(|a| *a != current)
-        .collect()
-}
-
-/// True when a scatter-leg failure is a transport-level outage worth
-/// retrying on a standby (as opposed to a verification failure, an epoch
-/// mismatch or a protocol rejection, which a standby holding the same data
-/// would reproduce — or worse, mask).
-fn is_failover_worthy(error: &ServiceError) -> bool {
-    match error {
-        ServiceError::Io(_) => true,
-        ServiceError::Remote(reply) => reply.code == ErrorCode::ShuttingDown,
-        _ => false,
-    }
+    open_shard_connection(entry_addr(entry)?, entry, shard_count, epoch)
+        .map_err(|e| shard_failed(entry.shard_id, e))
 }
 
 impl ShardedClient {
@@ -583,9 +504,8 @@ impl ShardedClient {
         Ok(ShardedClient::over(shards, publication))
     }
 
-    /// Connects using the serving addresses the attested map itself lists,
-    /// trying each shard's addresses in order (primary first, standbys
-    /// after) until one handshakes.
+    /// Connects using the serving address the attested map itself lists
+    /// for each shard.
     pub fn connect_from_map(
         publication: &ShardedPublication,
     ) -> Result<ShardedClient, ServiceError> {
@@ -594,10 +514,7 @@ impl ShardedClient {
         let shards = map
             .shards
             .iter()
-            .map(|entry| {
-                let candidates = entry.addrs.iter().filter_map(|a| a.parse().ok()).collect();
-                connect_entry(entry, candidates, map.shard_count, map.epoch)
-            })
+            .map(|entry| connect_entry(entry, map.shard_count, map.epoch))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardedClient::over(shards, publication))
     }
@@ -627,8 +544,8 @@ impl ShardedClient {
     }
 
     /// Client-side observability accumulated since this client connected:
-    /// per-shard scatter-leg latency, failover activations, stale-epoch
-    /// rejections and adopted map refreshes. Counters survive
+    /// per-shard scatter-leg latency, stale-epoch rejections and adopted map
+    /// refreshes. Counters survive
     /// [`ShardedClient::refresh`] — adopting a new epoch reconnects the
     /// shards but keeps the client's history.
     pub fn observability(&self) -> &ClientObservability {
@@ -643,30 +560,26 @@ impl ShardedClient {
     /// the client already verified — an older (replayed) signed map is
     /// rejected with [`ServiceError::StaleEpoch`], so a client can never be
     /// rolled back to a superseded publication. On success every shard
-    /// connection is re-opened against the new map's address lists; returns
+    /// connection is re-opened against the new map's addresses; returns
     /// the adopted epoch. A same-epoch offer leaves the client unchanged.
     pub fn refresh(&mut self) -> Result<u64, ServiceError> {
         let offered = self.fetch_map()?;
         self.adopt_map(offered)
     }
 
-    /// Fetches the current signed map from any reachable serving address.
+    /// Fetches the current signed map from any reachable shard.
     fn fetch_map(&mut self) -> Result<SignedShardMap, ServiceError> {
         let mut last_error: Option<ServiceError> = None;
         for shard in &mut self.shards {
-            // Prefer the live connection; fall back to a fresh socket per
+            // Prefer the live connection; fall back to a fresh socket to the
             // attested address (the old connection may be desynced or dead).
-            match shard.client.shard_map() {
+            let attempt = shard.client.shard_map().or_else(|_| {
+                ServiceClient::connect_timeout(&entry_addr(&shard.entry)?, CONNECT_TIMEOUT)?
+                    .shard_map()
+            });
+            match attempt {
                 Ok(map) => return Ok(map),
                 Err(e) => last_error = Some(e),
-            }
-            for addr in shard.entry.addrs.iter().filter_map(|a| a.parse().ok()) {
-                let attempt = ServiceClient::connect_timeout(&addr, FAILOVER_CONNECT_TIMEOUT)
-                    .and_then(|mut fresh| fresh.shard_map());
-                match attempt {
-                    Ok(map) => return Ok(map),
-                    Err(e) => last_error = Some(e),
-                }
             }
         }
         Err(last_error.unwrap_or_else(|| {
@@ -693,25 +606,11 @@ impl ShardedClient {
             return Ok(self.epoch);
         }
         let map = &offered.map;
-        let mut shards = Vec::with_capacity(map.shards.len());
-        for entry in &map.shards {
-            let mut candidates: Vec<SocketAddr> =
-                entry.addrs.iter().filter_map(|a| a.parse().ok()).collect();
-            if candidates.is_empty() {
-                // Entries without attested addresses fall back to the
-                // address this client already used for the shard.
-                if let Some(existing) = self.shards.get(entry.shard_id as usize) {
-                    candidates.push(existing.addr);
-                }
-            }
-            shards.push(connect_entry(
-                entry,
-                candidates,
-                map.shard_count,
-                map.epoch,
-            )?);
-        }
-        self.shards = shards;
+        self.shards = map
+            .shards
+            .iter()
+            .map(|entry| connect_entry(entry, map.shard_count, map.epoch))
+            .collect::<Result<Vec<_>, _>>()?;
         self.total_records = map.total_records;
         self.epoch = map.epoch;
         self.obs.map_refreshes += 1;
@@ -722,8 +621,8 @@ impl ShardedClient {
     /// verifies every per-shard response under its attested key at that
     /// epoch, and merges the results into the logical answer (ascending
     /// score order, exactly as a single server over the whole dataset would
-    /// return). A dead scatter leg is retried against the shard's attested
-    /// standby addresses before the query is failed. This is
+    /// return). A dead scatter leg fails the query with
+    /// [`ServiceError::ShardFailed`]. This is
     /// [`ShardedClient::batch_verified`] of one query.
     pub fn query_verified(&mut self, query: &Query) -> Result<ShardedResponse, ServiceError> {
         let mut merged = self.batch_verified(std::slice::from_ref(query))?;
@@ -740,11 +639,10 @@ impl ShardedClient {
     /// unsharded [`ServiceClient::batch`] returns against a single server
     /// at the same epoch.
     ///
-    /// A dead scatter leg fails over to the shard's attested standby
-    /// addresses, a stale-epoch rejection surfaces typed (refresh the map
-    /// and retry), and any unrecoverable leg fails the whole batch with
-    /// [`ServiceError::ShardFailed`] — never a silent partial answer. An
-    /// empty batch sends nothing and answers an empty list.
+    /// Any failed leg fails the whole batch with
+    /// [`ServiceError::ShardFailed`] — never a silent partial answer; a
+    /// stale-epoch rejection inside it tells the caller to refresh the map
+    /// and retry. An empty batch sends nothing and answers an empty list.
     pub fn batch_verified(
         &mut self,
         queries: &[Query],
@@ -783,11 +681,10 @@ impl ShardedClient {
 
     /// Scatters `queries` to every shard as pinned query frames — each
     /// window of [`PIPELINE_WINDOW`] goes out on every shard before the
-    /// first reply is read, so the shards work at once — gathers and
-    /// verifies every leg, and retries dead legs against the attested
-    /// standby addresses. Returns each shard's verified answers in query
-    /// order, shards in shard-id order, or the first unrecoverable leg
-    /// failure as a typed [`ServiceError::ShardFailed`].
+    /// first reply is read, so the shards work at once — and gathers and
+    /// verifies every leg. Returns each shard's verified answers in query
+    /// order, shards in shard-id order, or the first leg failure as a typed
+    /// [`ServiceError::ShardFailed`].
     ///
     /// Every in-flight reply is read even after a failure, so surviving
     /// connections stay request/response aligned for the next call.
@@ -804,7 +701,7 @@ impl ShardedClient {
             .collect();
         let mut leg_time = vec![Duration::ZERO; self.shards.len()];
         for window in queries.chunks(PIPELINE_WINDOW) {
-            // A failed send is retried on a standby after the gather.
+            // A failed send fails the leg; the gather skips it.
             for (shard, leg) in self.shards.iter_mut().zip(&mut legs) {
                 if leg.is_ok() {
                     if let Err(e) = shard.client.send_queries(Some(epoch), window) {
@@ -830,16 +727,12 @@ impl ShardedClient {
         let mut results = Vec::with_capacity(legs.len());
         let mut failure: Option<ServiceError> = None;
         for (i, (leg, time)) in legs.into_iter().zip(leg_time).enumerate() {
-            let started = Instant::now();
-            let outcome = match leg {
-                Err(e) if is_failover_worthy(&e) => self.failover_leg(i, queries, e),
-                other => other,
-            };
-            // The leg spans receive-through-verify (plus any failover), so a
-            // straggling or flapping shard is visible per shard id.
-            let leg_micros = (time + started.elapsed()).as_micros().min(u64::MAX as u128) as u64;
-            self.obs.leg(i).record(leg_micros);
-            match outcome {
+            // The leg spans receive-through-verify, so a straggling shard is
+            // visible per shard id.
+            self.obs
+                .leg(i)
+                .record(time.as_micros().min(u64::MAX as u128) as u64);
+            match leg {
                 Ok(result) => results.push(result),
                 Err(e) => {
                     if e.is_stale_epoch() {
@@ -855,57 +748,6 @@ impl ShardedClient {
             Some(error) => Err(error),
             None => Ok(results),
         }
-    }
-
-    /// Retries one failed scatter leg against the shard's attested standby
-    /// addresses. On success the standby connection replaces the dead one.
-    ///
-    /// Two standby-side failures are *not* smoothed over by trying further
-    /// candidates or reporting the original transport error instead:
-    ///
-    /// * a **stale-epoch** rejection (handshake or reply) — the shard moved
-    ///   to a new publication, and the caller must see a stale-epoch error
-    ///   so it refreshes the signed map and re-pins, rather than treating
-    ///   the leg as a plain outage and giving up;
-    /// * a **verification failure** — a standby serving data that does not
-    ///   verify under the attested key must surface, never be masked by a
-    ///   retry.
-    ///
-    /// Only transport-level failures fall through to the next candidate;
-    /// with no candidate left, the original error is returned.
-    fn failover_leg(
-        &mut self,
-        index: usize,
-        queries: &[Query],
-        original: ServiceError,
-    ) -> Result<Vec<VerifiedLeg>, ServiceError> {
-        let entry = self.shards[index].entry.clone();
-        let current = self.shards[index].addr;
-        let epoch = self.epoch;
-        let shard_count = self.shards.len() as u32;
-        self.obs.failovers += 1;
-        for addr in failover_candidates(&entry, current) {
-            let mut connection = match open_shard_connection(addr, &entry, shard_count, epoch) {
-                Ok(connection) => connection,
-                Err(e) if e.is_stale_epoch() => return Err(e),
-                Err(_) => continue,
-            };
-            let outcome = connection
-                .client
-                .batch_at(epoch, queries)
-                .and_then(|answers| verify_leg(queries, answers, &self.template, &entry, epoch));
-            match outcome {
-                Ok(result) => {
-                    self.shards[index] = connection;
-                    return Ok(result);
-                }
-                Err(e) if e.is_stale_epoch() || matches!(e, ServiceError::Verification(_)) => {
-                    return Err(e)
-                }
-                Err(_) => continue,
-            }
-        }
-        Err(original)
     }
 
     /// Fetches every shard's deep stats (per-stage latency histograms,
@@ -932,8 +774,8 @@ type VerifiedLeg = (Vec<Record>, Vec<f64>);
 /// under the shard's attested key, at the pinned epoch — and returns the
 /// verified (records, scores) per query, in query order. The scatter's one
 /// security-sensitive step, run through one [`VerifyScratch`] for the whole
-/// leg. The answers come from [`ServiceClient::receive_queries`] or
-/// [`ServiceClient::batch_at`], which return one per query or fail.
+/// leg. The answers come from [`ServiceClient::receive_queries`], which
+/// returns one per query or fails.
 fn verify_leg(
     queries: &[Query],
     answers: Vec<QueryResponse>,
@@ -1108,43 +950,5 @@ mod tests {
             merged.records.iter().map(|r| r.id).collect::<Vec<_>>(),
             [2, 4, 9]
         );
-    }
-
-    #[test]
-    fn failover_candidates_exclude_the_current_address_and_junk() {
-        let entry = ShardEntry {
-            shard_id: 0,
-            records: 5,
-            public_key: SignatureScheme::test_rsa(1).public_key(),
-            addrs: vec![
-                "127.0.0.1:4300".into(),
-                "not-an-address".into(),
-                "127.0.0.1:4301".into(),
-            ],
-        };
-        let current: SocketAddr = "127.0.0.1:4300".parse().unwrap();
-        let candidates = failover_candidates(&entry, current);
-        assert_eq!(candidates, vec!["127.0.0.1:4301".parse().unwrap()]);
-    }
-
-    #[test]
-    fn only_transport_outages_are_failover_worthy() {
-        let io = ServiceError::Io(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "down"));
-        assert!(is_failover_worthy(&io));
-        let shutting_down = ServiceError::Remote(vaq_wire::ErrorReply {
-            code: ErrorCode::ShuttingDown,
-            message: "bye".into(),
-        });
-        assert!(is_failover_worthy(&shutting_down));
-        // A stale epoch means "refresh the map", not "try a standby" — the
-        // standby serves the same epoch as its primary.
-        let stale = ServiceError::Remote(vaq_wire::ErrorReply {
-            code: ErrorCode::StaleEpoch,
-            message: "epoch moved".into(),
-        });
-        assert!(!is_failover_worthy(&stale));
-        // A verification failure must surface, never be masked by a retry.
-        let bad = ServiceError::ShardMap("not disjoint".into());
-        assert!(!is_failover_worthy(&bad));
     }
 }

@@ -390,29 +390,3 @@ fn sharded_deep_stats_and_client_observability_reconcile() {
     assert_eq!(obs.map_refreshes, 1, "one adopted refresh");
     deployment.shutdown();
 }
-
-#[test]
-fn failover_activations_are_counted() {
-    let dataset = uniform_dataset(16, 1, 0xbb);
-    let mut deployment = ShardedDeployment::launch_with_standbys(
-        &dataset,
-        2,
-        SigningMode::MultiSignature,
-        0xbb,
-        ServiceConfig::ephemeral().workers(2),
-        1,
-    )
-    .unwrap();
-    let mut client = deployment.client().unwrap();
-    client.query_verified(&Query::top_k(vec![0.5], 2)).unwrap();
-    assert_eq!(client.observability().failovers, 0);
-
-    // Kill shard 0's primary mid-session: the next scatter leg dies and is
-    // retried against the attested standby — one failover activation.
-    deployment.stop_shard(0);
-    client
-        .query_verified(&Query::top_k(vec![0.5], 3))
-        .expect("standby serves the leg");
-    assert!(client.observability().failovers >= 1);
-    deployment.shutdown();
-}

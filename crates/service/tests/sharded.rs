@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use vaq_authquery::{IfmhTree, Query, Server, SigningMode};
-use vaq_crypto::SignatureScheme;
+use vaq_crypto::{SignatureScheme, Signer};
 use vaq_funcdb::Dataset;
 use vaq_service::{
     attest_shard_map, partition_dataset, spec_to_query, verify_shard_map, PartitionStrategy,
@@ -329,51 +329,6 @@ fn sharded_batch_racing_republish_converges_without_mixing_epochs() {
 }
 
 #[test]
-fn standby_completes_a_batch_after_a_primary_kill() {
-    // A primary dies mid-batch-session: the dead scatter leg fails over to
-    // the attested standby address and the whole batch completes fully
-    // verified — byte-identical to an unsharded server, zero verification
-    // failures, no client-visible outage.
-    let dataset = uniform_dataset(24, 1, 151);
-    let mut deployment = ShardedDeployment::launch_with_standbys(
-        &dataset,
-        SHARDS,
-        SigningMode::MultiSignature,
-        0xe1,
-        ServiceConfig::ephemeral().workers(2),
-        1,
-    )
-    .unwrap();
-    let (single, _) = single_server(&dataset, 151);
-    let mut single_client = ServiceClient::connect(single.local_addr()).unwrap();
-    let mut client = deployment.client().expect("connect to primaries");
-
-    let queries = vec![
-        Query::top_k(vec![0.45], 6),
-        Query::range(vec![0.3], 0.0, 0.9),
-        Query::knn(vec![0.6], 3, 0.5),
-    ];
-    client.batch_verified(&queries).expect("healthy batch");
-
-    deployment.stop_shard(1);
-    for round in 0..5 {
-        let merged = client
-            .batch_verified(&queries)
-            .unwrap_or_else(|e| panic!("failover round {round}: {e}"));
-        let expected = single_client.batch(&queries).unwrap();
-        for ((query, batched), expected) in queries.iter().zip(&merged).zip(&expected) {
-            let merged_bytes: Vec<Vec<u8>> =
-                batched.records.iter().map(|r| r.to_wire_bytes()).collect();
-            let expected_bytes: Vec<Vec<u8>> =
-                expected.records.iter().map(|r| r.to_wire_bytes()).collect();
-            assert_eq!(merged_bytes, expected_bytes, "round {round}: {query}");
-        }
-    }
-    single.shutdown();
-    deployment.shutdown();
-}
-
-#[test]
 fn sharded_deployment_works_in_two_dimensions() {
     let dataset = uniform_dataset(15, 2, 31);
     let (single, _) = single_server(&dataset, 31);
@@ -496,6 +451,32 @@ fn forged_or_mismatched_publications_are_rejected() {
         ),
     }
     deployment.shutdown();
+}
+
+#[test]
+fn launching_zero_shards_or_more_shards_than_records_is_a_typed_error() {
+    let dataset = uniform_dataset(2, 1, 59);
+    for shards in [0, 3] {
+        match ShardedDeployment::launch(
+            &dataset,
+            shards,
+            SigningMode::MultiSignature,
+            0x59,
+            ServiceConfig::ephemeral(),
+        ) {
+            Err(ServiceError::Io(e)) => {
+                assert_eq!(
+                    e.kind(),
+                    std::io::ErrorKind::InvalidInput,
+                    "{shards} shards"
+                )
+            }
+            other => panic!(
+                "{shards} shards: expected InvalidInput, got {other:?}",
+                other = other.err()
+            ),
+        }
+    }
 }
 
 #[test]
@@ -695,62 +676,13 @@ fn response_signed_under_a_superseded_epoch_is_rejected() {
 }
 
 #[test]
-fn standby_takes_over_a_killed_primary_mid_session() {
-    let dataset = uniform_dataset(24, 1, 121);
-    let mut deployment = ShardedDeployment::launch_with_standbys(
-        &dataset,
-        SHARDS,
-        SigningMode::MultiSignature,
-        0xb1,
-        ServiceConfig::ephemeral().workers(2),
-        1,
-    )
-    .unwrap();
-    // The attested map lists two addresses per shard (primary + standby).
-    for entry in &deployment.publication().shard_map.map.shards {
-        assert_eq!(entry.addrs.len(), 2, "shard {}", entry.shard_id);
-    }
-
-    let (single, _) = single_server(&dataset, 121);
-    let mut single_client = ServiceClient::connect(single.local_addr()).unwrap();
-    let mut client = deployment.client().expect("connect to primaries");
-    let query = Query::top_k(vec![0.45], 6);
-    client.query_verified(&query).expect("healthy query");
-
-    // Kill shard 1's primary under the connected client. The scatter leg
-    // dies mid-query and is retried against the attested standby address —
-    // the query completes fully verified, byte-identical to an unsharded
-    // server, with no client-visible failure.
-    deployment.stop_shard(1);
-    for round in 0..5 {
-        let merged = client
-            .query_verified(&query)
-            .unwrap_or_else(|e| panic!("failover round {round}: {e}"));
-        let expected = single_client.query(&query).unwrap();
-        assert_eq!(merged.records, expected.records, "round {round}");
-        let merged_bytes: Vec<Vec<u8>> = merged.records.iter().map(|r| r.to_wire_bytes()).collect();
-        let expected_bytes: Vec<Vec<u8>> =
-            expected.records.iter().map(|r| r.to_wire_bytes()).collect();
-        assert_eq!(merged_bytes, expected_bytes, "round {round}");
-    }
-
-    // A fresh client connecting from the map also lands on the standby.
-    let mut fresh =
-        ShardedClient::connect_from_map(deployment.publication()).expect("connect via map");
-    fresh.query_verified(&query).expect("fresh client query");
-
-    single.shutdown();
-    deployment.shutdown();
-}
-
-#[test]
-fn republish_under_live_load_converges_and_survives_a_primary_kill() {
-    // The acceptance scenario end to end: a sharded deployment with
-    // standbys takes a live verified load while the owner republishes the
-    // dataset *and* one primary is killed mid-run. Every client must
-    // converge to the new epoch with zero verification failures, and the
-    // final merged answers must be byte-identical to a fresh unsharded
-    // server hosting the republished dataset at that epoch.
+fn republish_under_live_load_converges_then_a_dead_shard_is_a_typed_error() {
+    // The acceptance scenario end to end: a sharded deployment takes a live
+    // verified load while the owner republishes the dataset. Every client
+    // must converge to the new epoch with zero verification failures, and
+    // the final merged answers must be byte-identical to a fresh unsharded
+    // server hosting the republished dataset at that epoch. Killing a shard
+    // afterwards fails the converged client with a typed error naming it.
     let dataset = uniform_dataset(24, 1, 131);
     let mut updated = dataset.clone();
     for record in updated.records.iter_mut().take(8) {
@@ -758,23 +690,20 @@ fn republish_under_live_load_converges_and_survives_a_primary_kill() {
     }
     let updated = vaq_funcdb::Dataset::new(updated.records, updated.template, updated.domain);
 
-    let mut deployment = ShardedDeployment::launch_with_standbys(
+    let mut deployment = ShardedDeployment::launch(
         &dataset,
         SHARDS,
         SigningMode::MultiSignature,
         0xc1,
         ServiceConfig::ephemeral().workers(4),
-        1,
     )
     .unwrap();
 
     let load = spawn_load(&deployment, &dataset, &QueryMix::weighted(2, 1, 1), 3, 30);
 
-    // Republish mid-run, then kill a primary while the load keeps coming.
+    // Republish mid-run while the load keeps coming.
     std::thread::sleep(Duration::from_millis(150));
     assert_eq!(deployment.republish(&updated).expect("live republish"), 1);
-    std::thread::sleep(Duration::from_millis(100));
-    deployment.stop_shard(0);
 
     let done = join_load(load);
     assert_eq!(done.len(), 90, "every answer verified");
@@ -804,6 +733,16 @@ fn republish_under_live_load_converges_and_survives_a_primary_kill() {
             "wire bytes diverge for {query}"
         );
     }
+
+    // A dead shard is a typed error naming it, never a partial answer.
+    deployment.stop_shard(0);
+    match converged.query_verified(&Query::top_k(vec![0.5], 4)) {
+        Err(ServiceError::ShardFailed { shard_id: 0, .. }) => {}
+        other => panic!(
+            "expected ShardFailed for shard 0, got {other:?}",
+            other = other.map(|merged| merged.records.len())
+        ),
+    }
     deployment.shutdown();
 }
 
@@ -829,13 +768,29 @@ fn signed_map_without_addresses_is_a_typed_error_not_a_panic() {
         master_key: master.public_key(),
         template: dataset.template.clone(),
     };
-    match ShardedClient::connect_from_map(&publication) {
-        Err(ServiceError::ShardMap(reason)) => {
-            assert!(reason.contains("no usable addresses"), "{reason}")
-        }
-        other => panic!(
-            "expected a typed ShardMap error, got {other:?}",
-            other = other.err()
-        ),
+    let expect_no_usable_addresses =
+        |publication: &ShardedPublication| match ShardedClient::connect_from_map(publication) {
+            Err(ServiceError::ShardMap(reason)) => {
+                assert!(reason.contains("no usable addresses"), "{reason}")
+            }
+            other => panic!(
+                "expected a typed ShardMap error, got {other:?}",
+                other = other.err()
+            ),
+        };
+    expect_no_usable_addresses(&publication);
+
+    // Same for a signed entry whose only address does not parse.
+    let mut garbled = publication.shard_map.map.clone();
+    for entry in &mut garbled.shards {
+        entry.addrs = vec!["not-an-address".into()];
     }
+    let publication = ShardedPublication {
+        shard_map: vaq_wire::SignedShardMap {
+            signature: master.sign_digest(&garbled.digest()),
+            map: garbled,
+        },
+        ..publication
+    };
+    expect_no_usable_addresses(&publication);
 }

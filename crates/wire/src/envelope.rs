@@ -364,11 +364,9 @@ pub struct ShardEntry {
     /// verify under this key, so one shard cannot answer with another
     /// shard's (equally well-signed) data.
     pub public_key: PublicKey,
-    /// Addresses serving this shard, primary first, standbys after. Every
-    /// address hosts the same shard data under the same per-shard key, so a
-    /// client may fail a scatter leg over to any of them — the attested
-    /// entry is what makes the takeover sound (the standby's responses must
-    /// verify under the same attested key).
+    /// The address serving this shard: one entry, or none when the
+    /// topology is distributed out of band. Clients connect to the first
+    /// entry; a list that holds no parseable address is a typed error.
     pub addrs: Vec<String>,
 }
 
@@ -752,7 +750,7 @@ mod tests {
         tampered.shards.pop();
         assert_ne!(tampered.digest(), signed.map.digest());
         // The epoch and the address lists are attested too: a relabelled
-        // epoch or a redirected standby address breaks the signature.
+        // epoch or a redirected address breaks the signature.
         tampered = signed.map.clone();
         tampered.epoch += 1;
         assert_ne!(tampered.digest(), signed.map.digest());

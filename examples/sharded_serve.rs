@@ -1,6 +1,6 @@
 //! Stands up a sharded deployment: one logical dataset partitioned across S
-//! query services (each with a standby replica), plus a scatter-gather
-//! self-test, a live republication and a standby failover.
+//! query services, one address each, plus a scatter-gather self-test, a
+//! live republication and a shard outage answered with a typed error.
 //!
 //! ```text
 //! cargo run --release --example sharded_serve -- [shards] [records] [dims] [seed]
@@ -11,7 +11,7 @@
 //! from the attested shard map itself.
 
 use verified_analytics::authquery::{Query, SigningMode};
-use verified_analytics::service::{ServiceConfig, ShardedClient, ShardedDeployment};
+use verified_analytics::service::{ServiceConfig, ServiceError, ShardedClient, ShardedDeployment};
 use verified_analytics::workload::uniform_dataset;
 
 fn main() {
@@ -24,14 +24,13 @@ fn main() {
     println!("building dataset: {records} records, {dims} dims, seed {seed}");
     let dataset = uniform_dataset(records, dims, seed);
 
-    println!("partitioning into {shards} shards (one signing key + one standby each)...");
-    let mut deployment = ShardedDeployment::launch_with_standbys(
+    println!("partitioning into {shards} shards (one signing key + one address each)...");
+    let mut deployment = ShardedDeployment::launch(
         &dataset,
         shards,
         SigningMode::MultiSignature,
         seed,
         ServiceConfig::ephemeral().workers(2),
-        1,
     )
     .expect("launch sharded deployment");
 
@@ -101,23 +100,19 @@ fn main() {
         .query_verified(&query)
         .expect("converged client queries at the new epoch");
 
-    // Failover: kill shard 0's primary; the standby completes the leg.
+    // Outage: stop shard 0; the next query fails typed, naming the shard,
+    // instead of merging an answer from the shards that are left.
     deployment.stop_shard(0);
-    let merged = client
-        .query_verified(&query)
-        .expect("standby serves the killed primary's leg");
-    println!(
-        "killed shard 0's primary; standby answered — {} records, fully verified",
-        merged.records.len()
-    );
-
-    println!("press Ctrl-C to stop");
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(10));
-        let served: u64 = deployment.stats().iter().map(|s| s.requests_served).sum();
-        println!(
-            "epoch {}: {served} primary shard-requests served across {shards} shards",
-            deployment.epoch()
-        );
+    match client.query_verified(&query) {
+        Err(e @ ServiceError::ShardFailed { shard_id: 0, .. }) => {
+            println!("stopped shard 0; the next query failed typed: {e}")
+        }
+        other => panic!("a dead shard must fail the query, got {other:?}"),
     }
+    let stats = deployment.shutdown();
+    let served: u64 = stats.iter().map(|s| s.requests_served).sum();
+    println!(
+        "shut down: {served} shard-requests served by the {} shards still up",
+        stats.len()
+    );
 }
