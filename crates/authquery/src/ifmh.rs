@@ -16,7 +16,6 @@
 //!    FMH root together with its defining inequalities (*multi-signature*).
 
 use crate::cost::OwnerStats;
-use crate::proof_cache::ProofCache;
 use crate::signing::SigningMode;
 use crate::vo::{
     epoch_binding_digest, intersection_node_hash, max_sentinel_digest, min_sentinel_digest,
@@ -51,12 +50,21 @@ pub struct IfmhTree {
     pub(crate) leaf_signatures: HashMap<u32, Signature>,
     /// The publication epoch every signature in this tree is bound to.
     epoch: u64,
-    /// Per-subdomain interior proofs, materialized once at build time and
-    /// served read-only for the whole epoch.
-    proof_cache: ProofCache,
     stats: OwnerStats,
     /// I-tree construction statistics.
     pub build_stats: BuildStats,
+}
+
+/// What [`IfmhTree::proof_cache`] returns: no per-subdomain proof material
+/// is kept beside the tree.
+#[derive(Clone, Copy, Debug)]
+pub struct ProofCache;
+
+impl ProofCache {
+    /// Bytes of proof material held: 0.
+    pub fn byte_size(&self) -> usize {
+        0
+    }
 }
 
 impl IfmhTree {
@@ -191,18 +199,6 @@ impl IfmhTree {
                 + signatures * sig_size,
         };
 
-        // Step 5: materialize the interior-proof cache. Everything it holds
-        // is immutable for this epoch, so `vo_build` can assemble proofs by
-        // cloning instead of re-walking the I-tree per query.
-        let proof_cache = ProofCache::build(
-            &itree,
-            &node_hashes,
-            mode,
-            &root_signature,
-            &leaf_signatures,
-            epoch,
-        );
-
         IfmhTree {
             itree,
             fmh,
@@ -212,7 +208,6 @@ impl IfmhTree {
             root_signature,
             leaf_signatures,
             epoch,
-            proof_cache,
             stats,
             build_stats,
         }
@@ -254,9 +249,12 @@ impl IfmhTree {
         Some(self.fmh.tree(tree))
     }
 
-    /// The epoch-scoped interior-proof cache materialized at build time.
-    pub fn proof_cache(&self) -> &ProofCache {
-        &self.proof_cache
+    /// Always the empty [`ProofCache`]: the server reads every interior
+    /// proof from the tree itself. Kept only for the benchmark's
+    /// `authquery.proof_cache_bytes` reading, which is therefore 0; ROADMAP
+    /// item 2(e) removes both.
+    pub fn proof_cache(&self) -> ProofCache {
+        ProofCache
     }
 
     /// Number of subdomains.

@@ -92,22 +92,7 @@ impl Server {
     /// split between query execution and VO construction, so callers can
     /// attribute latency to the right stage.
     pub fn process_timed(&self, query: &Query) -> (QueryResponse, ProcessTiming) {
-        self.materialise(self.answer_inner(query, true))
-    }
-
-    /// Reference path: identical to [`Server::process`] but assembles the
-    /// subdomain-verification data by re-walking the I-tree instead of using
-    /// the interior-proof cache. Kept for differential testing — the VO
-    /// bytes must be identical to the cached path.
-    pub fn process_uncached(&self, query: &Query) -> QueryResponse {
-        self.materialise(self.answer_inner(query, false)).0
-    }
-
-    /// Answers a query without copying a result record: the window's ids,
-    /// the VO and the cost, plus the time split. [`Server::process_timed`]
-    /// is this followed by copying the window's records out.
-    pub fn answer(&self, query: &Query) -> (Answer<'_>, ProcessTiming) {
-        self.answer_inner(query, true)
+        self.materialise(self.answer(query))
     }
 
     /// Copies an answer's result records out of the dataset, charging the
@@ -127,7 +112,10 @@ impl Server {
         (QueryResponse { records, vo, cost }, timing)
     }
 
-    fn answer_inner(&self, query: &Query, use_cache: bool) -> (Answer<'_>, ProcessTiming) {
+    /// Answers a query without copying a result record: the window's ids,
+    /// the VO and the cost, plus the time split. [`Server::process_timed`]
+    /// is this followed by copying the window's records out.
+    pub fn answer(&self, query: &Query) -> (Answer<'_>, ProcessTiming) {
         let x = query.weights();
         assert_eq!(
             x.len(),
@@ -178,23 +166,9 @@ impl Server {
             .expect("every subdomain has an FMH tree");
         let range_proof = fmh.prove_range(first_leaf, last_leaf);
 
-        // 5. Subdomain verification data and signature: served from the
-        //    epoch-scoped interior-proof cache when available (everything in
-        //    it is immutable within the epoch), with the tree re-walk kept
-        //    as the uncached reference path.
-        let cached = if use_cache {
-            self.tree.proof_cache().get(leaf)
-        } else {
-            None
-        };
-        let (intersection_verification, signature, vo_nodes_collected) = match cached {
-            Some(proof) => (
-                proof.iv.clone(),
-                proof.signature.clone(),
-                proof.nodes_collected,
-            ),
-            None => self.assemble_interior_proof(&located, leaf),
-        };
+        // 5. Subdomain verification data and the signature covering it.
+        let (intersection_verification, signature, vo_nodes_collected) =
+            self.assemble_interior_proof(&located, leaf);
 
         let cost = ServerCost {
             imh_nodes_visited: located.nodes_visited,
@@ -221,8 +195,12 @@ impl Server {
         (Answer { window, vo, cost }, timing)
     }
 
-    /// Legacy interior-proof assembly: re-walks the located path and reads
-    /// node hashes per query. The proof cache precomputes exactly this.
+    /// The interior proof of the located subdomain, read from the tree: in
+    /// one-signature mode the root-to-leaf IMH path (each intersection's
+    /// predicate, the hash stored at the sibling not taken and the branch)
+    /// with the root signature; in multi-signature mode the subdomain's
+    /// defining half-spaces with its own signature. The count is the
+    /// interior nodes the VO collects: the path length, or 0.
     fn assemble_interior_proof(
         &self,
         located: &LocateResult,

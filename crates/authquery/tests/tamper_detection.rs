@@ -170,6 +170,44 @@ fn narrowing_a_range_result_is_detected() {
 }
 
 #[test]
+fn emptying_one_answer_among_several_is_pinpointed() {
+    for mode in both_modes() {
+        let s = setup(mode, 20, 91);
+        let queries = [
+            Query::top_k(vec![0.8], 4),
+            Query::range(vec![0.3], 0.05, 0.2),
+            Query::knn(vec![0.6], 3, 0.3),
+        ];
+        let mut responses: Vec<_> = queries.iter().map(|q| s.server.process(q)).collect();
+        // The server clears every record of the second answer only and keeps
+        // its VO as it was.
+        assert!(!responses[1].records.is_empty(), "need a non-empty answer");
+        responses[1].records.clear();
+        let failed: Vec<usize> = queries
+            .iter()
+            .zip(&responses)
+            .enumerate()
+            .filter(|(_, (q, r))| {
+                client::verify(
+                    q,
+                    &r.records,
+                    &r.vo,
+                    &s.dataset.template,
+                    s.verifier.as_ref(),
+                )
+                .is_err()
+            })
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(
+            failed,
+            vec![1],
+            "mode {mode}: only the emptied answer fails"
+        );
+    }
+}
+
+#[test]
 fn dropping_the_record_scoring_exactly_lower_is_detected() {
     // The exact flank comparison must still catch the one-record version of
     // the narrowing attack: the lowest in-range record scores `lower`

@@ -3,7 +3,7 @@
 //! plus direct slice/array indexing in the request-handling hot-path files
 //! (`server.rs`, `frame.rs`, `reactor.rs`, `conn.rs`, `io.rs`,
 //! `envelope.rs`) and the per-request crypto fast-path files
-//! (`montgomery.rs`, `sign_pool.rs`, `proof_cache.rs`). A request must
+//! (`montgomery.rs`, `sign_pool.rs`). A request must
 //! never be able to kill its worker — or, since the evented rewrite, the
 //! reactor thread that owns every connection: errors cross the wire as
 //! typed `ServiceError` / `WireError` replies.
@@ -23,7 +23,7 @@ pub const PASS: &str = "panic-path";
 /// forbidden (a forged frame must not be able to panic a worker — and the
 /// reactor and per-connection state machines run *every* byte of every
 /// frame, so they are held to the same bar).
-const INDEX_CHECKED_FILES: [&str; 9] = [
+const INDEX_CHECKED_FILES: [&str; 8] = [
     "server.rs",
     "frame.rs",
     "reactor.rs",
@@ -32,15 +32,13 @@ const INDEX_CHECKED_FILES: [&str; 9] = [
     "envelope.rs",
     "montgomery.rs",
     "sign_pool.rs",
-    "proof_cache.rs",
 ];
 
-/// Crypto / VO fast-path files outside the service and wire trees that the
-/// panic-path pass also covers: they run once per signature or per query on
-/// the server's hot path, so a data-dependent panic there is exactly as
-/// fatal as one in the reactor. `run_all` scans their home crates for just
-/// these names.
-pub const CRYPTO_HOT_FILES: [&str; 3] = ["montgomery.rs", "sign_pool.rs", "proof_cache.rs"];
+/// Crypto fast-path files outside the service and wire trees that the
+/// panic-path pass also covers: they run once per signature on the server's
+/// hot path, so a data-dependent panic there is exactly as fatal as one in
+/// the reactor. `run_all` scans `crates/crypto/src` for just these names.
+pub const CRYPTO_HOT_FILES: [&str; 2] = ["montgomery.rs", "sign_pool.rs"];
 
 /// Keywords that make a preceding-token `[` a type, pattern or literal
 /// rather than an indexing expression.

@@ -1,9 +1,7 @@
-//! Regression test: a republication swaps the interior-proof cache
-//! atomically with the epoch hot-swap. VO assembly on the hot path is
-//! served from the cache, so a stale cache would surface as new-epoch
-//! responses carrying old-epoch interior digests or signatures — which this
-//! test detects because such a response cannot verify at its own envelope
-//! epoch.
+//! Regression tests: a republication swaps the served structure atomically
+//! with the epoch. A response stamped with the new epoch but carrying the
+//! old epoch's interior proof, signature or record bytes cannot verify at
+//! its own envelope epoch, so these tests detect a partial swap.
 
 use vaq_authquery::{verify_at_epoch, IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::{SignatureScheme, Signer};
@@ -11,15 +9,12 @@ use vaq_service::{QueryService, ServiceClient, ServiceConfig};
 use vaq_workload::uniform_dataset;
 
 #[test]
-fn republish_swaps_the_interior_proof_cache_with_the_epoch() {
+fn republished_service_serves_proofs_that_verify_at_the_new_epoch_only() {
     let dataset = uniform_dataset(30, 1, 99);
     let scheme = SignatureScheme::test_rsa(99);
     let verifier = scheme.verifier();
     for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {
-        // The cache is embedded in the tree, so cache and epoch can only
-        // travel together through the serving snapshot swap.
         let t0 = IfmhTree::build_at_epoch(&dataset, mode, &scheme, 0);
-        assert_eq!(t0.proof_cache().epoch(), t0.epoch());
         let service =
             QueryService::bind(ServiceConfig::ephemeral(), Server::new(dataset.clone(), t0))
                 .expect("bind");
@@ -39,7 +34,6 @@ fn republish_swaps_the_interior_proof_cache_with_the_epoch() {
         .expect("pre-republish response verifies at epoch 0");
 
         let t1 = IfmhTree::build_at_epoch(&dataset, mode, &scheme, 1);
-        assert_eq!(t1.proof_cache().epoch(), 1);
         service
             .republish(Server::new(dataset.clone(), t1))
             .expect("hot swap to epoch 1");
@@ -56,7 +50,7 @@ fn republish_swaps_the_interior_proof_cache_with_the_epoch() {
             verifier.as_ref(),
             1,
         )
-        .expect("new-epoch response must carry new-epoch cached proofs");
+        .expect("new-epoch response must carry new-epoch proofs");
         assert!(
             verify_at_epoch(
                 &query,

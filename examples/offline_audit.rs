@@ -13,7 +13,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use verified_analytics::authquery::{client, process_batch, DataOwner, Query, Server, SigningMode};
+use verified_analytics::authquery::{client, DataOwner, Query, Server, SigningMode};
 use verified_analytics::wire::{WireDecode, WireEncode};
 use verified_analytics::workload::financial_risk_table;
 
@@ -35,16 +35,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ------------------------------------------------------------ server
     let server = Server::new(dataset.clone(), tree);
-    let queries = vec![
+    let queries = [
         Query::top_k(vec![1.0, 0.5, 0.25], 5),
         Query::range(vec![0.8, 0.8, 0.4], 0.6, 1.2),
         Query::knn(vec![0.5, 1.0, 0.5], 4, 1.0),
     ];
-    let batch = process_batch(&server, &queries);
+    let responses: Vec<_> = queries.iter().map(|q| server.process(q)).collect();
 
     // Archive every query/response pair as framed binary files.
     let mut files: Vec<(PathBuf, PathBuf)> = Vec::new();
-    for (i, (query, response)) in queries.iter().zip(batch.responses.iter()).enumerate() {
+    for (i, (query, response)) in queries.iter().zip(&responses).enumerate() {
         let q_path = dir.join(format!("query-{i}.vaq"));
         let r_path = dir.join(format!("response-{i}.vaq"));
         fs::write(&q_path, query.to_framed_bytes())?;
