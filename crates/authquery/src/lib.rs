@@ -58,7 +58,6 @@
 //! assert!(outcome.is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -22,7 +22,6 @@
 //! All comparative *shapes* (who wins, growth trends, crossovers) are
 //! preserved at the small scale; see EXPERIMENTS.md for measured numbers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;

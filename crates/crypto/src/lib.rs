@@ -38,7 +38,6 @@
 //! branch or address in any of its paths. Do not use this crate to
 //! protect real data.
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bignum;

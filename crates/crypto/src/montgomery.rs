@@ -19,8 +19,14 @@
 //! powers `base^(d·16^j)` of a reused base (DSA's `g` and `y`, the signing
 //! pool's `g^k`) once, leaving one multiply per 4 exponent bits.
 //!
-//! This file is on vaq-lint's panic-path hot list: no `unwrap`/`expect`/
-//! `panic!` and no direct slice indexing outside tests.
+//! It runs once per signature on the server's request path, so it is held
+//! to the service's no-panic rule: the attribute below makes clippy refuse
+//! `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` and direct slice
+//! indexing outside tests.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
 
 use crate::bignum::BigUint;
 

@@ -15,8 +15,14 @@
 //! [`StdRng`] for reproducibility — fine for reproducing the paper's
 //! performance shape, not for protecting real data.
 //!
-//! This file is on vaq-lint's panic-path hot list: no `unwrap`/`expect`/
-//! `panic!` and no direct slice indexing outside tests.
+//! It runs once per signature on the server's request path, so it is held
+//! to the service's no-panic rule: the attribute below makes clippy refuse
+//! `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` and direct slice
+//! indexing outside tests.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
 
 use crate::bignum::BigUint;
 use crate::dsa::DsaPublicKey;

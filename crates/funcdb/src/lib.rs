@@ -22,7 +22,6 @@
 //! * [`sort`] — sorting functions by their value at a point, i.e. the
 //!   "sorted function list" attached to every subdomain.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;

@@ -12,7 +12,6 @@
 //! (which adds Merkle hashing on top) and the signature-mesh baseline (which
 //! enumerates the same subdomains but searches them linearly).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod build;

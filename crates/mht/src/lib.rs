@@ -21,7 +21,6 @@
 //!   proof, counting hash invocations so clients can account for their
 //!   verification cost exactly as the paper's Fig. 7 does.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;

@@ -1,14 +1,17 @@
 //! Bounded LRU cache for encoded query responses.
 //!
-//! Keyed by the **canonical query bytes** (the deterministic VAQ1 encoding of
-//! the request), so structurally identical queries hit the same entry no
-//! matter which client or connection sent them. Values are fully encoded
-//! response frames, ready to write to a socket — a hit costs one map lookup
-//! and one `Arc` clone: the connection writes the cached buffer itself.
+//! The service keys it by the serving epoch and the **canonical query
+//! bytes** (the deterministic VAQ1 encoding of the request), so structurally
+//! identical queries hit the same entry no matter which client or connection
+//! sent them. Values are fully encoded response frames, ready to write to a
+//! socket — a hit costs one map lookup and one `Arc` clone: the connection
+//! writes the cached buffer itself.
 
 use crate::metrics::CacheGauges;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+use vaq_authquery::Query;
+use vaq_wire::{Epoch, Request};
 
 /// A cached, fully encoded response frame plus its recency stamp.
 type CachedEntry = (Arc<Vec<u8>>, u64);
@@ -145,6 +148,48 @@ impl LruCache {
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
+    }
+}
+
+/// A response-cache key; only [`epoch_cache_key`] builds one.
+pub(crate) struct EpochKey(Vec<u8>);
+
+/// The response-cache key of one query: the serving epoch prepended to the
+/// canonical bytes of the plain [`Request::Query`] asking it, so a pinned
+/// [`Request::QueryAt`] shares the entry, and a computation started before
+/// a republication inserts under its own epoch's key, which no new-epoch
+/// request can hit.
+pub(crate) fn epoch_cache_key(epoch: Epoch, query: &Query) -> EpochKey {
+    let canonical = Request::Query(query.clone()).canonical_bytes();
+    let mut key = Vec::with_capacity(8 + canonical.len());
+    key.extend_from_slice(&epoch.get().to_be_bytes());
+    key.extend_from_slice(&canonical);
+    EpochKey(key)
+}
+
+/// The service's response cache: an [`LruCache`] that takes only
+/// [`EpochKey`]s, so no lookup or insert can skip the epoch prefix.
+pub(crate) struct ResponseCache(LruCache);
+
+impl ResponseCache {
+    pub(crate) fn new(capacity: usize) -> Self {
+        ResponseCache(LruCache::new(capacity))
+    }
+
+    pub(crate) fn get(&mut self, key: &EpochKey) -> Option<Arc<Vec<u8>>> {
+        self.0.get(&key.0)
+    }
+
+    pub(crate) fn insert(&mut self, key: EpochKey, frame: Arc<Vec<u8>>) {
+        self.0.insert(key.0, frame);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    pub(crate) fn gauges(&self) -> CacheGauges {
+        self.0.gauges()
     }
 }
 

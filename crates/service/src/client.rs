@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use vaq_authquery::{client, Query, QueryResponse, VerifiedResult, VerifyScratch};
 use vaq_crypto::Verifier;
 use vaq_funcdb::FunctionTemplate;
-use vaq_wire::{epoch, ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep};
+use vaq_wire::{Epoch, ErrorCode, Request, Response, ShardInfo, SignedShardMap, StatsDeep};
 use vaq_workload::QuerySpec;
 
 use crate::error::ServiceError;
@@ -45,7 +45,7 @@ pub struct ServiceClient {
     verify_scratch: VerifyScratch,
     /// Highest publication epoch [`ServiceClient::query_verified`] has
     /// verified an answer at on this connection — its rollback anchor.
-    verified_epoch: u64,
+    verified_epoch: Epoch,
 }
 
 impl ServiceClient {
@@ -55,7 +55,7 @@ impl ServiceClient {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             desynced: false,
             verify_scratch: VerifyScratch::default(),
-            verified_epoch: 0,
+            verified_epoch: Epoch::new(0),
         }
     }
 
@@ -159,9 +159,9 @@ impl ServiceClient {
         verifier: &dyn Verifier,
     ) -> Result<(QueryResponse, VerifiedResult), ServiceError> {
         let (stamped, response) = self.query_with_epoch(query)?;
-        if epoch::rolls_back(self.verified_epoch, stamped) {
+        if Epoch::new(stamped).rolls_back(self.verified_epoch) {
             return Err(ServiceError::StaleEpoch {
-                expected: self.verified_epoch,
+                expected: self.verified_epoch.get(),
                 got: stamped,
             });
         }
@@ -174,7 +174,7 @@ impl ServiceClient {
             stamped,
             &mut self.verify_scratch,
         )?;
-        self.verified_epoch = stamped;
+        self.verified_epoch = Epoch::new(stamped);
         Ok((response, verified))
     }
 

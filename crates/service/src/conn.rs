@@ -5,6 +5,8 @@
 //! from [`crate::frame`] (a frame may arrive across many readiness events)
 //! and a write queue that survives partial writes. Nothing here blocks.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;

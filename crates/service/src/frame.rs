@@ -12,6 +12,8 @@
 //! declares, so a hostile peer cannot make either side reserve megabytes
 //! with a 10-byte header.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 use vaq_wire::{parse_frame_header, WireDecode, WireEncode, WireError, FRAME_HEADER_LEN};

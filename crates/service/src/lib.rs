@@ -89,7 +89,9 @@
 //! assert_eq!(stats.requests_served, 1);
 //! ```
 
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented))]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -56,6 +56,8 @@
 //! count served requests → close or linger); `service` and the shutdown
 //! flush both run it.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, ErrorKind};

@@ -3,6 +3,8 @@
 //! listener included — belongs to the reactors ([`crate::reactor`]);
 //! nothing here accepts, reads or writes one.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -11,13 +13,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use vaq_authquery::{Query, Server};
-use vaq_wire::epoch;
 use vaq_wire::{
-    query_response_frame, ErrorCode, ErrorReply, RecordBytes, Request, Response, ShardInfo,
+    query_response_frame, Epoch, ErrorCode, ErrorReply, RecordBytes, Request, Response, ShardInfo,
     SignedShardMap, StatsDeep, StatsSnapshot, WireDecode, WireEncode,
 };
 
-use crate::cache::LruCache;
+use crate::cache::{epoch_cache_key, ResponseCache};
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::metrics::{CacheGauges, Metrics, RequestKind, Stage};
@@ -27,7 +28,7 @@ use crate::sync::{rank, OrderedMutex};
 use crate::trace::Trace;
 
 /// Response-cache capacity in entries, under the cache's default byte
-/// budget ([`LruCache::DEFAULT_MAX_BYTES`]).
+/// budget ([`crate::LruCache::DEFAULT_MAX_BYTES`]).
 const CACHE_CAPACITY: usize = 1024;
 
 /// One publication as the service serves it: the dataset + authenticated
@@ -44,8 +45,8 @@ impl Serving {
         Serving { server, records }
     }
 
-    fn epoch(&self) -> u64 {
-        self.server.epoch()
+    fn epoch(&self) -> Epoch {
+        Epoch::new(self.server.epoch())
     }
 }
 
@@ -61,7 +62,7 @@ pub(crate) struct Shared {
     shard_map: OrderedMutex<Option<Arc<SignedShardMap>>>,
     pub(crate) config: ServiceConfig,
     pub(crate) metrics: Metrics,
-    cache: OrderedMutex<LruCache>,
+    cache: OrderedMutex<ResponseCache>,
     pub(crate) shutdown: AtomicBool,
     /// Connections in every reactor's table, shed ones included: counted at
     /// admit and given back at close, so
@@ -73,7 +74,7 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn new(config: ServiceConfig, server: Server) -> Shared {
         Shared {
-            cache: OrderedMutex::new(rank::CACHE, "cache", LruCache::new(CACHE_CAPACITY)),
+            cache: OrderedMutex::new(rank::CACHE, "cache", ResponseCache::new(CACHE_CAPACITY)),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -94,31 +95,16 @@ impl Shared {
     }
 
     /// Flat counter snapshot including sampled cache gauges.
-    fn snapshot(&self, epoch: u64) -> StatsSnapshot {
+    fn snapshot(&self, epoch: Epoch) -> StatsSnapshot {
         self.metrics
-            .snapshot(self.config.workers, epoch, self.cache_gauges())
+            .snapshot(self.config.workers, epoch.get(), self.cache_gauges())
     }
 
     /// Deep snapshot: flat counters plus per-stage breakdowns.
-    fn deep_snapshot(&self, epoch: u64) -> StatsDeep {
+    fn deep_snapshot(&self, epoch: Epoch) -> StatsDeep {
         self.metrics
-            .deep_snapshot(self.config.workers, epoch, self.cache_gauges())
+            .deep_snapshot(self.config.workers, epoch.get(), self.cache_gauges())
     }
-}
-
-/// The response-cache key of one query: the serving epoch prepended to the
-/// canonical bytes of the plain [`Request::Query`] asking it. Both ways of
-/// asking — plain [`Request::Query`] and pinned [`Request::QueryAt`] — map
-/// to this one key, so they share one cache entry. Keys from superseded epochs can
-/// never collide with current ones, so a computation started before a
-/// republication inserts under its own epoch's key and cannot poison the
-/// new epoch's cache.
-fn epoch_cache_key(epoch: u64, query: &Query) -> Vec<u8> {
-    let canonical = Request::Query(query.clone()).canonical_bytes();
-    let mut key = Vec::with_capacity(8 + canonical.len());
-    key.extend_from_slice(&epoch.to_be_bytes());
-    key.extend_from_slice(&canonical);
-    key
 }
 
 thread_local! {
@@ -200,7 +186,7 @@ impl QueryService {
     }
 
     /// The publication epoch the service currently serves.
-    pub fn epoch(&self) -> u64 {
+    pub fn epoch(&self) -> Epoch {
         self.shared.serving().epoch()
     }
 
@@ -216,18 +202,18 @@ impl QueryService {
     /// signatures also bind), while every request arriving after the swap
     /// sees only the new epoch. Epoch-prefixed cache keys keep the two
     /// generations apart even while both are briefly in flight.
-    pub fn republish(&self, server: Server) -> Result<u64, ServiceError> {
-        let new_epoch = server.epoch();
+    pub fn republish(&self, server: Server) -> Result<Epoch, ServiceError> {
+        let new_epoch = Epoch::new(server.epoch());
         // Encoded outside the lock: the swap below publishes the structure
         // and its record bytes together.
         let publication = Arc::new(Serving::new(server));
         {
             let mut serving = self.shared.serving.lock();
             let current = serving.epoch();
-            if !epoch::advances(current, new_epoch) {
+            if !new_epoch.advances(current) {
                 return Err(ServiceError::StaleEpoch {
-                    expected: epoch::next(current),
-                    got: new_epoch,
+                    expected: current.next().get(),
+                    got: new_epoch.get(),
                 });
             }
             *serving = publication;
@@ -248,10 +234,11 @@ impl QueryService {
     pub fn set_shard_map(&self, map: SignedShardMap) -> Result<(), ServiceError> {
         let mut slot = self.shared.shard_map.lock();
         if let Some(current) = slot.as_ref() {
-            if !epoch::advances(current.map.epoch, map.map.epoch) {
+            let (current, offered) = (Epoch::new(current.map.epoch), Epoch::new(map.map.epoch));
+            if !offered.advances(current) {
                 return Err(ServiceError::StaleEpoch {
-                    expected: epoch::next(current.map.epoch),
-                    got: map.map.epoch,
+                    expected: current.next().get(),
+                    got: offered.get(),
                 });
             }
         }
@@ -315,7 +302,7 @@ pub(crate) fn finish_request(shared: &Shared, trace: &Trace) {
             shared
                 .config
                 .slow_log
-                .write_line(&trace.slow_log_line(epoch, total));
+                .write_line(&trace.slow_log_line(epoch.get(), total));
         }
     }
 }
@@ -361,7 +348,7 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Arc<Vec
                 shard_id: role.shard_id,
                 shard_count: role.shard_count,
                 records: serving.server.dataset().len() as u64,
-                epoch,
+                epoch: epoch.get(),
             };
             return Ok(Arc::new(Response::ShardInfo(info).to_framed_bytes()));
         }
@@ -375,7 +362,7 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Arc<Vec
             ));
         }
     };
-    if let Some(pinned) = pin.filter(|&pinned| pinned != epoch) {
+    if let Some(pinned) = pin.filter(|&pinned| epoch != pinned) {
         let message = format!("service serves publication epoch {epoch}, request pinned {pinned}");
         return Err(error_reply(shared, ErrorCode::StaleEpoch, message));
     }
@@ -464,7 +451,7 @@ fn compute_frame(
         catch_unwind(AssertUnwindSafe(|| serving.server.answer(query))).map_err(|_| failed())?;
     trace.add(Stage::Execute, timing.execute);
     trace.add(Stage::VoBuild, timing.vo_build);
-    let epoch = serving.epoch();
+    let epoch = serving.epoch().get();
     let frame = trace.time(Stage::Encode, || {
         ENCODE_SCRATCH.with(|scratch| {
             query_response_frame(epoch, &answer, &serving.records, &mut scratch.borrow_mut())

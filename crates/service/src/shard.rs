@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use vaq_authquery::{client, IfmhTree, Query, QueryResponse, Server, SigningMode, VerifyScratch};
 use vaq_crypto::{PublicKey, SignatureScheme};
 use vaq_funcdb::{Dataset, FunctionTemplate, Record};
-use vaq_wire::{ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot};
+use vaq_wire::{Epoch, ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot};
 
 use crate::client::{check_served_epoch, ServiceClient, PIPELINE_WINDOW};
 use crate::config::{ServiceConfig, ShardRole};
@@ -97,7 +97,7 @@ pub struct ShardedDeployment {
     master: SignatureScheme,
     mode: SigningMode,
     strategy: PartitionStrategy,
-    epoch: u64,
+    epoch: Epoch,
     publication: ShardedPublication,
 }
 
@@ -154,7 +154,7 @@ impl ShardedDeployment {
             .map(|i| SignatureScheme::new_rsa(128, seed.wrapping_add(1 + i as u64)))
             .collect();
         let master = SignatureScheme::new_rsa(128, seed);
-        let epoch = 0u64;
+        let epoch = Epoch::new(0);
 
         let mut services = Vec::with_capacity(shard_count);
         let mut addrs = Vec::with_capacity(shard_count);
@@ -163,7 +163,7 @@ impl ShardedDeployment {
                 shard_id: shard_id as u32,
                 shard_count: shard_count as u32,
             };
-            let tree = IfmhTree::build_at_epoch(shard_dataset, mode, scheme, epoch);
+            let tree = IfmhTree::build_at_epoch(shard_dataset, mode, scheme, epoch.get());
             let config = base_config.clone().shard_role(role);
             let service = QueryService::bind(config, Server::new(shard_dataset.clone(), tree))?;
             addrs.push(service.local_addr());
@@ -171,7 +171,7 @@ impl ShardedDeployment {
         }
 
         let keys: Vec<PublicKey> = schemes.iter().map(|s| s.public_key()).collect();
-        let shard_map = attest_shard_map(&shards, &keys, &master, epoch, &addrs);
+        let shard_map = attest_shard_map(&shards, &keys, &master, epoch.get(), &addrs);
         let publication = ShardedPublication {
             shard_map: shard_map.clone(),
             master_key: master.public_key(),
@@ -211,16 +211,16 @@ impl ShardedDeployment {
     /// [`vaq_wire::ErrorCode::StaleEpoch`] rejections (never a mixed-epoch
     /// merge), and clients converge by re-fetching the map. Returns the new
     /// epoch.
-    pub fn republish(&mut self, dataset: &Dataset) -> Result<u64, ServiceError> {
-        let epoch = vaq_wire::epoch::next(self.epoch);
+    pub fn republish(&mut self, dataset: &Dataset) -> Result<Epoch, ServiceError> {
+        let epoch = self.epoch.next();
         let shards = partition_dataset(dataset, self.services.len(), self.strategy);
         let keys: Vec<PublicKey> = self.schemes.iter().map(|s| s.public_key()).collect();
-        let shard_map = attest_shard_map(&shards, &keys, &self.master, epoch, &self.addrs);
+        let shard_map = attest_shard_map(&shards, &keys, &self.master, epoch.get(), &self.addrs);
 
         let live = self.services.iter().zip(&shards).zip(&self.schemes);
         for ((service, shard_dataset), scheme) in live {
             if let Some(service) = service {
-                let tree = IfmhTree::build_at_epoch(shard_dataset, self.mode, scheme, epoch);
+                let tree = IfmhTree::build_at_epoch(shard_dataset, self.mode, scheme, epoch.get());
                 service.republish(Server::new(shard_dataset.clone(), tree))?;
             }
         }
@@ -242,7 +242,7 @@ impl ShardedDeployment {
     }
 
     /// The current publication epoch.
-    pub fn epoch(&self) -> u64 {
+    pub fn epoch(&self) -> Epoch {
         self.epoch
     }
 
@@ -275,14 +275,11 @@ impl ShardedDeployment {
 
     /// Shuts down one shard's service (simulating a shard outage: every
     /// later query fails with [`ServiceError::ShardFailed`]) and returns its
-    /// final stats. Panics if `shard_id` is out of range or the shard is
-    /// already down.
-    pub fn stop_shard(&mut self, shard_id: usize) -> StatsSnapshot {
-        self.services[shard_id]
-            .take()
-            // lint:allow(panic-path, documented panic in an owner-side test-harness API; never runs on the serving hot path)
-            .unwrap_or_else(|| panic!("shard {shard_id} is already down"))
-            .shutdown()
+    /// final stats, or `None` when `shard_id` is out of range or the shard
+    /// is already down.
+    pub fn stop_shard(&mut self, shard_id: usize) -> Option<StatsSnapshot> {
+        let service = self.services.get_mut(shard_id)?.take()?;
+        Some(service.shutdown())
     }
 
     /// Stops every still-running service and returns their final stats in
@@ -402,7 +399,7 @@ pub struct ShardedClient {
     template: FunctionTemplate,
     master_key: PublicKey,
     total_records: u64,
-    epoch: u64,
+    epoch: Epoch,
     obs: ClientObservability,
 }
 
@@ -528,7 +525,7 @@ impl ShardedClient {
             template: publication.template.clone(),
             master_key: publication.master_key.clone(),
             total_records: map.total_records,
-            epoch: map.epoch,
+            epoch: Epoch::new(map.epoch),
             obs: ClientObservability::default(),
         }
     }
@@ -539,7 +536,7 @@ impl ShardedClient {
     }
 
     /// The publication epoch this client currently pins every query to.
-    pub fn epoch(&self) -> u64 {
+    pub fn epoch(&self) -> Epoch {
         self.epoch
     }
 
@@ -562,7 +559,7 @@ impl ShardedClient {
     /// rolled back to a superseded publication. On success every shard
     /// connection is re-opened against the new map's addresses; returns
     /// the adopted epoch. A same-epoch offer leaves the client unchanged.
-    pub fn refresh(&mut self) -> Result<u64, ServiceError> {
+    pub fn refresh(&mut self) -> Result<Epoch, ServiceError> {
         let offered = self.fetch_map()?;
         self.adopt_map(offered)
     }
@@ -594,16 +591,17 @@ impl ShardedClient {
     /// with [`ServiceError::StaleEpoch`], and a same-epoch offer is a
     /// no-op. Used by [`ShardedClient::refresh`] for maps fetched over the
     /// wire, and callable directly for maps distributed out of band.
-    pub fn adopt_map(&mut self, offered: SignedShardMap) -> Result<u64, ServiceError> {
+    pub fn adopt_map(&mut self, offered: SignedShardMap) -> Result<Epoch, ServiceError> {
         verify_shard_map(&offered, &self.master_key)?;
-        if vaq_wire::epoch::rolls_back(self.epoch, offered.map.epoch) {
+        let epoch = Epoch::new(offered.map.epoch);
+        if epoch.rolls_back(self.epoch) {
             return Err(ServiceError::StaleEpoch {
-                expected: self.epoch,
-                got: offered.map.epoch,
+                expected: self.epoch.get(),
+                got: epoch.get(),
             });
         }
-        if offered.map.epoch == self.epoch {
-            return Ok(self.epoch);
+        if epoch == self.epoch {
+            return Ok(epoch);
         }
         let map = &offered.map;
         self.shards = map
@@ -612,7 +610,7 @@ impl ShardedClient {
             .map(|entry| connect_entry(entry, map.shard_count, map.epoch))
             .collect::<Result<Vec<_>, _>>()?;
         self.total_records = map.total_records;
-        self.epoch = map.epoch;
+        self.epoch = epoch;
         self.obs.map_refreshes += 1;
         Ok(self.epoch)
     }
@@ -693,7 +691,7 @@ impl ShardedClient {
         queries: &[Query],
     ) -> Result<Vec<Vec<VerifiedLeg>>, ServiceError> {
         self.obs.scatters += 1;
-        let epoch = self.epoch;
+        let epoch = self.epoch.get();
         let mut legs: Vec<Result<Vec<VerifiedLeg>, ServiceError>> = self
             .shards
             .iter()

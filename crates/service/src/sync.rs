@@ -45,7 +45,6 @@ mod held {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(top_rank, top_name)) = held.last() {
-                // lint:allow(panic-path, debug-only lock-order assertion; aborting the test run IS the feature)
                 assert!(
                     rank > top_rank,
                     "lock-order violation: acquiring '{name}' (rank {rank}) while holding \
@@ -65,7 +64,6 @@ mod held {
             // check while unwinding: a poisoned-lock panic already owns the
             // thread and a double panic would abort without a message.
             if !std::thread::panicking() {
-                // lint:allow(panic-path, debug-only lock-order assertion; aborting the test run IS the feature)
                 assert_eq!(
                     popped,
                     Some((rank, name)),
@@ -113,7 +111,10 @@ impl<T> OrderedMutex<T> {
         if inner.is_err() {
             held::release(self.rank, self.name);
         }
-        // lint:allow(panic-path, a poisoned lock means a peer thread already panicked mid-update; propagating beats serving torn state)
+        #[expect(
+            clippy::panic,
+            reason = "a peer panicked mid-update; serving torn state is worse than dying"
+        )]
         let inner = inner.unwrap_or_else(|_| panic!("lock '{}' is poisoned", self.name));
         OrderedGuard { lock: self, inner }
     }

@@ -204,11 +204,11 @@ fn batches_round_trip_and_verify() {
 
     // An epoch-pinned batch at the serving epoch answers identically; a
     // stale pin is refused typed.
-    let pinned = client.batch_at(service.epoch(), &queries).unwrap();
+    let pinned = client.batch_at(service.epoch().get(), &queries).unwrap();
     assert_eq!(pinned.len(), queries.len());
     assert_eq!(pinned[0].records, responses[0].records);
     let err = client
-        .batch_at(service.epoch() + 1, &queries)
+        .batch_at(service.epoch().next().get(), &queries)
         .expect_err("wrong pin");
     assert!(err.is_stale_epoch(), "expected stale-epoch, got {err}");
     service.shutdown();
@@ -257,7 +257,7 @@ fn empty_batches_send_nothing_and_answer_empty() {
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
 
     assert!(client.batch(&[]).expect("empty batch").is_empty());
-    let pinned = client.batch_at(service.epoch(), &[]);
+    let pinned = client.batch_at(service.epoch().get(), &[]);
     assert!(pinned.expect("empty pinned batch").is_empty());
 
     // The scrape is the first frame the service sees on this connection.

@@ -11,13 +11,16 @@
 //! * cache probes, error codes and cache occupancy reconcile with the
 //!   requests that were actually issued.
 
+use std::io::Write;
+
 use vaq_authquery::{IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::SignatureScheme;
 use vaq_funcdb::Dataset;
+use vaq_service::frame::read_message;
 use vaq_service::{
-    QueryService, ServiceClient, ServiceConfig, ShardedDeployment, SlowLogSink, Stage,
+    QueryService, ServiceClient, ServiceConfig, ServiceError, ShardedDeployment, SlowLogSink, Stage,
 };
-use vaq_wire::StatsDeep;
+use vaq_wire::{ErrorCode, Response, StatsDeep, StatsSnapshot};
 use vaq_workload::uniform_dataset;
 
 /// Owner-side setup: dataset and a served authenticated structure.
@@ -236,35 +239,75 @@ fn metrics_stay_consistent_under_concurrent_clients() {
 fn error_replies_break_out_per_code() {
     let (_, server) = owner_setup(10, 0xb7);
     let service = QueryService::bind(ServiceConfig::ephemeral().workers(1), server).unwrap();
-    let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+    let addr = service.local_addr();
+    let mut client = ServiceClient::connect(addr).unwrap();
+    // The code of a typed reply, read off a client call or off the first
+    // frame a fresh connection gets back for raw bytes.
+    let remote = |error: Option<ServiceError>| match error {
+        Some(ServiceError::Remote(reply)) => reply.code,
+        other => panic!("expected a typed reply, got {other:?}"),
+    };
+    let raw = |bytes: &[u8]| {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(bytes).unwrap();
+        match read_message::<Response>(&mut stream, 1 << 20) {
+            Ok(Some(Response::Error(reply))) => reply.code,
+            other => panic!("expected a typed reply, got {other:?}"),
+        }
+    };
+    let count = |stats: &StatsSnapshot, code: ErrorCode| {
+        let entry = stats.per_error.iter().find(|e| e.code == code.label());
+        entry.unwrap_or_else(|| panic!("missing {code:?}")).count
+    };
 
-    // A query outside the published domain is a typed BadQuery; ShardInfo
-    // against an unsharded service is a typed NotSharded. Both leave the
-    // connection usable.
-    assert!(client.query(&Query::top_k(vec![2.0], 2)).is_err());
-    assert!(client.shard_info().is_err());
+    // No `_` arm: a new error code does not compile until it is provoked
+    // and counted here, or pointed at the test that does.
+    for code in ErrorCode::ALL {
+        let provoked = match code {
+            ErrorCode::Malformed => Some(raw(b"GET / HTTP/1.1\r\n\r\n")),
+            ErrorCode::BadQuery => Some(remote(client.query(&Query::top_k(vec![2.0], 2)).err())),
+            ErrorCode::FrameTooLarge => Some(raw(&vaq_wire::frame_header(1 << 30))),
+            // Only a panic inside query processing, or an answer too large
+            // to frame, is answered Internal: no request provokes it.
+            ErrorCode::Internal => None,
+            // One goodbye per reactor, counted by the shutdown below.
+            ErrorCode::ShuttingDown => None,
+            ErrorCode::NotSharded => Some(remote(client.shard_info().err())),
+            ErrorCode::StaleEpoch => Some(remote(
+                client.query_at(7, &Query::top_k(vec![0.5], 2)).err(),
+            )),
+            // A connection limit or a reader that stops reading:
+            // `shed_connections_get_a_typed_overloaded_reply` and
+            // `slow_reader_is_shed_with_a_typed_overloaded_reply` in
+            // multiplexed.rs assert this count.
+            ErrorCode::Overloaded => None,
+            // A mid-frame stall past the patience timer:
+            // `mid_frame_stall_gets_a_typed_stalled_reply` in multiplexed.rs
+            // asserts this count.
+            ErrorCode::Stalled => None,
+        };
+        if let Some(replied) = provoked {
+            assert_eq!(replied, code);
+        }
+        let stats = client.stats_deep().unwrap().snapshot;
+        assert_eq!(
+            count(&stats, code),
+            u64::from(provoked.is_some()),
+            "{code:?}"
+        );
+    }
     client
         .query(&Query::top_k(vec![0.5], 2))
         .expect("healthy after errors");
 
-    let stats = client.stats_deep().unwrap().snapshot;
-    assert_eq!(stats.errors, 2);
-    let count = |code: &str| {
-        stats
-            .per_error
-            .iter()
-            .find(|e| e.code == code)
-            .unwrap_or_else(|| panic!("missing error code {code}"))
-            .count
-    };
-    assert_eq!(count("bad_query"), 1);
-    assert_eq!(count("not_sharded"), 1);
+    let stats = service.shutdown();
+    assert_eq!(count(&stats, ErrorCode::ShuttingDown), 1);
+    assert_eq!(stats.errors, 6);
     assert_eq!(
         stats.per_error.iter().map(|e| e.count).sum::<u64>(),
         stats.errors,
         "per-code counts must reconcile with the error total"
     );
-    service.shutdown();
 }
 
 #[test]

@@ -374,8 +374,14 @@ fn shard_outage_yields_a_typed_error_not_a_partial_answer() {
     assert_eq!(healthy.records.len(), 5);
 
     // Take shard 1 down; the next query must fail with the typed per-shard
-    // error naming that shard — never a silent 2-shard "answer".
-    deployment.stop_shard(1);
+    // error naming that shard — never a silent 2-shard "answer". Stopping
+    // a shard that is already down, or one past the end, is `None`.
+    deployment.stop_shard(1).expect("shard 1 was up");
+    assert!(
+        deployment.stop_shard(1).is_none(),
+        "shard 1 is already down"
+    );
+    assert!(deployment.stop_shard(SHARDS).is_none(), "no shard {SHARDS}");
     let mut failures = 0;
     for _ in 0..10 {
         match client.query_verified(&query) {
@@ -735,7 +741,7 @@ fn republish_under_live_load_converges_then_a_dead_shard_is_a_typed_error() {
     }
 
     // A dead shard is a typed error naming it, never a partial answer.
-    deployment.stop_shard(0);
+    deployment.stop_shard(0).expect("shard 0 was up");
     match converged.query_verified(&Query::top_k(vec![0.5], 4)) {
         Err(ServiceError::ShardFailed { shard_id: 0, .. }) => {}
         other => panic!(
@@ -748,10 +754,10 @@ fn republish_under_live_load_converges_then_a_dead_shard_is_a_typed_error() {
 
 #[test]
 fn signed_map_without_addresses_is_a_typed_error_not_a_panic() {
-    // Regression for the vaq-lint panic-path sweep: a signed map is still
-    // attacker-shaped input, and a map entry listing no usable serving
-    // addresses used to be an unchecked assumption on the connect path.
-    // It must surface as a typed ServiceError, never a panic.
+    // A signed map is still attacker-shaped input, and a map entry listing
+    // no usable serving addresses used to be an unchecked assumption on the
+    // connect path. It must surface as a typed ServiceError, never a panic
+    // (the service's no-panic rule is held by clippy, see its lib.rs).
     let dataset = uniform_dataset(9, 1, 77);
     let shards = partition_dataset(&dataset, SHARDS, PartitionStrategy::RoundRobin);
     let schemes: Vec<SignatureScheme> = (0..SHARDS)

@@ -26,7 +26,6 @@
 //! mesh remains the scheme whose signature count scales with the arrangement
 //! size. See DESIGN.md for the full substitution note.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod build;

@@ -15,6 +15,8 @@
 //! Service health telemetry ([`StatsSnapshot`]) is part of the protocol so
 //! operators can scrape a running service with nothing but a socket.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::codec::{wire_enum, wire_struct};
 use crate::WireEncode;
 use vaq_authquery::{Query, QueryResponse};

@@ -1,5 +1,7 @@
 //! Low-level writer and reader over byte buffers.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::error::WireError;
 
 /// Maximum number of elements a length-prefixed collection may declare.
@@ -52,11 +54,6 @@ impl Writer {
     /// Writes a boolean as one byte.
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
-    }
-
-    /// Writes a little-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u32.
@@ -161,13 +158,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a little-endian u16.
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        self.need(2)?;
-        let bytes = self.take(2).try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u16::from_le_bytes(bytes))
-    }
-
     /// Reads a little-endian u32.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         self.need(4)?;
@@ -248,7 +238,6 @@ mod tests {
         let mut w = Writer::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(65_000);
         w.put_u32(4_000_000_000);
         w.put_u64(u64::MAX - 3);
         w.put_f64(-1.25e17);
@@ -261,7 +250,6 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 65_000);
         assert_eq!(r.get_u32().unwrap(), 4_000_000_000);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_f64().unwrap(), -1.25e17);

@@ -23,7 +23,9 @@
 //! and the byte layout auditable in one place. The few codecs still written
 //! by hand say why next to their `impl`.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented))]
 #![warn(missing_docs)]
 
 pub mod authquery_impls;
@@ -41,6 +43,7 @@ pub use envelope::{
     Request, Response, ShardEntry, ShardInfo, ShardMap, SignedShardMap, StageLatency, StageMicros,
     StatsDeep, StatsSnapshot, LATENCY_BUCKET_BOUNDS_MICROS,
 };
+pub use epoch::Epoch;
 pub use error::WireError;
 pub use io::{Reader, Writer};
 pub use record_bytes::{query_response_frame, RecordBytes};

@@ -7,7 +7,6 @@
 //! shapes plus generic uniform/Gaussian tables, and random query mixes
 //! (top-k, range, KNN) over them.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod queries;

@@ -102,7 +102,7 @@ fn main() {
 
     // Outage: stop shard 0; the next query fails typed, naming the shard,
     // instead of merging an answer from the shards that are left.
-    deployment.stop_shard(0);
+    deployment.stop_shard(0).expect("shard 0 was up");
     match client.query_verified(&query) {
         Err(e @ ServiceError::ShardFailed { shard_id: 0, .. }) => {
             println!("stopped shard 0; the next query failed typed: {e}")
