@@ -31,8 +31,8 @@ use vaq_mht::{ForestTree, LeafId, MerkleForest, MerkleForestBuilder, TreeId};
 /// The Intersection and Function Merkle Hash tree.
 ///
 /// `Clone` lets a caller keep a copy of a built tree beside the one a
-/// [`Server`](crate::Server) takes, without paying the LP-oracle pass and
-/// the per-subdomain signatures again.
+/// [`Server`](crate::Server) takes, without paying the arrangement and the
+/// per-subdomain signatures again.
 #[derive(Clone, Debug)]
 pub struct IfmhTree {
     pub(crate) itree: ITree,
@@ -68,8 +68,10 @@ impl ProofCache {
 }
 
 impl IfmhTree {
-    /// Builds the IFMH-tree with the exact (LP-based) split oracle at the
-    /// initial publication epoch 0.
+    /// Builds the IFMH-tree at the initial publication epoch 0. The
+    /// arrangement is exact: central input at `d ≤ 2` (template functions
+    /// over a box in the non-negative orthant) is built without an LP, any
+    /// other input through [`LpSplitOracle`].
     pub fn build(dataset: &Dataset, mode: SigningMode, signer: &dyn Signer) -> Self {
         Self::build_at_epoch(dataset, mode, signer, 0)
     }

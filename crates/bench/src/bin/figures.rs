@@ -311,7 +311,7 @@ fn main() {
     if fig == "all" || fig == "ablation" {
         let rows = ablation_split_oracle(scale, 256, seed);
         print_table(
-            "Ablation — exact LP vs Monte-Carlo split oracle",
+            "Ablation — exact LP vs Monte-Carlo split oracle (d = 3)",
             &[
                 "n",
                 "LP cells",

@@ -17,6 +17,13 @@
 //! [`range_misses`] and [`point_evidence`] are the exact `O(d)` filters the
 //! I-tree build asks first. Both decide only when clear of the oracle's
 //! tolerance by a guard band of [`EPS`](crate::EPS), where a solver agrees.
+//!
+//! The oracle is asked only where the regions are general polytopes. On
+//! central input (every function `a·x`, the box in the non-negative orthant)
+//! at `d ≤ 2` the I-tree build asks it nothing: at `d = 1` no hyperplane
+//! splits the box, and at `d = 2` a region is an interval of directions
+//! whose exact vertices decide every visit by the form's values there, as
+//! the LP would.
 
 use crate::subdomain::SubdomainConstraints;
 use rand::rngs::StdRng;
@@ -203,8 +210,9 @@ impl SplitOracle for LpSplitOracle {
 ///
 /// Used by the feasibility ablation; may misclassify thin regions. The
 /// I-tree build asks it only about the visits its exact filters
-/// ([`range_misses`], [`point_evidence`]) leave open, so the ablation
-/// measures sampling on the undecided cases alone.
+/// ([`range_misses`], [`point_evidence`]) leave open on input that is not
+/// central at `d ≤ 2`, so the ablation measures sampling on the undecided
+/// cases alone, at `d = 3`.
 #[derive(Debug)]
 pub struct SamplingSplitOracle {
     samples: usize,

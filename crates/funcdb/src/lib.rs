@@ -46,7 +46,7 @@ pub use halfspace::HalfSpace;
 pub use record::{Attrs, Record};
 pub use simplex::{LpOutcome, LpProblem};
 pub use sort::sort_functions_at;
-pub use subdomain::{centroid, inequality_set_digest, SubdomainConstraints};
+pub use subdomain::{inequality_set_digest, SubdomainConstraints};
 pub use template::FunctionTemplate;
 
 /// Numerical tolerance used throughout geometric predicates.

@@ -134,12 +134,54 @@ impl SubdomainConstraints {
         Some(points)
     }
 
-    /// Finds a witness point inside the subdomain, preferring a point away
-    /// from the constraint boundaries (an approximate Chebyshev-style
-    /// interior point obtained by averaging the maximizer and minimizer of
-    /// each coordinate).
+    /// The centre of the largest ball inside the subdomain (its Chebyshev
+    /// centre), or `None` if the subdomain is empty. Every half-space and
+    /// every box face lies at least the ball's radius away from it, so in a
+    /// full-dimensional subdomain the point is strictly inside, off every
+    /// boundary on which two functions tie. One LP in `d + 1` variables; at
+    /// `d = 1`, the interval's midpoint.
     pub fn witness_point(&self) -> Option<Vec<f64>> {
-        Some(centroid(&self.extreme_points()?, self.dims()))
+        let d = self.dims();
+        if d == 1 {
+            let (lo, hi) = self.interval_1d()?;
+            return Some(vec![(lo + hi) / 2.0]);
+        }
+        // Variables (x, r): maximise r subject to `±(a·x + c) ≥ r·‖a‖` for
+        // every half-space (`s·a·x + ‖a‖·r ≤ −s·c`, s = −1 on the closed
+        // side) and `r ≤ x_k − l_k`, `r ≤ u_k − x_k` for every box face.
+        let width = (self.domain.lower.iter().zip(&self.domain.upper))
+            .map(|(l, u)| u - l)
+            .fold(0.0, f64::max);
+        let (mut rows, mut rhs) = (Vec::new(), Vec::new());
+        for hs in &self.halfspaces {
+            let sign = if hs.non_negative { -1.0 } else { 1.0 };
+            let norm = hs.coeffs.iter().map(|a| a * a).sum::<f64>().sqrt();
+            rows.extend(hs.coeffs.iter().map(|a| sign * a));
+            rows.push(norm);
+            rhs.push(-sign * hs.constant);
+        }
+        for (k, (l, u)) in self.domain.lower.iter().zip(&self.domain.upper).enumerate() {
+            for (sign, bound) in [(-1.0, -l), (1.0, *u)] {
+                let start = rows.len();
+                rows.resize(start + d + 1, 0.0);
+                rows[start + k] = sign;
+                rows[start + d] = 1.0;
+                rhs.push(bound);
+            }
+        }
+        let mut objective = vec![0.0; d + 1];
+        objective[d] = 1.0;
+        let lower: Vec<f64> = self.domain.lower.iter().copied().chain([0.0]).collect();
+        let upper: Vec<f64> = self.domain.upper.iter().copied().chain([width]).collect();
+        let rows = rows
+            .chunks_exact(d + 1)
+            .zip(rhs)
+            .map(|(row, b)| (row, 1.0, b));
+        let mut centre = solve_rows(&objective, &lower, &upper, rows)
+            .point()?
+            .to_vec();
+        centre.truncate(d);
+        Some(centre)
     }
 
     /// The maximum (or minimum) of the linear form `coeffs·x + constant`
@@ -189,19 +231,6 @@ impl SubdomainConstraints {
     }
 }
 
-/// The mean of `points`, which holds points of `dims` coordinates laid end
-/// to end (the layout of [`SubdomainConstraints::extreme_points`]).
-pub fn centroid(points: &[f64], dims: usize) -> Vec<f64> {
-    let count = (points.len() / dims) as f64;
-    let mut acc = vec![0.0; dims];
-    for point in points.chunks_exact(dims) {
-        for (a, p) in acc.iter_mut().zip(point) {
-            *a += p;
-        }
-    }
-    acc.into_iter().map(|v| v / count).collect()
-}
-
 /// Digest of an ordered set of half-spaces.
 ///
 /// Exposed as a free function because both the data owner (who holds the
@@ -246,6 +275,27 @@ mod tests {
         assert!(s.is_feasible());
         let w = s.witness_point().unwrap();
         assert!(s.contains(&w), "witness {w:?} not in subdomain");
+    }
+
+    #[test]
+    fn the_witness_of_a_cone_keeps_clear_of_every_boundary() {
+        // x0 ≥ x1 ≥ x2 in the unit cube: a cone whose coordinate minimisers
+        // are all the origin, so the mean of the extreme points lies on the
+        // face x1 = x2. The centre of the largest ball keeps a distance
+        // from every half-space and every face.
+        let f = |id, coeffs| lf(id, coeffs, 0.0);
+        let (f0, f1, f2) = (
+            f(0, vec![1.0, 0.0, 0.0]),
+            f(1, vec![0.0, 1.0, 0.0]),
+            f(2, vec![0.0, 0.0, 1.0]),
+        );
+        let s = SubdomainConstraints::whole(Domain::unit(3))
+            .with(HalfSpace::above(&f0, &f1))
+            .with(HalfSpace::above(&f1, &f2));
+        let w = s.witness_point().unwrap();
+        let clearance = s.halfspaces.iter().map(|h| h.eval(&w).abs());
+        let faces = w.iter().flat_map(|v| [*v, 1.0 - v]);
+        assert!(clearance.chain(faces).all(|gap| gap > 0.05), "{w:?}");
     }
 
     #[test]

@@ -8,11 +8,22 @@
 //! whose region is split. Regions that lie entirely on one side of the
 //! hyperplane are skipped, which is what keeps the tree from exploding into
 //! the full `O(n^{2d})` arrangement unless the data forces it.
+//!
+//! Every function a [`FunctionTemplate`](vaq_funcdb::FunctionTemplate)
+//! builds is `a·x` with no constant, so over a box in the non-negative
+//! orthant every hyperplane `f_i − f_j = 0` passes through the origin and
+//! every region is the box's part of a cone: the input is *central*. There
+//! the order at `x` depends only on `x`'s direction, and the build needs no
+//! LP. At `d = 1` there is one direction, so no pair splits anything and the
+//! tree is one leaf. At `d = 2` a region is an interval of directions, whose
+//! cone meets the box in a polygon with at most six vertices. Every other
+//! input (constants, boxes around the origin, `d ≥ 3`) reads its regions
+//! through the LP and the [`SplitOracle`].
 
 use crate::node::{ITree, Node, NodeId};
 use std::collections::VecDeque;
 use vaq_funcdb::{
-    centroid, point_evidence, range_misses, sort_functions_at, Domain, HalfSpace, LinearFunction,
+    point_evidence, range_misses, sort_functions_at, Domain, FuncId, HalfSpace, LinearFunction,
     PointEvidence, SplitOracle, SubdomainConstraints, EPS,
 };
 
@@ -25,7 +36,8 @@ pub struct BuildStats {
     /// Pairs refused before any walk: the difference function's exact range
     /// over the domain box does not straddle zero.
     pub pairs_refused: usize,
-    /// Visits that reached the split oracle.
+    /// Visits that reached the split oracle (none on central input at
+    /// `d ≤ 2`).
     pub oracle_calls: usize,
     /// Visits decided by the points a node's region already holds, without
     /// the oracle.
@@ -44,15 +56,48 @@ pub struct ITreeBuilder<O: SplitOracle> {
     oracle: O,
 }
 
+/// How a build reads its regions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cells {
+    /// From their constraint lists: extreme points and undecided visits are
+    /// LP solves.
+    Lp,
+    /// Central input at `d = 1`: one direction, so the whole box is one cell.
+    Point,
+    /// Central input at `d = 2`: every region is an interval of directions.
+    Directions,
+}
+
+impl Cells {
+    /// Decides from the input alone which reading is exact for it.
+    fn of(functions: &[LinearFunction], domain: &Domain) -> Cells {
+        let central = functions
+            .iter()
+            .all(|f| f.constant == 0.0 && f.coeffs.iter().all(|a| a.is_finite()))
+            && domain.lower.iter().all(|&l| l >= 0.0)
+            && domain.upper.iter().all(|&u| u > 0.0);
+        match (central, domain.dims()) {
+            (true, 1) => Cells::Point,
+            (true, 2) => Cells::Directions,
+            _ => Cells::Lp,
+        }
+    }
+}
+
 /// The tree under construction and what only the construction needs. A
-/// node's region never changes once the node exists, so both side tables
+/// node's region never changes once the node exists, so the side tables
 /// are indexed by [`NodeId`] and stay valid when a leaf becomes an
 /// intersection node; they are dropped with the build.
 struct Build {
     tree: ITree,
-    /// [`SubdomainConstraints::extreme_points`] of every node's region
-    /// (empty where the solver found none).
+    cells: Cells,
+    /// Points of every node's region whose bounding box is the region's:
+    /// [`SubdomainConstraints::extreme_points`] on the LP path (empty where
+    /// the solver found none), the exact vertices on the interval path.
     extremes: Vec<Vec<f64>>,
+    /// On the interval path, every node's interval of directions `[t0, t1]`
+    /// (`x ∝ (t, 1 − t)`); empty on the LP path.
+    directions: Vec<(f64, f64)>,
     /// The constraint list a leaf held before it became an intersection node.
     retired: Vec<Option<SubdomainConstraints>>,
     /// The breadth-first queue, reused across pairs.
@@ -61,17 +106,20 @@ struct Build {
 }
 
 impl Build {
-    /// Appends a leaf, solving for its extreme points and witness.
-    fn push_leaf(&mut self, constraints: SubdomainConstraints) {
-        let extremes = constraints.extreme_points().unwrap_or_default();
-        let witness = match extremes.is_empty() {
-            true => constraints.domain.center(),
-            false => centroid(&extremes, constraints.dims()),
+    /// Appends a leaf and the points of its region: the vertices of its
+    /// interval of `directions` on the interval path, else the LP's.
+    fn push_leaf(&mut self, constraints: SubdomainConstraints, directions: Option<(f64, f64)>) {
+        let extremes = match directions {
+            Some(directions) => {
+                self.directions.push(directions);
+                cone_vertices(directions, &self.tree.domain)
+            }
+            None => constraints.extreme_points().unwrap_or_default(),
         };
         self.tree.nodes.push(Node::Subdomain {
             constraints,
             sorted: Vec::new(),
-            witness,
+            witness: Vec::new(),
         });
         self.extremes.push(extremes);
         self.retired.push(None);
@@ -103,6 +151,23 @@ impl<O: SplitOracle> ITreeBuilder<O> {
         functions: &[LinearFunction],
         domain: Domain,
     ) -> (ITree, BuildStats) {
+        let cells = Cells::of(functions, &domain);
+        self.build_as(functions, domain, cells)
+    }
+
+    /// [`build_with_stats`](Self::build_with_stats) reading the regions as
+    /// `cells` says.
+    fn build_as(
+        &self,
+        functions: &[LinearFunction],
+        domain: Domain,
+        cells: Cells,
+    ) -> (ITree, BuildStats) {
+        let dims = domain.dims();
+        assert!(
+            functions.iter().all(|f| f.dims() == dims),
+            "dimension mismatch"
+        );
         // Root: a single subdomain covering the whole domain.
         let mut build = Build {
             tree: ITree {
@@ -111,24 +176,59 @@ impl<O: SplitOracle> ITreeBuilder<O> {
                 domain: domain.clone(),
                 leaves: Vec::new(),
             },
+            cells,
             extremes: Vec::new(),
+            directions: Vec::new(),
             retired: Vec::new(),
             queue: VecDeque::new(),
             stats: BuildStats::default(),
         };
-        build.push_leaf(SubdomainConstraints::whole(domain));
+        // The box's own directions run from its corner (l0, u1) to (u0, l1).
+        let directions = (cells == Cells::Directions).then(|| {
+            let (l, u) = (&domain.lower, &domain.upper);
+            (l[0] / (l[0] + u[1]), u[0] / (u[0] + l[1]))
+        });
+        build.push_leaf(SubdomainConstraints::whole(domain), directions);
+        match cells {
+            Cells::Point => self.count_pairs_on_a_line(functions, &mut build),
+            _ => self.insert_pairs(functions, &mut build),
+        }
 
-        // Insert every pairwise intersection. Most pairs are refused, so each
-        // row's pairs are tested in one tight scan for the next pair to walk,
-        // over flat per-coordinate columns with `f_i`'s values hoisted:
-        // `same_map`'s predicate and `Domain::linear_range`'s sums, in the
-        // same order; `difference_into` runs only for the pairs walked.
+        // Attach a witness and a sorted function list to every leaf.
+        let (mut tree, mut stats) = (build.tree, build.stats);
+        for (index, node) in tree.nodes.iter_mut().enumerate() {
+            if let Node::Subdomain {
+                constraints,
+                witness,
+                sorted,
+            } = node
+            {
+                *witness = match cells {
+                    Cells::Directions => direction_witness(build.directions[index], &tree.domain),
+                    _ => (constraints.witness_point()).unwrap_or_else(|| tree.domain.center()),
+                };
+                *sorted = sort_functions_at(functions, witness);
+                debug_assert!(
+                    no_tie_between_neighbours(functions, sorted, witness),
+                    "leaf {index}: two maps tie at its witness {witness:?}"
+                );
+                tree.leaves.push(NodeId(index as u32));
+            }
+        }
+
+        stats.subdomains = tree.leaves.len();
+        stats.intersection_nodes = tree.node_count() - tree.leaves.len();
+        (tree, stats)
+    }
+
+    /// Inserts every pairwise intersection. Most pairs are refused, so each
+    /// row's pairs are tested in one tight scan for the next pair to walk,
+    /// over flat per-coordinate columns with `f_i`'s values hoisted:
+    /// `same_map`'s predicate and `Domain::linear_range`'s sums, in the same
+    /// order; `difference_into` runs only for the pairs walked.
+    fn insert_pairs(&self, functions: &[LinearFunction], build: &mut Build) {
         let tolerance = self.oracle.tolerance();
         let dims = build.tree.domain.dims();
-        assert!(
-            functions.iter().all(|f| f.dims() == dims),
-            "dimension mismatch"
-        );
         let columns: Vec<Vec<f64>> = (0..dims)
             .map(|k| functions.iter().map(|f| f.coeffs[k]).collect())
             .collect();
@@ -174,28 +274,38 @@ impl<O: SplitOracle> ITreeBuilder<O> {
             while let Some(j) = (next..functions.len()).find(&mut walked) {
                 let fj = &functions[j];
                 let constant = fi.difference_into(fj, &mut coeffs);
-                self.insert_intersection(&mut build, fi, fj, &coeffs, constant);
+                self.insert_intersection(build, fi, fj, &coeffs, constant);
                 next = j + 1;
             }
         }
         build.stats.pairs_inserted = inserted;
         build.stats.pairs_refused = refused;
+    }
 
-        // Attach sorted function lists to every leaf.
-        let (mut tree, mut stats) = (build.tree, build.stats);
-        for (index, node) in tree.nodes.iter_mut().enumerate() {
-            if let Node::Subdomain {
-                witness, sorted, ..
-            } = node
-            {
-                *sorted = sort_functions_at(functions, witness);
-                tree.leaves.push(NodeId(index as u32));
+    /// The pair counts [`insert_pairs`](Self::insert_pairs) would report on
+    /// central input at `d = 1`, where it would split nothing: `f_i − f_j` is
+    /// `c·x` over `[l, u]` with `l ≥ 0`, one sign throughout. With
+    /// `gap = |c|`, a pair is one map if `gap < EPS`. Otherwise its range
+    /// misses the band if `gap·l ≥ EPS − tolerance`, which always holds once
+    /// the tolerance reaches `EPS`, or if `gap·u ≤ tolerance − EPS`, which
+    /// then never does. Over the sorted slopes, the gaps of one-map pairs and
+    /// of walked pairs are both closed downwards, so two pointers count them.
+    fn count_pairs_on_a_line(&self, functions: &[LinearFunction], build: &mut Build) {
+        let tolerance = self.oracle.tolerance();
+        let mut slopes: Vec<f64> = functions.iter().map(|f| f.coeffs[0]).collect();
+        slopes.sort_by(f64::total_cmp);
+        let n = slopes.len();
+        let same = pairs_with_gap(&slopes, |gap| gap < EPS);
+        let inserted = n * n.saturating_sub(1) / 2 - same;
+        let lower = build.tree.domain.lower[0];
+        build.stats.pairs_inserted = inserted;
+        build.stats.pairs_refused = match tolerance >= EPS {
+            true => inserted,
+            false => {
+                let walked = |gap: f64| gap < EPS || gap * lower < EPS - tolerance;
+                inserted - (pairs_with_gap(&slopes, walked) - same)
             }
-        }
-
-        stats.subdomains = tree.leaves.len();
-        stats.intersection_nodes = tree.node_count() - tree.leaves.len();
-        (tree, stats)
+        };
     }
 
     /// Inserts one intersection hyperplane into the tree.
@@ -213,18 +323,27 @@ impl<O: SplitOracle> ITreeBuilder<O> {
 
         while let Some(id) = build.queue.pop_front() {
             build.stats.nodes_visited += 1;
-            // Ask the points the region already holds first, the oracle last
-            // and then only about the side no point has shown.
-            let evidence = point_evidence(&build.extremes[id.index()], coeffs, constant, tolerance);
-            let splits = match evidence {
-                PointEvidence::Splits | PointEvidence::Misses => {
+            let points = &build.extremes[id.index()];
+            let splits = match build.cells {
+                // The region's vertices hold the form's extremes over it:
+                // they decide every visit, as the LP would.
+                Cells::Directions => {
                     build.stats.visits_filtered += 1;
-                    evidence == PointEvidence::Splits
+                    let (min, max) = range_at(points, coeffs);
+                    max > tolerance && min < -tolerance
                 }
-                PointEvidence::Open(seen) => {
-                    build.stats.oracle_calls += 1;
-                    (self.oracle).splits_given(build.region(id), coeffs, constant, seen)
-                }
+                // Ask the points the region already holds first, the oracle
+                // last and then only about the side no point has shown.
+                _ => match point_evidence(points, coeffs, constant, tolerance) {
+                    evidence @ (PointEvidence::Splits | PointEvidence::Misses) => {
+                        build.stats.visits_filtered += 1;
+                        evidence == PointEvidence::Splits
+                    }
+                    PointEvidence::Open(seen) => {
+                        build.stats.oracle_calls += 1;
+                        (self.oracle).splits_given(build.region(id), coeffs, constant, seen)
+                    }
+                },
             };
             if !splits {
                 continue;
@@ -248,11 +367,114 @@ impl<O: SplitOracle> ITreeBuilder<O> {
             let Node::Subdomain { constraints, .. } = leaf else {
                 unreachable!("intersection nodes were handled above");
             };
-            build.push_leaf(constraints.with(HalfSpace::above(fi, fj)));
-            build.push_leaf(constraints.with(HalfSpace::below(fi, fj)));
+            let (upper_side, lower_side) = match build.cells {
+                Cells::Directions => {
+                    let (above, below) = split_directions(build.directions[id.index()], coeffs);
+                    (Some(above), Some(below))
+                }
+                _ => (None, None),
+            };
+            build.push_leaf(constraints.with(HalfSpace::above(fi, fj)), upper_side);
+            build.push_leaf(constraints.with(HalfSpace::below(fi, fj)), lower_side);
             build.retired[id.index()] = Some(constraints);
         }
     }
+}
+
+/// The number of pairs `i < j` of the ascending `sorted` whose gap
+/// `sorted[j] − sorted[i]` satisfies `near`, a predicate that holds for
+/// every gap smaller than one it holds for.
+fn pairs_with_gap(sorted: &[f64], near: impl Fn(f64) -> bool) -> usize {
+    let (mut end, mut count) = (0, 0);
+    for (i, a) in sorted.iter().enumerate() {
+        end = end.max(i + 1);
+        while end < sorted.len() && near(sorted[end] - a) {
+            end += 1;
+        }
+        count += end - i - 1;
+    }
+    count
+}
+
+/// The least and greatest value of `coeffs·x` over `points` (laid end to
+/// end).
+fn range_at(points: &[f64], coeffs: &[f64]) -> (f64, f64) {
+    let values = points.chunks_exact(coeffs.len());
+    let values = values.map(|x| coeffs.iter().zip(x).map(|(c, v)| c * v).sum::<f64>());
+    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+        (lo.min(v), hi.max(v))
+    })
+}
+
+/// Where the ray along direction `t` (`x = s·(t, 1 − t)`, `s ≥ 0`) enters
+/// and leaves the box, as `(s_in, s_out)`.
+fn ray_span(t: f64, domain: &Domain) -> (f64, f64) {
+    let ray = [t, 1.0 - t];
+    let (mut enter, mut leave) = (0.0, f64::INFINITY);
+    for ((v, l), u) in ray.iter().zip(&domain.lower).zip(&domain.upper) {
+        if *v > 0.0 {
+            enter = f64::max(enter, l / v);
+            leave = f64::min(leave, u / v);
+        }
+    }
+    (enter, leave)
+}
+
+/// The vertices of the cone over `directions` cut by the box, two
+/// coordinates each, laid end to end: where its two boundary rays enter and
+/// leave the box, and the box corners between them. Their hull is the
+/// region, so they hold the extremes of every linear form over it.
+fn cone_vertices((t0, t1): (f64, f64), domain: &Domain) -> Vec<f64> {
+    let mut points = Vec::with_capacity(16);
+    for t in [t0, t1] {
+        let (enter, leave) = ray_span(t, domain);
+        points.extend([enter * t, enter * (1.0 - t), leave * t, leave * (1.0 - t)]);
+    }
+    let (l, u) = (&domain.lower, &domain.upper);
+    for corner in [[l[0], l[1]], [u[0], l[1]], [l[0], u[1]], [u[0], u[1]]] {
+        // The origin has no direction (NaN): it enters every ray.
+        let t = corner[0] / (corner[0] + corner[1]);
+        if t0 < t && t < t1 {
+            points.extend(corner);
+        }
+    }
+    points
+}
+
+/// The intervals of directions on the non-negative (`above`) and negative
+/// (`below`) side of `coeffs·x = 0` within `(t0, t1)`, which it crosses:
+/// `coeffs·(t, 1 − t)` is `a1 + (a0 − a1)·t`, zero at `t* = a1 / (a1 − a0)`.
+fn split_directions((t0, t1): (f64, f64), coeffs: &[f64]) -> ((f64, f64), (f64, f64)) {
+    let (a0, a1) = (coeffs[0], coeffs[1]);
+    let cut = (a1 / (a1 - a0)).clamp(t0, t1);
+    match a0 > a1 {
+        true => ((cut, t1), (t0, cut)),
+        false => ((t0, cut), (cut, t1)),
+    }
+}
+
+/// A point strictly inside the cone over `directions` cut by the box: the
+/// middle of the middle direction's chord.
+fn direction_witness((t0, t1): (f64, f64), domain: &Domain) -> Vec<f64> {
+    let t = (t0 + t1) / 2.0;
+    let (enter, leave) = ray_span(t, domain);
+    let s = (enter + leave) / 2.0;
+    vec![s * t, s * (1.0 - t)]
+}
+
+/// True unless two neighbours in `sorted` score the same at `witness`
+/// without being one affine map: a witness on a boundary between two cells,
+/// where the id tie-break may have ordered them as neither cell does.
+/// `functions[i]` has id `i`, as a dataset's functions do.
+fn no_tie_between_neighbours(
+    functions: &[LinearFunction],
+    sorted: &[FuncId],
+    witness: &[f64],
+) -> bool {
+    sorted.windows(2).all(|pair| {
+        let (f, g) = (&functions[pair[0].index()], &functions[pair[1].index()]);
+        f.eval(witness) != g.eval(witness) || f.same_map(g)
+    })
 }
 
 #[cfg(test)]
@@ -384,6 +606,29 @@ mod tests {
         (functions, domain)
     }
 
+    /// Asserts that `tree` holds `reference`'s cells node for node: pairs,
+    /// children, constraints and sorted lists, and witnesses if `witnesses`.
+    fn assert_same_tree(tree: &ITree, reference: &ITree, witnesses: bool, context: &str) {
+        let strip = |node: &Node| match node.clone() {
+            Node::Subdomain {
+                constraints,
+                sorted,
+                ..
+            } if !witnesses => Node::Subdomain {
+                constraints,
+                sorted,
+                witness: Vec::new(),
+            },
+            node => node,
+        };
+        assert_eq!(tree.node_count(), reference.node_count(), "{context}");
+        for (id, node) in tree.iter() {
+            let expected = strip(reference.node(id));
+            assert_eq!(strip(node), expected, "{context}, node {id:?}");
+        }
+        assert_eq!(tree.leaf_ids(), reference.leaf_ids(), "{context}");
+    }
+
     #[test]
     fn filtered_build_matches_the_reference_walk_node_for_node() {
         let mut subdomains = 0;
@@ -392,12 +637,11 @@ mod tests {
             let (functions, domain) = arrangement(seed);
             let (tree, stats) = ITreeBuilder::new(LpSplitOracle::new())
                 .build_with_stats(&functions, domain.clone());
+            // Central input at d ≤ 2 takes the exact path, whose witness
+            // is its own.
+            let witnesses = Cells::of(&functions, &domain) == Cells::Lp;
             let reference = build_reference(&functions, domain);
-            assert_eq!(tree.node_count(), reference.node_count(), "seed {seed}");
-            for (id, node) in tree.iter() {
-                assert_eq!(node, reference.node(id), "seed {seed}, node {id:?}");
-            }
-            assert_eq!(tree.leaf_ids(), reference.leaf_ids(), "seed {seed}");
+            assert_same_tree(&tree, &reference, witnesses, &format!("seed {seed}"));
             subdomains += stats.subdomains;
             filtered.pairs_refused += stats.pairs_refused;
             filtered.visits_filtered += stats.visits_filtered;
@@ -410,11 +654,131 @@ mod tests {
         assert!(filtered.oracle_calls > 1_000, "{filtered:?}");
     }
 
+    /// A seeded central arrangement: every function `a·x`, coefficients on
+    /// a coarse grid (so hyperplanes coincide and cross on box corners and
+    /// faces) or, for every fourth seed, anywhere; outright duplicates and
+    /// halved copies (whose differences are parallel); over the unit box or
+    /// `[0.25, 1]^d`, whose lower corner is not the origin.
+    fn central_arrangement(seed: u64, dims: usize) -> (Vec<LinearFunction>, Domain) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n: usize = rng.gen_range(2..=[24, 14][dims - 1]);
+        let lo = [-1.0, 0.0][(seed / 2 % 2) as usize];
+        let value = |rng: &mut StdRng| match seed % 4 {
+            3 => rng.gen_range(lo..1.0),
+            _ => lo + (1.0 - lo) * rng.gen_range(0..=4u32) as f64 / 4.0,
+        };
+        let mut functions: Vec<LinearFunction> = Vec::new();
+        for id in 0..n {
+            let twin: Option<LinearFunction> = functions.get(rng.gen_range(0..n)).cloned();
+            let coeffs = match (rng.gen_range(0..6u32), twin) {
+                (0, Some(twin)) => twin.coeffs,
+                (1, Some(twin)) => twin.coeffs.iter().map(|a| a / 2.0).collect(),
+                _ => (0..dims).map(|_| value(&mut rng)).collect(),
+            };
+            functions.push(LinearFunction::new(FuncId(id as u32), coeffs, 0.0));
+        }
+        let domain = match seed % 3 {
+            0 => Domain::new(vec![0.25; dims], vec![1.0; dims]),
+            _ => Domain::unit(dims),
+        };
+        (functions, domain)
+    }
+
+    /// Builds central input through a [`Spy`], asserts the oracle was never
+    /// asked, and checks the tree against the reference walk in everything
+    /// but the witness, which must lie inside its cell.
+    fn check_central(functions: &[LinearFunction], domain: Domain, context: &str) -> BuildStats {
+        let expected = [Cells::Point, Cells::Directions][domain.dims() - 1];
+        assert_eq!(Cells::of(functions, &domain), expected, "{context}");
+        let spy = ITreeBuilder::new(Spy(LpSplitOracle::new(), RefCell::default()));
+        let (tree, stats) = spy.build_with_stats(functions, domain.clone());
+        assert_eq!(spy.oracle.1.borrow().len(), 0, "{context}");
+        assert_eq!(stats.oracle_calls, 0, "{context}");
+        assert_eq!(stats.visits_filtered, stats.nodes_visited, "{context}");
+        assert_same_tree(&tree, &build_reference(functions, domain), false, context);
+        for &leaf in tree.leaf_ids() {
+            let Node::Subdomain {
+                constraints,
+                witness,
+                ..
+            } = tree.node(leaf)
+            else {
+                unreachable!("leaf ids name subdomains");
+            };
+            assert!(constraints.contains(witness), "{context}: {witness:?}");
+        }
+        stats
+    }
+
+    #[test]
+    fn central_builds_match_the_reference_walk_and_never_ask_the_oracle() {
+        for dims in [1, 2] {
+            let mut stats = BuildStats::default();
+            for seed in 0..160 {
+                let (functions, domain) = central_arrangement(seed, dims);
+                let built = check_central(&functions, domain, &format!("d = {dims}, seed {seed}"));
+                stats.subdomains += built.subdomains;
+                stats.pairs_refused += built.pairs_refused;
+                stats.nodes_visited += built.nodes_visited;
+            }
+            // At d = 1 every pair is refused; at d = 2 the walk must have
+            // had work to do.
+            assert!(stats.pairs_refused > 1_000, "d = {dims}: {stats:?}");
+            if dims == 2 {
+                assert!(stats.subdomains > 1_000, "{stats:?}");
+                assert!(stats.nodes_visited > 10_000, "{stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn central_builds_of_the_recorded_datasets_match_the_reference_walk() {
+        for (n, dims, seed) in [(64, 1, 1), (40, 2, 7), (76, 2, 1), (128, 2, 1)] {
+            let dataset = vaq_workload::uniform_dataset(n, dims, seed);
+            let context = format!("uniform_dataset({n}, {dims}, {seed})");
+            check_central(&dataset.functions, dataset.domain, &context);
+        }
+    }
+
+    #[test]
+    fn a_line_counts_the_pairs_the_scan_counts_without_walking_one() {
+        // Slopes on a grid, duplicated, and a few apart by a hair: gaps
+        // under EPS are one map, gaps just over it stay inside a zero
+        // tolerance's guard band on a box whose lower end is small.
+        let mut slopes: Vec<f64> = (0..40).map(|i| f64::from(i % 9) / 8.0 - 0.5).collect();
+        slopes.extend([0.3, 0.3 + 5e-10, 0.3 + 2e-9, 0.3 + 3e-8, -0.2 + 1e-6]);
+        let functions: Vec<LinearFunction> = (slopes.iter().enumerate())
+            .map(|(id, a)| LinearFunction::new(FuncId(id as u32), vec![*a], 0.0))
+            .collect();
+        let boxes = [(0.0, 1.0), (0.25, 1.0), (0.01, 0.02), (3.0, 7.0)];
+        let mut walked_somewhere = false;
+        for ((lower, upper), tolerance) in boxes
+            .into_iter()
+            .flat_map(|b| [1e-7, 1e-9, 5e-10, 0.0].map(|t| (b, t)))
+        {
+            let domain = Domain::new(vec![lower], vec![upper]);
+            let builder = ITreeBuilder::new(LpSplitOracle { tolerance });
+            let (tree, stats) = builder.build_as(&functions, domain.clone(), Cells::Point);
+            let (scanned, scan) = builder.build_as(&functions, domain, Cells::Lp);
+            let context = format!("[{lower}, {upper}], tolerance {tolerance}");
+            assert_eq!(
+                (stats.pairs_inserted, stats.pairs_refused),
+                (scan.pairs_inserted, scan.pairs_refused),
+                "{context}"
+            );
+            assert_eq!((stats.nodes_visited, stats.subdomains), (0, 1), "{context}");
+            assert_same_tree(&tree, &scanned, true, &context);
+            walked_somewhere |= scan.pairs_refused < scan.pairs_inserted;
+        }
+        assert!(walked_somewhere, "no case left a pair for the scan to walk");
+    }
+
     /// The exact oracle, recording which question each call asked.
     struct Spy(LpSplitOracle, RefCell<Vec<&'static str>>);
 
     impl SplitOracle for Spy {
         fn classify(&self, region: &SubdomainConstraints, c: &[f64], k: f64) -> SplitDecision {
+            self.1.borrow_mut().push("classify");
             self.0.classify(region, c, k)
         }
 

@@ -37,7 +37,11 @@ pub enum Node {
         constraints: SubdomainConstraints,
         /// The function ids sorted ascending by score in this subdomain.
         sorted: Vec<FuncId>,
-        /// A point strictly inside the subdomain (used to sort and to debug).
+        /// The point the list was sorted at: strictly inside the subdomain,
+        /// off every boundary where two functions tie. On central input at
+        /// `d = 2` it is the middle of the cell's middle direction inside the
+        /// box, elsewhere the centre of the largest ball inside the cell
+        /// ([`SubdomainConstraints::witness_point`]).
         witness: Vec<f64>,
     },
 }

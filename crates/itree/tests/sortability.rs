@@ -17,53 +17,85 @@ fn functions_from(coeffs: &[(f64, f64)]) -> Vec<LinearFunction> {
         .collect()
 }
 
+/// Every point sampled inside a leaf's constraint system sorts the functions
+/// exactly as the leaf's stored list (up to ties on boundaries, which
+/// sampling interior points avoids almost surely).
+fn check_leaf_orders(functions: &[LinearFunction], dims: usize, seed: u64) -> Result<(), String> {
+    let domain = Domain::unit(dims);
+    let tree = ITreeBuilder::new(LpSplitOracle::new()).build(functions, domain.clone());
+    let mut rng = StdRng::seed_from_u64(seed);
+
+    for &leaf in tree.leaf_ids() {
+        let Node::Subdomain {
+            constraints,
+            sorted,
+            ..
+        } = tree.node(leaf)
+        else {
+            panic!("leaf id must reference a subdomain node");
+        };
+        // Rejection-sample a few interior points of this leaf.
+        let mut found = 0;
+        for _ in 0..400 {
+            if found >= 3 {
+                break;
+            }
+            let p = domain.sample(&mut rng);
+            if !constraints.contains(&p) {
+                continue;
+            }
+            // Skip points that lie (numerically) on any intersection
+            // boundary, where the order is legitimately ambiguous.
+            let on_boundary = functions.iter().enumerate().any(|(i, fi)| {
+                functions
+                    .iter()
+                    .skip(i + 1)
+                    .any(|fj| (fi.eval(&p) - fj.eval(&p)).abs() < 1e-9)
+            });
+            if on_boundary {
+                continue;
+            }
+            found += 1;
+            let direct = sort_functions_at(functions, &p);
+            if &direct != sorted {
+                return Err(format!(
+                    "d = {dims}: order at {p:?} disagrees with leaf order"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every point sampled inside a leaf's constraint system sorts the
-    /// functions exactly as the leaf's stored list (up to ties on
-    /// boundaries, which sampling interior points avoids almost surely).
     #[test]
     fn leaf_order_is_invariant_across_the_leaf(
         coeffs in prop::collection::vec((0.05f64..1.0, 0.05f64..1.0), 2..7),
         seed in 0u64..1_000,
     ) {
-        let functions = functions_from(&coeffs);
-        let domain = Domain::unit(2);
-        let tree = ITreeBuilder::new(LpSplitOracle::new()).build(&functions, domain.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
+        let result = check_leaf_orders(&functions_from(&coeffs), 2, seed);
+        prop_assert!(result.is_ok(), "{}", result.unwrap_err());
+    }
 
-        for &leaf in tree.leaf_ids() {
-            let Node::Subdomain { constraints, sorted, .. } = tree.node(leaf) else {
-                panic!("leaf id must reference a subdomain node");
-            };
-            // Rejection-sample a few interior points of this leaf.
-            let mut found = 0;
-            for _ in 0..400 {
-                if found >= 3 {
-                    break;
-                }
-                let p = domain.sample(&mut rng);
-                if !constraints.contains(&p) {
-                    continue;
-                }
-                // Skip points that lie (numerically) on any intersection
-                // boundary, where the order is legitimately ambiguous.
-                let on_boundary = functions.iter().enumerate().any(|(i, fi)| {
-                    functions.iter().skip(i + 1).any(|fj| {
-                        (fi.eval(&p) - fj.eval(&p)).abs() < 1e-9
-                    })
-                });
-                if on_boundary {
-                    continue;
-                }
-                found += 1;
-                let direct = sort_functions_at(&functions, &p);
-                prop_assert_eq!(
-                    &direct, sorted,
-                    "order at {:?} disagrees with leaf order", p
-                );
-            }
+    /// The same at d = 3 and d = 4, where every cell is a cone whose
+    /// coordinate minimisers all sit at the origin, so a list sorted at a
+    /// point on the cell's boundary shows here.
+    #[test]
+    fn leaf_order_is_invariant_across_the_leaf_at_three_and_four_dimensions(
+        rows in prop::collection::vec(prop::collection::vec(0.05f64..1.0, 4..=4), 2..8),
+        seed in 0u64..1_000,
+    ) {
+        for dims in [3, 4] {
+            let functions: Vec<LinearFunction> = rows
+                .iter()
+                .take(10 - dims)
+                .enumerate()
+                .map(|(i, row)| LinearFunction::new(FuncId(i as u32), row[..dims].to_vec(), 0.0))
+                .collect();
+            let result = check_leaf_orders(&functions, dims, seed);
+            prop_assert!(result.is_ok(), "{}", result.unwrap_err());
         }
     }
 

@@ -103,9 +103,13 @@ type Recorded = (
 );
 
 /// Taken on the commit before the owner build was made proportional to the
-/// arrangement (ISSUE 21), under `SignatureScheme::test_rsa(9)`. The inner
-/// rows are (OneSignature, 0), (OneSignature, 5), (MultiSignature, 0),
-/// (MultiSignature, 5).
+/// arrangement, under `SignatureScheme::test_rsa(9)`. The inner rows are
+/// (OneSignature, 0), (OneSignature, 5), (MultiSignature, 0),
+/// (MultiSignature, 5). The `(20, 3, 2)` row's IMH root and one-signature
+/// responses were re-recorded once, when leaves began to be sorted at the
+/// centre of their largest inscribed ball: before, many d = 3 cells were
+/// sorted at a point on their own boundary, where two functions tie, and the
+/// owner signed lists that are wrong inside the cell.
 const RECORDED: [Recorded; 4] = [
     (
         (64, 1, 1),
@@ -191,17 +195,17 @@ const RECORDED: [Recorded; 4] = [
     (
         (20, 3, 2),
         4357,
-        "32749a150d7e87b9895fb60c7ce4b31bd589a40b1130440db8d75400783473da",
+        "a5cfa0f39de065ea911bc2214b97735aedcd208d63d3abccac1e389a1bc165d0",
         [
             [
-                "dbedef3ff9a0164b4ea5f93d7598e0bd30e1a38e8b51dd39fc8b3bd5222b42ee",
-                "c6263079fc171950c80728530983b69caa5c593f6db3931b96e136c897071261",
-                "6e1fbfe369eb52c097e881bfc50ea7930acaf94f6294745f871a290857ffadb8",
+                "47cd9839fb3f89ed262121d87d5f521c42b6c3ee844bd24fac498b02752e43ee",
+                "9c60d86abb06cc09bca431fdc19d31157c4beec40b2a9b1cc511284507075e4e",
+                "5d4e1982d30274b9eb7adbae125657282bfb012fd7055127c64384e4f6369719",
             ],
             [
-                "dc55475f89d75a8fb3ca4e5ac0e3d132515db2cd4c12230968b784a52d61472d",
-                "f1a6071eeb11c16fa8891de41ad92ed79ef9888a6559b37648210125829187b8",
-                "1537830438142e0a64ea787e86640d14db7a80e6a01ca46ca16d02db20256c6d",
+                "1cf4d6fda3a86648f78ccf8bf5b1966a57e8858ababa0bedc56e67b41aea0c34",
+                "d746a69b33341af524bc4321e0be131ecf0daae76c186fea147ea79cf1c12561",
+                "82cb3199755b5709891177f5f12b8b55dc43cc25b4b2239c274152f0d7e115f4",
             ],
             [
                 "4bdad6e1499dcaf00651d40151e6ec78cd89e98aa7c3b771433ea5af288f8092",
