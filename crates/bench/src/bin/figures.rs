@@ -6,63 +6,70 @@
 //! cargo run --release -p vaq-bench --bin figures -- --fig 7d --scale small
 //! ```
 //!
-//! Figure ids: 5a 5b 5c 6a 6b 6c 6d 7a 7b 7c 7d 8a 8b ablation all, and
-//! `scale` — the owner-build scaling curve at its own explicit sizes
-//! (n = 32…256, d = 2), which `all` leaves out.
+//! Figure ids: 5a 5b 5c 6a 6b 6c 6d 7a 7b 7c 7d 8a 8b, a digit 5–8 for
+//! all of that figure's panels, `all`, and `scale` — the owner-build scaling
+//! curve at its own explicit sizes (n = 32…256, d = 2), which `all` leaves
+//! out. An unknown id, scale or seed exits with status 2.
 
 use vaq_bench::report::{fmt_ms, print_table};
 use vaq_bench::{
-    ablation_split_oracle, fig5_owner, fig6_server_vs_n, fig6d_server_vs_result_len, fig7_user,
-    fig7c_rsa_vs_dsa, fig8a_vo_size_vs_result_len, fig8b_vo_size_vs_n, fitted_exponent,
-    scaling_curve, Scale, ServerQueryKind, DEFAULT_SEED,
+    fig5_owner, fig6_server_vs_n, fig6d_server_vs_result_len, fig7_user, fig7c_rsa_vs_dsa,
+    fig8a_vo_size_vs_result_len, fig8b_vo_size_vs_n, fitted_exponent, scaling_curve, Scale,
+    ServerQueryKind, DEFAULT_SEED,
 };
 
+const USAGE: &str =
+    "usage: figures [--fig 5|6|7|8|5a|5b|5c|6a|6b|6c|6d|7a|7b|7c|7d|8a|8b|all|scale] \
+                     [--scale small|paper] [--seed N]";
+
+/// Every panel the binary prints, each selected by its own id or its digit.
+const FIGURES: [&str; 13] = [
+    "5a", "5b", "5c", "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "8a", "8b",
+];
+
+#[derive(Debug, PartialEq)]
 struct Args {
     fig: String,
     scale: Scale,
     seed: Option<u64>,
 }
 
-fn parse_args() -> Args {
+/// Parses the arguments after the program name; `Err` names the first one
+/// that is unknown, lacks its value or has a value that selects nothing.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         fig: "all".to_string(),
         scale: Scale::Small,
         seed: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv = argv.iter().map(String::as_str);
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
+        match flag {
             "--fig" => {
-                i += 1;
-                args.fig = argv.get(i).cloned().unwrap_or_else(|| "all".into());
+                let fig = value()?;
+                let known = fig == "scale" || FIGURES.iter().any(|id| wants(fig, id));
+                if !known {
+                    return Err(format!("unknown figure id: {fig}"));
+                }
+                args.fig = fig.to_string();
             }
             "--scale" => {
-                i += 1;
-                args.scale = match argv.get(i).map(String::as_str) {
-                    Some("paper") => Scale::Paper,
-                    _ => Scale::Small,
+                args.scale = match value()? {
+                    "small" => Scale::Small,
+                    "paper" => Scale::Paper,
+                    other => return Err(format!("unknown scale: {other}")),
                 };
             }
             "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|v| v.parse().ok());
+                let seed = value()?;
+                let parsed = seed.parse().map_err(|_| format!("bad seed: {seed}"));
+                args.seed = Some(parsed?);
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: figures [--fig 5a|5b|5c|6a|6b|6c|6d|7a|7b|7c|7d|8a|8b|ablation|all|scale] \
-                     [--scale small|paper] [--seed N]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
-        i += 1;
     }
-    args
+    Ok(args)
 }
 
 fn wants(fig: &str, id: &str) -> bool {
@@ -70,7 +77,15 @@ fn wants(fig: &str, id: &str) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    let args = parse_args(&argv).unwrap_or_else(|message| {
+        eprintln!("{message}\n{USAGE}");
+        std::process::exit(2);
+    });
     let fig = args.fig.as_str();
     let scale = args.scale;
     // The scaling curve is ROADMAP item 5's table, which was taken at seed 1.
@@ -307,35 +322,6 @@ fn main() {
         );
     }
 
-    // ---- Ablation ---------------------------------------------------------
-    if fig == "all" || fig == "ablation" {
-        let rows = ablation_split_oracle(scale, 256, seed);
-        print_table(
-            "Ablation — exact LP vs Monte-Carlo split oracle (d = 3)",
-            &[
-                "n",
-                "LP cells",
-                "MC cells",
-                "LP ms",
-                "MC ms",
-                "MC order agreement",
-            ],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.n.to_string(),
-                        r.lp_subdomains.to_string(),
-                        r.sampling_subdomains.to_string(),
-                        fmt_ms(r.lp_build_ms),
-                        fmt_ms(r.sampling_build_ms),
-                        format!("{:.2}", r.sampling_order_agreement),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-
     // ---- Owner-build scaling curve ------------------------------------------
     if scale_curve {
         let rows = scaling_curve(&[32, 64, 128, 256], seed);
@@ -381,5 +367,47 @@ fn main() {
             fit(|r| r.hash_ops),
             fit(|r| r.structure_bytes),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn ids_that_select_no_figure_are_errors() {
+        for argv in [
+            &["--fig", "ablation"][..],
+            &["--fig", "9"],
+            &["--fig", "5d"],
+            &["--scale", "huge"],
+            &["--seed", "x"],
+            &["--fig"],
+            &["--verbose"],
+        ] {
+            assert!(parse(argv).is_err(), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn figure_ids_digits_and_the_scaling_curve_parse() {
+        for fig in ["7", "8b", "scale", "all", "5"] {
+            let args = parse(&["--fig", fig]).unwrap();
+            assert_eq!(args.fig, fig);
+        }
+        let args = parse(&["--scale", "paper", "--seed", "7", "--fig", "6d"]).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                fig: "6d".to_string(),
+                scale: Scale::Paper,
+                seed: Some(7),
+            }
+        );
+        assert_eq!(parse(&[]).unwrap().fig, "all");
     }
 }

@@ -15,16 +15,18 @@
 //! | Fig. 7d | [`fig7_user`] (`total_ms` columns) | total verification time |
 //! | Fig. 8a | [`fig8a_vo_size_vs_result_len`] | VO size vs result length |
 //! | Fig. 8b | [`fig8b_vo_size_vs_n`] | VO size vs database size |
-//! | Ablation | [`ablation_split_oracle`] | LP vs sampling feasibility oracle |
+//!
+//! Beside the paper's figures, [`scaling_curve`] measures the owner build
+//! alone as `n` grows.
 
 use crate::setup::{probe_weights, range_query_with_result_len, Scale, SchemeSet};
 use std::time::Instant;
 use vaq_authquery::{client, vo, IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::sha256::sha256;
 use vaq_crypto::{SignatureScheme, Signer};
-use vaq_funcdb::{LpSplitOracle, SamplingSplitOracle};
+use vaq_funcdb::LpSplitOracle;
 use vaq_itree::ITreeBuilder;
-use vaq_sigmesh::{verify_mesh_response, SignatureMesh};
+use vaq_sigmesh::verify_mesh_response;
 use vaq_workload::uniform_dataset;
 
 /// Default seed for all experiments (override per-call for repetitions).
@@ -435,82 +437,6 @@ pub fn fig8b_vo_size_vs_n(scale: Scale, result_len: usize, seed: u64) -> Vec<Fig
 }
 
 // ---------------------------------------------------------------------------
-// Ablation — exact vs sampled feasibility oracle
-// ---------------------------------------------------------------------------
-
-/// One row of the split-oracle ablation.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// Number of records.
-    pub n: usize,
-    /// Subdomains found by the exact LP oracle.
-    pub lp_subdomains: usize,
-    /// Subdomains found by the Monte-Carlo oracle.
-    pub sampling_subdomains: usize,
-    /// Build time with the LP oracle (ms).
-    pub lp_build_ms: f64,
-    /// Build time with the sampling oracle (ms).
-    pub sampling_build_ms: f64,
-    /// Fraction of probe points whose located sort order matches the direct
-    /// sort, under the sampling oracle (the LP oracle is exact by
-    /// construction and always scores 1.0).
-    pub sampling_order_agreement: f64,
-}
-
-/// The dimension of the split-oracle ablation: the least at which the build
-/// still asks the oracle. At `d ≤ 2` a template dataset is central and its
-/// arrangement is built without one, whichever oracle the builder holds.
-pub const ABLATION_DIMS: usize = 3;
-
-/// Runs the feasibility-oracle ablation: exact LP splitting versus
-/// Monte-Carlo sampling, at [`ABLATION_DIMS`] (the small scale stops at
-/// n = 20, whose arrangement already has ≈4,400 cells).
-pub fn ablation_split_oracle(scale: Scale, samples: usize, seed: u64) -> Vec<AblationRow> {
-    let mut sizes = scale.size_sweep();
-    if scale == Scale::Small {
-        sizes.retain(|&n| n <= 20);
-    }
-    sizes
-        .into_iter()
-        .map(|n| {
-            let dataset = uniform_dataset(n, ABLATION_DIMS, seed);
-
-            let t0 = Instant::now();
-            let lp_tree = ITreeBuilder::new(LpSplitOracle::new())
-                .build(&dataset.functions, dataset.domain.clone());
-            let lp_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            let t0 = Instant::now();
-            let mc_tree = ITreeBuilder::new(SamplingSplitOracle::new(samples, seed))
-                .build(&dataset.functions, dataset.domain.clone());
-            let mc_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            // Probe agreement of the sampled tree against direct sorting.
-            let probes = 200usize;
-            let mut agree = 0usize;
-            for i in 0..probes {
-                let x = probe_weights(dataset.dims(), seed + i as u64);
-                let located = mc_tree.locate(&x);
-                let tree_order = mc_tree.sorted_list(located.leaf).to_vec();
-                let direct = vaq_funcdb::sort_functions_at(&dataset.functions, &x);
-                if tree_order == direct {
-                    agree += 1;
-                }
-            }
-
-            AblationRow {
-                n,
-                lp_subdomains: lp_tree.subdomain_count(),
-                sampling_subdomains: mc_tree.subdomain_count(),
-                lp_build_ms: lp_ms,
-                sampling_build_ms: mc_ms,
-                sampling_order_agreement: agree as f64 / probes as f64,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // Owner-build scaling curve (ROADMAP item 5)
 // ---------------------------------------------------------------------------
 
@@ -629,36 +555,6 @@ pub fn measure_ms(mut f: impl FnMut()) -> f64 {
             t0.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min)
-}
-
-// ---------------------------------------------------------------------------
-// Convenience: build one IFMH tree quickly for the Criterion benches
-// ---------------------------------------------------------------------------
-
-/// Builds a one-signature IFMH-tree over a small uniform dataset (used by
-/// the Criterion benches so they do not repeat the full SchemeSet setup).
-pub fn quick_tree(
-    n: usize,
-    dims: usize,
-    mode: SigningMode,
-    seed: u64,
-) -> (vaq_funcdb::Dataset, IfmhTree, SignatureScheme) {
-    let dataset = uniform_dataset(n, dims, seed);
-    let scheme = SignatureScheme::new_rsa(256, seed);
-    let tree = IfmhTree::build(&dataset, mode, &scheme);
-    (dataset, tree, scheme)
-}
-
-/// Builds a signature mesh over a small uniform dataset.
-pub fn quick_mesh(
-    n: usize,
-    dims: usize,
-    seed: u64,
-) -> (vaq_funcdb::Dataset, SignatureMesh, SignatureScheme) {
-    let dataset = uniform_dataset(n, dims, seed);
-    let scheme = SignatureScheme::new_rsa(256, seed);
-    let mesh = SignatureMesh::build(&dataset, &scheme);
-    (dataset, mesh, scheme)
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! Experiment harness reproducing the paper's evaluation (Sec. 4.3).
 //!
 //! Every figure of the evaluation has a corresponding runner in
-//! [`figures`]; the `figures` binary prints the same series the paper plots,
-//! and the Criterion benches in `benches/` time the underlying operations.
+//! [`figures`]; the `figures` binary prints the same series the paper plots.
 //!
 //! # Scale note
 //!
@@ -20,7 +19,7 @@
 //!   sensible on a large machine with hours of budget.
 //!
 //! All comparative *shapes* (who wins, growth trends, crossovers) are
-//! preserved at the small scale; see EXPERIMENTS.md for measured numbers.
+//! preserved at the small scale.
 
 #![warn(missing_docs)]
 

@@ -72,13 +72,6 @@ impl Dataset {
     pub fn score(&self, id: FuncId, x: &[f64]) -> f64 {
         self.function(id).eval(x)
     }
-
-    /// All `(i, j)` pairs with `i < j` — the candidate intersections the
-    /// I-tree construction iterates over.
-    pub fn function_pairs(&self) -> impl Iterator<Item = (FuncId, FuncId)> + '_ {
-        let n = self.len() as u32;
-        (0..n).flat_map(move |i| (i + 1..n).map(move |j| (FuncId(i), FuncId(j))))
-    }
 }
 
 #[cfg(test)]
@@ -117,24 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn function_pairs_enumerates_upper_triangle() {
-        let ds = small_dataset();
-        let pairs: Vec<_> = ds.function_pairs().collect();
-        assert_eq!(
-            pairs,
-            vec![
-                (FuncId(0), FuncId(1)),
-                (FuncId(0), FuncId(2)),
-                (FuncId(1), FuncId(2))
-            ]
-        );
-    }
-
-    #[test]
     fn empty_dataset() {
         let ds = Dataset::new(vec![], FunctionTemplate::anonymous(2), Domain::unit(2));
         assert!(ds.is_empty());
-        assert_eq!(ds.function_pairs().count(), 0);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Axis-aligned box domains for the weight space.
 
-use rand::Rng;
-
 /// The bounded, axis-aligned domain the data owner declares for the weight
 /// variables, e.g. `w1, w2, w3 ∈ [0, 1]`.
 ///
@@ -80,15 +78,6 @@ impl Domain {
         (min + constant, max + constant)
     }
 
-    /// Uniformly samples a point inside the box.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        self.lower
-            .iter()
-            .zip(self.upper.iter())
-            .map(|(l, u)| if l == u { *l } else { rng.gen_range(*l..*u) })
-            .collect()
-    }
-
     /// Canonical byte encoding (for inclusion in subdomain hashes).
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.dims() * 16 + 4);
@@ -104,8 +93,6 @@ impl Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn unit_domain_contains_interior_and_boundary() {
@@ -120,23 +107,6 @@ mod tests {
     fn center_is_midpoint() {
         let d = Domain::new(vec![0.0, -2.0], vec![1.0, 4.0]);
         assert_eq!(d.center(), vec![0.5, 1.0]);
-    }
-
-    #[test]
-    fn sample_stays_inside() {
-        let d = Domain::new(vec![-1.0, 2.0], vec![1.0, 3.0]);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let p = d.sample(&mut rng);
-            assert!(d.contains(&p));
-        }
-    }
-
-    #[test]
-    fn degenerate_dimension_sampling() {
-        let d = Domain::new(vec![0.5], vec![0.5]);
-        let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(d.sample(&mut rng), vec![0.5]);
     }
 
     #[test]

@@ -1,18 +1,12 @@
-//! Split oracles: does a hyperplane pass through a region?
+//! The split test: does a hyperplane pass through a region?
 //!
 //! The I-tree insert algorithm (paper, Sec. 3.1 step 1) needs to decide, for
 //! every candidate intersection `I_{i,j}` and every tree node's region `X`,
 //! whether the intersection *partitions* `X` — i.e. whether both
-//! `X ∩ {f_i − f_j > 0}` and `X ∩ {f_i − f_j < 0}` are non-empty. This module
-//! provides that decision behind the [`SplitOracle`] trait with two
-//! implementations:
-//!
-//! * [`LpSplitOracle`] — exact (up to floating-point tolerance), using the
-//!   simplex solver to compute the range of the difference function over the
-//!   region.
-//! * [`SamplingSplitOracle`] — Monte-Carlo approximation used by the
-//!   ablation study; cheaper per query but can miss slivers, which the
-//!   ablation bench quantifies.
+//! `X ∩ {f_i − f_j > 0}` and `X ∩ {f_i − f_j < 0}` are non-empty.
+//! [`LpSplitOracle`] decides it exactly (up to floating-point tolerance),
+//! using the simplex solver to compute the range of the difference function
+//! over the region.
 //!
 //! [`range_misses`] and [`point_evidence`] are the exact `O(d)` filters the
 //! I-tree build asks first. Both decide only when clear of the oracle's
@@ -26,9 +20,6 @@
 //! the LP would.
 
 use crate::subdomain::SubdomainConstraints;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cell::RefCell;
 
 /// How a hyperplane relates to a region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,41 +33,6 @@ pub enum SplitDecision {
     AllBelow,
     /// The region is empty (should not normally be asked).
     EmptyRegion,
-}
-
-/// Decides whether a linear form's zero set splits a region.
-pub trait SplitOracle {
-    /// Classifies the hyperplane `coeffs·x + constant = 0` against `region`.
-    fn classify(
-        &self,
-        region: &SubdomainConstraints,
-        coeffs: &[f64],
-        constant: f64,
-    ) -> SplitDecision;
-
-    /// Convenience: true if the hyperplane splits the region.
-    fn splits(&self, region: &SubdomainConstraints, coeffs: &[f64], constant: f64) -> bool {
-        self.classify(region, coeffs, constant) == SplitDecision::Splits
-    }
-
-    /// The magnitude up to which the form counts as touching the hyperplane
-    /// rather than lying on a strict side of it (zero: by sign alone).
-    fn tolerance(&self) -> f64 {
-        0.0
-    }
-
-    /// [`splits`](Self::splits) for a caller that may already hold a point
-    /// of the region strictly above the hyperplane (`Some(true)`) or strictly
-    /// below it (`Some(false)`): only the other side is still in question.
-    fn splits_given(
-        &self,
-        region: &SubdomainConstraints,
-        coeffs: &[f64],
-        constant: f64,
-        _seen_above: Option<bool>,
-    ) -> bool {
-        self.splits(region, coeffs, constant)
-    }
 }
 
 /// What points already known to lie in a convex region prove about a
@@ -153,10 +109,10 @@ impl LpSplitOracle {
     pub fn new() -> Self {
         LpSplitOracle { tolerance: 1e-7 }
     }
-}
 
-impl SplitOracle for LpSplitOracle {
-    fn classify(
+    /// Classifies the hyperplane `coeffs·x + constant = 0` against `region`:
+    /// two solves, for the form's maximum and its minimum over the region.
+    pub fn classify(
         &self,
         region: &SubdomainConstraints,
         coeffs: &[f64],
@@ -179,12 +135,12 @@ impl SplitOracle for LpSplitOracle {
         }
     }
 
-    fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    /// One solve instead of two: the extremum on the side not yet seen.
-    fn splits_given(
+    /// True if the hyperplane splits `region`, for a caller that may already
+    /// hold a point of the region strictly above it (`Some(true)`) or
+    /// strictly below it (`Some(false)`). Then only the other side is still
+    /// in question, and one solve decides it: the extremum on that side.
+    /// Otherwise [`classify`](Self::classify)'s two.
+    pub fn splits_given(
         &self,
         region: &SubdomainConstraints,
         coeffs: &[f64],
@@ -192,7 +148,7 @@ impl SplitOracle for LpSplitOracle {
         seen_above: Option<bool>,
     ) -> bool {
         let Some(above) = seen_above else {
-            return self.splits(region, coeffs, constant);
+            return self.classify(region, coeffs, constant) == SplitDecision::Splits;
         };
         let open = region.linear_extreme(coeffs, constant, !above);
         open.is_some_and(|v| {
@@ -202,66 +158,6 @@ impl SplitOracle for LpSplitOracle {
                 v > self.tolerance
             }
         })
-    }
-}
-
-/// Monte-Carlo oracle: samples points of the region's bounding box, keeps
-/// those inside the region, and looks at the sign of `g` at the survivors.
-///
-/// Used by the feasibility ablation; may misclassify thin regions. The
-/// I-tree build asks it only about the visits its exact filters
-/// ([`range_misses`], [`point_evidence`]) leave open on input that is not
-/// central at `d ≤ 2`, so the ablation measures sampling on the undecided
-/// cases alone, at `d = 3`.
-#[derive(Debug)]
-pub struct SamplingSplitOracle {
-    samples: usize,
-    rng: RefCell<StdRng>,
-}
-
-impl SamplingSplitOracle {
-    /// Creates an oracle drawing `samples` points per query.
-    pub fn new(samples: usize, seed: u64) -> Self {
-        SamplingSplitOracle {
-            samples,
-            rng: RefCell::new(StdRng::seed_from_u64(seed)),
-        }
-    }
-}
-
-impl SplitOracle for SamplingSplitOracle {
-    fn classify(
-        &self,
-        region: &SubdomainConstraints,
-        coeffs: &[f64],
-        constant: f64,
-    ) -> SplitDecision {
-        let mut rng = self.rng.borrow_mut();
-        let mut seen_above = false;
-        let mut seen_below = false;
-        let mut seen_any = false;
-        for _ in 0..self.samples {
-            let p = region.domain.sample(&mut *rng);
-            if !region.contains(&p) {
-                continue;
-            }
-            seen_any = true;
-            let g: f64 = coeffs.iter().zip(p.iter()).map(|(c, v)| c * v).sum::<f64>() + constant;
-            if g > 0.0 {
-                seen_above = true;
-            } else {
-                seen_below = true;
-            }
-            if seen_above && seen_below {
-                return SplitDecision::Splits;
-            }
-        }
-        match (seen_any, seen_above, seen_below) {
-            (false, _, _) => SplitDecision::EmptyRegion,
-            (_, true, false) => SplitDecision::AllAbove,
-            (_, false, true) => SplitDecision::AllBelow,
-            _ => SplitDecision::AllAbove,
-        }
     }
 }
 
@@ -336,38 +232,5 @@ mod tests {
             oracle.classify(&unit_region(2), &[1.0, 1.0], 0.0),
             SplitDecision::AllAbove
         );
-    }
-
-    #[test]
-    fn sampling_oracle_agrees_on_clear_cases() {
-        let lp = LpSplitOracle::new();
-        let mc = SamplingSplitOracle::new(512, 42);
-        let cases: Vec<(Vec<f64>, f64)> = vec![
-            (vec![1.0, -1.0], 0.0),
-            (vec![1.0, 1.0], 1.0),
-            (vec![1.0, 1.0], -5.0),
-            (vec![1.0, 0.0], -0.5),
-        ];
-        for (coeffs, c) in cases {
-            let a = lp.classify(&unit_region(2), &coeffs, c);
-            let b = mc.classify(&unit_region(2), &coeffs, c);
-            assert_eq!(a, b, "disagreement on {coeffs:?} + {c}");
-        }
-    }
-
-    #[test]
-    fn sampling_oracle_may_miss_slivers_but_never_panics() {
-        // A hyperplane shaving an extremely thin corner: the LP oracle says
-        // Splits, sampling may legitimately answer AllBelow.
-        let lp = LpSplitOracle::new();
-        let mc = SamplingSplitOracle::new(64, 7);
-        let coeffs = vec![1.0, 1.0];
-        let c = -1.999_999;
-        assert_eq!(
-            lp.classify(&unit_region(2), &coeffs, c),
-            SplitDecision::Splits
-        );
-        let d = mc.classify(&unit_region(2), &coeffs, c);
-        assert!(matches!(d, SplitDecision::AllBelow | SplitDecision::Splits));
     }
 }

@@ -16,9 +16,9 @@
 //! * [`halfspace`] / [`subdomain`] — linear inequalities `f_i − f_j ⋛ 0` and
 //!   the polytopes (subdomains) they carve out of the domain.
 //! * [`simplex`] — a dense two-phase simplex LP solver.
-//! * [`feasibility`] — oracles that decide whether a hyperplane splits a
-//!   region (exact, via LP, or approximate, via sampling), the primitive the
-//!   I-tree construction is built on.
+//! * [`feasibility`] — the exact test of whether a hyperplane splits a
+//!   region (its filters, and the LP behind them), the primitive the I-tree
+//!   construction is built on.
 //! * [`sort`] — sorting functions by their value at a point, i.e. the
 //!   "sorted function list" attached to every subdomain.
 
@@ -37,10 +37,7 @@ pub mod template;
 
 pub use dataset::Dataset;
 pub use domain::Domain;
-pub use feasibility::{
-    point_evidence, range_misses, LpSplitOracle, PointEvidence, SamplingSplitOracle, SplitDecision,
-    SplitOracle,
-};
+pub use feasibility::{point_evidence, range_misses, LpSplitOracle, PointEvidence, SplitDecision};
 pub use function::{FuncId, LinearFunction};
 pub use halfspace::HalfSpace;
 pub use record::{Attrs, Record};

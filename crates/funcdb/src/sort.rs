@@ -20,17 +20,6 @@ pub fn sort_functions_at(functions: &[LinearFunction], x: &[f64]) -> Vec<FuncId>
     scored.into_iter().map(|(_, id)| id).collect()
 }
 
-/// Returns the rank (0-based, ascending) of every function at `x`:
-/// `ranks[i]` is the position of `functions[i]` in the sorted order.
-pub fn ranks_at(functions: &[LinearFunction], x: &[f64]) -> Vec<usize> {
-    let order = sort_functions_at(functions, x);
-    let mut ranks = vec![0usize; functions.len()];
-    for (pos, id) in order.iter().enumerate() {
-        ranks[id.index()] = pos;
-    }
-    ranks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,15 +63,19 @@ mod tests {
         ];
         let x = [0.2, 0.7];
         let order = sort_functions_at(&fs, &x);
-        let ranks = ranks_at(&fs, &x);
+        // The order is a permutation: each id takes exactly one position.
+        let mut ranks = vec![usize::MAX; fs.len()];
+        for (pos, id) in order.iter().enumerate() {
+            ranks[id.index()] = pos;
+        }
         for (pos, id) in order.iter().enumerate() {
             assert_eq!(ranks[id.index()], pos);
         }
+        assert!(ranks.iter().all(|&rank| rank < fs.len()));
     }
 
     #[test]
     fn empty_input() {
         assert!(sort_functions_at(&[], &[0.5]).is_empty());
-        assert!(ranks_at(&[], &[0.5]).is_empty());
     }
 }

@@ -1,11 +1,10 @@
 //! Stress and consistency tests for the simplex LP solver and the split
-//! oracles, cross-checked against dense grid sampling (a slow but obviously
+//! oracle, cross-checked against dense grid sampling (a slow but obviously
 //! correct reference).
 
 use proptest::prelude::*;
 use vaq_funcdb::{
-    Domain, HalfSpace, LpOutcome, LpProblem, LpSplitOracle, SplitDecision, SplitOracle,
-    SubdomainConstraints,
+    Domain, HalfSpace, LpOutcome, LpProblem, LpSplitOracle, SplitDecision, SubdomainConstraints,
 };
 
 /// Evaluates feasibility of a constraint system by brute-force grid search.

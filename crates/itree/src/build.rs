@@ -18,13 +18,14 @@
 //! tree is one leaf. At `d = 2` a region is an interval of directions, whose
 //! cone meets the box in a polygon with at most six vertices. Every other
 //! input (constants, boxes around the origin, `d ≥ 3`) reads its regions
-//! through the LP and the [`SplitOracle`].
+//! through the LP, asking the [`LpSplitOracle`] only what the points a
+//! region already holds leave open.
 
 use crate::node::{ITree, Node, NodeId};
 use std::collections::VecDeque;
 use vaq_funcdb::{
     point_evidence, range_misses, sort_functions_at, Domain, FuncId, HalfSpace, LinearFunction,
-    PointEvidence, SplitOracle, SubdomainConstraints, EPS,
+    LpSplitOracle, PointEvidence, SubdomainConstraints, EPS,
 };
 
 /// Statistics gathered while building an I-tree.
@@ -39,6 +40,10 @@ pub struct BuildStats {
     /// Visits that reached the split oracle (none on central input at
     /// `d ≤ 2`).
     pub oracle_calls: usize,
+    /// Extrema the oracle solved for those visits: one for a visit whose
+    /// region's points had already shown a side, two (the maximum and the
+    /// minimum) otherwise. Each is an LP at `d ≥ 2`.
+    pub oracle_solves: usize,
     /// Visits decided by the points a node's region already holds, without
     /// the oracle.
     pub visits_filtered: usize,
@@ -50,10 +55,11 @@ pub struct BuildStats {
     pub intersection_nodes: usize,
 }
 
-/// Builds I-trees using a configurable split oracle.
+/// Builds I-trees. A visit that no cheaper test settles goes to an exact LP
+/// split oracle.
 #[derive(Clone, Debug)]
-pub struct ITreeBuilder<O: SplitOracle> {
-    oracle: O,
+pub struct ITreeBuilder {
+    oracle: LpSplitOracle,
 }
 
 /// How a build reads its regions.
@@ -134,9 +140,10 @@ impl Build {
     }
 }
 
-impl<O: SplitOracle> ITreeBuilder<O> {
-    /// Creates a builder around the given split oracle.
-    pub fn new(oracle: O) -> Self {
+impl ITreeBuilder {
+    /// Creates a builder around the given split oracle, whose tolerance
+    /// decides what counts as touching a hyperplane.
+    pub fn new(oracle: LpSplitOracle) -> Self {
         ITreeBuilder { oracle }
     }
 
@@ -227,7 +234,7 @@ impl<O: SplitOracle> ITreeBuilder<O> {
     /// `same_map`'s predicate and `Domain::linear_range`'s sums, in the same
     /// order; `difference_into` runs only for the pairs walked.
     fn insert_pairs(&self, functions: &[LinearFunction], build: &mut Build) {
-        let tolerance = self.oracle.tolerance();
+        let tolerance = self.oracle.tolerance;
         let dims = build.tree.domain.dims();
         let columns: Vec<Vec<f64>> = (0..dims)
             .map(|k| functions.iter().map(|f| f.coeffs[k]).collect())
@@ -291,7 +298,7 @@ impl<O: SplitOracle> ITreeBuilder<O> {
     /// then never does. Over the sorted slopes, the gaps of one-map pairs and
     /// of walked pairs are both closed downwards, so two pointers count them.
     fn count_pairs_on_a_line(&self, functions: &[LinearFunction], build: &mut Build) {
-        let tolerance = self.oracle.tolerance();
+        let tolerance = self.oracle.tolerance;
         let mut slopes: Vec<f64> = functions.iter().map(|f| f.coeffs[0]).collect();
         slopes.sort_by(f64::total_cmp);
         let n = slopes.len();
@@ -317,7 +324,7 @@ impl<O: SplitOracle> ITreeBuilder<O> {
         coeffs: &[f64],
         constant: f64,
     ) {
-        let tolerance = self.oracle.tolerance();
+        let tolerance = self.oracle.tolerance;
         build.queue.clear();
         build.queue.push_back(build.tree.root);
 
@@ -341,6 +348,7 @@ impl<O: SplitOracle> ITreeBuilder<O> {
                     }
                     PointEvidence::Open(seen) => {
                         build.stats.oracle_calls += 1;
+                        build.stats.oracle_solves += 2 - usize::from(seen.is_some());
                         (self.oracle).splits_given(build.region(id), coeffs, constant, seen)
                     }
                 },
@@ -482,8 +490,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::cell::RefCell;
-    use vaq_funcdb::{FuncId, LpSplitOracle, SplitDecision};
+    use vaq_funcdb::SplitDecision;
 
     /// The walk as it was before the filters, kept as their reference: every
     /// pair is walked from the root, every visit goes to
@@ -646,12 +653,24 @@ mod tests {
             filtered.pairs_refused += stats.pairs_refused;
             filtered.visits_filtered += stats.visits_filtered;
             filtered.oracle_calls += stats.oracle_calls;
+            filtered.oracle_solves += stats.oracle_solves;
+            // One solve where the region's points had shown a side, two
+            // where they had not.
+            let (calls, solves) = (stats.oracle_calls, stats.oracle_solves);
+            assert!(
+                calls <= solves && solves <= 2 * calls,
+                "seed {seed}: {stats:?}"
+            );
         }
         // The suite is only worth its name if every path was taken.
         assert!(subdomains > 5_000, "{subdomains} subdomains");
         assert!(filtered.pairs_refused > 1_000, "{filtered:?}");
         assert!(filtered.visits_filtered > 10_000, "{filtered:?}");
         assert!(filtered.oracle_calls > 1_000, "{filtered:?}");
+        assert!(
+            filtered.oracle_solves > filtered.oracle_calls,
+            "{filtered:?}"
+        );
     }
 
     /// A seeded central arrangement: every function `a·x`, coefficients on
@@ -684,16 +703,19 @@ mod tests {
         (functions, domain)
     }
 
-    /// Builds central input through a [`Spy`], asserts the oracle was never
-    /// asked, and checks the tree against the reference walk in everything
+    /// Builds central input, asserts the oracle was never asked and solved
+    /// nothing, and checks the tree against the reference walk in everything
     /// but the witness, which must lie inside its cell.
     fn check_central(functions: &[LinearFunction], domain: Domain, context: &str) -> BuildStats {
         let expected = [Cells::Point, Cells::Directions][domain.dims() - 1];
         assert_eq!(Cells::of(functions, &domain), expected, "{context}");
-        let spy = ITreeBuilder::new(Spy(LpSplitOracle::new(), RefCell::default()));
-        let (tree, stats) = spy.build_with_stats(functions, domain.clone());
-        assert_eq!(spy.oracle.1.borrow().len(), 0, "{context}");
-        assert_eq!(stats.oracle_calls, 0, "{context}");
+        let builder = ITreeBuilder::new(LpSplitOracle::new());
+        let (tree, stats) = builder.build_with_stats(functions, domain.clone());
+        assert_eq!(
+            (stats.oracle_calls, stats.oracle_solves),
+            (0, 0),
+            "{context}"
+        );
         assert_eq!(stats.visits_filtered, stats.nodes_visited, "{context}");
         assert_same_tree(&tree, &build_reference(functions, domain), false, context);
         for &leaf in tree.leaf_ids() {
@@ -773,61 +795,31 @@ mod tests {
         assert!(walked_somewhere, "no case left a pair for the scan to walk");
     }
 
-    /// The exact oracle, recording which question each call asked.
-    struct Spy(LpSplitOracle, RefCell<Vec<&'static str>>);
-
-    impl SplitOracle for Spy {
-        fn classify(&self, region: &SubdomainConstraints, c: &[f64], k: f64) -> SplitDecision {
-            self.1.borrow_mut().push("classify");
-            self.0.classify(region, c, k)
-        }
-
-        fn tolerance(&self) -> f64 {
-            self.0.tolerance()
-        }
-
-        fn splits_given(
-            &self,
-            region: &SubdomainConstraints,
-            c: &[f64],
-            k: f64,
-            seen_above: Option<bool>,
-        ) -> bool {
-            self.1.borrow_mut().push(match seen_above {
-                Some(true) => "below only",
-                Some(false) => "above only",
-                None => "both sides",
-            });
-            self.0.splits_given(region, c, k, seen_above)
-        }
-    }
-
-    /// Builds over the unit square and returns the stats, the questions the
-    /// oracle was asked and the subdomain count of the reference walk.
-    fn spied(functions: &[(Vec<f64>, f64)]) -> (BuildStats, Vec<&'static str>, usize) {
+    /// Builds over the unit square and returns the stats and the subdomain
+    /// count of the reference walk, whose tree it must equal node for node.
+    /// A visit that asked the oracle about the wrong side would decide it
+    /// wrongly, and so change the cells.
+    fn square_build(functions: &[(Vec<f64>, f64)]) -> (BuildStats, usize) {
         let functions: Vec<LinearFunction> = functions
             .iter()
             .enumerate()
             .map(|(id, (coeffs, c))| LinearFunction::new(FuncId(id as u32), coeffs.clone(), *c))
             .collect();
-        let spy = ITreeBuilder::new(Spy(LpSplitOracle::new(), RefCell::default()));
-        let (tree, stats) = spy.build_with_stats(&functions, Domain::unit(2));
+        let builder = ITreeBuilder::new(LpSplitOracle::new());
+        let (tree, stats) = builder.build_with_stats(&functions, Domain::unit(2));
         let reference = build_reference(&functions, Domain::unit(2));
         assert_eq!(tree.nodes, reference.nodes);
-        (
-            stats,
-            spy.oracle.1.into_inner(),
-            reference.subdomain_count(),
-        )
+        (stats, reference.subdomain_count())
     }
 
     #[test]
     fn points_on_both_sides_split_a_region_without_the_oracle() {
         // x0 = 0.5 cuts the square; the square's own extreme points have
         // x0 = 0 and x0 = 1 among them.
-        let (stats, asked, subdomains) = spied(&[(vec![1.0, 0.0], 0.0), (vec![0.0, 0.0], 0.5)]);
+        let (stats, subdomains) = square_build(&[(vec![1.0, 0.0], 0.0), (vec![0.0, 0.0], 0.5)]);
         assert_eq!((stats.visits_filtered, stats.oracle_calls), (1, 0));
-        assert_eq!((asked, subdomains, stats.subdomains), (vec![], 2, 2));
+        assert_eq!(stats.oracle_solves, 0);
+        assert_eq!((subdomains, stats.subdomains), (2, 2));
     }
 
     #[test]
@@ -837,10 +829,11 @@ mod tests {
         // the bounding box of the right half.
         let half = (vec![0.0, 0.0], 0.5);
         let quarter = (vec![0.0, 0.0], 0.25);
-        let (stats, asked, subdomains) = spied(&[(vec![1.0, 0.0], 0.0), half, quarter]);
+        let (stats, subdomains) = square_build(&[(vec![1.0, 0.0], 0.0), half, quarter]);
         assert_eq!((stats.pairs_inserted, stats.pairs_refused), (3, 1));
         assert_eq!((stats.nodes_visited, stats.visits_filtered), (4, 4));
-        assert_eq!((asked, subdomains, stats.subdomains), (vec![], 3, 3));
+        assert_eq!((stats.oracle_calls, stats.oracle_solves), (0, 0));
+        assert_eq!((subdomains, stats.subdomains), (3, 3));
     }
 
     #[test]
@@ -849,14 +842,14 @@ mod tests {
         // is still the square. x1 = x0 + 0.5 crosses that box but not the
         // lower triangle: its corners are all below, the box straddles, and
         // the one question left is whether anything lies above.
-        let (stats, asked, subdomains) = spied(&[
+        let (stats, subdomains) = square_build(&[
             (vec![1.0, 0.0], 0.0),
             (vec![0.0, 1.0], 0.0),
             (vec![2.0, -1.0], 0.5),
         ]);
-        assert!(!asked.is_empty() && asked.iter().all(|side| *side != "both sides"));
-        assert!(asked.contains(&"below only"), "{asked:?}");
-        assert_eq!(stats.oracle_calls, asked.len());
+        // Every call had a side shown, so each cost one solve.
+        assert!(stats.oracle_calls > 0, "{stats:?}");
+        assert_eq!(stats.oracle_solves, stats.oracle_calls, "{stats:?}");
         assert_eq!(
             stats.oracle_calls + stats.visits_filtered,
             stats.nodes_visited
@@ -871,13 +864,17 @@ mod tests {
         // inside the band the filters stand aside and the oracle decides.
         let tolerance = LpSplitOracle::new().tolerance;
         let corner = |c: f64| [(vec![1.0, 1.0], c), (vec![0.0, 0.0], 2.0)];
-        let (stats, asked, subdomains) = spied(&corner(tolerance - 2e-9));
+        let (stats, subdomains) = square_build(&corner(tolerance - 2e-9));
         assert_eq!((stats.pairs_refused, stats.nodes_visited), (1, 0));
-        assert_eq!((asked, subdomains), (vec![], 1));
+        assert_eq!(
+            (stats.oracle_calls, stats.oracle_solves, subdomains),
+            (0, 0, 1)
+        );
         for (inside, cells) in [(tolerance - 0.5e-9, 1), (tolerance + 0.5e-9, 2)] {
-            let (stats, asked, subdomains) = spied(&corner(inside));
+            let (stats, subdomains) = square_build(&corner(inside));
             assert_eq!((stats.pairs_refused, stats.visits_filtered), (0, 0));
-            assert_eq!(asked, vec!["above only"]);
+            // One call, one solve: its corners had shown the side below.
+            assert_eq!((stats.oracle_calls, stats.oracle_solves), (1, 1));
             assert_eq!((subdomains, stats.subdomains), (cells, cells));
         }
     }

@@ -40,7 +40,7 @@ fn check_leaf_orders(functions: &[LinearFunction], dims: usize, seed: u64) -> Re
             if found >= 3 {
                 break;
             }
-            let p = domain.sample(&mut rng);
+            let p = vaq_workload::random_point(&domain, &mut rng);
             if !constraints.contains(&p) {
                 continue;
             }

@@ -25,10 +25,6 @@ pub enum PartitionStrategy {
     /// of each other and spreads any ordering structure in the source table
     /// across all shards.
     RoundRobin,
-    /// Consecutive runs of records per shard, balanced to within one record
-    /// (the first `n % S` shards take one extra). Preserves record locality
-    /// (useful when the source table is already grouped by tenant or time).
-    Contiguous,
 }
 
 /// Splits `dataset` into `shards` disjoint datasets that together cover
@@ -70,20 +66,6 @@ pub fn partition_dataset(
         PartitionStrategy::RoundRobin => {
             for (i, record) in dataset.records.iter().enumerate() {
                 parts[i % shards].push(record.clone());
-            }
-        }
-        PartitionStrategy::Contiguous => {
-            // Balanced chunking: the first `n % S` shards take one extra
-            // record. A naive `ceil(n/S)`-sized chunking can starve the last
-            // shard entirely (e.g. 9 records / 4 shards -> [3, 3, 3, 0]),
-            // and an empty shard cannot carry an authenticated structure.
-            let base = dataset.len() / shards;
-            let extra = dataset.len() % shards;
-            let mut next = 0usize;
-            for (shard, part) in parts.iter_mut().enumerate() {
-                let take = base + usize::from(shard < extra);
-                part.extend(dataset.records[next..next + take].iter().cloned());
-                next += take;
             }
         }
     }
@@ -196,24 +178,22 @@ mod tests {
     #[test]
     fn partitions_are_disjoint_and_cover_everything() {
         let dataset = uniform_dataset(17, 2, 3);
-        for strategy in [PartitionStrategy::RoundRobin, PartitionStrategy::Contiguous] {
-            let shards = partition_dataset(&dataset, 4, strategy);
-            assert_eq!(shards.len(), 4);
-            let mut ids: Vec<u64> = shards
-                .iter()
-                .flat_map(|s| s.records.iter().map(|r| r.id))
-                .collect();
-            ids.sort_unstable();
-            let original: Vec<u64> = dataset.records.iter().map(|r| r.id).collect();
-            assert_eq!(ids, original, "{strategy:?} must cover every record once");
-            for shard in &shards {
-                assert!(!shard.is_empty());
-                assert_eq!(shard.dims(), dataset.dims());
-                // Within a shard the source order (and so the id order) is
-                // preserved.
-                for pair in shard.records.windows(2) {
-                    assert!(pair[0].id < pair[1].id);
-                }
+        let shards = partition_dataset(&dataset, 4, PartitionStrategy::RoundRobin);
+        assert_eq!(shards.len(), 4);
+        let mut ids: Vec<u64> = shards
+            .iter()
+            .flat_map(|s| s.records.iter().map(|r| r.id))
+            .collect();
+        ids.sort_unstable();
+        let original: Vec<u64> = dataset.records.iter().map(|r| r.id).collect();
+        assert_eq!(ids, original, "every record once");
+        for shard in &shards {
+            assert!(!shard.is_empty());
+            assert_eq!(shard.dims(), dataset.dims());
+            // Within a shard the source order (and so the id order) is
+            // preserved.
+            for pair in shard.records.windows(2) {
+                assert!(pair[0].id < pair[1].id);
             }
         }
     }
@@ -225,33 +205,6 @@ mod tests {
         let sizes: Vec<usize> = shards.iter().map(|s| s.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 14);
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn contiguous_partitioning_never_leaves_a_shard_empty() {
-        // Regression: ceil-chunked contiguous partitioning produced
-        // [3, 3, 3, 0] for 9 records over 4 shards.
-        for n in 4..=40 {
-            for shards in 1..=4 {
-                let dataset = uniform_dataset(n, 1, n as u64);
-                let parts = partition_dataset(&dataset, shards, PartitionStrategy::Contiguous);
-                assert!(
-                    parts.iter().all(|p| !p.is_empty()),
-                    "empty shard for n={n}, shards={shards}: sizes {:?}",
-                    parts.iter().map(|p| p.len()).collect::<Vec<_>>()
-                );
-                assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), n);
-                // Contiguity: each shard holds a consecutive id run.
-                let flat: Vec<u64> = parts
-                    .iter()
-                    .flat_map(|p| p.records.iter().map(|r| r.id))
-                    .collect();
-                assert_eq!(
-                    flat,
-                    dataset.records.iter().map(|r| r.id).collect::<Vec<_>>()
-                );
-            }
-        }
     }
 
     #[test]

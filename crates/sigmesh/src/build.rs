@@ -13,8 +13,6 @@ use vaq_itree::ITreeBuilder;
 pub struct MeshCell {
     /// The subdomain's constraint system.
     pub constraints: SubdomainConstraints,
-    /// A point inside the subdomain.
-    pub witness: Vec<f64>,
     /// Function ids sorted ascending by score inside this subdomain.
     pub sorted: Vec<FuncId>,
 }
@@ -56,9 +54,6 @@ impl SignatureMesh {
         for &leaf in itree.leaf_ids() {
             let constraints = itree.constraints(leaf).clone();
             let sorted = itree.sorted_list(leaf).to_vec();
-            let witness = constraints
-                .witness_point()
-                .unwrap_or_else(|| constraints.domain.center());
 
             // Leaf digests with the min/max tokens at the ends.
             let mut chain: Vec<Digest> = Vec::with_capacity(sorted.len() + 2);
@@ -83,7 +78,6 @@ impl SignatureMesh {
 
             cells.push(MeshCell {
                 constraints,
-                witness,
                 sorted,
             });
             signatures.push(cell_sigs);

@@ -98,7 +98,7 @@ impl QueryGenerator {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for _ in 0..8 {
-            let w = dataset.domain.sample(&mut rng);
+            let w = random_point(&dataset.domain, &mut rng);
             for f in &dataset.functions {
                 let s = f.eval(&w);
                 lo = lo.min(s);
@@ -119,7 +119,7 @@ impl QueryGenerator {
 
     /// A random weight vector inside the domain.
     pub fn weights(&mut self) -> Vec<f64> {
-        self.domain.sample(&mut self.rng)
+        random_point(&self.domain, &mut self.rng)
     }
 
     /// A random top-k query with `k` results.
@@ -174,6 +174,14 @@ impl QueryGenerator {
             })
             .collect()
     }
+}
+
+/// A point drawn uniformly from `domain`'s box; an axis whose bounds meet
+/// keeps its one value.
+pub fn random_point<R: Rng + ?Sized>(domain: &Domain, rng: &mut R) -> Vec<f64> {
+    (domain.lower.iter().zip(&domain.upper))
+        .map(|(l, u)| if l == u { *l } else { rng.gen_range(*l..*u) })
+        .collect()
 }
 
 /// One unit of client work drawn from a [`QueryMix`]: a single query or a
@@ -323,6 +331,23 @@ impl QueryMix {
 mod tests {
     use super::*;
     use crate::tables::uniform_dataset;
+
+    #[test]
+    fn sample_stays_inside() {
+        let d = Domain::new(vec![-1.0, 2.0], vec![1.0, 3.0]);
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..100 {
+            let p = random_point(&d, &mut rng);
+            assert!(d.contains(&p));
+        }
+    }
+
+    #[test]
+    fn degenerate_dimension_sampling() {
+        let d = Domain::new(vec![0.5], vec![0.5]);
+        let mut rng = StdRng::seed_from_u64(2);
+        assert_eq!(random_point(&d, &mut rng), vec![0.5]);
+    }
 
     #[test]
     fn weights_stay_in_domain() {
