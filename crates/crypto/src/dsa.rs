@@ -9,7 +9,6 @@ use crate::bignum::BigUint;
 use crate::montgomery::{FixedBaseTable, MontgomeryContext};
 use crate::prime::generate_dsa_primes;
 use crate::sha256::{sha256, Digest};
-use crate::sign_pool::{DsaNoncePair, DsaSigningPool};
 use rand::Rng;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -139,10 +138,18 @@ impl DsaKeyPair {
     pub fn sign<R: Rng + ?Sized>(&self, digest: &Digest, rng: &mut R) -> DsaSignature {
         let pk = &self.public;
         let z = digest_to_int(digest, &pk.q);
+        // `g^k` walks the fixed-base table the verify path builds (k < q,
+        // the table's exponent width); without a Montgomery context for `p`
+        // it falls back to the generic `mod_pow`.
+        let tables = pk.verify_tables();
         loop {
             // Ephemeral k in [1, q-1].
             let k = BigUint::random_below(rng, &pk.q.sub(&BigUint::one())).add(&BigUint::one());
-            let r = pk.g.mod_pow(&k, &pk.p).rem(&pk.q);
+            let g_pow_k = match tables.as_ref() {
+                Some(t) => t.g_table.pow(&t.ctx, &k),
+                None => pk.g.mod_pow(&k, &pk.p),
+            };
+            let r = g_pow_k.rem(&pk.q);
             if r.is_zero() {
                 continue;
             }
@@ -162,36 +169,6 @@ impl DsaKeyPair {
     /// Signs an arbitrary message by hashing it first.
     pub fn sign_message<R: Rng + ?Sized>(&self, message: &[u8], rng: &mut R) -> DsaSignature {
         self.sign(&sha256(message), rng)
-    }
-
-    /// Signs a digest using a precomputed `(r, k⁻¹)` nonce pair: the whole
-    /// signing operation collapses to one modular multiply-add,
-    /// `s = k⁻¹ (z + x·r) mod q`. Returns `None` in the (vanishingly rare)
-    /// case `s = 0`, in which case the caller should take another pair.
-    pub fn sign_with_pair(&self, digest: &Digest, pair: &DsaNoncePair) -> Option<DsaSignature> {
-        let pk = &self.public;
-        let z = digest_to_int(digest, &pk.q);
-        let s = pair
-            .k_inv
-            .mul_mod(&z.add(&self.x.mul_mod(&pair.r, &pk.q)), &pk.q);
-        if s.is_zero() {
-            return None;
-        }
-        Some(DsaSignature {
-            r: pair.r.clone(),
-            s,
-        })
-    }
-
-    /// Signs a digest by drawing precomputed nonce pairs from `pool`,
-    /// retrying (with fresh pairs) until a valid signature is produced.
-    pub fn sign_pooled(&self, digest: &Digest, pool: &mut DsaSigningPool) -> DsaSignature {
-        loop {
-            let pair = pool.take();
-            if let Some(sig) = self.sign_with_pair(digest, &pair) {
-                return sig;
-            }
-        }
     }
 }
 

@@ -51,7 +51,6 @@ pub mod sha256;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod sha_ni;
-pub mod sign_pool;
 pub mod signer;
 
 pub use bignum::BigUint;

@@ -16,8 +16,9 @@
 //! powers table — or, when it fits one `u32` limb (RSA's public exponent),
 //! in 1-bit windows: plain square-and-multiply, since a table would cost
 //! more than the whole exponentiation. [`FixedBaseTable`] materializes all
-//! powers `base^(d·16^j)` of a reused base (DSA's `g` and `y`, the signing
-//! pool's `g^k`) once, leaving one multiply per 4 exponent bits.
+//! powers `base^(d·16^j)` of a reused base (DSA's `g` and `y`, shared by
+//! signing's `g^k` and verification) once, leaving one multiply per 4
+//! exponent bits.
 //!
 //! It runs once per signature on the server's request path, so it is held
 //! to the service's no-panic rule: the attribute below makes clippy refuse
@@ -326,7 +327,7 @@ impl MontgomeryContext {
 /// multiply per 4 exponent bits with **no squarings**.
 ///
 /// Used for the DSA generator `g` and public key `y` on the verify path,
-/// and for `g^k` in the signing pool's nonce precomputation.
+/// and for `g^k` when signing.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
     /// Level `j`'s entries `base^(d · 16^j)` for `d` in `0..16`, `k` limbs

@@ -9,7 +9,6 @@
 use crate::dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 use crate::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 use crate::sha256::Digest;
-use crate::sign_pool::DsaSigningPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
@@ -79,8 +78,8 @@ pub trait Signer {
     /// [`std::thread::available_parallelism`] scoped threads once each
     /// would get at least a fixed floor of digests: RSA signing is a
     /// deterministic function of key and digest, so splitting cannot change
-    /// a byte. Its DSA arm stays sequential: each signature consumes the
-    /// next nonce pair of one seeded pool, so the bytes depend on the order
+    /// a byte. Its DSA arm stays sequential: each signature draws the next
+    /// nonce from one seeded generator, so the bytes depend on the order
     /// the digests are signed in.
     fn sign_digests(&self, digests: &[Digest]) -> Vec<Signature> {
         digests.iter().map(|d| self.sign_digest(d)).collect()
@@ -101,10 +100,8 @@ pub trait Verifier: Send + Sync {
 pub enum SignatureScheme {
     /// RSA key pair.
     Rsa(RsaKeyPair),
-    /// DSA key pair plus a pool of precomputed `(r, k⁻¹)` nonce pairs, so
-    /// signing is one modular multiply-add instead of an exponentiation.
-    /// The pool is boxed to keep the enum close to the RSA variant's size.
-    Dsa(DsaKeyPair, Box<RefCell<DsaSigningPool>>),
+    /// DSA key pair plus the seeded generator its signing nonces come from.
+    Dsa(DsaKeyPair, RefCell<StdRng>),
 }
 
 impl std::fmt::Debug for SignatureScheme {
@@ -127,8 +124,8 @@ impl SignatureScheme {
     pub fn new_dsa(p_bits: usize, q_bits: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let kp = DsaKeyPair::generate(p_bits, q_bits, &mut rng);
-        let pool = DsaSigningPool::new(&kp.public, StdRng::seed_from_u64(seed ^ 0x5eed));
-        SignatureScheme::Dsa(kp, Box::new(RefCell::new(pool)))
+        let nonces = StdRng::seed_from_u64(seed ^ 0x5eed);
+        SignatureScheme::Dsa(kp, RefCell::new(nonces))
     }
 
     /// A small/fast RSA scheme suitable for unit tests.
@@ -162,9 +159,8 @@ impl Signer for SignatureScheme {
     fn sign_digest(&self, digest: &Digest) -> Signature {
         match self {
             SignatureScheme::Rsa(kp) => Signature::Rsa(kp.sign(digest)),
-            SignatureScheme::Dsa(kp, pool) => {
-                let mut pool = pool.borrow_mut();
-                Signature::Dsa(kp.sign_pooled(digest, &mut pool))
+            SignatureScheme::Dsa(kp, nonces) => {
+                Signature::Dsa(kp.sign(digest, &mut *nonces.borrow_mut()))
             }
         }
     }
@@ -278,7 +274,7 @@ mod tests {
     #[test]
     fn batch_signing_equals_one_by_one_signing_in_order() {
         let rsa = SignatureScheme::test_rsa(18);
-        // DSA draws from a seeded nonce pool: same seed, same order, same
+        // DSA draws from a seeded nonce generator: same seed, same order, same
         // bytes — and each batch continues the sequence the last one left.
         let (dsa_batch, dsa_single) =
             (SignatureScheme::test_dsa(19), SignatureScheme::test_dsa(19));

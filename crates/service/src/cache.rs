@@ -1,23 +1,22 @@
 //! Bounded LRU cache for encoded query responses.
 //!
-//! The service keys it by the serving epoch and the **canonical query
-//! bytes** (the deterministic VAQ1 encoding of the request), so structurally
-//! identical queries hit the same entry no matter which client or connection
-//! sent them. Values are fully encoded response frames, ready to write to a
-//! socket — a hit costs one map lookup and one `Arc` clone: the connection
-//! writes the cached buffer itself.
+//! Each publication the service serves owns one, keyed by the **query's
+//! wire bytes** (its deterministic VAQ1 encoding), so structurally identical
+//! queries hit the same entry no matter which client or connection sent
+//! them, and a cache never outlives the epoch its frames answer for. Values
+//! are fully encoded response frames, ready to write to a socket — a hit
+//! costs one map lookup and one `Arc` clone: the connection writes the
+//! cached buffer itself.
 
 use crate::metrics::CacheGauges;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use vaq_authquery::Query;
-use vaq_wire::{Epoch, Request};
 
 /// A cached, fully encoded response frame plus its recency stamp.
 type CachedEntry = (Arc<Vec<u8>>, u64);
 
-/// A bounded least-recently-used map from canonical query bytes to encoded
-/// response frames.
+/// A bounded least-recently-used map from query bytes to encoded response
+/// frames.
 ///
 /// Bounded twice: by entry count and by the total bytes of cached frames,
 /// since one wide range query can produce a response orders of magnitude
@@ -73,9 +72,7 @@ impl LruCache {
     }
 
     /// Entries evicted under LRU or byte-budget pressure since the cache
-    /// was created. Republication flushes ([`LruCache::clear`]) are not
-    /// counted: they drop superseded-epoch frames, not hot ones — this
-    /// counter is what distinguishes a thrashing cache from a cold one.
+    /// was created: what distinguishes a thrashing cache from a cold one.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -85,7 +82,6 @@ impl LruCache {
         CacheGauges {
             entries: self.entries.len() as u64,
             bytes: self.total_bytes as u64,
-            evictions: self.evictions,
         }
     }
 
@@ -135,61 +131,9 @@ impl LruCache {
         }
     }
 
-    /// Drops every cached entry (used when the served dataset is
-    /// republished: all cached frames answer for a superseded epoch). The
-    /// recency tick keeps counting, so entries inserted after the flush
-    /// order correctly against any concurrent insert.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-        self.total_bytes = 0;
-    }
-
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
-    }
-}
-
-/// A response-cache key; only [`epoch_cache_key`] builds one.
-pub(crate) struct EpochKey(Vec<u8>);
-
-/// The response-cache key of one query: the serving epoch prepended to the
-/// canonical bytes of the plain [`Request::Query`] asking it, so a pinned
-/// [`Request::QueryAt`] shares the entry, and a computation started before
-/// a republication inserts under its own epoch's key, which no new-epoch
-/// request can hit.
-pub(crate) fn epoch_cache_key(epoch: Epoch, query: &Query) -> EpochKey {
-    let canonical = Request::Query(query.clone()).canonical_bytes();
-    let mut key = Vec::with_capacity(8 + canonical.len());
-    key.extend_from_slice(&epoch.get().to_be_bytes());
-    key.extend_from_slice(&canonical);
-    EpochKey(key)
-}
-
-/// The service's response cache: an [`LruCache`] that takes only
-/// [`EpochKey`]s, so no lookup or insert can skip the epoch prefix.
-pub(crate) struct ResponseCache(LruCache);
-
-impl ResponseCache {
-    pub(crate) fn new(capacity: usize) -> Self {
-        ResponseCache(LruCache::new(capacity))
-    }
-
-    pub(crate) fn get(&mut self, key: &EpochKey) -> Option<Arc<Vec<u8>>> {
-        self.0.get(&key.0)
-    }
-
-    pub(crate) fn insert(&mut self, key: EpochKey, frame: Arc<Vec<u8>>) {
-        self.0.insert(key.0, frame);
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    pub(crate) fn gauges(&self) -> CacheGauges {
-        self.0.gauges()
     }
 }
 
@@ -233,20 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_flushes_everything_and_resets_accounting() {
-        let mut cache = LruCache::new(4);
-        cache.insert(b"a".to_vec(), frame(1));
-        cache.insert(b"b".to_vec(), frame(2));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.total_bytes(), 0);
-        assert!(cache.get(b"a").is_none());
-        // The cache keeps working after a flush.
-        cache.insert(b"c".to_vec(), frame(3));
-        assert_eq!(cache.get(b"c").unwrap().as_slice(), &[3, 3, 3, 3]);
-    }
-
-    #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = LruCache::new(0);
         cache.insert(b"a".to_vec(), frame(1));
@@ -255,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn evictions_are_counted_but_clears_are_not() {
+    fn evictions_are_counted() {
         let mut cache = LruCache::new(2);
         cache.insert(b"a".to_vec(), frame(1));
         cache.insert(b"b".to_vec(), frame(2));
@@ -266,13 +196,7 @@ mod tests {
         // Reinsert replaces in place: no eviction.
         cache.insert(b"d".to_vec(), frame(5));
         assert_eq!(cache.evictions(), 2);
-        // A republication flush is not LRU pressure.
-        cache.clear();
-        assert_eq!(cache.evictions(), 2);
-        let gauges = cache.gauges();
-        assert_eq!(gauges.entries, 0);
-        assert_eq!(gauges.bytes, 0);
-        assert_eq!(gauges.evictions, 2);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -283,7 +207,6 @@ mod tests {
         let gauges = cache.gauges();
         assert_eq!(gauges.entries, 2);
         assert_eq!(gauges.bytes, 8);
-        assert_eq!(gauges.evictions, 0);
     }
 
     #[test]

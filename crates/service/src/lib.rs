@@ -17,8 +17,8 @@
 //!   are answered in arrival order, so a client may pipeline requests and
 //!   reads the replies in the order it sent them. The service answers framed
 //!   [`vaq_wire::Request`]s with framed [`vaq_wire::Response`]s, keeps a
-//!   bounded LRU cache of encoded responses keyed by epoch-prefixed
-//!   canonical query bytes, tracks counters + fixed-bucket latency
+//!   bounded LRU cache of encoded responses inside each publication, keyed
+//!   by the query's wire bytes, tracks counters + fixed-bucket latency
 //!   histograms, sheds over-limit connections with a typed
 //!   [`vaq_wire::ErrorCode::Overloaded`] reply, answers mid-frame stalls
 //!   with a typed [`vaq_wire::ErrorCode::Stalled`] reply, and shuts down
@@ -45,7 +45,7 @@
 //! * **Live updates** — every publication carries a monotonically
 //!   increasing, master-signed epoch bound into every signature.
 //!   [`QueryService::republish`] hot-swaps the served structure under an
-//!   `Arc` (cache flushed, cache keys epoch-prefixed, rollback refused);
+//!   `Arc` (a fresh response cache with it, rollback refused);
 //!   clients pin queries to their verified epoch and converge through
 //!   typed stale-epoch rejections plus a signed-map re-fetch
 //!   ([`ShardedClient::refresh`]) that rejects replayed older maps.

@@ -180,16 +180,15 @@ impl RequestKind {
     }
 }
 
-/// Point-in-time response-cache occupancy, sampled by whoever holds the
-/// cache lock and handed to [`Metrics::snapshot`].
+/// Point-in-time occupancy of the serving publication's response cache,
+/// sampled by whoever holds the cache lock and handed to
+/// [`Metrics::snapshot`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheGauges {
     /// Entries currently resident.
     pub entries: u64,
     /// Bytes currently resident.
     pub bytes: u64,
-    /// Entries evicted since the cache was created.
-    pub evictions: u64,
 }
 
 /// All counters of one running service.
@@ -201,6 +200,10 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Query responses that were computed.
     pub cache_misses: AtomicU64,
+    /// Response-cache entries evicted under entry-count or byte-budget
+    /// pressure, summed over every publication's cache. A republication
+    /// retires its predecessor's cache whole, which is not counted.
+    pub cache_evictions: AtomicU64,
     /// Request-frame bytes read.
     pub bytes_in: AtomicU64,
     /// Response-frame bytes written.
@@ -231,6 +234,7 @@ impl Default for Metrics {
             requests_served: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
+            cache_evictions: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -326,7 +330,7 @@ impl Metrics {
             uptime_micros: self.uptime_micros(),
             cache_entries: cache.entries,
             cache_bytes: cache.bytes,
-            cache_evictions: cache.evictions,
+            cache_evictions: Self::get(&self.cache_evictions),
             per_error: ErrorCode::ALL
                 .iter()
                 .map(|code| ErrorCount {

@@ -1,7 +1,8 @@
 //! The running query service: bind, the reactor threads, request handling,
-//! response cache, republication and graceful shutdown. Every socket — the
-//! listener included — belongs to the reactors ([`crate::reactor`]);
-//! nothing here accepts, reads or writes one.
+//! republication and graceful shutdown. Each publication carries its own
+//! response cache, so a cached frame can only ever answer for the epoch
+//! that computed it. Every socket — the listener included — belongs to the
+//! reactors ([`crate::reactor`]); nothing here accepts, reads or writes one.
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
@@ -18,31 +19,40 @@ use vaq_wire::{
     SignedShardMap, StatsDeep, StatsSnapshot, WireDecode, WireEncode,
 };
 
-use crate::cache::{epoch_cache_key, ResponseCache};
+use crate::cache::LruCache;
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
-use crate::metrics::{CacheGauges, Metrics, RequestKind, Stage};
+use crate::metrics::{Metrics, RequestKind, Stage};
 use crate::poll::Waker;
 use crate::reactor::{self, Reactor};
 use crate::sync::{rank, OrderedMutex};
 use crate::trace::Trace;
 
 /// Response-cache capacity in entries, under the cache's default byte
-/// budget ([`crate::LruCache::DEFAULT_MAX_BYTES`]).
+/// budget ([`LruCache::DEFAULT_MAX_BYTES`]).
 const CACHE_CAPACITY: usize = 1024;
 
 /// One publication as the service serves it: the dataset + authenticated
-/// structure, and every record's wire encoding, which query replies copy
-/// instead of cloning and encoding the records per request.
+/// structure, every record's wire encoding, which query replies copy
+/// instead of cloning and encoding the records per request, and the
+/// response cache of the frames this publication computed. The cache is
+/// created and dropped with the publication, so no request can be served a
+/// frame another epoch signed.
 struct Serving {
     server: Server,
     records: RecordBytes,
+    cache: OrderedMutex<LruCache>,
 }
 
 impl Serving {
     fn new(server: Server) -> Serving {
         let records = RecordBytes::new(server.dataset());
-        Serving { server, records }
+        let cache = OrderedMutex::new(rank::CACHE, "cache", LruCache::new(CACHE_CAPACITY));
+        Serving {
+            server,
+            records,
+            cache,
+        }
     }
 
     fn epoch(&self) -> Epoch {
@@ -55,14 +65,14 @@ pub(crate) struct Shared {
     /// The currently serving publication. Swapped atomically by
     /// [`QueryService::republish`]: every request resolves this `Arc`
     /// exactly once, so a single response can never mix records from one
-    /// epoch with signatures (or an envelope stamp) from another.
+    /// epoch with signatures (or an envelope stamp) from another, nor come
+    /// out of another epoch's cache.
     serving: OrderedMutex<Arc<Serving>>,
     /// The owner-signed shard map this service publishes to clients (reply
     /// to [`Request::ShardMap`]); `None` on a standalone service.
     shard_map: OrderedMutex<Option<Arc<SignedShardMap>>>,
     pub(crate) config: ServiceConfig,
     pub(crate) metrics: Metrics,
-    cache: OrderedMutex<ResponseCache>,
     pub(crate) shutdown: AtomicBool,
     /// Connections in every reactor's table, shed ones included: counted at
     /// admit and given back at close, so
@@ -74,7 +84,6 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn new(config: ServiceConfig, server: Server) -> Shared {
         Shared {
-            cache: OrderedMutex::new(rank::CACHE, "cache", ResponseCache::new(CACHE_CAPACITY)),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -89,21 +98,36 @@ impl Shared {
         Arc::clone(&self.serving.lock())
     }
 
-    /// Samples the response cache's occupancy gauges.
-    fn cache_gauges(&self) -> CacheGauges {
-        self.cache.lock().gauges()
+    /// Swaps in the next publication, refusing one whose epoch does not
+    /// advance the serving one. Requests that already resolved the old
+    /// publication finish against it, its cache included; the old
+    /// publication is dropped with the last of them.
+    fn publish(&self, publication: Arc<Serving>) -> Result<Epoch, ServiceError> {
+        let new_epoch = publication.epoch();
+        let mut serving = self.serving.lock();
+        let current = serving.epoch();
+        if !new_epoch.advances(current) {
+            return Err(ServiceError::StaleEpoch {
+                expected: current.next().get(),
+                got: new_epoch.get(),
+            });
+        }
+        *serving = publication;
+        Ok(new_epoch)
     }
 
-    /// Flat counter snapshot including sampled cache gauges.
-    fn snapshot(&self, epoch: Epoch) -> StatsSnapshot {
-        self.metrics
-            .snapshot(self.config.workers, epoch.get(), self.cache_gauges())
+    /// Flat counter snapshot, stamped with `serving`'s epoch and sampling
+    /// its cache's gauges.
+    fn snapshot(&self, serving: &Serving) -> StatsSnapshot {
+        let (epoch, cache) = (serving.epoch().get(), serving.cache.lock().gauges());
+        self.metrics.snapshot(self.config.workers, epoch, cache)
     }
 
     /// Deep snapshot: flat counters plus per-stage breakdowns.
-    fn deep_snapshot(&self, epoch: Epoch) -> StatsDeep {
+    fn deep_snapshot(&self, serving: &Serving) -> StatsDeep {
+        let (epoch, cache) = (serving.epoch().get(), serving.cache.lock().gauges());
         self.metrics
-            .deep_snapshot(self.config.workers, epoch.get(), self.cache_gauges())
+            .deep_snapshot(self.config.workers, epoch, cache)
     }
 }
 
@@ -196,33 +220,15 @@ impl QueryService {
     /// The new [`Server`]'s epoch (bound into its signatures by
     /// [`vaq_authquery::IfmhTree::build_at_epoch`]) must be strictly greater
     /// than the currently served epoch — a republication can never roll the
-    /// service back. On success the response cache is flushed; in-flight
-    /// requests that already resolved the old structure finish against it
-    /// (and stamp their envelope with the *old* epoch, which their
-    /// signatures also bind), while every request arriving after the swap
-    /// sees only the new epoch. Epoch-prefixed cache keys keep the two
-    /// generations apart even while both are briefly in flight.
+    /// service back. The new publication starts with an empty response
+    /// cache of its own; in-flight requests that already resolved the old
+    /// one finish against it and its cache (and stamp their envelope with
+    /// the *old* epoch, which their signatures also bind), while every
+    /// request arriving after the swap sees only the new epoch.
     pub fn republish(&self, server: Server) -> Result<Epoch, ServiceError> {
-        let new_epoch = Epoch::new(server.epoch());
-        // Encoded outside the lock: the swap below publishes the structure
-        // and its record bytes together.
-        let publication = Arc::new(Serving::new(server));
-        {
-            let mut serving = self.shared.serving.lock();
-            let current = serving.epoch();
-            if !new_epoch.advances(current) {
-                return Err(ServiceError::StaleEpoch {
-                    expected: current.next().get(),
-                    got: new_epoch.get(),
-                });
-            }
-            *serving = publication;
-        }
-        // Flush after the swap: every response cached from here on belongs
-        // to a visible epoch. Old-epoch in-flight requests may still insert
-        // under their epoch-prefixed keys, which no new request can hit.
-        self.shared.cache.lock().clear();
-        Ok(new_epoch)
+        // Encoded outside the lock: the swap publishes the structure, its
+        // record bytes and its cache together.
+        self.shared.publish(Arc::new(Serving::new(server)))
     }
 
     /// Publishes (or replaces) the owner-signed shard map this service
@@ -248,22 +254,22 @@ impl QueryService {
 
     /// A point-in-time snapshot of the service counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.snapshot(self.epoch())
+        self.shared.snapshot(&self.shared.serving())
     }
 
     /// A point-in-time deep snapshot: the flat counters plus per-stage
     /// latency histograms and per-kind stage attribution.
     pub fn stats_deep(&self) -> StatsDeep {
-        self.shared.deep_snapshot(self.epoch())
+        self.shared.deep_snapshot(&self.shared.serving())
     }
 
     /// Stops accepting connections, says a typed goodbye on every
     /// connection, joins every thread and returns the final counter
     /// snapshot.
     pub fn shutdown(mut self) -> StatsSnapshot {
-        let epoch = self.epoch();
+        let serving = self.shared.serving();
         self.shutdown_inner();
-        self.shared.snapshot(epoch)
+        self.shared.snapshot(&serving)
     }
 
     fn shutdown_inner(&mut self) {
@@ -336,7 +342,7 @@ fn respond(shared: &Shared, payload: &[u8], trace: &mut Trace) -> Result<Arc<Vec
         Request::QueryAt { epoch: pin, query } => (Some(pin), query),
         Request::Ping => return Ok(Arc::new(Response::Pong.to_framed_bytes())),
         Request::StatsDeep => {
-            let deep = Response::StatsDeep(shared.deep_snapshot(epoch));
+            let deep = Response::StatsDeep(shared.deep_snapshot(&serving));
             return Ok(Arc::new(deep.to_framed_bytes()));
         }
         Request::ShardInfo => {
@@ -380,29 +386,36 @@ fn query_kind(query: &Query) -> RequestKind {
     }
 }
 
-/// Serves one analytic query through the epoch-keyed response cache: a hit
-/// returns the cached frame, a miss computes, inserts and returns it; either
-/// way the cache and the connection's write queue share one buffer. Two
-/// reactors that miss on the same key at once both compute — the frames are
-/// byte-identical and the second insert replaces the first. An error reply
-/// is returned to the requester but never cached (the next requester
-/// retries the computation). The cache probe is charged to the request's
-/// trace.
+/// Serves one analytic query through `serving`'s response cache, keyed on
+/// the query's wire bytes (a pinned query shares the plain query's entry):
+/// a hit returns the cached frame, a miss computes, inserts and returns it;
+/// either way the cache and the connection's write queue share one buffer.
+/// Two reactors that miss on the same key at once both compute — the
+/// frames are byte-identical and the second insert replaces the first. An
+/// error reply is returned to the requester but never cached (the next
+/// requester retries the computation). The cache probe is charged to the
+/// request's trace.
 fn query_frame(
     shared: &Shared,
     serving: &Serving,
     query: &Query,
     trace: &mut Trace,
 ) -> Result<Arc<Vec<u8>>, ErrorReply> {
-    let key = epoch_cache_key(serving.epoch(), query);
-    let cached = trace.time(Stage::CacheLookup, || shared.cache.lock().get(&key));
+    let key = query.to_wire_bytes();
+    let cached = trace.time(Stage::CacheLookup, || serving.cache.lock().get(&key));
     if let Some(frame) = cached {
         Metrics::add(&shared.metrics.cache_hits, 1);
         return Ok(frame);
     }
     let frame = Arc::new(compute_frame(shared, serving, query, trace)?);
     Metrics::add(&shared.metrics.cache_misses, 1);
-    shared.cache.lock().insert(key, Arc::clone(&frame));
+    let evicted = {
+        let mut cache = serving.cache.lock();
+        let before = cache.evictions();
+        cache.insert(key, Arc::clone(&frame));
+        cache.evictions() - before
+    };
+    Metrics::add(&shared.metrics.cache_evictions, evicted);
     Ok(frame)
 }
 
@@ -470,4 +483,84 @@ fn error_reply(shared: &Shared, code: ErrorCode, message: String) -> ErrorReply 
 /// Builds a typed error response, bumping the error counter.
 pub(crate) fn error_response(shared: &Shared, code: ErrorCode, message: String) -> Response {
     Response::Error(error_reply(shared, code, message))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+    use vaq_authquery::{IfmhTree, SigningMode};
+    use vaq_crypto::SignatureScheme;
+
+    /// A standalone service's shared state over a small d = 1 dataset, and
+    /// the server of its next publication (epoch 1, same records and key).
+    fn shared_and_next() -> (Shared, Server) {
+        let dataset = vaq_workload::uniform_dataset(8, 1, 3);
+        let scheme = SignatureScheme::test_rsa(3);
+        let mode = SigningMode::OneSignature;
+        let at = |epoch| {
+            let tree = IfmhTree::build_at_epoch(&dataset, mode, &scheme, epoch);
+            Server::new(dataset.clone(), tree)
+        };
+        (Shared::new(ServiceConfig::ephemeral(), at(0)), at(1))
+    }
+
+    fn frame_epoch(frame: &[u8]) -> u64 {
+        match Response::from_framed_bytes(frame).unwrap() {
+            Response::Query { epoch, .. } => epoch,
+            other => panic!("not a query reply: {other:?}"),
+        }
+    }
+
+    fn trace() -> Trace {
+        Trace::begin(Duration::ZERO)
+    }
+
+    #[test]
+    fn a_frame_computed_across_a_republish_stays_in_its_own_publication() {
+        let (shared, next) = shared_and_next();
+        let query = Query::top_k(vec![0.5], 3);
+        // A request resolves the serving publication, then the owner
+        // republishes before it computes its frame.
+        let old = shared.serving();
+        let new_epoch = shared.publish(Arc::new(Serving::new(next))).unwrap();
+        assert_eq!(new_epoch.get(), 1);
+
+        let stale = query_frame(&shared, &old, &query, &mut trace()).unwrap();
+        assert_eq!(frame_epoch(&stale), 0);
+        assert_eq!(old.cache.lock().len(), 1, "inserted into the old cache");
+        assert!(shared.serving().cache.lock().is_empty());
+
+        // The same query at the new epoch misses and is stamped epoch 1.
+        let payload = Request::Query(query.clone()).to_wire_bytes();
+        let fresh = handle_request(&shared, &payload, &mut trace());
+        assert_eq!(frame_epoch(&fresh), 1);
+        assert_eq!(Metrics::get(&shared.metrics.cache_hits), 0);
+        assert_eq!(Metrics::get(&shared.metrics.cache_misses), 2);
+
+        // A pinned copy then hits the new publication's entry.
+        let pinned = Request::QueryAt { epoch: 1, query }.to_wire_bytes();
+        let hit = handle_request(&shared, &pinned, &mut trace());
+        assert_eq!(hit, fresh);
+        assert_eq!(Metrics::get(&shared.metrics.cache_hits), 1);
+    }
+
+    #[test]
+    fn cache_evictions_survive_a_republish() {
+        let (shared, next) = shared_and_next();
+        let serving = shared.serving();
+        let overflow = 5;
+        for i in 0..CACHE_CAPACITY + overflow {
+            let query = Query::top_k(vec![i as f64 / 2048.0], 1);
+            query_frame(&shared, &serving, &query, &mut trace()).unwrap();
+        }
+        let before = shared.snapshot(&shared.serving());
+        assert_eq!(before.cache_evictions, overflow as u64);
+        assert_eq!(before.cache_entries, CACHE_CAPACITY as u64);
+
+        shared.publish(Arc::new(Serving::new(next))).unwrap();
+        let after = shared.snapshot(&shared.serving());
+        assert_eq!(after.cache_evictions, before.cache_evictions);
+        assert_eq!((after.cache_entries, after.cache_bytes), (0, 0));
+    }
 }

@@ -96,7 +96,6 @@ pub struct ShardedDeployment {
     /// The owner's master key, kept to re-sign the map at each epoch.
     master: SignatureScheme,
     mode: SigningMode,
-    strategy: PartitionStrategy,
     epoch: Epoch,
     publication: ShardedPublication,
 }
@@ -145,8 +144,7 @@ impl ShardedDeployment {
                 "a multi-service deployment needs an ephemeral bind port (port 0)".into(),
             );
         }
-        let strategy = PartitionStrategy::RoundRobin;
-        let shards = partition_dataset(dataset, shard_count, strategy);
+        let shards = partition_dataset(dataset, shard_count, PartitionStrategy::RoundRobin);
         // Distinct keys per shard: a compromised shard cannot answer with
         // another shard's validly signed data, because the client verifies
         // shard i's responses under shard i's attested key.
@@ -183,7 +181,6 @@ impl ShardedDeployment {
             schemes,
             master,
             mode,
-            strategy,
             epoch,
             publication,
         };
@@ -213,7 +210,7 @@ impl ShardedDeployment {
     /// epoch.
     pub fn republish(&mut self, dataset: &Dataset) -> Result<Epoch, ServiceError> {
         let epoch = self.epoch.next();
-        let shards = partition_dataset(dataset, self.services.len(), self.strategy);
+        let shards = partition_dataset(dataset, self.services.len(), PartitionStrategy::RoundRobin);
         let keys: Vec<PublicKey> = self.schemes.iter().map(|s| s.public_key()).collect();
         let shard_map = attest_shard_map(&shards, &keys, &self.master, epoch.get(), &self.addrs);
 

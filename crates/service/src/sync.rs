@@ -25,7 +25,7 @@ pub mod rank {
     pub const SERVING: u32 = 20;
     /// The signed shard map republished to shard-map requests.
     pub const SHARD_MAP: u32 = 30;
-    /// The response cache.
+    /// A publication's response cache.
     pub const CACHE: u32 = 40;
     /// The in-memory slow-log capture buffer.
     pub const BUFFER: u32 = 70;

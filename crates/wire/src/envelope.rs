@@ -70,19 +70,6 @@ pub enum Request {
     StatsDeep,
 }
 
-impl Request {
-    /// Canonical bytes of this request.
-    ///
-    /// The encoding is bijective and decoding consumes every byte, so these
-    /// bytes equal the payload a decoder accepted — which is why the
-    /// service's response cache can key on received payload bytes directly.
-    /// Clients that want to precompute a cache key (or deduplicate requests)
-    /// use this method to obtain the same bytes.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-}
-
 /// A response from the query service.
 ///
 /// The size skew between variants is inherent (a query response carries
@@ -765,16 +752,16 @@ mod tests {
     fn canonical_bytes_distinguish_queries() {
         let a = Request::Query(Query::top_k(vec![0.5], 3));
         let b = Request::Query(Query::top_k(vec![0.5], 4));
-        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
-        assert_eq!(a.canonical_bytes(), a.canonical_bytes());
+        assert_ne!(a.to_wire_bytes(), b.to_wire_bytes());
+        assert_eq!(a.to_wire_bytes(), a.to_wire_bytes());
         // A pin is part of the request: pinned and unpinned copies of one
         // query, and pins at two epochs, never share bytes.
         let pinned = |epoch| Request::QueryAt {
             epoch,
             query: Query::top_k(vec![0.5], 3),
         };
-        assert_ne!(a.canonical_bytes(), pinned(0).canonical_bytes());
-        assert_ne!(pinned(0).canonical_bytes(), pinned(1).canonical_bytes());
+        assert_ne!(a.to_wire_bytes(), pinned(0).to_wire_bytes());
+        assert_ne!(pinned(0).to_wire_bytes(), pinned(1).to_wire_bytes());
     }
 
     #[test]

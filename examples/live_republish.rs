@@ -70,7 +70,7 @@ fn main() {
     service
         .republish(Server::new(owner.dataset().clone(), owner.outsource()))
         .expect("hot swap");
-    println!("owner: republished at epoch {epoch}; service hot-swapped, cache flushed");
+    println!("owner: republished at epoch {epoch}; service hot-swapped with a fresh cache");
 
     // --- User: the old pin is refused with a typed error ------------------
     let stale = user.query_at(0, &query).expect_err("old epoch refused");
