@@ -144,10 +144,11 @@ fn rsa_keys_and_signatures_match_the_recorded_vectors() {
 }
 
 /// DSA pinned the same way: for each `(p bits, q bits, seed)` the key's
-/// `p`, `q`, `g`, `y` and the 20 pooled signatures of
-/// `sha256(i.to_le_bytes())`, concatenated and hashed. Key generation,
-/// the verify tables and the nonce pool all run through the Montgomery
-/// arithmetic; these were recorded before it moved to 64-bit limbs.
+/// `p`, `q`, `g`, `y` and the 20 signatures of `sha256(i.to_le_bytes())`,
+/// their nonces drawn in order from the seeded nonce stream, concatenated
+/// and hashed. Key generation, the verify tables and the signing all run
+/// through the Montgomery arithmetic; these were recorded before it moved
+/// to 64-bit limbs.
 #[test]
 fn dsa_keys_and_signatures_match_the_recorded_vectors() {
     let recorded = [

@@ -5,7 +5,8 @@
 //! queries hit the same entry no matter which client or connection sent
 //! them, and a cache never outlives the epoch its frames answer for. Values
 //! are fully encoded response frames, ready to write to a socket — a hit
-//! costs one map lookup and one `Arc` clone: the connection writes the
+//! costs one map lookup, one `Arc` clone and a re-stamp of the recency
+//! index (one `BTreeMap` remove and one insert): the connection writes the
 //! cached buffer itself.
 
 use crate::metrics::CacheGauges;
@@ -38,6 +39,13 @@ pub struct LruCache {
 
 impl LruCache {
     /// Default byte budget when none is given: 64 MiB of cached frames.
+    ///
+    /// The service bounds its caches with [`LruCache::with_byte_budget`];
+    /// this default serves callers that size a cache by entries alone. It
+    /// must stay at least ≈20 MB: the benchmark's request-path probe
+    /// (`probe_request_path`) builds `LruCache::new(1024)`, inserts ≈2,000
+    /// wide-range frames of ≈18.6 KB and asserts that the last 1,024 are
+    /// all resident.
     pub const DEFAULT_MAX_BYTES: usize = 64 << 20;
 
     /// Creates a cache holding at most `capacity` entries (0 disables it)
@@ -241,6 +249,21 @@ mod tests {
             .map(|f| f.len())
             .sum();
         assert_eq!(cache.total_bytes(), actual);
+    }
+
+    #[test]
+    fn the_default_budget_holds_a_thousand_wide_frames() {
+        // The benchmark's request-path probe relies on this: 1,024 entries
+        // of wide-range frames are bounded by the entry count alone.
+        let mut cache = LruCache::new(1024);
+        for i in 0..2000u32 {
+            cache.insert(i.to_be_bytes().to_vec(), Arc::new(vec![0u8; 18_600]));
+        }
+        assert_eq!(cache.len(), 1024);
+        assert_eq!(cache.total_bytes(), 1024 * 18_600);
+        for i in 2000 - 1024..2000u32 {
+            assert!(cache.get(&i.to_be_bytes()).is_some(), "key {i}");
+        }
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //!   are answered in arrival order, so a client may pipeline requests and
 //!   reads the replies in the order it sent them. The service answers framed
 //!   [`vaq_wire::Request`]s with framed [`vaq_wire::Response`]s, keeps a
-//!   bounded LRU cache of encoded responses inside each publication, keyed
-//!   by the query's wire bytes, tracks counters + fixed-bucket latency
-//!   histograms, sheds over-limit connections with a typed
-//!   [`vaq_wire::ErrorCode::Overloaded`] reply, answers mid-frame stalls
-//!   with a typed [`vaq_wire::ErrorCode::Stalled`] reply, and shuts down
-//!   gracefully via a flag and a wake-up per reactor: each lets go of the
-//!   listener and says a typed goodbye on every connection it holds.
+//!   bounded LRU cache of encoded responses inside each publication (at
+//!   most 1,024 frames and 2 MiB), keyed by the query's wire bytes, tracks
+//!   counters + fixed-bucket latency histograms, sheds over-limit
+//!   connections with a typed [`vaq_wire::ErrorCode::Overloaded`] reply,
+//!   answers mid-frame stalls with a typed
+//!   [`vaq_wire::ErrorCode::Stalled`] reply, and shuts down gracefully via
+//!   a flag and a wake-up per reactor: each lets go of the listener and
+//!   says a typed goodbye on every connection it holds.
 //! * [`ServiceClient`] — a blocking connector whose
 //!   [`ServiceClient::query_verified`] feeds remote responses straight into
 //!   [`vaq_authquery::client::verify`], so a network round-trip carries the

@@ -28,14 +28,25 @@ use crate::reactor::{self, Reactor};
 use crate::sync::{rank, OrderedMutex};
 use crate::trace::Trace;
 
-/// Response-cache capacity in entries, under the cache's default byte
-/// budget ([`LruCache::DEFAULT_MAX_BYTES`]).
+/// Response-cache capacity in entries, under [`CACHE_BUDGET_BYTES`].
 const CACHE_CAPACITY: usize = 1024;
+
+/// Response-cache byte budget per publication: 2 MiB of encoded frames.
+///
+/// Sized from the traffic. A point answer (top-k, range or KNN over a
+/// multi-signature d = 2 publication) frames to ≈1.25–1.27 KB on average
+/// and a sharded leg to ≈1.13 KB, so [`CACHE_CAPACITY`] such frames
+/// (≈1.3 MB) fit and the entry bound binds first. Only wide answers (a
+/// quarter-width range over 4,096 records frames to ≈18.6 KB) are held to
+/// ≈110 frames: 1,024 of them would hold ≈19 MB, and a stream of distinct
+/// wide queries never reads one again.
+const CACHE_BUDGET_BYTES: usize = 2 << 20;
 
 /// One publication as the service serves it: the dataset + authenticated
 /// structure, every record's wire encoding, which query replies copy
 /// instead of cloning and encoding the records per request, and the
-/// response cache of the frames this publication computed. The cache is
+/// response cache of the frames this publication computed, bounded by
+/// [`CACHE_CAPACITY`] entries and [`CACHE_BUDGET_BYTES`]. The cache is
 /// created and dropped with the publication, so no request can be served a
 /// frame another epoch signed.
 struct Serving {
@@ -47,7 +58,8 @@ struct Serving {
 impl Serving {
     fn new(server: Server) -> Serving {
         let records = RecordBytes::new(server.dataset());
-        let cache = OrderedMutex::new(rank::CACHE, "cache", LruCache::new(CACHE_CAPACITY));
+        let cache = LruCache::with_byte_budget(CACHE_CAPACITY, CACHE_BUDGET_BYTES);
+        let cache = OrderedMutex::new(rank::CACHE, "cache", cache);
         Serving {
             server,
             records,
@@ -562,5 +574,39 @@ mod tests {
         let after = shared.snapshot(&shared.serving());
         assert_eq!(after.cache_evictions, before.cache_evictions);
         assert_eq!((after.cache_entries, after.cache_bytes), (0, 0));
+    }
+
+    #[test]
+    fn wide_answers_are_held_to_the_byte_budget_and_still_repeat_hit() {
+        // One d = 1 subdomain over 4,096 records: a quarter-width range
+        // frames to tens of KB, so the byte budget binds long before the
+        // entry bound does.
+        let dataset = vaq_workload::uniform_dataset(4096, 1, 5);
+        let scheme = SignatureScheme::test_rsa(5);
+        let tree = IfmhTree::build_at_epoch(&dataset, SigningMode::OneSignature, &scheme, 0);
+        let shared = Shared::new(ServiceConfig::ephemeral(), Server::new(dataset, tree));
+        let serving = shared.serving();
+        let queries: Vec<Query> = (0..200)
+            .map(|i| {
+                let lower = f64::from(i) / 1000.0;
+                Query::range(vec![1.0], lower, lower + 0.25)
+            })
+            .collect();
+        let frames: Vec<_> = queries
+            .iter()
+            .map(|query| query_frame(&shared, &serving, query, &mut trace()).unwrap())
+            .collect();
+        let stats = shared.snapshot(&serving);
+        assert!(
+            stats.cache_bytes <= CACHE_BUDGET_BYTES as u64,
+            "{} cached bytes",
+            stats.cache_bytes
+        );
+        assert!(stats.cache_evictions > 0);
+        assert_eq!(Metrics::get(&shared.metrics.cache_hits), 0);
+
+        let again = query_frame(&shared, &serving, &queries[199], &mut trace()).unwrap();
+        assert_eq!(Metrics::get(&shared.metrics.cache_hits), 1);
+        assert_eq!(again, frames[199]);
     }
 }

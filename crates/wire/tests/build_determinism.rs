@@ -5,7 +5,7 @@
 //! sequential default) must answer every query with byte-identical
 //! verification objects — for RSA, where signing is a pure function of key
 //! and digest, and for DSA, where it also depends on the order the seeded
-//! nonce pool is drawn in.
+//! nonce stream is drawn in.
 
 use vaq_authquery::{client, IfmhTree, Query, Server, SigningMode};
 use vaq_crypto::sha256::{sha256, to_hex, Digest};
@@ -31,8 +31,8 @@ impl Signer for OneByOne {
 fn batch_signed_and_one_by_one_signed_trees_answer_with_identical_bytes() {
     let dims = 2;
     let dataset = uniform_dataset(40, dims, 7);
-    // Two schemes from one seed each: the DSA nonce pool is consumed as it
-    // signs, so each build needs its own.
+    // Two schemes from one seed each: the seeded nonce stream is consumed
+    // as DSA signs, so each build needs its own.
     let pairs = [
         (
             "rsa",

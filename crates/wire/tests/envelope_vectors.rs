@@ -143,8 +143,8 @@ fn signed_map(scheme: &SignatureScheme, epoch: u64) -> SignedShardMap {
 }
 
 /// The round-trip list, built once: owner builds and DSA signing are the
-/// slow part, and the DSA nonce pool makes the signatures depend on the
-/// order they are drawn in.
+/// slow part, and the seeded nonce stream makes the DSA signatures depend
+/// on the order they are drawn in.
 fn samples() -> &'static [Sample] {
     static SAMPLES: OnceLock<Vec<Sample>> = OnceLock::new();
     SAMPLES.get_or_init(build_samples)
