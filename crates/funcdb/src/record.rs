@@ -153,11 +153,17 @@ impl Record {
     /// Both the data owner (when building the authenticated structure) and
     /// the client (when re-hashing returned records during verification)
     /// must produce exactly the same bytes, so this encoding is the contract
-    /// between them.
+    /// between them. It is also the record's wire form, behind its length.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 + self.attrs.len() * 8 + 16);
+        let mut out = Vec::with_capacity(self.canonical_len());
         self.write_canonical(|bytes| out.extend_from_slice(bytes));
         out
+    }
+
+    /// The length of [`canonical_bytes`](Self::canonical_bytes).
+    pub fn canonical_len(&self) -> usize {
+        let label = self.label.as_ref().map_or(0, |label| 1 + label.len());
+        8 + 4 + 8 * self.attrs.len() + label
     }
 
     /// `H(r)` — the record digest used as a Merkle leaf: SHA-256 of
@@ -214,8 +220,7 @@ impl Record {
     /// Writes the canonical encoding to the front of `buf` and returns its
     /// length, or `None`, `buf` untouched, when it does not fit.
     fn stage(&self, buf: &mut [u8]) -> Option<usize> {
-        let label = self.label.as_ref().map_or(0, |label| 1 + label.len());
-        let len = 8 + 4 + 8 * self.attrs.len() + label;
+        let len = self.canonical_len();
         let mut rest = buf.get_mut(..len)?;
         self.write_canonical(|piece| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(piece.len());
@@ -226,7 +231,7 @@ impl Record {
     }
 
     /// Feeds the canonical encoding to `sink`, piece by piece.
-    fn write_canonical(&self, mut sink: impl FnMut(&[u8])) {
+    pub fn write_canonical(&self, mut sink: impl FnMut(&[u8])) {
         sink(&self.id.to_be_bytes());
         sink(&(self.attrs.len() as u32).to_be_bytes());
         for a in self.attrs.iter() {
@@ -271,6 +276,7 @@ mod tests {
                     sha256(&record.canonical_bytes()),
                     "{record:?}"
                 );
+                assert_eq!(record.canonical_len(), record.canonical_bytes().len());
             }
         }
     }

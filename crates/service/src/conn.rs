@@ -378,16 +378,18 @@ mod tests {
         let err = assembler.advance(10, 4096).unwrap_err();
         assert!(matches!(err, ServiceError::Wire(WireError::BadMagic)));
 
-        // Wrong version.
-        let mut assembler = FrameAssembler::default();
-        let mut frame = Request::Ping.to_framed_bytes();
-        frame[4] = 9;
-        assembler.spare()[..10].copy_from_slice(&frame[..10]);
-        let err = assembler.advance(10, 4096).unwrap_err();
-        assert!(matches!(
-            err,
-            ServiceError::Wire(WireError::UnsupportedVersion(9))
-        ));
+        // Wrong version, the retired version 1 among them.
+        for version in [1, 9] {
+            let mut assembler = FrameAssembler::default();
+            let mut frame = Request::Ping.to_framed_bytes();
+            frame[4] = version;
+            assembler.spare()[..10].copy_from_slice(&frame[..10]);
+            let err = assembler.advance(10, 4096).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Wire(WireError::UnsupportedVersion(v)) if v == u16::from(version)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -335,13 +335,15 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut frame = Request::Ping.to_framed_bytes();
-        frame[4] = 9;
-        let err = read_frame(&mut Cursor::new(frame), 1024).unwrap_err();
-        assert!(matches!(
-            err,
-            ServiceError::Wire(WireError::UnsupportedVersion(9))
-        ));
+        for version in [1, 9] {
+            let mut frame = Request::Ping.to_framed_bytes();
+            frame[4] = version;
+            let err = read_frame(&mut Cursor::new(frame), 1024).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Wire(WireError::UnsupportedVersion(v)) if v == u16::from(version)),
+                "{err:?}"
+            );
+        }
     }
 
     /// What a byte stream parses to: the payloads of its complete frames,

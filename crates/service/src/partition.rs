@@ -35,32 +35,15 @@ pub enum PartitionStrategy {
 /// # Panics
 ///
 /// Panics when `shards` is zero, when the dataset has fewer records than
-/// shards (an empty shard cannot carry an authenticated structure), or when
-/// record ids are not strictly increasing. Strictly increasing ids make the
-/// dataset's tie-break order (by in-dataset index) and the merge tie-break
-/// order (by record id) agree, which is what lets a scatter-gather merge
-/// reproduce a single server's result ordering exactly.
+/// shards, or when record ids are not strictly increasing (see
+/// `unpartitionable`).
 pub fn partition_dataset(
     dataset: &Dataset,
     shards: usize,
     strategy: PartitionStrategy,
 ) -> Vec<Dataset> {
-    assert!(shards > 0, "cannot partition into zero shards");
-    assert!(
-        dataset.len() >= shards,
-        "dataset of {} records cannot fill {} shards",
-        dataset.len(),
-        shards
-    );
-    for pair in dataset.records.windows(2) {
-        assert!(
-            pair[0].id < pair[1].id,
-            "record ids must be strictly increasing for deterministic merges \
-             (got {} before {})",
-            pair[0].id,
-            pair[1].id
-        );
-    }
+    let reason = unpartitionable(dataset, shards);
+    assert!(reason.is_none(), "{}", reason.unwrap_or_default());
     let mut parts: Vec<Vec<vaq_funcdb::Record>> = vec![Vec::new(); shards];
     match strategy {
         PartitionStrategy::RoundRobin => {
@@ -75,16 +58,34 @@ pub fn partition_dataset(
         .collect()
 }
 
+/// Why `dataset` cannot be split into `shards`, or `None` when it can: not
+/// into zero shards, nor into more shards than records (an empty shard
+/// cannot carry an authenticated structure), nor when record ids are not
+/// strictly increasing (the merge breaks ties by id, the dataset by index,
+/// and only increasing ids make the two orders agree).
+pub(crate) fn unpartitionable(dataset: &Dataset, shards: usize) -> Option<String> {
+    let records = dataset.len();
+    let disorder = dataset.records.windows(2).find_map(|pair| match pair {
+        [a, b] if a.id >= b.id => Some((a.id, b.id)),
+        _ => None,
+    });
+    match disorder {
+        _ if shards == 0 => Some("cannot partition into zero shards".into()),
+        _ if records < shards => Some(format!("{records} records cannot fill {shards} shards")),
+        Some((a, b)) => Some(format!("record ids must increase ({a} before {b})")),
+        None => None,
+    }
+}
+
 /// Builds the owner's attested shard map over already partitioned shards:
 /// one [`ShardEntry`] per shard carrying its record count, per-shard public
 /// key and serving address, the whole map — including the publication
 /// `epoch` — signed by the owner's master key.
 ///
-/// `addrs` holds one address per shard; pass an empty slice when the
-/// deployment topology is distributed out of band. The epoch is what makes
-/// republication safe: clients never replace a verified map with one whose
-/// epoch is not strictly greater, so a replayed older signed map cannot
-/// roll anyone back.
+/// `addrs` holds one address per shard, in shard-id order. The epoch is
+/// what makes republication safe: clients never replace a verified map
+/// with one whose epoch is not strictly greater, so a replayed older signed
+/// map cannot roll anyone back.
 pub fn attest_shard_map(
     shards: &[Dataset],
     shard_keys: &[PublicKey],
@@ -97,9 +98,10 @@ pub fn attest_shard_map(
         shard_keys.len(),
         "one public key per shard is required"
     );
-    assert!(
-        addrs.is_empty() || addrs.len() == shards.len(),
-        "one address per shard (or none at all) is required"
+    assert_eq!(
+        addrs.len(),
+        shards.len(),
+        "one address per shard is required"
     );
     assert!(!shards.is_empty(), "a shard map needs at least one shard");
     let dims = shards[0].dims();
@@ -111,15 +113,13 @@ pub fn attest_shard_map(
         shards: shards
             .iter()
             .zip(shard_keys)
+            .zip(addrs)
             .enumerate()
-            .map(|(shard_id, (dataset, public_key))| ShardEntry {
+            .map(|(shard_id, ((dataset, public_key), addr))| ShardEntry {
                 shard_id: shard_id as u32,
                 records: dataset.len() as u64,
                 public_key: public_key.clone(),
-                addrs: addrs
-                    .get(shard_id)
-                    .map(|a| vec![a.to_string()])
-                    .unwrap_or_default(),
+                addr: addr.to_string(),
             })
             .collect(),
     };
@@ -229,8 +229,7 @@ mod tests {
         assert_eq!(signed.map.shard_count, 3);
         assert_eq!(signed.map.total_records, 10);
         assert_eq!(signed.map.epoch, 5);
-        assert!(signed.map.shards.iter().all(|entry| entry.addrs.len() == 1));
-        assert_eq!(signed.map.shards[1].addrs, ["127.0.0.1:4201"]);
+        assert_eq!(signed.map.shards[1].addr, "127.0.0.1:4201");
         verify_shard_map(&signed, &master.public_key()).expect("honest map verifies");
 
         // A different master key must reject the map.

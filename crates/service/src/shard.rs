@@ -56,7 +56,9 @@ use vaq_wire::{Epoch, ShardEntry, SignedShardMap, StatsDeep, StatsSnapshot};
 use crate::client::{check_served_epoch, ServiceClient, PIPELINE_WINDOW};
 use crate::config::{ServiceConfig, ShardRole};
 use crate::error::ServiceError;
-use crate::partition::{attest_shard_map, partition_dataset, verify_shard_map, PartitionStrategy};
+use crate::partition::{
+    attest_shard_map, partition_dataset, unpartitionable, verify_shard_map, PartitionStrategy,
+};
 use crate::server::QueryService;
 
 /// Everything a data user needs to query and verify a sharded deployment:
@@ -117,8 +119,9 @@ impl ShardedDeployment {
     /// [`QueryService`] per shard using `base_config` (whose bind address
     /// must carry port 0 so every shard gets its own ephemeral port).
     ///
-    /// Zero shards, fewer records than shards and a fixed port under more
-    /// than one shard are typed [`std::io::ErrorKind::InvalidInput`] errors.
+    /// Zero shards, fewer records than shards, record ids that are not
+    /// strictly increasing and a fixed port under more than one shard are
+    /// typed [`std::io::ErrorKind::InvalidInput`] errors.
     pub fn launch(
         dataset: &Dataset,
         shard_count: usize,
@@ -126,23 +129,12 @@ impl ShardedDeployment {
         seed: u64,
         base_config: ServiceConfig,
     ) -> Result<ShardedDeployment, ServiceError> {
-        let invalid = |reason: String| {
-            let kind = std::io::ErrorKind::InvalidInput;
-            Err(ServiceError::Io(std::io::Error::new(kind, reason)))
-        };
-        if shard_count == 0 {
-            return invalid("a sharded deployment needs at least one shard".into());
-        }
-        if dataset.len() < shard_count {
-            let records = dataset.len();
-            return invalid(format!(
-                "{records} records cannot fill {shard_count} shards"
-            ));
+        if let Some(reason) = unpartitionable(dataset, shard_count) {
+            return Err(invalid_input(reason));
         }
         if shard_count > 1 && base_config.bind_addr.port() != 0 {
-            return invalid(
-                "a multi-service deployment needs an ephemeral bind port (port 0)".into(),
-            );
+            let reason = "a multi-service deployment needs an ephemeral bind port (port 0)";
+            return Err(invalid_input(reason.into()));
         }
         let shards = partition_dataset(dataset, shard_count, PartitionStrategy::RoundRobin);
         // Distinct keys per shard: a compromised shard cannot answer with
@@ -207,8 +199,12 @@ impl ShardedDeployment {
     /// epoch-pinned protocol turns that into typed
     /// [`vaq_wire::ErrorCode::StaleEpoch`] rejections (never a mixed-epoch
     /// merge), and clients converge by re-fetching the map. Returns the new
-    /// epoch.
+    /// epoch. A dataset `launch` refuses is refused the same way, with the
+    /// epoch and every shard left as they were.
     pub fn republish(&mut self, dataset: &Dataset) -> Result<Epoch, ServiceError> {
+        if let Some(reason) = unpartitionable(dataset, self.services.len()) {
+            return Err(invalid_input(reason));
+        }
         let epoch = self.epoch.next();
         let shards = partition_dataset(dataset, self.services.len(), PartitionStrategy::RoundRobin);
         let keys: Vec<PublicKey> = self.schemes.iter().map(|s| s.public_key()).collect();
@@ -288,6 +284,11 @@ impl ShardedDeployment {
             .map(|s| s.shutdown())
             .collect()
     }
+}
+
+fn invalid_input(reason: String) -> ServiceError {
+    let kind = std::io::ErrorKind::InvalidInput;
+    ServiceError::Io(std::io::Error::new(kind, reason))
 }
 
 /// One shard connection plus its attested identity.
@@ -446,16 +447,12 @@ fn open_shard_connection(
 /// attacker-shaped input, so an entry with no usable address is a typed
 /// error, never an unchecked assumption.
 fn entry_addr(entry: &ShardEntry) -> Result<SocketAddr, ServiceError> {
-    entry
-        .addrs
-        .first()
-        .and_then(|a| a.parse().ok())
-        .ok_or_else(|| {
-            ServiceError::ShardMap(format!(
-                "map entry for shard {} lists no usable addresses",
-                entry.shard_id
-            ))
-        })
+    entry.addr.parse().map_err(|_| {
+        ServiceError::ShardMap(format!(
+            "map entry for shard {} has no usable address: {:?}",
+            entry.shard_id, entry.addr
+        ))
+    })
 }
 
 /// Opens and handshakes the connection to the address `entry` attests.

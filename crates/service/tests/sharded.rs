@@ -459,30 +459,53 @@ fn forged_or_mismatched_publications_are_rejected() {
     deployment.shutdown();
 }
 
+/// `dataset` with record `i`'s id replaced by `id(i)`.
+fn renumbered(dataset: &Dataset, id: impl Fn(u64) -> u64) -> Dataset {
+    let mut records = dataset.records.clone();
+    records.iter_mut().zip(0..).for_each(|(r, i)| r.id = id(i));
+    Dataset::new(records, dataset.template.clone(), dataset.domain.clone())
+}
+
+fn is_invalid_input<T>(result: &Result<T, ServiceError>) -> bool {
+    matches!(result, Err(ServiceError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput)
+}
+
 #[test]
 fn launching_zero_shards_or_more_shards_than_records_is_a_typed_error() {
-    let dataset = uniform_dataset(2, 1, 59);
-    for shards in [0, 3] {
-        match ShardedDeployment::launch(
-            &dataset,
-            shards,
-            SigningMode::MultiSignature,
-            0x59,
-            ServiceConfig::ephemeral(),
-        ) {
-            Err(ServiceError::Io(e)) => {
-                assert_eq!(
-                    e.kind(),
-                    std::io::ErrorKind::InvalidInput,
-                    "{shards} shards"
-                )
-            }
-            other => panic!(
-                "{shards} shards: expected InvalidInput, got {other:?}",
-                other = other.err()
-            ),
-        }
+    let dataset = uniform_dataset(6, 1, 59);
+    let decreasing = renumbered(&dataset, |i| 10 - i);
+    let repeated = renumbered(&dataset, |i| i / 2);
+    let mode = SigningMode::MultiSignature;
+    let launch = |dataset: &Dataset, shards| {
+        ShardedDeployment::launch(dataset, shards, mode, 0x59, ServiceConfig::ephemeral())
+    };
+    for (case, dataset, shards) in [
+        ("0 shards", &dataset, 0),
+        ("7 shards over 6 records", &dataset, 7),
+        ("decreasing ids", &decreasing, 2),
+        ("a repeated id", &repeated, 2),
+    ] {
+        let launched = launch(dataset, shards);
+        assert!(is_invalid_input(&launched), "{case}: {launched:?}");
     }
+    // A republication that could not be partitioned is refused the same
+    // way, and every shard keeps serving epoch 0 under epoch 0's map.
+    let mut deployment = launch(&dataset, SHARDS).unwrap();
+    let map = deployment.publication().shard_map.clone();
+    for (case, refused) in [
+        ("2 records for 3 shards", &uniform_dataset(2, 1, 59)),
+        ("decreasing ids", &decreasing),
+        ("a repeated id", &repeated),
+    ] {
+        let republished = deployment.republish(refused);
+        assert!(is_invalid_input(&republished), "{case}: {republished:?}");
+        assert_eq!(deployment.epoch().get(), 0, "{case}");
+        assert_eq!(deployment.publication().shard_map, map, "{case}");
+    }
+    let mut client = deployment.client().expect("connect at epoch 0");
+    client.query_verified(&Query::top_k(vec![0.4], 3)).unwrap();
+    assert!(deployment.stats().iter().all(|stats| stats.epoch == 0));
+    deployment.shutdown();
 }
 
 #[test]
@@ -766,37 +789,32 @@ fn signed_map_without_addresses_is_a_typed_error_not_a_panic() {
     let keys: Vec<_> = schemes.iter().map(|s| s.public_key()).collect();
     let master = SignatureScheme::test_rsa(7);
 
-    // Legitimately signed, verifies fine — but distributed "out of band",
-    // so every entry's address list is empty.
-    let signed = attest_shard_map(&shards, &keys, &master, 1, &[]);
-    let publication = ShardedPublication {
-        shard_map: signed,
-        master_key: master.public_key(),
-        template: dataset.template.clone(),
-    };
-    let expect_no_usable_addresses =
-        |publication: &ShardedPublication| match ShardedClient::connect_from_map(publication) {
+    let addrs = ["127.0.0.1:4300".parse().unwrap(); SHARDS];
+    let honest = attest_shard_map(&shards, &keys, &master, 1, &addrs);
+    // Legitimately re-signed, verifies fine — but every entry's address is
+    // empty, or does not parse.
+    for addr in ["", "not-an-address"] {
+        let mut map = honest.map.clone();
+        for entry in &mut map.shards {
+            entry.addr = addr.into();
+        }
+        let publication = ShardedPublication {
+            shard_map: vaq_wire::SignedShardMap {
+                signature: master.sign_digest(&map.digest()),
+                map,
+            },
+            master_key: master.public_key(),
+            template: dataset.template.clone(),
+        };
+        verify_shard_map(&publication.shard_map, &publication.master_key).expect("signed");
+        match ShardedClient::connect_from_map(&publication) {
             Err(ServiceError::ShardMap(reason)) => {
-                assert!(reason.contains("no usable addresses"), "{reason}")
+                assert!(reason.contains("no usable address"), "{reason}")
             }
             other => panic!(
-                "expected a typed ShardMap error, got {other:?}",
+                "{addr:?}: expected a typed ShardMap error, got {other:?}",
                 other = other.err()
             ),
-        };
-    expect_no_usable_addresses(&publication);
-
-    // Same for a signed entry whose only address does not parse.
-    let mut garbled = publication.shard_map.map.clone();
-    for entry in &mut garbled.shards {
-        entry.addrs = vec!["not-an-address".into()];
+        }
     }
-    let publication = ShardedPublication {
-        shard_map: vaq_wire::SignedShardMap {
-            signature: master.sign_digest(&garbled.digest()),
-            map: garbled,
-        },
-        ..publication
-    };
-    expect_no_usable_addresses(&publication);
 }

@@ -179,14 +179,11 @@ mod tests {
     #[test]
     fn every_flag_byte_is_zero_or_one() {
         // A flag that read any non-zero byte as `true` would give one value
-        // many encodings; each of these four must be refused instead.
+        // many encodings; each of these three must be refused instead.
         let refused = Some(WireError::InvalidTag {
             type_name: "bool",
             tag: 2,
         });
-        // Record: id, one attribute, then the label flag.
-        let record = vaq_funcdb::Record::new(1, vec![0.5]);
-        assert_eq!(with_flag_two(&record, 8 + 4 + 8), refused);
         // HalfSpace: one coefficient, the constant, `non_negative`, then the
         // flag of the absent pair.
         let halfspace = vaq_funcdb::HalfSpace::raw(vec![1.0], 0.25, true);

@@ -353,10 +353,9 @@ pub struct ShardEntry {
     /// verify under this key, so one shard cannot answer with another
     /// shard's (equally well-signed) data.
     pub public_key: PublicKey,
-    /// The address serving this shard: one entry, or none when the
-    /// topology is distributed out of band. Clients connect to the first
-    /// entry; a list that holds no parseable address is a typed error.
-    pub addrs: Vec<String>,
+    /// The address serving this shard. The map is signed but still
+    /// attacker-shaped input: one that does not parse is a typed error.
+    pub addr: String,
 }
 
 /// The owner's description of how one logical dataset is partitioned into
@@ -445,7 +444,7 @@ wire_enum!(ErrorCode {
 wire_struct! {
     ErrorReply { code, message }
     ShardInfo { shard_id, shard_count, records, epoch }
-    ShardEntry { shard_id, records, public_key, addrs }
+    ShardEntry { shard_id, records, public_key, addr }
     ShardMap { epoch, shard_count, total_records, dims, shards }
     SignedShardMap { map, signature }
     LatencyHistogram { bucket_counts, count, sum_micros, max_micros }
@@ -702,13 +701,13 @@ mod tests {
                     shard_id: 0,
                     records: 6,
                     public_key: scheme.public_key(),
-                    addrs: vec!["127.0.0.1:4100".into(), "127.0.0.1:4101".into()],
+                    addr: "127.0.0.1:4100".into(),
                 },
                 ShardEntry {
                     shard_id: 1,
                     records: 5,
                     public_key: scheme.public_key(),
-                    addrs: vec!["127.0.0.1:4102".into()],
+                    addr: "127.0.0.1:4102".into(),
                 },
             ],
         };
@@ -738,13 +737,13 @@ mod tests {
         tampered.shard_count = 1;
         tampered.shards.pop();
         assert_ne!(tampered.digest(), signed.map.digest());
-        // The epoch and the address lists are attested too: a relabelled
+        // The epoch and the addresses are attested too: a relabelled
         // epoch or a redirected address breaks the signature.
         tampered = signed.map.clone();
         tampered.epoch += 1;
         assert_ne!(tampered.digest(), signed.map.digest());
         tampered = signed.map.clone();
-        tampered.shards[0].addrs[1] = "10.0.0.1:9999".into();
+        tampered.shards[0].addr = "10.0.0.1:9999".into();
         assert_ne!(tampered.digest(), signed.map.digest());
     }
 

@@ -9,13 +9,16 @@ pub enum WireError {
     BadMagic,
     /// The frame's format version is not supported by this build.
     UnsupportedVersion(u16),
-    /// The frame's declared payload length disagrees with the buffer.
+    /// A frame's payload length disagrees with the buffer, or a record's
+    /// length with its arity.
     LengthMismatch {
-        /// Length declared in the frame header.
+        /// Length declared in the frame header or the record's prefix.
         declared: usize,
-        /// Actual remaining bytes.
+        /// Actual remaining bytes, or the bytes the record's arity needs.
         actual: usize,
     },
+    /// A varint length spelled in more bytes than it needs, or past `u32`.
+    NonCanonicalLength,
     /// Unframed decoding left unread bytes behind.
     TrailingBytes(usize),
     /// An enum tag byte had no corresponding variant (a `bool` flag is a
@@ -47,6 +50,7 @@ impl std::fmt::Display for WireError {
                     "frame length mismatch: declared {declared}, actual {actual}"
                 )
             }
+            WireError::NonCanonicalLength => write!(f, "non-canonical varint length"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
             WireError::InvalidTag { type_name, tag } => {
                 write!(f, "invalid tag {tag} while decoding {type_name}")

@@ -17,74 +17,57 @@ wire_struct! {
     SubdomainConstraints { domain, halfspaces }
 }
 
-/// Written by hand: the bytes are the field list `id, attrs, label`, but a
-/// reply carries hundreds of records and reading them field by field costs
-/// about ten checked reads each. The decoder reads the 12-byte head (id and
-/// attribute count) with one bounds check, the attributes as one run
-/// straight into [`Attrs`], then the strict `0`/`1` label flag and the
-/// UTF-8 label, with the errors the field list gives.
+/// Written by hand: a record travels as the bytes the owner hashes into the
+/// FMH-tree ([`Record::canonical_bytes`]) behind their varint length. The
+/// decoder takes one spelling: the shortest length, an arity whose values
+/// fit it, then nothing or `0x01` and a UTF-8 label. It stays small enough
+/// to inline into a reply's loop over records, and reads up to
+/// [`Attrs::INLINE`] values with no heap allocation.
 impl WireEncode for Record {
     fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.id);
-        self.attrs.encode(w);
-        self.label.encode(w);
+        w.put_varint(self.canonical_len());
+        self.write_canonical(|bytes| w.put_raw(bytes));
     }
 }
 
 impl WireDecode for Record {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let [i0, i1, i2, i3, i4, i5, i6, i7, n0, n1, n2, n3] = r.get_array()?;
-        let id = u64::from_le_bytes([i0, i1, i2, i3, i4, i5, i6, i7]);
-        let arity = checked_len(u32::from_le_bytes([n0, n1, n2, n3]))?;
-        // The attributes and the label flag behind them, in one checked run.
-        let (flag, words) = r
-            .get_slice(arity * 8 + 1)?
-            .split_last()
-            .ok_or(WireError::Truncated)?;
-        let attrs = attrs_from(words);
-        let label = match flag {
-            0 => None,
-            1 => Some(r.get_string()?),
-            &tag => {
-                return Err(WireError::InvalidTag {
-                    type_name: "bool",
-                    tag,
-                })
+        let declared = r.get_varint()?;
+        let bytes = r.get_slice(declared)?;
+        let mismatch = |actual| WireError::LengthMismatch { declared, actual };
+        let (id, bytes) = bytes.split_first_chunk().ok_or(mismatch(12))?;
+        let (arity, bytes) = bytes.split_first_chunk().ok_or(mismatch(12))?;
+        // `arity` is at most `MAX_COLLECTION_LEN`, so the byte count cannot wrap.
+        let arity = checked_len(u32::from_be_bytes(*arity))?;
+        let (words, label) = bytes
+            .split_at_checked(8 * arity)
+            .ok_or(mismatch(12 + 8 * arity))?;
+        let label = match label {
+            [] => None,
+            [1, label @ ..] => {
+                Some(std::str::from_utf8(label).map_err(|_| WireError::InvalidUtf8)?)
+            }
+            &[tag, ..] => {
+                let type_name = "Record label marker";
+                return Err(WireError::InvalidTag { type_name, tag });
             }
         };
-        Ok(Record { id, attrs, label })
+        Ok(Record {
+            id: u64::from_be_bytes(*id),
+            attrs: attrs_from(words),
+            label: label.map(str::to_owned),
+        })
     }
 }
 
-/// Written by hand: the bytes are exactly `Vec<f64>`'s (a `u32` count, then
-/// the values), but the values are read as one checked run: at most
-/// [`Attrs::INLINE`] of them straight into the inline array, with no heap
-/// allocation, and a longer list only once its bytes are all present, so a
-/// count claim never reserves more than the frame holds.
-impl WireEncode for Attrs {
-    fn encode(&self, w: &mut Writer) {
-        w.put_len(self.len());
-        for value in self.iter() {
-            w.put_f64(*value);
-        }
-    }
-}
-
-impl WireDecode for Attrs {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.get_len()?;
-        // `len` is at most `MAX_COLLECTION_LEN`, so the byte count cannot wrap.
-        Ok(attrs_from(r.get_slice(len * 8)?))
-    }
-}
-
-/// The attribute values `bytes` holds, eight little-endian bytes each.
+/// The attribute values `bytes` holds, eight big-endian bytes each.
 #[inline]
 fn attrs_from(bytes: &[u8]) -> Attrs {
     let (words, _) = bytes.as_chunks::<8>();
     let mut inline = [0.0; Attrs::INLINE];
     for (value, word) in inline.iter_mut().zip(words) {
-        *value = f64::from_le_bytes(*word);
+        *value = f64::from_be_bytes(*word);
     }
     if let Some(attrs) = Attrs::inline(inline, words.len()) {
         return attrs;
@@ -92,7 +75,7 @@ fn attrs_from(bytes: &[u8]) -> Attrs {
     Attrs::from(
         words
             .iter()
-            .map(|word| f64::from_le_bytes(*word))
+            .map(|word| f64::from_be_bytes(*word))
             .collect::<Vec<_>>(),
     )
 }
@@ -130,16 +113,49 @@ impl WireDecode for Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::MAX_COLLECTION_LEN;
+    use vaq_crypto::sha256::sha256;
+
+    /// Records of arity 0 to 9, each without a label, with an empty one, a
+    /// short one, and one that takes the length past a byte.
+    fn records() -> Vec<Record> {
+        let long = "y".repeat(300);
+        let mut records = Vec::new();
+        for arity in 0..=9 {
+            let attrs: Vec<f64> = (0..arity).map(|i| i as f64 * -0.7 + 0.1).collect();
+            for label in [None, Some(""), Some("dave"), Some(long.as_str())] {
+                let mut record = Record::new(0x0102_0304_0506_0708 + arity, attrs.clone());
+                record.label = label.map(str::to_string);
+                records.push(record);
+            }
+        }
+        records
+    }
+
+    /// `body` behind the varint `length`, as a record's wire bytes.
+    fn framed(length: usize, body: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(length);
+        w.put_raw(body);
+        w.into_bytes()
+    }
 
     #[test]
     fn record_roundtrip_with_and_without_label() {
-        let r1 = Record::new(42, vec![0.1, 0.2, 0.3]);
-        let r2 = Record::with_label(43, vec![1.5], "alice");
-        for r in [r1, r2] {
-            let back = Record::from_wire_bytes(&r.to_wire_bytes()).unwrap();
-            assert_eq!(r, back);
-            // The digest (and therefore the Merkle leaf) must be identical.
-            assert_eq!(r.digest(), back.digest());
+        // The wire bytes are the length, then exactly the bytes the digest
+        // hashes; the length takes one byte up to 127 (14 attributes).
+        for record in records() {
+            let canonical = record.canonical_bytes();
+            let mut bytes = record.to_wire_bytes();
+            assert_eq!(bytes, framed(canonical.len(), &canonical), "{record:?}");
+            let length = bytes.len() - canonical.len();
+            assert_eq!(sha256(&bytes[length..]), record.digest());
+            assert_eq!(length, 1 + usize::from(canonical.len() > 127));
+            // A following value is left unread.
+            bytes.extend_from_slice(&[0xAB; 9]);
+            let mut r = Reader::new(&bytes);
+            assert_eq!(Record::decode(&mut r), Ok(record.clone()));
+            assert_eq!(r.remaining(), 9);
         }
     }
 
@@ -148,27 +164,6 @@ mod tests {
         let start = attrs as *const Attrs as usize;
         let values = attrs.as_ptr() as usize;
         (start..start + std::mem::size_of::<Attrs>()).contains(&values)
-    }
-
-    #[test]
-    fn attrs_bytes_are_the_vec_codec_bytes_on_both_sides_of_the_inline_limit() {
-        for arity in 0..=9 {
-            let values: Vec<f64> = (0..arity).map(|i| i as f64 * 0.37 - 1.0).collect();
-            let attrs = Attrs::from(values.clone());
-            let bytes = attrs.to_wire_bytes();
-            assert_eq!(bytes, values.to_wire_bytes(), "arity {arity}");
-            let back = Attrs::from_wire_bytes(&bytes).unwrap();
-            assert_eq!(back, attrs);
-            assert_eq!(
-                stored_inline(&back),
-                arity <= Attrs::INLINE,
-                "arity {arity}"
-            );
-            assert_eq!(Vec::<f64>::from_wire_bytes(&bytes).unwrap(), values);
-            for cut in 0..bytes.len() {
-                assert!(Attrs::from_wire_bytes(&bytes[..cut]).is_err());
-            }
-        }
     }
 
     #[test]
@@ -183,112 +178,61 @@ mod tests {
     }
 
     #[test]
-    fn an_attribute_count_claim_reserves_a_bounded_amount() {
-        let mut claim = Writer::new();
-        claim.put_len(u32::MAX as usize);
-        claim.put_f64(1.0);
-        assert!(Attrs::from_wire_bytes(&claim.into_bytes()).is_err());
-    }
-
-    /// The decoder `wire_struct! { Record { id, attrs, label } }` generated
-    /// before `Record` was decoded by hand: the reference it must match.
-    fn derived_record(r: &mut Reader<'_>) -> Result<Record, WireError> {
-        Ok(Record {
-            id: WireDecode::decode(r)?,
-            attrs: Vec::<f64>::decode(r)?.into(),
-            label: WireDecode::decode(r)?,
-        })
-    }
-
-    /// Both decoders over `bytes`: each record and the bytes it left
-    /// unread, or each error. (Where a failed decode stops does not matter:
-    /// the whole message is refused.)
-    fn both(bytes: &[u8]) -> [Result<(Record, usize), WireError>; 2] {
-        let (mut hand, mut derived) = (Reader::new(bytes), Reader::new(bytes));
-        [
-            Record::decode(&mut hand).map(|r| (r, hand.remaining())),
-            derived_record(&mut derived).map(|r| (r, derived.remaining())),
-        ]
-    }
-
-    #[test]
-    fn the_hand_record_decoder_equals_the_derived_one_on_every_input() {
-        let long = "y".repeat(300);
-        let mut cases = 0;
-        for arity in 0..=9 {
-            let attrs: Vec<f64> = (0..arity).map(|i| i as f64 * -0.7 + 0.1).collect();
-            for label in [None, Some(""), Some("dave"), Some(long.as_str())] {
-                let record = Record {
-                    id: 0x0102_0304_0506_0708 + arity as u64,
-                    attrs: attrs.clone().into(),
-                    label: label.map(str::to_string),
-                };
-                let mut bytes = record.to_wire_bytes();
-                let [hand, derived] = both(&bytes);
-                assert_eq!(hand, Ok((record.clone(), 0)));
-                assert_eq!(derived, hand);
-                // Every truncation, and a following value left unread.
-                for cut in 0..bytes.len() {
-                    let [hand, derived] = both(&bytes[..cut]);
-                    assert_eq!(hand, derived, "arity {arity}, {label:?}, cut {cut}");
-                    assert_eq!(hand, Err(WireError::Truncated));
-                }
-                bytes.extend_from_slice(&[0xAB; 9]);
-                assert_eq!(both(&bytes)[0], Ok((record.clone(), 9)));
-                // Every flag byte.
-                let flag = 8 + 4 + 8 * arity;
-                for byte in 0..=255u8 {
-                    bytes[flag] = byte;
-                    let [hand, derived] = both(&bytes);
-                    assert_eq!(hand, derived, "arity {arity}, {label:?}, flag {byte}");
-                    if byte > 1 {
-                        let tag = WireError::InvalidTag {
-                            type_name: "bool",
-                            tag: byte,
-                        };
-                        assert_eq!(hand, Err(tag));
-                    }
-                    cases += 1;
-                }
+    fn the_record_decoder_refuses_every_other_spelling() {
+        // Every marker byte but `0x01`, in place of a label's marker or
+        // behind an unlabelled record's attributes.
+        for record in records() {
+            let mut body = record.canonical_bytes();
+            let marker = 8 + 4 + 8 * record.arity();
+            body.resize(body.len().max(marker + 1), 0);
+            for tag in (0..=u8::MAX).filter(|&byte| byte != 1) {
+                body[marker] = tag;
+                let type_name = "Record label marker";
+                let refused = Record::from_wire_bytes(&framed(body.len(), &body));
+                assert_eq!(refused, Err(WireError::InvalidTag { type_name, tag }));
             }
         }
-        assert_eq!(cases, 10 * 4 * 256);
+        let canonical = Record::with_label(3, vec![0.5; 5], "ok").canonical_bytes();
+        let len = canonical.len();
+        let mut bad_label = canonical.clone();
+        bad_label[len - 2..].copy_from_slice(&[0xC3, 0x28]);
+        // An arity of six over five attributes' bytes.
+        let mut more_attrs = canonical.clone();
+        more_attrs[11] = 6;
+        // The length in two bytes where one holds it.
+        let padded = [&[len as u8 | 0x80, 0x00][..], &canonical].concat();
+        let mismatch = |declared, actual| WireError::LengthMismatch { declared, actual };
+        for (bytes, error) in [
+            (framed(len, &bad_label), WireError::InvalidUtf8),
+            (framed(len, &more_attrs), mismatch(len, 12 + 6 * 8)),
+            (framed(11, &canonical[..11]), mismatch(11, 12)),
+            (padded, WireError::NonCanonicalLength),
+        ] {
+            assert_eq!(Record::from_wire_bytes(&bytes), Err(error));
+        }
     }
 
     #[test]
-    fn the_hand_record_decoder_refuses_what_the_derived_one_refuses() {
-        let mut bad_label = Record::with_label(3, vec![0.5; 5], "ok").to_wire_bytes();
-        let end = bad_label.len();
-        bad_label[end - 2..].copy_from_slice(&[0xC3, 0x28]);
-        let mut w = Writer::new();
-        w.put_u64(4);
-        w.put_u32(1_000);
-        w.put_f64(1.0);
-        let short_claim = w.into_bytes();
-        let over_limit = |count: u32| {
-            let mut w = Writer::new();
-            w.put_u64(5);
-            w.put_u32(count);
-            w.put_f64(1.0);
-            w.put_bool(false);
-            w.into_bytes()
-        };
-        let limit = crate::io::MAX_COLLECTION_LEN;
-        for (bytes, error) in [
-            (bad_label, WireError::InvalidUtf8),
-            (short_claim, WireError::Truncated),
-            (
-                over_limit(limit as u32 + 1),
-                WireError::LengthLimitExceeded(limit + 1),
-            ),
-            (
-                over_limit(u32::MAX),
-                WireError::LengthLimitExceeded(u32::MAX as usize),
-            ),
-        ] {
-            let [hand, derived] = both(&bytes);
-            assert_eq!(hand, Err(error));
-            assert_eq!(hand, derived);
+    fn an_attribute_count_claim_reserves_a_bounded_amount() {
+        // An arity past the collection limit is refused before anything is
+        // reserved for it; one within it must still fit the record's length.
+        let limit = MAX_COLLECTION_LEN;
+        for arity in [u32::MAX as usize, limit + 1, limit] {
+            let body = [
+                &5u64.to_be_bytes()[..],
+                &(arity as u32).to_be_bytes(),
+                &[0; 8],
+            ]
+            .concat();
+            let expected = if arity > limit {
+                WireError::LengthLimitExceeded(arity)
+            } else {
+                WireError::LengthMismatch {
+                    declared: 20,
+                    actual: 12 + 8 * arity,
+                }
+            };
+            assert_eq!(Record::from_wire_bytes(&framed(20, &body)), Err(expected));
         }
     }
 
@@ -339,10 +283,12 @@ mod tests {
 
     #[test]
     fn truncated_record_rejected() {
-        let r = Record::with_label(1, vec![0.5, 0.6], "bob");
-        let bytes = r.to_wire_bytes();
-        for cut in [1usize, 5, 9, bytes.len() - 1] {
-            assert!(Record::from_wire_bytes(&bytes[..cut]).is_err());
+        for record in records() {
+            let bytes = record.to_wire_bytes();
+            for cut in 0..bytes.len() {
+                let refused = Record::from_wire_bytes(&bytes[..cut]);
+                assert_eq!(refused, Err(WireError::Truncated), "{record:?}, cut {cut}");
+            }
         }
     }
 

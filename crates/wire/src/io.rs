@@ -96,6 +96,16 @@ impl Writer {
     pub fn put_len(&mut self, n: usize) {
         self.put_u32(n as u32);
     }
+
+    /// Writes a byte length as a varint (LEB128): seven bits a byte, the
+    /// lowest first, the top bit set on every byte but the last.
+    pub(crate) fn put_varint(&mut self, mut n: usize) {
+        while n >= 0x80 {
+            self.buf.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        self.buf.push(n as u8);
+    }
 }
 
 /// A cursor-style byte reader.
@@ -115,13 +125,6 @@ impl<'a> Reader<'a> {
         self.buf.len()
     }
 
-    /// Consumes and returns the next `n` bytes (caller must `need` first).
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        head
-    }
-
     /// Errors unless every byte has been consumed.
     pub fn expect_end(&self) -> Result<(), WireError> {
         if self.remaining() == 0 {
@@ -131,18 +134,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.remaining() < n {
-            Err(WireError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        self.need(1)?;
-        self.take(1).first().copied().ok_or(WireError::Truncated)
+        self.get_array().map(|[byte]| byte)
     }
 
     /// Reads a boolean: exactly `0` or `1`, so that every value has one
@@ -160,36 +154,28 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian u32.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        let bytes = self.take(4).try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u32::from_le_bytes(bytes))
+        self.get_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian u64.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        self.need(8)?;
-        let bytes = self.take(8).try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u64::from_le_bytes(bytes))
+        self.get_array().map(u64::from_le_bytes)
     }
 
     /// Reads an IEEE-754 double.
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        self.need(8)?;
-        let bytes = self.take(8).try_into().map_err(|_| WireError::Truncated)?;
-        Ok(f64::from_le_bytes(bytes))
+        self.get_array().map(f64::from_le_bytes)
     }
 
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let len = self.get_len()?;
-        self.need(len)?;
-        Ok(self.take(len).to_vec())
+        self.get_slice(len).map(<[u8]>::to_vec)
     }
 
     /// Reads a fixed-size 32-byte digest.
     pub fn get_digest(&mut self) -> Result<[u8; 32], WireError> {
-        self.need(32)?;
-        self.take(32).try_into().map_err(|_| WireError::Truncated)
+        self.get_array()
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -202,18 +188,44 @@ impl<'a> Reader<'a> {
         checked_len(self.get_u32()?)
     }
 
+    /// Reads a length as [`Writer::put_varint`] writes it, in the fewest
+    /// bytes and at most a `u32`; past one byte on the cold path.
+    #[inline]
+    pub(crate) fn get_varint(&mut self) -> Result<usize, WireError> {
+        match self.get_u8()? {
+            byte @ 0..0x80 => Ok(usize::from(byte)),
+            first => self.get_long_varint(first),
+        }
+    }
+
+    /// The rest of a varint whose `first` byte has its top bit set.
+    #[cold]
+    fn get_long_varint(&mut self, first: u8) -> Result<usize, WireError> {
+        let mut value = u64::from(first & 0x7f);
+        for shift in (7..35).step_by(7) {
+            let byte = self.get_u8()?;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                // A last byte of zero spells a shorter length long.
+                let canonical = byte != 0 && value <= u64::from(u32::MAX);
+                return canonical
+                    .then_some(value as usize)
+                    .ok_or(WireError::NonCanonicalLength);
+            }
+        }
+        Err(WireError::NonCanonicalLength)
+    }
+
     /// Consumes the next `n` bytes as one slice, with one bounds check.
     pub(crate) fn get_slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.need(n)?;
-        Ok(self.take(n))
+        let (head, tail) = self.buf.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.buf = tail;
+        Ok(head)
     }
 
     /// Consumes the next `N` bytes as an array, with one bounds check.
-    pub(crate) fn get_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let (head, tail) = self
-            .buf
-            .split_first_chunk::<N>()
-            .ok_or(WireError::Truncated)?;
+    fn get_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, tail) = self.buf.split_first_chunk().ok_or(WireError::Truncated)?;
         self.buf = tail;
         Ok(*head)
     }
@@ -282,6 +294,37 @@ mod tests {
             r.get_len(),
             Err(WireError::LengthLimitExceeded(_))
         ));
+    }
+
+    #[test]
+    fn varints_round_trip_in_their_one_spelling_only() {
+        let max = u32::MAX as usize;
+        for (n, spelling) in [
+            (0, &[0x00][..]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (16_383, &[0xff, 0x7f]),
+            (16_384, &[0x80, 0x80, 0x01]),
+            (max, &[0xff, 0xff, 0xff, 0xff, 0x0f]),
+        ] {
+            let mut w = Writer::new();
+            w.put_varint(n);
+            assert_eq!(w.into_bytes(), spelling);
+            assert_eq!(Reader::new(spelling).get_varint(), Ok(n));
+            for cut in 0..spelling.len() {
+                let cut = Reader::new(&spelling[..cut]).get_varint();
+                assert_eq!(cut, Err(WireError::Truncated), "{n}");
+            }
+        }
+        // A zero last byte, a value past `u32`, and six bytes.
+        for other in [
+            &[0xff, 0x00][..],
+            &[0xff, 0xff, 0xff, 0xff, 0x10],
+            &[0x80; 6],
+        ] {
+            let refused = Reader::new(other).get_varint();
+            assert_eq!(refused, Err(WireError::NonCanonicalLength), "{other:?}");
+        }
     }
 
     #[test]

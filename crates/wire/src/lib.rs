@@ -14,14 +14,14 @@
 //! would.
 //!
 //! The format is deliberately simple: little-endian fixed-width integers,
-//! IEEE-754 doubles, length-prefixed byte strings, and a one-byte tag per
-//! enum variant, all wrapped in a frame that starts with a 4-byte magic and
-//! a format version. There is no external schema language and no reflection.
-//! Each message's layout is declared once, as its fields in wire order (a
-//! tag table for an enum), and one declaration generates both
-//! [`WireEncode`] and [`WireDecode`]. That keeps the dependency set empty
-//! and the byte layout auditable in one place. The few codecs still written
-//! by hand say why next to their `impl`.
+//! IEEE-754 doubles, length-prefixed byte strings, a one-byte tag per enum
+//! variant, and each record as the canonical bytes its digest hashes, all
+//! wrapped in a frame that starts with a 4-byte magic and a format version.
+//! There is no external schema language and no reflection. Each message's
+//! layout is declared once, as its fields in wire order (a tag table for an
+//! enum), and one declaration generates both [`WireEncode`] and
+//! [`WireDecode`]. That keeps the dependency set empty and the byte layout
+//! auditable in one place. The few hand codecs say why next to their `impl`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo))]
@@ -50,8 +50,8 @@ pub use record_bytes::{query_response_frame, RecordBytes};
 
 /// Magic bytes at the start of every framed message.
 pub const MAGIC: [u8; 4] = *b"VAQ1";
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Current format version: 2 since a record travels as its canonical bytes.
+pub const VERSION: u16 = 2;
 /// Length of the `VAQ1` frame header: 4-byte magic, little-endian u16
 /// version, little-endian u32 payload length.
 pub const FRAME_HEADER_LEN: usize = 10;
@@ -203,12 +203,15 @@ mod tests {
         bytes[0] = b'X';
         assert_eq!(Pair::from_framed_bytes(&bytes), Err(WireError::BadMagic));
 
-        let mut bytes = p.to_framed_bytes();
-        bytes[4] = 9;
-        assert!(matches!(
-            Pair::from_framed_bytes(&bytes),
-            Err(WireError::UnsupportedVersion(_))
-        ));
+        // Version 1 carried records in a retired layout.
+        for version in [1, 9] {
+            let mut bytes = p.to_framed_bytes();
+            bytes[4] = version;
+            assert_eq!(
+                Pair::from_framed_bytes(&bytes),
+                Err(WireError::UnsupportedVersion(version.into()))
+            );
+        }
     }
 
     #[test]

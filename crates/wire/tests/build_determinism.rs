@@ -109,7 +109,8 @@ type Recorded = (
 /// responses were re-recorded once, when leaves began to be sorted at the
 /// centre of their largest inscribed ball: before, many d = 3 cells were
 /// sorted at a point on their own boundary, where two functions tie, and the
-/// owner signed lists that are wrong inside the cell.
+/// owner signed lists that are wrong inside the cell. Format version 2 (a
+/// record as its canonical bytes) re-recorded every response hash once.
 const RECORDED: [Recorded; 4] = [
     (
         (64, 1, 1),
@@ -117,24 +118,24 @@ const RECORDED: [Recorded; 4] = [
         "14eea26526759c97a0d54a631c44887c15e680d7695c04304bef076d5d43d953",
         [
             [
-                "60ffdb21858d244d85742a46436dab640edda77e372c3a2a1fdb2aa86c3db56e",
-                "6efdd8ff497d3b9d4ee61a59c2671e6f4f53dc4ff787f268ff09a49922385116",
-                "e6b5bc718b3f8a270b8dbc88428a6f8de4f31257a8e9ca1d012aa42a43e4626f",
+                "bc73dbf175b06142b83172c5ef48cb4ca4cc15c83032775f5808133b2fc4a7a9",
+                "7c3089dc85805b77b8a249565f8f15d5093f3e7e94166f8f79ae6906e9e2bceb",
+                "d38ec4feb21434b43ec2a4b10b63c6df46be9207f04ac4e7b4cf809705fdfdd7",
             ],
             [
-                "076720af717198bba70ff5fec3c3f40f7ffa0e414658ef47790f71855da7b5a0",
-                "16c72e823da74190680ddea5ce002e9e946aed51bf740c41f50836a13f0d3d3c",
-                "79cf5f70be60e3ee4e01f1db56251a7c125cdfda1510606d11329d2b08d85d88",
+                "1820182c4e520c8624ff14715f6bf7c20fd7a3fbb0897ad7988f78cd997e0bb7",
+                "b54b759c096608855a94843d96c20c44684a3770a7432572cd4bb68b96604486",
+                "52be98ab8e81d9362c80ab13d86cc6c75520e3b08abe42720a39ddf5d89a74bd",
             ],
             [
-                "a5e99b2c50150daec7caddcebe43b7f0e590c8bf6867cfc8823239c20fa2a469",
-                "a278e2d509557e4c0a17eb6bc561f4fec3e23118381335dfb8f1483c7cfc50a5",
-                "f24f3396ccd0624d3108586fea737809096c3fd7dfff77c99004c08671cc4c9f",
+                "a3be461df044aa5632fc902fbf2fc3197758a55033f9e6f691f0f7d1972dc08b",
+                "f1a1923509a66a61eb379f56fae80aa7c3058bf44bdfb5488ea770ae6ed1afba",
+                "93013b6f994c747d861c575f9bc8cf08455aea532f1b2700b3094dfaccb1ae25",
             ],
             [
-                "5f3c08232bf67530ee8a5c2bc153d140d2eb446344dca97421c74a8e130853d0",
-                "71787c9fbde741f8cc4f6b7590d612a421184baa4055ead3cca07a6fe91c18d4",
-                "ac2b51fc974179c54161d6f8cdc4aede123afe9e5cee4b3ffb03dd0064a4879a",
+                "b9c510101d8fec7082bc282c088fb7c83e01aacaddd31e69a426809ffc222465",
+                "5ecd8dfa105931942d178c02d7322449acd35bdc967424bd469db10a2ce00527",
+                "30cdea829a39970b568240f55ba437fd3ceb6f5da05a6341c5d0f2c6d5d515f0",
             ],
         ],
     ),
@@ -144,24 +145,24 @@ const RECORDED: [Recorded; 4] = [
         "e1b3e704c96a323331b160c4a631b249a8e588d425d21e08b04189d16c4f4094",
         [
             [
-                "20e4d3438f5505927c6c214717898692d5c0350e0a2c4efb0a29fd11f7b520fb",
-                "e3f2472de449316275f3ec5ad5d83552e07fa3f14756a5073ff478c4b5a1e0b0",
-                "8bdfafaca4247dd0ac0b75a30491b63ed96ee53d3ae7099cda0ba2aa8367c27a",
+                "18eaf3ad2d26692be23a8db12ae9488fa69aa0a3f33c46f35444a34028421912",
+                "9ebad11651cb75e14d2de4d35d2ebd7cac4fef437b1d07222f5cb962b8ca16aa",
+                "4c0366a47203f84fccaed4c9bf98d66c068a522c48f6bbe32da81717917c8278",
             ],
             [
-                "3088d6fb9de074e27f5cc77848f4a2f0f4805998d19211f15f6cf485cab35457",
-                "b4a4acb2fe61dac316749c42f79b79b7de36043dc873d3b3ca6e3b0179f3f30e",
-                "779e6c6d6c26f677116f792d2ed83b90c03a79ca31de3faecb88546d52927ba8",
+                "10c59a611d6d225cfda4cb78ea9d4aa72a5e1777b2c5bf9e25049e9feffbf177",
+                "b920001b43eed1fabcec9bde2729e798594c8708204eefead583a88c6334e8b7",
+                "19220fd0f021684a4d3f4ce2a8806af45c2603bfb1683e10527b5994f4a884ec",
             ],
             [
-                "696a846c8fd64cd5171fb664d0e85e530190b06e1b83c9f9508484d3dbad2eee",
-                "e6173aa56f12ff47ec1b82db443dfc564a1cb7eeeceaef8505eecb0667a969ab",
-                "fc620b4534d2442d033e76dd8b33a012ccb47d86ed19cfe0c1349d50d82033b7",
+                "5b0ccc7b1b23bbe7f6161b56612795909baec3850aebe45d9b10891599be572c",
+                "273f27f76040e3615c49d0259b1706d550cc3f6e63bf5e7f68c578f369db5e06",
+                "1fbb8a209278721080c06ac1ec06a337ec92b444514489418bd984c496ea1372",
             ],
             [
-                "ea4a1d17ca602dfe21bc5a36bb5dd60c07bd573194e7c5f22ffe0e1e350f34e6",
-                "0ec10e403cf0f54c753a93cca0775ae1388eab978defbf56e0f096a5be6b7ab0",
-                "ea27c90968c791bceca7ae5c8e8c750298b77d7af2265319971ec293ffba958f",
+                "988773aec6f3d1fb395c045979058fdcb1f4addeb1bc6d2de8016155634e0360",
+                "18223b85b86e6ce61ccb979820944dddf5b66b3228999a4f61181fa6cd4ec9b5",
+                "0855fffd90542c9006323811cef6990e350d1354fa9ddc30a3b92360b11f3a98",
             ],
         ],
     ),
@@ -171,24 +172,24 @@ const RECORDED: [Recorded; 4] = [
         "8af6797d564af7984fff7fe489c9c13f151d68ac25b5673a77e3d4ba4fa894b5",
         [
             [
-                "be06b54b01c22ad40f14164d4ee714869ddb209ff4ad4b07b19290fc19b0ad0e",
-                "f7fcaff62371a04725b20b2466fdcc7b5c0fd771f2e78e7ddefc532dec4571f4",
-                "2938b1c0f517ef5c74c9ac11e67d2d43161f7ac4302e0cc6010daa0f379afbab",
+                "f8df8574107f46a80b857766258a3f03a634a7e5f2920a294c9c61ff8c3f174d",
+                "c28851ae331de357e8b7dd062ee1d6f86f24c8a3240db94dfb3369f63fa8fa6b",
+                "7fc140b67946f7719cb2d228e866d6ff1bdc4dc7c2f3ec263a1f5821eae4fddb",
             ],
             [
-                "7820991159011b57ef0d55e3619ac731bd7f08e10e61a3c9b319cda64ec9c59c",
-                "d31808197800b306a9c48c965cc0bb66cf768d91040fbe362df78328986019e6",
-                "a4bbcc3a41c20ec06226f428cb8e609f544e5bf1548f8025b8919c0d19a38d20",
+                "340a166be8f7dda4580773aa439936afdb129fecb19411569e900d6a0cba8080",
+                "b4e8302fb3ce4655c2bc0b2917209165a442dd81053bc6878ec9183ff0392180",
+                "b5606d15043ee41fe00334fe99fb2912c934b03a912b46261324c37ad986a379",
             ],
             [
-                "55c711bb70d62107d27de13fb19cf89d025ad07b1c621eac39b6360dd2a4a9f1",
-                "0b0945463096c76911d7ba0582a7756a8c5533fe387eae28e8dbbe191f19ef78",
-                "0989901e7039b8cf53ca378f35633dfec594cb8d2068e11707eb6b4f3c740984",
+                "7958fa7385e82cef78e968df87e36472cf970c0e964d9477c94cb963ef4d687b",
+                "b47771e597830a7e74f9ccd460ef7d99ebdeffd2a108705ef1bf6773d0d7b8fe",
+                "45e1f42fb5e93a43b0feb3ee6de8cebf00107c6e9359a92f3a385d0b14cff70e",
             ],
             [
-                "50376fc4cfc97e171dafc67a059c61e2785abb2435094184466e70f98487c159",
-                "5f6e3de593c5b14a1c4baa431803e879dd20cde7e4f2bc761107f29266c08058",
-                "fa1a43b777345a0199649c104c73412ab9d3c19380c2f5643ec13dff4f5d1f4b",
+                "89b79cd2582026a377b86aa7a7d51fff01123b9282e5356ce2610fe82b92b9ef",
+                "0eb9f93d82a83ce79d0079325440875c503f5c03997e52f1ca062e0f717fc312",
+                "092496d62f76300859ab451d641b0709f1bd364c272dec14373fb99de924af9e",
             ],
         ],
     ),
@@ -198,24 +199,24 @@ const RECORDED: [Recorded; 4] = [
         "a5cfa0f39de065ea911bc2214b97735aedcd208d63d3abccac1e389a1bc165d0",
         [
             [
-                "47cd9839fb3f89ed262121d87d5f521c42b6c3ee844bd24fac498b02752e43ee",
-                "9c60d86abb06cc09bca431fdc19d31157c4beec40b2a9b1cc511284507075e4e",
-                "5d4e1982d30274b9eb7adbae125657282bfb012fd7055127c64384e4f6369719",
+                "df8aef63aee4670bac261c5f6d90d3dca8c53bcf08763d9222cfc92a180390ea",
+                "a8954882b5c7c1e25fa9adb977bcf5025f70811caba9d02f959b30c5a5b164f4",
+                "9d7d736a4eb263ab3b7f3ce28ea72668b04a075f7983c598080e7e7f60ba36f7",
             ],
             [
-                "1cf4d6fda3a86648f78ccf8bf5b1966a57e8858ababa0bedc56e67b41aea0c34",
-                "d746a69b33341af524bc4321e0be131ecf0daae76c186fea147ea79cf1c12561",
-                "82cb3199755b5709891177f5f12b8b55dc43cc25b4b2239c274152f0d7e115f4",
+                "12c063c4d67183e55c75227d2b64dce28d1675069e42dbce1be1a0140c7e5d55",
+                "327e29b602201b54c54ae02fb4169e155685b227646e6fd6732237ec84d8e946",
+                "2930dfe315bb336b69f2a35089ce04ed11145d049eaf524fb54c13e931ee9465",
             ],
             [
-                "4bdad6e1499dcaf00651d40151e6ec78cd89e98aa7c3b771433ea5af288f8092",
-                "78d09879d70723e75981d5f515de907e87d6316fca26eb0261ee1ccf776c7dc5",
-                "8bb7dbc68109d53366d0ce17290ef8815b9ca9449eac9bf553aaef6e6b231187",
+                "715319fb38783cfa83394207eda9d5309899c21d8fd46721959368f0d95b2036",
+                "f5119defbbcaa08af99af2d5979e7568ab88fbfb700b008e9ae66d6cfeefc5da",
+                "4c91e9969a9f68f5d20cc2ab5505eec533df19e474ab0c5f02b99668c3e42eb6",
             ],
             [
-                "e2922254947f946416afb7e70270e3a8e65d9cf69cd0c0bfbd2ea6ec52d6e7ba",
-                "0cbe92822f1b7f927453c1b0d7d6f0696ab3c3d65a84e181209b8dc44b333ace",
-                "f9fee97c52622a4fcd5b142ebff75f15053880a85c7624c3ba47648502618dab",
+                "e2d34f9f476d147ac203ff49af510b98638e0c56bee51bff69df94d72967ed8e",
+                "9bfd6ba34c66e8b65ce41590a3765c61036cc600138a3aade7122863dd3ec93f",
+                "6e77364be2a0dd7579e6545a93928cec824f7dfa8c032a64c0ea9a059a6b497a",
             ],
         ],
     ),

@@ -299,7 +299,6 @@ proptest! {
     fn signed_shard_maps_roundtrip_and_redigest_canonically(
         epoch_selector in 0u64..,
         records in prop::collection::vec(1u64..1_000, 1..4),
-        addr_count in 0usize..3,
         key_seed in 0u64..8,
     ) {
         use vaq_crypto::{SignatureScheme, Signer, Verifier};
@@ -317,9 +316,7 @@ proptest! {
                     shard_id: shard_id as u32,
                     records: *n,
                     public_key: scheme.public_key(),
-                    addrs: (0..addr_count)
-                        .map(|r| format!("127.0.0.1:{}", 4400 + shard_id * 4 + r))
-                        .collect(),
+                    addr: format!("127.0.0.1:{}", 4400 + shard_id),
                 })
                 .collect(),
         };

@@ -126,13 +126,13 @@ fn signed_map(scheme: &SignatureScheme, epoch: u64) -> SignedShardMap {
                 shard_id: 0,
                 records: 6,
                 public_key: scheme.public_key(),
-                addrs: vec!["127.0.0.1:4100".into(), "127.0.0.1:4101".into()],
+                addr: "127.0.0.1:4100".into(),
             },
             ShardEntry {
                 shard_id: 1,
                 records: 5,
                 public_key: scheme.public_key(),
-                addrs: vec![],
+                addr: "[::1]:4101".into(),
             },
         ],
     };
@@ -257,7 +257,8 @@ fn build_samples() -> Vec<Sample> {
 
 /// Taken on the commit before the codecs became declarations, one line per
 /// sample in `sha256sum` form: the SHA-256 of its unframed encoding, then its
-/// name.
+/// name. Format version 2 re-recorded the six rows that carry a record (now
+/// its canonical bytes) or a shard-map entry (now one address).
 const RECORDED: &str = "\
 4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a  Request::Ping
 6428bfd325db1ef3fa57c6ff44dcfdc0cb5253be46d91f08e548321fd4d7193f  Request::Query
@@ -269,10 +270,10 @@ e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db  Request::Shard
 f53e12dc32f671d012e6a3cead2dd1410be6c5e53c09424c643d3b1f6cab599f  Query::Range
 b7969a2910d1b598b9dfab25bfe2ab72aee3ba318f3265b5321c19e01439a069  Query::Knn
 4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a  Response::Pong
-463d04cf1e453e139f35f4d50be99c789d0124dccf1334abb6b9670045ced336  Response::Query(one signature)
+03b181aa2396d7c1b5f187a50ff1fbccea44eb6eacf1858b715b2581a33414aa  Response::Query(one signature)
 fb4ffb1616cb4c2129dc816b085c41fe1fb3f7e6987cbc458b66c59bf0d94d54  Response::ShardInfo
-f8d445dcf5c77f4f41056619e027c909c518078f4338f2b7ba66b1ece3569e68  Response::ShardMap(rsa)
-4a6e49d8aaaf0e622cf027caedc3c262479fb2f966c29b9c18364df0c0384d8e  Response::ShardMap(dsa)
+56784676df70cab773a656cd5b1dd0daf63ae81d0e497b3f374051780e793da4  Response::ShardMap(rsa)
+da8deccbfdf993cf5c070e541f371d7854a2d486f4eb4bb28cdac715d4d946aa  Response::ShardMap(dsa)
 71b0c72fc27deb597e429347da005a8b6ab5520fb0f909eb9bbd97165cab8408  Response::StatsDeep
 97a3b9a391e599075997be69b5e7f35637a0436fa75639684d1e38a1fc040b9b  Response::Error(Malformed)
 a23b8ebfad67efa3ca94976d4c9d9b7c3cd3d53a4dc9d56c63c38d34af7657a7  Response::Error(BadQuery)
@@ -292,13 +293,13 @@ e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db  ErrorCode::Shu
 ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879  ErrorCode::StaleEpoch
 beead77994cf573341ec17b58bbf7eb34d2711c993c1d976b128b3188dc1829a  ErrorCode::Overloaded
 2b4c342f5433ebe591a1da77e013d1b72475562d48578dca8b84bac6651c3cb9  ErrorCode::Stalled
-d9e54aa819f659c918f42e6ecd35d58ab83accb14ff79fd03004bd9828ef6264  QueryResponse(one signature)
-c251125e170e6dd901e4a26e371206195a221186f225a2b6769cfcf8e2d45225  QueryResponse(multi signature)
+a94fa99a6f95a56bcb9a2b6fb9fdac7a0954df7ea851071556fb0104c0132162  QueryResponse(one signature)
+2eacbd386d0cf886ba43e7f955a21c8e9bedb3d56316ed2632212eb6aa680ac7  QueryResponse(multi signature)
 957b88b12730e646e0f33d3618b77dfa579e8231e3c59c7104be7165611c8027  IntersectionVerification::OneSignature
 395c2f5598a1643a205154c6f4c46ce36895b28e6c35660a95e5c6fd5ef9aeab  IntersectionVerification::MultiSignature
 4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a  BoundaryEntry::MinSentinel
 dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986  BoundaryEntry::MaxSentinel
-32f408281989a5c439cab87d1108e078d52db8748d383730836dce908d90307d  BoundaryEntry::Record
+adc1c3196eb945ce8cec274c37aef78cf5377c61103768212c972efafaeca2e0  BoundaryEntry::Record
 07d12a0ffb7a4aec81217d5d76a4b35c1e578f89b25ce376849bd6a17d386031  Signature::Rsa
 796606127c2e00107a0e7701a28d18880e70d5ddf9d0e33fb0a449966914ae58  Signature::Dsa
 d5031f99de26c326bc7e390d522abcc390397d3f71dfde8c384c1b8f0b72613e  PublicKey::Rsa

@@ -43,8 +43,8 @@ fn main() {
     );
     for entry in &publication.shard_map.map.shards {
         println!(
-            "  shard {}: {} records, own verification key, serving at {:?}",
-            entry.shard_id, entry.records, entry.addrs
+            "  shard {}: {} records, own verification key, serving at {}",
+            entry.shard_id, entry.records, entry.addr
         );
     }
 
