@@ -97,45 +97,24 @@ impl ServiceClient {
         }
     }
 
-    /// Sends one query and returns the raw (unverified) response.
-    pub fn query(&mut self, query: &Query) -> Result<QueryResponse, ServiceError> {
-        self.query_with_epoch(query).map(|(_, response)| response)
-    }
-
-    /// Sends one query and returns the raw (unverified) response together
-    /// with the publication epoch the service served it at.
+    /// Asks one query and returns the publication epoch the service stamped
+    /// its answer with, together with the raw (unverified) response.
     ///
-    /// The envelope stamp is unauthenticated; verify the response with
+    /// With a `pin`, the service answers only while it serves exactly that
+    /// epoch; otherwise it replies with a typed [`ErrorCode::StaleEpoch`]
+    /// error (surfaced as [`ServiceError::Remote`] — check
+    /// [`ServiceError::is_stale_epoch`]), which keeps the connection usable:
+    /// re-fetch the signed shard map and retry at the new epoch. Without
+    /// one, the stamp is unauthenticated: verify the response with
     /// [`vaq_authquery::verify_at_epoch`] at the epoch the owner's attested
     /// publication promises — the signatures bind it.
-    pub fn query_with_epoch(
+    pub fn query(
         &mut self,
+        pin: Option<u64>,
         query: &Query,
     ) -> Result<(u64, QueryResponse), ServiceError> {
-        match self.call(&Request::Query(query.clone()))? {
-            Response::Query { epoch, response } => Ok((epoch, response)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Sends one query pinned to a publication epoch.
-    ///
-    /// The service answers only while it serves exactly `epoch`; otherwise
-    /// it replies with a typed [`ErrorCode::StaleEpoch`] error (surfaced as
-    /// [`ServiceError::Remote`] — check [`ServiceError::is_stale_epoch`]),
-    /// which keeps the connection usable: re-fetch the signed shard map and
-    /// retry at the new epoch.
-    pub fn query_at(&mut self, epoch: u64, query: &Query) -> Result<QueryResponse, ServiceError> {
-        match self.call(&Request::QueryAt {
-            epoch,
-            query: query.clone(),
-        })? {
-            Response::Query {
-                epoch: served,
-                response,
-            } => check_served_epoch(epoch, served).map(|()| response),
-            other => Err(unexpected(&other)),
-        }
+        self.send_queries(pin, std::slice::from_ref(query))?;
+        self.receive_query(&mut { pin })
     }
 
     /// Sends one query and verifies the response against the owner's
@@ -151,14 +130,14 @@ impl ServiceClient {
     /// that has already seen a newer one. A fresh connection has no such
     /// anchor: it accepts whichever genuine publication the server presents
     /// first. Callers that know the epoch the owner currently attests
-    /// should pin it with [`ServiceClient::query_at`] instead.
+    /// should pin it with [`ServiceClient::query`] instead.
     pub fn query_verified(
         &mut self,
         query: &Query,
         template: &FunctionTemplate,
         verifier: &dyn Verifier,
     ) -> Result<(QueryResponse, VerifiedResult), ServiceError> {
-        let (stamped, response) = self.query_with_epoch(query)?;
+        let (stamped, response) = self.query(None, query)?;
         if Epoch::new(stamped).rolls_back(self.verified_epoch) {
             return Err(ServiceError::StaleEpoch {
                 expected: self.verified_epoch.get(),
@@ -180,38 +159,14 @@ impl ServiceClient {
 
     /// Asks a batch of queries, answered in order, all at one epoch.
     ///
-    /// The batch is a pipeline of plain [`Request::Query`] frames, a
+    /// The batch is a pipeline of [`ServiceClient::query`]'s frames, a
     /// bounded window of them in flight at a time; an empty batch sends
-    /// nothing. Every answer must carry the first answer's epoch stamp: a
-    /// republication landing mid-batch fails it with a typed
-    /// [`ServiceError::StaleEpoch`], so a batch never spans epochs. A
-    /// connection that closes before every query is answered is an I/O
-    /// error, never a short list.
-    pub fn batch(&mut self, queries: &[Query]) -> Result<Vec<QueryResponse>, ServiceError> {
-        self.pipeline(None, queries)
-    }
-
-    /// Asks a batch of queries pinned to a publication epoch, mirroring
-    /// [`ServiceClient::query_at`]: a pipeline of [`Request::QueryAt`]
-    /// frames, otherwise like [`ServiceClient::batch`].
-    ///
-    /// The service answers only while it serves exactly `epoch`; otherwise
-    /// it replies with a typed [`ErrorCode::StaleEpoch`] error (surfaced as
-    /// [`ServiceError::Remote`] — check [`ServiceError::is_stale_epoch`]),
-    /// which keeps the connection usable: re-fetch the signed shard map and
-    /// retry at the new epoch.
-    pub fn batch_at(
-        &mut self,
-        epoch: u64,
-        queries: &[Query],
-    ) -> Result<Vec<QueryResponse>, ServiceError> {
-        self.pipeline(Some(epoch), queries)
-    }
-
-    /// [`ServiceClient::batch`] and [`ServiceClient::batch_at`]: one window
-    /// of queries sent, then its replies read, until every query is
-    /// answered.
-    fn pipeline(
+    /// nothing. A pin is refused as for one query. Unpinned, every answer
+    /// must carry the first answer's stamp: a republication landing
+    /// mid-batch fails it with a typed [`ServiceError::StaleEpoch`], so a
+    /// batch never spans epochs. A connection that closes before every
+    /// query is answered is an I/O error, never a short list.
+    pub fn batch(
         &mut self,
         pin: Option<u64>,
         queries: &[Query],
@@ -226,7 +181,8 @@ impl ServiceClient {
     }
 
     /// Puts one query frame per query in flight without reading a reply:
-    /// [`Request::QueryAt`] pinned at `pin`, or [`Request::Query`].
+    /// [`Request::QueryAt`] pinned at `pin`, or [`Request::Query`]. Every
+    /// query frame this client sends is built here.
     pub(crate) fn send_queries(
         &mut self,
         pin: Option<u64>,
@@ -243,12 +199,11 @@ impl ServiceClient {
     }
 
     /// Reads the replies to `count` queries put in flight by
-    /// [`ServiceClient::send_queries`], in order. Each must be stamped with
-    /// `stamp`, or, while `stamp` is `None`, with the first reply's epoch,
-    /// which `stamp` then holds. After a typed error reply (or a wrong
-    /// stamp) the rest of the replies are still read, so the connection
-    /// stays aligned, and the first failure is returned; a failure that
-    /// desyncs the connection is returned at once.
+    /// [`ServiceClient::send_queries`], in order, each through
+    /// [`ServiceClient::receive_query`] with the one `stamp`. After a typed
+    /// error reply (or a wrong stamp) the rest of the replies are still
+    /// read, so the connection stays aligned, and the first failure is
+    /// returned; a failure that desyncs the connection is returned at once.
     pub(crate) fn receive_queries(
         &mut self,
         stamp: &mut Option<u64>,
@@ -257,22 +212,31 @@ impl ServiceClient {
         let mut responses = Vec::with_capacity(count);
         let mut failure = None;
         for _ in 0..count {
-            let answer = match self.receive() {
-                Ok(Response::Query { epoch, response }) => {
-                    check_served_epoch(*stamp.get_or_insert(epoch), epoch).map(|()| response)
-                }
-                Ok(other) => Err(unexpected(&other)),
+            match self.receive_query(stamp) {
+                Ok((_, response)) => responses.push(response),
                 Err(e) if self.desynced => return Err(e),
-                Err(e) => Err(e),
-            };
-            match answer {
-                Ok(response) => responses.push(response),
                 Err(e) => {
                     failure.get_or_insert(e);
                 }
             }
         }
         failure.map_or(Ok(responses), Err)
+    }
+
+    /// Reads one query reply, as every query reply is read, and returns it
+    /// with its epoch stamp, which must equal `stamp` (or, while `stamp` is
+    /// `None`, becomes it). Any other reply kind is unexpected.
+    fn receive_query(
+        &mut self,
+        stamp: &mut Option<u64>,
+    ) -> Result<(u64, QueryResponse), ServiceError> {
+        match self.receive()? {
+            Response::Query { epoch, response } => {
+                check_served_epoch(*stamp.get_or_insert(epoch), epoch)?;
+                Ok((epoch, response))
+            }
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Asks which shard of a sharded deployment the service hosts.

@@ -124,7 +124,12 @@ impl Shared {
                 got: new_epoch.get(),
             });
         }
-        *serving = publication;
+        let retired = std::mem::replace(&mut *serving, publication);
+        // Freeing a publication (tree, record bytes, cache) takes
+        // milliseconds and every request's `serving()` waits on this lock,
+        // so the guard goes first.
+        drop(serving);
+        drop(retired);
         Ok(new_epoch)
     }
 
@@ -262,11 +267,6 @@ impl QueryService {
         }
         *slot = Some(Arc::new(map));
         Ok(())
-    }
-
-    /// A point-in-time snapshot of the service counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.snapshot(&self.shared.serving())
     }
 
     /// A point-in-time deep snapshot: the flat counters plus per-stage

@@ -250,12 +250,6 @@ impl ShardedDeployment {
         ShardedClient::connect(&self.addrs, &self.publication)
     }
 
-    /// Per-shard counter snapshots for the shards still running, in
-    /// shard-id order.
-    pub fn stats(&self) -> Vec<StatsSnapshot> {
-        self.services.iter().flatten().map(|s| s.stats()).collect()
-    }
-
     /// Per-shard deep stats for the shards still running, in shard-id
     /// order.
     pub fn stats_deep(&self) -> Vec<StatsDeep> {

@@ -25,12 +25,12 @@ fn owner_setup(n: usize, dims: usize, seed: u64) -> (Dataset, Server, SignatureS
 /// Drain-time counters (`requests_served`, per-kind histograms) commit when
 /// the reactor finishes writing each reply frame — an instant *after* the
 /// client's read returns. Same-connection wire scrapes are ordered behind
-/// that drain, but in-process `service.stats()` readers race it, so they
-/// poll until the expected request count lands.
+/// that drain, but in-process `service.stats_deep()` readers race it, so
+/// they poll until the expected request count lands.
 fn stats_once_served(service: &QueryService, served: u64) -> vaq_wire::StatsSnapshot {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = service.stats();
+        let stats = service.stats_deep().snapshot;
         if stats.requests_served >= served || std::time::Instant::now() >= deadline {
             return stats;
         }
@@ -110,8 +110,8 @@ fn repeated_queries_hit_the_response_cache() {
     let verifier = scheme.verifier();
     let query = Query::top_k(vec![0.4], 4);
 
-    let first = client.query(&query).unwrap();
-    let second = client.query(&query).unwrap();
+    let (_, first) = client.query(None, &query).unwrap();
+    let (_, second) = client.query(None, &query).unwrap();
     // The cached response is byte-identical, so it decodes equal and still
     // verifies.
     assert_eq!(first.records, second.records);
@@ -130,7 +130,7 @@ fn repeated_queries_hit_the_response_cache() {
     assert_eq!(stats.cache_misses, 1);
 
     // A structurally different query misses.
-    client.query(&Query::top_k(vec![0.4], 5)).unwrap();
+    client.query(None, &Query::top_k(vec![0.4], 5)).unwrap();
     let stats = client.stats_deep().unwrap().snapshot;
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.cache_misses, 2);
@@ -174,7 +174,7 @@ fn batches_round_trip_and_verify() {
         Query::range(vec![0.3], 0.1, 0.8),
         Query::knn(vec![0.5], 2, 0.4),
     ];
-    let responses = client.batch(&queries).unwrap();
+    let responses = client.batch(None, &queries).unwrap();
     assert_eq!(responses.len(), queries.len());
     for (query, response) in queries.iter().zip(&responses) {
         client::verify(
@@ -192,9 +192,9 @@ fn batches_round_trip_and_verify() {
     // batch recomputes nothing.
     let before = client.stats_deep().unwrap().snapshot;
     assert_eq!(before.cache_misses, queries.len() as u64);
-    let single = client.query(&queries[0]).unwrap();
+    let (_, single) = client.query(None, &queries[0]).unwrap();
     assert_eq!(single.records, responses[0].records);
-    client.batch(&queries).unwrap();
+    client.batch(None, &queries).unwrap();
     let after = client.stats_deep().unwrap().snapshot;
     assert_eq!(after.cache_misses, before.cache_misses, "no recomputation");
     assert_eq!(
@@ -204,11 +204,11 @@ fn batches_round_trip_and_verify() {
 
     // An epoch-pinned batch at the serving epoch answers identically; a
     // stale pin is refused typed.
-    let pinned = client.batch_at(service.epoch().get(), &queries).unwrap();
+    let pinned = client.batch(Some(service.epoch().get()), &queries).unwrap();
     assert_eq!(pinned.len(), queries.len());
     assert_eq!(pinned[0].records, responses[0].records);
     let err = client
-        .batch_at(service.epoch().next().get(), &queries)
+        .batch(Some(service.epoch().next().get()), &queries)
         .expect_err("wrong pin");
     assert!(err.is_stale_epoch(), "expected stale-epoch, got {err}");
     service.shutdown();
@@ -229,7 +229,7 @@ fn a_batch_longer_than_the_connection_backlog_is_answered_in_order() {
         .map(|i| Query::top_k(vec![(i % 7) as f64 / 7.0], i % 12 + 1))
         .collect();
 
-    let answers = client.batch(&queries).expect("a long batch");
+    let answers = client.batch(None, &queries).expect("a long batch");
     assert_eq!(answers.len(), N);
     for (i, (query, answer)) in queries.iter().zip(&answers).enumerate() {
         assert_eq!(answer.records.len(), i % 12 + 1, "answer {i} out of order");
@@ -256,8 +256,8 @@ fn empty_batches_send_nothing_and_answer_empty() {
     let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
 
-    assert!(client.batch(&[]).expect("empty batch").is_empty());
-    let pinned = client.batch_at(service.epoch().get(), &[]);
+    assert!(client.batch(None, &[]).expect("empty batch").is_empty());
+    let pinned = client.batch(Some(service.epoch().get()), &[]);
     assert!(pinned.expect("empty pinned batch").is_empty());
 
     // The scrape is the first frame the service sees on this connection.
@@ -300,7 +300,10 @@ fn mismatched_batch_arity_is_a_typed_protocol_violation() {
 
     let mut client = ServiceClient::connect(addr).unwrap();
     let queries = vec![Query::top_k(vec![0.7], 3), Query::top_k(vec![0.2], 2)];
-    match client.batch(&queries).expect_err("half-answered batch") {
+    match client
+        .batch(None, &queries)
+        .expect_err("half-answered batch")
+    {
         ServiceError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
         other => panic!("expected the closed-connection error, got {other}"),
     }
@@ -337,7 +340,7 @@ fn unpinned_batches_never_span_two_epochs() {
     let mut client = ServiceClient::connect(addr).unwrap();
     let queries = vec![Query::top_k(vec![0.7], 3), Query::top_k(vec![0.2], 2)];
     match client
-        .batch(&queries)
+        .batch(None, &queries)
         .expect_err("a batch across two epochs")
     {
         ServiceError::StaleEpoch { expected, got } => assert_eq!((expected, got), (3, 4)),
@@ -370,7 +373,7 @@ fn out_of_domain_and_non_finite_queries_get_a_typed_bad_query() {
                 Query::knn(at(0.5), 2, f64::NAN),
             ];
             for query in &refused {
-                match client.query(query).expect_err("refused") {
+                match client.query(None, query).expect_err("refused") {
                     ServiceError::Remote(reply) => {
                         assert_eq!(reply.code, ErrorCode::BadQuery, "{query}: {reply:?}")
                     }
@@ -398,7 +401,7 @@ fn wrong_dimensionality_gets_a_typed_bad_query_reply() {
     let service = QueryService::bind(ServiceConfig::ephemeral(), server).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
 
-    let err = client.query(&Query::top_k(vec![0.5], 2)).unwrap_err();
+    let err = client.query(None, &Query::top_k(vec![0.5], 2)).unwrap_err();
     match err {
         ServiceError::Remote(reply) => {
             assert_eq!(reply.code, ErrorCode::BadQuery);
@@ -626,7 +629,7 @@ fn concurrent_batches_and_singles_share_per_item_cache_entries() {
         let mut client = ServiceClient::connect(addr).expect("connect");
         threads.push(std::thread::spawn(move || {
             barrier.wait();
-            client.batch(&batch).expect("batch").len()
+            client.batch(None, &batch).expect("batch").len()
         }));
     }
     for _ in 0..SINGLE_CLIENTS {
@@ -635,7 +638,7 @@ fn concurrent_batches_and_singles_share_per_item_cache_entries() {
         let mut client = ServiceClient::connect(addr).expect("connect");
         threads.push(std::thread::spawn(move || {
             barrier.wait();
-            client.query(&query).expect("single query");
+            client.query(None, &query).expect("single query");
             1
         }));
     }
@@ -644,7 +647,7 @@ fn concurrent_batches_and_singles_share_per_item_cache_entries() {
     }
 
     // Every item lookup is accounted: 2 per batch, 1 per single.
-    let before = service.stats();
+    let before = service.stats_deep().snapshot;
     assert_eq!(
         before.cache_hits + before.cache_misses,
         (2 * BATCH_CLIENTS + SINGLE_CLIENTS) as u64
@@ -656,7 +659,7 @@ fn concurrent_batches_and_singles_share_per_item_cache_entries() {
     let mut client = ServiceClient::connect(addr).unwrap();
     let query_c = Query::range(vec![0.75], -1.0, 2.0);
     client
-        .batch(&[query_a.clone(), query_c.clone()])
+        .batch(None, &[query_a.clone(), query_c.clone()])
         .expect("changed batch");
     let asked = 2 * BATCH_CLIENTS + SINGLE_CLIENTS + 2;
     let stats = stats_once_served(&service, asked as u64);
@@ -728,7 +731,7 @@ fn republish_races_inflight_identical_queries_without_mixing_epochs() {
                 let mut epochs_seen = Vec::new();
                 for round in 0..QUERIES_PER_CLIENT {
                     let (epoch, response) = client
-                        .query_with_epoch(&query)
+                        .query(None, &query)
                         .unwrap_or_else(|e| panic!("client {i} round {round}: {e}"));
                     // The response must be internally consistent with its
                     // own stamp: records, VO and signatures all from one
@@ -983,7 +986,7 @@ fn connection_fatal_error_reply_desyncs_the_client() {
 
     // 50 weights encode to well over the 64-byte frame limit.
     let oversized = Query::top_k(vec![0.5; 50], 2);
-    match client.query(&oversized).unwrap_err() {
+    match client.query(None, &oversized).unwrap_err() {
         ServiceError::Remote(reply) => assert_eq!(reply.code, ErrorCode::FrameTooLarge),
         other => panic!("expected a remote FrameTooLarge, got {other}"),
     }
@@ -1014,7 +1017,7 @@ fn rejected_frames_still_count_inbound_bytes() {
     let service =
         QueryService::bind(ServiceConfig::ephemeral().max_frame_bytes(1024), server).unwrap();
     let addr = service.local_addr();
-    let before = service.stats().bytes_in;
+    let before = service.stats_deep().snapshot.bytes_in;
 
     // Garbage: 12 bytes of non-VAQ1 traffic.
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -1035,7 +1038,7 @@ fn rejected_frames_still_count_inbound_bytes() {
     // Both rejected frames consumed at least their 10-byte headers.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let after = service.stats().bytes_in;
+        let after = service.stats_deep().snapshot.bytes_in;
         if after >= before + 20 {
             break;
         }

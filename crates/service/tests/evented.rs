@@ -50,8 +50,12 @@ fn await_eof(stream: &mut TcpStream) -> Instant {
 /// Polls the in-process counters (no traffic) until `done` holds.
 fn settle(service: &QueryService, mut done: impl FnMut(&vaq_wire::StatsSnapshot) -> bool) {
     let deadline = Instant::now() + HANG;
-    while !done(&service.stats()) {
-        assert!(Instant::now() < deadline, "{:?}", service.stats());
+    while !done(&service.stats_deep().snapshot) {
+        assert!(
+            Instant::now() < deadline,
+            "{:?}",
+            service.stats_deep().snapshot
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -102,7 +106,7 @@ fn replies_past_the_socket_buffers_resume_when_the_peer_reads() {
         last = stats.bytes_out;
         stuck
     });
-    let served = service.stats().requests_served;
+    let served = service.stats_deep().snapshot.requests_served;
     assert!(
         served < N as u64,
         "the socket never filled: {served} served"
@@ -160,7 +164,7 @@ fn a_deep_pipeline_holds_up_another_connection_for_a_backlog_not_its_whole_burst
         .collect();
     a.write_all(&burst).unwrap();
     b.ping().unwrap();
-    let computed = service.stats().cache_misses;
+    let computed = service.stats_deep().snapshot.cache_misses;
     assert!(
         computed < N,
         "B's ping waited for all {computed} of A's queries"
@@ -238,7 +242,7 @@ fn a_shed_peer_that_keeps_sending_holds_up_no_one_else() {
                 }
             }
         });
-        let before = service.stats().bytes_in;
+        let before = service.stats_deep().snapshot.bytes_in;
         settle(&service, |stats| stats.bytes_in > before + (256 << 10));
         client(&service)
             .ping()

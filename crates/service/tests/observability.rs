@@ -38,23 +38,34 @@ fn owner_setup(n: usize, seed: u64) -> (Dataset, Server) {
 /// issued).
 fn drive_mixed_workload(client: &mut ServiceClient) -> (u64, u64) {
     let topk = Query::top_k(vec![0.5], 3);
-    client.query(&topk).expect("topk");
-    client.query(&topk).expect("repeated topk hits the cache");
-    client.query(&Query::top_k(vec![0.25], 2)).expect("topk");
+    client.query(None, &topk).expect("topk");
     client
-        .query(&Query::range(vec![0.5], 0.0, 10.0))
+        .query(None, &topk)
+        .expect("repeated topk hits the cache");
+    client
+        .query(None, &Query::top_k(vec![0.25], 2))
+        .expect("topk");
+    client
+        .query(None, &Query::range(vec![0.5], 0.0, 10.0))
         .expect("range");
     client
-        .query(&Query::range(vec![0.75], -5.0, 5.0))
+        .query(None, &Query::range(vec![0.75], -5.0, 5.0))
         .expect("range");
-    client.query(&Query::knn(vec![0.5], 2, 1.0)).expect("knn");
-    client.query(&Query::knn(vec![0.25], 1, 0.5)).expect("knn");
     client
-        .batch(&[
-            Query::top_k(vec![0.125], 1),
-            Query::range(vec![0.5], 0.0, 1.0),
-            Query::knn(vec![0.75], 1, 2.0),
-        ])
+        .query(None, &Query::knn(vec![0.5], 2, 1.0))
+        .expect("knn");
+    client
+        .query(None, &Query::knn(vec![0.25], 1, 0.5))
+        .expect("knn");
+    client
+        .batch(
+            None,
+            &[
+                Query::top_k(vec![0.125], 1),
+                Query::range(vec![0.5], 0.0, 1.0),
+                Query::knn(vec![0.75], 1, 2.0),
+            ],
+        )
         .expect("batch");
     // A batch item is a request of its own: 7 + 3 requests, each one a
     // cache-probed query.
@@ -265,7 +276,9 @@ fn error_replies_break_out_per_code() {
     for code in ErrorCode::ALL {
         let provoked = match code {
             ErrorCode::Malformed => Some(raw(b"GET / HTTP/1.1\r\n\r\n")),
-            ErrorCode::BadQuery => Some(remote(client.query(&Query::top_k(vec![2.0], 2)).err())),
+            ErrorCode::BadQuery => Some(remote(
+                client.query(None, &Query::top_k(vec![2.0], 2)).err(),
+            )),
             ErrorCode::FrameTooLarge => Some(raw(&vaq_wire::frame_header(1 << 30))),
             // Only a panic inside query processing, or an answer too large
             // to frame, is answered Internal: no request provokes it.
@@ -274,7 +287,7 @@ fn error_replies_break_out_per_code() {
             ErrorCode::ShuttingDown => None,
             ErrorCode::NotSharded => Some(remote(client.shard_info().err())),
             ErrorCode::StaleEpoch => Some(remote(
-                client.query_at(7, &Query::top_k(vec![0.5], 2)).err(),
+                client.query(Some(7), &Query::top_k(vec![0.5], 2)).err(),
             )),
             // A connection limit or a reader that stops reading:
             // `shed_connections_get_a_typed_overloaded_reply` and
@@ -297,7 +310,7 @@ fn error_replies_break_out_per_code() {
         );
     }
     client
-        .query(&Query::top_k(vec![0.5], 2))
+        .query(None, &Query::top_k(vec![0.5], 2))
         .expect("healthy after errors");
 
     let stats = service.shutdown();
@@ -320,8 +333,8 @@ fn cache_gauges_and_uptime_are_scraped_and_monotone() {
     assert_eq!(before.cache_entries, 0);
     assert_eq!(before.cache_bytes, 0);
 
-    client.query(&Query::top_k(vec![0.5], 3)).unwrap();
-    client.query(&Query::top_k(vec![0.25], 2)).unwrap();
+    client.query(None, &Query::top_k(vec![0.5], 3)).unwrap();
+    client.query(None, &Query::top_k(vec![0.25], 2)).unwrap();
     let after = client.stats_deep().unwrap().snapshot;
     assert_eq!(after.cache_entries, 2, "both responses stay resident");
     assert!(after.cache_bytes > 0);
@@ -344,8 +357,10 @@ fn slow_request_log_emits_structured_json_lines() {
         .slow_log_sink(sink);
     let service = QueryService::bind(config, server).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
-    client.query(&Query::top_k(vec![0.5], 2)).unwrap();
-    client.query(&Query::range(vec![0.5], 0.0, 5.0)).unwrap();
+    client.query(None, &Query::top_k(vec![0.5], 2)).unwrap();
+    client
+        .query(None, &Query::range(vec![0.5], 0.0, 5.0))
+        .unwrap();
     service.shutdown();
 
     let log = String::from_utf8(buffer.lock().clone()).expect("utf-8 log");

@@ -21,7 +21,7 @@ fn republished_service_serves_proofs_that_verify_at_the_new_epoch_only() {
         let mut client = ServiceClient::connect(service.local_addr()).expect("connect");
         let query = Query::top_k(vec![0.5], 3);
 
-        let (epoch, resp) = client.query_with_epoch(&query).expect("query at epoch 0");
+        let (epoch, resp) = client.query(None, &query).expect("query at epoch 0");
         assert_eq!(epoch, 0);
         verify_at_epoch(
             &query,
@@ -40,7 +40,7 @@ fn republished_service_serves_proofs_that_verify_at_the_new_epoch_only() {
 
         // Post-swap, the served interior proof must be the new epoch's:
         // the response verifies at epoch 1 and at no other epoch.
-        let (epoch, resp) = client.query_with_epoch(&query).expect("query at epoch 1");
+        let (epoch, resp) = client.query(None, &query).expect("query at epoch 1");
         assert_eq!(epoch, 1, "{mode:?}: envelope stamp must advance");
         verify_at_epoch(
             &query,
@@ -118,7 +118,7 @@ fn republish_that_changes_records_serves_their_new_bytes_at_the_new_epoch() {
                         _ => Query::knn(weights, 3, 0.5),
                     };
                     let sent_after_swap = swapped.load(Ordering::SeqCst);
-                    let (epoch, resp) = client.query_with_epoch(&query).unwrap();
+                    let (epoch, resp) = client.query(None, &query).unwrap();
                     assert!(epoch <= 1 && (epoch == 1 || !sent_after_swap));
                     let dataset = &datasets[epoch as usize];
                     for record in &resp.records {

@@ -14,7 +14,7 @@ use vaq_service::{
     ShardedPublication,
 };
 use vaq_wire::WireEncode;
-use vaq_workload::{uniform_dataset, QueryGenerator, QueryMix, WorkItem};
+use vaq_workload::{uniform_dataset, QueryGenerator, QueryMix};
 
 const SHARDS: usize = 3;
 
@@ -55,18 +55,21 @@ fn query_suite(dataset: &Dataset, seed: u64) -> Vec<Query> {
 }
 
 /// Starts `clients` threads, each a [`ShardedClient`] connected at the
-/// deployment's current epoch and issuing `requests` seeded items of `mix`.
-/// A sharded call is verified end to end or it errors; a typed stale-epoch
-/// rejection (the owner republished mid-run) is ridden with `refresh()` and a
-/// bounded retry, and any other error fails the run. Each thread returns the
-/// items it completed; [`join_load`] gathers them.
+/// deployment's current epoch and issuing `requests` seeded requests drawn
+/// from `mix`. With `batches`, every second request is a batch of
+/// `2 + index % 3` queries. A sharded call is verified end to end or it
+/// errors; a typed stale-epoch rejection (the owner republished mid-run) is
+/// ridden with `refresh()` and a bounded retry, and any other error fails
+/// the run. Each thread returns the queries of every request it completed;
+/// [`join_load`] gathers them.
 fn spawn_load(
     deployment: &ShardedDeployment,
     dataset: &Dataset,
     mix: &QueryMix,
+    batches: bool,
     clients: u64,
     requests: u64,
-) -> Vec<std::thread::JoinHandle<Vec<WorkItem>>> {
+) -> Vec<std::thread::JoinHandle<Vec<Vec<Query>>>> {
     let spawn_one = |i: u64| {
         let mut client = deployment.client().expect("load client connects");
         let mut generator = QueryGenerator::new(dataset, 0x10ad + i);
@@ -74,17 +77,19 @@ fn spawn_load(
         std::thread::spawn(move || {
             let mut done = Vec::new();
             for index in 0..requests {
-                let item = mix.generate_item(&mut generator, index);
+                let size = if batches && index % 2 == 1 {
+                    2 + index % 3
+                } else {
+                    1
+                };
+                let queries: Vec<Query> = (index..index + size)
+                    .map(|at| spec_to_query(&mix.generate(&mut generator, at)))
+                    .collect();
                 let mut stale_retries = 0;
                 loop {
-                    let outcome = match &item {
-                        WorkItem::Single(spec) => {
-                            client.query_verified(&spec_to_query(spec)).map(drop)
-                        }
-                        WorkItem::Batch(specs) => {
-                            let queries: Vec<Query> = specs.iter().map(spec_to_query).collect();
-                            client.batch_verified(&queries).map(drop)
-                        }
+                    let outcome = match queries.as_slice() {
+                        [query] => client.query_verified(query).map(drop),
+                        batch => client.batch_verified(batch).map(drop),
                     };
                     match outcome {
                         Ok(()) => break,
@@ -98,7 +103,7 @@ fn spawn_load(
                         Err(e) => panic!("client {i} request {index}: {e}"),
                     }
                 }
-                done.push(item);
+                done.push(queries);
             }
             done
         })
@@ -106,8 +111,9 @@ fn spawn_load(
     (0..clients).map(spawn_one).collect()
 }
 
-/// Joins a [`spawn_load`] run: every item its clients completed, verified.
-fn join_load(threads: Vec<std::thread::JoinHandle<Vec<WorkItem>>>) -> Vec<WorkItem> {
+/// Joins a [`spawn_load`] run: every request its clients completed,
+/// verified, as the queries it carried.
+fn join_load(threads: Vec<std::thread::JoinHandle<Vec<Vec<Query>>>>) -> Vec<Vec<Query>> {
     let join = |t: std::thread::JoinHandle<_>| t.join().expect("load client thread");
     threads.into_iter().flat_map(join).collect()
 }
@@ -133,8 +139,8 @@ fn sharded_answers_match_a_single_server_byte_for_byte() {
         let merged = sharded_client
             .query_verified(&query)
             .unwrap_or_else(|e| panic!("sharded {query}: {e}"));
-        let single_response = single_client
-            .query(&query)
+        let (_, single_response) = single_client
+            .query(None, &query)
             .unwrap_or_else(|e| panic!("single {query}: {e}"));
 
         assert_eq!(
@@ -202,7 +208,9 @@ fn sharded_batches_match_an_unsharded_batch_byte_for_byte() {
     let merged = sharded_client
         .batch_verified(&queries)
         .expect("sharded batch");
-    let unsharded = single_client.batch(&queries).expect("unsharded batch");
+    let unsharded = single_client
+        .batch(None, &queries)
+        .expect("unsharded batch");
     assert_eq!(merged.len(), queries.len());
     assert_eq!(unsharded.len(), queries.len());
 
@@ -285,20 +293,23 @@ fn sharded_batch_racing_republish_converges_without_mixing_epochs() {
     // Every second request carries a 2..4-query batch. A verification
     // failure (or any error but a ridden stale-epoch rejection) panics its
     // client thread and fails the join.
-    let mix = QueryMix::weighted(2, 1, 1).with_batches(4, 2, 4);
-    let load = spawn_load(&deployment, &dataset, &mix, 3, 24);
+    let load = spawn_load(
+        &deployment,
+        &dataset,
+        &QueryMix::weighted(2, 1, 1),
+        true,
+        3,
+        24,
+    );
     std::thread::sleep(Duration::from_millis(120));
     assert_eq!(deployment.republish(&updated).expect("live republish"), 1);
 
     let done = join_load(load);
     assert_eq!(done.len(), 72);
-    let batches: Vec<&WorkItem> = done
-        .iter()
-        .filter(|item| matches!(item, WorkItem::Batch(_)))
-        .collect();
-    assert!(!batches.is_empty(), "the mix must issue batches");
-    let verified: usize = done.iter().map(WorkItem::query_count).sum();
-    let batch_queries: usize = batches.iter().map(|batch| batch.query_count()).sum();
+    let batches: Vec<&Vec<Query>> = done.iter().filter(|request| request.len() > 1).collect();
+    assert!(!batches.is_empty(), "the load must issue batches");
+    let verified: usize = done.iter().map(Vec::len).sum();
+    let batch_queries: usize = batches.iter().map(|batch| batch.len()).sum();
     assert_eq!(
         verified,
         done.len() - batches.len() + batch_queries,
@@ -348,7 +359,7 @@ fn sharded_deployment_works_in_two_dimensions() {
         let merged = sharded_client
             .query_verified(&query)
             .unwrap_or_else(|e| panic!("sharded {query}: {e}"));
-        let single_response = single_client.query(&query).unwrap();
+        let (_, single_response) = single_client.query(None, &query).unwrap();
         assert_eq!(merged.records, single_response.records, "{query}");
     }
     single.shutdown();
@@ -504,7 +515,10 @@ fn launching_zero_shards_or_more_shards_than_records_is_a_typed_error() {
     }
     let mut client = deployment.client().expect("connect at epoch 0");
     client.query_verified(&Query::top_k(vec![0.4], 3)).unwrap();
-    assert!(deployment.stats().iter().all(|stats| stats.epoch == 0));
+    assert!(deployment
+        .stats_deep()
+        .iter()
+        .all(|deep| deep.snapshot.epoch == 0));
     deployment.shutdown();
 }
 
@@ -681,16 +695,20 @@ fn response_signed_under_a_superseded_epoch_is_rejected() {
     )
     .unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
-    client.query_at(0, &query).expect("pin at epoch 0 serves");
+    client
+        .query(Some(0), &query)
+        .expect("pin at epoch 0 serves");
     service
         .republish(Server::new(
             dataset.clone(),
             IfmhTree::build_at_epoch(&dataset, SigningMode::MultiSignature, &scheme, 1),
         ))
         .expect("hot swap to epoch 1");
-    let err = client.query_at(0, &query).expect_err("stale pin refused");
+    let err = client
+        .query(Some(0), &query)
+        .expect_err("stale pin refused");
     assert!(err.is_stale_epoch(), "expected stale-epoch, got {err}");
-    let (epoch, fresh) = client.query_with_epoch(&query).expect("unpinned query");
+    let (epoch, fresh) = client.query(None, &query).expect("unpinned query");
     assert_eq!(epoch, 1);
     vaq_authquery::verify_at_epoch(
         &query,
@@ -728,7 +746,14 @@ fn republish_under_live_load_converges_then_a_dead_shard_is_a_typed_error() {
     )
     .unwrap();
 
-    let load = spawn_load(&deployment, &dataset, &QueryMix::weighted(2, 1, 1), 3, 30);
+    let load = spawn_load(
+        &deployment,
+        &dataset,
+        &QueryMix::weighted(2, 1, 1),
+        false,
+        3,
+        30,
+    );
 
     // Republish mid-run while the load keeps coming.
     std::thread::sleep(Duration::from_millis(150));
@@ -736,7 +761,7 @@ fn republish_under_live_load_converges_then_a_dead_shard_is_a_typed_error() {
 
     let done = join_load(load);
     assert_eq!(done.len(), 90, "every answer verified");
-    assert!(done.iter().all(|item| item.query_count() == 1));
+    assert!(done.iter().all(|request| request.len() == 1));
 
     // Every client converged: a fresh map-connected client pins epoch 1,
     // and its merged answers are byte-identical to a fresh unsharded

@@ -12,7 +12,7 @@
 pub mod queries;
 pub mod tables;
 
-pub use queries::{random_point, QueryGenerator, QueryMix, QuerySpec, WorkItem};
+pub use queries::{random_point, QueryGenerator, QueryMix, QuerySpec};
 pub use tables::{
     applicant_table, financial_risk_table, patient_risk_table, uniform_dataset, TableKind,
 };

@@ -155,14 +155,6 @@ impl QueryGenerator {
         }
     }
 
-    /// A uniformly random batch size in `lo..=hi` (used by
-    /// [`QueryMix::generate_item`] to size batch requests deterministically
-    /// from the generator's seed).
-    pub fn batch_size(&mut self, lo: usize, hi: usize) -> usize {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        self.rng.gen_range(lo..=hi)
-    }
-
     /// A mixed batch of queries (round-robin top-k, range, KNN), handy for
     /// integration tests.
     pub fn mixed_batch(&mut self, count: usize, k: usize) -> Vec<QuerySpec> {
@@ -184,34 +176,12 @@ pub fn random_point<R: Rng + ?Sized>(domain: &Domain, rng: &mut R) -> Vec<f64> {
         .collect()
 }
 
-/// One unit of client work drawn from a [`QueryMix`]: a single query or a
-/// batch of queries sent (and answered) in one request.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WorkItem {
-    /// One query, one request.
-    Single(QuerySpec),
-    /// A batch of queries answered in order by one request.
-    Batch(Vec<QuerySpec>),
-}
-
-impl WorkItem {
-    /// How many queries this item carries (a batch counts its members).
-    pub fn query_count(&self) -> usize {
-        match self {
-            WorkItem::Single(_) => 1,
-            WorkItem::Batch(specs) => specs.len(),
-        }
-    }
-}
-
 /// A weighted query-kind mix for load generation.
 ///
 /// The mix is deterministic: request `index` gets its shape from the index's
-/// position in the repeating `topk : range : knn : batch` proportion cycle,
-/// so two runs with equal seeds issue identical query streams — which is
-/// what makes load-test results and cache-hit counts reproducible. Batch
-/// parts default to zero, so a mix without batches behaves exactly as
-/// before.
+/// position in the repeating `topk : range : knn` proportion cycle, so two
+/// runs with equal seeds issue identical query streams — which is what
+/// makes load-test results and cache-hit counts reproducible.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryMix {
     /// Parts of top-k queries in the cycle.
@@ -220,14 +190,6 @@ pub struct QueryMix {
     pub range: u32,
     /// Parts of KNN queries in the cycle.
     pub knn: u32,
-    /// Parts of batch requests in the cycle (0 = no batches). Each batch
-    /// request carries [`QueryMix::batch_min`]..=[`QueryMix::batch_max`]
-    /// queries drawn from the single-query proportions.
-    pub batch: u32,
-    /// Smallest batch size drawn (clamped to at least 1).
-    pub batch_min: usize,
-    /// Largest batch size drawn (clamped to at least `batch_min`).
-    pub batch_max: usize,
     /// `k` used for top-k and KNN queries.
     pub k: usize,
     /// Range-query width as a fraction of the observed score spread.
@@ -235,16 +197,12 @@ pub struct QueryMix {
 }
 
 impl Default for QueryMix {
-    /// A balanced 1:1:1 single-query mix (no batches) with `k = 3` and 20%
-    /// range width.
+    /// A balanced 1:1:1 mix with `k = 3` and 20% range width.
     fn default() -> Self {
         QueryMix {
             topk: 1,
             range: 1,
             knn: 1,
-            batch: 0,
-            batch_min: 2,
-            batch_max: 8,
             k: 3,
             range_width: 0.2,
         }
@@ -263,37 +221,13 @@ impl QueryMix {
         }
     }
 
-    /// Adds batch requests to the mix: `batch` parts per cycle, each batch
-    /// carrying a size drawn uniformly from `batch_min..=batch_max`
-    /// (clamped sane) queries in the mix's single-query proportions.
-    pub fn with_batches(mut self, batch: u32, batch_min: usize, batch_max: usize) -> Self {
-        self.batch = batch;
-        self.batch_min = batch_min.max(1);
-        self.batch_max = batch_max.max(self.batch_min);
-        self
-    }
-
-    /// Total parts in one proportion cycle, batches included (at least 1).
-    pub fn cycle_len(&self) -> u64 {
-        self.single_cycle_len() + u64::from(self.batch)
-    }
-
-    /// Parts of the cycle producing single queries.
-    fn single_cycle_len(&self) -> u64 {
-        u64::from(self.topk) + u64::from(self.range) + u64::from(self.knn)
-    }
-
-    /// Draws the single query at `index` of the deterministic
-    /// `topk : range : knn` sub-stream (batch parts play no role here; this
-    /// is also what each batch member is drawn from).
+    /// Draws the query at `index` of the deterministic `topk : range : knn`
+    /// stream.
     ///
-    /// Panics if every single-query weight is zero.
+    /// Panics if every weight is zero.
     pub fn generate(&self, generator: &mut QueryGenerator, index: u64) -> QuerySpec {
-        let cycle = self.single_cycle_len();
-        assert!(
-            cycle > 0,
-            "query mix needs at least one non-zero single-query weight"
-        );
+        let cycle = u64::from(self.topk) + u64::from(self.range) + u64::from(self.knn);
+        assert!(cycle > 0, "query mix needs at least one non-zero weight");
         let slot = index % cycle;
         if slot < u64::from(self.topk) {
             generator.top_k(self.k)
@@ -302,28 +236,6 @@ impl QueryMix {
         } else {
             generator.knn(self.k)
         }
-    }
-
-    /// Draws the work item at `index` of the deterministic request stream:
-    /// single queries in the `topk : range : knn` proportions, with every
-    /// `batch`-in-[`QueryMix::cycle_len`] request expanded into a batch of
-    /// `batch_min..=batch_max` queries drawn from the same single-query
-    /// proportions.
-    ///
-    /// Panics if every single-query weight is zero (a pure-batch mix still
-    /// needs single kinds to fill its batches from).
-    pub fn generate_item(&self, generator: &mut QueryGenerator, index: u64) -> WorkItem {
-        let cycle = self.cycle_len();
-        assert!(cycle > 0, "query mix needs at least one non-zero weight");
-        if index % cycle < self.single_cycle_len() {
-            return WorkItem::Single(self.generate(generator, index % cycle));
-        }
-        let size = generator.batch_size(self.batch_min.max(1), self.batch_max.max(self.batch_min));
-        WorkItem::Batch(
-            (0..size as u64)
-                .map(|i| self.generate(generator, index.wrapping_add(i)))
-                .collect(),
-        )
     }
 }
 
@@ -418,63 +330,6 @@ mod tests {
         let mut g2 = QueryGenerator::new(&ds, 11);
         assert_eq!(g1.top_k(3), g2.top_k(3));
         assert_eq!(g1.range(0.5), g2.range(0.5));
-    }
-
-    #[test]
-    fn batchless_mix_item_stream_matches_the_single_stream() {
-        // With zero batch parts the item stream must be exactly the
-        // historical single-query stream — reproducibility of existing
-        // load-test seeds depends on it.
-        let ds = uniform_dataset(10, 2, 9);
-        let mix = QueryMix::weighted(2, 1, 1);
-        let mut g1 = QueryGenerator::new(&ds, 33);
-        let mut g2 = QueryGenerator::new(&ds, 33);
-        for index in 0..12u64 {
-            assert_eq!(
-                mix.generate_item(&mut g1, index),
-                WorkItem::Single(mix.generate(&mut g2, index)),
-            );
-        }
-    }
-
-    #[test]
-    fn batched_mix_emits_batches_at_the_configured_fraction() {
-        let ds = uniform_dataset(10, 2, 10);
-        let mix = QueryMix::weighted(2, 1, 1).with_batches(1, 2, 5);
-        assert_eq!(mix.cycle_len(), 5);
-        let mut generator = QueryGenerator::new(&ds, 44);
-        let mut batches = 0usize;
-        for index in 0..20u64 {
-            match mix.generate_item(&mut generator, index) {
-                WorkItem::Single(_) => {}
-                WorkItem::Batch(specs) => {
-                    batches += 1;
-                    assert!((2..=5).contains(&specs.len()), "{} queries", specs.len());
-                    // Batch members draw from the single-query kinds.
-                    for spec in &specs {
-                        assert_eq!(spec.weights().len(), 2);
-                    }
-                }
-            }
-        }
-        // Slot 4 of every 5-slot cycle is a batch: indices 4, 9, 14, 19.
-        assert_eq!(batches, 4);
-        assert_eq!(
-            WorkItem::Batch(vec![]).query_count(),
-            0,
-            "query_count counts members"
-        );
-    }
-
-    #[test]
-    fn batch_size_clamps_reversed_bounds() {
-        let ds = uniform_dataset(8, 1, 11);
-        let mut generator = QueryGenerator::new(&ds, 3);
-        for _ in 0..10 {
-            let size = generator.batch_size(6, 2);
-            assert!((2..=6).contains(&size));
-        }
-        assert_eq!(generator.batch_size(4, 4), 4);
     }
 
     #[test]

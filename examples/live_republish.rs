@@ -41,8 +41,8 @@ fn main() {
     // --- User: pinned query at the published epoch ------------------------
     let mut user = ServiceClient::connect(addr).expect("connect");
     let query = Query::top_k(vec![0.7, 0.3], 5);
-    let response = user
-        .query_at(metadata.epoch, &query)
+    let (_, response) = user
+        .query(Some(metadata.epoch), &query)
         .expect("pinned query at epoch 0");
     verify_at_epoch(
         &query,
@@ -73,13 +73,13 @@ fn main() {
     println!("owner: republished at epoch {epoch}; service hot-swapped with a fresh cache");
 
     // --- User: the old pin is refused with a typed error ------------------
-    let stale = user.query_at(0, &query).expect_err("old epoch refused");
+    let stale = user.query(Some(0), &query).expect_err("old epoch refused");
     println!("user: old pin rejected — {stale}");
     assert!(stale.is_stale_epoch());
 
     // The same connection immediately works at the new epoch.
-    let fresh = user
-        .query_at(metadata.epoch, &query)
+    let (_, fresh) = user
+        .query(Some(metadata.epoch), &query)
         .expect("pinned query at epoch 1");
     verify_at_epoch(
         &query,

@@ -64,7 +64,7 @@ fn main() {
         Query::range(vec![0.5, 0.5], 0.2, 0.7),
         Query::knn(vec![0.3, 0.9], 3, 0.5),
     ];
-    let responses = user.batch(&batch).expect("batch answered in order");
+    let responses = user.batch(None, &batch).expect("batch answered in order");
     for (query, response) in batch.iter().zip(&responses) {
         client::verify(
             query,
@@ -82,7 +82,7 @@ fn main() {
     );
 
     // --- Tamper check: a forged record must be caught ---------------------
-    let mut forged = user.query(&query).expect("raw response");
+    let (_, mut forged) = user.query(None, &query).expect("raw response");
     forged.records[0].attrs[0] += 0.05;
     let tampered = client::verify(&query, &forged.records, &forged.vo, &template, &public_key);
     println!(

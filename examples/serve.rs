@@ -42,7 +42,7 @@ fn main() {
     // Serve until killed; report stats periodically so progress is visible.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(10));
-        let stats = service.stats();
+        let stats = service.stats_deep().snapshot;
         println!(
             "epoch {}: served {} requests ({} cache hits, {} errors, {} bytes out)",
             stats.epoch, stats.requests_served, stats.cache_hits, stats.errors, stats.bytes_out

@@ -250,57 +250,6 @@ fn cross_scheme_tamper_detection() {
 }
 
 #[test]
-fn ci_test_filters_each_name_exactly_one_test() {
-    // `cargo test <name>` exits 0 when nothing matches, so a filter in the
-    // workflow that went stale in a rename would silently guard nothing.
-    // Every name after `--` on a `cargo test` line must be exactly one
-    // `fn` in the `--test` files (or, without `--test`, the `src` files)
-    // of the `-p` package that line names; a `module::` filter must be
-    // exactly one source file of that name.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let workflow = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
-    let commands = workflow.replace("\\\n", " ");
-    let mut checked = 0;
-    for line in commands.lines().filter(|l| l.contains("cargo test")) {
-        let words: Vec<&str> = line.split_whitespace().collect();
-        let Some(split) = words.iter().position(|w| *w == "--") else {
-            continue;
-        };
-        let (options, filters) = (&words[..split], &words[split + 1..]);
-        let values_of = |flag: &'static str| {
-            let after_flag = options.windows(2).filter(move |w| w[0] == flag);
-            after_flag.map(|w| w[1])
-        };
-        let package = values_of("-p").next().expect("a filtered line names -p");
-        let crate_dir = root.join("crates").join(package.trim_start_matches("vaq-"));
-        let mut sources: Vec<PathBuf> = values_of("--test")
-            .map(|test| crate_dir.join("tests").join(format!("{test}.rs")))
-            .collect();
-        if sources.is_empty() {
-            let src = fs::read_dir(crate_dir.join("src")).expect("package src dir");
-            sources = src.map(|entry| entry.expect("dir entry").path()).collect();
-            sources.retain(|path| path.extension().is_some_and(|ext| ext == "rs"));
-        }
-        let text: String = sources
-            .iter()
-            .map(|path| fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}")))
-            .collect();
-        for filter in filters {
-            let matches = match filter.strip_suffix("::") {
-                Some(module) => sources
-                    .iter()
-                    .filter(|path| path.file_stem().is_some_and(|stem| stem == module))
-                    .count(),
-                None => text.matches(&format!("fn {filter}(")).count(),
-            };
-            assert_eq!(matches, 1, "ci.yml filter `{filter}` in: {line}");
-            checked += 1;
-        }
-    }
-    assert!(checked > 0, "found no filtered `cargo test` line in ci.yml");
-}
-
-#[test]
 fn unsafe_code_lives_only_in_the_two_reviewed_files() {
     // The root manifest denies the `unsafe` lint for every member, tests
     // and examples included, so the compiler refuses the keyword wherever
