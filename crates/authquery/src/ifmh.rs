@@ -4,11 +4,12 @@
 //!
 //! 1. build an I-tree over the dataset's functions (one subdomain per region
 //!    with a fixed sort order),
-//! 2. build an FMH-tree (Merkle tree with `f_min` / `f_max` sentinels) over
-//!    every subdomain's sorted record list — all of them in one
-//!    [`MerkleForest`], where the subtrees that neighbouring subdomains have
-//!    in common (their lists differ by one transposition) are hashed and
-//!    stored once; each subdomain keeps the id of its tree,
+//! 2. sort the records at every subdomain's witness ([`ITree::order`]) and
+//!    hand the list straight to one [`MerkleForest`] of FMH-trees (Merkle
+//!    trees with `f_min` / `f_max` sentinels), where the subtrees that
+//!    neighbouring subdomains have in common (their lists differ by one
+//!    transposition) are hashed and stored once. The forest is the only
+//!    copy of each order: a subdomain keeps the id of its tree,
 //! 3. propagate hash values bottom-up through the I-tree — a subdomain
 //!    node's hash is (a binding of) its FMH root, an intersection node's
 //!    hash combines its children's hashes — yielding the IMH-tree,
@@ -24,7 +25,7 @@ use crate::vo::{
 use std::collections::HashMap;
 use vaq_crypto::sha256::Digest;
 use vaq_crypto::{Signature, Signer};
-use vaq_funcdb::{Dataset, LpSplitOracle};
+use vaq_funcdb::{inequality_set_digest, Dataset, FuncId, LpSplitOracle};
 use vaq_itree::{BuildStats, ITree, ITreeBuilder, Node, NodeId};
 use vaq_mht::{ForestTree, LeafId, MerkleForest, MerkleForestBuilder, TreeId};
 
@@ -41,6 +42,10 @@ pub struct IfmhTree {
     /// The FMH-tree of each subdomain node, indexed by I-tree node id
     /// (`None` at intersection nodes).
     pub(crate) fmh_ids: Vec<Option<TreeId>>,
+    /// The record each interned FMH leaf stands for, indexed by
+    /// [`LeafId::index`]: records whose bytes are equal share one leaf, which
+    /// names the first of them.
+    pub(crate) leaf_records: Vec<FuncId>,
     /// IMH hash per I-tree node (indexed by node id).
     pub(crate) node_hashes: Vec<Digest>,
     pub(crate) mode: SigningMode,
@@ -93,35 +98,39 @@ impl IfmhTree {
 
         // Step 2: an FMH-tree per subdomain, in one forest. Every record's
         // digest and the two sentinels' are computed and interned once; each
-        // is one hash operation.
+        // is one hash operation. The records take the forest's first slots.
         let mut forest = MerkleForestBuilder::default();
-        let records = dataset.records.iter().map(|r| forest.leaf(r.digest()));
-        let records: Vec<LeafId> = records.collect();
+        let mut leaf_records = Vec::new();
+        let mut records: Vec<LeafId> = Vec::with_capacity(dataset.len());
+        for (index, record) in dataset.records.iter().enumerate() {
+            let leaf = forest.leaf(record.digest());
+            if leaf.index() == leaf_records.len() {
+                leaf_records.push(FuncId(index as u32));
+            }
+            records.push(leaf);
+        }
         let min_leaf = forest.leaf(min_sentinel_digest());
         let max_leaf = forest.leaf(max_sentinel_digest());
         hash_ops += records.len() + 2;
         let mut fmh_ids = vec![None; itree.node_count()];
         for &leaf in itree.leaf_ids() {
-            let sorted = itree.sorted_list(leaf).iter().map(|id| records[id.index()]);
+            let order = itree.order(&dataset.functions, leaf);
+            let sorted = order.iter().map(|id| records[id.index()]);
             let leaves = std::iter::once(min_leaf).chain(sorted).chain([max_leaf]);
             fmh_ids[leaf.index()] = Some(forest.insert(leaves));
         }
         let fmh = forest.finish();
         hash_ops += fmh.build_hash_ops;
 
-        // Step 3: propagate hashes through the I-tree (iterative post-order).
+        // Step 3: propagate hashes through the I-tree, children before
+        // their parent: a child's id is greater than its parent's.
         let mut node_hashes = vec![[0u8; 32]; itree.node_count()];
-        let mut computed = vec![false; itree.node_count()];
-        let mut stack: Vec<NodeId> = vec![itree.root()];
-        while let Some(&top) = stack.last() {
-            match itree.node(top) {
+        for index in (0..itree.node_count()).rev() {
+            node_hashes[index] = match itree.node(NodeId(index as u32)) {
                 Node::Subdomain { .. } => {
-                    let tree = fmh.tree(fmh_ids[top.index()].expect("a leaf has an FMH tree"));
-                    node_hashes[top.index()] =
-                        subdomain_node_hash(&tree.root(), tree.leaf_count() as u32);
+                    let tree = fmh.tree(fmh_ids[index].expect("a leaf has an FMH tree"));
                     hash_ops += 1;
-                    computed[top.index()] = true;
-                    stack.pop();
+                    subdomain_node_hash(&tree.root(), tree.leaf_count() as u32)
                 }
                 Node::Intersection {
                     pair,
@@ -130,28 +139,12 @@ impl IfmhTree {
                     above,
                     below,
                 } => {
-                    let a_done = computed[above.index()];
-                    let b_done = computed[below.index()];
-                    if a_done && b_done {
-                        let pred = predicate_digest((pair.0 .0, pair.1 .0), coeffs, *constant);
-                        node_hashes[top.index()] = intersection_node_hash(
-                            &pred,
-                            &node_hashes[above.index()],
-                            &node_hashes[below.index()],
-                        );
-                        hash_ops += 2;
-                        computed[top.index()] = true;
-                        stack.pop();
-                    } else {
-                        if !a_done {
-                            stack.push(*above);
-                        }
-                        if !b_done {
-                            stack.push(*below);
-                        }
-                    }
+                    let pred = predicate_digest((pair.0 .0, pair.1 .0), coeffs, *constant);
+                    let (above, below) = (&node_hashes[above.index()], &node_hashes[below.index()]);
+                    hash_ops += 2;
+                    intersection_node_hash(&pred, above, below)
                 }
-            }
+            };
         }
 
         // Step 4: sign.
@@ -168,15 +161,20 @@ impl IfmhTree {
                 signatures = 1;
             }
             SigningMode::MultiSignature => {
-                // The per-subdomain signatures are independent: collect the
-                // digests and sign them in one call, which the signer may
+                // Each subdomain's inequalities are the half-spaces of its
+                // path, read in one walk over the tree. The per-subdomain
+                // signatures are independent: collect the digests and sign
+                // them in one call, in leaf order, which the signer may
                 // spread over the machine's cores.
+                let mut inequalities = vec![[0u8; 32]; itree.node_count()];
+                itree.for_each_region(|leaf, halfspaces| {
+                    inequalities[leaf.index()] = inequality_set_digest(halfspaces);
+                    hash_ops += 1 + halfspaces.len();
+                });
                 let mut bound_digests = Vec::with_capacity(itree.leaf_ids().len());
                 for &leaf in itree.leaf_ids() {
-                    let constraints = itree.constraints(leaf);
-                    let ineq = constraints.inequality_digest();
-                    hash_ops += 1 + constraints.halfspaces.len();
-                    let digest = multi_signature_digest(&ineq, &node_hashes[leaf.index()]);
+                    let ineq = &inequalities[leaf.index()];
+                    let digest = multi_signature_digest(ineq, &node_hashes[leaf.index()]);
                     bound_digests.push(epoch_binding_digest(&digest, epoch));
                     hash_ops += 2;
                 }
@@ -189,7 +187,7 @@ impl IfmhTree {
         let sig_size = signer.verifier().signature_size();
         let stats = OwnerStats {
             records: dataset.len(),
-            subdomains: itree.subdomain_count(),
+            subdomains: itree.leaf_ids().len(),
             imh_nodes: itree.node_count(),
             fmh_nodes: fmh.node_count(),
             hash_ops,
@@ -197,6 +195,7 @@ impl IfmhTree {
             structure_bytes: itree.byte_size()
                 + fmh.byte_size()
                 + std::mem::size_of_val(fmh_ids.as_slice())
+                + std::mem::size_of_val(leaf_records.as_slice())
                 + node_hashes.len() * 32
                 + signatures * sig_size,
         };
@@ -205,6 +204,7 @@ impl IfmhTree {
             itree,
             fmh,
             fmh_ids,
+            leaf_records,
             node_hashes,
             mode,
             root_signature,
@@ -261,7 +261,7 @@ impl IfmhTree {
 
     /// Number of subdomains.
     pub fn subdomain_count(&self) -> usize {
-        self.itree.subdomain_count()
+        self.itree.leaf_ids().len()
     }
 
     /// Number of signatures the structure carries.
@@ -351,8 +351,8 @@ mod tests {
         let ds = dataset(4);
         let scheme = SignatureScheme::test_rsa(4);
         let tree = IfmhTree::build(&ds, SigningMode::OneSignature, &scheme);
-        for (id, node) in tree.itree().iter() {
-            match node {
+        for id in (0..tree.itree().node_count() as u32).map(NodeId) {
+            match tree.itree().node(id) {
                 Node::Subdomain { .. } => {
                     let fmh = tree.fmh_tree(id).unwrap();
                     assert_eq!(

@@ -86,7 +86,8 @@ impl Query {
     /// that answers this query, reading `score(i)` (the i-th record's score
     /// in the subdomain's sorted order) only where the search looks: a
     /// top-k query reads none, a range query two bisections, a KNN query one
-    /// bisection and two candidates per record it takes.
+    /// bisection and then, in one call of `scores(positions)`, the at most
+    /// `2k` positions within `k` of where it ended.
     ///
     /// Returns the half-open window of positions. An empty answer is the
     /// empty range `p..p` at the position the answer would have started:
@@ -99,7 +100,12 @@ impl Query {
     /// not hold there, the window is still the one a search over the whole
     /// score vector would choose. The client re-scores what it receives
     /// either way.
-    pub fn select_window_by(&self, n: usize, mut score: impl FnMut(usize) -> f64) -> Range<usize> {
+    pub fn select_window_by(
+        &self,
+        n: usize,
+        mut score: impl FnMut(usize) -> f64,
+        scores: impl FnOnce(Range<usize>) -> Vec<f64>,
+    ) -> Range<usize> {
         match self {
             Query::TopK { k, .. } => n - (*k).min(n)..n,
             Query::Range { lower, upper, .. } => {
@@ -118,16 +124,15 @@ impl Query {
                 // Insertion point of the target, then grow the window towards
                 // whichever side is closer until it holds k records.
                 let mut left = partition_point(n, |i| score(i) < *target);
+                let first = left.saturating_sub(k);
+                let near = scores(first..(left + k).min(n));
+                let score = |i: usize| near[i - first];
                 let mut right = left;
                 while right - left < k {
-                    let take_left = if left == 0 {
-                        false
-                    } else if right == n {
-                        true
-                    } else {
-                        // Compare distances of the next candidates.
-                        (target - score(left - 1)).abs() <= (score(right) - target).abs()
-                    };
+                    // The nearer of the next candidates, the left one on a tie.
+                    let take_left = left > 0
+                        && (right == n
+                            || (target - score(left - 1)).abs() <= (score(right) - target).abs());
                     if take_left {
                         left -= 1;
                     } else {
@@ -143,7 +148,7 @@ impl Query {
     /// hand: `Some((start, end))`, inclusive, or `None` when the answer is
     /// empty. The sharded client merges legs with it.
     pub fn select_window(&self, scores: &[f64]) -> Option<(usize, usize)> {
-        let window = self.select_window_by(scores.len(), |i| scores[i]);
+        let window = self.select_window_by(scores.len(), |i| scores[i], |r| scores[r].to_vec());
         (!window.is_empty()).then(|| (window.start, window.end - 1))
     }
 }
@@ -339,10 +344,17 @@ mod tests {
             let n = scores.len();
             for query in queries_over(&scores) {
                 let calls = Cell::new(0usize);
-                let window = query.select_window_by(n, |i| {
-                    calls.set(calls.get() + 1);
-                    scores[i]
-                });
+                let window = query.select_window_by(
+                    n,
+                    |i| {
+                        calls.set(calls.get() + 1);
+                        scores[i]
+                    },
+                    |r| {
+                        calls.set(calls.get() + r.len());
+                        scores[r].to_vec()
+                    },
+                );
                 proptest::prop_assert_eq!(window.clone(), reference_window(&query, &scores), "{}", query);
                 let k = match &query {
                     Query::TopK { k, .. } | Query::Knn { k, .. } => (*k).min(n),
@@ -362,7 +374,7 @@ mod tests {
                 shuffled.swap(v % n, v / 1000 % n);
             }
             for query in queries_over(&scores) {
-                let window = query.select_window_by(n, |i| shuffled[i]);
+                let window = query.select_window_by(n, |i| shuffled[i], |r| shuffled[r].to_vec());
                 proptest::prop_assert_eq!(window, reference_window(&query, &shuffled), "{}", query);
             }
         }

@@ -5,10 +5,12 @@ use crate::ifmh::IfmhTree;
 use crate::query::Query;
 use crate::signing::SigningMode;
 use crate::vo::{BoundaryEntry, IntersectionVerification, IvStep, VerificationObject};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 use vaq_crypto::Signature;
-use vaq_funcdb::{Dataset, FuncId, Record};
-use vaq_itree::{LocateResult, Node, NodeId};
+use vaq_funcdb::{Dataset, FuncId, HalfSpace, Record};
+use vaq_itree::{LocateResult, NodeId, PathStep};
+use vaq_mht::LeafId;
 
 /// A query result together with its verification object and the server's
 /// traversal cost.
@@ -23,15 +25,15 @@ pub struct QueryResponse {
 }
 
 /// A query's answer as the server computes it, before any record is
-/// copied: the result window as a slice of the subdomain's sorted list, the
-/// verification object and the traversal cost. [`Server::process_timed`]
+/// copied: the ids of the result window, read from the subdomain's FMH
+/// tree, the verification object and the traversal cost. [`Server::process_timed`]
 /// copies the window's records out of the dataset into a [`QueryResponse`];
 /// a caller that already holds every record's encoding (the networked
 /// service keeps one per publication) frames the reply from the ids alone.
 #[derive(Clone, Debug)]
-pub struct Answer<'a> {
+pub struct Answer {
     /// The ids of the result records `R(q)`, in ascending score order.
-    pub window: &'a [FuncId],
+    pub window: Vec<FuncId>,
     /// The verification object `VO(q)`.
     pub vo: VerificationObject,
     /// The server's cost counters for this query (Fig. 6 metric).
@@ -43,9 +45,10 @@ pub struct Answer<'a> {
 /// signatures into) the verification object.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProcessTiming {
-    /// Subdomain location and result-window selection (scoring only the
-    /// positions it reads); [`Server::process_timed`] adds copying the
-    /// result records out of the dataset. The flanking records the VO
+    /// Subdomain location, result-window selection (scoring only the
+    /// positions it reads) and reading the window's ids;
+    /// [`Server::process_timed`] adds copying the result records out of the
+    /// dataset. The flanking records the VO
     /// carries are copied under `vo_build`.
     pub execute: Duration,
     /// FMH range proof, flanking records, subdomain verification data, and
@@ -90,32 +93,21 @@ impl Server {
 
     /// Like [`Server::process`], but also reports how the wall-clock time
     /// split between query execution and VO construction, so callers can
-    /// attribute latency to the right stage.
+    /// attribute latency to the right stage. Copying the result records out
+    /// of the dataset is charged to `execute`.
     pub fn process_timed(&self, query: &Query) -> (QueryResponse, ProcessTiming) {
-        self.materialise(self.answer(query))
-    }
-
-    /// Copies an answer's result records out of the dataset, charging the
-    /// copy to `execute`.
-    fn materialise(
-        &self,
-        (answer, mut timing): (Answer<'_>, ProcessTiming),
-    ) -> (QueryResponse, ProcessTiming) {
+        let (Answer { window, vo, cost }, mut timing) = self.answer(query);
         let t_copy = Instant::now();
-        let records = answer
-            .window
-            .iter()
-            .map(|id| self.dataset.record(*id).clone())
-            .collect();
+        let records = window.iter().map(|id| self.dataset.record(*id).clone());
+        let records = records.collect();
         timing.execute += t_copy.elapsed();
-        let Answer { vo, cost, .. } = answer;
         (QueryResponse { records, vo, cost }, timing)
     }
 
     /// Answers a query without copying a result record: the window's ids,
     /// the VO and the cost, plus the time split. [`Server::process_timed`]
     /// is this followed by copying the window's records out.
-    pub fn answer(&self, query: &Query) -> (Answer<'_>, ProcessTiming) {
+    pub fn answer(&self, query: &Query) -> (Answer, ProcessTiming) {
         let x = query.weights();
         assert_eq!(
             x.len(),
@@ -125,45 +117,49 @@ impl Server {
 
         let t_start = Instant::now();
 
-        // 1. Locate the subdomain containing X.
+        // 1. Locate the subdomain containing X. Its FMH tree holds its
+        //    sorted list: leaf 0 is the f_min sentinel, the records occupy
+        //    leaves 1..=n, leaf n+1 is f_max.
         let located = self.tree.itree.locate(x);
         let leaf = located.leaf;
-        let sorted = self.tree.itree.sorted_list(leaf);
-        let n = sorted.len();
-
-        // 2. Select the result window on the sorted list, scoring only the
-        //    positions the search reads. The window stays a slice of ids:
-        //    no record is copied here.
-        let window = query.select_window_by(n, |i| self.dataset.score(sorted[i], x));
-
-        let execute = t_start.elapsed();
-        let t_vo = Instant::now();
-
-        // 3. Map the window to FMH leaf indices (leaf 0 is the f_min
-        //    sentinel, records occupy leaves 1..=n, leaf n+1 is f_max). The
-        //    proven run is the window and one entry either side; an empty
-        //    window proves the gap between the two adjacent entries
-        //    bracketing where the result would have been. The two flanking
-        //    records travel inside the VO, so they are copied here.
-        let first_leaf = window.start;
-        let last_leaf = window.end + 1;
-        let window = &sorted[window];
-        let left_boundary = if first_leaf == 0 {
-            BoundaryEntry::MinSentinel
-        } else {
-            BoundaryEntry::Record(self.dataset.record(sorted[first_leaf - 1]).clone())
-        };
-        let right_boundary = if last_leaf == n + 1 {
-            BoundaryEntry::MaxSentinel
-        } else {
-            BoundaryEntry::Record(self.dataset.record(sorted[last_leaf - 1]).clone())
-        };
-
-        // 4. FMH range proof over [first_leaf, last_leaf].
         let fmh = self
             .tree
             .fmh_tree(leaf)
             .expect("every subdomain has an FMH tree");
+        let n = fmh.leaf_count() - 2;
+        let record = |at: LeafId| self.tree.leaf_records[at.index()];
+        let score = |at: LeafId| self.dataset.score(record(at), x);
+
+        // 2. Select the result window on the sorted list, scoring only the
+        //    positions the search reads: one descent a bisection probe, one
+        //    walk for a KNN query's candidates.
+        let probe = |i: usize| score(fmh.leaf_at(i + 1));
+        let walk = |near: Range<usize>| fmh.window(near.start + 1, near.end).into_iter();
+        let window = query.select_window_by(n, probe, |near| walk(near).map(score).collect());
+
+        // 3. Read the proven run in one walk: the window and one entry
+        //    either side; an empty window proves the gap between the two
+        //    adjacent entries bracketing where the result would have been.
+        //    The two flanking records travel inside the VO.
+        let first_leaf = window.start;
+        let last_leaf = window.end + 1;
+        let run = fmh.window(first_leaf, last_leaf);
+        let window: Vec<FuncId> = run[1..run.len() - 1].iter().map(|&l| record(l)).collect();
+
+        let execute = t_start.elapsed();
+        let t_vo = Instant::now();
+
+        let flank = |at: LeafId| BoundaryEntry::Record(self.dataset.record(record(at)).clone());
+        let left_boundary = match first_leaf {
+            0 => BoundaryEntry::MinSentinel,
+            _ => flank(run[0]),
+        };
+        let right_boundary = match last_leaf == n + 1 {
+            true => BoundaryEntry::MaxSentinel,
+            false => flank(run[run.len() - 1]),
+        };
+
+        // 4. FMH range proof over [first_leaf, last_leaf].
         let range_proof = fmh.prove_range(first_leaf, last_leaf);
 
         // 5. Subdomain verification data and the signature covering it.
@@ -208,24 +204,22 @@ impl Server {
     ) -> (IntersectionVerification, Signature, usize) {
         match self.tree.mode() {
             SigningMode::OneSignature => {
-                let mut path = Vec::with_capacity(located.path.len());
-                for step in &located.path {
-                    if let Node::Intersection {
-                        pair,
+                let step = |step: &PathStep| {
+                    let HalfSpace {
                         coeffs,
                         constant,
+                        pair,
                         ..
-                    } = self.tree.itree.node(step.node)
-                    {
-                        path.push(IvStep {
-                            pair: (pair.0 .0, pair.1 .0),
-                            coeffs: coeffs.clone(),
-                            constant: *constant,
-                            sibling_hash: self.tree.node_hash(step.sibling),
-                            went_above: step.went_above,
-                        });
+                    } = self.tree.itree.halfspace(step);
+                    IvStep {
+                        pair: pair.expect("a path step's half-space names its pair"),
+                        coeffs,
+                        constant,
+                        sibling_hash: self.tree.node_hash(step.sibling),
+                        went_above: step.went_above,
                     }
-                }
+                };
+                let path: Vec<IvStep> = located.path.iter().map(step).collect();
                 let collected = path.len();
                 (
                     IntersectionVerification::OneSignature { path },
@@ -237,7 +231,8 @@ impl Server {
                 )
             }
             SigningMode::MultiSignature => {
-                let halfspaces = self.tree.itree.constraints(leaf).halfspaces.clone();
+                let path = located.path.iter();
+                let halfspaces = path.map(|step| self.tree.itree.halfspace(step)).collect();
                 (
                     IntersectionVerification::MultiSignature { halfspaces },
                     self.tree.leaf_signatures[&leaf.0].clone(),

@@ -240,11 +240,43 @@ fn duplicate_records_are_handled() {
         Record::new(1, vec![0.5, 0.5]),
         Record::new(2, vec![0.9, 0.1]),
     ];
-    let ds = Dataset::new(records, template, vaq_funcdb::Domain::unit(2));
+    let ds = Dataset::new(records, template.clone(), vaq_funcdb::Domain::unit(2));
     for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {
         let query = Query::top_k(vec![0.5, 0.5], 2);
         let got = run_and_verify(&ds, mode, &query);
         assert_eq!(got.len(), 2);
+    }
+
+    // A record present twice, byte for byte: ids 0, 5, 5, 7, both 5s with
+    // the same attributes. The two hash to one FMH leaf, so a leaf does not
+    // name one record, and both copies must still come back.
+    let records = vec![
+        Record::new(0, vec![0.2, 0.9]),
+        Record::new(5, vec![0.6, 0.5]),
+        Record::new(5, vec![0.6, 0.5]),
+        Record::new(7, vec![0.9, 0.1]),
+    ];
+    let ds = Dataset::new(records, template, vaq_funcdb::Domain::unit(2));
+    for mode in [SigningMode::OneSignature, SigningMode::MultiSignature] {
+        // At (0.8, 0.65) the scores ascend 0, 7, 5, 5; at (0.3, 0.7) they
+        // ascend 7, 5, 5, 0.
+        let cases = [
+            (Query::top_k(vec![0.8, 0.65], 3), vec![7, 5, 5]),
+            (Query::range(vec![0.3, 0.7], 0.3, 0.7), vec![7, 5, 5, 0]),
+            (Query::knn(vec![0.3, 0.7], 2, 0.53), vec![5, 5]),
+        ];
+        for (query, expected) in cases {
+            assert_eq!(
+                run_and_verify(&ds, mode, &query),
+                expected,
+                "{mode}, {query}"
+            );
+            let mut reference = reference_answer(&ds, &query);
+            reference.sort_unstable();
+            let mut sorted = expected;
+            sorted.sort_unstable();
+            assert_eq!(reference, sorted, "{mode}, {query}");
+        }
     }
 }
 

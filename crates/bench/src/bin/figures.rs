@@ -8,7 +8,7 @@
 //!
 //! Figure ids: 5a 5b 5c 6a 6b 6c 6d 7a 7b 7c 7d 8a 8b, a digit 5–8 for
 //! all of that figure's panels, `all`, and `scale` — the owner-build scaling
-//! curve at its own explicit sizes (n = 32…256, d = 2), which `all` leaves
+//! curve at its own explicit sizes (n = 32…512, d = 2), which `all` leaves
 //! out. An unknown id, scale or seed exits with status 2.
 
 use vaq_bench::report::{fmt_ms, print_table};
@@ -324,7 +324,7 @@ fn main() {
 
     // ---- Owner-build scaling curve ------------------------------------------
     if scale_curve {
-        let rows = scaling_curve(&[32, 64, 128, 256], seed);
+        let rows = scaling_curve(&[32, 64, 128, 256, 512], seed);
         print_table(
             "Owner build vs n (d = 2, one-signature, 256-bit key)",
             &[
@@ -334,7 +334,7 @@ fn main() {
                 "visits",
                 "LP-decided",
                 "I-tree ms",
-                "forest ms",
+                "order+forest ms",
                 "build ms",
                 "hash ops",
                 "structure bytes",

@@ -458,7 +458,8 @@ pub struct ScaleRow {
     pub lp_visits: usize,
     /// The I-tree build alone (ms).
     pub itree_ms: f64,
-    /// The FMH forest alone, rebuilt from the finished sorted lists (ms).
+    /// Every leaf's order, sorted at its witness and streamed into a fresh
+    /// FMH forest (ms).
     pub forest_ms: f64,
     /// `IfmhTree::build`, everything included (ms).
     pub build_ms: f64,
@@ -489,8 +490,8 @@ pub fn scaling_curve(sizes: &[usize], seed: u64) -> Vec<ScaleRow> {
         let min = forest.leaf(vo::min_sentinel_digest());
         let max = forest.leaf(vo::max_sentinel_digest());
         for &leaf in tree.itree().leaf_ids() {
-            let sorted = tree.itree().sorted_list(leaf).iter();
-            let sorted = sorted.map(|id| records[id.index()]);
+            let order = tree.itree().order(&dataset.functions, leaf);
+            let sorted = order.iter().map(|id| records[id.index()]);
             forest.insert(std::iter::once(min).chain(sorted).chain([max]));
         }
         std::hint::black_box(forest.finish());

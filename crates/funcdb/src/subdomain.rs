@@ -222,21 +222,13 @@ impl SubdomainConstraints {
     pub fn digest(&self) -> Digest {
         sha256(&self.canonical_bytes())
     }
-
-    /// Digest of the half-space set only (order-sensitive), mixed into an
-    /// accumulator hash. Used by the multi-signature scheme, which signs
-    /// `H(H(inequalities) | subdomain_root_hash)`.
-    pub fn inequality_digest(&self) -> Digest {
-        inequality_set_digest(&self.halfspaces)
-    }
 }
 
-/// Digest of an ordered set of half-spaces.
-///
-/// Exposed as a free function because both the data owner (who holds the
-/// full [`SubdomainConstraints`]) and the verifying client (who only
-/// receives the half-spaces inside a verification object) must compute the
-/// exact same value.
+/// Digest of an ordered set of half-spaces (order-sensitive). The
+/// multi-signature scheme signs `H(H(inequalities) | subdomain_root_hash)`:
+/// the owner over each subdomain's path, the verifying client over the
+/// half-spaces a verification object carries, so both compute it from a
+/// bare list.
 pub fn inequality_set_digest(halfspaces: &[HalfSpace]) -> Digest {
     let mut h = Sha256::new();
     h.update(&(halfspaces.len() as u32).to_be_bytes());
@@ -346,7 +338,10 @@ mod tests {
             .with(b.clone());
         let s2 = SubdomainConstraints::whole(Domain::unit(1)).with(b).with(a);
         assert_ne!(s1.digest(), s2.digest());
-        assert_ne!(s1.inequality_digest(), s2.inequality_digest());
+        assert_ne!(
+            inequality_set_digest(&s1.halfspaces),
+            inequality_set_digest(&s2.halfspaces)
+        );
         assert_eq!(s1.digest(), s1.clone().digest());
     }
 

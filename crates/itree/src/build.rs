@@ -24,8 +24,8 @@
 use crate::node::{ITree, Node, NodeId};
 use std::collections::VecDeque;
 use vaq_funcdb::{
-    point_evidence, range_misses, sort_functions_at, Domain, FuncId, HalfSpace, LinearFunction,
-    LpSplitOracle, PointEvidence, SubdomainConstraints, EPS,
+    point_evidence, range_misses, Domain, HalfSpace, LinearFunction, LpSplitOracle, PointEvidence,
+    SubdomainConstraints, EPS,
 };
 
 /// Statistics gathered while building an I-tree.
@@ -102,41 +102,33 @@ struct Build {
     /// the solver found none), the exact vertices on the interval path.
     extremes: Vec<Vec<f64>>,
     /// On the interval path, every node's interval of directions `[t0, t1]`
-    /// (`x ∝ (t, 1 − t)`); empty on the LP path.
+    /// (`x ∝ (t, 1 − t)`); empty otherwise.
     directions: Vec<(f64, f64)>,
-    /// The constraint list a leaf held before it became an intersection node.
-    retired: Vec<Option<SubdomainConstraints>>,
+    /// On the LP path, every node's region; empty otherwise.
+    regions: Vec<SubdomainConstraints>,
     /// The breadth-first queue, reused across pairs.
     queue: VecDeque<NodeId>,
     stats: BuildStats,
 }
 
 impl Build {
-    /// Appends a leaf and the points of its region: the vertices of its
-    /// interval of `directions` on the interval path, else the LP's.
-    fn push_leaf(&mut self, constraints: SubdomainConstraints, directions: Option<(f64, f64)>) {
-        let extremes = match directions {
-            Some(directions) => {
-                self.directions.push(directions);
-                cone_vertices(directions, &self.tree.domain)
-            }
-            None => constraints.extreme_points().unwrap_or_default(),
-        };
+    /// Appends a leaf over an interval of directions, and its vertices.
+    fn push_directions(&mut self, directions: (f64, f64)) {
+        self.directions.push(directions);
+        self.push_leaf(cone_vertices(directions, &self.tree.domain));
+    }
+
+    /// Appends a leaf over `region`, and the extreme points the LP finds.
+    fn push_region(&mut self, region: SubdomainConstraints) {
+        self.push_leaf(region.extreme_points().unwrap_or_default());
+        self.regions.push(region);
+    }
+
+    fn push_leaf(&mut self, extremes: Vec<f64>) {
         self.tree.nodes.push(Node::Subdomain {
-            constraints,
-            sorted: Vec::new(),
             witness: Vec::new(),
         });
         self.extremes.push(extremes);
-        self.retired.push(None);
-    }
-
-    /// The region of a node, leaf or not.
-    fn region(&self, id: NodeId) -> &SubdomainConstraints {
-        match (&self.tree.nodes[id.index()], &self.retired[id.index()]) {
-            (Node::Subdomain { constraints, .. }, _) | (_, Some(constraints)) => constraints,
-            _ => unreachable!("every intersection node was a leaf first"),
-        }
     }
 }
 
@@ -186,39 +178,36 @@ impl ITreeBuilder {
             cells,
             extremes: Vec::new(),
             directions: Vec::new(),
-            retired: Vec::new(),
+            regions: Vec::new(),
             queue: VecDeque::new(),
             stats: BuildStats::default(),
         };
-        // The box's own directions run from its corner (l0, u1) to (u0, l1).
-        let directions = (cells == Cells::Directions).then(|| {
-            let (l, u) = (&domain.lower, &domain.upper);
-            (l[0] / (l[0] + u[1]), u[0] / (u[0] + l[1]))
-        });
-        build.push_leaf(SubdomainConstraints::whole(domain), directions);
+        let (l, u) = (&domain.lower, &domain.upper);
+        match cells {
+            // The box's own directions run from its corner (l0, u1) to
+            // (u0, l1).
+            Cells::Directions => {
+                build.push_directions((l[0] / (l[0] + u[1]), u[0] / (u[0] + l[1])))
+            }
+            Cells::Lp => build.push_region(SubdomainConstraints::whole(domain)),
+            Cells::Point => build.push_leaf(Vec::new()),
+        }
         match cells {
             Cells::Point => self.count_pairs_on_a_line(functions, &mut build),
             _ => self.insert_pairs(functions, &mut build),
         }
 
-        // Attach a witness and a sorted function list to every leaf.
+        // Attach a witness to every leaf.
         let (mut tree, mut stats) = (build.tree, build.stats);
         for (index, node) in tree.nodes.iter_mut().enumerate() {
-            if let Node::Subdomain {
-                constraints,
-                witness,
-                sorted,
-            } = node
-            {
+            if let Node::Subdomain { witness } = node {
                 *witness = match cells {
                     Cells::Directions => direction_witness(build.directions[index], &tree.domain),
-                    _ => (constraints.witness_point()).unwrap_or_else(|| tree.domain.center()),
+                    Cells::Lp => (build.regions[index].witness_point())
+                        .unwrap_or_else(|| tree.domain.center()),
+                    // One direction: the whole box is the one cell.
+                    Cells::Point => tree.domain.center(),
                 };
-                *sorted = sort_functions_at(functions, witness);
-                debug_assert!(
-                    no_tie_between_neighbours(functions, sorted, witness),
-                    "leaf {index}: two maps tie at its witness {witness:?}"
-                );
                 tree.leaves.push(NodeId(index as u32));
             }
         }
@@ -349,7 +338,8 @@ impl ITreeBuilder {
                     PointEvidence::Open(seen) => {
                         build.stats.oracle_calls += 1;
                         build.stats.oracle_solves += 2 - usize::from(seen.is_some());
-                        (self.oracle).splits_given(build.region(id), coeffs, constant, seen)
+                        let region = &build.regions[id.index()];
+                        (self.oracle).splits_given(region, coeffs, constant, seen)
                     }
                 },
             };
@@ -371,20 +361,18 @@ impl ITreeBuilder {
                 above,
                 below: NodeId(above.0 + 1),
             };
-            let leaf = std::mem::replace(&mut build.tree.nodes[id.index()], converted);
-            let Node::Subdomain { constraints, .. } = leaf else {
-                unreachable!("intersection nodes were handled above");
-            };
-            let (upper_side, lower_side) = match build.cells {
-                Cells::Directions => {
-                    let (above, below) = split_directions(build.directions[id.index()], coeffs);
-                    (Some(above), Some(below))
+            build.tree.nodes[id.index()] = converted;
+            if build.cells == Cells::Directions {
+                let (above, below) = split_directions(build.directions[id.index()], coeffs);
+                build.push_directions(above);
+                build.push_directions(below);
+            } else {
+                let region = &build.regions[id.index()];
+                let sides = [HalfSpace::above(fi, fj), HalfSpace::below(fi, fj)];
+                for side in sides.map(|hs| region.with(hs)) {
+                    build.push_region(side);
                 }
-                _ => (None, None),
-            };
-            build.push_leaf(constraints.with(HalfSpace::above(fi, fj)), upper_side);
-            build.push_leaf(constraints.with(HalfSpace::below(fi, fj)), lower_side);
-            build.retired[id.index()] = Some(constraints);
+            }
         }
     }
 }
@@ -470,40 +458,30 @@ fn direction_witness((t0, t1): (f64, f64), domain: &Domain) -> Vec<f64> {
     vec![s * t, s * (1.0 - t)]
 }
 
-/// True unless two neighbours in `sorted` score the same at `witness`
-/// without being one affine map: a witness on a boundary between two cells,
-/// where the id tie-break may have ordered them as neither cell does.
-/// `functions[i]` has id `i`, as a dataset's functions do.
-fn no_tie_between_neighbours(
-    functions: &[LinearFunction],
-    sorted: &[FuncId],
-    witness: &[f64],
-) -> bool {
-    sorted.windows(2).all(|pair| {
-        let (f, g) = (&functions[pair[0].index()], &functions[pair[1].index()]);
-        f.eval(witness) != g.eval(witness) || f.same_map(g)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use vaq_funcdb::SplitDecision;
+    use vaq_funcdb::{sort_functions_at, FuncId, SplitDecision};
 
     /// The walk as it was before the filters, kept as their reference: every
     /// pair is walked from the root, every visit goes to
     /// [`LpSplitOracle::classify`] with a region rebuilt on the way down.
-    fn build_reference(functions: &[LinearFunction], domain: Domain) -> ITree {
+    /// Beside the tree, every node's region as the walk built it, and every
+    /// leaf's list sorted at its witness (empty at intersection nodes).
+    struct Reference {
+        tree: ITree,
+        regions: Vec<SubdomainConstraints>,
+        sorted: Vec<Vec<FuncId>>,
+    }
+
+    fn build_reference(functions: &[LinearFunction], domain: Domain) -> Reference {
         let oracle = LpSplitOracle::new();
         let whole = SubdomainConstraints::whole(domain.clone());
         let witness = whole.witness_point().unwrap_or_else(|| domain.center());
-        let mut nodes = vec![Node::Subdomain {
-            constraints: whole.clone(),
-            sorted: Vec::new(),
-            witness,
-        }];
+        let mut nodes = vec![Node::Subdomain { witness }];
+        let mut regions = vec![whole.clone()];
         for (i, fi) in functions.iter().enumerate() {
             for fj in &functions[i + 1..] {
                 if fi.same_map(fj) {
@@ -533,18 +511,15 @@ mod tests {
                             queue.push_back((above, region.with(hs_above)));
                             queue.push_back((below, region.with(hs_below)));
                         }
-                        Node::Subdomain { constraints, .. } => {
+                        Node::Subdomain { .. } => {
                             let above = NodeId(nodes.len() as u32);
                             for hs in [HalfSpace::above(fi, fj), HalfSpace::below(fi, fj)] {
-                                let constraints = constraints.with(hs);
+                                let constraints = regions[id.index()].with(hs);
                                 let witness = constraints
                                     .witness_point()
                                     .unwrap_or_else(|| constraints.domain.center());
-                                nodes.push(Node::Subdomain {
-                                    constraints,
-                                    sorted: Vec::new(),
-                                    witness,
-                                });
+                                nodes.push(Node::Subdomain { witness });
+                                regions.push(constraints);
                             }
                             nodes[id.index()] = Node::Intersection {
                                 pair: (fi.id, fj.id),
@@ -558,21 +533,26 @@ mod tests {
                 }
             }
         }
-        let mut leaves = Vec::new();
-        for (index, node) in nodes.iter_mut().enumerate() {
-            if let Node::Subdomain {
-                witness, sorted, ..
-            } = node
-            {
-                *sorted = sort_functions_at(functions, witness);
-                leaves.push(NodeId(index as u32));
-            }
+        let (mut leaves, mut sorted) = (Vec::new(), Vec::new());
+        for (index, node) in nodes.iter().enumerate() {
+            sorted.push(match node {
+                Node::Subdomain { witness } => {
+                    leaves.push(NodeId(index as u32));
+                    sort_functions_at(functions, witness)
+                }
+                Node::Intersection { .. } => Vec::new(),
+            });
         }
-        ITree {
+        let tree = ITree {
             nodes,
             root: NodeId(0),
             domain,
             leaves,
+        };
+        Reference {
+            tree,
+            regions,
+            sorted,
         }
     }
 
@@ -613,27 +593,57 @@ mod tests {
         (functions, domain)
     }
 
+    /// Every leaf's region as [`ITree::for_each_region`] reads it from the
+    /// path, indexed by node id (`None` at intersection nodes).
+    fn regions_of(tree: &ITree) -> Vec<Option<SubdomainConstraints>> {
+        let mut regions = vec![None; tree.node_count()];
+        tree.for_each_region(|leaf, halfspaces| {
+            let region = SubdomainConstraints {
+                domain: tree.domain().clone(),
+                halfspaces: halfspaces.to_vec(),
+            };
+            regions[leaf.index()] = Some(region);
+        });
+        regions
+    }
+
     /// Asserts that `tree` holds `reference`'s cells node for node: pairs,
-    /// children, constraints and sorted lists, and witnesses if `witnesses`.
-    fn assert_same_tree(tree: &ITree, reference: &ITree, witnesses: bool, context: &str) {
+    /// children, every leaf's region (read from its path) and order (read
+    /// at its witness), and witnesses if `witnesses`. Every leaf's witness
+    /// lies inside its region and locates that leaf.
+    fn assert_same_tree(
+        tree: &ITree,
+        functions: &[LinearFunction],
+        reference: &Reference,
+        witnesses: bool,
+        context: &str,
+    ) {
         let strip = |node: &Node| match node.clone() {
-            Node::Subdomain {
-                constraints,
-                sorted,
-                ..
-            } if !witnesses => Node::Subdomain {
-                constraints,
-                sorted,
+            Node::Subdomain { .. } if !witnesses => Node::Subdomain {
                 witness: Vec::new(),
             },
             node => node,
         };
-        assert_eq!(tree.node_count(), reference.node_count(), "{context}");
-        for (id, node) in tree.iter() {
-            let expected = strip(reference.node(id));
+        assert_eq!(tree.node_count(), reference.tree.node_count(), "{context}");
+        for id in (0..tree.node_count() as u32).map(NodeId) {
+            let node = tree.node(id);
+            let expected = strip(reference.tree.node(id));
             assert_eq!(strip(node), expected, "{context}, node {id:?}");
         }
-        assert_eq!(tree.leaf_ids(), reference.leaf_ids(), "{context}");
+        assert_eq!(tree.leaf_ids(), reference.tree.leaf_ids(), "{context}");
+        let regions = regions_of(tree);
+        for &leaf in tree.leaf_ids() {
+            let region = regions[leaf.index()].as_ref();
+            let expected = &reference.regions[leaf.index()];
+            assert_eq!(region, Some(expected), "{context}, leaf {leaf:?}");
+            let order = tree.order(functions, leaf);
+            assert_eq!(order, reference.sorted[leaf.index()], "{context}, {leaf:?}");
+            let Node::Subdomain { witness } = tree.node(leaf) else {
+                unreachable!("leaf ids name subdomains");
+            };
+            assert!(expected.contains(witness), "{context}: {witness:?}");
+            assert_eq!(tree.locate(witness).leaf, leaf, "{context}: {witness:?}");
+        }
     }
 
     #[test]
@@ -648,7 +658,8 @@ mod tests {
             // is its own.
             let witnesses = Cells::of(&functions, &domain) == Cells::Lp;
             let reference = build_reference(&functions, domain);
-            assert_same_tree(&tree, &reference, witnesses, &format!("seed {seed}"));
+            let context = format!("seed {seed}");
+            assert_same_tree(&tree, &functions, &reference, witnesses, &context);
             subdomains += stats.subdomains;
             filtered.pairs_refused += stats.pairs_refused;
             filtered.visits_filtered += stats.visits_filtered;
@@ -705,7 +716,7 @@ mod tests {
 
     /// Builds central input, asserts the oracle was never asked and solved
     /// nothing, and checks the tree against the reference walk in everything
-    /// but the witness, which must lie inside its cell.
+    /// but the witness, which must lie inside its cell and locate it.
     fn check_central(functions: &[LinearFunction], domain: Domain, context: &str) -> BuildStats {
         let expected = [Cells::Point, Cells::Directions][domain.dims() - 1];
         assert_eq!(Cells::of(functions, &domain), expected, "{context}");
@@ -717,18 +728,8 @@ mod tests {
             "{context}"
         );
         assert_eq!(stats.visits_filtered, stats.nodes_visited, "{context}");
-        assert_same_tree(&tree, &build_reference(functions, domain), false, context);
-        for &leaf in tree.leaf_ids() {
-            let Node::Subdomain {
-                constraints,
-                witness,
-                ..
-            } = tree.node(leaf)
-            else {
-                unreachable!("leaf ids name subdomains");
-            };
-            assert!(constraints.contains(witness), "{context}: {witness:?}");
-        }
+        let reference = build_reference(functions, domain);
+        assert_same_tree(&tree, functions, &reference, false, context);
         stats
     }
 
@@ -763,6 +764,25 @@ mod tests {
     }
 
     #[test]
+    fn every_witness_of_an_lp_build_locates_its_own_leaf() {
+        // The LP path's witness is a Chebyshev centre: strictly inside its
+        // cell, so the search along its path reaches that cell. Twenty
+        // records (4,695 cells) in an optimised build, twelve (569)
+        // unoptimised.
+        let n = if cfg!(debug_assertions) { 12 } else { 20 };
+        let dataset = vaq_workload::uniform_dataset(n, 3, 1);
+        let builder = ITreeBuilder::new(LpSplitOracle::new());
+        let tree = builder.build(&dataset.functions, dataset.domain.clone());
+        assert!(tree.leaf_ids().len() > 20 * n, "{}", tree.leaf_ids().len());
+        for &leaf in tree.leaf_ids() {
+            let Node::Subdomain { witness } = tree.node(leaf) else {
+                unreachable!("leaf ids name subdomains");
+            };
+            assert_eq!(tree.locate(witness).leaf, leaf, "{witness:?}");
+        }
+    }
+
+    #[test]
     fn a_line_counts_the_pairs_the_scan_counts_without_walking_one() {
         // Slopes on a grid, duplicated, and a few apart by a hair: gaps
         // under EPS are one map, gaps just over it stay inside a zero
@@ -781,7 +801,7 @@ mod tests {
             let domain = Domain::new(vec![lower], vec![upper]);
             let builder = ITreeBuilder::new(LpSplitOracle { tolerance });
             let (tree, stats) = builder.build_as(&functions, domain.clone(), Cells::Point);
-            let (scanned, scan) = builder.build_as(&functions, domain, Cells::Lp);
+            let (scanned, scan) = builder.build_as(&functions, domain.clone(), Cells::Lp);
             let context = format!("[{lower}, {upper}], tolerance {tolerance}");
             assert_eq!(
                 (stats.pairs_inserted, stats.pairs_refused),
@@ -789,7 +809,13 @@ mod tests {
                 "{context}"
             );
             assert_eq!((stats.nodes_visited, stats.subdomains), (0, 1), "{context}");
-            assert_same_tree(&tree, &scanned, true, &context);
+            // One cell each: its region is the box.
+            let scanned = Reference {
+                sorted: vec![scanned.order(&functions, scanned.root())],
+                regions: vec![SubdomainConstraints::whole(domain)],
+                tree: scanned,
+            };
+            assert_same_tree(&tree, &functions, &scanned, true, &context);
             walked_somewhere |= scan.pairs_refused < scan.pairs_inserted;
         }
         assert!(walked_somewhere, "no case left a pair for the scan to walk");
@@ -808,8 +834,8 @@ mod tests {
         let builder = ITreeBuilder::new(LpSplitOracle::new());
         let (tree, stats) = builder.build_with_stats(&functions, Domain::unit(2));
         let reference = build_reference(&functions, Domain::unit(2));
-        assert_eq!(tree.nodes, reference.nodes);
-        (stats, reference.subdomain_count())
+        assert_same_tree(&tree, &functions, &reference, true, "the unit square");
+        (stats, reference.tree.leaf_ids().len())
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! functions intersect somewhere inside their region and point to the
 //! *above* (`f_i − f_j ≥ 0`) and *below* (`f_i − f_j < 0`) children; leaf
 //! *subdomain nodes* represent regions in which the functions have one fixed
-//! total order, and carry that sorted function list.
+//! total order, read at a point inside the region ([`ITree::order`]); the
+//! region is the half-spaces on the path ([`ITree::for_each_region`]).
 //!
 //! The tree is the query-processing backbone of both the paper's IFMH-tree
 //! (which adds Merkle hashing on top) and the signature-mesh baseline (which
@@ -27,6 +28,7 @@ mod tests {
     use super::*;
     use vaq_funcdb::{
         sort_functions_at, Dataset, Domain, FuncId, FunctionTemplate, LpSplitOracle, Record,
+        SubdomainConstraints,
     };
 
     /// The four univariate functions of the paper's Fig. 2a (values chosen to
@@ -64,7 +66,7 @@ mod tests {
         let tree = ITreeBuilder::new(LpSplitOracle::new()).build(&ds.functions, ds.domain.clone());
         assert_eq!(tree.leaf_ids().len(), 1);
         let leaf = tree.leaf_ids()[0];
-        let sorted = tree.sorted_list(leaf).to_vec();
+        let sorted = tree.order(&ds.functions, leaf);
         // At any interior point, order is f4 < f3 < f2 < f1 (ids 3,2,1,0).
         assert_eq!(sorted, vec![FuncId(3), FuncId(2), FuncId(1), FuncId(0)]);
     }
@@ -80,7 +82,7 @@ mod tests {
         for i in 0..50 {
             let x = [i as f64 / 49.0];
             let located = tree.locate(&x);
-            let leaf_sorted = tree.sorted_list(located.leaf).to_vec();
+            let leaf_sorted = tree.order(&fs, located.leaf);
             let direct = sort_functions_at(&fs, &x);
             assert_eq!(leaf_sorted, direct, "mismatch at x = {x:?}");
         }
@@ -90,19 +92,20 @@ mod tests {
     fn every_leaf_witness_point_is_inside_its_constraints() {
         let (fs, domain) = affine_dataset();
         let tree = ITreeBuilder::new(LpSplitOracle::new()).build(&fs, domain);
-        for &leaf in tree.leaf_ids() {
-            let node = tree.node(leaf);
-            if let Node::Subdomain {
-                constraints,
-                witness,
-                ..
-            } = node
-            {
-                assert!(constraints.contains(witness), "witness not in subdomain");
-            } else {
-                panic!("leaf id does not point at a subdomain node");
-            }
-        }
+        let mut leaves = 0;
+        tree.for_each_region(|leaf, halfspaces| {
+            let Node::Subdomain { witness } = tree.node(leaf) else {
+                panic!("a region's leaf is not a subdomain node");
+            };
+            let region = SubdomainConstraints {
+                domain: tree.domain().clone(),
+                halfspaces: halfspaces.to_vec(),
+            };
+            assert!(region.contains(witness), "witness not in subdomain");
+            assert_eq!(tree.locate(witness).leaf, leaf);
+            leaves += 1;
+        });
+        assert_eq!(leaves, tree.leaf_ids().len());
     }
 
     #[test]
@@ -133,7 +136,7 @@ mod tests {
         for p in [[0.1, 0.9], [0.9, 0.1], [0.52, 0.47], [0.33, 0.77]] {
             let located = tree.locate(&p);
             assert_eq!(
-                tree.sorted_list(located.leaf).to_vec(),
+                tree.order(&ds.functions, located.leaf),
                 sort_functions_at(&ds.functions, &p),
                 "mismatch at {p:?}"
             );

@@ -1,6 +1,7 @@
 //! I-tree node and arena representation.
 
-use vaq_funcdb::{Domain, FuncId, SubdomainConstraints};
+use crate::search::PathStep;
+use vaq_funcdb::{sort_functions_at, Domain, FuncId, HalfSpace, LinearFunction};
 
 /// Index of a node in the tree's arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,29 +32,20 @@ pub enum Node {
         /// Child covering the negative side.
         below: NodeId,
     },
-    /// A leaf: a subdomain in which the functions have one fixed order.
+    /// A leaf: a subdomain in which the functions have one fixed order,
+    /// [`ITree::order`]. Its region is its path's half-spaces
+    /// ([`ITree::for_each_region`]).
     Subdomain {
-        /// The constraint system (domain box + path half-spaces).
-        constraints: SubdomainConstraints,
-        /// The function ids sorted ascending by score in this subdomain.
-        sorted: Vec<FuncId>,
-        /// The point the list was sorted at: strictly inside the subdomain,
-        /// off every boundary where two functions tie. On central input at
-        /// `d = 2` it is the middle of the cell's middle direction inside the
-        /// box, elsewhere the centre of the largest ball inside the cell
-        /// ([`SubdomainConstraints::witness_point`]).
+        /// A point strictly inside the subdomain, off every boundary where
+        /// two functions tie: on central input at `d = 2` the middle of the
+        /// cell's middle direction inside the box, elsewhere the centre of
+        /// the largest ball inside the cell.
         witness: Vec<f64>,
     },
 }
 
-impl Node {
-    /// True if this is a leaf (subdomain) node.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Subdomain { .. })
-    }
-}
-
-/// The I-tree: an arena of nodes with a designated root.
+/// The I-tree: an arena of nodes with a designated root. A node's children
+/// are created after it, so their ids are greater than its own.
 #[derive(Clone, Debug)]
 pub struct ITree {
     pub(crate) nodes: Vec<Node>,
@@ -88,56 +80,82 @@ impl ITree {
         &self.leaves
     }
 
-    /// Number of subdomains.
-    pub fn subdomain_count(&self) -> usize {
-        self.leaves.len()
+    /// The function ids of leaf `id` sorted ascending by score: `functions`
+    /// (the ones the tree was built over) sorted at the leaf's witness, ties
+    /// broken by id. Panics if `id` is not a leaf.
+    pub fn order(&self, functions: &[LinearFunction], id: NodeId) -> Vec<FuncId> {
+        let Node::Subdomain { witness } = self.node(id) else {
+            panic!("order called on an intersection node");
+        };
+        let sorted = sort_functions_at(functions, witness);
+        // Neighbours that tie at the witness without being one map put it
+        // on a cell boundary, where the id tie-break may order them as
+        // neither cell does. `functions[i]` has id `i`, as in a dataset.
+        debug_assert!(
+            sorted.windows(2).all(|pair| {
+                let (f, g) = (&functions[pair[0].index()], &functions[pair[1].index()]);
+                f.eval(witness) != g.eval(witness) || f.same_map(g)
+            }),
+            "leaf {id:?}: two maps tie at its witness {witness:?}"
+        );
+        sorted
     }
 
-    /// The sorted function list of a leaf. Panics if `id` is not a leaf.
-    pub fn sorted_list(&self, id: NodeId) -> &[FuncId] {
-        match self.node(id) {
-            Node::Subdomain { sorted, .. } => sorted,
-            Node::Intersection { .. } => panic!("sorted_list called on an intersection node"),
+    /// The half-space that a step of a root-to-leaf path keeps: the side of
+    /// its intersection node's hyperplane the path took.
+    pub fn halfspace(&self, step: &PathStep) -> HalfSpace {
+        match self.node(step.node) {
+            Node::Intersection {
+                pair,
+                coeffs,
+                constant,
+                ..
+            } => HalfSpace {
+                coeffs: coeffs.clone(),
+                constant: *constant,
+                non_negative: step.went_above,
+                pair: Some((pair.0 .0, pair.1 .0)),
+            },
+            Node::Subdomain { .. } => panic!("a path step names an intersection node"),
         }
     }
 
-    /// The constraint system of a leaf. Panics if `id` is not a leaf.
-    pub fn constraints(&self, id: NodeId) -> &SubdomainConstraints {
-        match self.node(id) {
-            Node::Subdomain { constraints, .. } => constraints,
-            Node::Intersection { .. } => panic!("constraints called on an intersection node"),
-        }
-    }
-
-    /// Iterates over `(id, node)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i as u32), n))
-    }
-
-    /// Approximate in-memory size in bytes of the structural part of the
-    /// tree (used for Fig. 5c structure-size accounting).
-    pub fn byte_size(&self) -> usize {
-        let mut total = 0usize;
-        for node in &self.nodes {
-            total += match node {
-                Node::Intersection { coeffs, .. } => {
-                    // pair + 2 child pointers + difference coefficients
-                    8 + 8 + coeffs.len() * 8 + 8
-                }
-                Node::Subdomain {
-                    constraints,
-                    sorted,
-                    witness,
-                } => {
-                    constraints.halfspaces.len() * (constraints.domain.dims() * 8 + 16)
-                        + sorted.len() * 4
-                        + witness.len() * 8
-                }
+    /// Calls `visit(leaf, halfspaces)` for every leaf with its path's
+    /// half-spaces, root first: its region within the domain box. One
+    /// depth-first walk, so leaves come in another order than
+    /// [`leaf_ids`](Self::leaf_ids)'.
+    pub fn for_each_region(&self, mut visit: impl FnMut(NodeId, &[HalfSpace])) {
+        // Each entry: a node, the length of the path above it, and the
+        // half-space the step into it keeps.
+        let (mut path, mut stack) = (Vec::new(), vec![(self.root, 0, None)]);
+        while let Some((id, depth, kept)) = stack.pop() {
+            path.truncate(depth);
+            path.extend(kept);
+            let Node::Intersection { above, below, .. } = self.node(id) else {
+                visit(id, &path);
+                continue;
             };
+            for (taken, sibling, went_above) in [(*below, *above, false), (*above, *below, true)] {
+                let step = PathStep {
+                    node: id,
+                    taken,
+                    sibling,
+                    went_above,
+                };
+                stack.push((taken, path.len(), Some(self.halfspace(&step))));
+            }
         }
-        total
+    }
+
+    /// Approximate in-memory size in bytes of the tree (Fig. 5c): each
+    /// intersection node's pair, child pointers and difference function, and
+    /// each leaf's witness. A leaf's order is counted with the FMH forest
+    /// that holds it, and its region is its path's intersection nodes.
+    pub fn byte_size(&self) -> usize {
+        let node_bytes = |node: &Node| match node {
+            Node::Intersection { coeffs, .. } => 8 + 8 + coeffs.len() * 8 + 8,
+            Node::Subdomain { witness } => witness.len() * 8,
+        };
+        self.nodes.iter().map(node_bytes).sum()
     }
 }

@@ -80,7 +80,7 @@ impl ITree {
 mod tests {
     use super::*;
     use crate::build::ITreeBuilder;
-    use vaq_funcdb::{Domain, FuncId, LinearFunction, LpSplitOracle};
+    use vaq_funcdb::{Domain, FuncId, LinearFunction, LpSplitOracle, SubdomainConstraints};
 
     fn sample_tree() -> ITree {
         let fs = vec![
@@ -95,7 +95,7 @@ mod tests {
     fn locate_reaches_a_leaf_with_consistent_path() {
         let tree = sample_tree();
         let res = tree.locate(&[0.42]);
-        assert!(tree.node(res.leaf).is_leaf());
+        assert!(matches!(tree.node(res.leaf), Node::Subdomain { .. }));
         // Each taken child of a step must be the next step's node or the leaf.
         for (i, step) in res.path.iter().enumerate() {
             let next = res.path.get(i + 1).map(|s| s.node).unwrap_or(res.leaf);
@@ -110,7 +110,11 @@ mod tests {
         for i in 0..20 {
             let x = [i as f64 / 19.0];
             let res = tree.locate(&x);
-            assert!(tree.constraints(res.leaf).contains(&x), "x = {x:?}");
+            let region = SubdomainConstraints {
+                domain: tree.domain().clone(),
+                halfspaces: res.path.iter().map(|step| tree.halfspace(step)).collect(),
+            };
+            assert!(region.contains(&x), "x = {x:?}");
         }
     }
 

@@ -1,13 +1,15 @@
 //! Property tests for the theorem of function sortability (paper Sec. 2.3.1):
 //! inside every subdomain the I-tree produces, the order of the functions is
-//! the same at every point of that subdomain, and it equals the order stored
-//! at the leaf.
+//! the same at every point of that subdomain, and it equals the order the
+//! leaf reads at its witness.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vaq_funcdb::{sort_functions_at, Domain, FuncId, LinearFunction, LpSplitOracle};
-use vaq_itree::{ITreeBuilder, Node};
+use vaq_funcdb::{
+    sort_functions_at, Domain, FuncId, LinearFunction, LpSplitOracle, SubdomainConstraints,
+};
+use vaq_itree::{ITree, ITreeBuilder};
 
 fn functions_from(coeffs: &[(f64, f64)]) -> Vec<LinearFunction> {
     coeffs
@@ -17,23 +19,35 @@ fn functions_from(coeffs: &[(f64, f64)]) -> Vec<LinearFunction> {
         .collect()
 }
 
-/// Every point sampled inside a leaf's constraint system sorts the functions
-/// exactly as the leaf's stored list (up to ties on boundaries, which
-/// sampling interior points avoids almost surely).
+/// Every leaf's region, read from its path, in [`ITree::leaf_ids`] order.
+fn regions(tree: &ITree) -> Vec<SubdomainConstraints> {
+    let mut regions = vec![None; tree.node_count()];
+    tree.for_each_region(|leaf, halfspaces| {
+        regions[leaf.index()] = Some(SubdomainConstraints {
+            domain: tree.domain().clone(),
+            halfspaces: halfspaces.to_vec(),
+        });
+    });
+    let leaves = tree.leaf_ids().iter();
+    leaves
+        .map(|leaf| {
+            regions[leaf.index()]
+                .take()
+                .expect("every leaf has a region")
+        })
+        .collect()
+}
+
+/// Every point sampled inside a leaf's region sorts the functions exactly as
+/// the leaf's order (up to ties on boundaries, which sampling interior
+/// points avoids almost surely).
 fn check_leaf_orders(functions: &[LinearFunction], dims: usize, seed: u64) -> Result<(), String> {
     let domain = Domain::unit(dims);
     let tree = ITreeBuilder::new(LpSplitOracle::new()).build(functions, domain.clone());
     let mut rng = StdRng::seed_from_u64(seed);
 
-    for &leaf in tree.leaf_ids() {
-        let Node::Subdomain {
-            constraints,
-            sorted,
-            ..
-        } = tree.node(leaf)
-        else {
-            panic!("leaf id must reference a subdomain node");
-        };
+    for (&leaf, constraints) in tree.leaf_ids().iter().zip(regions(&tree)) {
+        let sorted = tree.order(functions, leaf);
         // Rejection-sample a few interior points of this leaf.
         let mut found = 0;
         for _ in 0..400 {
@@ -57,7 +71,7 @@ fn check_leaf_orders(functions: &[LinearFunction], dims: usize, seed: u64) -> Re
             }
             found += 1;
             let direct = sort_functions_at(functions, &p);
-            if &direct != sorted {
+            if direct != sorted {
                 return Err(format!(
                     "d = {dims}: order at {p:?} disagrees with leaf order"
                 ));
@@ -112,7 +126,9 @@ proptest! {
         let tree = ITreeBuilder::new(LpSplitOracle::new()).build(&functions, Domain::unit(2));
         let p = [px, py];
         let located = tree.locate(&p);
-        prop_assert!(tree.constraints(located.leaf).contains(&p));
+        let regions = regions(&tree);
+        let region = |leaf| &regions[tree.leaf_ids().iter().position(|l| *l == leaf).unwrap()];
+        prop_assert!(region(located.leaf).contains(&p));
 
         // At least one leaf must contain the point (they cover the domain);
         // the located one must be among them.
@@ -120,7 +136,7 @@ proptest! {
             .leaf_ids()
             .iter()
             .copied()
-            .filter(|id| tree.constraints(*id).contains(&p))
+            .filter(|id| region(*id).contains(&p))
             .collect();
         prop_assert!(!containing.is_empty());
         prop_assert!(containing.contains(&located.leaf));

@@ -252,6 +252,16 @@ struct ForestNode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LeafId(u32);
 
+impl LeafId {
+    /// The leaf's slot in its forest. Leaves interned before the first
+    /// [`insert`](MerkleForestBuilder::insert) take slots 0, 1, 2, … in the
+    /// order their digests were first seen; an equal digest interned again
+    /// gets the slot it already has.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// The handle of one tree of a [`MerkleForest`]: its root node and its
 /// leaf count, which fixes its shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -373,9 +383,48 @@ impl ForestTree<'_> {
 
     /// Leaf digest at `index`.
     pub fn leaf(&self, index: usize) -> Digest {
+        self.forest.nodes[self.leaf_at(index).index()].hash
+    }
+
+    /// The interned leaf at position `index`: one descent.
+    pub fn leaf_at(&self, index: usize) -> LeafId {
         assert!(index < self.leaf_count(), "leaf index out of range");
-        let (node, _) = self.descend(index, index, |_, _, _| {});
-        self.forest.nodes[node as usize].hash
+        LeafId(self.descend(index, index, |_, _, _| {}).0)
+    }
+
+    /// The interned leaves at positions `lo..=hi`, in order, read layer by
+    /// layer from the root down: each layer's run of nodes over the window
+    /// is expanded into the next layer's, so the walk reads each node above
+    /// the window once.
+    ///
+    /// Panics if the range is empty or out of bounds.
+    pub fn window(&self, lo: usize, hi: usize) -> Vec<LeafId> {
+        assert!(lo <= hi, "empty range");
+        assert!(hi < self.leaf_count(), "leaf index out of range");
+        let (mut run, mut below) = (vec![self.id.root], Vec::with_capacity(hi - lo + 1));
+        for layer in (0..self.height() - 1).rev() {
+            let size = self.leaf_count().div_ceil(1 << layer);
+            let first_parent = lo >> (layer + 1);
+            below.clear();
+            below.extend(((lo >> layer)..=(hi >> layer)).map(|index| {
+                let parent = run[(index >> 1) - first_parent];
+                self.child(parent, index, size)
+            }));
+            std::mem::swap(&mut run, &mut below);
+        }
+        run.into_iter().map(LeafId).collect()
+    }
+
+    /// The node at `index` of a layer of `size` nodes, a child of `parent`.
+    /// A last node with no partner was carried up unchanged: its parent is
+    /// the same arena node.
+    fn child(&self, parent: u32, index: usize, size: usize) -> u32 {
+        let parent_node = &self.forest.nodes[parent as usize];
+        match (index % 2, index + 1 == size) {
+            (0, true) => parent,
+            (0, false) => parent_node.left,
+            _ => parent_node.right,
+        }
     }
 
     /// Walks from the root to leaves `lo` and `hi` at once and returns their
@@ -397,15 +446,8 @@ impl ForestTree<'_> {
                 size,
                 [lo_node, hi_node].map(|id| &nodes[id as usize]),
             );
-            // A last node with no partner was carried up unchanged: its
-            // parent is the same arena node.
-            let child = |parent: u32, index: usize| match (index % 2, index + 1 == size) {
-                (0, true) => parent,
-                (0, false) => nodes[parent as usize].left,
-                _ => nodes[parent as usize].right,
-            };
-            lo_node = child(lo_node, lo >> layer);
-            hi_node = child(hi_node, hi >> layer);
+            lo_node = self.child(lo_node, lo >> layer, size);
+            hi_node = self.child(hi_node, hi >> layer, size);
         }
         (lo_node, hi_node)
     }
@@ -630,10 +672,20 @@ mod tests {
         let checked = |n: usize, lo: usize, hi: usize| {
             !cfg!(debug_assertions) || n <= 12 || (7 * lo + 3 * hi).is_multiple_of(40)
         };
-        for n in 1..=70 {
+        let mut forest = MerkleForestBuilder::default();
+        let trees: Vec<TreeId> = (1..=70).map(|n| insert(&mut forest, leaves(n))).collect();
+        let forest = forest.finish();
+        for (n, id) in (1..=70).zip(trees) {
             let l = leaves(n);
             let t = MerkleTree::build(l.clone());
+            let view = forest.tree(id);
+            let digest = |leaf: LeafId| forest.nodes[leaf.index()].hash;
             for lo in 0..n {
+                assert_eq!(digest(view.leaf_at(lo)), t.leaf(lo), "{n}: leaf {lo}");
+                for hi in lo..n {
+                    let window: Vec<Digest> = view.window(lo, hi).into_iter().map(digest).collect();
+                    assert_eq!(window, l[lo..=hi], "{n}: window {lo}..={hi}");
+                }
                 for hi in (lo..n).filter(|&hi| checked(n, lo, hi)) {
                     let window = &l[lo..=hi];
                     let proof = t.prove_range(lo, hi);
@@ -819,6 +871,12 @@ mod tests {
         assert_eq!((view.leaf_count(), view.height()), (n, tree.height()));
         for &(lo, hi) in ranges {
             assert_eq!(view.leaf(lo), tree.leaf(lo), "n = {n}, leaf {lo}");
+            let window = view.window(lo, hi).into_iter();
+            let window: Vec<Digest> = window
+                .map(|id| view.forest.nodes[id.index()].hash)
+                .collect();
+            let leaves: Vec<Digest> = (lo..=hi).map(|i| tree.leaf(i)).collect();
+            assert_eq!(window, leaves, "n = {n}, window {lo}..={hi}");
             let proof = view.prove_range(lo, hi);
             assert_eq!(proof, tree.prove_range(lo, hi), "n = {n}, {lo}..={hi}");
         }

@@ -1,6 +1,7 @@
 //! Signature-mesh construction and server-side query processing.
 
 use crate::vo::{pair_digest, MeshBoundary, MeshResponse, MeshVo};
+use std::ops::Range;
 use vaq_authquery::cost::{OwnerStats, ServerCost};
 use vaq_authquery::Query;
 use vaq_crypto::sha256::Digest;
@@ -39,6 +40,10 @@ impl SignatureMesh {
         // is precisely its weakness).
         let itree = ITreeBuilder::new(LpSplitOracle::new())
             .build(&dataset.functions, dataset.domain.clone());
+        // Every cell's region, in leaf order, which is node id order.
+        let mut regions = Vec::with_capacity(itree.leaf_ids().len());
+        itree.for_each_region(|leaf, halfspaces| regions.push((leaf, halfspaces.to_vec())));
+        regions.sort_unstable_by_key(|(leaf, _)| *leaf);
 
         let record_digests: Vec<Digest> = dataset.records.iter().map(|r| r.digest()).collect();
         let mut hash_ops = record_digests.len();
@@ -46,14 +51,15 @@ impl SignatureMesh {
         let max_d = MeshBoundary::MaxToken.digest();
         hash_ops += 2;
 
-        let mut cells = Vec::with_capacity(itree.subdomain_count());
-        let mut signatures = Vec::with_capacity(itree.subdomain_count());
+        let mut cells = Vec::with_capacity(itree.leaf_ids().len());
+        let mut signatures = Vec::with_capacity(itree.leaf_ids().len());
         let mut structure_bytes = 0usize;
         let sig_size = signer.verifier().signature_size();
 
-        for &leaf in itree.leaf_ids() {
-            let constraints = itree.constraints(leaf).clone();
-            let sorted = itree.sorted_list(leaf).to_vec();
+        for (leaf, halfspaces) in regions {
+            let domain = dataset.domain.clone();
+            let constraints = SubdomainConstraints { domain, halfspaces };
+            let sorted = itree.order(&dataset.functions, leaf);
 
             // Leaf digests with the min/max tokens at the ends.
             let mut chain: Vec<Digest> = Vec::with_capacity(sorted.len() + 2);
@@ -137,7 +143,9 @@ impl SignatureMesh {
         let n = cell.sorted.len();
 
         // The IFMH server's selector, scoring only the positions it reads.
-        let window = query.select_window_by(n, |i| dataset.score(cell.sorted[i], x));
+        let score = |id: &FuncId| dataset.score(*id, x);
+        let near = |at: Range<usize>| cell.sorted[at].iter().map(score).collect();
+        let window = query.select_window_by(n, |i| score(&cell.sorted[i]), near);
 
         // Positions in the token-extended chain: token 0 = min, records at
         // 1..=n, token n+1 = max. Pair p sits between chain positions p and

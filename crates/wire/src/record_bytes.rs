@@ -60,7 +60,7 @@ impl RecordBytes {
 /// codecs. A test holds it to the derived encoder's bytes.
 pub fn query_response_frame(
     epoch: u64,
-    answer: &Answer<'_>,
+    answer: &Answer,
     records: &RecordBytes,
     scratch: &mut Vec<u8>,
 ) -> Option<Vec<u8>> {
@@ -69,7 +69,7 @@ pub fn query_response_frame(
         w.put_u8(crate::envelope::RESPONSE_TAG_QUERY);
         w.put_u64(epoch);
         w.put_len(answer.window.len());
-        for id in answer.window {
+        for id in &answer.window {
             match records.get(*id) {
                 Some(bytes) => w.put_raw(bytes),
                 None => complete = false,
@@ -94,14 +94,9 @@ mod tests {
     /// lowest score, above the highest and in the widest gap between two.
     fn queries_at(server: &Server, x: &[f64]) -> Vec<Query> {
         let dataset = server.dataset();
-        let leaf = server.tree().itree().locate(x).leaf;
-        let scores: Vec<f64> = server
-            .tree()
-            .itree()
-            .sorted_list(leaf)
-            .iter()
-            .map(|id| dataset.score(*id, x))
-            .collect();
+        let itree = server.tree().itree();
+        let order = itree.order(&dataset.functions, itree.locate(x).leaf);
+        let scores: Vec<f64> = order.iter().map(|id| dataset.score(*id, x)).collect();
         let (lo, hi) = (scores[0], scores[scores.len() - 1]);
         let (gap_at, _) = scores.windows(2).map(|w| w[1] - w[0]).enumerate().fold(
             (0, f64::MIN),
