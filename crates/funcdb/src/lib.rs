@@ -20,7 +20,7 @@
 //!   region (its filters, and the LP behind them), the primitive the I-tree
 //!   construction is built on.
 //! * [`sort`] — sorting functions by their value at a point, i.e. the
-//!   "sorted function list" attached to every subdomain.
+//!   "sorted function list" of a subdomain, read at its witness.
 
 #![warn(missing_docs)]
 
