@@ -303,8 +303,14 @@ impl MerkleForestBuilder {
     ///
     /// Panics if `leaves` is empty.
     pub fn insert(&mut self, leaves: impl IntoIterator<Item = LeafId>) -> TreeId {
+        self.insert_layer(leaves.into_iter().map(|leaf| leaf.0).collect())
+    }
+
+    /// [`insert`](Self::insert) past collecting the leaves: not generic, so
+    /// it is compiled once, here, and not again inside each caller (inside
+    /// `IfmhTree::build` that copy ran the same inserts in twice the time).
+    fn insert_layer(&mut self, mut layer: Vec<u32>) -> TreeId {
         let forest = &mut self.forest;
-        let mut layer: Vec<u32> = leaves.into_iter().map(|leaf| leaf.0).collect();
         assert!(!layer.is_empty(), "Merkle tree needs at least one leaf");
         let leaf_count = layer.len() as u32;
         while layer.len() > 1 {
