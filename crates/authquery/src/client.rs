@@ -4,15 +4,17 @@
 //!
 //! 1. **Authenticity** — the client re-hashes the returned records, rebuilds
 //!    the relevant part of the FMH-tree from the Merkle range proof, rebuilds
-//!    the IMH path (one-signature) or the subdomain digest (multi-signature),
-//!    and checks the owner's signature over the resulting digest. Success
+//!    the IMH path (one-signature) or the subdomain digest over the
+//!    half-spaces the owner signed for it, its facets (multi-signature), and
+//!    checks the owner's signature over the resulting digest. Success
 //!    proves every record and hash it used came from the owner's original
 //!    tree.
 //! 2. **Query semantics** — the client mimics the server: it checks the
-//!    query input lies in the proven subdomain, recomputes every returned
-//!    record's score, and checks the boundary entries prove that nothing
-//!    satisfying the query was omitted (completeness) and nothing included
-//!    violates the query condition (soundness).
+//!    query input lies in the proven subdomain (in multi-signature mode, on
+//!    the right side of every shipped half-space), recomputes every
+//!    returned record's score, and checks the boundary entries prove that
+//!    nothing satisfying the query was omitted (completeness) and nothing
+//!    included violates the query condition (soundness).
 
 use crate::cost::ClientCost;
 use crate::error::VerifyError;

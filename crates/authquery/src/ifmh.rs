@@ -14,7 +14,9 @@
 //!    node's hash is (a binding of) its FMH root, an intersection node's
 //!    hash combines its children's hashes — yielding the IMH-tree,
 //! 4. sign: either only the IMH root (*one-signature*) or every subdomain's
-//!    FMH root together with its defining inequalities (*multi-signature*).
+//!    FMH root together with its defining inequalities (*multi-signature*):
+//!    its facets ([`vaq_itree::facets`]), the half-spaces of its path that
+//!    bound it.
 
 use crate::cost::OwnerStats;
 use crate::signing::SigningMode;
@@ -25,8 +27,8 @@ use crate::vo::{
 use std::collections::HashMap;
 use vaq_crypto::sha256::Digest;
 use vaq_crypto::{Signature, Signer};
-use vaq_funcdb::{inequality_set_digest, Dataset, FuncId, LpSplitOracle};
-use vaq_itree::{BuildStats, ITree, ITreeBuilder, Node, NodeId};
+use vaq_funcdb::{inequality_set_digest, Dataset, FuncId, HalfSpace, LpSplitOracle};
+use vaq_itree::{facets, BuildStats, ITree, ITreeBuilder, Node, NodeId};
 use vaq_mht::{ForestTree, LeafId, MerkleForest, MerkleForestBuilder, TreeId};
 
 /// The Intersection and Function Merkle Hash tree.
@@ -161,15 +163,18 @@ impl IfmhTree {
                 signatures = 1;
             }
             SigningMode::MultiSignature => {
-                // Each subdomain's inequalities are the half-spaces of its
-                // path, read in one walk over the tree. The per-subdomain
-                // signatures are independent: collect the digests and sign
-                // them in one call, in leaf order, which the signer may
-                // spread over the machine's cores.
+                // Each subdomain's inequalities are its facets, the
+                // half-spaces of its path that bound it, read in one walk
+                // over the tree. The per-subdomain signatures are
+                // independent: collect the digests and sign them in one
+                // call, in leaf order, which the signer may spread over the
+                // machine's cores.
                 let mut inequalities = vec![[0u8; 32]; itree.node_count()];
-                itree.for_each_region(|leaf, halfspaces| {
+                itree.for_each_region(|leaf, path| {
+                    let kept = facets(itree.domain(), path.iter().map(HalfSpace::side));
+                    let halfspaces = kept.iter().map(|&at| &path[at]);
                     inequalities[leaf.index()] = inequality_set_digest(halfspaces);
-                    hash_ops += 1 + halfspaces.len();
+                    hash_ops += 1 + kept.len();
                 });
                 let mut bound_digests = Vec::with_capacity(itree.leaf_ids().len());
                 for &leaf in itree.leaf_ids() {

@@ -9,7 +9,7 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 use vaq_crypto::Signature;
 use vaq_funcdb::{Dataset, FuncId, HalfSpace, Record};
-use vaq_itree::{LocateResult, NodeId, PathStep};
+use vaq_itree::{facets, LocateResult, NodeId, PathStep};
 use vaq_mht::LeafId;
 
 /// A query result together with its verification object and the server's
@@ -195,7 +195,8 @@ impl Server {
     /// one-signature mode the root-to-leaf IMH path (each intersection's
     /// predicate, the hash stored at the sibling not taken and the branch)
     /// with the root signature; in multi-signature mode the subdomain's
-    /// defining half-spaces with its own signature. The count is the
+    /// facets ([`facets`]: the half-spaces of its path that bound it, as
+    /// the owner signed them) with its own signature. The count is the
     /// interior nodes the VO collects: the path length, or 0.
     fn assemble_interior_proof(
         &self,
@@ -231,8 +232,10 @@ impl Server {
                 )
             }
             SigningMode::MultiSignature => {
-                let path = located.path.iter();
-                let halfspaces = path.map(|step| self.tree.itree.halfspace(step)).collect();
+                let (itree, path) = (&self.tree.itree, &located.path);
+                let kept = facets(itree.domain(), path.iter().map(|step| itree.side(step)));
+                let halfspaces = kept.into_iter().map(|at| itree.halfspace(&path[at]));
+                let halfspaces = halfspaces.collect();
                 (
                     IntersectionVerification::MultiSignature { halfspaces },
                     self.tree.leaf_signatures[&leaf.0].clone(),

@@ -91,7 +91,9 @@ pub enum IntersectionVerification {
     /// determines the answered subdomain (the signature covers their digest
     /// together with the subdomain's FMH root).
     MultiSignature {
-        /// The subdomain's defining half-spaces, in path order.
+        /// The subdomain's facets, in path order: the half-spaces of its
+        /// I-tree path that bound it ([`vaq_itree::facets`]). At `d = 2` on
+        /// central input that is at most two; elsewhere the whole path.
         halfspaces: Vec<HalfSpace>,
     },
 }

@@ -10,7 +10,7 @@ use vaq_authquery::{
     VerifyError,
 };
 use vaq_crypto::{SignatureScheme, Signer, Verifier};
-use vaq_funcdb::{Dataset, Record};
+use vaq_funcdb::{Dataset, HalfSpace, Record};
 use vaq_workload::uniform_dataset;
 
 struct Setup {
@@ -514,6 +514,71 @@ fn multi_signature_inequalities_cannot_be_swapped() {
         verifier.as_ref(),
     );
     assert!(out.is_err(), "stripped inequalities must be detected");
+}
+
+#[test]
+fn a_cells_facets_cannot_be_dropped_replaced_or_reordered() {
+    // A multi-signature VO carries the facets of its cell, the two
+    // half-spaces of its path that bound it. Dropping one, putting another
+    // half-space of the path (one the query point also satisfies) in its
+    // place, or swapping the two each leaves the point inside what is shown,
+    // and each must fail on the signature.
+    let dataset = uniform_dataset(76, 2, 1);
+    let scheme = SignatureScheme::test_rsa(201);
+    let tree = IfmhTree::build(&dataset, SigningMode::MultiSignature, &scheme);
+    let server = Server::new(dataset.clone(), tree);
+    let verifier = scheme.verifier();
+    let mut tampered = 0;
+    for step in 1..20 {
+        let t = f64::from(step) / 20.0;
+        let query = Query::top_k(vec![t, 1.0 - t], 3);
+        let resp = server.process(&query);
+        let IntersectionVerification::MultiSignature { halfspaces: facets } =
+            &resp.vo.intersection_verification
+        else {
+            panic!("a multi-signature tree answers with its facets");
+        };
+        let itree = server.tree().itree();
+        let path = itree.locate(query.weights()).path;
+        let path: Vec<HalfSpace> = path.iter().map(|step| itree.halfspace(step)).collect();
+        let Some(redundant) = path.iter().find(|h| !facets.contains(h)) else {
+            continue;
+        };
+        if facets.len() != 2 {
+            continue;
+        }
+        let (first, second) = (facets[0].clone(), facets[1].clone());
+        let edits = [
+            vec![first.clone()],
+            vec![second.clone()],
+            vec![redundant.clone(), second.clone()],
+            vec![first.clone(), redundant.clone()],
+            vec![second, first],
+        ];
+        for halfspaces in edits {
+            assert!(halfspaces.iter().all(|h| h.satisfied(query.weights())));
+            let mut vo = resp.vo.clone();
+            vo.intersection_verification = IntersectionVerification::MultiSignature { halfspaces };
+            let out = client::verify(
+                &query,
+                &resp.records,
+                &vo,
+                &dataset.template,
+                verifier.as_ref(),
+            );
+            assert_eq!(out, Err(VerifyError::SignatureMismatch), "at {t}");
+            tampered += 1;
+        }
+        let honest = client::verify(
+            &query,
+            &resp.records,
+            &resp.vo,
+            &dataset.template,
+            verifier.as_ref(),
+        );
+        assert!(honest.is_ok(), "at {t}: {honest:?}");
+    }
+    assert!(tampered >= 50, "{tampered} edits");
 }
 
 #[test]

@@ -58,3 +58,23 @@ pub use dsa::{DsaKeyPair, DsaPublicKey, DsaSignature};
 pub use rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
 pub use sha256::{sha256, Digest, Sha256};
 pub use signer::{PublicKey, Signature, SignatureScheme, Signer, Verifier};
+
+/// The dev profile builds this crate at `opt-level = 3` (the root
+/// `Cargo.toml`): its debug assertions and overflow checks must still fire.
+#[cfg(all(test, debug_assertions))]
+mod debug_checks {
+    use crate::BigUint;
+    use std::hint::black_box;
+
+    #[test]
+    #[should_panic(expected = "BigUint underflow")]
+    fn a_debug_assertion_fires() {
+        black_box(BigUint::from_u64(1).sub(&BigUint::from_u64(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "attempt to add with overflow")]
+    fn an_overflow_check_fires() {
+        black_box(black_box(u32::MAX) + 1);
+    }
+}

@@ -57,6 +57,12 @@ impl HalfSpace {
         }
     }
 
+    /// The form's coefficients and constant, and whether the non-negative
+    /// side is kept: the half-space as `vaq_itree::facets` reads it.
+    pub fn side(&self) -> (&[f64], f64, bool) {
+        (&self.coeffs, self.constant, self.non_negative)
+    }
+
     /// Number of variables.
     pub fn dims(&self) -> usize {
         self.coeffs.len()

@@ -226,10 +226,13 @@ impl SubdomainConstraints {
 
 /// Digest of an ordered set of half-spaces (order-sensitive). The
 /// multi-signature scheme signs `H(H(inequalities) | subdomain_root_hash)`:
-/// the owner over each subdomain's path, the verifying client over the
-/// half-spaces a verification object carries, so both compute it from a
-/// bare list.
-pub fn inequality_set_digest(halfspaces: &[HalfSpace]) -> Digest {
+/// the owner over each subdomain's facets, picked from its path without
+/// copying them, the verifying client over the half-spaces a verification
+/// object carries, so both compute it from a bare sequence.
+pub fn inequality_set_digest<'a>(
+    halfspaces: impl IntoIterator<Item = &'a HalfSpace, IntoIter: ExactSizeIterator>,
+) -> Digest {
+    let halfspaces = halfspaces.into_iter();
     let mut h = Sha256::new();
     h.update(&(halfspaces.len() as u32).to_be_bytes());
     for hs in halfspaces {

@@ -79,9 +79,8 @@ impl Cells {
     fn of(functions: &[LinearFunction], domain: &Domain) -> Cells {
         let central = functions
             .iter()
-            .all(|f| f.constant == 0.0 && f.coeffs.iter().all(|a| a.is_finite()))
-            && domain.lower.iter().all(|&l| l >= 0.0)
-            && domain.upper.iter().all(|&u| u > 0.0);
+            .all(|f| through_origin(&f.coeffs, f.constant))
+            && in_the_orthant(domain);
         match (central, domain.dims()) {
             (true, 1) => Cells::Point,
             (true, 2) => Cells::Directions,
@@ -182,13 +181,8 @@ impl ITreeBuilder {
             queue: VecDeque::new(),
             stats: BuildStats::default(),
         };
-        let (l, u) = (&domain.lower, &domain.upper);
         match cells {
-            // The box's own directions run from its corner (l0, u1) to
-            // (u0, l1).
-            Cells::Directions => {
-                build.push_directions((l[0] / (l[0] + u[1]), u[0] / (u[0] + l[1])))
-            }
+            Cells::Directions => build.push_directions(box_directions(&domain)),
             Cells::Lp => build.push_region(SubdomainConstraints::whole(domain)),
             Cells::Point => build.push_leaf(Vec::new()),
         }
@@ -437,16 +431,94 @@ fn cone_vertices((t0, t1): (f64, f64), domain: &Domain) -> Vec<f64> {
     points
 }
 
-/// The intervals of directions on the non-negative (`above`) and negative
-/// (`below`) side of `coeffs·x = 0` within `(t0, t1)`, which it crosses:
+/// True if `coeffs·x + constant` is finite and passes through the origin.
+fn through_origin(coeffs: &[f64], constant: f64) -> bool {
+    constant == 0.0 && coeffs.iter().all(|a| a.is_finite())
+}
+
+/// True if the box lies in the non-negative orthant and reaches past the
+/// origin on every axis, so that every point but the origin has a direction.
+fn in_the_orthant(domain: &Domain) -> bool {
+    domain.lower.iter().all(|&l| l >= 0.0) && domain.upper.iter().all(|&u| u > 0.0)
+}
+
+/// The directions of a 2-d box in the non-negative quadrant: from its
+/// corner (l0, u1) to (u0, l1).
+fn box_directions(domain: &Domain) -> (f64, f64) {
+    let (l, u) = (&domain.lower, &domain.upper);
+    (l[0] / (l[0] + u[1]), u[0] / (u[0] + l[1]))
+}
+
+/// The direction at which `coeffs·x = 0` crosses the quadrant:
 /// `coeffs·(t, 1 − t)` is `a1 + (a0 − a1)·t`, zero at `t* = a1 / (a1 − a0)`.
+/// The non-negative side keeps the directions above `t*` if `a0 > a1`,
+/// those below it otherwise.
+fn cut(coeffs: &[f64]) -> f64 {
+    coeffs[1] / (coeffs[1] - coeffs[0])
+}
+
+/// The intervals of directions on the non-negative (`above`) and negative
+/// (`below`) side of `coeffs·x = 0` within `(t0, t1)`, which it crosses at
+/// its [`cut`].
 fn split_directions((t0, t1): (f64, f64), coeffs: &[f64]) -> ((f64, f64), (f64, f64)) {
-    let (a0, a1) = (coeffs[0], coeffs[1]);
-    let cut = (a1 / (a1 - a0)).clamp(t0, t1);
-    match a0 > a1 {
+    let cut = cut(coeffs).clamp(t0, t1);
+    match coeffs[0] > coeffs[1] {
         true => ((cut, t1), (t0, cut)),
         false => ((t0, cut), (cut, t1)),
     }
+}
+
+/// The facets of the cell that a root-to-leaf path cuts out of `domain`:
+/// the positions, in path order, of the path's half-spaces that bound it.
+/// `path` yields each half-space, root first, as its form's coefficients
+/// and constant and whether it keeps the form's non-negative side
+/// ([`ITree::side`], [`HalfSpace::side`]). In multi-signature mode the
+/// owner signs, and the server ships, these half-spaces in place of the
+/// whole path.
+///
+/// Where `domain` is a 2-d box in the non-negative quadrant and every
+/// half-space `a·x ⋛ 0` passes through the origin, each keeps the
+/// directions `t` (`x ∝ (t, 1 − t)`) on one side of its cut
+/// `t* = a1 / (a1 − a0)`, so the cell is the interval of directions between
+/// the greatest cut that bounds it from below and the least that bounds it
+/// from above. Those two half-spaces (on a tie, the later one on the path)
+/// are its facets, and an end at the box's edge needs none: inside the box
+/// they cut out exactly what the whole path does, since every other
+/// half-space on it contains that interval. On every other path (the LP
+/// path, `d ≠ 2`, a half-space off the origin) every half-space is a facet.
+pub fn facets<'a>(
+    domain: &Domain,
+    path: impl IntoIterator<Item = (&'a [f64], f64, bool)>,
+) -> Vec<usize> {
+    let mut central = domain.dims() == 2 && in_the_orthant(domain);
+    let (first, last) = match central {
+        true => box_directions(domain),
+        false => (0.0, 0.0),
+    };
+    // The bounding half-space on each side, as (position, cut). A cut that
+    // is NaN (a zero form) bounds nothing and is never taken.
+    let (mut len, mut lower, mut upper) = (0, None, None);
+    for (at, (coeffs, constant, non_negative)) in path.into_iter().enumerate() {
+        len = at + 1;
+        central &= coeffs.len() == 2 && through_origin(coeffs, constant);
+        if !central {
+            continue;
+        }
+        let t = cut(coeffs);
+        if (coeffs[0] > coeffs[1]) == non_negative {
+            if lower.map_or(t > first, |(_, bound)| t >= bound) {
+                lower = Some((at, t));
+            }
+        } else if upper.map_or(t < last, |(_, bound)| t <= bound) {
+            upper = Some((at, t));
+        }
+    }
+    if !central {
+        return (0..len).collect();
+    }
+    let mut kept: Vec<usize> = lower.into_iter().chain(upper).map(|(at, _)| at).collect();
+    kept.sort_unstable();
+    kept
 }
 
 /// A point strictly inside the cone over `directions` cut by the box: the
@@ -761,6 +833,126 @@ mod tests {
             let context = format!("uniform_dataset({n}, {dims}, {seed})");
             check_central(&dataset.functions, dataset.domain, &context);
         }
+    }
+
+    /// What [`check_facets`] saw over the leaves it was given.
+    #[derive(Debug, Default)]
+    struct FacetCounts {
+        /// Leaves whose half-spaces and box are central at `d = 2`.
+        central: usize,
+        /// Their facets, in all.
+        facets: usize,
+        /// Points probed, and those at which facets and path disagree.
+        probes: usize,
+        disagreements: usize,
+        /// Every other leaf: its path came back unchanged.
+        whole: usize,
+    }
+
+    /// Checks every leaf's [`facets`] against its whole path. A leaf whose
+    /// half-spaces all pass through the origin, over a 2-d box in the
+    /// quadrant, keeps at most two, in path order, and a point of the box
+    /// satisfies those iff it satisfies the path, except within 1e-9 of a
+    /// breakpoint (a half-space's [`cut`]). The probes are the ray entry,
+    /// middle and exit of a grid of directions across the box and of every
+    /// breakpoint with one ulp either side. Every other leaf gets its path
+    /// back unchanged.
+    fn check_facets(tree: &ITree, counts: &mut FacetCounts, context: &str) {
+        let domain = tree.domain();
+        tree.for_each_region(|leaf, path| {
+            let positions = facets(domain, path.iter().map(HalfSpace::side));
+            let central = domain.dims() == 2
+                && in_the_orthant(domain)
+                && (path.iter()).all(|h| through_origin(&h.coeffs, h.constant));
+            if !central {
+                let whole = positions.iter().copied().eq(0..path.len());
+                assert!(whole, "{context}, {leaf:?}: {positions:?}");
+                counts.whole += 1;
+                return;
+            }
+            counts.central += 1;
+            counts.facets += positions.len();
+            assert!(positions.len() <= 2, "{context}, {leaf:?}: {positions:?}");
+            let in_order = positions.windows(2).all(|p| p[0] < p[1]);
+            assert!(in_order, "{context}, {leaf:?}: {positions:?}");
+            let kept: Vec<HalfSpace> = positions.iter().map(|&at| path[at].clone()).collect();
+
+            let breakpoints: Vec<f64> = path.iter().map(|h| cut(&h.coeffs)).collect();
+            let (first, last) = box_directions(domain);
+            let grid = (0..=64).map(|i| first + (last - first) * f64::from(i) / 64.0);
+            let near = breakpoints
+                .iter()
+                .flat_map(|&t| [t.next_down(), t, t.next_up()]);
+            for t in grid.chain(near).filter(|t| (first..=last).contains(t)) {
+                let (enter, leave) = ray_span(t, domain);
+                for s in [enter, (enter + leave) / 2.0, leave] {
+                    let x = [s * t, s * (1.0 - t)];
+                    let inside = |list: &[HalfSpace]| list.iter().all(|h| h.satisfied(&x));
+                    counts.probes += 1;
+                    if inside(&kept) != inside(path) {
+                        counts.disagreements += 1;
+                        let off = breakpoints
+                            .iter()
+                            .map(|b| (t - b).abs())
+                            .fold(1.0, f64::min);
+                        assert!(off <= 1e-9, "{context}, {leaf:?}: {x:?} is {off} off");
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_central_cell_at_two_dimensions_is_its_facets() {
+        let mut counts = FacetCounts::default();
+        let builder = ITreeBuilder::new(LpSplitOracle::new());
+        for (n, seed) in [(76, 1), (128, 1)] {
+            let dataset = vaq_workload::uniform_dataset(n, 2, seed);
+            let tree = builder.build(&dataset.functions, dataset.domain);
+            check_facets(
+                &tree,
+                &mut counts,
+                &format!("uniform_dataset({n}, 2, {seed})"),
+            );
+        }
+        for seed in 0..160 {
+            let (functions, domain) = central_arrangement(seed, 2);
+            let tree = builder.build(&functions, domain);
+            check_facets(&tree, &mut counts, &format!("central seed {seed}"));
+        }
+        let mean = counts.facets as f64 / counts.central as f64;
+        println!("{mean:.3} facets a leaf over {counts:?}");
+        assert_eq!(counts.whole, 0, "{counts:?}");
+        assert!(
+            counts.central > 5_000 && counts.probes > 1_000_000,
+            "{counts:?}"
+        );
+        assert!(1.5 < mean && mean <= 2.0, "{counts:?}");
+    }
+
+    #[test]
+    fn lp_and_one_dimensional_leaves_keep_their_whole_path() {
+        // The awkward arrangements mostly read their regions through the
+        // LP; a d = 2 leaf among them whose path runs through the origin
+        // over a box in the quadrant is checked as a central one.
+        let mut counts = FacetCounts::default();
+        let builder = ITreeBuilder::new(LpSplitOracle::new());
+        for seed in 0..240 {
+            let (functions, domain) = arrangement(seed);
+            let tree = builder.build(&functions, domain);
+            check_facets(&tree, &mut counts, &format!("seed {seed}"));
+        }
+        for (n, dims) in [(64, 1), (9, 3)] {
+            let dataset = vaq_workload::uniform_dataset(n, dims, 1);
+            let tree = builder.build(&dataset.functions, dataset.domain);
+            check_facets(
+                &tree,
+                &mut counts,
+                &format!("uniform_dataset({n}, {dims}, 1)"),
+            );
+        }
+        println!("{counts:?}");
+        assert!(counts.whole > 2_000, "{counts:?}");
     }
 
     #[test]

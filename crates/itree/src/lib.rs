@@ -19,7 +19,7 @@ pub mod build;
 pub mod node;
 pub mod search;
 
-pub use build::{BuildStats, ITreeBuilder};
+pub use build::{facets, BuildStats, ITreeBuilder};
 pub use node::{ITree, Node, NodeId};
 pub use search::{LocateResult, PathStep};
 

@@ -120,6 +120,19 @@ impl ITree {
         }
     }
 
+    /// A path step's half-space as [`facets`](crate::facets) reads it,
+    /// without copying: the coefficients and constant of its intersection
+    /// node's difference function, and whether the path kept the
+    /// non-negative side.
+    pub fn side(&self, step: &PathStep) -> (&[f64], f64, bool) {
+        match self.node(step.node) {
+            Node::Intersection {
+                coeffs, constant, ..
+            } => (coeffs, *constant, step.went_above),
+            Node::Subdomain { .. } => panic!("a path step names an intersection node"),
+        }
+    }
+
     /// Calls `visit(leaf, halfspaces)` for every leaf with its path's
     /// half-spaces, root first: its region within the domain box. One
     /// depth-first walk, so leaves come in another order than

@@ -110,7 +110,10 @@ type Recorded = (
 /// centre of their largest inscribed ball: before, many d = 3 cells were
 /// sorted at a point on their own boundary, where two functions tie, and the
 /// owner signed lists that are wrong inside the cell. Format version 2 (a
-/// record as its canonical bytes) re-recorded every response hash once.
+/// record as its canonical bytes) re-recorded every response hash once. The
+/// multi-signature responses of the two d = 2 rows were re-recorded once,
+/// when a subdomain's signed inequalities became its facets rather than its
+/// whole path.
 const RECORDED: [Recorded; 4] = [
     (
         (64, 1, 1),
@@ -155,14 +158,14 @@ const RECORDED: [Recorded; 4] = [
                 "19220fd0f021684a4d3f4ce2a8806af45c2603bfb1683e10527b5994f4a884ec",
             ],
             [
-                "5b0ccc7b1b23bbe7f6161b56612795909baec3850aebe45d9b10891599be572c",
-                "273f27f76040e3615c49d0259b1706d550cc3f6e63bf5e7f68c578f369db5e06",
-                "1fbb8a209278721080c06ac1ec06a337ec92b444514489418bd984c496ea1372",
+                "b77aac4209e2018fb81daf8b420c578865d3e42ea28bca7d593bdd3e7c51d4f6",
+                "31b28abad5ac2158f7cc7590d9d942a19d1fb9903d067ccc1642a2637b7da07a",
+                "5af3dcc8d89740f201c67ba9ee50610b01faf4edeeb1e5df16fefe39e801dd98",
             ],
             [
-                "988773aec6f3d1fb395c045979058fdcb1f4addeb1bc6d2de8016155634e0360",
-                "18223b85b86e6ce61ccb979820944dddf5b66b3228999a4f61181fa6cd4ec9b5",
-                "0855fffd90542c9006323811cef6990e350d1354fa9ddc30a3b92360b11f3a98",
+                "8c06bd3298ac22aef62eb4e702e5eb28851dc36475ce4a82f794ea7d9de330a8",
+                "b61b259a8a54950f0c47c109e3665569a7b6f1ed58ac904673294f2252b4fbe6",
+                "d9fe32ae88562cf258e0acbaab6ec2ae3d4a945cd3c805adbf80a9ea356ef1a8",
             ],
         ],
     ),
@@ -182,14 +185,14 @@ const RECORDED: [Recorded; 4] = [
                 "b5606d15043ee41fe00334fe99fb2912c934b03a912b46261324c37ad986a379",
             ],
             [
-                "7958fa7385e82cef78e968df87e36472cf970c0e964d9477c94cb963ef4d687b",
-                "b47771e597830a7e74f9ccd460ef7d99ebdeffd2a108705ef1bf6773d0d7b8fe",
-                "45e1f42fb5e93a43b0feb3ee6de8cebf00107c6e9359a92f3a385d0b14cff70e",
+                "16060a596948416fa075ba190d5dd17abd0cd52ca9dd7e4838e04c57fde9f054",
+                "304a4a61c1ea4e13c48776e47e81762d92039f0bde7996d7109fa066d262a94c",
+                "21f702e9b150ca0832e409250f705f96d6b099e3096e6c8144e9d695db72a0c2",
             ],
             [
-                "89b79cd2582026a377b86aa7a7d51fff01123b9282e5356ce2610fe82b92b9ef",
-                "0eb9f93d82a83ce79d0079325440875c503f5c03997e52f1ca062e0f717fc312",
-                "092496d62f76300859ab451d641b0709f1bd364c272dec14373fb99de924af9e",
+                "86a7280168371b601b79346a90eb7e99e6b1893793a7fbe6e9b45054fd949b10",
+                "ceaeef8a4752b95d3f499c550c893cb42f0bc7c391789ae77a0bd4bf52a03386",
+                "a7ac93657c2b179917bcab6df8a3b7bad598f90c9a91dda563fdd211da3c8967",
             ],
         ],
     ),
